@@ -8,7 +8,7 @@
 // service ratio and the latency tail.
 #include <cstdio>
 
-#include "noc/mesh.hpp"
+#include "noc/network.hpp"
 #include "tech/report.hpp"
 
 using namespace rasoc;
@@ -26,12 +26,12 @@ struct Result {
 };
 
 Result run(router::ArbiterKind kind, double load) {
-  noc::MeshConfig cfg;
-  cfg.shape = noc::MeshShape{4, 4};
+  const noc::MeshShape shape{4, 4};
+  noc::NetworkConfig cfg;
   cfg.params.n = 16;
   cfg.params.p = 4;
   cfg.arbiter = kind;
-  noc::Mesh mesh(cfg);
+  noc::Network mesh(std::make_shared<noc::MeshTopology>(shape), cfg);
   mesh.ledger().setWarmupCycles(kWarmup);
   noc::TrafficConfig traffic;
   traffic.pattern = noc::TrafficPattern::HotSpot;
@@ -45,8 +45,8 @@ Result run(router::ArbiterKind kind, double load) {
 
   double sum = 0.0, sumSq = 0.0, minSent = 1e18, maxSent = 0.0;
   int nodes = 0;
-  for (int i = 0; i < mesh.shape().nodes(); ++i) {
-    const noc::NodeId n = mesh.shape().nodeAt(i);
+  for (int i = 0; i < shape.nodes(); ++i) {
+    const noc::NodeId n = shape.nodeAt(i);
     if (n == traffic.hotspot) continue;  // the hot node mostly receives
     const auto sent = static_cast<double>(mesh.ni(n).packetsSent());
     sum += sent;

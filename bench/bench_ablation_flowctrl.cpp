@@ -13,7 +13,7 @@
 //     benefit a credit-based OFC buys.
 #include <cstdio>
 
-#include "noc/mesh.hpp"
+#include "noc/network.hpp"
 #include "tech/report.hpp"
 #include "tech/timing.hpp"
 
@@ -31,12 +31,12 @@ struct Result {
 };
 
 Result run(router::FlowControl fc, double load) {
-  noc::MeshConfig cfg;
-  cfg.shape = noc::MeshShape{4, 4};
+  const noc::MeshShape shape{4, 4};
+  noc::NetworkConfig cfg;
   cfg.params.n = 16;
   cfg.params.p = 4;
   cfg.params.flowControl = fc;
-  noc::Mesh mesh(cfg);
+  noc::Network mesh(std::make_shared<noc::MeshTopology>(shape), cfg);
   mesh.ledger().setWarmupCycles(kWarmup);
   noc::TrafficConfig traffic;
   traffic.offeredLoad = load;

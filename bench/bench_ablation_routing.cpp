@@ -8,7 +8,7 @@
 // soft-core lets a designer tune per application.
 #include <cstdio>
 
-#include "noc/mesh.hpp"
+#include "noc/network.hpp"
 #include "tech/report.hpp"
 
 using namespace rasoc;
@@ -26,12 +26,12 @@ struct Result {
 
 Result run(router::RoutingAlgorithm routing, noc::TrafficPattern pattern,
            double load) {
-  noc::MeshConfig cfg;
-  cfg.shape = noc::MeshShape{4, 4};
+  const noc::MeshShape shape{4, 4};
+  noc::NetworkConfig cfg;
   cfg.params.n = 16;
   cfg.params.p = 4;
   cfg.params.routing = routing;
-  noc::Mesh mesh(cfg);
+  noc::Network mesh(std::make_shared<noc::MeshTopology>(shape), cfg);
   mesh.ledger().setWarmupCycles(kWarmup);
   noc::TrafficConfig traffic;
   traffic.pattern = pattern;

@@ -16,9 +16,8 @@
 // transport, and retransmission turns detection into recovery.
 //
 // Flags follow bench_noc_loadsweep: --topology=mesh|torus|ring (16 nodes
-// each), --kernel=naive|event|parallel|compiled, --threads=N, plus
-// --quick for a
-// reduced CI smoke grid.  First non-flag argument is the RunReport JSON
+// each), --kernel=naive|event|compiled (default compiled), plus --quick
+// for a reduced CI smoke grid.  First non-flag argument is the RunReport JSON
 // artifact path (default bench_noc_faultsweep_report.json).
 //
 // --trace=<path> flit-traces the instrumented *reliable* run and writes
@@ -53,8 +52,7 @@ using namespace rasoc;
 namespace {
 
 std::string gTopology = "mesh";
-std::string gKernel = "event";
-int gThreads = 2;
+std::string gKernel = "compiled";
 int gVcs = 1;
 bool gQuick = false;
 bool gQos = false;
@@ -79,7 +77,6 @@ std::shared_ptr<const noc::Topology> makeBenchTopology() {
 
 sim::Simulator::Kernel benchKernel() {
   if (gKernel == "naive") return sim::Simulator::Kernel::Naive;
-  if (gKernel == "parallel") return sim::Simulator::Kernel::ParallelEventDriven;
   if (gKernel == "compiled") return sim::Simulator::Kernel::Compiled;
   return sim::Simulator::Kernel::EventDriven;
 }
@@ -109,7 +106,6 @@ noc::NetworkConfig benchConfig(double intensity, bool reliable,
   if (gTopology == "ring") cfg.params.m = 10;
   cfg.params.numVCs = vcs > 0 ? vcs : gVcs;
   cfg.kernel = benchKernel();
-  cfg.threads = gThreads;
   cfg.hlpParity = true;  // same wire format in both tables
   if (reliable) {
     cfg.reliability.enabled = true;
@@ -330,8 +326,6 @@ int main(int argc, char** argv) {
       gTopology = argv[i] + 11;
     } else if (std::strncmp(argv[i], "--kernel=", 9) == 0) {
       gKernel = argv[i] + 9;
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      gThreads = std::atoi(argv[i] + 10);
     } else if (std::strncmp(argv[i], "--vcs=", 6) == 0) {
       gVcs = std::atoi(argv[i] + 6);
     } else if (std::strcmp(argv[i], "--quick") == 0) {
@@ -356,14 +350,9 @@ int main(int argc, char** argv) {
                 gTopology.c_str());
     return 1;
   }
-  if (gKernel != "naive" && gKernel != "event" && gKernel != "parallel" &&
-      gKernel != "compiled") {
-    std::printf("unknown --kernel=%s (naive|event|parallel|compiled)\n",
+  if (gKernel != "naive" && gKernel != "event" && gKernel != "compiled") {
+    std::printf("unknown --kernel=%s (naive|event|compiled)\n",
                 gKernel.c_str());
-    return 1;
-  }
-  if (gThreads < 1) {
-    std::printf("--threads=%d must be >= 1\n", gThreads);
     return 1;
   }
   if (gVcs != 1 && gVcs != 2 && gVcs != 4) {

@@ -7,9 +7,8 @@
 // Rings cannot express Transpose (non-square extent), so the ring sweep
 // substitutes BitComplement, the equivalent long-haul permutation.
 //
-// The settle kernel is selectable too
-// (--kernel=naive|event|parallel|compiled, default event; --threads=N
-// sizes the parallel kernel's partition).  All kernels are cycle-exact
+// The settle kernel is selectable too (--kernel=naive|event|compiled,
+// default compiled, the NetworkConfig default).  All kernels are cycle-exact
 // against each other (tests/noc/kernel_trichotomy_test.cpp), so the sweep
 // numbers are identical and the flag only changes wall-clock cost.
 //
@@ -52,8 +51,7 @@ constexpr int kWarmup = 800;
 constexpr int kMeasure = 3000;
 
 std::string gTopology = "mesh";
-std::string gKernel = "event";
-int gThreads = 2;
+std::string gKernel = "compiled";
 int gVcs = 1;
 bool gQos = false;
 std::string gTracePath;  // empty = flit tracing off
@@ -66,7 +64,6 @@ std::shared_ptr<const noc::Topology> makeBenchTopology() {
 
 sim::Simulator::Kernel benchKernel() {
   if (gKernel == "naive") return sim::Simulator::Kernel::Naive;
-  if (gKernel == "parallel") return sim::Simulator::Kernel::ParallelEventDriven;
   if (gKernel == "compiled") return sim::Simulator::Kernel::Compiled;
   return sim::Simulator::Kernel::EventDriven;
 }
@@ -80,7 +77,6 @@ noc::NetworkConfig benchConfig(int p, int vcs = 0) {
   // A 16-node ring routes offsets up to 14; the grids stay within 3.
   if (gTopology == "ring") cfg.params.m = 10;
   cfg.kernel = benchKernel();
-  cfg.threads = gThreads;
   return cfg;
 }
 
@@ -161,8 +157,6 @@ std::string instrumentedReport(noc::TrafficPattern pattern, double load,
   report.set("run", "offered_load", load);
   report.set("run", "seed", std::uint64_t{99});
   report.set("run", "kernel", gKernel);
-  if (benchKernel() == sim::Simulator::Kernel::ParallelEventDriven)
-    report.set("run", "threads", gThreads);
   return report.toJson();
 }
 
@@ -332,8 +326,6 @@ int main(int argc, char** argv) {
       gTopology = argv[i] + 11;
     } else if (std::strncmp(argv[i], "--kernel=", 9) == 0) {
       gKernel = argv[i] + 9;
-    } else if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      gThreads = std::atoi(argv[i] + 10);
     } else if (std::strncmp(argv[i], "--vcs=", 6) == 0) {
       gVcs = std::atoi(argv[i] + 6);
     } else if (std::strcmp(argv[i], "--qos") == 0) {
@@ -356,14 +348,9 @@ int main(int argc, char** argv) {
                 gTopology.c_str());
     return 1;
   }
-  if (gKernel != "naive" && gKernel != "event" && gKernel != "parallel" &&
-      gKernel != "compiled") {
-    std::printf("unknown --kernel=%s (naive|event|parallel|compiled)\n",
+  if (gKernel != "naive" && gKernel != "event" && gKernel != "compiled") {
+    std::printf("unknown --kernel=%s (naive|event|compiled)\n",
                 gKernel.c_str());
-    return 1;
-  }
-  if (gThreads < 1) {
-    std::printf("--threads=%d must be >= 1\n", gThreads);
     return 1;
   }
   if (gVcs != 1 && gVcs != 2 && gVcs != 4) {

@@ -19,7 +19,6 @@
 #include "baseline/bus.hpp"
 #include "baseline/crossbar.hpp"
 #include "baseline/spin.hpp"
-#include "noc/mesh.hpp"
 #include "noc/observe.hpp"
 #include "sim/simulator.hpp"
 #include "tech/report.hpp"
@@ -49,11 +48,11 @@ struct Result {
 };
 
 Result runMesh(double load) {
-  noc::MeshConfig cfg;
-  cfg.shape = noc::MeshShape{4, 4};
+  noc::NetworkConfig cfg;
   cfg.params.n = 16;
   cfg.params.p = 4;
-  noc::Mesh mesh(cfg);
+  noc::Network mesh(std::make_shared<noc::MeshTopology>(noc::MeshShape{4, 4}),
+                    cfg);
   mesh.ledger().setWarmupCycles(kWarmup);
   mesh.attachTraffic(traffic(load));
   mesh.run(kWarmup + kMeasure);
@@ -120,11 +119,11 @@ std::string fmt4(double v) {
 // Instrumented mesh run near the bus saturation point, serialized as a
 // RunReport so the mesh side of the comparison is machine-diffable.
 void writeMeshReport(const std::string& path, double load) {
-  noc::MeshConfig cfg;
-  cfg.shape = noc::MeshShape{4, 4};
+  noc::NetworkConfig cfg;
   cfg.params.n = 16;
   cfg.params.p = 4;
-  noc::Mesh mesh(cfg);
+  noc::Network mesh(std::make_shared<noc::MeshTopology>(noc::MeshShape{4, 4}),
+                    cfg);
   telemetry::MetricsRegistry registry;
   mesh.enableTelemetry(registry);
   mesh.ledger().setWarmupCycles(kWarmup);

@@ -49,10 +49,10 @@ TestPlanConfig config(std::vector<noc::NodeId> ports, double power) {
 std::uint64_t execute(const TestPlanConfig& cfg,
                       const std::vector<CoreTestSpec>& cores,
                       const TestSchedule& schedule) {
-  noc::MeshConfig meshCfg;
-  meshCfg.shape = noc::MeshShape{4, 4};
+  noc::NetworkConfig meshCfg;
   meshCfg.params = cfg.params;
-  noc::Mesh mesh(meshCfg);
+  noc::Network mesh(std::make_shared<noc::MeshTopology>(noc::MeshShape{4, 4}),
+                    meshCfg);
   const ExecutionResult result =
       runSchedule(mesh, cores, schedule, cfg, 200000);
   if (!result.completed || !result.healthy) {

@@ -7,7 +7,7 @@
 #include <cstdio>
 
 #include "noc/appmap.hpp"
-#include "noc/mesh.hpp"
+#include "noc/network.hpp"
 #include "tech/report.hpp"
 
 using namespace rasoc;
@@ -71,11 +71,10 @@ int main() {
                   greedy.hopBandwidth);
 
   // Validate on the cycle-accurate mesh.
-  noc::MeshConfig cfg;
-  cfg.shape = shape;
+  noc::NetworkConfig cfg;
   cfg.params.n = 16;
   cfg.params.p = 4;
-  noc::Mesh mesh(cfg);
+  noc::Network mesh(std::make_shared<noc::MeshTopology>(shape), cfg);
   auto replayers = noc::attachFlows(mesh, graph, annealed, 6, 7);
   mesh.run(20000);
 

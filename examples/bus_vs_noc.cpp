@@ -9,7 +9,7 @@
 #include <cstdlib>
 
 #include "baseline/bus.hpp"
-#include "noc/mesh.hpp"
+#include "noc/network.hpp"
 #include "sim/simulator.hpp"
 
 using namespace rasoc;
@@ -41,11 +41,10 @@ int main(int argc, char** argv) {
     busSim.reset();
     busSim.run(kWarmup + kMeasure);
 
-    noc::MeshConfig cfg;
-    cfg.shape = shape;
+    noc::NetworkConfig cfg;
     cfg.params.n = 16;
     cfg.params.p = 4;
-    noc::Mesh mesh(cfg);
+    noc::Network mesh(std::make_shared<noc::MeshTopology>(shape), cfg);
     mesh.ledger().setWarmupCycles(kWarmup);
     mesh.attachTraffic(traffic);
     mesh.run(kWarmup + kMeasure);

@@ -9,7 +9,7 @@
 //   $ ./design_space
 #include <cstdio>
 
-#include "noc/mesh.hpp"
+#include "noc/network.hpp"
 #include "softcore/elaborate.hpp"
 #include "tech/mapper.hpp"
 #include "tech/report.hpp"
@@ -20,10 +20,10 @@ using namespace rasoc;
 namespace {
 
 double saturationThroughput(const router::RouterParams& params) {
-  noc::MeshConfig cfg;
-  cfg.shape = noc::MeshShape{4, 4};
+  noc::NetworkConfig cfg;
   cfg.params = params;
-  noc::Mesh mesh(cfg);
+  noc::Network mesh(std::make_shared<noc::MeshTopology>(noc::MeshShape{4, 4}),
+                    cfg);
   mesh.ledger().setWarmupCycles(500);
   noc::TrafficConfig traffic;
   traffic.offeredLoad = 1.0;  // saturating

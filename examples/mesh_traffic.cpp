@@ -6,7 +6,7 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "noc/mesh.hpp"
+#include "noc/network.hpp"
 
 using namespace rasoc;
 
@@ -18,12 +18,12 @@ int main(int argc, char** argv) {
   for (noc::TrafficPattern pattern :
        {noc::TrafficPattern::UniformRandom, noc::TrafficPattern::Transpose,
         noc::TrafficPattern::BitComplement, noc::TrafficPattern::HotSpot}) {
-    noc::MeshConfig cfg;
-    cfg.shape = noc::MeshShape{4, 4};
+    noc::NetworkConfig cfg;
     cfg.params.n = 16;
     cfg.params.m = 8;
     cfg.params.p = 4;
-    noc::Mesh mesh(cfg);
+    noc::Network mesh(
+        std::make_shared<noc::MeshTopology>(noc::MeshShape{4, 4}), cfg);
     mesh.ledger().setWarmupCycles(kWarmup);
 
     noc::TrafficConfig traffic;

@@ -16,7 +16,6 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "noc/mesh.hpp"
 #include "noc/observe.hpp"
 #include "noc/watchdog.hpp"
 
@@ -26,11 +25,12 @@ int main(int argc, char** argv) {
   const std::uint64_t seed =
       argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 7;
 
-  noc::MeshConfig cfg;
-  cfg.shape = noc::MeshShape{3, 3};
+  const noc::MeshShape shape{3, 3};
+  const auto topology = std::make_shared<noc::MeshTopology>(shape);
+  noc::NetworkConfig cfg;
   cfg.params.n = 16;
   cfg.params.p = 4;
-  noc::Mesh mesh(cfg);
+  noc::Network mesh(topology, cfg);
 
   telemetry::MetricsRegistry registry;
   mesh.enableTelemetry(registry);
@@ -53,11 +53,9 @@ int main(int argc, char** argv) {
               traffic.offeredLoad, static_cast<unsigned long long>(seed),
               static_cast<unsigned long long>(cycles));
 
-  const auto throughput =
-      noc::throughputHeatmap(registry, cfg.shape, cycles);
-  const auto congestion = noc::congestionHeatmap(registry, cfg.shape, cycles);
-  const auto backpressure =
-      noc::backpressureHeatmap(registry, cfg.shape, cycles);
+  const auto throughput = noc::throughputHeatmap(registry, shape, cycles);
+  const auto congestion = noc::congestionHeatmap(registry, shape, cycles);
+  const auto backpressure = noc::backpressureHeatmap(registry, shape, cycles);
   std::fputs(throughput.ascii().c_str(), stdout);
   std::printf("\n");
   std::fputs(congestion.ascii().c_str(), stdout);
@@ -76,7 +74,7 @@ int main(int argc, char** argv) {
   // Every packet's lifecycle is reconstructed (NI queueing, per-hop buffer
   // residency, arbitration, ejection) and folded into a latency
   // decomposition whose components sum exactly to the end-to-end latency.
-  noc::Mesh hotMesh(cfg);
+  noc::Network hotMesh(topology, cfg);
   noc::FlowTracer& tracer = hotMesh.enableTracing();
 
   noc::TrafficConfig hotTraffic = traffic;

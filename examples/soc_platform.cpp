@@ -7,30 +7,25 @@
 //   $ ./soc_platform
 #include <cstdio>
 
-#include "noc/mesh.hpp"
+#include "noc/network.hpp"
 #include "soc/transaction.hpp"
 
 using namespace rasoc;
 using noc::NodeId;
 
 int main() {
-  noc::MeshConfig cfg;
-  cfg.shape = noc::MeshShape{3, 3};
+  const noc::MeshShape shape{3, 3};
+  noc::NetworkConfig cfg;
   cfg.params.n = 16;
   cfg.params.p = 4;
-  noc::Mesh mesh(cfg);
+  noc::Network mesh(std::make_shared<noc::MeshTopology>(shape), cfg);
 
   // Memories at opposite corners; initiators spread over the mesh.
-  soc::MemoryTarget ram0("ram0", mesh.ni(NodeId{2, 2}), mesh.shape(), 2,
-                         256);
-  soc::MemoryTarget ram1("ram1", mesh.ni(NodeId{0, 2}), mesh.shape(), 2,
-                         256);
-  soc::Initiator cpu0("cpu0", mesh.ni(NodeId{0, 0}), mesh.shape(),
-                      NodeId{0, 0}, 4);
-  soc::Initiator cpu1("cpu1", mesh.ni(NodeId{2, 0}), mesh.shape(),
-                      NodeId{2, 0}, 4);
-  soc::Initiator dma("dma", mesh.ni(NodeId{1, 1}), mesh.shape(),
-                     NodeId{1, 1}, 8);
+  soc::MemoryTarget ram0("ram0", mesh.ni(NodeId{2, 2}), shape, 2, 256);
+  soc::MemoryTarget ram1("ram1", mesh.ni(NodeId{0, 2}), shape, 2, 256);
+  soc::Initiator cpu0("cpu0", mesh.ni(NodeId{0, 0}), shape, NodeId{0, 0}, 4);
+  soc::Initiator cpu1("cpu1", mesh.ni(NodeId{2, 0}), shape, NodeId{2, 0}, 4);
+  soc::Initiator dma("dma", mesh.ni(NodeId{1, 1}), shape, NodeId{1, 1}, 8);
   mesh.simulator().add(ram0);
   mesh.simulator().add(ram1);
   mesh.simulator().add(cpu0);

@@ -343,24 +343,9 @@ void FlowTracer::onTick() {
   // 6. Settle-kernel timeline sample (per-cycle work deltas).
   if (config_.profileKernel) {
     sim::Simulator& sim = net_->simulator();
-    KernelSample ks;
-    ks.cycle = cycle;
     const std::uint64_t evals = sim.evaluateCalls();
-    ks.evals = evals - prevEvals_;
+    kernelSamples_.push_back({cycle, evals - prevEvals_});
     prevEvals_ = evals;
-    if (sim.kernel() == sim::Simulator::Kernel::ParallelEventDriven) {
-      const auto& ps = sim.parallelStats();
-      ks.frontier = ps.frontierEvaluations - prevFrontier_;
-      prevFrontier_ = ps.frontierEvaluations;
-      if (prevDomains_.size() != ps.domainEvaluations.size())
-        prevDomains_.assign(ps.domainEvaluations.size(), 0);
-      ks.domains.resize(ps.domainEvaluations.size());
-      for (std::size_t d = 0; d < ks.domains.size(); ++d) {
-        ks.domains[d] = ps.domainEvaluations[d] - prevDomains_[d];
-        prevDomains_[d] = ps.domainEvaluations[d];
-      }
-    }
-    kernelSamples_.push_back(std::move(ks));
     if (kernelSamples_.size() > config_.capacity) kernelSamples_.pop_front();
   }
 }
@@ -406,11 +391,7 @@ void FlowTracer::resyncCounters() {
     f.prevDropped = f.link->flitsDropped();
     f.prevStalls = f.link->stallCycles();
   }
-  const sim::Simulator& sim = net_->simulator();
-  prevEvals_ = sim.evaluateCalls();
-  const auto& ps = sim.parallelStats();
-  prevFrontier_ = ps.frontierEvaluations;
-  prevDomains_ = ps.domainEvaluations;
+  prevEvals_ = net_->simulator().evaluateCalls();
 }
 
 void FlowTracer::clear() {
@@ -543,20 +524,9 @@ std::string FlowTracer::kernelProfileJson() const {
   telemetry::PerfettoWriter w;
   if (config_.profileKernel && !kernelSamples_.empty()) {
     w.processName(kKernelPid, "settle kernel");
-    for (const KernelSample& ks : kernelSamples_) {
+    for (const KernelSample& ks : kernelSamples_)
       w.counter(kKernelPid, ks.cycle, "evals/cycle",
                 {{"evals", static_cast<double>(ks.evals)}});
-      if (!ks.domains.empty()) {
-        std::vector<std::pair<std::string, double>> series;
-        series.reserve(ks.domains.size());
-        for (std::size_t d = 0; d < ks.domains.size(); ++d)
-          series.emplace_back("d" + std::to_string(d),
-                              static_cast<double>(ks.domains[d]));
-        w.counter(kKernelPid, ks.cycle, "domain evals/cycle", series);
-        w.counter(kKernelPid, ks.cycle, "frontier evals/cycle",
-                  {{"frontier", static_cast<double>(ks.frontier)}});
-      }
-    }
   }
   return w.toJson();
 }

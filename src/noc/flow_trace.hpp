@@ -21,23 +21,22 @@
 /// noc/ni.cpp) — says *which packet* it was.  Determinism is inherited:
 /// the scan iterates nodes and ports in fixed order and reads only values
 /// every kernel computes identically, so the event stream is byte-stable
-/// across the naive, event-driven and parallel kernels and across thread
-/// counts.  A desynchronized shadow queue (impossible unless the
-/// reconstruction rules are wrong) throws immediately rather than
-/// producing a silently misattributed trace.
+/// across the naive, event-driven and compiled kernels.  A desynchronized
+/// shadow queue (impossible unless the reconstruction rules are wrong)
+/// throws immediately rather than producing a silently misattributed
+/// trace.
 ///
 /// Outputs: a bounded TraceSink ring (telemetry/trace_event.hpp), a
 /// Chrome/Perfetto JSON export (one track per router port, one per
 /// traced flow), a per-flow latency decomposition (source queueing / hop
 /// minimum / hop blocked / drain) whose components sum *exactly* to the
 /// traced end-to-end latency, and a `trace` RunReport section.  Kernel
-/// profiling data (evaluations per cycle, frontier, domain imbalance,
-/// hottest modules) is a property of the *kernel*, not of the simulated
-/// machine, so it is kept strictly outside the traced event stream: it
-/// exports through the separate kernelProfileJson() sidecar and the
-/// `kernel_profile` report section, keeping perfettoJson() and the
-/// `trace` section byte-identical across every kernel even with
-/// profiling enabled.
+/// profiling data (evaluations per cycle, hottest modules) is a property
+/// of the *kernel*, not of the simulated machine, so it is kept strictly
+/// outside the traced event stream: it exports through the separate
+/// kernelProfileJson() sidecar and the `kernel_profile` report section,
+/// keeping perfettoJson() and the `trace` section byte-identical across
+/// every kernel even with profiling enabled.
 #pragma once
 
 #include <cstdint>
@@ -76,11 +75,11 @@ struct TraceConfig {
   std::uint64_t sampleEvery = 1;
 
   /// Also profile the settle kernel: per-module evaluate() counts
-  /// (Simulator::enableProfiling) plus a per-cycle evaluation/frontier/
-  /// domain-imbalance timeline.  Profile data never touches the traced
-  /// event stream — it exports through kernelProfileJson() and the
-  /// `kernel_profile` report section — so enabling this does not perturb
-  /// cross-kernel byte-identity of perfettoJson().
+  /// (Simulator::enableProfiling) plus a per-cycle evaluation timeline.
+  /// Profile data never touches the traced event stream — it exports
+  /// through kernelProfileJson() and the `kernel_profile` report section —
+  /// so enabling this does not perturb cross-kernel byte-identity of
+  /// perfettoJson().
   bool profileKernel = true;
 
   /// Completed per-packet spans retained for the Perfetto flow tracks and
@@ -158,11 +157,10 @@ class FlowTracer {
   /// byte-identical across settle kernels, with or without profiling.
   std::string perfettoJson() const;
 
-  /// Chrome/Perfetto JSON of the kernel-profile counter tracks
-  /// (evaluations / frontier / per-domain per cycle).  Kernel-dependent
-  /// by nature — keep it a sidecar next to the machine trace, never
-  /// merged into it.  Empty-trace JSON when profileKernel is off or no
-  /// samples were taken.
+  /// Chrome/Perfetto JSON of the kernel-profile counter track
+  /// (evaluations per cycle).  Kernel-dependent by nature — keep it a
+  /// sidecar next to the machine trace, never merged into it.  Empty-trace
+  /// JSON when profileKernel is off or no samples were taken.
   std::string kernelProfileJson() const;
 
   /// Fills the `trace` section of a RunReport (ring occupancy, packet
@@ -213,8 +211,6 @@ class FlowTracer {
   struct KernelSample {
     std::uint64_t cycle = 0;
     std::uint64_t evals = 0;
-    std::uint64_t frontier = 0;
-    std::vector<std::uint64_t> domains;
   };
   struct FaultyView {
     std::size_t slot = 0;  // (fromNode, fromPort)
@@ -271,8 +267,6 @@ class FlowTracer {
 
   std::deque<KernelSample> kernelSamples_;  // bounded by config_.capacity
   std::uint64_t prevEvals_ = 0;
-  std::uint64_t prevFrontier_ = 0;
-  std::vector<std::uint64_t> prevDomains_;
 
   std::uint64_t nextId_ = 1;
   std::uint64_t packetsTraced_ = 0;

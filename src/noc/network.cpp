@@ -17,13 +17,6 @@ std::string nodeName(const char* prefix, NodeId n) {
          std::to_string(n.y) + ")";
 }
 
-// Previous lifetime counters, so the parallel-kernel tick sampler can emit
-// per-cycle deltas.
-struct ParallelSample {
-  std::uint64_t frontier = 0;
-  std::vector<std::uint64_t> domains;
-};
-
 }  // namespace
 
 Network::Network(std::shared_ptr<const Topology> topology,
@@ -51,14 +44,6 @@ Network::Network(std::shared_ptr<const Topology> topology,
               "control (the credit-based ack wire carries credit returns)");
       }
     }
-  }
-
-  // Parallel kernel: one partition domain per worker thread, each node's
-  // modules hinted into the domain Topology::partition assigns to it.
-  if (config_.kernel == sim::Simulator::Kernel::ParallelEventDriven) {
-    config_.threads = std::max(config_.threads, 1);
-    nodeDomains_ = topology_->partition(config_.threads);
-    sim_.setThreads(config_.threads);
   }
 
   // Wrap probe: a West (resp. South) link out of node (0,0) only exists on
@@ -103,10 +88,6 @@ Network::Network(std::shared_ptr<const Topology> topology,
     auto ni = std::make_unique<NetworkInterface>(
         nodeName("ni", n), params, topology_, n, r->in(Port::Local),
         r->out(Port::Local), ledger_, niOptions);
-    if (!nodeDomains_.empty()) {
-      r->setPartitionHint(nodeDomains_[static_cast<std::size_t>(i)]);
-      ni->setPartitionHint(nodeDomains_[static_cast<std::size_t>(i)]);
-    }
     sim_.add(*r);
     sim_.add(*ni);
     routers_.push_back(std::move(r));
@@ -144,10 +125,6 @@ Network::Network(std::shared_ptr<const Topology> topology,
             routers_[indexOf(*to)]->in(router::opposite(out)),
             config_.params.flowControl, config_.params.numVCs);
       }
-      // A link inherits its source node's domain; when the destination
-      // lives in another domain the partition classifies it frontier.
-      if (!nodeDomains_.empty())
-        link->setPartitionHint(nodeDomains_[static_cast<std::size_t>(i)]);
       sim_.add(*link);
       linkIndex_[{topology_->indexOf(from), router::index(out)}] = link.get();
       links_.push_back(std::move(link));
@@ -191,8 +168,6 @@ void Network::attachTraffic(const std::vector<FlowSpec>& flows) {
       auto gen = std::make_unique<TrafficGenerator>(
           nodeName(prefix.c_str(), n), topology_, n,
           *nis_[static_cast<std::size_t>(i)], cfg);
-      if (!nodeDomains_.empty())
-        gen->setPartitionHint(nodeDomains_[static_cast<std::size_t>(i)]);
       sim_.add(*gen);
       generators_.push_back(std::move(gen));
     }
@@ -304,42 +279,6 @@ void Network::enableTelemetry(telemetry::MetricsRegistry& registry) {
       unacked->sample(static_cast<double>(unackedTotal));
       backlog->sample(static_cast<double>(backlogTotal));
     });
-  }
-  if (sim_.kernel() == sim::Simulator::Kernel::ParallelEventDriven) {
-    // Parallel-kernel health: frontier (sequential) work per cycle, the
-    // per-domain imbalance ratio (max/mean interior evaluations; 1.0 means
-    // perfectly balanced), and the partition's frontier-module count.
-    telemetry::Gauge* frontierEvals =
-        &registry.gauge("sim.parallel.frontier_evals");
-    telemetry::Gauge* imbalance =
-        &registry.gauge("sim.parallel.domain_imbalance");
-    telemetry::Gauge* frontierModules =
-        &registry.gauge("sim.parallel.frontier_modules");
-    auto last = std::make_shared<ParallelSample>();
-    sim_.addTickListener(
-        [this, frontierEvals, imbalance, frontierModules, last] {
-          const auto& stats = sim_.parallelStats();
-          frontierEvals->sample(
-              static_cast<double>(stats.frontierEvaluations - last->frontier));
-          last->frontier = stats.frontierEvaluations;
-          last->domains.resize(stats.domainEvaluations.size(), 0);
-          double sum = 0.0;
-          double peak = 0.0;
-          for (std::size_t d = 0; d < stats.domainEvaluations.size(); ++d) {
-            const double delta = static_cast<double>(
-                stats.domainEvaluations[d] - last->domains[d]);
-            last->domains[d] = stats.domainEvaluations[d];
-            sum += delta;
-            peak = std::max(peak, delta);
-          }
-          const double mean =
-              sum / static_cast<double>(
-                        std::max<std::size_t>(stats.domainEvaluations.size(),
-                                              1));
-          imbalance->sample(mean > 0.0 ? peak / mean : 1.0);
-          frontierModules->sample(
-              static_cast<double>(stats.frontierModules));
-        });
   }
 }
 

@@ -39,16 +39,9 @@ struct NetworkConfig {
   /// elaborated network to a word-packed state arena plus a levelized op
   /// tape (see sim/compile.hpp) and is the default; EventDriven evaluates
   /// only modules whose inputs changed; Naive is the reference fixpoint
-  /// kernel the equivalence suite A/Bs against.  All four are proven
+  /// kernel the equivalence suite A/Bs against.  All three are proven
   /// bit-identical by noc_kernel_trichotomy_test.
   sim::Simulator::Kernel kernel = sim::Simulator::Kernel::Compiled;
-
-  /// Worker threads for Kernel::ParallelEventDriven (ignored by the other
-  /// kernels).  The topology is split into this many contiguous node blocks
-  /// (Topology::partition); each node's router, NI, traffic generator and
-  /// outgoing links land in that node's domain, and links crossing a cut
-  /// become the kernel's frontier modules.
-  int threads = 1;
 
   /// HLP parity in every NI (paper Section 2 extension); costs one data bit
   /// per flit.
@@ -188,7 +181,6 @@ class Network {
 
   std::shared_ptr<const Topology> topology_;
   NetworkConfig config_;
-  std::vector<int> nodeDomains_;  // parallel kernel only; else empty
   sim::Simulator sim_;
   DeliveryLedger ledger_;
   std::vector<std::unique_ptr<router::Rasoc>> routers_;

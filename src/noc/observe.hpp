@@ -32,7 +32,6 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/report.hpp"
 
-#include "noc/mesh.hpp"
 #include "noc/network.hpp"
 #include "noc/watchdog.hpp"
 

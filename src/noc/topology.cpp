@@ -57,24 +57,6 @@ int Topology::maxRibOffset() const {
   return worst;
 }
 
-std::vector<int> Topology::partition(int parts) const {
-  if (parts < 1)
-    throw std::invalid_argument("Topology::partition: need >= 1 part");
-  const int count = nodes();
-  std::vector<int> assignment(static_cast<std::size_t>(count), 0);
-  // Balanced contiguous blocks of the row-major node order; block sizes
-  // differ by at most one node.
-  const int base = count / parts;
-  const int extra = count % parts;
-  int next = 0;
-  for (int p = 0; p < parts && next < count; ++p) {
-    const int size = base + (p < extra ? 1 : 0);
-    for (int i = 0; i < size; ++i)
-      assignment[static_cast<std::size_t>(next++)] = p;
-  }
-  return assignment;
-}
-
 void Topology::checkAdjacency() const {
   for (int i = 0; i < nodes(); ++i) {
     const NodeId n = nodeAt(i);

@@ -183,14 +183,6 @@ class Topology {
   /// router::ribMaxOffset when a network is built).
   virtual int maxRibOffset() const;
 
-  /// Assigns every node (by index) to one of `parts` domains for the
-  /// parallel settle kernel (Simulator::Kernel::ParallelEventDriven).  The
-  /// default splits the row-major node order into balanced contiguous
-  /// blocks - horizontal strips on grids, arcs on rings - so each domain's
-  /// frontier is a small number of cut links.  Throws for parts < 1; with
-  /// more parts than nodes the surplus domains stay empty.
-  virtual std::vector<int> partition(int parts) const;
-
   /// Throws std::logic_error if any link lacks its reverse or a port mask
   /// disagrees with the adjacency.
   void checkAdjacency() const;

@@ -87,11 +87,15 @@ void Lowering::op(OpFn fn, void* ctx, std::vector<const WireBase*> reads,
 
 void Lowering::thunk(Module& m) {
   // Discover the write set by running evaluate() once under the write
-  // recorder (stable-write-set contract, shared with the partitioner).
+  // recorder (stable-write-set contract: evaluate() must drive the same
+  // wires on every call).  The recorder is disarmed even if evaluate()
+  // throws, so it never outlives `writes`.
   std::vector<const WireBase*> writes;
+  struct Disarm {
+    ~Disarm() { SettleContext::armWriteRecorder(nullptr); }
+  } disarm;
   SettleContext::armWriteRecorder(&writes);
   m.evaluateOne();
-  SettleContext::armWriteRecorder(nullptr);
   ++prog_.discoveryEvals_;
   std::sort(writes.begin(), writes.end());
   writes.erase(std::unique(writes.begin(), writes.end()), writes.end());

@@ -1,10 +1,9 @@
 // Compiled settle kernel: one-time lowering of the elaborated module tree
 // into a word-packed state arena plus a levelized op tape.
 //
-// The behavioural kernels (Naive, EventDriven, ParallelEventDriven) pay a
-// virtual evaluate() per module per settle round plus per-Wire fanout
-// bookkeeping.  Kernel::Compiled instead runs a single lowering pass at
-// elaboration time:
+// The behavioural kernels (Naive, EventDriven) pay a virtual evaluate() per
+// module per settle round plus per-Wire fanout bookkeeping.
+// Kernel::Compiled instead runs a single lowering pass at elaboration time:
 //
 //  * every wire an op touches is assigned a (word, bit-offset) slice of a
 //    contiguous std::uint64_t arena - bools are 1 bit, 32-bit values are a
@@ -139,8 +138,8 @@ class Lowering {
 
   // Fallback thunk around m.evaluate().  Reads default to the module's
   // declared sensitivities; the write set is discovered by running
-  // evaluate() once under the write recorder (same stable-write-set
-  // contract the parallel kernel's partitioner relies on).
+  // evaluate() once under the write recorder, so evaluate() must drive the
+  // same wires on every call (stable-write-set contract).
   void thunk(Module& m);
 
   // Thunk with an explicitly declared write set: skips discovery, so no

@@ -108,35 +108,14 @@ class Module {
 
   void bindScheduler(EvalScheduler* s) { scheduler_ = s; }
 
-  // --- parallel-kernel placement (see sim/partition.hpp) ----------------
-
-  // Domain hint for Kernel::ParallelEventDriven.  Children without a hint
-  // inherit the nearest hinted ancestor's; unhinted modules fall into
-  // domain 0.  Set before the first settle (noc::Network derives hints from
-  // Topology::partition).
-  void setPartitionHint(int domain) { partitionHint_ = domain; }
-  int partitionHint() const { return partitionHint_; }
-
-  // Resolved placement, written by the simulator when it (re)builds the
-  // partition: owning domain, frontier classification, and this module's
-  // index in the flattened module list.
-  void setPlacement(int domain, bool frontier, std::size_t index) {
-    domain_ = domain;
-    frontier_ = frontier;
-    moduleIndex_ = index;
-  }
-  int partitionDomain() const { return domain_; }
-  bool isFrontier() const { return frontier_; }
-  std::size_t moduleIndex() const { return moduleIndex_; }
-
   // Index in the simulator's flattened module list, written whenever the
-  // list is (re)collected so every kernel - not just the parallel one,
-  // whose setPlacement() also writes it - can attribute per-module work
+  // list is (re)collected so every kernel can attribute per-module work
   // (Simulator::enableProfiling).
   void setModuleIndex(std::size_t index) { moduleIndex_ = index; }
+  std::size_t moduleIndex() const { return moduleIndex_; }
 
-  // Wires declared via sensitive() - the read set the partition classifier
-  // pairs with the discovered write sets.
+  // Wires declared via sensitive() - the read set the compiled kernel
+  // gives a fallback thunk (Lowering::thunk).
   const std::vector<const WireBase*>& sensitivities() const { return reads_; }
 
  protected:
@@ -170,11 +149,8 @@ class Module {
   std::vector<const WireBase*> reads_;  // declared via sensitive()
   EvalScheduler* scheduler_ = nullptr;
   std::size_t moduleIndex_ = 0;
-  int partitionHint_ = -1;
-  int domain_ = 0;
   bool dirty_ = false;
   bool sequential_ = false;
-  bool frontier_ = false;
 };
 
 }  // namespace rasoc::sim

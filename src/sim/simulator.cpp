@@ -1,13 +1,10 @@
 #include "sim/simulator.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
 #include "sim/compile.hpp"
-#include "sim/settle_pool.hpp"
 #include "sim/wire.hpp"
 
 namespace rasoc::sim {
@@ -16,8 +13,6 @@ thread_local bool SettleContext::changed_ = false;
 thread_local bool SettleContext::inSettle_ = false;
 thread_local std::vector<const WireBase*>* SettleContext::writeRecorder_ =
     nullptr;
-
-thread_local Simulator::EnqueueRoute* Simulator::tlsRoute_ = nullptr;
 
 namespace {
 
@@ -31,54 +26,7 @@ class SettleGuard {
   SettleGuard& operator=(const SettleGuard&) = delete;
 };
 
-// The in-settle flag is per-thread: pool workers arm it for their own
-// sweep so Wire::force keeps throwing there too.  No-op when the flag is
-// already set (inline sweeps on the simulating thread).
-class ScopedSettleFlag {
- public:
-  ScopedSettleFlag() : armed_(!SettleContext::inSettle()) {
-    if (armed_) SettleContext::enterSettle();
-  }
-  ~ScopedSettleFlag() {
-    if (armed_) SettleContext::exitSettle();
-  }
-  ScopedSettleFlag(const ScopedSettleFlag&) = delete;
-  ScopedSettleFlag& operator=(const ScopedSettleFlag&) = delete;
-
- private:
-  bool armed_;
-};
-
-#ifndef NDEBUG
-// Re-records a parallel-phase evaluation so it can be checked against the
-// module's discovered write set.
-class WriteRecorderGuard {
- public:
-  explicit WriteRecorderGuard(std::vector<const WireBase*>* recorder) {
-    SettleContext::armWriteRecorder(recorder);
-  }
-  ~WriteRecorderGuard() { SettleContext::armWriteRecorder(nullptr); }
-  WriteRecorderGuard(const WriteRecorderGuard&) = delete;
-  WriteRecorderGuard& operator=(const WriteRecorderGuard&) = delete;
-};
-#endif
-
 }  // namespace
-
-// Swaps the thread-local enqueue route in and out, preserving any outer
-// route (nested simulators on one thread).
-class Simulator::RouteGuard {
- public:
-  explicit RouteGuard(EnqueueRoute* route) : prev_(tlsRoute_) {
-    tlsRoute_ = route;
-  }
-  ~RouteGuard() { tlsRoute_ = prev_; }
-  RouteGuard(const RouteGuard&) = delete;
-  RouteGuard& operator=(const RouteGuard&) = delete;
-
- private:
-  EnqueueRoute* prev_;
-};
 
 Simulator::Simulator() = default;
 Simulator::~Simulator() = default;
@@ -86,29 +34,23 @@ Simulator::~Simulator() = default;
 void Simulator::ensureCollected() {
   if (!modulesStale_) return;
   modules_.clear();
-  hints_.clear();
   sequential_.clear();
   for (Module* top : tops_) {
-    // Iterative preorder walk; mesh trees are shallow but wide.  Children
-    // inherit the nearest hinted ancestor's partition hint.
-    std::vector<std::pair<Module*, int>> stack{{top, -1}};
+    // Iterative preorder walk; mesh trees are shallow but wide.
+    std::vector<Module*> stack{top};
     while (!stack.empty()) {
-      auto [m, inherited] = stack.back();
+      Module* m = stack.back();
       stack.pop_back();
-      const int hint =
-          m->partitionHint() >= 0 ? m->partitionHint() : inherited;
       m->bindScheduler(this);
       m->setModuleIndex(modules_.size());
       modules_.push_back(m);
-      hints_.push_back(hint);
       if (m->isSequential()) sequential_.push_back(m);
       const auto& children = m->children();
       for (auto it = children.rbegin(); it != children.rend(); ++it)
-        stack.push_back({*it, hint});
+        stack.push_back(*it);
     }
   }
   modulesStale_ = false;
-  partitionStale_ = true;
   compiledStale_ = true;
   if (profileBase_) {
     // Late add()s (e.g. traffic generators attached after construction)
@@ -119,7 +61,6 @@ void Simulator::ensureCollected() {
   }
   // Newly collected modules have never been evaluated by this worklist:
   // seed everything once so the next settle starts from a known state.
-  // (The parallel kernel seeds when it rebuilds its partition.)
   if (kernel_ == Kernel::EventDriven) seedAll();
 }
 
@@ -137,11 +78,6 @@ void Simulator::setKernel(Kernel kernel) {
         std::to_string(cycle_) +
         " would hand the new kernel a stale worklist; select the kernel "
         "before the first cycle, or reset() first");
-  if (kernel == Kernel::Compiled && threads_ > 1)
-    throw std::logic_error(
-        "Simulator::setKernel: Kernel::Compiled is single-threaded (its op "
-        "tape runs on the calling thread); setThreads(1) first or use "
-        "Kernel::ParallelEventDriven for multi-threaded settling");
   // Leaving the compiled kernel: detach the wires from the arena while
   // they are certainly alive, and drop the program.
   if (kernel_ == Kernel::Compiled) releaseProgram();
@@ -150,10 +86,6 @@ void Simulator::setKernel(Kernel kernel) {
     case Kernel::EventDriven:
       ensureCollected();
       seedAll();
-      break;
-    case Kernel::ParallelEventDriven:
-      // Seeding happens when the partition is (re)built, on first settle.
-      partitionStale_ = true;
       break;
     case Kernel::Naive:
       // The naive kernel ignores the worklist; drop any queued entries so
@@ -171,34 +103,6 @@ void Simulator::setKernel(Kernel kernel) {
   }
 }
 
-void Simulator::setThreads(int n) {
-  if (n < 1)
-    throw std::invalid_argument("Simulator::setThreads: need >= 1 thread");
-  if (n == threads_) return;
-  if (kernel_ == Kernel::Compiled && n > 1)
-    throw std::logic_error(
-        "Simulator::setThreads: Kernel::Compiled is single-threaded (its op "
-        "tape runs on the calling thread); switch kernels before raising "
-        "the thread count");
-  if (cycle_ != 0)
-    throw std::logic_error(
-        "Simulator::setThreads: thread-count change at cycle " +
-        std::to_string(cycle_) +
-        " would repartition mid-run; set threads before the first cycle, "
-        "or reset() first");
-  threads_ = n;
-  partitionStale_ = true;
-}
-
-const Partition& Simulator::partition() {
-  if (kernel_ != Kernel::ParallelEventDriven)
-    throw std::logic_error(
-        "Simulator::partition: only Kernel::ParallelEventDriven partitions "
-        "the module graph");
-  ensurePartitionBuilt();
-  return partition_;
-}
-
 void Simulator::reset() {
   cycle_ = 0;
   ensureCollected();
@@ -207,7 +111,7 @@ void Simulator::reset() {
   // have reallocated), so a compiled program's raw state pointers are
   // stale: recompile on the next settle.
   compiledStale_ = true;
-  if (kernel_ != Kernel::Naive && kernel_ != Kernel::Compiled) seedAll();
+  if (kernel_ == Kernel::EventDriven) seedAll();
   settle();
 }
 
@@ -221,9 +125,6 @@ void Simulator::settle() {
     case Kernel::EventDriven:
       settleEventDriven();
       break;
-    case Kernel::ParallelEventDriven:
-      settleParallel();
-      break;
     case Kernel::Compiled:
       settleCompiled();
       break;
@@ -231,29 +132,6 @@ void Simulator::settle() {
 }
 
 void Simulator::settleNaive() {
-  if (std::getenv("RASOC_SETTLE_DEBUG")) {
-    // Convergence forensics: names every module still changing wires late
-    // in the fixpoint sweep.  A module that appears alone over and over has
-    // a non-idempotent evaluate() — typically a wire driven low and then
-    // raised within one pass, which trips the change flag forever.
-    for (int iter = 0; iter < maxSettleIterations_; ++iter) {
-      bool any = false;
-      for (Module* m : modules_) {
-        SettleContext::clearChanged();
-        m->evaluateOne();
-        if (SettleContext::changed()) {
-          any = true;
-          if (iter > 5)
-            std::fprintf(stderr, "settle iter %d: %s changed wires\n", iter,
-                         m->name().c_str());
-        }
-      }
-      if (!any) return;
-    }
-    throw std::runtime_error(
-        "Simulator::settle: no combinational fixpoint (RASOC_SETTLE_DEBUG "
-        "report above)");
-  }
   for (int iter = 0; iter < maxSettleIterations_; ++iter) {
     SettleContext::clearChanged();
     if (profileBase_) {
@@ -270,10 +148,22 @@ void Simulator::settleNaive() {
     evaluateCalls_ += modules_.size();
     if (!SettleContext::changed()) return;
   }
+  // No fixpoint.  One more pass, module by module, names every module still
+  // changing wires.  A module that appears alone has a non-idempotent
+  // evaluate() - typically a wire driven low and then raised within one
+  // pass, which trips the change flag forever.
+  std::string culprits;
+  for (Module* m : modules_) {
+    SettleContext::clearChanged();
+    m->evaluateOne();
+    if (SettleContext::changed())
+      culprits += (culprits.empty() ? "" : ", ") + m->name();
+  }
+  evaluateCalls_ += modules_.size();
   throw std::runtime_error(
       "Simulator::settle: no combinational fixpoint after " +
       std::to_string(maxSettleIterations_) +
-      " passes (combinational loop?)");
+      " passes (combinational loop?); still changing: " + culprits);
 }
 
 void Simulator::settleEventDriven() {
@@ -315,7 +205,7 @@ void Simulator::ensureProgramBuilt() {
   // not land in a dying arena.
   releaseProgram();
   program_ = CompiledProgram::build(tops_);
-  // Discovery evaluations are settle work, same as the partition build.
+  // Discovery evaluations are settle work.
   evaluateCalls_ += program_->discoveryEvaluations();
   compiledStale_ = false;
 }
@@ -330,217 +220,6 @@ void Simulator::settleCompiled() {
       static_cast<std::uint64_t>(std::max(maxSettleIterations_, 1)),
       profileBase_);
 }
-
-void Simulator::ensurePartitionBuilt() {
-  ensureCollected();
-  if (!partitionStale_) return;
-  // The build's write-set discovery evaluates every module once; those
-  // calls count as settle work.  Values written are scratch: seedAll()
-  // below re-marks everything and the next settle reaches the unique
-  // fixpoint (evaluate() is idempotent).
-  partition_ = buildPartition(modules_, hints_, threads_);
-  evaluateCalls_ += modules_.size();
-  if (profileBase_)
-    for (std::size_t i = 0; i < modules_.size(); ++i) ++profileBase_[i];
-  for (std::size_t i = 0; i < modules_.size(); ++i)
-    modules_[i]->setPlacement(partition_.domainOf[i],
-                              partition_.isFrontier[i] != 0, i);
-  domains_.assign(static_cast<std::size_t>(threads_), DomainRun{});
-  frontierRun_.clear();
-  parallelStats_.domainEvaluations.resize(
-      static_cast<std::size_t>(threads_), 0);
-  parallelStats_.frontierModules = partition_.frontierModules;
-  parallelStats_.domains = static_cast<std::size_t>(threads_);
-  if (threads_ > 1) {
-    if (!pool_ || pool_->workers() != threads_)
-      pool_ = std::make_unique<SettlePool>(threads_);
-  } else {
-    pool_.reset();
-  }
-  partitionStale_ = false;
-  seedAll();
-}
-
-void Simulator::settleParallel() {
-  ensurePartitionBuilt();
-  // Distribute the between-cycles worklist (clock-edge re-seeds, pokes,
-  // external send() calls) onto the per-domain runlists; frontier modules
-  // go straight to the sequential list.
-  for (Module* m : worklist_) {
-    if (m->isFrontier()) {
-      frontierRun_.push_back(m);
-    } else {
-      domains_[static_cast<std::size_t>(m->partitionDomain())].run.push_back(
-          m);
-    }
-  }
-  worklist_.clear();
-  for (DomainRun& d : domains_) {
-    d.evals = 0;
-    d.overBudget = false;
-  }
-  frontierEvalsThisSettle_ = 0;
-  try {
-    runParallelRounds();
-  } catch (...) {
-    // Leave no stale dirty flag behind so the simulator stays usable after
-    // a combinational-loop (or contract-violation) throw.
-    cleanupParallelLists();
-    foldParallelCounters();
-    throw;
-  }
-  foldParallelCounters();
-}
-
-void Simulator::runParallelRounds() {
-  const std::uint64_t frontierBound =
-      static_cast<std::uint64_t>(std::max(maxSettleIterations_, 1)) *
-      static_cast<std::uint64_t>(
-          std::max<std::size_t>(partition_.frontierModules, 1));
-  while (true) {
-    int busy = 0;
-    for (const DomainRun& d : domains_)
-      if (!d.run.empty()) ++busy;
-    if (busy > 0) {
-      ++parallelStats_.rounds;
-      if (busy == 1 || !pool_) {
-        // A single busy domain (or a one-thread configuration) needs no
-        // handoff: sweep inline on this thread.
-        for (int d = 0; d < threads_; ++d)
-          if (!domains_[static_cast<std::size_t>(d)].run.empty())
-            drainDomain(d);
-      } else {
-        pool_->run([this](int d) {
-          if (!domains_[static_cast<std::size_t>(d)].run.empty())
-            drainDomain(d);
-        });
-      }
-      // Barrier passed.  Deterministic reduction: fold every domain's
-      // deferred frontier wakes into the sequential runlist in fixed
-      // domain order - never in thread-completion order.
-      bool overBudget = false;
-      for (DomainRun& d : domains_) {
-        overBudget = overBudget || d.overBudget;
-        frontierRun_.insert(frontierRun_.end(), d.deferred.begin(),
-                            d.deferred.end());
-        d.deferred.clear();
-        d.run.clear();
-      }
-      if (overBudget)
-        throw std::runtime_error(
-            "Simulator::settle: a parallel domain worklist did not drain "
-            "within its evaluation bound (combinational loop?)");
-    }
-    if (frontierRun_.empty()) break;
-    {
-      // Sequential frontier phase: drains cross-domain modules; interior
-      // modules they wake are routed into their domain's next round.
-      EnqueueRoute route{this, nullptr, &frontierRun_, true};
-      RouteGuard guard(&route);
-      for (std::size_t i = 0; i < frontierRun_.size(); ++i) {
-        Module* m = frontierRun_[i];
-        m->clearDirty();
-        m->evaluateOne();
-        if (profileBase_) ++profileBase_[m->moduleIndex()];
-        if (++frontierEvalsThisSettle_ > frontierBound)
-          throw std::runtime_error(
-              "Simulator::settle: frontier worklist did not drain within " +
-              std::to_string(frontierBound) +
-              " evaluations (combinational loop?)");
-      }
-      frontierRun_.clear();
-    }
-    bool any = false;
-    for (DomainRun& d : domains_) {
-      d.run.swap(d.next);
-      any = any || !d.run.empty();
-    }
-    if (!any) break;
-  }
-}
-
-void Simulator::drainDomain(int d) {
-  DomainRun& dr = domains_[static_cast<std::size_t>(d)];
-  const std::uint64_t bound =
-      static_cast<std::uint64_t>(std::max(maxSettleIterations_, 1)) *
-      static_cast<std::uint64_t>(std::max<std::size_t>(
-          partition_.domainModules[static_cast<std::size_t>(d)], 1));
-  ScopedSettleFlag settleFlag;
-  EnqueueRoute route{this, &dr.run, &dr.deferred, false};
-  RouteGuard guard(&route);
-#ifndef NDEBUG
-  std::vector<const WireBase*> writes;
-#endif
-  // Same growing-worklist drain as settleEventDriven, restricted to this
-  // domain's interior modules.
-  for (std::size_t i = 0; i < dr.run.size(); ++i) {
-    Module* m = dr.run[i];
-    m->clearDirty();
-#ifndef NDEBUG
-    writes.clear();
-    {
-      WriteRecorderGuard recorder(&writes);
-      m->evaluateOne();
-    }
-    validateWrites(m, writes);
-#else
-    m->evaluateOne();
-#endif
-    // Interior modules are evaluated only by their owning domain's thread,
-    // so this slot has a single writer for the whole parallel phase.
-    if (profileBase_) ++profileBase_[m->moduleIndex()];
-    if (++dr.evals > bound) {
-      // This domain's modules are touched by this thread only; clear the
-      // undrained tail's flags here, flag the overrun, and let the main
-      // thread throw after the barrier.
-      for (std::size_t j = i + 1; j < dr.run.size(); ++j)
-        dr.run[j]->clearDirty();
-      dr.overBudget = true;
-      return;
-    }
-  }
-}
-
-void Simulator::cleanupParallelLists() {
-  const auto drop = [](std::vector<Module*>& list) {
-    for (Module* m : list) m->clearDirty();
-    list.clear();
-  };
-  for (DomainRun& d : domains_) {
-    drop(d.run);
-    drop(d.next);
-    drop(d.deferred);
-  }
-  drop(frontierRun_);
-  drop(worklist_);
-}
-
-void Simulator::foldParallelCounters() {
-  std::uint64_t total = 0;
-  for (std::size_t d = 0; d < domains_.size(); ++d) {
-    total += domains_[d].evals;
-    parallelStats_.domainEvaluations[d] += domains_[d].evals;
-    domains_[d].evals = 0;
-  }
-  total += frontierEvalsThisSettle_;
-  parallelStats_.frontierEvaluations += frontierEvalsThisSettle_;
-  frontierEvalsThisSettle_ = 0;
-  evaluateCalls_ += total;
-}
-
-#ifndef NDEBUG
-void Simulator::validateWrites(
-    const Module* m, const std::vector<const WireBase*>& writes) const {
-  const auto& allowed = partition_.writeSets[m->moduleIndex()];
-  for (const WireBase* w : writes)
-    if (!std::binary_search(allowed.begin(), allowed.end(), w,
-                            std::less<const WireBase*>{}))
-      throw std::logic_error(
-          "parallel kernel: module '" + m->name() +
-          "' drove a wire outside its discovered write set; evaluate() "
-          "must drive the same wires on every call (see sim/partition.hpp)");
-}
-#endif
 
 void Simulator::enableProfiling() {
   ensureCollected();
@@ -575,26 +254,6 @@ void Simulator::enqueueDirty(Module* m) {
     case Kernel::EventDriven:
       worklist_.push_back(m);
       return;
-    case Kernel::ParallelEventDriven:
-      break;
-  }
-  EnqueueRoute* route = tlsRoute_;
-  if (route == nullptr || route->owner != this) {
-    // No settle phase active on this thread (clock-edge re-seeds,
-    // testbench pokes, partition discovery) - or a different simulator's
-    // settle is running here.  Queue onto the shared pending worklist.
-    worklist_.push_back(m);
-    return;
-  }
-  if (m->isFrontier()) {
-    route->frontierSink->push_back(m);
-  } else if (route->frontierPhase) {
-    // The frontier phase wakes interior modules of any domain; they run in
-    // that domain's next round.
-    domains_[static_cast<std::size_t>(m->partitionDomain())].next.push_back(
-        m);
-  } else {
-    route->interiorSink->push_back(m);
   }
 }
 
@@ -609,8 +268,7 @@ void Simulator::tick() {
   } else {
     for (Module* m : tops_) m->clockEdgeAll();
   }
-  if (kernel_ == Kernel::EventDriven ||
-      kernel_ == Kernel::ParallelEventDriven) {
+  if (kernel_ == Kernel::EventDriven) {
     // Registered state changed: re-seed the modules whose evaluate()
     // depends on it.  Purely combinational modules wake through wire
     // fanout once these re-evaluate.

@@ -26,22 +26,6 @@
 ///    sensitivity annotations produce stale outputs under this kernel; the
 ///    naive kernel is the reference to A/B against (see
 ///    tests/noc/kernel_equivalence_test.cpp).
-///  * Kernel::ParallelEventDriven - the event-driven worklist sharded into
-///    setThreads() per-thread domains (placement guided by
-///    Module::setPartitionHint, interior/frontier classification in
-///    sim/partition.hpp).  A settle is a sequence of rounds: every domain
-///    sweeps its private worklist in parallel, a barrier ends the round,
-///    and the frontier modules whose wires cross domains are evaluated in
-///    one deterministic sequential reduction before the next round.
-///    Interior modules touch only single-domain wires, so the parallel
-///    phase is race-free by construction (no atomics; DESIGN.md carries the
-///    full argument), and because evaluate() is pure and idempotent the
-///    fixpoint - and with it every simulation result - is bit-identical to
-///    EventDriven for every thread count (tests/noc/kernel_trichotomy_test
-///    and the differential fuzz suite enforce this).  Extra module
-///    contract: evaluate() must drive the same wire set on every call;
-///    write sets are discovered once at partition build, and debug builds
-///    re-check every parallel evaluation against them.
 ///  * Kernel::Compiled - lowers the module tree once into a word-packed
 ///    state arena plus a levelized op tape (sim/compile.hpp) and settles by
 ///    interpreting the flat op arrays: no virtual dispatch, no per-wire
@@ -51,8 +35,7 @@
 ///    thunks, so the kernel is exact for arbitrary module soups.  Wires
 ///    write through to the arena on set()/force() (the poke window keeps
 ///    working) and settled words are flushed back, so all wire-level
-///    observers behave as under the other kernels.  Single-threaded:
-///    setThreads(>1) with this kernel throws.  The program is rebuilt
+///    observers behave as under the other kernels.  The program is rebuilt
 ///    automatically after add(), reset(), or a telemetry attach.
 #pragma once
 
@@ -63,27 +46,14 @@
 #include <vector>
 
 #include "sim/module.hpp"
-#include "sim/partition.hpp"
 
 namespace rasoc::sim {
 
 class CompiledProgram;
-class SettlePool;
 
 class Simulator final : private EvalScheduler {
  public:
-  enum class Kernel { Naive, EventDriven, ParallelEventDriven, Compiled };
-
-  /// Lifetime work counters of the parallel kernel, folded in fixed domain
-  /// order at the end of every settle (never in thread-completion order, so
-  /// they are deterministic for a given thread count).
-  struct ParallelKernelStats {
-    std::uint64_t rounds = 0;  // barrier-delimited parallel phases
-    std::uint64_t frontierEvaluations = 0;
-    std::vector<std::uint64_t> domainEvaluations;  // one slot per domain
-    std::size_t frontierModules = 0;  // of the current partition
-    std::size_t domains = 1;
-  };
+  enum class Kernel { Naive, EventDriven, Compiled };
 
   Simulator();
   ~Simulator();
@@ -107,20 +77,6 @@ class Simulator final : private EvalScheduler {
   void setKernel(Kernel kernel);
   Kernel kernel() const { return kernel_; }
 
-  /// Worker-thread count for Kernel::ParallelEventDriven (ignored by the
-  /// other kernels; 1 runs the same sharded algorithm inline).  Changing it
-  /// repartitions the module graph, so like setKernel it throws
-  /// std::logic_error after the first cycle.
-  void setThreads(int n);
-  int threads() const { return threads_; }
-
-  /// The parallel kernel's module partition, built on first use (the build
-  /// evaluates every module once for write-set discovery).  Throws
-  /// std::logic_error under the other kernels.
-  const Partition& partition();
-
-  const ParallelKernelStats& parallelStats() const { return parallelStats_; }
-
   /// The compiled kernel's current program, or nullptr when no program is
   /// built (other kernel active, or no settle yet).  Introspection only
   /// (unit/word/segment counts for tests and stats).
@@ -132,7 +88,8 @@ class Simulator final : private EvalScheduler {
   /// Runs evaluate() passes until the combinational network is stable.
   /// Throws std::runtime_error if no fixpoint is reached within the
   /// evaluation bound derived from maxSettleIterations() (combinational
-  /// loop).
+  /// loop); under the naive kernel the message names the modules still
+  /// changing wires.
   void settle();
 
   /// Commits one clock edge.  Callers normally use step() instead.
@@ -163,18 +120,14 @@ class Simulator final : private EvalScheduler {
   std::uint64_t cycle() const { return cycle_; }
 
   /// Naive kernel: maximum full evaluation passes per settle.  Event-driven
-  /// kernels: the per-settle evaluation bound is maxSettleIterations() x the
-  /// module count (per domain and for the frontier, under the parallel
-  /// kernel), so all kernels tolerate the same combinational depth.
+  /// kernel: the per-settle evaluation bound is maxSettleIterations() x the
+  /// module count, so both kernels tolerate the same combinational depth.
   int maxSettleIterations() const { return maxSettleIterations_; }
   void setMaxSettleIterations(int n) { maxSettleIterations_ = n; }
 
   /// Total evaluate() calls issued by settle() since construction - the
   /// kernel-independent work metric bench_sim_speed reports.  Monotone
-  /// non-decreasing and deterministic for a given kernel and thread count
-  /// (the parallel kernel folds per-domain counts in fixed domain order);
-  /// different thread counts partition differently and may report different
-  /// totals for identical simulation results.
+  /// non-decreasing and deterministic for a given kernel.
   std::uint64_t evaluateCalls() const { return evaluateCalls_; }
 
   /// Turns on per-module evaluate() attribution for whichever kernel is
@@ -182,9 +135,6 @@ class Simulator final : private EvalScheduler {
   /// test per evaluation and write nothing, so unprofiled runs keep their
   /// exact behaviour.  Counts accumulate from the call onward and survive
   /// reset(); modules added later extend the table with zeroed slots.
-  /// Race-free under the parallel kernel: each interior module is evaluated
-  /// only by its owning domain's thread and frontier modules only by the
-  /// sequential phase, so every counter slot has a single writer per settle.
   void enableProfiling();
   bool profilingEnabled() const { return profileBase_ != nullptr; }
 
@@ -207,29 +157,6 @@ class Simulator final : private EvalScheduler {
   }
 
  private:
-  /// Where enqueueDirty routes a woken module while the parallel kernel is
-  /// inside a settle phase.  At most one route is active per thread
-  /// (thread_local), so concurrent domain sweeps never see each other's
-  /// lists; with no route active (between cycles, clock edges) wakes fall
-  /// through to the shared pending worklist.
-  struct EnqueueRoute {
-    Simulator* owner = nullptr;
-    std::vector<Module*>* interiorSink = nullptr;  // same-domain interior
-    std::vector<Module*>* frontierSink = nullptr;  // frontier wakes
-    bool frontierPhase = false;  // interior wakes go to domains_[d].next
-  };
-
-  class RouteGuard;
-
-  /// Per-domain working state for one settle of the parallel kernel.
-  struct DomainRun {
-    std::vector<Module*> run;       // this round's worklist
-    std::vector<Module*> next;      // interior wakes from the frontier phase
-    std::vector<Module*> deferred;  // frontier wakes from this domain
-    std::uint64_t evals = 0;        // this settle only; folded afterwards
-    bool overBudget = false;
-  };
-
   void enqueueDirty(Module* m) override;
   void describeChanged() override { compiledStale_ = true; }
 
@@ -239,46 +166,25 @@ class Simulator final : private EvalScheduler {
   void seedAll();
   void settleNaive();
   void settleEventDriven();
-  void settleParallel();
   void settleCompiled();
   void ensureProgramBuilt();
   void releaseProgram();
-  void ensurePartitionBuilt();
-  void runParallelRounds();
-  void drainDomain(int d);
-  void cleanupParallelLists();
-  void foldParallelCounters();
-#ifndef NDEBUG
-  void validateWrites(const Module* m,
-                      const std::vector<const WireBase*>& writes) const;
-#endif
-
-  static thread_local EnqueueRoute* tlsRoute_;
 
   std::vector<Module*> tops_;
   std::vector<Module*> modules_;     // flattened: tops + children
-  std::vector<int> hints_;           // effective partition hint per module
   std::vector<Module*> sequential_;  // subset re-seeded every tick
   std::vector<Module*> worklist_;    // dirty modules awaiting evaluation
   std::vector<std::function<void()>> tickListeners_;
-  Partition partition_;
-  std::vector<DomainRun> domains_;
-  std::vector<Module*> frontierRun_;
-  std::unique_ptr<SettlePool> pool_;
   std::unique_ptr<CompiledProgram> program_;
-  ParallelKernelStats parallelStats_;
   std::vector<std::uint64_t> profileCounts_;  // one slot per module index
   /// profileCounts_.data() when profiling, else nullptr - the single flag
   /// the settle loops test.  Re-pointed whenever the table reallocates.
   std::uint64_t* profileBase_ = nullptr;
   std::uint64_t cycle_ = 0;
   std::uint64_t evaluateCalls_ = 0;
-  std::uint64_t frontierEvalsThisSettle_ = 0;
   int maxSettleIterations_ = 64;
-  int threads_ = 1;
   Kernel kernel_ = Kernel::Naive;
   bool modulesStale_ = true;
-  bool partitionStale_ = true;
   bool compiledStale_ = true;
 };
 

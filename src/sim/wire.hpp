@@ -40,10 +40,11 @@ class SettleContext {
   static void exitSettle() { inSettle_ = false; }
   static bool inSettle() { return inSettle_; }
 
-  // Write-set recorder for the parallel kernel (see sim/partition.hpp):
-  // while a recorder is armed on this thread, every Wire::set call is
-  // appended to it - including value-unchanged calls, because partitioning
-  // cares about the driving relation, not about signal activity.
+  // Write-set recorder for the compiled kernel's thunk discovery
+  // (Lowering::thunk): while a recorder is armed on this thread, every
+  // Wire::set call is appended to it - including value-unchanged calls,
+  // because levelization cares about the driving relation, not about
+  // signal activity.
   static void armWriteRecorder(std::vector<const WireBase*>* recorder) {
     writeRecorder_ = recorder;
   }
@@ -66,10 +67,6 @@ class WireBase {
   void addSensitive(Module* m) const { fanout_.push_back(m); }
 
   std::size_t fanoutSize() const { return fanout_.size(); }
-
-  // The registered readers (Module::sensitive callers); the parallel
-  // kernel's partition classifier walks this to find cross-domain fanout.
-  const std::vector<Module*>& sensitiveModules() const { return fanout_; }
 
   // --- compiled-kernel arena binding (sim/compile.hpp) ---------------------
   //

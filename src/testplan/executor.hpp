@@ -10,7 +10,6 @@
 
 #include "sim/module.hpp"
 
-#include "noc/mesh.hpp"
 #include "noc/network.hpp"
 #include "testplan/testplan.hpp"
 

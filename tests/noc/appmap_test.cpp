@@ -4,7 +4,7 @@
 
 #include <gtest/gtest.h>
 
-#include "noc/mesh.hpp"
+#include "noc/network.hpp"
 
 namespace rasoc::noc {
 namespace {
@@ -128,10 +128,10 @@ TEST(MapperTest, PipelinePlacementReachesTheOptimum) {
 TEST(FlowReplayTest, SimulatedLinkLoadsMatchThePrediction) {
   // The headline validation: predicted per-link loads from the mapper
   // match what the cycle-accurate RASoC mesh actually carries.
-  MeshConfig cfg;
-  cfg.shape = MeshShape{3, 3};
+  const MeshShape shape{3, 3};
+  NetworkConfig cfg;
   cfg.params.n = 16;
-  Mesh mesh(cfg);
+  Network mesh(std::make_shared<MeshTopology>(shape), cfg);
 
   CoreGraph graph;
   graph.addCore("dma");
@@ -140,7 +140,7 @@ TEST(FlowReplayTest, SimulatedLinkLoadsMatchThePrediction) {
   graph.addFlow(0, 1, 0.20);
   graph.addFlow(1, 2, 0.12);
 
-  Mapper mapper(cfg.shape);
+  Mapper mapper(shape);
   const MappingResult mapping = mapper.evaluate(
       graph, {NodeId{0, 0}, NodeId{1, 0}, NodeId{2, 0}});
   auto replayers = attachFlows(mesh, graph, mapping, /*payloadFlits=*/6,
@@ -158,9 +158,7 @@ TEST(FlowReplayTest, SimulatedLinkLoadsMatchThePrediction) {
 }
 
 TEST(FlowReplayTest, MappingMustCoverEveryCore) {
-  MeshConfig cfg;
-  cfg.shape = MeshShape{2, 2};
-  Mesh mesh(cfg);
+  Network mesh(std::make_shared<MeshTopology>(2, 2), NetworkConfig{});
   CoreGraph graph = pipelineGraph(3, 0.1);
   MappingResult incomplete;
   incomplete.placement = {NodeId{0, 0}, NodeId{1, 0}};

@@ -174,21 +174,20 @@ struct MatrixCase {
   int width;
   int height;
   sim::Simulator::Kernel kernel;
-  int threads;
 };
 
 TEST(FaultCampaignTest, ExactlyOnceAcrossTopologiesAndKernels) {
   const MatrixCase cases[] = {
-      {"mesh", 3, 3, sim::Simulator::Kernel::EventDriven, 1},
-      {"mesh", 3, 3, sim::Simulator::Kernel::ParallelEventDriven, 2},
-      {"torus", 3, 3, sim::Simulator::Kernel::EventDriven, 1},
-      {"torus", 3, 3, sim::Simulator::Kernel::ParallelEventDriven, 2},
-      {"ring", 6, 1, sim::Simulator::Kernel::EventDriven, 1},
-      {"ring", 6, 1, sim::Simulator::Kernel::ParallelEventDriven, 2},
+      {"mesh", 3, 3, sim::Simulator::Kernel::EventDriven},
+      {"mesh", 3, 3, sim::Simulator::Kernel::Compiled},
+      {"torus", 3, 3, sim::Simulator::Kernel::EventDriven},
+      {"torus", 3, 3, sim::Simulator::Kernel::Compiled},
+      {"ring", 6, 1, sim::Simulator::Kernel::EventDriven},
+      {"ring", 6, 1, sim::Simulator::Kernel::Compiled},
   };
   for (const auto& mc : cases) {
-    SCOPED_TRACE(std::string(mc.topology) + " threads=" +
-                 std::to_string(mc.threads));
+    SCOPED_TRACE(std::string(mc.topology) + " kernel=" +
+                 std::to_string(static_cast<int>(mc.kernel)));
     auto topology = makeTopology(mc.topology, mc.width, mc.height);
     CampaignConfig campaign;
     campaign.horizon = 2000;
@@ -201,7 +200,6 @@ TEST(FaultCampaignTest, ExactlyOnceAcrossTopologiesAndKernels) {
     campaign.seed = 0xc0ffee;
     NetworkConfig cfg;
     cfg.kernel = mc.kernel;
-    cfg.threads = mc.threads;
     cfg.reliability = reliabilityOn();
     cfg.faultPlan = makeFaultPlan(*topology, campaign);
     Network net(topology, cfg);

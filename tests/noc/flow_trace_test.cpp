@@ -3,11 +3,11 @@
 //  1. Non-interference: with tracing enabled, the 8x8 mesh golden
 //     fingerprints (network_topology_test.cpp / kernel_trichotomy_test.cpp)
 //     reproduce bit-identically under every settle kernel (naive,
-//     event-driven, parallel, compiled), and a traced run matches an
-//     untraced twin counter for counter.
+//     event-driven, compiled), and a traced run matches an untraced twin
+//     counter for counter.
 //  2. Determinism: the reconstructed event stream, the Perfetto JSON and
 //     the latency decomposition are byte/value-identical across kernels
-//     and thread counts for a fixed seed — including with kernel
+//     for a fixed seed — including with kernel
 //     profiling enabled, since profile data lives strictly outside the
 //     traced event stream (kernelProfileJson / kernel_profile section).
 //  3. Semantics: the per-flow decomposition sums exactly to the traced
@@ -39,16 +39,13 @@ using telemetry::TraceEventKind;
 
 struct KernelPick {
   Simulator::Kernel kernel;
-  int threads;
   const char* label;
 };
 
 const KernelPick kAllKernels[] = {
-    {Simulator::Kernel::Naive, 1, "naive"},
-    {Simulator::Kernel::EventDriven, 1, "event"},
-    {Simulator::Kernel::ParallelEventDriven, 2, "parallel2"},
-    {Simulator::Kernel::ParallelEventDriven, 4, "parallel4"},
-    {Simulator::Kernel::Compiled, 1, "compiled"},
+    {Simulator::Kernel::Naive, "naive"},
+    {Simulator::Kernel::EventDriven, "event"},
+    {Simulator::Kernel::Compiled, "compiled"},
 };
 
 std::unique_ptr<Network> makeNet(const std::shared_ptr<const Topology>& topo,
@@ -58,7 +55,6 @@ std::unique_ptr<Network> makeNet(const std::shared_ptr<const Topology>& topo,
   cfg.params.n = 16;
   cfg.params.p = 4;
   cfg.kernel = pick.kernel;
-  cfg.threads = pick.threads;
   auto net = std::make_unique<Network>(topo, cfg);
   net->attachTraffic(traffic);
   return net;
@@ -107,8 +103,7 @@ const Golden kTracedGoldens[] = {
 };
 
 TEST(FlowTraceGoldenTest, TracedRunsReproduceGoldenFingerprints) {
-  for (const KernelPick& pick :
-       {kAllKernels[0], kAllKernels[1], kAllKernels[2], kAllKernels[4]}) {
+  for (const KernelPick& pick : kAllKernels) {
     for (const Golden& g : kTracedGoldens) {
       SCOPED_TRACE(std::string(pick.label) + " " +
                    std::string(name(g.pattern)));
@@ -214,7 +209,7 @@ TracedRun runTraced(const KernelPick& pick, TraceConfig config = {}) {
   return out;
 }
 
-TEST(FlowTraceTest, EventStreamIsIdenticalAcrossKernelsAndThreadCounts) {
+TEST(FlowTraceTest, EventStreamIsIdenticalAcrossKernels) {
   // Profiling stays ON here on purpose: kernel-profile data (which *is*
   // kernel-specific — a naive settle evaluates every module, an
   // event-driven one only the poked set) records outside the traced event

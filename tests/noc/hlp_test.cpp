@@ -1,16 +1,15 @@
 // HLP parity + link fault injection (the paper's data-integrity extension).
 #include <gtest/gtest.h>
 
-#include "noc/mesh.hpp"
+#include "noc/network.hpp"
 #include "router/faulty_link.hpp"
 #include "sim/simulator.hpp"
 
 namespace rasoc::noc {
 namespace {
 
-MeshConfig config(bool parity, double faultRate) {
-  MeshConfig cfg;
-  cfg.shape = MeshShape{3, 3};
+NetworkConfig config(bool parity, double faultRate) {
+  NetworkConfig cfg;
   cfg.params.n = 16;
   cfg.params.p = 4;
   cfg.hlpParity = parity;
@@ -19,7 +18,8 @@ MeshConfig config(bool parity, double faultRate) {
 }
 
 TEST(HlpParityTest, CleanLinksProduceNoParityErrors) {
-  Mesh mesh(config(/*parity=*/true, /*faultRate=*/0.0));
+  Network mesh(std::make_shared<MeshTopology>(3, 3),
+               config(/*parity=*/true, /*faultRate=*/0.0));
   TrafficConfig traffic;
   traffic.offeredLoad = 0.15;
   traffic.payloadFlits = 4;
@@ -33,7 +33,7 @@ TEST(HlpParityTest, CleanLinksProduceNoParityErrors) {
 }
 
 TEST(HlpParityTest, ParityCostsOneDataBit) {
-  Mesh mesh(config(true, 0.0));
+  Network mesh(std::make_shared<MeshTopology>(3, 3), config(true, 0.0));
   // Payload words are truncated to n-1 bits under parity.
   mesh.ni(NodeId{0, 0}).send(NodeId{1, 0}, {0xffff});
   ASSERT_TRUE(mesh.drain(300));
@@ -46,7 +46,7 @@ TEST(HlpParityTest, ParityCostsOneDataBit) {
 TEST(HlpParityTest, SingleBitFlipsAreAlwaysDetected) {
   // Single-bit faults are exactly what even parity catches: every
   // corrupted flit must raise a parity error.
-  Mesh mesh(config(true, 0.02));
+  Network mesh(std::make_shared<MeshTopology>(3, 3), config(true, 0.02));
   TrafficConfig traffic;
   traffic.offeredLoad = 0.2;
   traffic.payloadFlits = 6;
@@ -61,7 +61,8 @@ TEST(HlpParityTest, SingleBitFlipsAreAlwaysDetected) {
 }
 
 TEST(HlpParityTest, WithoutParityCorruptionGoesUnnoticed) {
-  Mesh mesh(config(/*parity=*/false, 0.02));
+  Network mesh(std::make_shared<MeshTopology>(3, 3),
+               config(/*parity=*/false, 0.02));
   TrafficConfig traffic;
   traffic.offeredLoad = 0.2;
   traffic.payloadFlits = 6;
@@ -74,7 +75,7 @@ TEST(HlpParityTest, WithoutParityCorruptionGoesUnnoticed) {
 
 TEST(HlpParityTest, FaultFreeRunsAreUnchangedByTheParityOption) {
   auto runOne = [](bool parity) {
-    Mesh mesh(config(parity, 0.0));
+    Network mesh(std::make_shared<MeshTopology>(3, 3), config(parity, 0.0));
     TrafficConfig traffic;
     traffic.offeredLoad = 0.1;
     traffic.payloadFlits = 4;
@@ -88,7 +89,7 @@ TEST(HlpParityTest, FaultFreeRunsAreUnchangedByTheParityOption) {
 }
 
 TEST(FaultyLinkTest, ZeroRateNeverCorrupts) {
-  Mesh mesh(config(false, 0.0));
+  Network mesh(std::make_shared<MeshTopology>(3, 3), config(false, 0.0));
   TrafficConfig traffic;
   traffic.offeredLoad = 0.2;
   traffic.seed = 1;
@@ -98,7 +99,7 @@ TEST(FaultyLinkTest, ZeroRateNeverCorrupts) {
 }
 
 TEST(FaultyLinkTest, CorruptionRateTracksProbability) {
-  Mesh mesh(config(false, 0.05));
+  Network mesh(std::make_shared<MeshTopology>(3, 3), config(false, 0.05));
   TrafficConfig traffic;
   traffic.offeredLoad = 0.3;
   traffic.payloadFlits = 6;
@@ -111,7 +112,7 @@ TEST(FaultyLinkTest, CorruptionRateTracksProbability) {
   std::uint64_t totalFlits = 0;
   (void)payloadCrossings;
   // Use the aggregate: corrupted / (transferred * 7/8) should be near 5%.
-  // Mesh does not expose per-link totals directly; derive from utilization.
+  // The network does not expose per-link totals; derive from utilization.
   const double cycles = static_cast<double>(mesh.simulator().cycle());
   const double meanUtil = mesh.meanLinkUtilization();
   totalFlits = static_cast<std::uint64_t>(meanUtil * cycles *
@@ -134,14 +135,14 @@ TEST(FaultyLinkTest, InvalidConfigThrows) {
 TEST(FaultyLinkTest, HeadersAreNeverCorrupted) {
   // Run a fault-heavy mesh and require zero misroutes/misdeliveries: the
   // payload-only fault model leaves RIBs intact, so routing stays correct.
-  Mesh mesh(config(false, 0.3));
+  Network mesh(std::make_shared<MeshTopology>(3, 3), config(false, 0.3));
   TrafficConfig traffic;
   traffic.offeredLoad = 0.2;
   traffic.seed = 17;
   mesh.attachTraffic(traffic);
   mesh.run(2000);
-  for (int i = 0; i < mesh.shape().nodes(); ++i) {
-    const NodeId n = mesh.shape().nodeAt(i);
+  for (int i = 0; i < mesh.topology().nodes(); ++i) {
+    const NodeId n = mesh.topology().nodeAt(i);
     EXPECT_FALSE(mesh.router(n).misrouteDetected());
     EXPECT_FALSE(mesh.ni(n).misdeliveryDetected());
   }

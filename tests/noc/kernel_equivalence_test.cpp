@@ -10,7 +10,7 @@
 #include <memory>
 #include <vector>
 
-#include "noc/mesh.hpp"
+#include "noc/network.hpp"
 
 namespace rasoc::noc {
 namespace {
@@ -20,13 +20,14 @@ using router::FlowControl;
 using sim::Simulator;
 
 struct Rig {
-  std::unique_ptr<Mesh> mesh;
+  std::unique_ptr<Network> mesh;
 
-  Rig(const MeshConfig& base, Simulator::Kernel kernel,
+  Rig(MeshShape shape, const NetworkConfig& base, Simulator::Kernel kernel,
       const TrafficConfig& traffic) {
-    MeshConfig cfg = base;
+    NetworkConfig cfg = base;
     cfg.kernel = kernel;
-    mesh = std::make_unique<Mesh>(cfg);
+    mesh = std::make_unique<Network>(std::make_shared<MeshTopology>(shape),
+                                     cfg);
     mesh->attachTraffic(traffic);
   }
 };
@@ -36,7 +37,7 @@ struct Rig {
 // every cycle; the heavier link/NI sweeps every `auditPeriod` cycles.
 void runLockstep(Rig& naive, Rig& event, std::uint64_t cycles,
                  std::uint64_t auditPeriod) {
-  const MeshShape shape = naive.mesh->shape();
+  const Topology& topology = naive.mesh->topology();
   for (std::uint64_t c = 0; c < cycles; ++c) {
     naive.mesh->run(1);
     event.mesh->run(1);
@@ -55,8 +56,8 @@ void runLockstep(Rig& naive, Rig& event, std::uint64_t cycles,
       ASSERT_DOUBLE_EQ(naive.mesh->maxLinkUtilization(),
                        event.mesh->maxLinkUtilization())
           << "cycle " << c;
-      for (int i = 0; i < shape.nodes(); ++i) {
-        const NodeId n = shape.nodeAt(i);
+      for (int i = 0; i < topology.nodes(); ++i) {
+        const NodeId n = topology.nodeAt(i);
         ASSERT_EQ(naive.mesh->ni(n).packetsSent(),
                   event.mesh->ni(n).packetsSent())
             << "cycle " << c << " node " << i;
@@ -70,8 +71,8 @@ void runLockstep(Rig& naive, Rig& event, std::uint64_t cycles,
   EXPECT_TRUE(naive.mesh->healthy());
   EXPECT_TRUE(event.mesh->healthy());
   EXPECT_GT(naive.mesh->ledger().delivered(), 0u) << "vacuous run";
-  for (int i = 0; i < shape.nodes(); ++i) {
-    const NodeId n = shape.nodeAt(i);
+  for (int i = 0; i < topology.nodes(); ++i) {
+    const NodeId n = topology.nodeAt(i);
     ASSERT_EQ(naive.mesh->ni(n).received(), event.mesh->ni(n).received())
         << "node " << i;
   }
@@ -80,8 +81,8 @@ void runLockstep(Rig& naive, Rig& event, std::uint64_t cycles,
 }
 
 TEST(KernelEquivalenceTest, EightByEightUniformRandomMultipleSeeds) {
-  MeshConfig base;
-  base.shape = MeshShape{8, 8};
+  const MeshShape shape{8, 8};
+  NetworkConfig base;
   base.params.n = 16;
   base.params.p = 4;
   for (const std::uint64_t seed : {3u, 17u, 9001u}) {
@@ -90,8 +91,8 @@ TEST(KernelEquivalenceTest, EightByEightUniformRandomMultipleSeeds) {
     traffic.offeredLoad = 0.15;
     traffic.payloadFlits = 4;
     traffic.seed = seed;
-    Rig naive(base, Simulator::Kernel::Naive, traffic);
-    Rig event(base, Simulator::Kernel::EventDriven, traffic);
+    Rig naive(shape, base, Simulator::Kernel::Naive, traffic);
+    Rig event(shape, base, Simulator::Kernel::EventDriven, traffic);
     SCOPED_TRACE("seed " + std::to_string(seed));
     runLockstep(naive, event, 3500, 500);
   }
@@ -100,8 +101,8 @@ TEST(KernelEquivalenceTest, EightByEightUniformRandomMultipleSeeds) {
 TEST(KernelEquivalenceTest, EightByEightSaturatedTranspose) {
   // High load + deterministic hotspot pattern stresses arbitration and
   // backpressure paths where a lost wake-up would stall only one kernel.
-  MeshConfig base;
-  base.shape = MeshShape{8, 8};
+  const MeshShape shape{8, 8};
+  NetworkConfig base;
   base.params.n = 16;
   base.params.p = 2;
   TrafficConfig traffic;
@@ -109,16 +110,16 @@ TEST(KernelEquivalenceTest, EightByEightSaturatedTranspose) {
   traffic.offeredLoad = 0.8;
   traffic.payloadFlits = 3;
   traffic.seed = 41;
-  Rig naive(base, Simulator::Kernel::Naive, traffic);
-  Rig event(base, Simulator::Kernel::EventDriven, traffic);
+  Rig naive(shape, base, Simulator::Kernel::Naive, traffic);
+  Rig event(shape, base, Simulator::Kernel::EventDriven, traffic);
   runLockstep(naive, event, 2000, 400);
 }
 
 TEST(KernelEquivalenceTest, CreditFlowControlAndFlipFlopFifos) {
   // The other microarchitectural corner: credit-based flow control with
   // flip-flop FIFOs on a smaller mesh.
-  MeshConfig base;
-  base.shape = MeshShape{4, 4};
+  const MeshShape shape{4, 4};
+  NetworkConfig base;
   base.params.n = 16;
   base.params.p = 4;
   base.params.flowControl = FlowControl::CreditBased;
@@ -128,16 +129,16 @@ TEST(KernelEquivalenceTest, CreditFlowControlAndFlipFlopFifos) {
   traffic.offeredLoad = 0.25;
   traffic.payloadFlits = 2;
   traffic.seed = 7;
-  Rig naive(base, Simulator::Kernel::Naive, traffic);
-  Rig event(base, Simulator::Kernel::EventDriven, traffic);
+  Rig naive(shape, base, Simulator::Kernel::Naive, traffic);
+  Rig event(shape, base, Simulator::Kernel::EventDriven, traffic);
   runLockstep(naive, event, 2500, 250);
 }
 
 TEST(KernelEquivalenceTest, FaultyLinksAndParityStayDeterministic) {
   // Fault injection draws from per-link RNG state at clock edges, so both
   // kernels must corrupt exactly the same flits.
-  MeshConfig base;
-  base.shape = MeshShape{4, 4};
+  const MeshShape shape{4, 4};
+  NetworkConfig base;
   base.params.n = 16;
   base.params.p = 4;
   base.hlpParity = true;
@@ -147,8 +148,8 @@ TEST(KernelEquivalenceTest, FaultyLinksAndParityStayDeterministic) {
   traffic.offeredLoad = 0.2;
   traffic.payloadFlits = 3;
   traffic.seed = 13;
-  Rig naive(base, Simulator::Kernel::Naive, traffic);
-  Rig event(base, Simulator::Kernel::EventDriven, traffic);
+  Rig naive(shape, base, Simulator::Kernel::Naive, traffic);
+  Rig event(shape, base, Simulator::Kernel::EventDriven, traffic);
   for (int chunk = 0; chunk < 10; ++chunk) {
     naive.mesh->run(200);
     event.mesh->run(200);
@@ -169,15 +170,15 @@ TEST(KernelEquivalenceTest, FaultyLinksAndParityStayDeterministic) {
 TEST(KernelEquivalenceTest, DrainAgreesOnCompletionCycle) {
   // runUntil boundary semantics must match across kernels too: both meshes
   // drain the same hand-crafted workload at exactly the same cycle.
-  MeshConfig base;
-  base.shape = MeshShape{4, 4};
+  const MeshShape shape{4, 4};
+  NetworkConfig base;
   base.params.n = 16;
   base.params.p = 4;
   auto build = [&](Simulator::Kernel kernel) {
-    MeshConfig cfg = base;
+    NetworkConfig cfg = base;
     cfg.kernel = kernel;
-    auto mesh = std::make_unique<Mesh>(cfg);
-    const MeshShape shape = mesh->shape();
+    auto mesh = std::make_unique<Network>(std::make_shared<MeshTopology>(shape),
+                                          cfg);
     for (int s = 0; s < shape.nodes(); ++s) {
       for (int d = 0; d < shape.nodes(); ++d) {
         if (s == d) continue;

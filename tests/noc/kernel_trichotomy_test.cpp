@@ -1,17 +1,14 @@
-// Four-kernel differential harness: Naive, EventDriven,
-// ParallelEventDriven and Compiled networks built from identical
-// configurations must stay cycle-for-cycle identical.  The parallel
-// kernel's claim is strong - bit-identical results regardless of thread
-// count - and the compiled kernel's claim is stronger still (a whole
+// Three-kernel differential harness: Naive, EventDriven and Compiled
+// networks built from identical configurations must stay cycle-for-cycle
+// identical.  The compiled kernel's claim is the strong one (a whole
 // different execution substrate: word-packed arena + levelized op tape),
 // so this suite pins the matrix four ways:
 //
 //  1. The golden cycle fingerprints recorded for the event-driven kernel in
-//     network_topology_test.cpp must reproduce exactly under the parallel
-//     kernel at 2 and 4 threads and under the compiled kernel (same
-//     queued/delivered/flit counts and the same latency means to the last
-//     ulp).
-//  2. Lockstep runs on mesh, torus and ring topologies compare all four
+//     network_topology_test.cpp must reproduce exactly under the compiled
+//     kernel (same queued/delivered/flit counts and the same latency means
+//     to the last ulp).
+//  2. Lockstep runs on mesh, torus and ring topologies compare all three
 //     kernels per cycle against the naive reference.
 //  3. A saturated flood-and-drain must complete in the same cycle with the
 //     same delivery count under every kernel.
@@ -35,8 +32,12 @@ namespace {
 
 using sim::Simulator;
 
+const Simulator::Kernel kAllKernels[] = {Simulator::Kernel::Naive,
+                                         Simulator::Kernel::EventDriven,
+                                         Simulator::Kernel::Compiled};
+
 std::unique_ptr<Network> makeNet(const std::shared_ptr<const Topology>& topo,
-                                 Simulator::Kernel kernel, int threads,
+                                 Simulator::Kernel kernel,
                                  const TrafficConfig& traffic,
                                  int numVCs = 1) {
   NetworkConfig cfg;
@@ -44,10 +45,19 @@ std::unique_ptr<Network> makeNet(const std::shared_ptr<const Topology>& topo,
   cfg.params.p = 4;
   cfg.params.numVCs = numVCs;
   cfg.kernel = kernel;
-  cfg.threads = threads;
   auto net = std::make_unique<Network>(topo, cfg);
   net->attachTraffic(traffic);
   return net;
+}
+
+// One network per kernel, the naive reference first.
+std::vector<std::unique_ptr<Network>> makeNets(
+    const std::shared_ptr<const Topology>& topo, const TrafficConfig& traffic,
+    int numVCs = 1) {
+  std::vector<std::unique_ptr<Network>> nets;
+  for (const Simulator::Kernel kernel : kAllKernels)
+    nets.push_back(makeNet(topo, kernel, traffic, numVCs));
+  return nets;
 }
 
 // Steps every network one cycle at a time and asserts the externally
@@ -107,8 +117,8 @@ void runLockstep(std::vector<std::unique_ptr<Network>>& nets,
 // --- golden fingerprints ---------------------------------------------------
 
 // The exact constants network_topology_test.cpp records for the 8x8 mesh
-// under the naive and event-driven kernels.  The parallel kernel must
-// reproduce them bit-for-bit at every thread count.
+// under the naive and event-driven kernels.  The compiled kernel must
+// reproduce them bit-for-bit.
 struct Golden {
   TrafficPattern pattern;
   double load;
@@ -134,40 +144,6 @@ const Golden kMeshGoldens[] = {
      48.710008092797409},
 };
 
-class ParallelGoldenTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ParallelGoldenTest, MeshFingerprintsMatchEventDrivenGoldens) {
-  const int threads = GetParam();
-  for (const Golden& g : kMeshGoldens) {
-    SCOPED_TRACE("pattern " + std::string(name(g.pattern)) + " load " +
-                 std::to_string(g.load));
-    TrafficConfig traffic;
-    traffic.pattern = g.pattern;
-    traffic.offeredLoad = g.load;
-    traffic.payloadFlits = 4;
-    traffic.seed = 2026;
-    auto net = makeNet(std::make_shared<MeshTopology>(MeshShape{8, 8}),
-                       Simulator::Kernel::ParallelEventDriven, threads,
-                       traffic);
-    net->run(2000);
-    EXPECT_EQ(net->ledger().queued(), g.queued);
-    EXPECT_EQ(net->ledger().delivered(), g.delivered);
-    EXPECT_EQ(net->ledger().flitsDelivered(), g.flits);
-    EXPECT_DOUBLE_EQ(net->ledger().packetLatency().mean(), g.latMean);
-    EXPECT_DOUBLE_EQ(net->ledger().networkLatency().mean(), g.netMean);
-    EXPECT_TRUE(net->healthy());
-    // The run must actually have exercised the parallel machinery.
-    const auto& stats = net->simulator().parallelStats();
-    EXPECT_EQ(stats.domains, static_cast<std::size_t>(threads));
-    EXPECT_GT(stats.rounds, 0u);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Threads, ParallelGoldenTest, ::testing::Values(2, 4),
-                         [](const ::testing::TestParamInfo<int>& info) {
-                           return "threads" + std::to_string(info.param);
-                         });
-
 TEST(CompiledGoldenTest, MeshFingerprintsMatchEventDrivenGoldens) {
   for (const Golden& g : kMeshGoldens) {
     SCOPED_TRACE("pattern " + std::string(name(g.pattern)) + " load " +
@@ -178,7 +154,7 @@ TEST(CompiledGoldenTest, MeshFingerprintsMatchEventDrivenGoldens) {
     traffic.payloadFlits = 4;
     traffic.seed = 2026;
     auto net = makeNet(std::make_shared<MeshTopology>(MeshShape{8, 8}),
-                       Simulator::Kernel::Compiled, 1, traffic);
+                       Simulator::Kernel::Compiled, traffic);
     net->run(2000);
     EXPECT_EQ(net->ledger().queued(), g.queued);
     EXPECT_EQ(net->ledger().delivered(), g.delivered);
@@ -207,14 +183,7 @@ TEST(KernelTrichotomyTest, TorusUniformRandomLockstep) {
   traffic.offeredLoad = 0.30;
   traffic.payloadFlits = 3;
   traffic.seed = 1234;
-  std::vector<std::unique_ptr<Network>> nets;
-  nets.push_back(makeNet(topo, Simulator::Kernel::Naive, 1, traffic));
-  nets.push_back(makeNet(topo, Simulator::Kernel::EventDriven, 1, traffic));
-  nets.push_back(
-      makeNet(topo, Simulator::Kernel::ParallelEventDriven, 2, traffic));
-  nets.push_back(
-      makeNet(topo, Simulator::Kernel::ParallelEventDriven, 4, traffic));
-  nets.push_back(makeNet(topo, Simulator::Kernel::Compiled, 1, traffic));
+  auto nets = makeNets(topo, traffic);
   runLockstep(nets, 1200, 300);
 }
 
@@ -227,39 +196,27 @@ TEST(KernelTrichotomyTest, RingBitComplementLockstep) {
   traffic.offeredLoad = 0.25;
   traffic.payloadFlits = 4;
   traffic.seed = 77;
-  std::vector<std::unique_ptr<Network>> nets;
-  nets.push_back(makeNet(topo, Simulator::Kernel::Naive, 1, traffic));
-  nets.push_back(makeNet(topo, Simulator::Kernel::EventDriven, 1, traffic));
-  nets.push_back(
-      makeNet(topo, Simulator::Kernel::ParallelEventDriven, 3, traffic));
-  nets.push_back(makeNet(topo, Simulator::Kernel::Compiled, 1, traffic));
+  auto nets = makeNets(topo, traffic);
   runLockstep(nets, 1500, 300);
 }
 
 TEST(KernelTrichotomyTest, MeshSaturatedTransposeLockstep) {
-  // High load stresses arbitration and backpressure where a frontier race
-  // or a lost cross-domain wake-up would stall only the parallel kernel.
+  // High load stresses arbitration and backpressure, where a lost wake-up
+  // or a mis-levelized op would stall only one kernel.
   const auto topo = makeTopology("mesh", 4, 4);
   TrafficConfig traffic;
   traffic.pattern = TrafficPattern::Transpose;
   traffic.offeredLoad = 0.80;
   traffic.payloadFlits = 3;
   traffic.seed = 41;
-  std::vector<std::unique_ptr<Network>> nets;
-  nets.push_back(makeNet(topo, Simulator::Kernel::Naive, 1, traffic));
-  nets.push_back(makeNet(topo, Simulator::Kernel::EventDriven, 1, traffic));
-  nets.push_back(
-      makeNet(topo, Simulator::Kernel::ParallelEventDriven, 2, traffic));
-  nets.push_back(
-      makeNet(topo, Simulator::Kernel::ParallelEventDriven, 4, traffic));
-  nets.push_back(makeNet(topo, Simulator::Kernel::Compiled, 1, traffic));
+  auto nets = makeNets(topo, traffic);
   runLockstep(nets, 1000, 250);
 }
 
 TEST(KernelTrichotomyTest, VirtualChannelLockstepAtTwoAndFourVCs) {
   // The VC'd channels (VcInputChannel / VcOutputChannel) are a different
   // state machine from the 1-VC router, with their own compiled-kernel
-  // lowerings; the four-kernel bit-identity claim must hold for them too.
+  // lowerings; the three-kernel bit-identity claim must hold for them too.
   // Torus and ring exercise wrap (escape dateline-class) routes, mesh the
   // adaptive-over-one-escape configuration.
   for (const auto& topo :
@@ -272,14 +229,7 @@ TEST(KernelTrichotomyTest, VirtualChannelLockstepAtTwoAndFourVCs) {
       traffic.offeredLoad = 0.30;
       traffic.payloadFlits = 3;
       traffic.seed = 555;
-      std::vector<std::unique_ptr<Network>> nets;
-      nets.push_back(makeNet(topo, Simulator::Kernel::Naive, 1, traffic, vcs));
-      nets.push_back(
-          makeNet(topo, Simulator::Kernel::EventDriven, 1, traffic, vcs));
-      nets.push_back(makeNet(topo, Simulator::Kernel::ParallelEventDriven, 2,
-                             traffic, vcs));
-      nets.push_back(
-          makeNet(topo, Simulator::Kernel::Compiled, 1, traffic, vcs));
+      auto nets = makeNets(topo, traffic, vcs);
       runLockstep(nets, 800, 200);
     }
   }
@@ -290,7 +240,7 @@ TEST(KernelTrichotomyTest, QosMixedClassLockstepAtFourVCs) {
   // inject queues and the output channels' strict-priority-with-starvation
   // scheduler; all of it must stay bit-identical across every kernel (the
   // modules lower as declared thunks, so this pins the shared behavioural
-  // code under both substrates and the parallel kernel's domain cuts).
+  // code under both substrates).
   for (const auto& topo :
        {makeTopology("mesh", 4, 4), makeTopology("torus", 4, 4),
         makeTopology("ring", 8, 1)}) {
@@ -306,22 +256,13 @@ TEST(KernelTrichotomyTest, QosMixedClassLockstepAtFourVCs) {
     bulk.traffic.payloadFlits = 4;
     bulk.traffic.seed = 32;
     std::vector<std::unique_ptr<Network>> nets;
-    struct Pick {
-      Simulator::Kernel kernel;
-      int threads;
-    };
-    for (const Pick pick :
-         {Pick{Simulator::Kernel::Naive, 1},
-          Pick{Simulator::Kernel::EventDriven, 1},
-          Pick{Simulator::Kernel::ParallelEventDriven, 2},
-          Pick{Simulator::Kernel::Compiled, 1}}) {
+    for (const Simulator::Kernel kernel : kAllKernels) {
       NetworkConfig cfg;
       cfg.params.n = 16;
       cfg.params.p = 4;
       cfg.params.numVCs = 4;
       cfg.params.qosClasses = true;
-      cfg.kernel = pick.kernel;
-      cfg.threads = pick.threads;
+      cfg.kernel = kernel;
       auto net = std::make_unique<Network>(topo, cfg);
       net->attachTraffic(std::vector<FlowSpec>{control, bulk});
       nets.push_back(std::move(net));
@@ -419,19 +360,9 @@ TEST(KernelTrichotomyTest, FloodDrainCompletesIdenticallyUnderAllKernels) {
       std::uint64_t delivered = 0;
     };
     std::vector<Run> runs;
-    struct KernelPick {
-      Simulator::Kernel kernel;
-      int threads;
-    };
-    const KernelPick picks[] = {{Simulator::Kernel::Naive, 1},
-                                {Simulator::Kernel::EventDriven, 1},
-                                {Simulator::Kernel::ParallelEventDriven, 2},
-                                {Simulator::Kernel::ParallelEventDriven, 3},
-                                {Simulator::Kernel::Compiled, 1}};
-    for (const KernelPick& pick : picks) {
+    for (const Simulator::Kernel kernel : kAllKernels) {
       NetworkConfig cfg;
-      cfg.kernel = pick.kernel;
-      cfg.threads = pick.threads;
+      cfg.kernel = kernel;
       Network net(topo, cfg);
       std::uint64_t sent = 0;
       for (int round = 0; round < 4; ++round) {

@@ -1,5 +1,5 @@
 // Integration tests: full meshes of RASoC routers with NIs and traffic.
-#include "noc/mesh.hpp"
+#include "noc/network.hpp"
 
 #include <gtest/gtest.h>
 
@@ -8,9 +8,8 @@ namespace {
 
 using router::FifoImpl;
 
-MeshConfig config(int w, int h, FifoImpl impl = FifoImpl::Eab, int p = 4) {
-  MeshConfig cfg;
-  cfg.shape = MeshShape{w, h};
+NetworkConfig config(FifoImpl impl = FifoImpl::Eab, int p = 4) {
+  NetworkConfig cfg;
   cfg.params.n = 16;
   cfg.params.p = p;
   cfg.params.fifoImpl = impl;
@@ -18,7 +17,7 @@ MeshConfig config(int w, int h, FifoImpl impl = FifoImpl::Eab, int p = 4) {
 }
 
 TEST(MeshTest, SinglePacketCrossesTheMesh) {
-  Mesh mesh(config(3, 3));
+  Network mesh(std::make_shared<MeshTopology>(3, 3), config());
   mesh.ni(NodeId{0, 0}).send(NodeId{2, 2}, {0xaaa, 0xbbb});
   ASSERT_TRUE(mesh.drain(500));
   EXPECT_TRUE(mesh.healthy());
@@ -29,8 +28,8 @@ TEST(MeshTest, SinglePacketCrossesTheMesh) {
 }
 
 TEST(MeshTest, AllPairsDeliverOnThreeByThree) {
-  Mesh mesh(config(3, 3));
-  const MeshShape shape = mesh.shape();
+  const MeshShape shape{3, 3};
+  Network mesh(std::make_shared<MeshTopology>(shape), config());
   int sent = 0;
   for (int s = 0; s < shape.nodes(); ++s) {
     for (int d = 0; d < shape.nodes(); ++d) {
@@ -55,8 +54,8 @@ TEST(MeshTest, AllPairsDeliverOnThreeByThree) {
 }
 
 TEST(MeshTest, PayloadIntegrityUnderConcurrentTraffic) {
-  Mesh mesh(config(4, 4));
-  const MeshShape shape = mesh.shape();
+  const MeshShape shape{4, 4};
+  Network mesh(std::make_shared<MeshTopology>(shape), config());
   // Every node sends a distinctive pattern to its bit-complement partner.
   for (int s = 0; s < shape.nodes(); ++s) {
     const NodeId src = shape.nodeAt(s);
@@ -82,7 +81,7 @@ TEST(MeshTest, PayloadIntegrityUnderConcurrentTraffic) {
 }
 
 TEST(MeshTest, FlowsAreDeliveredInOrder) {
-  Mesh mesh(config(3, 2));
+  Network mesh(std::make_shared<MeshTopology>(3, 2), config());
   const NodeId src{0, 0}, dst{2, 1};
   for (std::uint32_t i = 0; i < 20; ++i) mesh.ni(src).send(dst, {100 + i});
   ASSERT_TRUE(mesh.drain(5000));
@@ -92,7 +91,7 @@ TEST(MeshTest, FlowsAreDeliveredInOrder) {
 }
 
 TEST(MeshTest, UniformTrafficIsDeliveredHealthily) {
-  Mesh mesh(config(4, 4));
+  Network mesh(std::make_shared<MeshTopology>(4, 4), config());
   TrafficConfig traffic;
   traffic.pattern = TrafficPattern::UniformRandom;
   traffic.offeredLoad = 0.1;
@@ -109,7 +108,8 @@ TEST(MeshTest, UniformTrafficIsDeliveredHealthily) {
 TEST(MeshTest, SaturationMakesProgressWithoutDeadlock) {
   // XY routing on a mesh is deadlock-free; under saturating load the
   // network must keep delivering packets (progress property).
-  Mesh mesh(config(4, 4, FifoImpl::Eab, 2));
+  Network mesh(std::make_shared<MeshTopology>(4, 4),
+               config(FifoImpl::Eab, 2));
   TrafficConfig traffic;
   traffic.pattern = TrafficPattern::UniformRandom;
   traffic.offeredLoad = 1.0;
@@ -128,7 +128,7 @@ TEST(MeshTest, SaturationMakesProgressWithoutDeadlock) {
 TEST(MeshTest, FfAndEabMeshesBehaveIdentically) {
   // The FIFO microarchitecture must be behaviourally invisible.
   auto runOne = [](FifoImpl impl) {
-    Mesh mesh(config(3, 3, impl));
+    Network mesh(std::make_shared<MeshTopology>(3, 3), config(impl));
     TrafficConfig traffic;
     traffic.offeredLoad = 0.15;
     traffic.payloadFlits = 3;
@@ -145,7 +145,7 @@ TEST(MeshTest, FfAndEabMeshesBehaveIdentically) {
 }
 
 TEST(MeshTest, NetworkLatencyMatchesHopCountAtLowLoad) {
-  Mesh mesh(config(4, 4));
+  Network mesh(std::make_shared<MeshTopology>(4, 4), config());
   const NodeId src{0, 0}, dst{3, 0};
   mesh.ni(src).send(dst, {1, 2});
   ASSERT_TRUE(mesh.drain(500));
@@ -156,9 +156,9 @@ TEST(MeshTest, NetworkLatencyMatchesHopCountAtLowLoad) {
 }
 
 TEST(MeshTest, CreditModeMeshDeliversTraffic) {
-  MeshConfig cfg = config(3, 3);
+  NetworkConfig cfg = config();
   cfg.params.flowControl = router::FlowControl::CreditBased;
-  Mesh mesh(cfg);
+  Network mesh(std::make_shared<MeshTopology>(3, 3), cfg);
   TrafficConfig traffic;
   traffic.offeredLoad = 0.1;
   traffic.payloadFlits = 3;
@@ -170,7 +170,7 @@ TEST(MeshTest, CreditModeMeshDeliversTraffic) {
 }
 
 TEST(MeshTest, OneByTwoMinimalMesh) {
-  Mesh mesh(config(2, 1));
+  Network mesh(std::make_shared<MeshTopology>(2, 1), config());
   mesh.ni(NodeId{0, 0}).send(NodeId{1, 0}, {7});
   mesh.ni(NodeId{1, 0}).send(NodeId{0, 0}, {8});
   ASSERT_TRUE(mesh.drain(200));
@@ -179,12 +179,13 @@ TEST(MeshTest, OneByTwoMinimalMesh) {
 }
 
 TEST(MeshTest, RejectsMeshWiderThanRibRange) {
-  MeshConfig cfg = config(9, 1);  // max offset 8 > 7 at m=8
-  EXPECT_THROW(Mesh{cfg}, std::invalid_argument);
+  // max offset 8 > 7 at m=8
+  EXPECT_THROW(Network(std::make_shared<MeshTopology>(9, 1), config()),
+               std::invalid_argument);
 }
 
 TEST(MeshTest, LinkUtilizationIsTrackedAndBounded) {
-  Mesh mesh(config(3, 3));
+  Network mesh(std::make_shared<MeshTopology>(3, 3), config());
   TrafficConfig traffic;
   traffic.offeredLoad = 0.3;
   traffic.seed = 31;
@@ -198,7 +199,7 @@ TEST(MeshTest, LinkUtilizationIsTrackedAndBounded) {
 TEST(MeshTest, LinkUtilizationIsZeroBeforeAnyCycleRuns) {
   // Regression: utilization queries on a freshly built mesh (cycle 0) must
   // return 0.0 instead of dividing by zero cycles.
-  Mesh mesh(config(3, 3));
+  Network mesh(std::make_shared<MeshTopology>(3, 3), config());
   EXPECT_EQ(mesh.simulator().cycle(), 0u);
   EXPECT_DOUBLE_EQ(mesh.meanLinkUtilization(), 0.0);
   EXPECT_DOUBLE_EQ(mesh.maxLinkUtilization(), 0.0);
@@ -210,7 +211,7 @@ TEST(MeshTest, LinkUtilizationIsZeroBeforeAnyCycleRuns) {
 }
 
 TEST(MeshTest, SelfSendThrows) {
-  Mesh mesh(config(2, 2));
+  Network mesh(std::make_shared<MeshTopology>(2, 2), config());
   EXPECT_THROW(mesh.ni(NodeId{0, 0}).send(NodeId{0, 0}, {1}),
                std::invalid_argument);
 }

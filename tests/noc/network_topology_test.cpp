@@ -11,7 +11,6 @@
 #include <memory>
 #include <vector>
 
-#include "noc/mesh.hpp"
 #include "sim/rng.hpp"
 
 namespace rasoc::noc {
@@ -163,7 +162,7 @@ TEST(NetworkBuildTest, RejectsTopologiesExceedingTheRibRange) {
 
 TEST(NetworkBuildTest, LinkCountMatchesTheAdjacency) {
   NetworkConfig cfg;
-  // Mesh W x H: 2*(W*(H-1) + H*(W-1)) directed links.
+  // A W x H mesh: 2*(W*(H-1) + H*(W-1)) directed links.
   EXPECT_EQ(Network(std::make_shared<MeshTopology>(4, 4), cfg).linkCount(),
             48u);
   // Torus W x H: every node drives all four directions.
@@ -302,7 +301,7 @@ TEST(NetworkDeliveryTest, TorusWrapLinksCarryTrafficWithVCs) {
 }
 
 // The acceptance fingerprint: a Network over MeshTopology must be
-// cycle-identical to the pre-refactor hard-wired Mesh.  The constants
+// cycle-identical to the pre-refactor hard-wired mesh.  The constants
 // below were captured from the seed implementation (commit 1e06a2b) with
 // exactly this harness: 8x8, n=16, p=4, payloadFlits=4, seed=2026, 2000
 // cycles; both kernels produced identical numbers there too.
@@ -353,18 +352,6 @@ TEST(LockstepGoldenTest, MeshTopologyNetworkMatchesPreRefactorMesh) {
       EXPECT_DOUBLE_EQ(net.ledger().networkLatency().mean(), golden.netMean);
     }
   }
-}
-
-TEST(MeshCompatTest, MeshIsANetworkOverMeshTopology) {
-  MeshConfig cfg;
-  cfg.shape = MeshShape{3, 3};
-  Mesh mesh(cfg);
-  EXPECT_EQ(mesh.topology().kind(), "mesh");
-  EXPECT_EQ(mesh.topology().describe(), "mesh3x3");
-  EXPECT_EQ(mesh.shape().width, 3);
-  EXPECT_EQ(mesh.config().shape.height, 3);
-  Network& asNetwork = mesh;
-  EXPECT_EQ(asNetwork.linkCount(), 24u);
 }
 
 }  // namespace

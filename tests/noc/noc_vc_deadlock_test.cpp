@@ -30,23 +30,21 @@ using sim::Simulator;
 
 struct KernelPick {
   Simulator::Kernel kernel;
-  int threads;
   const char* label;
 };
 
 const KernelPick kAllKernels[] = {
-    {Simulator::Kernel::Naive, 1, "naive"},
-    {Simulator::Kernel::EventDriven, 1, "event"},
-    {Simulator::Kernel::ParallelEventDriven, 2, "parallel2"},
-    {Simulator::Kernel::Compiled, 1, "compiled"},
+    {Simulator::Kernel::Naive, "naive"},
+    {Simulator::Kernel::EventDriven, "event"},
+    {Simulator::Kernel::Compiled, "compiled"},
 };
 
 // The cheap pair that still covers both execution substrates (behavioural
 // fixpoint and compiled tape); the heavier sweeps use it so the whole
 // battery stays inside the tier-1 time budget.
 const KernelPick kFastKernels[] = {
-    {Simulator::Kernel::EventDriven, 1, "event"},
-    {Simulator::Kernel::Compiled, 1, "compiled"},
+    {Simulator::Kernel::EventDriven, "event"},
+    {Simulator::Kernel::Compiled, "compiled"},
 };
 
 std::unique_ptr<Network> makeNet(const std::shared_ptr<const Topology>& topo,
@@ -56,7 +54,6 @@ std::unique_ptr<Network> makeNet(const std::shared_ptr<const Topology>& topo,
   cfg.params.numVCs = numVCs;
   cfg.params.flowControl = flowControl;
   cfg.kernel = pick.kernel;
-  cfg.threads = pick.threads;
   return std::make_unique<Network>(topo, cfg);
 }
 
@@ -255,7 +252,6 @@ TEST(VcDeadlockTest, QosClassMappedAllToAllDrainsOnEveryTopology) {
         cfg.params.qosClasses = true;
         cfg.params.flowControl = fc;
         cfg.kernel = pick.kernel;
-        cfg.threads = pick.threads;
         auto net = std::make_unique<Network>(topo, cfg);
         Watchdog dog("dog", net->ledger(), 1500,
                      [&net] { return net->blockedLinkNames(); });

@@ -5,14 +5,15 @@
 
 #include <gtest/gtest.h>
 
-#include "noc/mesh.hpp"
+#include "noc/network.hpp"
 #include "noc/watchdog.hpp"
 
 namespace rasoc::noc {
 namespace {
 
 struct InstrumentedRun {
-  InstrumentedRun(std::uint64_t seed, std::uint64_t cycles) : mesh(config()) {
+  InstrumentedRun(std::uint64_t seed, std::uint64_t cycles)
+      : mesh(std::make_shared<MeshTopology>(shape), config()) {
     mesh.enableTelemetry(registry);
     TrafficConfig traffic;
     traffic.offeredLoad = 0.3;
@@ -22,16 +23,16 @@ struct InstrumentedRun {
     mesh.run(cycles);
   }
 
-  static MeshConfig config() {
-    MeshConfig cfg;
-    cfg.shape = MeshShape{3, 3};
+  static NetworkConfig config() {
+    NetworkConfig cfg;
     cfg.params.n = 16;
     cfg.params.p = 4;
     return cfg;
   }
 
+  static constexpr MeshShape shape{3, 3};
   telemetry::MetricsRegistry registry;
-  Mesh mesh;
+  Network mesh;
 };
 
 TEST(MeshTelemetryTest, ChannelAndNiCountersAccumulate) {
@@ -41,8 +42,8 @@ TEST(MeshTelemetryTest, ChannelAndNiCountersAccumulate) {
 
   // Traffic flowed, so the NIs injected flits and the routers routed them.
   std::uint64_t injected = 0, routed = 0;
-  for (int i = 0; i < run.mesh.shape().nodes(); ++i) {
-    const NodeId n = run.mesh.shape().nodeAt(i);
+  for (int i = 0; i < run.shape.nodes(); ++i) {
+    const NodeId n = run.shape.nodeAt(i);
     injected +=
         run.registry.counterValue(niMetricPrefix(n) + ".flits_injected");
     routed +=
@@ -67,7 +68,7 @@ TEST(MeshTelemetryTest, ChannelAndNiCountersAccumulate) {
   ASSERT_NE(occupancy, nullptr);
   EXPECT_EQ(occupancy->count(), run.mesh.simulator().cycle());
 
-  // Mesh-level gauges sampled through the simulator tick hook.
+  // Network-level gauges sampled through the simulator tick hook.
   const telemetry::Gauge* inFlight =
       run.registry.findGauge("mesh.in_flight_packets");
   ASSERT_NE(inFlight, nullptr);
@@ -84,14 +85,14 @@ TEST(MeshTelemetryTest, HeatmapsReflectTraffic) {
   InstrumentedRun run(5, 1500);
   const auto cycles = run.mesh.simulator().cycle();
   const auto throughput =
-      throughputHeatmap(run.registry, run.mesh.shape(), cycles);
+      throughputHeatmap(run.registry, run.shape, cycles);
   EXPECT_GT(throughput.maxValue(), 0.0);
   // The center router carries XY through-traffic: it must be at least as
   // busy as the minimum corner.
   EXPECT_GE(throughput.at(1, 1), 0.0);
 
   const auto congestion =
-      congestionHeatmap(run.registry, run.mesh.shape(), cycles);
+      congestionHeatmap(run.registry, run.shape, cycles);
   for (int y = 0; y < 3; ++y)
     for (int x = 0; x < 3; ++x) {
       EXPECT_GE(congestion.at(x, y), 0.0);
@@ -99,7 +100,7 @@ TEST(MeshTelemetryTest, HeatmapsReflectTraffic) {
     }
 
   const auto backpressure =
-      backpressureHeatmap(run.registry, run.mesh.shape(), cycles);
+      backpressureHeatmap(run.registry, run.shape, cycles);
   EXPECT_GE(backpressure.maxValue(), 0.0);
 
   // Renderers run on extracted maps.

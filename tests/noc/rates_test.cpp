@@ -4,16 +4,15 @@
 
 #include <algorithm>
 
-#include "noc/mesh.hpp"
+#include "noc/network.hpp"
 
 namespace rasoc::noc {
 namespace {
 
 TEST(RatesTest, InjectedLoadTracksOfferedLoadWhenUncongested) {
-  MeshConfig cfg;
-  cfg.shape = MeshShape{4, 4};
+  NetworkConfig cfg;
   cfg.params.n = 16;
-  Mesh mesh(cfg);
+  Network mesh(std::make_shared<MeshTopology>(4, 4), cfg);
   TrafficConfig traffic;
   traffic.offeredLoad = 0.08;
   traffic.payloadFlits = 6;
@@ -23,9 +22,10 @@ TEST(RatesTest, InjectedLoadTracksOfferedLoadWhenUncongested) {
   mesh.run(cycles);
   // Queued flits per cycle per node across the run.
   std::uint64_t queuedFlits = 0;
-  for (int i = 0; i < mesh.shape().nodes(); ++i) {
+  for (int i = 0; i < mesh.topology().nodes(); ++i) {
     // Every queued packet is packetFlits() flits.
-    queuedFlits += mesh.generator(mesh.shape().nodeAt(i)).packetsGenerated() *
+    const NodeId n = mesh.topology().nodeAt(i);
+    queuedFlits += mesh.generator(n).packetsGenerated() *
                    static_cast<std::uint64_t>(traffic.packetFlits());
   }
   const double measured = static_cast<double>(queuedFlits) /
@@ -34,10 +34,9 @@ TEST(RatesTest, InjectedLoadTracksOfferedLoadWhenUncongested) {
 }
 
 TEST(RatesTest, NodesGenerateIndependently) {
-  MeshConfig cfg;
-  cfg.shape = MeshShape{3, 3};
+  NetworkConfig cfg;
   cfg.params.n = 16;
-  Mesh mesh(cfg);
+  Network mesh(std::make_shared<MeshTopology>(3, 3), cfg);
   TrafficConfig traffic;
   traffic.offeredLoad = 0.2;
   traffic.seed = 5;
@@ -46,9 +45,9 @@ TEST(RatesTest, NodesGenerateIndependently) {
   // All nodes active, with sane spread (same Bernoulli process, different
   // streams).
   std::uint64_t lo = ~0ull, hi = 0;
-  for (int i = 0; i < mesh.shape().nodes(); ++i) {
+  for (int i = 0; i < mesh.topology().nodes(); ++i) {
     const std::uint64_t n =
-        mesh.generator(mesh.shape().nodeAt(i)).packetsGenerated();
+        mesh.generator(mesh.topology().nodeAt(i)).packetsGenerated();
     lo = std::min(lo, n);
     hi = std::max(hi, n);
   }
@@ -57,9 +56,7 @@ TEST(RatesTest, NodesGenerateIndependently) {
 }
 
 TEST(RatesTest, LinkUtilizationAccessorMatchesTopology) {
-  MeshConfig cfg;
-  cfg.shape = MeshShape{2, 2};
-  Mesh mesh(cfg);
+  Network mesh(std::make_shared<MeshTopology>(2, 2), NetworkConfig{});
   mesh.ni(NodeId{0, 0}).send(NodeId{1, 0}, {1, 2});
   ASSERT_TRUE(mesh.drain(200));
   EXPECT_GT(mesh.linkUtilization(NodeId{0, 0}, router::Port::East), 0.0);
@@ -75,10 +72,9 @@ TEST(RatesTest, LinkUtilizationAccessorMatchesTopology) {
 }
 
 TEST(RatesTest, GeneratorBackpressureSkipsWhenQueueIsFull) {
-  MeshConfig cfg;
-  cfg.shape = MeshShape{2, 1};
+  NetworkConfig cfg;
   cfg.params.p = 1;
-  Mesh mesh(cfg);
+  Network mesh(std::make_shared<MeshTopology>(2, 1), cfg);
   TrafficConfig traffic;
   traffic.pattern = TrafficPattern::NearestNeighbor;
   traffic.offeredLoad = 1.0;
@@ -89,11 +85,11 @@ TEST(RatesTest, GeneratorBackpressureSkipsWhenQueueIsFull) {
   mesh.run(2000);
   std::uint64_t skipped = 0;
   for (int i = 0; i < 2; ++i)
-    skipped += mesh.generator(mesh.shape().nodeAt(i)).injectionsSkipped();
+    skipped += mesh.generator(mesh.topology().nodeAt(i)).injectionsSkipped();
   EXPECT_GT(skipped, 0u);
   // And queues stayed bounded.
   for (int i = 0; i < 2; ++i)
-    EXPECT_LE(mesh.ni(mesh.shape().nodeAt(i)).sendQueuePackets(),
+    EXPECT_LE(mesh.ni(mesh.topology().nodeAt(i)).sendQueuePackets(),
               traffic.maxQueuedPackets);
 }
 

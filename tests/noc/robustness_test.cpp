@@ -2,7 +2,7 @@
 // 8-bit RIB addresses), histogram rendering.
 #include <gtest/gtest.h>
 
-#include "noc/mesh.hpp"
+#include "noc/network.hpp"
 #include "noc/observe.hpp"
 #include "noc/watchdog.hpp"
 
@@ -10,9 +10,7 @@ namespace rasoc::noc {
 namespace {
 
 TEST(WatchdogTest, QuietNetworkNeverTrips) {
-  MeshConfig cfg;
-  cfg.shape = MeshShape{2, 2};
-  Mesh mesh(cfg);
+  Network mesh(std::make_shared<MeshTopology>(2, 2), NetworkConfig{});
   Watchdog dog("dog", mesh.ledger(), 50);
   mesh.simulator().add(dog);
   mesh.run(500);  // nothing in flight: idle is not a stall
@@ -65,9 +63,7 @@ TEST(WatchdogTest, SnapshotCapturesStallForensics) {
 }
 
 TEST(WatchdogTest, ForcedStallSnapshotReachesTheRunReport) {
-  MeshConfig cfg;
-  cfg.shape = MeshShape{2, 2};
-  Mesh mesh(cfg);
+  Network mesh(std::make_shared<MeshTopology>(2, 2), NetworkConfig{});
   Watchdog dog("dog", mesh.ledger(), 30);
   mesh.simulator().add(dog);
   mesh.ni(NodeId{0, 0}).send(NodeId{1, 1}, {0x1});
@@ -89,10 +85,9 @@ TEST(WatchdogTest, ForcedStallSnapshotReachesTheRunReport) {
 }
 
 TEST(WatchdogTest, DeliveriesKeepResettingTheTimer) {
-  MeshConfig cfg;
-  cfg.shape = MeshShape{3, 3};
+  NetworkConfig cfg;
   cfg.params.n = 16;
-  Mesh mesh(cfg);
+  Network mesh(std::make_shared<MeshTopology>(3, 3), cfg);
   Watchdog dog("dog", mesh.ledger(), 200);
   mesh.simulator().add(dog);
   TrafficConfig traffic;
@@ -106,11 +101,10 @@ TEST(WatchdogTest, DeliveriesKeepResettingTheTimer) {
 
 TEST(ScaleTest, EightByEightSaturatedMeshStaysDeadlockFree) {
   // 8x8 is the largest mesh an 8-bit RIB can address (offsets up to 7).
-  MeshConfig cfg;
-  cfg.shape = MeshShape{8, 8};
+  NetworkConfig cfg;
   cfg.params.n = 16;
   cfg.params.p = 2;
-  Mesh mesh(cfg);
+  Network mesh(std::make_shared<MeshTopology>(8, 8), cfg);
   Watchdog dog("dog", mesh.ledger(), 500);
   mesh.simulator().add(dog);
   TrafficConfig traffic;
@@ -127,10 +121,9 @@ TEST(ScaleTest, EightByEightSaturatedMeshStaysDeadlockFree) {
 
 TEST(ScaleTest, AsymmetricMeshesWork) {
   for (auto [w, h] : {std::pair{8, 1}, std::pair{1, 8}, std::pair{5, 2}}) {
-    MeshConfig cfg;
-    cfg.shape = MeshShape{w, h};
+    NetworkConfig cfg;
     cfg.params.n = 16;
-    Mesh mesh(cfg);
+    Network mesh(std::make_shared<MeshTopology>(w, h), cfg);
     mesh.ni(NodeId{0, 0}).send(NodeId{w - 1, h - 1}, {0xab});
     ASSERT_TRUE(mesh.drain(1000)) << w << "x" << h;
     EXPECT_TRUE(mesh.healthy());

@@ -3,7 +3,7 @@
 // given traffic pattern.
 #include <gtest/gtest.h>
 
-#include "noc/mesh.hpp"
+#include "noc/network.hpp"
 
 namespace rasoc::noc {
 namespace {
@@ -11,9 +11,8 @@ namespace {
 using router::Port;
 using router::RoutingAlgorithm;
 
-MeshConfig config(RoutingAlgorithm routing) {
-  MeshConfig cfg;
-  cfg.shape = MeshShape{4, 4};
+NetworkConfig config(RoutingAlgorithm routing) {
+  NetworkConfig cfg;
   cfg.params.n = 16;
   cfg.params.p = 4;
   cfg.params.routing = routing;
@@ -21,8 +20,9 @@ MeshConfig config(RoutingAlgorithm routing) {
 }
 
 TEST(RoutingTest, YxDeliversAllPairs) {
-  Mesh mesh(config(RoutingAlgorithm::YX));
-  const MeshShape shape = mesh.shape();
+  const MeshShape shape{4, 4};
+  Network mesh(std::make_shared<MeshTopology>(shape),
+               config(RoutingAlgorithm::YX));
   int sent = 0;
   for (int s = 0; s < shape.nodes(); ++s) {
     for (int d = 0; d < shape.nodes(); ++d) {
@@ -38,7 +38,8 @@ TEST(RoutingTest, YxDeliversAllPairs) {
 }
 
 TEST(RoutingTest, YxSaturationStaysDeadlockFree) {
-  Mesh mesh(config(RoutingAlgorithm::YX));
+  Network mesh(std::make_shared<MeshTopology>(4, 4),
+               config(RoutingAlgorithm::YX));
   TrafficConfig traffic;
   traffic.offeredLoad = 1.0;
   traffic.payloadFlits = 4;
@@ -56,7 +57,7 @@ TEST(RoutingTest, DimensionOrderMovesCornerTurns) {
   // the North links of column 2; YX uses the North links of column 0 then
   // the East links of row 2.
   auto linkFlits = [](RoutingAlgorithm routing, NodeId from, Port port) {
-    Mesh mesh(config(routing));
+    Network mesh(std::make_shared<MeshTopology>(4, 4), config(routing));
     mesh.ni(NodeId{0, 0}).send(NodeId{2, 2}, {1, 2, 3});
     if (!mesh.drain(500)) ADD_FAILURE() << "drain timeout";
     return mesh.linkUtilization(from, port);
@@ -69,7 +70,7 @@ TEST(RoutingTest, DimensionOrderMovesCornerTurns) {
 
 TEST(RoutingTest, BothOrdersDeliverTheSameTransposeTrafficVolume) {
   auto runOne = [](RoutingAlgorithm routing) {
-    Mesh mesh(config(routing));
+    Network mesh(std::make_shared<MeshTopology>(4, 4), config(routing));
     TrafficConfig traffic;
     traffic.pattern = TrafficPattern::Transpose;
     traffic.offeredLoad = 0.15;

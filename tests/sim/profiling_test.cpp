@@ -98,18 +98,6 @@ TEST(ProfilingTest, CountsAccountForEveryEvaluation) {
   }
 }
 
-TEST(ProfilingTest, ParallelKernelAttributesAcrossDomains) {
-  Simulator sim;
-  sim.setKernel(Simulator::Kernel::ParallelEventDriven);
-  sim.setThreads(2);
-  Chain chain;
-  chain.addTo(sim);
-  sim.enableProfiling();
-  sim.reset();
-  sim.run(25);
-  EXPECT_EQ(sum(sim.profileCounts()), sim.evaluateCalls());
-}
-
 TEST(ProfilingTest, HottestModulesRanksDeterministically) {
   Simulator sim;
   Chain chain;

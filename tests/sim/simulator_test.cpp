@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/module.hpp"
@@ -110,12 +112,25 @@ TEST(SimulatorTest, ResetRestartsCycleCountAndState) {
   EXPECT_EQ(out.get(), 0);
 }
 
-TEST(SimulatorTest, CombinationalLoopThrows) {
+TEST(SimulatorTest, NoFixpointMessageNamesTheLoopingModules) {
+  // The naive kernel's bound-exceeded diagnostic: one extra pass names
+  // every module still changing wires, and only those.
   Wire<bool> y;
+  Wire<int> a{1}, b;
   Inverter inv("inv", y);
+  Increment inc("inc", a, b);
   Simulator sim;
   sim.add(inv);
-  EXPECT_THROW(sim.settle(), std::runtime_error);
+  sim.add(inc);
+  try {
+    sim.settle();
+    FAIL() << "an inverter loop has no fixpoint";
+  } catch (const std::runtime_error& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("still changing: inv"), std::string::npos)
+        << message;
+    EXPECT_EQ(message.find("inc"), std::string::npos) << message;
+  }
 }
 
 TEST(SimulatorTest, RunUntilStopsWhenPredicateFires) {
@@ -164,30 +179,6 @@ TEST(SimulatorTest, RunUntilChecksThePredicateExactlyMaxCyclesTimes) {
   sim.reset();
   EXPECT_TRUE(sim.runUntil([&] { return out.get() == 5; }, 6));
   EXPECT_EQ(sim.cycle(), 5u);
-}
-
-TEST(SimulatorTest, ForceDuringSettleThrows) {
-  // A module that pokes a foreign wire from evaluate() via force() would
-  // bypass change tracking and corrupt the fixpoint; the wire rejects it.
-  Wire<int> victim{0};
-  class Poker : public Module {
-   public:
-    Poker(std::string name, Wire<int>& victim)
-        : Module(std::move(name)), victim_(&victim) {}
-
-   protected:
-    void evaluate() override { victim_->force(1); }
-
-   private:
-    Wire<int>* victim_;
-  };
-  Poker poker("poker", victim);
-  Simulator sim;
-  sim.add(poker);
-  EXPECT_THROW(sim.settle(), std::logic_error);
-  // Outside the settle phase the poke window is open again.
-  EXPECT_NO_THROW(victim.force(2));
-  EXPECT_EQ(victim.get(), 2);
 }
 
 TEST(SimulatorTest, ChildModulesAreDriven) {
@@ -292,65 +283,6 @@ TEST(EventDrivenKernelTest, SequentialModulesReSeedAfterEveryEdge) {
   EXPECT_EQ(sim.cycle(), 4u);
 }
 
-TEST(EventDrivenKernelTest, CombinationalLoopThrows) {
-  Wire<bool> y;
-  Inverter inv("inv", y);
-  Simulator sim;
-  sim.setKernel(Simulator::Kernel::EventDriven);
-  sim.add(inv);
-  EXPECT_THROW(sim.settle(), std::runtime_error);
-  // The failed settle drains its worklist (no stale dirty state), so the
-  // simulator stays usable; poking the loop again re-detects it instead of
-  // hanging.
-  EXPECT_NO_THROW(sim.settle());
-  y.force(!y.get());
-  EXPECT_THROW(sim.settle(), std::runtime_error);
-}
-
-TEST(EventDrivenKernelTest, KernelSwitchMidRunIsRejected) {
-  // Regression: setKernel used to allow switching mid-run, handing the new
-  // kernel a stale worklist.  It must throw once a cycle has committed;
-  // reset() reopens the selection window.
-  Wire<int> out, plusOne;
-  Counter counter("counter", out);
-  Increment inc("inc", out, plusOne);
-  Simulator sim;
-  sim.add(counter);
-  sim.add(inc);
-  sim.reset();
-  sim.run(3);  // naive
-  EXPECT_THROW(sim.setKernel(Simulator::Kernel::EventDriven),
-               std::logic_error);
-  EXPECT_EQ(sim.kernel(), Simulator::Kernel::Naive);  // switch not applied
-  EXPECT_THROW(sim.setKernel(Simulator::Kernel::ParallelEventDriven),
-               std::logic_error);
-  sim.settle();
-  EXPECT_EQ(plusOne.get(), 4);  // the rejected switch did not disturb state
-  // Re-selecting the current kernel is a no-op, not an error.
-  EXPECT_NO_THROW(sim.setKernel(Simulator::Kernel::Naive));
-  sim.reset();
-  EXPECT_NO_THROW(sim.setKernel(Simulator::Kernel::EventDriven));
-  sim.run(3);
-  sim.settle();
-  EXPECT_EQ(out.get(), 3);  // reset restarted the counter
-  EXPECT_EQ(plusOne.get(), 4);
-}
-
-TEST(EventDrivenKernelTest, ModulesAddedMidRunAreSeeded) {
-  Wire<int> a{1}, aOut;
-  Increment inc("inc", a, aOut);
-  Simulator sim;
-  sim.setKernel(Simulator::Kernel::EventDriven);
-  sim.add(inc);
-  sim.settle();
-  EXPECT_EQ(aOut.get(), 2);
-  Wire<int> lateOut;
-  Increment inc2("inc2", aOut, lateOut);
-  sim.add(inc2);
-  sim.settle();  // collection re-seeds: the new module evaluates
-  EXPECT_EQ(lateOut.get(), 3);
-}
-
 TEST(EventDrivenKernelTest, MatchesNaiveKernelOnARandomizedCircuit) {
   // Same circuit built twice, one simulator per kernel; identical stimulus
   // must produce identical wire trajectories.
@@ -388,6 +320,150 @@ TEST(EventDrivenKernelTest, MatchesNaiveKernelOnARandomizedCircuit) {
     ASSERT_EQ(naive.sim.cycle(), event.sim.cycle());
   }
 }
+
+// --- contract shared by every kernel -------------------------------------
+
+class KernelContractTest : public ::testing::TestWithParam<Simulator::Kernel> {
+};
+
+TEST_P(KernelContractTest, CombinationalLoopThrowsAndStaysUsable) {
+  Wire<bool> y;
+  Inverter inv("inv", y);
+  Simulator sim;
+  sim.setKernel(GetParam());
+  sim.add(inv);
+  EXPECT_THROW(sim.settle(), std::runtime_error);
+  if (GetParam() == Simulator::Kernel::EventDriven) {
+    // The failed settle drained its worklist (no stale dirty state), so a
+    // quiescent settle has nothing to do.
+    EXPECT_NO_THROW(sim.settle());
+  }
+  // The poke window is open again, and poking the loop re-detects it
+  // instead of hanging.
+  EXPECT_NO_THROW(y.force(!y.get()));
+  EXPECT_THROW(sim.settle(), std::runtime_error);
+}
+
+TEST_P(KernelContractTest, ModulesAddedBetweenSettlesAreEvaluated) {
+  Wire<int> a{1}, aOut;
+  Increment inc("inc", a, aOut);
+  Simulator sim;
+  sim.setKernel(GetParam());
+  sim.add(inc);
+  sim.settle();
+  EXPECT_EQ(aOut.get(), 2);
+  Wire<int> lateOut;
+  Increment inc2("inc2", aOut, lateOut);
+  sim.add(inc2);
+  sim.settle();  // re-collection seeds (or recompiles): inc2 evaluates
+  EXPECT_EQ(lateOut.get(), 3);
+}
+
+TEST_P(KernelContractTest, EvaluateCallsNeverDecrease) {
+  Wire<int> out, plusOne, plusTwo;
+  Counter counter("counter", out);
+  Increment inc1("inc1", out, plusOne);
+  Increment inc2("inc2", plusOne, plusTwo);
+  Simulator sim;
+  sim.setKernel(GetParam());
+  sim.add(counter);
+  sim.add(inc1);
+  sim.add(inc2);
+  sim.reset();
+  std::uint64_t last = sim.evaluateCalls();
+  EXPECT_GT(last, 0u) << "the reset settle did work";
+  const auto expectMonotonic = [&] {
+    const std::uint64_t now = sim.evaluateCalls();
+    EXPECT_GE(now, last);
+    last = now;
+  };
+  sim.settle();  // already settled: no decrease
+  expectMonotonic();
+  out.force(40);
+  sim.settle();
+  expectMonotonic();
+  sim.step();
+  expectMonotonic();
+  sim.run(3);
+  expectMonotonic();
+  sim.reset();
+  expectMonotonic();
+  sim.settle();
+  EXPECT_EQ(plusTwo.get(), 2);
+}
+
+TEST_P(KernelContractTest, KernelSwitchRejectedAfterFirstCycleUntilReset) {
+  // A mid-run switch would hand the new kernel a stale worklist (or a
+  // stale compiled program); reset() reopens the selection window.
+  Wire<int> out, plusOne;
+  Counter counter("counter", out);
+  Increment inc("inc", out, plusOne);
+  Simulator sim;
+  sim.setKernel(GetParam());
+  sim.add(counter);
+  sim.add(inc);
+  sim.reset();
+  sim.run(3);
+  for (const Simulator::Kernel other :
+       {Simulator::Kernel::Naive, Simulator::Kernel::EventDriven,
+        Simulator::Kernel::Compiled}) {
+    if (other == GetParam()) {
+      // Re-selecting the current kernel is a no-op, not an error.
+      EXPECT_NO_THROW(sim.setKernel(other));
+    } else {
+      EXPECT_THROW(sim.setKernel(other), std::logic_error);
+    }
+    EXPECT_EQ(sim.kernel(), GetParam()) << "rejected switch not applied";
+  }
+  sim.settle();
+  EXPECT_EQ(plusOne.get(), 4);  // the rejected switches left state intact
+  const Simulator::Kernel next = GetParam() == Simulator::Kernel::Naive
+                                     ? Simulator::Kernel::Compiled
+                                     : Simulator::Kernel::Naive;
+  sim.reset();
+  EXPECT_NO_THROW(sim.setKernel(next));
+  sim.run(3);
+  sim.settle();
+  EXPECT_EQ(out.get(), 3);  // reset restarted the counter
+  EXPECT_EQ(plusOne.get(), 4);
+}
+
+TEST_P(KernelContractTest, ForceDuringSettleThrows) {
+  // A module that pokes a foreign wire from evaluate() via force() would
+  // bypass change tracking and corrupt the fixpoint; the wire rejects it.
+  Wire<int> victim{0};
+  class Poker : public Module {
+   public:
+    Poker(std::string name, Wire<int>& victim)
+        : Module(std::move(name)), victim_(&victim) {}
+
+   protected:
+    void evaluate() override { victim_->force(1); }
+
+   private:
+    Wire<int>* victim_;
+  };
+  Poker poker("poker", victim);
+  Simulator sim;
+  sim.setKernel(GetParam());
+  sim.add(poker);
+  EXPECT_THROW(sim.settle(), std::logic_error);
+  // Outside the settle phase the poke window is open again.
+  EXPECT_NO_THROW(victim.force(2));
+  EXPECT_EQ(victim.get(), 2);
+}
+
+std::string kernelName(
+    const ::testing::TestParamInfo<Simulator::Kernel>& info) {
+  const char* const names[] = {"Naive", "EventDriven", "Compiled"};
+  return names[static_cast<int>(info.param)];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllKernels, KernelContractTest,
+    ::testing::Values(Simulator::Kernel::Naive, Simulator::Kernel::EventDriven,
+                      Simulator::Kernel::Compiled),
+    kernelName);
 
 }  // namespace
 }  // namespace rasoc::sim

@@ -3,7 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "noc/mesh.hpp"
+#include "noc/network.hpp"
 
 namespace rasoc::soc {
 namespace {
@@ -11,25 +11,25 @@ namespace {
 using noc::NodeId;
 
 struct Platform {
-  explicit Platform(int w = 3, int h = 3) {
-    noc::MeshConfig cfg;
-    cfg.shape = noc::MeshShape{w, h};
+  explicit Platform(int w = 3, int h = 3) : shape{w, h} {
+    noc::NetworkConfig cfg;
     cfg.params.n = 16;
     cfg.params.p = 4;
-    mesh = std::make_unique<noc::Mesh>(cfg);
+    mesh = std::make_unique<noc::Network>(
+        std::make_shared<noc::MeshTopology>(shape), cfg);
   }
 
   MemoryTarget& addMemory(NodeId at, int latency = 2,
                           std::size_t words = 64) {
     memories.push_back(std::make_unique<MemoryTarget>(
-        "mem", mesh->ni(at), mesh->shape(), latency, words));
+        "mem", mesh->ni(at), shape, latency, words));
     mesh->simulator().add(*memories.back());
     return *memories.back();
   }
 
   Initiator& addInitiator(NodeId at, int outstanding = 4) {
     initiators.push_back(std::make_unique<Initiator>(
-        "cpu", mesh->ni(at), mesh->shape(), at, outstanding));
+        "cpu", mesh->ni(at), shape, at, outstanding));
     mesh->simulator().add(*initiators.back());
     return *initiators.back();
   }
@@ -44,7 +44,8 @@ struct Platform {
         maxCycles);
   }
 
-  std::unique_ptr<noc::Mesh> mesh;
+  noc::MeshShape shape;
+  std::unique_ptr<noc::Network> mesh;
   std::vector<std::unique_ptr<MemoryTarget>> memories;
   std::vector<std::unique_ptr<Initiator>> initiators;
 };
@@ -96,8 +97,8 @@ TEST(TransactionTest, ManyInitiatorsShareOneMemoryCorrectly) {
   std::vector<Initiator*> cpus;
   // Every other node hammers a disjoint address range.
   int range = 0;
-  for (int i = 0; i < platform.mesh->shape().nodes(); ++i) {
-    const NodeId at = platform.mesh->shape().nodeAt(i);
+  for (int i = 0; i < platform.shape.nodes(); ++i) {
+    const NodeId at = platform.shape.nodeAt(i);
     if (at == NodeId{1, 1}) continue;
     Initiator& cpu = platform.addInitiator(at, 2);
     const auto base = static_cast<std::uint32_t>(range * 16);
@@ -141,13 +142,13 @@ TEST(TransactionTest, OutstandingWindowLimitsIssue) {
 TEST(TransactionTest, InvalidConstructionThrows) {
   Platform platform;
   EXPECT_THROW(MemoryTarget("m", platform.mesh->ni(NodeId{0, 0}),
-                            platform.mesh->shape(), -1, 8),
+                            platform.shape, -1, 8),
                std::invalid_argument);
   EXPECT_THROW(MemoryTarget("m", platform.mesh->ni(NodeId{0, 0}),
-                            platform.mesh->shape(), 1, 0),
+                            platform.shape, 1, 0),
                std::invalid_argument);
   EXPECT_THROW(Initiator("i", platform.mesh->ni(NodeId{0, 0}),
-                         platform.mesh->shape(), NodeId{0, 0}, 0),
+                         platform.shape, NodeId{0, 0}, 0),
                std::invalid_argument);
 }
 

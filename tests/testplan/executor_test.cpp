@@ -19,11 +19,10 @@ TestPlanConfig config(std::vector<NodeId> ports,
   return cfg;
 }
 
-noc::Mesh makeMesh(const TestPlanConfig& cfg) {
-  noc::MeshConfig meshCfg;
-  meshCfg.shape = noc::MeshShape{4, 4};
+noc::Network makeMesh(const TestPlanConfig& cfg) {
+  noc::NetworkConfig meshCfg;
   meshCfg.params = cfg.params;
-  return noc::Mesh(meshCfg);
+  return noc::Network(std::make_shared<noc::MeshTopology>(4, 4), meshCfg);
 }
 
 CoreTestSpec core(const char* name, NodeId at, int packets, int bist = 0) {
@@ -41,7 +40,7 @@ TEST(ExecutorTest, SingleCoreCompletesNearTheEstimate) {
   TestPlanner planner(cfg);
   const std::vector<CoreTestSpec> cores = {core("c", NodeId{3, 2}, 4, 100)};
   const TestSchedule schedule = planner.plan(cores);
-  noc::Mesh mesh = makeMesh(cfg);
+  noc::Network mesh = makeMesh(cfg);
   const ExecutionResult result =
       runSchedule(mesh, cores, schedule, cfg, 20000);
   ASSERT_TRUE(result.completed);
@@ -59,7 +58,7 @@ TEST(ExecutorTest, MultiCoreMultiPortScheduleExecutes) {
       core("c", NodeId{0, 2}, 2, 30), core("d", NodeId{3, 1}, 4, 80),
       core("e", NodeId{1, 3}, 6, 200)};
   const TestSchedule schedule = planner.plan(cores);
-  noc::Mesh mesh = makeMesh(cfg);
+  noc::Network mesh = makeMesh(cfg);
   const ExecutionResult result =
       runSchedule(mesh, cores, schedule, cfg, 50000);
   ASSERT_TRUE(result.completed);
@@ -78,7 +77,7 @@ TEST(ExecutorTest, MorePortsFinishFasterInSimulationToo) {
     const TestPlanConfig cfg = config(std::move(ports));
     TestPlanner planner(cfg);
     const TestSchedule schedule = planner.plan(cores);
-    noc::Mesh mesh = makeMesh(cfg);
+    noc::Network mesh = makeMesh(cfg);
     const ExecutionResult result =
         runSchedule(mesh, cores, schedule, cfg, 50000);
     EXPECT_TRUE(result.completed);
@@ -91,7 +90,7 @@ TEST(ExecutorTest, MorePortsFinishFasterInSimulationToo) {
 
 TEST(ExecutorTest, MismatchedScheduleThrows) {
   const TestPlanConfig cfg = config({NodeId{0, 0}});
-  noc::Mesh mesh = makeMesh(cfg);
+  noc::Network mesh = makeMesh(cfg);
   const std::vector<CoreTestSpec> cores = {core("a", NodeId{1, 0}, 1)};
   TestSchedule empty;
   EXPECT_THROW(runSchedule(mesh, cores, empty, cfg), std::invalid_argument);
