@@ -24,14 +24,16 @@ void BM_SingleRouterIdle(benchmark::State& state) {
 }
 BENCHMARK(BM_SingleRouterIdle);
 
-// Args: (side, kernel) with the kernel arg the Simulator::Kernel value:
-// 0 = naive fixpoint, 1 = event-driven, 2 = compiled (word-packed arena +
-// levelized op tape).  Compare BM_MeshUnderLoad/8/0 against /8/1 for the
-// scheduler speedup and /8/1 against /8/2 for the lowering speedup.  Rates
-// are wall clock (UseRealTime), not CPU time.  `evals_per_cycle` is
-// Simulator::evaluateCalls() per cycle: evaluate() calls under the
-// behavioural kernels, executed units (ops plus thunks) under the
-// compiled one.
+// Args: (side, kernel, numVCs) with the kernel arg the Simulator::Kernel
+// value: 0 = naive fixpoint, 1 = event-driven, 2 = compiled (word-packed
+// arena + levelized op tape).  Compare BM_MeshUnderLoad/8/0/1 against
+// /8/1/1 for the scheduler speedup and /8/1/1 against /8/2/1 for the
+// lowering speedup; the VC axis covers the VC router at 8x8 and 16x16
+// (--benchmark_filter='BM_MeshUnderLoad/(8|16)/[12]/' prints the whole
+// event-driven vs compiled table).  Rates are wall clock (UseRealTime), not
+// CPU time.  `evals_per_cycle` is Simulator::evaluateCalls() per cycle:
+// evaluate() calls under the behavioural kernels, executed units (ops plus
+// thunks) under the compiled one.
 void BM_MeshUnderLoad(benchmark::State& state) {
   const int side = static_cast<int>(state.range(0));
   noc::NetworkConfig cfg;
@@ -39,6 +41,7 @@ void BM_MeshUnderLoad(benchmark::State& state) {
   cfg.params.p = 4;
   if (side > 8) cfg.params.m = 12;  // 16x16 offsets exceed the m=8 RIB range
   cfg.kernel = static_cast<sim::Simulator::Kernel>(state.range(1));
+  cfg.params.numVCs = static_cast<int>(state.range(2));
   noc::Network mesh(
       std::make_shared<noc::MeshTopology>(noc::MeshShape{side, side}), cfg);
   noc::TrafficConfig traffic;
@@ -55,9 +58,10 @@ void BM_MeshUnderLoad(benchmark::State& state) {
       benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_MeshUnderLoad)
-    ->ArgsProduct({{2, 4, 6, 8}, {0, 1}})
-    ->Args({16, 1})
-    ->ArgsProduct({{8, 16, 32}, {2}})
+    ->ArgsProduct({{2, 4, 6, 8}, {0}, {1}})
+    ->ArgsProduct({{2, 4, 6}, {1}, {1}})
+    ->ArgsProduct({{8, 16}, {1, 2}, {1, 2, 4}})
+    ->Args({32, 2, 1})
     ->UseRealTime();
 
 // Torus counterpart of BM_MeshUnderLoad (same arg encoding): the wrap

@@ -243,7 +243,19 @@ void NetworkInterface::send(NodeId dst,
 }
 
 void NetworkInterface::evaluate() {
-  // Send side: present the next flit whenever one is pending and the flow
+  presentSend();
+  if (vcMode()) {
+    advertiseRxSpace();
+    if (creditMode()) returnRxCredits();
+    return;
+  }
+  // Receive side, always ready: in handshake mode this acknowledges the
+  // incoming flit; in credit mode the same pulse returns the credit.
+  fromRouter_->ack.set(fromRouter_->val.get());
+}
+
+void NetworkInterface::presentSend() {
+  // Present the next flit whenever one is pending and the flow
   // control permits it.  numVCs == 1: a credit (credit mode) or always
   // (handshake, the ack completes the transfer).  numVCs > 1: the inject
   // VC's advertised space (on/off level) or an in-hand per-VC credit — the
@@ -281,23 +293,21 @@ void NetworkInterface::evaluate() {
     toRouter_->val.set(false);
   }
   if (vcMode()) toRouter_->vc.set(pending ? injectVc : 0);
+}
 
-  // Receive side: always ready.
-  if (vcMode()) {
-    // Every VC has unbounded reassembly space here, so all vcFree levels
-    // stay up; in credit mode the flit is consumed the cycle it lands, so
-    // its credit returns immediately on the arriving VC's vcAck line.
-    for (int v = 0; v < params_.numVCs; ++v) {
-      fromRouter_->vcFree[static_cast<std::size_t>(v)].set(true);
-      if (creditMode())
-        fromRouter_->vcAck[static_cast<std::size_t>(v)].set(
-            fromRouter_->val.get() && fromRouter_->vc.get() == v);
-    }
-    return;
-  }
-  // In handshake mode this acknowledges the incoming flit; in credit mode
-  // the same pulse returns the credit.
-  fromRouter_->ack.set(fromRouter_->val.get());
+void NetworkInterface::advertiseRxSpace() {
+  // Every VC has unbounded reassembly space here, so all vcFree levels
+  // stay up.
+  for (int v = 0; v < params_.numVCs; ++v)
+    fromRouter_->vcFree[static_cast<std::size_t>(v)].set(true);
+}
+
+void NetworkInterface::returnRxCredits() {
+  // The flit is consumed the cycle it lands, so its credit returns
+  // immediately on the arriving VC's vcAck line.
+  for (int v = 0; v < params_.numVCs; ++v)
+    fromRouter_->vcAck[static_cast<std::size_t>(v)].set(
+        fromRouter_->val.get() && fromRouter_->vc.get() == v);
 }
 
 void NetworkInterface::clockEdge() {
@@ -515,28 +525,35 @@ void NetworkInterface::pumpTransport() {
 
 bool NetworkInterface::describe(sim::Lowering& lw) {
   if (vcMode()) {
-    std::vector<const sim::WireBase*> reads = {&fromRouter_->val,
-                                               &fromRouter_->vc};
-    std::vector<const sim::WireBase*> writes = {
-        &toRouter_->flit.data, &toRouter_->flit.bop, &toRouter_->flit.eop,
-        &toRouter_->val, &toRouter_->vc};
+    // One op per phase of evaluate(), so the receive side's wires do not
+    // tie the send side into the router's combinational graph.
+    std::vector<const sim::WireBase*> sendReads;
     if (!creditMode()) {
-      // QoS injects on any adaptive VC, so evaluate() reads them all;
+      // QoS injects on any adaptive VC, so the send side reads them all;
       // otherwise only the fixed inject VC's level matters.
       if (params_.qosClasses) {
         for (int v = options_.escapeVCs; v < params_.numVCs; ++v)
-          reads.push_back(&toRouter_->vcFree[static_cast<std::size_t>(v)]);
+          sendReads.push_back(
+              &toRouter_->vcFree[static_cast<std::size_t>(v)]);
       } else {
-        reads.push_back(
+        sendReads.push_back(
             &toRouter_->vcFree[static_cast<std::size_t>(options_.injectVc)]);
       }
     }
+    lw.phaseOp<&NetworkInterface::presentSend>(
+        *this, std::move(sendReads),
+        {&toRouter_->flit.data, &toRouter_->flit.bop, &toRouter_->flit.eop,
+         &toRouter_->val, &toRouter_->vc});
+    std::vector<const sim::WireBase*> frees, acks;
     for (int v = 0; v < params_.numVCs; ++v) {
-      writes.push_back(&fromRouter_->vcFree[static_cast<std::size_t>(v)]);
-      if (creditMode())
-        writes.push_back(&fromRouter_->vcAck[static_cast<std::size_t>(v)]);
+      frees.push_back(&fromRouter_->vcFree[static_cast<std::size_t>(v)]);
+      acks.push_back(&fromRouter_->vcAck[static_cast<std::size_t>(v)]);
     }
-    lw.thunkDeclared(*this, std::move(reads), std::move(writes));
+    lw.phaseOp<&NetworkInterface::advertiseRxSpace>(*this, {},
+                                                    std::move(frees));
+    if (creditMode())
+      lw.phaseOp<&NetworkInterface::returnRxCredits>(
+          *this, {&fromRouter_->val, &fromRouter_->vc}, std::move(acks));
     lw.edgeCall(*this);
     return true;
   }

@@ -184,8 +184,10 @@ class NetworkInterface : public sim::Module {
   void setTracer(FlowTracer* tracer) { tracer_ = tracer; }
 
   /// Compiled-kernel lowering: the NI walks deque/transport state, so it
-  /// stays behavioural — a declared thunk (skipping write discovery so the
-  /// send queue is untouched at compile time) plus a clockEdge() call.
+  /// stays behavioural.  At numVCs == 1 it is a declared thunk (skipping
+  /// write discovery so the send queue is untouched at compile time); with
+  /// VCs each phase of evaluate() (send, rx vcFree, rx vcAck) is its own
+  /// op over the Wire objects.  Both add a clockEdge() call.
   bool describe(sim::Lowering& lw) override;
 
  protected:
@@ -204,6 +206,14 @@ class NetworkInterface : public sim::Module {
   // priority: highest VC (= highest class) with a pending flit and
   // downstream space wins.
   int scheduledInjectVc() const;
+  // The combinational phases of evaluate().  presentSend: the next pending
+  // flit onto toRouter (reads the inject VCs' vcFree under on/off VC flow
+  // control).  With VCs, advertiseRxSpace raises every fromRouter vcFree
+  // (reads no wire) and returnRxCredits (credit mode) pulses the arriving
+  // flit's vcAck.
+  void presentSend();
+  void advertiseRxSpace();
+  void returnRxCredits();
   // Packet-completion step shared by the single-queue (numVCs == 1) and
   // per-VC reassembly paths.
   void acceptRxFlit(const router::Flit& flit, std::vector<router::Flit>& buf);

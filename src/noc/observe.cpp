@@ -2,6 +2,8 @@
 
 #include <string>
 
+#include "sim/compile.hpp"
+
 namespace rasoc::noc {
 
 namespace {
@@ -206,6 +208,20 @@ telemetry::RunReport buildRunReport(std::string name, const Network& network,
 
   report.set("links", "mean_utilization", network.meanLinkUtilization());
   report.set("links", "max_utilization", network.maxLinkUtilization());
+
+  // Compiled-kernel program shape: iterate segments > 0 means some settle
+  // swept a combinational cycle to a fixpoint instead of one linear pass.
+  if (const sim::CompiledProgram* program =
+          network.simulator().compiledProgram()) {
+    report.set("kernel", "program_ops",
+               static_cast<std::uint64_t>(program->opCount()));
+    report.set("kernel", "program_thunks",
+               static_cast<std::uint64_t>(program->thunkCount()));
+    report.set("kernel", "program_iterate_segments",
+               static_cast<std::uint64_t>(program->iterateSegmentCount()));
+    report.set("kernel", "program_arena_words",
+               static_cast<std::uint64_t>(program->wordCount()));
+  }
 
   if (const FlowTracer* tracer = network.tracer()) tracer->writeReport(report);
 

@@ -361,18 +361,30 @@ void VcInputChannel::onReset() {
 }
 
 void VcInputChannel::evaluate() {
+  publish();
+  if (creditMode()) returnCredits();
+}
+
+void VcInputChannel::returnCredits() {
+  // Credit mode pulses the per-VC credit return as the flit leaves the
+  // buffer.
+  for (int v = 0; v < numVCs_; ++v) {
+    const auto vi = static_cast<std::size_t>(v);
+    in_->vcAck[vi].set(!fifo_[vi].empty() && popFired(v));
+  }
+}
+
+void VcInputChannel::publish() {
   for (int v = 0; v < numVCs_; ++v) {
     const auto vi = static_cast<std::size_t>(v);
     CrossbarWires& xb = (*xbar_)[vi];
     const auto& q = fifo_[vi];
     // Upstream flow control: on/off advertises registered buffer space;
-    // credit mode advertises link-up (the sender counts credits) and
-    // pulses the per-VC credit return as the flit leaves the buffer.
+    // credit mode advertises link-up (the sender counts credits).
     const bool space = static_cast<int>(q.size()) < params_.p;
     in_->vcFree[vi].set(creditMode() ? true : space);
     const bool empty = q.empty();
     xb.rok.set(!empty);
-    if (creditMode()) in_->vcAck[vi].set(!empty && popFired(v));
 
     Flit head;
     if (!empty) head = q.front();
@@ -453,15 +465,21 @@ void VcInputChannel::clockEdge() {
   for (int v = 0; v < numVCs_; ++v) {
     const auto vi = static_cast<std::size_t>(v);
     auto& q = fifo_[vi];
+    // One pass over the settled strobes: granted by some output, and
+    // (popFired) read out this edge.
+    bool granted = false;
+    bool pop = false;
+    for (int o = 0; o < kNumPorts; ++o) {
+      const auto oi = static_cast<std::size_t>(o);
+      const bool g = (*xbar_)[vi].gnt[oi].get();
+      granted = granted || g;
+      pop = pop || (g && (*xbar_)[vi].rd[oi].get());
+    }
     // A pop strobe can only refer to a flit that was at the head pre-edge,
     // so popping after the accept push is safe: the push appended to the
     // back, and an empty pre-edge FIFO never had rd granted.
-    if (dequeueFired(v)) q.pop_front();
+    if (!q.empty() && pop) q.pop_front();
 
-    bool granted = false;
-    for (int o = 0; o < kNumPorts; ++o)
-      granted = granted ||
-                (*xbar_)[vi].gnt[static_cast<std::size_t>(o)].get();
     if (!q.empty() && q.front().bop && !granted) {
       if (patience_[vi] < kVcPatienceCap) ++patience_[vi];
     } else {
@@ -470,7 +488,7 @@ void VcInputChannel::clockEdge() {
 
     occupancySum_[vi] += q.size();
     anyFull = anyFull || static_cast<int>(q.size()) >= params_.p;
-    anyStall = anyStall || (!q.empty() && !popFired(v));
+    anyStall = anyStall || (!q.empty() && !pop);
     if (metricsAttached_ && metrics_.occupancy[vi])
       metrics_.occupancy[vi]->observe(static_cast<double>(q.size()));
   }
@@ -481,25 +499,32 @@ void VcInputChannel::clockEdge() {
 }
 
 bool VcInputChannel::describe(sim::Lowering& lw) {
-  std::vector<const sim::WireBase*> reads;
-  std::vector<const sim::WireBase*> writes;
+  std::vector<const sim::WireBase*> grants;
+  std::vector<const sim::WireBase*> grantsAndReads;
+  std::vector<const sim::WireBase*> pubWrites;
+  std::vector<const sim::WireBase*> acks;
   for (int v = 0; v < numVCs_; ++v) {
     CrossbarWires& xb = (*xbar_)[static_cast<std::size_t>(v)];
     for (int o = 0; o < kNumPorts; ++o) {
-      reads.push_back(&xb.gnt[static_cast<std::size_t>(o)]);
-      reads.push_back(&xb.rd[static_cast<std::size_t>(o)]);
+      grants.push_back(&xb.gnt[static_cast<std::size_t>(o)]);
+      grantsAndReads.push_back(&xb.gnt[static_cast<std::size_t>(o)]);
+      grantsAndReads.push_back(&xb.rd[static_cast<std::size_t>(o)]);
     }
-    writes.push_back(&in_->vcFree[static_cast<std::size_t>(v)]);
-    if (creditMode()) writes.push_back(&in_->vcAck[static_cast<std::size_t>(v)]);
-    writes.push_back(&xb.rok);
-    writes.push_back(&xb.want);
-    writes.push_back(&xb.flit.data);
-    writes.push_back(&xb.flit.bop);
-    writes.push_back(&xb.flit.eop);
+    pubWrites.push_back(&in_->vcFree[static_cast<std::size_t>(v)]);
+    pubWrites.push_back(&xb.rok);
+    pubWrites.push_back(&xb.want);
+    pubWrites.push_back(&xb.flit.data);
+    pubWrites.push_back(&xb.flit.bop);
+    pubWrites.push_back(&xb.flit.eop);
     for (int o = 0; o < kNumPorts; ++o)
-      writes.push_back(&xb.req[static_cast<std::size_t>(o)]);
+      pubWrites.push_back(&xb.req[static_cast<std::size_t>(o)]);
+    acks.push_back(&in_->vcAck[static_cast<std::size_t>(v)]);
   }
-  lw.thunkDeclared(*this, std::move(reads), std::move(writes));
+  lw.phaseOp<&VcInputChannel::publish>(*this, std::move(grants),
+                                       std::move(pubWrites));
+  if (creditMode())
+    lw.phaseOp<&VcInputChannel::returnCredits>(
+        *this, std::move(grantsAndReads), std::move(acks));
   lw.edgeCall(*this);
   return true;
 }

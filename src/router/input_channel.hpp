@@ -7,9 +7,10 @@
 /// is replicated per virtual channel, flits are demultiplexed by the
 /// channel's vc wire, and flow control switches to per-VC on/off (vcFree
 /// levels) or per-VC credits (vcAck pulses) — see router/channel.hpp.  It
-/// is a monolithic behavioural module (compiled-kernel lowering by declared
-/// thunk, like the network interface) so the numVCs == 1 fused lowering and
-/// its pinned goldens stay byte-identical.
+/// is a behavioural module whose evaluate() splits into combinational
+/// phases, each lowered as its own compiled op over the Wire objects, so
+/// the numVCs == 1 fused lowering and its pinned goldens stay
+/// byte-identical.
 #pragma once
 
 #include <array>
@@ -160,8 +161,9 @@ class VcInputChannel : public sim::Module {
   /// Enables instrumentation; the metrics must outlive the channel.
   void attachMetrics(const VcInputChannelMetrics& metrics);
 
-  /// Behavioural thunk with declared reads/writes (the per-VC FIFOs are
-  /// registered state walked directly), plus a clockEdge() call.
+  /// Compiled-kernel lowering: one op per combinational phase (publish,
+  /// credit return), each calling the member function evaluate() calls,
+  /// plus a clockEdge() call.
   bool describe(sim::Lowering& lw) override;
 
  protected:
@@ -175,6 +177,13 @@ class VcInputChannel : public sim::Module {
   }
   // Pop strobe computed from the settled crossbar wires.
   bool popFired(int v) const;
+
+  // The two combinational phases of evaluate(), each a compiled op.
+  // Publish: gnt -> vcFree, rok, req, want and the crossbar flit (the FIFO
+  // heads are registered).  Credit return (credit mode only): gnt/rd ->
+  // vcAck.
+  void publish();
+  void returnCredits();
 
   RouterParams params_;
   Port ownPort_;

@@ -34,25 +34,37 @@ Link::Link(std::string name, ChannelWires& src, ChannelWires& dst,
 }
 
 void Link::evaluate() {
+  forward();
+  if (numVCs_ == 1) {
+    src_->ack.set(dst_->ack.get());
+    return;
+  }
+  // VC mode: per-VC space/link-up levels and credit pulses upstream.  The
+  // ack wire is unused.
+  reverseVcFree();
+  reverseVcAck();
+}
+
+void Link::forward() {
   const bool bop = src_->flit.bop.get();
   const bool eop = src_->flit.eop.get();
   dst_->flit.data.set(transformData(src_->flit.data.get(), bop, eop));
   dst_->flit.bop.set(bop);
   dst_->flit.eop.set(eop);
   dst_->val.set(src_->val.get());
-  if (numVCs_ == 1) {
-    src_->ack.set(dst_->ack.get());
-    return;
-  }
-  // VC mode: vc tag downstream, per-VC space/link-up levels and credit
-  // pulses upstream.  The ack wire is unused.
-  dst_->vc.set(src_->vc.get());
-  for (int v = 0; v < numVCs_; ++v) {
+  if (numVCs_ > 1) dst_->vc.set(src_->vc.get());
+}
+
+void Link::reverseVcFree() {
+  for (int v = 0; v < numVCs_; ++v)
     src_->vcFree[static_cast<std::size_t>(v)].set(
         dst_->vcFree[static_cast<std::size_t>(v)].get());
+}
+
+void Link::reverseVcAck() {
+  for (int v = 0; v < numVCs_; ++v)
     src_->vcAck[static_cast<std::size_t>(v)].set(
         dst_->vcAck[static_cast<std::size_t>(v)].get());
-  }
 }
 
 void Link::clockEdge() {
@@ -124,21 +136,32 @@ bool Link::describe(sim::Lowering& lw) {
   if (typeid(*this) != typeid(Link)) return false;
 
   if (numVCs_ > 1) {
-    // VC links lower as a declared behavioural thunk plus an edge call;
-    // the numVCs == 1 fused ops below stay byte-identical.
-    std::vector<const sim::WireBase*> reads = {
-        &src_->flit.data, &src_->flit.bop, &src_->flit.eop, &src_->val,
-        &src_->vc};
-    std::vector<const sim::WireBase*> writes = {
-        &dst_->flit.data, &dst_->flit.bop, &dst_->flit.eop, &dst_->val,
-        &dst_->vc};
+    // VC links lower as one op per direction-and-wire over the Wire
+    // objects, plus an edge call; the numVCs == 1 fused ops below stay
+    // byte-identical.  The two reverse wires need separate ops: under
+    // credit flow control vcAck is driven from the receiver's rd, which
+    // the receiver computes from the vcFree of the next hop, so one op
+    // carrying both would close a cycle through neighbouring routers.
+    lw.phaseOp<&Link::forward>(
+        *this,
+        {&src_->flit.data, &src_->flit.bop, &src_->flit.eop, &src_->val,
+         &src_->vc},
+        {&dst_->flit.data, &dst_->flit.bop, &dst_->flit.eop, &dst_->val,
+         &dst_->vc});
+    std::vector<const sim::WireBase*> freeIn, freeOut, ackIn, ackOut;
     for (int v = 0; v < numVCs_; ++v) {
-      reads.push_back(&dst_->vcFree[static_cast<std::size_t>(v)]);
-      reads.push_back(&dst_->vcAck[static_cast<std::size_t>(v)]);
-      writes.push_back(&src_->vcFree[static_cast<std::size_t>(v)]);
-      writes.push_back(&src_->vcAck[static_cast<std::size_t>(v)]);
+      freeIn.push_back(&dst_->vcFree[static_cast<std::size_t>(v)]);
+      freeOut.push_back(&src_->vcFree[static_cast<std::size_t>(v)]);
+      ackIn.push_back(&dst_->vcAck[static_cast<std::size_t>(v)]);
+      ackOut.push_back(&src_->vcAck[static_cast<std::size_t>(v)]);
     }
-    lw.thunkDeclared(*this, std::move(reads), std::move(writes));
+    lw.phaseOp<&Link::reverseVcFree>(*this, std::move(freeIn),
+                                     std::move(freeOut));
+    // vcAck pulses exist only under credit flow control; on/off links
+    // never see one.
+    if (flowControl_ == FlowControl::CreditBased)
+      lw.phaseOp<&Link::reverseVcAck>(*this, std::move(ackIn),
+                                      std::move(ackOut));
     lw.edgeCall(*this);
     return true;
   }

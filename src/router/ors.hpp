@@ -45,21 +45,4 @@ class Ors : public sim::Module {
   sim::Wire<bool>* rokSel_;
 };
 
-// --- VC-aware round-robin arbitration (numVCs > 1) -------------------------
-//
-// Allocates one idle downstream VC among the (input port, input VC)
-// requesters bidding for this output.  A requester matches downstream VC
-// `downVc` when bit `downVc` of its `want` mask is set — a one-bit mask for
-// escape traffic requesting its dateline class, the adaptive set (or the
-// class's qosVcMask() subset under RouterParams::qosClasses) for adaptive
-// headers.  The scan is round-robin over the flattened (port, VC) slot
-// space starting at `rrStart`; slots marked in `consumed` (already holding
-// a connection, or granted earlier this same edge) are skipped so one input
-// VC never acquires two downstream VCs.  Returns the chosen slot
-// (inPort * kMaxVCs + inVc) or -1.
-int vcArbitrate(
-    const std::array<std::array<CrossbarWires, kMaxVCs>, kNumPorts>& xbar,
-    int numVCs, Port ownPort, int downVc, int rrStart,
-    const std::array<bool, kNumPorts * kMaxVCs>& consumed);
-
 }  // namespace rasoc::router

@@ -1,6 +1,7 @@
 #include "router/output_channel.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/compile.hpp"
 
@@ -283,6 +284,23 @@ bool OutputChannel::describe(sim::Lowering& lw) {
 
 // --- VcOutputChannel -------------------------------------------------------
 
+namespace {
+
+// VC allocation requesters: one slot per (input port, input VC) pair.
+constexpr int kVcSlots = kNumPorts * kMaxVCs;
+static_assert(kVcSlots <= 32, "requester slots must fit a 32-bit mask");
+
+// First set bit of `candidates` at or after `start`, wrapping around the
+// slot space: the order of a round-robin scan starting at `start`.
+int roundRobinSlot(std::uint32_t candidates, int start) {
+  constexpr std::uint32_t kAll = (std::uint32_t{1} << kVcSlots) - 1;
+  const std::uint32_t rotated =
+      ((candidates >> start) | (candidates << (kVcSlots - start))) & kAll;
+  return (start + std::countr_zero(rotated)) % kVcSlots;
+}
+
+}  // namespace
+
 VcOutputChannel::VcOutputChannel(
     std::string name, const RouterParams& params, Port ownPort,
     VcGeometry geometry,
@@ -339,6 +357,33 @@ bool VcOutputChannel::schedulable(int d) const {
 }
 
 void VcOutputChannel::evaluate() {
+  publishGrants();
+  scheduleLink();
+}
+
+std::uint32_t VcOutputChannel::connectedSlots() const {
+  std::uint32_t slots = 0;
+  for (int d = 0; d < numVCs_; ++d) {
+    const Conn& c = conn_[static_cast<std::size_t>(d)];
+    if (c.active) slots |= 1u << (c.inPort * kMaxVCs + c.inVc);
+  }
+  return slots;
+}
+
+void VcOutputChannel::publishGrants() {
+  // Grants come from the registered connection table alone.
+  const std::uint32_t granted = connectedSlots();
+  const int own = index(ownPort_);
+  for (int i = 0; i < kNumPorts; ++i) {
+    for (int v = 0; v < numVCs_; ++v) {
+      (*xbar_)[static_cast<std::size_t>(i)][static_cast<std::size_t>(v)]
+          .gnt[static_cast<std::size_t>(own)]
+          .set(((granted >> (i * kMaxVCs + v)) & 1u) != 0);
+    }
+  }
+}
+
+void VcOutputChannel::scheduleLink() {
   const int own = index(ownPort_);
 
   // Schedule one connected, ready, non-blocked downstream VC onto the
@@ -373,20 +418,12 @@ void VcOutputChannel::evaluate() {
   const Conn* sc =
       sched >= 0 ? &conn_[static_cast<std::size_t>(sched)] : nullptr;
 
-  // Publish grants from the registered connection table and the read strobe
-  // of the scheduled source (all other strobes low).
+  // Read strobe of the scheduled source (all other strobes low).
   for (int i = 0; i < kNumPorts; ++i) {
     for (int v = 0; v < numVCs_; ++v) {
-      CrossbarWires& x =
-          (*xbar_)[static_cast<std::size_t>(i)][static_cast<std::size_t>(v)];
-      bool granted = false;
-      for (int d = 0; d < numVCs_; ++d) {
-        const Conn& c = conn_[static_cast<std::size_t>(d)];
-        granted = granted || (c.active && c.inPort == i && c.inVc == v);
-      }
-      x.gnt[static_cast<std::size_t>(own)].set(granted);
-      x.rd[static_cast<std::size_t>(own)].set(sc && sc->inPort == i &&
-                                              sc->inVc == v);
+      (*xbar_)[static_cast<std::size_t>(i)][static_cast<std::size_t>(v)]
+          .rd[static_cast<std::size_t>(own)]
+          .set(sc && sc->inPort == i && sc->inVc == v);
     }
   }
   if (sc) {
@@ -445,16 +482,28 @@ void VcOutputChannel::clockEdge() {
   }
 
   // 3. Allocation: hand each idle downstream VC to a matching requester.
-  //    consumed[] starts from the surviving connections and accumulates
-  //    within this edge so one input VC never acquires two downstream VCs.
-  std::array<bool, kNumPorts * kMaxVCs> consumed{};
-  for (int d = 0; d < numVCs_; ++d) {
-    const Conn& c = conn_[static_cast<std::size_t>(d)];
-    if (c.active)
-      consumed[static_cast<std::size_t>(c.inPort * kMaxVCs + c.inVc)] = true;
+  //    Requesters are slots, one bit each (connectedSlots()).  `consumed`
+  //    starts from the surviving connections and accumulates within this
+  //    edge so one input VC never acquires two downstream VCs.
+  //    `requesting` has a bit per slot bidding for this output, wants[d]
+  //    the subset whose want mask admits downstream VC d.
+  std::uint32_t consumed = connectedSlots();
+  std::uint32_t requesting = 0;
+  std::array<std::uint32_t, kMaxVCs> wants{};
+  for (int i = 0; i < kNumPorts; ++i) {
+    if (i == own) continue;
+    for (int v = 0; v < numVCs_; ++v) {
+      const CrossbarWires& x =
+          (*xbar_)[static_cast<std::size_t>(i)][static_cast<std::size_t>(v)];
+      if (!x.req[static_cast<std::size_t>(own)].get()) continue;
+      const std::uint32_t bit = 1u << (i * kMaxVCs + v);
+      requesting |= bit;
+      const auto want = static_cast<unsigned>(x.want.get());
+      for (int d = 0; d < numVCs_; ++d)
+        if ((want >> d) & 1u) wants[static_cast<std::size_t>(d)] |= bit;
+    }
   }
   int grantsIssued = 0;
-  const int slots = kNumPorts * kMaxVCs;
   for (int d = 0; d < numVCs_; ++d) {
     if (conn_[static_cast<std::size_t>(d)].active) continue;
     // Duato guard: never hand out a downstream VC that cannot accept a
@@ -466,60 +515,52 @@ void VcOutputChannel::clockEdge() {
     // way).  Keeping the header unallocated keeps its escape bid alive.
     if (!out_->vcFree[static_cast<std::size_t>(d)].get()) continue;
     if (creditMode() && !credits_.available(d)) continue;
-    const int slot = vcArbitrate(*xbar_, numVCs_, ownPort_, d,
-                                 rrNext_[static_cast<std::size_t>(d)],
-                                 consumed);
-    if (slot < 0) continue;
+    const std::uint32_t candidates =
+        wants[static_cast<std::size_t>(d)] & ~consumed;
+    if (candidates == 0) continue;
+    const int slot =
+        roundRobinSlot(candidates, rrNext_[static_cast<std::size_t>(d)]);
     conn_[static_cast<std::size_t>(d)] = {true, slot / kMaxVCs,
                                           slot % kMaxVCs};
-    consumed[static_cast<std::size_t>(slot)] = true;
-    rrNext_[static_cast<std::size_t>(d)] = (slot + 1) % slots;
+    consumed |= 1u << slot;
+    rrNext_[static_cast<std::size_t>(d)] = (slot + 1) % kVcSlots;
     ++grantsIssued;
   }
   if (metricsAttached_) {
     if (metrics_.grants)
       for (int g = 0; g < grantsIssued; ++g) metrics_.grants->inc();
-    if (metrics_.conflictCycles) {
-      bool waiting = false;
-      for (int i = 0; i < kNumPorts && !waiting; ++i) {
-        if (i == own) continue;
-        for (int v = 0; v < numVCs_ && !waiting; ++v) {
-          const CrossbarWires& x =
-              (*xbar_)[static_cast<std::size_t>(i)][static_cast<std::size_t>(
-                  v)];
-          waiting = x.req[static_cast<std::size_t>(own)].get() &&
-                    !consumed[static_cast<std::size_t>(i * kMaxVCs + v)];
-        }
-      }
-      if (waiting) metrics_.conflictCycles->inc();
-    }
+    if (metrics_.conflictCycles && (requesting & ~consumed) != 0)
+      metrics_.conflictCycles->inc();
   }
 }
 
 bool VcOutputChannel::describe(sim::Lowering& lw) {
   const int own = index(ownPort_);
-  std::vector<const sim::WireBase*> reads;
-  std::vector<const sim::WireBase*> writes;
+  std::vector<const sim::WireBase*> grants;
+  std::vector<const sim::WireBase*> schedReads;
+  std::vector<const sim::WireBase*> schedWrites;
   for (int i = 0; i < kNumPorts; ++i) {
     for (int v = 0; v < numVCs_; ++v) {
       CrossbarWires& x =
           (*xbar_)[static_cast<std::size_t>(i)][static_cast<std::size_t>(v)];
-      reads.push_back(&x.rok);
-      reads.push_back(&x.flit.data);
-      reads.push_back(&x.flit.bop);
-      reads.push_back(&x.flit.eop);
-      writes.push_back(&x.gnt[static_cast<std::size_t>(own)]);
-      writes.push_back(&x.rd[static_cast<std::size_t>(own)]);
+      grants.push_back(&x.gnt[static_cast<std::size_t>(own)]);
+      schedReads.push_back(&x.rok);
+      schedReads.push_back(&x.flit.data);
+      schedReads.push_back(&x.flit.bop);
+      schedReads.push_back(&x.flit.eop);
+      schedWrites.push_back(&x.rd[static_cast<std::size_t>(own)]);
     }
   }
   for (int d = 0; d < numVCs_; ++d)
-    reads.push_back(&out_->vcFree[static_cast<std::size_t>(d)]);
-  writes.push_back(&out_->flit.data);
-  writes.push_back(&out_->flit.bop);
-  writes.push_back(&out_->flit.eop);
-  writes.push_back(&out_->vc);
-  writes.push_back(&out_->val);
-  lw.thunkDeclared(*this, std::move(reads), std::move(writes));
+    schedReads.push_back(&out_->vcFree[static_cast<std::size_t>(d)]);
+  schedWrites.push_back(&out_->flit.data);
+  schedWrites.push_back(&out_->flit.bop);
+  schedWrites.push_back(&out_->flit.eop);
+  schedWrites.push_back(&out_->vc);
+  schedWrites.push_back(&out_->val);
+  lw.phaseOp<&VcOutputChannel::publishGrants>(*this, {}, std::move(grants));
+  lw.phaseOp<&VcOutputChannel::scheduleLink>(*this, std::move(schedReads),
+                                             std::move(schedWrites));
   lw.edgeCall(*this);
   return true;
 }

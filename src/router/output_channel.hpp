@@ -108,9 +108,9 @@ struct VcOutputChannelMetrics {
 
 /// Virtual-channel output channel (numVCs > 1): a connection table maps each
 /// downstream VC to the (input port, input VC) holding it; allocation runs at
-/// the clock edge with vcArbitrate (ors.hpp), and evaluate() schedules one
-/// connected, ready, non-blocked downstream VC onto the one physical link —
-/// round-robin by default.  Flit transfers are unconditional once scheduled:
+/// the clock edge (round-robin over a request bitmask per downstream VC),
+/// and evaluate() schedules one connected, ready, non-blocked downstream VC
+/// onto the one physical link — round-robin by default.  Flit transfers are unconditional once scheduled:
 /// out_val is only asserted when the receiver advertised space (vcFree level)
 /// or a credit was available, so the ack wire is unused at numVCs > 1.
 ///
@@ -175,8 +175,9 @@ class VcOutputChannel : public sim::Module {
   /// Enables instrumentation; the metrics must outlive the channel.
   void attachMetrics(const VcOutputChannelMetrics& metrics);
 
-  /// Behavioural thunk with declared reads/writes plus a clockEdge() call
-  /// (same lowering strategy as VcInputChannel and the network interface).
+  /// Compiled-kernel lowering: one op per combinational phase (grant
+  /// publish, link schedule), each calling the member function evaluate()
+  /// calls, plus a clockEdge() call.
   bool describe(sim::Lowering& lw) override;
 
  protected:
@@ -191,6 +192,15 @@ class VcOutputChannel : public sim::Module {
   // Downstream VC d is connected, its source has a flit ready, and the
   // receiver can take it — the link scheduler's candidate predicate.
   bool schedulable(int d) const;
+  // Bitmask over the (input port, input VC) slots, bit inPort * kMaxVCs +
+  // inVc, of the inputs holding a downstream VC.
+  std::uint32_t connectedSlots() const;
+
+  // The two combinational phases of evaluate(), each a compiled op.
+  // Grant publish: gnt from the registered connection table (reads no
+  // wire).  Link schedule: rok/flit/vcFree -> rd and the output link.
+  void publishGrants();
+  void scheduleLink();
 
   // One downstream VC's registered connection (wormhole: held from header
   // grant to tail send).

@@ -136,6 +136,24 @@ class Lowering {
   void op(OpFn fn, void* ctx, std::vector<const WireBase*> reads,
           std::vector<const WireBase*> writes);
 
+  // An op that runs one combinational phase of a behavioural module: `Phase`
+  // is a member function of M that reads and drives Wire objects directly
+  // (not arena slices), so the module keeps a single implementation that its
+  // evaluate() also calls.  Splitting evaluate() into phases that declare
+  // exactly what each reads and writes is what lets a module whose whole
+  // read set would close a combinational cycle levelize acyclically.
+  template <auto Phase, typename M>
+  void phaseOp(M& m, std::vector<const WireBase*> reads,
+               std::vector<const WireBase*> writes) {
+    struct PhaseCtx {
+      M* module;
+    };
+    op([](std::uint64_t*, void* c) {
+         (static_cast<PhaseCtx*>(c)->module->*Phase)();
+       },
+       ctx(PhaseCtx{&m}), std::move(reads), std::move(writes));
+  }
+
   // Fallback thunk around m.evaluate().  Reads default to the module's
   // declared sensitivities; the write set is discovered by running
   // evaluate() once under the write recorder, so evaluate() must drive the

@@ -39,11 +39,14 @@ const Simulator::Kernel kAllKernels[] = {Simulator::Kernel::Naive,
 std::unique_ptr<Network> makeNet(const std::shared_ptr<const Topology>& topo,
                                  Simulator::Kernel kernel,
                                  const TrafficConfig& traffic,
-                                 int numVCs = 1) {
+                                 int numVCs = 1,
+                                 router::FlowControl flowControl =
+                                     router::FlowControl::Handshake) {
   NetworkConfig cfg;
   cfg.params.n = 16;
   cfg.params.p = 4;
   cfg.params.numVCs = numVCs;
+  cfg.params.flowControl = flowControl;
   cfg.kernel = kernel;
   auto net = std::make_unique<Network>(topo, cfg);
   net->attachTraffic(traffic);
@@ -53,11 +56,22 @@ std::unique_ptr<Network> makeNet(const std::shared_ptr<const Topology>& topo,
 // One network per kernel, the naive reference first.
 std::vector<std::unique_ptr<Network>> makeNets(
     const std::shared_ptr<const Topology>& topo, const TrafficConfig& traffic,
-    int numVCs = 1) {
+    int numVCs = 1,
+    router::FlowControl flowControl = router::FlowControl::Handshake) {
   std::vector<std::unique_ptr<Network>> nets;
   for (const Simulator::Kernel kernel : kAllKernels)
-    nets.push_back(makeNet(topo, kernel, traffic, numVCs));
+    nets.push_back(makeNet(topo, kernel, traffic, numVCs, flowControl));
   return nets;
+}
+
+// A fault-free VC network must compile to phase ops only, in one linear
+// pass: no behavioural thunk and no iterated segment.
+void expectAcyclicOpsOnly(const Network& compiled) {
+  const sim::CompiledProgram* prog = compiled.simulator().compiledProgram();
+  ASSERT_NE(prog, nullptr);
+  EXPECT_GT(prog->opCount(), 0u);
+  EXPECT_EQ(prog->thunkCount(), 0u);
+  EXPECT_EQ(prog->iterateSegmentCount(), 0u);
 }
 
 // Steps every network one cycle at a time and asserts the externally
@@ -216,21 +230,29 @@ TEST(KernelTrichotomyTest, MeshSaturatedTransposeLockstep) {
 TEST(KernelTrichotomyTest, VirtualChannelLockstepAtTwoAndFourVCs) {
   // The VC'd channels (VcInputChannel / VcOutputChannel) are a different
   // state machine from the 1-VC router, with their own compiled-kernel
-  // lowerings; the three-kernel bit-identity claim must hold for them too.
-  // Torus and ring exercise wrap (escape dateline-class) routes, mesh the
+  // lowerings; the three-kernel bit-identity claim must hold for them too,
+  // under on/off (vcFree) and credit (vcAck) flow control alike.  Torus and
+  // ring exercise wrap (escape dateline-class) routes, mesh the
   // adaptive-over-one-escape configuration.
   for (const auto& topo :
        {makeTopology("mesh", 4, 4), makeTopology("torus", 4, 4),
         makeTopology("ring", 8, 1)}) {
     for (int vcs : {2, 4}) {
-      SCOPED_TRACE(topo->describe() + " vc" + std::to_string(vcs));
-      TrafficConfig traffic;
-      traffic.pattern = TrafficPattern::UniformRandom;
-      traffic.offeredLoad = 0.30;
-      traffic.payloadFlits = 3;
-      traffic.seed = 555;
-      auto nets = makeNets(topo, traffic, vcs);
-      runLockstep(nets, 800, 200);
+      for (const router::FlowControl flow :
+           {router::FlowControl::Handshake,
+            router::FlowControl::CreditBased}) {
+        SCOPED_TRACE(topo->describe() + " vc" + std::to_string(vcs) +
+                     (flow == router::FlowControl::CreditBased ? " credit"
+                                                               : " on/off"));
+        TrafficConfig traffic;
+        traffic.pattern = TrafficPattern::UniformRandom;
+        traffic.offeredLoad = 0.30;
+        traffic.payloadFlits = 3;
+        traffic.seed = 555;
+        auto nets = makeNets(topo, traffic, vcs, flow);
+        runLockstep(nets, 800, 200);
+        expectAcyclicOpsOnly(*nets.back());
+      }
     }
   }
 }
@@ -239,8 +261,9 @@ TEST(KernelTrichotomyTest, QosMixedClassLockstepAtFourVCs) {
   // QoS adds class-tagged headers, the class->VC bid mask, the NI's per-VC
   // inject queues and the output channels' strict-priority-with-starvation
   // scheduler; all of it must stay bit-identical across every kernel (the
-  // modules lower as declared thunks, so this pins the shared behavioural
-  // code under both substrates).
+  // modules lower as phase ops calling the same member functions their
+  // evaluate() calls, so this pins the shared behavioural code under both
+  // the swept and the levelized schedule).
   for (const auto& topo :
        {makeTopology("mesh", 4, 4), makeTopology("torus", 4, 4),
         makeTopology("ring", 8, 1)}) {
@@ -268,9 +291,41 @@ TEST(KernelTrichotomyTest, QosMixedClassLockstepAtFourVCs) {
       nets.push_back(std::move(net));
     }
     runLockstep(nets, 800, 200);
+    expectAcyclicOpsOnly(*nets.back());
     // The classes must both have flowed for the lockstep to mean anything.
     EXPECT_GT(nets[0]->ledger().delivered(router::TrafficClass::Control), 0u);
     EXPECT_GT(nets[0]->ledger().delivered(router::TrafficClass::Bulk), 0u);
+  }
+}
+
+TEST(KernelTrichotomyTest, FaultFreeVcNetworksCompileAcyclic) {
+  // The whole fault-free VC configuration space settles in one linear pass.
+  for (const auto& topo :
+       {makeTopology("mesh", 4, 4), makeTopology("torus", 4, 4),
+        makeTopology("ring", 8, 1)}) {
+    for (int vcs : {2, 4}) {
+      for (const router::FlowControl flow :
+           {router::FlowControl::Handshake,
+            router::FlowControl::CreditBased}) {
+        for (const bool qos : {false, true}) {
+          // QoS needs two adaptive VCs above the escape layer.
+          if (qos && vcs < 4) continue;
+          SCOPED_TRACE(topo->describe() + " vc" + std::to_string(vcs) +
+                       (flow == router::FlowControl::CreditBased ? " credit"
+                                                                 : " on/off") +
+                       (qos ? " qos" : ""));
+          NetworkConfig cfg;
+          cfg.params.n = 16;
+          cfg.params.p = 4;
+          cfg.params.numVCs = vcs;
+          cfg.params.flowControl = flow;
+          cfg.params.qosClasses = qos;
+          Network net(topo, cfg);
+          net.run(1);
+          expectAcyclicOpsOnly(net);
+        }
+      }
+    }
   }
 }
 

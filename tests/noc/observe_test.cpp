@@ -124,6 +124,39 @@ TEST(MeshTelemetryTest, RunReportCarriesLedgerAndMetrics) {
   EXPECT_NE(json.find("flits_routed"), std::string::npos);
 }
 
+TEST(MeshTelemetryTest, RunReportStatesCompiledProgramShape) {
+  // The network default is the compiled kernel: the report says what the
+  // program lowered to, including whether any settle had to iterate.
+  InstrumentedRun run(5, 200);
+  ASSERT_EQ(run.mesh.simulator().kernel(), sim::Simulator::Kernel::Compiled);
+  const std::string json = buildRunReport("kernel", run.mesh).toJson();
+  EXPECT_NE(json.find("\"kernel\": {"), std::string::npos);
+  EXPECT_NE(json.find("\"program_ops\": "), std::string::npos);
+  EXPECT_NE(json.find("\"program_arena_words\": "), std::string::npos);
+  EXPECT_NE(json.find("\"program_iterate_segments\": 0"), std::string::npos);
+  // At one VC the NIs stay behavioural thunks.
+  EXPECT_EQ(json.find("\"program_thunks\": 0,"), std::string::npos);
+
+  // A QoS network at four VCs lowers to phase ops only.
+  NetworkConfig qosCfg = InstrumentedRun::config();
+  qosCfg.params.numVCs = 4;
+  qosCfg.params.qosClasses = true;
+  Network qos(std::make_shared<MeshTopology>(MeshShape{3, 3}), qosCfg);
+  qos.run(10);
+  const std::string qosJson = buildRunReport("kernel", qos).toJson();
+  EXPECT_NE(qosJson.find("\"program_thunks\": 0,"), std::string::npos);
+  EXPECT_NE(qosJson.find("\"program_iterate_segments\": 0"),
+            std::string::npos);
+
+  // The behavioural kernels have no program to describe.
+  NetworkConfig eventCfg = InstrumentedRun::config();
+  eventCfg.kernel = sim::Simulator::Kernel::EventDriven;
+  Network event(std::make_shared<MeshTopology>(MeshShape{3, 3}), eventCfg);
+  event.run(10);
+  EXPECT_EQ(buildRunReport("kernel", event).toJson().find("\"kernel\": {"),
+            std::string::npos);
+}
+
 TEST(MeshTelemetryTest, SameSeedProducesByteIdenticalReports) {
   const auto runJson = [] {
     InstrumentedRun run(21, 1200);
