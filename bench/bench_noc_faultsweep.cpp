@@ -16,8 +16,8 @@
 // transport, and retransmission turns detection into recovery.
 //
 // Flags follow bench_noc_loadsweep: --topology=mesh|torus|ring (16 nodes
-// each), --kernel=naive|event|compiled (default compiled), plus --quick
-// for a reduced CI smoke grid.  First non-flag argument is the RunReport JSON
+// each), --kernel=naive|compiled (default compiled), plus --quick for a
+// reduced CI smoke grid.  First non-flag argument is the RunReport JSON
 // artifact path (default bench_noc_faultsweep_report.json).
 //
 // --trace=<path> flit-traces the instrumented *reliable* run and writes
@@ -75,10 +75,10 @@ std::shared_ptr<const noc::Topology> makeBenchTopology() {
   return noc::makeTopology(gTopology, 4, 4);
 }
 
+// main() rejects every --kernel value but these two.
 sim::Simulator::Kernel benchKernel() {
-  if (gKernel == "naive") return sim::Simulator::Kernel::Naive;
-  if (gKernel == "compiled") return sim::Simulator::Kernel::Compiled;
-  return sim::Simulator::Kernel::EventDriven;
+  return gKernel == "naive" ? sim::Simulator::Kernel::Naive
+                            : sim::Simulator::Kernel::Compiled;
 }
 
 // Scales a scalar fault intensity into a full campaign: the intensity is
@@ -350,9 +350,8 @@ int main(int argc, char** argv) {
                 gTopology.c_str());
     return 1;
   }
-  if (gKernel != "naive" && gKernel != "event" && gKernel != "compiled") {
-    std::printf("unknown --kernel=%s (naive|event|compiled)\n",
-                gKernel.c_str());
+  if (gKernel != "naive" && gKernel != "compiled") {
+    std::printf("unknown --kernel=%s (naive|compiled)\n", gKernel.c_str());
     return 1;
   }
   if (gVcs != 1 && gVcs != 2 && gVcs != 4) {

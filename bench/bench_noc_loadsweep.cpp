@@ -7,8 +7,8 @@
 // Rings cannot express Transpose (non-square extent), so the ring sweep
 // substitutes BitComplement, the equivalent long-haul permutation.
 //
-// The settle kernel is selectable too (--kernel=naive|event|compiled,
-// default compiled, the NetworkConfig default).  All kernels are cycle-exact
+// The settle kernel is selectable too (--kernel=naive|compiled, default
+// compiled, the NetworkConfig default).  The two kernels are cycle-exact
 // against each other (tests/noc/kernel_trichotomy_test.cpp), so the sweep
 // numbers are identical and the flag only changes wall-clock cost.
 //
@@ -62,10 +62,10 @@ std::shared_ptr<const noc::Topology> makeBenchTopology() {
   return noc::makeTopology(gTopology, 4, 4);
 }
 
+// main() rejects every --kernel value but these two.
 sim::Simulator::Kernel benchKernel() {
-  if (gKernel == "naive") return sim::Simulator::Kernel::Naive;
-  if (gKernel == "compiled") return sim::Simulator::Kernel::Compiled;
-  return sim::Simulator::Kernel::EventDriven;
+  return gKernel == "naive" ? sim::Simulator::Kernel::Naive
+                            : sim::Simulator::Kernel::Compiled;
 }
 
 noc::NetworkConfig benchConfig(int p, int vcs = 0) {
@@ -348,9 +348,8 @@ int main(int argc, char** argv) {
                 gTopology.c_str());
     return 1;
   }
-  if (gKernel != "naive" && gKernel != "event" && gKernel != "compiled") {
-    std::printf("unknown --kernel=%s (naive|event|compiled)\n",
-                gKernel.c_str());
+  if (gKernel != "naive" && gKernel != "compiled") {
+    std::printf("unknown --kernel=%s (naive|compiled)\n", gKernel.c_str());
     return 1;
   }
   if (gVcs != 1 && gVcs != 2 && gVcs != 4) {

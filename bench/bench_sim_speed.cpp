@@ -3,6 +3,8 @@
 // NoC evaluation the harnesses above can afford.
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
+
 #include "noc/network.hpp"
 #include "router/rasoc.hpp"
 #include "sim/simulator.hpp"
@@ -24,23 +26,39 @@ void BM_SingleRouterIdle(benchmark::State& state) {
 }
 BENCHMARK(BM_SingleRouterIdle);
 
+constexpr auto kNaive =
+    static_cast<std::int64_t>(sim::Simulator::Kernel::Naive);
+constexpr auto kCompiled =
+    static_cast<std::int64_t>(sim::Simulator::Kernel::Compiled);
+
+// Decodes the kernel argument (state.range(1)); a value that names no
+// kernel skips the row with an error instead of building a network.
+bool kernelArg(benchmark::State& state, sim::Simulator::Kernel& kernel) {
+  const std::int64_t arg = state.range(1);
+  if (arg != kNaive && arg != kCompiled) {
+    state.SkipWithError("kernel arg must be 0 (naive) or 1 (compiled)");
+    return false;
+  }
+  kernel = static_cast<sim::Simulator::Kernel>(arg);
+  return true;
+}
+
 // Args: (side, kernel, numVCs) with the kernel arg the Simulator::Kernel
-// value: 0 = naive fixpoint, 1 = event-driven, 2 = compiled (word-packed
-// arena + levelized op tape).  Compare BM_MeshUnderLoad/8/0/1 against
-// /8/1/1 for the scheduler speedup and /8/1/1 against /8/2/1 for the
+// value: 0 = naive fixpoint, 1 = compiled (word-packed arena + levelized
+// op tape).  Compare BM_MeshUnderLoad/8/0/1 against /8/1/1 for the
 // lowering speedup; the VC axis covers the VC router at 8x8 and 16x16
-// (--benchmark_filter='BM_MeshUnderLoad/(8|16)/[12]/' prints the whole
-// event-driven vs compiled table).  Rates are wall clock (UseRealTime), not
-// CPU time.  `evals_per_cycle` is Simulator::evaluateCalls() per cycle:
-// evaluate() calls under the behavioural kernels, executed units (ops plus
-// thunks) under the compiled one.
+// (--benchmark_filter='BM_MeshUnderLoad/(8|16)/1/' prints the compiled VC
+// table).  Rates are wall clock (UseRealTime), not CPU time.
+// `evals_per_cycle` is Simulator::evaluateCalls() per cycle: evaluate()
+// calls under the naive kernel, executed units (ops plus thunks) under the
+// compiled one.
 void BM_MeshUnderLoad(benchmark::State& state) {
   const int side = static_cast<int>(state.range(0));
   noc::NetworkConfig cfg;
   cfg.params.n = 16;
   cfg.params.p = 4;
   if (side > 8) cfg.params.m = 12;  // 16x16 offsets exceed the m=8 RIB range
-  cfg.kernel = static_cast<sim::Simulator::Kernel>(state.range(1));
+  if (!kernelArg(state, cfg.kernel)) return;
   cfg.params.numVCs = static_cast<int>(state.range(2));
   noc::Network mesh(
       std::make_shared<noc::MeshTopology>(noc::MeshShape{side, side}), cfg);
@@ -58,10 +76,9 @@ void BM_MeshUnderLoad(benchmark::State& state) {
       benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_MeshUnderLoad)
-    ->ArgsProduct({{2, 4, 6, 8}, {0}, {1}})
-    ->ArgsProduct({{2, 4, 6}, {1}, {1}})
-    ->ArgsProduct({{8, 16}, {1, 2}, {1, 2, 4}})
-    ->Args({32, 2, 1})
+    ->ArgsProduct({{2, 4, 6, 8}, {kNaive}, {1}})
+    ->ArgsProduct({{8, 16}, {kCompiled}, {1, 2, 4}})
+    ->Args({32, kCompiled, 1})
     ->UseRealTime();
 
 // Torus counterpart of BM_MeshUnderLoad (same arg encoding): the wrap
@@ -72,7 +89,7 @@ void BM_TorusUnderLoad(benchmark::State& state) {
   cfg.params.n = 16;
   cfg.params.p = 4;
   if (side > 8) cfg.params.m = 12;  // 16x16 offsets exceed the m=8 RIB range
-  cfg.kernel = static_cast<sim::Simulator::Kernel>(state.range(1));
+  if (!kernelArg(state, cfg.kernel)) return;
   noc::Network net(noc::makeTopology("torus", side, side), cfg);
   noc::TrafficConfig traffic;
   traffic.offeredLoad = 0.2;
@@ -84,7 +101,7 @@ void BM_TorusUnderLoad(benchmark::State& state) {
   state.counters["routers"] = side * side;
 }
 BENCHMARK(BM_TorusUnderLoad)
-    ->ArgsProduct({{8, 16}, {1, 2}})
+    ->ArgsProduct({{8, 16}, {kCompiled}})
     ->UseRealTime();
 
 // Same mesh with the telemetry subsystem attached: the delta against

@@ -21,7 +21,7 @@
 /// noc/ni.cpp) — says *which packet* it was.  Determinism is inherited:
 /// the scan iterates nodes and ports in fixed order and reads only values
 /// every kernel computes identically, so the event stream is byte-stable
-/// across the naive, event-driven and compiled kernels.  A desynchronized
+/// across the naive and compiled kernels.  A desynchronized
 /// shadow queue (impossible unless the reconstruction rules are wrong)
 /// throws immediately rather than producing a silently misattributed
 /// trace.

@@ -37,10 +37,9 @@ struct NetworkConfig {
 
   /// Settle kernel for the network's simulator.  Compiled lowers the
   /// elaborated network to a word-packed state arena plus a levelized op
-  /// tape (see sim/compile.hpp) and is the default; EventDriven evaluates
-  /// only modules whose inputs changed; Naive is the reference fixpoint
-  /// kernel the equivalence suite A/Bs against.  All three are proven
-  /// bit-identical by noc_kernel_trichotomy_test.
+  /// tape (see sim/compile.hpp) and is the default; Naive is the reference
+  /// fixpoint kernel the lockstep suites A/B it against.  The two are
+  /// proven bit-identical by noc_kernel_trichotomy_test.
   sim::Simulator::Kernel kernel = sim::Simulator::Kernel::Compiled;
 
   /// HLP parity in every NI (paper Section 2 extension); costs one data bit

@@ -51,9 +51,7 @@ NetworkInterface::NetworkInterface(std::string name,
           "qosClasses + reliability: control word (seqBits + 2 class + 2 "
           "type bits) does not fit the flit payload");
   }
-  // The send side of evaluate() streams from the registered queue/credit
-  // state; the receive side echoes the router's val into ack.
-  declareSequential();
+  // The receive side of evaluate() echoes the router's val into ack.
   sensitive(fromRouter.val);
   if (vcMode()) {
     if (options_.injectVc < 0 || options_.injectVc >= params_.numVCs)
@@ -199,7 +197,6 @@ void NetworkInterface::send(NodeId dst,
     ledger_->onQueued(record);
     transport_->submit(dst, payload, cls);
     pumpTransport();
-    markDirty();
     return;
   }
 
@@ -237,9 +234,6 @@ void NetworkInterface::send(NodeId dst,
 
   sendQueueFlits_ += packet.flits.size();
   queueFor(vc).push_back(std::move(packet));
-  // A queue push changes what evaluate() drives; wake the event-driven
-  // kernel even when the push happens between cycles (testbench sends).
-  markDirty();
 }
 
 void NetworkInterface::evaluate() {
@@ -502,7 +496,6 @@ void NetworkInterface::enqueueFrame(ReliableTransport::WireFrame&& frame) {
   }
   sendQueueFlits_ += packet.flits.size();
   queueFor(vc).push_back(std::move(packet));
-  markDirty();
 }
 
 void NetworkInterface::pumpTransport() {

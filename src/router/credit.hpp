@@ -41,7 +41,6 @@ class CreditOfc : public sim::Module {
         xRd_(&xRd),
         xbar_(&xbar) {
     sensitive(rokSel);
-    declareSequential();  // evaluate() reads the credit counter
   }
 
   int credits() const { return credits_; }

@@ -18,10 +18,6 @@ FaultyLink::FaultyLink(std::string name, ChannelWires& src, ChannelWires& dst,
     throw std::invalid_argument("FaultyLink: dataBits must be 1..32");
   if (flipProbability_ < 0.0 || flipProbability_ > 1.0)
     throw std::invalid_argument("FaultyLink: probability must be in [0,1]");
-  // transformData() mixes in the armed mask, re-drawn at every transfer, and
-  // stall/drop windows key off a registered cycle counter, so evaluate()
-  // depends on registered state on top of Link's wire inputs.
-  declareSequential();
   recomputeActive();
   arm();
 }

@@ -14,11 +14,7 @@ InputBuffer::InputBuffer(std::string name, const RouterParams& params,
       rd_(&rd),
       dout_(&dout),
       wok_(&wok),
-      rok_(&rok) {
-  // evaluate() publishes registered FIFO state only (din/wr/rd are read at
-  // the clock edge), so an after-tick re-seed is the whole sensitivity.
-  declareSequential();
-}
+      rok_(&rok) {}
 
 void InputBuffer::evaluate() {
   wok_->set(!full());

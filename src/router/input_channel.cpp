@@ -319,10 +319,8 @@ VcInputChannel::VcInputChannel(std::string name, const RouterParams& params,
       escapeVCs_(std::min(geometry.escapeVCs(), params.numVCs)),
       in_(&in),
       xbar_(&xbar) {
-  // evaluate() publishes from the registered FIFOs and reacts to the
-  // grant/read nets the output channels drive from their (registered)
-  // connection tables.
-  declareSequential();
+  // evaluate() reacts to the grant/read nets the output channels drive
+  // from their (registered) connection tables.
   for (int v = 0; v < numVCs_; ++v) {
     CrossbarWires& xb = (*xbar_)[static_cast<std::size_t>(v)];
     for (int o = 0; o < kNumPorts; ++o) {

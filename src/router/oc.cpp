@@ -15,11 +15,7 @@ OutputController::OutputController(
       xRd_(&xRd),
       connectedWire_(&connected),
       selWire_(&sel),
-      arbiter_(arbiter) {
-  // evaluate() publishes the registered connection state; the request/eop
-  // wires are only read at the clock edge.
-  declareSequential();
-}
+      arbiter_(arbiter) {}
 
 void OutputController::onReset() {
   connected_ = false;

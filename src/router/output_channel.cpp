@@ -314,7 +314,6 @@ VcOutputChannel::VcOutputChannel(
       escapeVCs_(std::min(geometry.escapeVCs(), params.numVCs)),
       out_(&out),
       xbar_(&xbar) {
-  declareSequential();
   if (creditMode()) credits_.reset(numVCs_, params.p);
   for (int i = 0; i < kNumPorts; ++i) {
     for (int v = 0; v < numVCs_; ++v) {

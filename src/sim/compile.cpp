@@ -96,7 +96,7 @@ void Lowering::thunk(Module& m) {
   } disarm;
   SettleContext::armWriteRecorder(&writes);
   m.evaluateOne();
-  ++prog_.discoveryEvals_;
+  prog_.discovered_.push_back(&m);
   std::sort(writes.begin(), writes.end());
   writes.erase(std::unique(writes.begin(), writes.end()), writes.end());
   thunkDeclared(m, m.sensitivities(), std::move(writes));

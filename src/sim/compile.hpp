@@ -1,8 +1,8 @@
 // Compiled settle kernel: one-time lowering of the elaborated module tree
 // into a word-packed state arena plus a levelized op tape.
 //
-// The behavioural kernels (Naive, EventDriven) pay a virtual evaluate() per
-// module per settle round plus per-Wire fanout bookkeeping.
+// The naive reference kernel pays a virtual evaluate() per module per
+// settle round, and sweeps the whole module list until nothing changes.
 // Kernel::Compiled instead runs a single lowering pass at elaboration time:
 //
 //  * every wire an op touches is assigned a (word, bit-offset) slice of a
@@ -41,6 +41,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "sim/module.hpp"
 #include "sim/wire.hpp"
 
 namespace rasoc::sim {
@@ -248,7 +249,9 @@ class CompiledProgram {
   std::size_t edgeItemCount() const { return edges_.size(); }
   std::size_t segmentCount() const { return segments_.size(); }
   std::size_t iterateSegmentCount() const { return iterateSegments_; }
-  std::uint64_t discoveryEvaluations() const { return discoveryEvals_; }
+  // Fallback modules whose evaluate() ran once at build time to discover
+  // their write set (Lowering::thunk), in discovery order.
+  const std::vector<Module*>& discoveredModules() const { return discovered_; }
 
  private:
   friend class Lowering;
@@ -368,7 +371,7 @@ class CompiledProgram {
 
   std::size_t opCount_ = 0;
   std::size_t iterateSegments_ = 0;
-  std::uint64_t discoveryEvals_ = 0;
+  std::vector<Module*> discovered_;
 };
 
 template <typename T>

@@ -1,7 +1,5 @@
 #include "sim/module.hpp"
 
-#include "sim/wire.hpp"
-
 namespace rasoc::sim {
 
 Module::Module(std::string name) : name_(std::move(name)) {}
@@ -19,11 +17,6 @@ void Module::evaluateAll() {
 void Module::clockEdgeAll() {
   clockEdge();
   for (Module* child : children_) child->clockEdgeAll();
-}
-
-void Module::sensitive(const WireBase& wire) {
-  reads_.push_back(&wire);
-  wire.addSensitive(this);
 }
 
 }  // namespace rasoc::sim

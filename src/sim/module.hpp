@@ -13,15 +13,11 @@
 // wires/registered state and commits the next registered state; it must not
 // drive wires (drive them in evaluate() from registered state instead).
 //
-// Event-driven kernel contract (see Simulator::Kernel): a module declares
-// at construction time which wires its evaluate() reads, via
-// sensitive(wire).  A module whose evaluate() additionally depends on
-// registered state (anything clockEdge() or an external call mutates) must
-// call declareSequential(), which re-evaluates it after every clock edge.
-// Modules that do neither are only evaluated when the whole network is
-// seeded (reset / kernel switch), so an incomplete sensitivity list under
-// the event-driven kernel silently reproduces stale outputs - the naive
-// kernel needs no declarations and is the reference to A/B against.
+// Both settle kernels (see Simulator::Kernel) re-derive every wire each
+// settle, so a module owes the simulator no scheduling declarations.  The
+// one annotation, sensitive(wire), records the wires evaluate() reads: the
+// compiled kernel uses that list as the read set of the fallback thunk it
+// wraps an undescribed module in (Lowering::thunk).
 #pragma once
 
 #include <string>
@@ -34,18 +30,15 @@ class Lowering;
 class Module;
 class WireBase;
 
-// Worklist interface the event-driven kernel implements (Simulator).  Wires
-// reach it through their fanout modules' scheduler backpointer, so several
-// simulators can coexist on one thread without cross-talk.
+// Simulator hook reached through each module's scheduler backpointer, so
+// several simulators can coexist on one thread without cross-talk.
 class EvalScheduler {
  public:
-  virtual void enqueueDirty(Module* m) = 0;
-
   // A module's lowering (Module::describe) depends on attached state, e.g.
   // telemetry hooks that change which edge path a channel takes.  Modules
   // call noteDescribeChanged() when that state changes; the compiled kernel
   // reacts by rebuilding its program before the next settle.  Default:
-  // ignore (every other kernel re-reads the module each cycle anyway).
+  // ignore (the naive kernel re-reads the module each cycle anyway).
   virtual void describeChanged() {}
 
  protected:
@@ -67,8 +60,8 @@ class Module {
   void evaluateAll();
   void clockEdgeAll();
 
-  // Single-module evaluate, used by the event-driven kernel's worklist
-  // (children are scheduled independently).
+  // Single-module evaluate, used by the profiled naive sweep and the
+  // compiled kernel's fallback thunks (children are separate units).
   void evaluateOne() { evaluate(); }
 
   // Single-module clock edge, used by the compiled kernel's edge tape when
@@ -88,23 +81,6 @@ class Module {
   virtual bool describe(Lowering&) { return false; }
 
   const std::vector<Module*>& children() const { return children_; }
-
-  // --- event-driven scheduling hooks (managed by Simulator and Wire) ----
-
-  // Marks this module's inputs as changed.  Enqueues it exactly once into
-  // the bound scheduler's worklist; without a scheduler only the flag is
-  // set (harmless for standalone modules and the naive kernel).
-  void markDirty() {
-    if (dirty_) return;
-    dirty_ = true;
-    if (scheduler_) scheduler_->enqueueDirty(this);
-  }
-  void clearDirty() { dirty_ = false; }
-  bool dirty() const { return dirty_; }
-
-  // True when evaluate() depends on registered state: the simulator re-seeds
-  // such modules after every clock edge.
-  bool isSequential() const { return sequential_; }
 
   void bindScheduler(EvalScheduler* s) { scheduler_ = s; }
 
@@ -127,15 +103,10 @@ class Module {
   // usual pattern is member-object children registered in the constructor.
   void addChild(Module& child) { children_.push_back(&child); }
 
-  // Declares that evaluate() reads `wire`: the event-driven kernel will
-  // re-evaluate this module whenever the wire changes value.  Call from the
+  // Declares that evaluate() reads `wire`, adding it to the read set the
+  // compiled kernel gives this module's fallback thunk.  Call from the
   // constructor, once per input wire.
-  void sensitive(const WireBase& wire);
-
-  // Declares that evaluate() depends on registered state (mutated by
-  // clockEdge() or external calls such as a queue push).  Call from the
-  // constructor.
-  void declareSequential() { sequential_ = true; }
+  void sensitive(const WireBase& wire) { reads_.push_back(&wire); }
 
   // Tells the bound scheduler that this module's describe() output is no
   // longer valid (e.g. telemetry was attached after the first compile).
@@ -149,8 +120,6 @@ class Module {
   std::vector<const WireBase*> reads_;  // declared via sensitive()
   EvalScheduler* scheduler_ = nullptr;
   std::size_t moduleIndex_ = 0;
-  bool dirty_ = false;
-  bool sequential_ = false;
 };
 
 }  // namespace rasoc::sim

@@ -34,7 +34,6 @@ Simulator::~Simulator() = default;
 void Simulator::ensureCollected() {
   if (!modulesStale_) return;
   modules_.clear();
-  sequential_.clear();
   for (Module* top : tops_) {
     // Iterative preorder walk; mesh trees are shallow but wide.
     std::vector<Module*> stack{top};
@@ -44,7 +43,6 @@ void Simulator::ensureCollected() {
       m->bindScheduler(this);
       m->setModuleIndex(modules_.size());
       modules_.push_back(m);
-      if (m->isSequential()) sequential_.push_back(m);
       const auto& children = m->children();
       for (auto it = children.rbegin(); it != children.rend(); ++it)
         stack.push_back(*it);
@@ -59,15 +57,6 @@ void Simulator::ensureCollected() {
     profileCounts_.resize(modules_.size(), 0);
     profileBase_ = profileCounts_.data();
   }
-  // Newly collected modules have never been evaluated by this worklist:
-  // seed everything once so the next settle starts from a known state.
-  if (kernel_ == Kernel::EventDriven) seedAll();
-}
-
-void Simulator::seedAll() {
-  worklist_.clear();
-  for (Module* m : modules_) m->clearDirty();
-  for (Module* m : modules_) m->markDirty();
 }
 
 void Simulator::setKernel(Kernel kernel) {
@@ -76,31 +65,15 @@ void Simulator::setKernel(Kernel kernel) {
     throw std::logic_error(
         "Simulator::setKernel: kernel switch at cycle " +
         std::to_string(cycle_) +
-        " would hand the new kernel a stale worklist; select the kernel "
-        "before the first cycle, or reset() first");
+        " would carry live state across a compiled program's arena "
+        "binding and its pointers into registered state; select the "
+        "kernel before the first cycle, or reset() first");
   // Leaving the compiled kernel: detach the wires from the arena while
-  // they are certainly alive, and drop the program.
+  // they are certainly alive, and drop the program.  Entering it: the
+  // program is built lazily on the first settle.
   if (kernel_ == Kernel::Compiled) releaseProgram();
   kernel_ = kernel;
-  switch (kernel_) {
-    case Kernel::EventDriven:
-      ensureCollected();
-      seedAll();
-      break;
-    case Kernel::Naive:
-      // The naive kernel ignores the worklist; drop any queued entries so
-      // a later switch back starts from a clean seed.
-      for (Module* m : worklist_) m->clearDirty();
-      worklist_.clear();
-      break;
-    case Kernel::Compiled:
-      // The program is built lazily on first settle; the worklist is
-      // ignored (the full tape runs every settle, like the naive sweep).
-      for (Module* m : worklist_) m->clearDirty();
-      worklist_.clear();
-      compiledStale_ = true;
-      break;
-  }
+  compiledStale_ = true;
 }
 
 void Simulator::reset() {
@@ -111,7 +84,6 @@ void Simulator::reset() {
   // have reallocated), so a compiled program's raw state pointers are
   // stale: recompile on the next settle.
   compiledStale_ = true;
-  if (kernel_ == Kernel::EventDriven) seedAll();
   settle();
 }
 
@@ -121,9 +93,6 @@ void Simulator::settle() {
   switch (kernel_) {
     case Kernel::Naive:
       settleNaive();
-      break;
-    case Kernel::EventDriven:
-      settleEventDriven();
       break;
     case Kernel::Compiled:
       settleCompiled();
@@ -166,32 +135,6 @@ void Simulator::settleNaive() {
       " passes (combinational loop?); still changing: " + culprits);
 }
 
-void Simulator::settleEventDriven() {
-  const std::uint64_t bound =
-      static_cast<std::uint64_t>(std::max(maxSettleIterations_, 1)) *
-      static_cast<std::uint64_t>(std::max<std::size_t>(modules_.size(), 1));
-  std::uint64_t evals = 0;
-  // The worklist grows while draining: evaluating a module may change wires
-  // and wake their fanout.  Indexed iteration keeps appended entries live.
-  for (std::size_t i = 0; i < worklist_.size(); ++i) {
-    Module* m = worklist_[i];
-    m->clearDirty();
-    m->evaluateOne();
-    if (profileBase_) ++profileBase_[m->moduleIndex()];
-    if (++evals > bound) {
-      for (std::size_t j = i + 1; j < worklist_.size(); ++j)
-        worklist_[j]->clearDirty();
-      worklist_.clear();
-      evaluateCalls_ += evals;
-      throw std::runtime_error(
-          "Simulator::settle: event-driven worklist did not drain within " +
-          std::to_string(bound) + " evaluations (combinational loop?)");
-    }
-  }
-  worklist_.clear();
-  evaluateCalls_ += evals;
-}
-
 void Simulator::releaseProgram() {
   if (!program_) return;
   program_->unbindWires();
@@ -205,17 +148,19 @@ void Simulator::ensureProgramBuilt() {
   // not land in a dying arena.
   releaseProgram();
   program_ = CompiledProgram::build(tops_);
-  // Discovery evaluations are settle work.
-  evaluateCalls_ += program_->discoveryEvaluations();
+  // Discovery evaluations are settle work, counted and attributed like
+  // any other evaluation.
+  for (const Module* m : program_->discoveredModules()) {
+    ++evaluateCalls_;
+    if (profileBase_) ++profileBase_[m->moduleIndex()];
+  }
   compiledStale_ = false;
 }
 
 void Simulator::settleCompiled() {
   ensureProgramBuilt();
-  // Pokes and clock-edge re-seeds are already reflected in the arena
-  // (wires write through); the tape re-derives everything else.  Any
-  // queued worklist entries are stale bookkeeping here.
-  worklist_.clear();
+  // Pokes are already reflected in the arena (wires write through); the
+  // tape re-derives everything else.
   evaluateCalls_ += program_->settle(
       static_cast<std::uint64_t>(std::max(maxSettleIterations_, 1)),
       profileBase_);
@@ -245,18 +190,6 @@ std::vector<std::pair<std::string, std::uint64_t>> Simulator::hottestModules(
   return out;
 }
 
-void Simulator::enqueueDirty(Module* m) {
-  switch (kernel_) {
-    case Kernel::Naive:
-    case Kernel::Compiled:
-      // Both kernels re-derive every wire each settle; no worklist needed.
-      return;
-    case Kernel::EventDriven:
-      worklist_.push_back(m);
-      return;
-  }
-}
-
 void Simulator::tick() {
   ensureCollected();
   if (kernel_ == Kernel::Compiled && program_ && !compiledStale_) {
@@ -267,12 +200,6 @@ void Simulator::tick() {
     program_->edge();
   } else {
     for (Module* m : tops_) m->clockEdgeAll();
-  }
-  if (kernel_ == Kernel::EventDriven) {
-    // Registered state changed: re-seed the modules whose evaluate()
-    // depends on it.  Purely combinational modules wake through wire
-    // fanout once these re-evaluate.
-    for (Module* m : sequential_) m->markDirty();
   }
   ++cycle_;
   for (const auto& listener : tickListeners_) listener();

@@ -12,31 +12,25 @@
 /// should: poke wires -> step() -> observe.  Poking (set/force) is legal
 /// only between cycles; Wire::force throws if called during a settle phase.
 ///
-/// Three settle kernels compute the same fixpoint:
+/// Two settle kernels compute the same fixpoint:
 ///
-///  * Kernel::Naive - re-runs every module's evaluate() in registration
-///    order until a full pass changes no wire.  Requires nothing from the
-///    modules beyond idempotent evaluate(); cost is
+///  * Kernel::Naive - the reference.  Re-runs every module's evaluate() in
+///    registration order until a full pass changes no wire.  Requires
+///    nothing from the modules beyond idempotent evaluate(); cost is
 ///    O(modules x propagation depth) per cycle.
-///  * Kernel::EventDriven - keeps a dirty worklist seeded from sequential
-///    modules after each clock edge and from wires poked between cycles,
-///    and evaluates only modules whose declared inputs changed
-///    (Module::sensitive / Module::declareSequential).  Cost is
-///    proportional to actual signal activity.  Modules with incomplete
-///    sensitivity annotations produce stale outputs under this kernel; the
-///    naive kernel is the reference to A/B against (see
-///    tests/noc/kernel_equivalence_test.cpp).
-///  * Kernel::Compiled - lowers the module tree once into a word-packed
-///    state arena plus a levelized op tape (sim/compile.hpp) and settles by
-///    interpreting the flat op arrays: no virtual dispatch, no per-wire
-///    fanout scans, one topologically ordered pass (cyclic stretches, e.g.
-///    fault thunks, iterate locally).  Modules lower themselves through
+///  * Kernel::Compiled - the fast kernel.  Lowers the module tree once into
+///    a word-packed state arena plus a levelized op tape (sim/compile.hpp)
+///    and settles by interpreting the flat op arrays: no virtual dispatch,
+///    one topologically ordered pass (cyclic stretches, e.g. fault thunks,
+///    iterate locally).  Modules lower themselves through
 ///    Module::describe(); undescribed modules run behaviourally as fallback
 ///    thunks, so the kernel is exact for arbitrary module soups.  Wires
 ///    write through to the arena on set()/force() (the poke window keeps
-///    working) and settled words are flushed back, so all wire-level
-///    observers behave as under the other kernels.  The program is rebuilt
-///    automatically after add(), reset(), or a telemetry attach.
+///    working) and read through on get(), so all wire-level observers
+///    behave as under the naive kernel.  The program is rebuilt
+///    automatically after add(), reset(), or a telemetry attach.  The
+///    lockstep suites (tests/noc/kernel_trichotomy_test.cpp) hold it to
+///    the naive reference cycle for cycle.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +47,7 @@ class CompiledProgram;
 
 class Simulator final : private EvalScheduler {
  public:
-  enum class Kernel { Naive, EventDriven, Compiled };
+  enum class Kernel { Naive, Compiled };
 
   Simulator();
   ~Simulator();
@@ -72,8 +66,10 @@ class Simulator final : private EvalScheduler {
   }
 
   /// Selects the settle kernel.  Legal only before the first cycle (or
-  /// after reset()): a mid-run switch would hand the new kernel a stale
-  /// worklist, so it throws std::logic_error once cycle() is nonzero.
+  /// after reset()): a compiled program binds wires to its arena and
+  /// holds raw pointers into registered state, which a mid-run switch
+  /// would carry across (or drop) outside the reset that re-derives them,
+  /// so it throws std::logic_error once cycle() is nonzero.
   void setKernel(Kernel kernel);
   Kernel kernel() const { return kernel_; }
 
@@ -119,9 +115,9 @@ class Simulator final : private EvalScheduler {
 
   std::uint64_t cycle() const { return cycle_; }
 
-  /// Naive kernel: maximum full evaluation passes per settle.  Event-driven
-  /// kernel: the per-settle evaluation bound is maxSettleIterations() x the
-  /// module count, so both kernels tolerate the same combinational depth.
+  /// Naive kernel: maximum full evaluation passes per settle.  Compiled
+  /// kernel: maximum sweeps of each iterated (cyclic) segment per settle,
+  /// so both kernels tolerate the same combinational depth.
   int maxSettleIterations() const { return maxSettleIterations_; }
   void setMaxSettleIterations(int n) { maxSettleIterations_ = n; }
 
@@ -157,23 +153,18 @@ class Simulator final : private EvalScheduler {
   }
 
  private:
-  void enqueueDirty(Module* m) override;
   void describeChanged() override { compiledStale_ = true; }
 
   /// Rebuilds the flattened module list (and scheduler backpointers) after
-  /// add(); re-seeds the worklist so new modules get an initial evaluation.
+  /// add().
   void ensureCollected();
-  void seedAll();
   void settleNaive();
-  void settleEventDriven();
   void settleCompiled();
   void ensureProgramBuilt();
   void releaseProgram();
 
   std::vector<Module*> tops_;
-  std::vector<Module*> modules_;     // flattened: tops + children
-  std::vector<Module*> sequential_;  // subset re-seeded every tick
-  std::vector<Module*> worklist_;    // dirty modules awaiting evaluation
+  std::vector<Module*> modules_;  // flattened: tops + children
   std::vector<std::function<void()>> tickListeners_;
   std::unique_ptr<CompiledProgram> program_;
   std::vector<std::uint64_t> profileCounts_;  // one slot per module index

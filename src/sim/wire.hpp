@@ -2,13 +2,10 @@
 //
 // A Wire<T> models a combinational net: any module may drive it during the
 // settle phase, and the simulator re-evaluates modules until no wire changes
-// value (a fixpoint).  Two change-propagation mechanisms coexist:
-//
-//  * SettleContext carries a global (per-thread) "did this pass change
-//    anything" flag for the naive fixpoint kernel;
-//  * every wire additionally keeps a fanout list of modules registered as
-//    sensitive to it (Module::sensitive), which the event-driven kernel uses
-//    to re-evaluate only the modules whose inputs actually changed.
+// value (a fixpoint).  SettleContext carries the per-thread "did this pass
+// change anything" flag the naive fixpoint kernel sweeps on; the compiled
+// kernel instead mirrors integral wires into its word-packed arena (see
+// WireBase::bindArena).
 //
 // Legal poke window: testbenches may set()/force() wires only *between*
 // cycles - after step()/settle() returns and before the next settle phase
@@ -22,9 +19,9 @@
 #include <utility>
 #include <vector>
 
-#include "sim/module.hpp"
-
 namespace rasoc::sim {
+
+class WireBase;
 
 // Global (per-thread) change flag used by the naive settle loop, plus the
 // in-settle marker that guards the poke window.  The simulator is
@@ -58,16 +55,10 @@ class SettleContext {
   static thread_local std::vector<const WireBase*>* writeRecorder_;
 };
 
-// Type-erased base: the fanout list of sensitive modules.  Registration is
-// const (sensitivity is bookkeeping, not value state) so modules can
-// subscribe to wires they only read.
+// Type-erased base: identity for read/write sets plus the compiled kernel's
+// arena binding.
 class WireBase {
  public:
-  // Called by Module::sensitive(); not meant for direct use.
-  void addSensitive(Module* m) const { fanout_.push_back(m); }
-
-  std::size_t fanoutSize() const { return fanout_.size(); }
-
   // --- compiled-kernel arena binding (sim/compile.hpp) ---------------------
   //
   // Under Kernel::Compiled the wire's value is mirrored into a (word, shift)
@@ -77,12 +68,13 @@ class WireBase {
   // from the slice (Wire::get), so settled op results are visible without
   // any flush pass.
   //
-  // Binding is const for the same reason addSensitive() is: it is kernel
-  // bookkeeping layered onto the net, not value state.  Lifetime contract
-  // (mirrors the Module scheduler backpointer): the CompiledProgram unbinds
-  // wires when it is rebuilt or the simulator leaves Kernel::Compiled; a
-  // wire destroyed together with its simulator may keep a dangling binding,
-  // which is only ever dereferenced by set()/force() on that wire.
+  // Binding is const because the compiler reaches read-only wires through
+  // const references: it is kernel bookkeeping layered onto the net, not
+  // value state.  Lifetime contract (mirrors the Module scheduler
+  // backpointer): the CompiledProgram unbinds wires when it is rebuilt or
+  // the simulator leaves Kernel::Compiled; a wire destroyed together with
+  // its simulator may keep a dangling binding, which is only ever
+  // dereferenced by set()/force() on that wire.
   void bindArena(std::uint64_t* word, unsigned shift,
                  std::uint64_t mask) const {
     arenaWord_ = word;
@@ -93,10 +85,6 @@ class WireBase {
   bool arenaBound() const { return arenaWord_ != nullptr; }
 
  protected:
-  void notifySensitive() const {
-    for (Module* m : fanout_) m->markDirty();
-  }
-
   void storeArenaBits(std::uint64_t bits) const {
     *arenaWord_ = (*arenaWord_ & ~arenaMask_) |
                   ((bits << arenaShift_) & arenaMask_);
@@ -106,7 +94,6 @@ class WireBase {
   }
 
  private:
-  mutable std::vector<Module*> fanout_;
   // Arena slice (null word pointer = unbound).  Mutable: see bindArena().
   mutable std::uint64_t* arenaWord_ = nullptr;
   mutable std::uint64_t arenaMask_ = 0;
@@ -115,7 +102,7 @@ class WireBase {
 
 // A combinational net holding a value of type T.  T must be equality
 // comparable.  set() records a change in the SettleContext (naive kernel)
-// and wakes the fanout modules (event-driven kernel).
+// and writes through to the arena slice when bound (compiled kernel).
 template <typename T>
 class Wire : public WireBase {
  public:
@@ -139,15 +126,14 @@ class Wire : public WireBase {
       value_ = v;
       syncArena();
       SettleContext::markChanged();
-      notifySensitive();
     }
   }
 
   // Forces a value without marking the settle context; used by testbenches
-  // between cycles (the legal poke window, see the header comment).  The
-  // fanout is still woken so the event-driven kernel re-evaluates readers
-  // on the next settle.  Throws std::logic_error when called during a
-  // settle phase: such a force would corrupt the fixpoint.
+  // between cycles (the legal poke window, see the header comment).  Both
+  // kernels re-derive every driven wire on the next settle, so only
+  // undriven wires keep a forced value.  Throws std::logic_error when
+  // called during a settle phase: such a force would corrupt the fixpoint.
   void force(const T& v) {
     if (SettleContext::inSettle())
       throw std::logic_error(
@@ -157,7 +143,6 @@ class Wire : public WireBase {
     if (!(value_ == v)) {
       value_ = v;
       syncArena();
-      notifySensitive();
     }
   }
 
@@ -177,11 +162,8 @@ class Wire : public WireBase {
   T* arenaValueSlot() const { return const_cast<T*>(&value_); }
 
  private:
-  // Adopts the arena value when bound (no-op otherwise).  The fanout is
-  // deliberately NOT woken: the compiled settle ignores the worklist (the
-  // full tape runs every settle), and kernel switches are only legal at
-  // cycle 0, where the new kernel re-seeds every module anyway.  Only
-  // integral wires are ever bound.
+  // Adopts the arena value when bound (no-op otherwise).  Only integral
+  // wires are ever bound.
   void refreshFromArena() const {
     if constexpr (std::is_integral_v<T>) {
       if (arenaBound()) value_ = fromBits(loadArenaBits());

@@ -1,9 +1,8 @@
 // Randomized differential fuzzing of the compiled settle kernel.  Every
-// scenario is seeded and fully reproducible, mirroring
-// parallel_fuzz_test.cpp: a random small topology (mesh / torus / ring),
-// a random traffic pattern valid for that topology, run flit-for-flit
-// against an event-driven reference network built from the identical
-// configuration.  On top of the lockstep sweep, two compile-pass edge
+// scenario is seeded and fully reproducible: a random small topology
+// (mesh / torus / ring), a random traffic pattern valid for that topology,
+// run flit-for-flit against a naive reference network built from the
+// identical configuration.  On top of the lockstep sweep, two compile-pass edge
 // cases get dedicated coverage: Wire::force poke-window writes landing in
 // the word-packed arena (via describing modules whose wires are
 // arena-bound), and mid-run reset() recompiling the op tape cleanly.
@@ -99,11 +98,11 @@ void compareNets(const Scenario& s, Network& ref, Network& cmp,
   }
 }
 
-TEST(CompiledFuzzTest, RandomTopologiesMatchEventDrivenFlitForFlit) {
+TEST(CompiledFuzzTest, RandomTopologiesMatchNaiveFlitForFlit) {
   for (int i = 0; i < 10; ++i) {
     const Scenario s = randomScenario(0xc03b11edu + 977u * i);
     SCOPED_TRACE("scenario " + std::to_string(i) + ": " + s.describe());
-    auto ref = buildNet(s, Simulator::Kernel::EventDriven);
+    auto ref = buildNet(s, Simulator::Kernel::Naive);
     auto com = buildNet(s, Simulator::Kernel::Compiled);
     for (std::uint64_t c = 0; c < s.cycles; ++c) {
       ref->run(1);
@@ -124,14 +123,14 @@ TEST(CompiledFuzzTest, RandomTopologiesMatchEventDrivenFlitForFlit) {
 
 TEST(CompiledFuzzTest, MidRunResetRecompilesCleanly) {
   // reset() under the compiled kernel must discard the stale program, and
-  // the recompiled tape must reproduce the event-driven reference exactly
+  // the recompiled tape must reproduce the naive reference exactly
   // — including a third leg against a freshly constructed network, which
   // pins that the recompile starts from the same blank state a first
   // compile does.
   for (int i = 0; i < 4; ++i) {
     const Scenario s = randomScenario(0x2e5e7000u + 131u * i);
     SCOPED_TRACE("scenario " + std::to_string(i) + ": " + s.describe());
-    auto ref = buildNet(s, Simulator::Kernel::EventDriven);
+    auto ref = buildNet(s, Simulator::Kernel::Naive);
     auto com = buildNet(s, Simulator::Kernel::Compiled);
     const std::uint64_t firstLeg = s.cycles / 2;
     ref->run(firstLeg);
@@ -195,10 +194,9 @@ class AddConst : public sim::Module {
   std::uint32_t k_;
 };
 
-// An event-driven and a compiled simulator over identical AddConst chains.
-// Only the head wire is undriven, so it is the only legal force target
-// shared by full-sweep and event-driven semantics (forcing a driven wire
-// survives an event-driven settle but is recomputed by a full tape pass).
+// A naive and a compiled simulator over identical AddConst chains.  Only
+// the head wire is undriven, so it is the only force target whose value
+// survives a settle (both kernels recompute every driven wire).
 struct ChainPair {
   std::vector<std::unique_ptr<Wire<std::uint32_t>>> refWires, comWires;
   std::vector<std::unique_ptr<AddConst>> refMods, comMods;
@@ -218,7 +216,7 @@ struct ChainPair {
       ref.add(*refMods.back());
       com.add(*comMods.back());
     }
-    ref.setKernel(Simulator::Kernel::EventDriven);
+    ref.setKernel(Simulator::Kernel::Naive);
     com.setKernel(Simulator::Kernel::Compiled);
     ref.settle();
     com.settle();
@@ -232,7 +230,7 @@ struct ChainPair {
   }
 };
 
-TEST(CompiledFuzzTest, ForcedArenaWritesMatchEventDriven) {
+TEST(CompiledFuzzTest, ForcedArenaWritesMatchNaive) {
   // Interleave head-wire force pokes (the poke window: force writes
   // through the wire's arena binding, and the next tape pass must read
   // the forced bits back out of the arena), settles, single steps and

@@ -178,11 +178,11 @@ struct MatrixCase {
 
 TEST(FaultCampaignTest, ExactlyOnceAcrossTopologiesAndKernels) {
   const MatrixCase cases[] = {
-      {"mesh", 3, 3, sim::Simulator::Kernel::EventDriven},
+      {"mesh", 3, 3, sim::Simulator::Kernel::Naive},
       {"mesh", 3, 3, sim::Simulator::Kernel::Compiled},
-      {"torus", 3, 3, sim::Simulator::Kernel::EventDriven},
+      {"torus", 3, 3, sim::Simulator::Kernel::Naive},
       {"torus", 3, 3, sim::Simulator::Kernel::Compiled},
-      {"ring", 6, 1, sim::Simulator::Kernel::EventDriven},
+      {"ring", 6, 1, sim::Simulator::Kernel::Naive},
       {"ring", 6, 1, sim::Simulator::Kernel::Compiled},
   };
   for (const auto& mc : cases) {

@@ -2,9 +2,9 @@
 //
 //  1. Non-interference: with tracing enabled, the 8x8 mesh golden
 //     fingerprints (network_topology_test.cpp / kernel_trichotomy_test.cpp)
-//     reproduce bit-identically under every settle kernel (naive,
-//     event-driven, compiled), and a traced run matches an untraced twin
-//     counter for counter.
+//     reproduce bit-identically under both settle kernels (naive,
+//     compiled), and a traced run matches an untraced twin counter for
+//     counter.
 //  2. Determinism: the reconstructed event stream, the Perfetto JSON and
 //     the latency decomposition are byte/value-identical across kernels
 //     for a fixed seed — including with kernel
@@ -44,7 +44,6 @@ struct KernelPick {
 
 const KernelPick kAllKernels[] = {
     {Simulator::Kernel::Naive, "naive"},
-    {Simulator::Kernel::EventDriven, "event"},
     {Simulator::Kernel::Compiled, "compiled"},
 };
 
@@ -211,8 +210,8 @@ TracedRun runTraced(const KernelPick& pick, TraceConfig config = {}) {
 
 TEST(FlowTraceTest, EventStreamIsIdenticalAcrossKernels) {
   // Profiling stays ON here on purpose: kernel-profile data (which *is*
-  // kernel-specific — a naive settle evaluates every module, an
-  // event-driven one only the poked set) records outside the traced event
+  // kernel-specific — a naive settle evaluates every module, a compiled
+  // one counts only its fallback thunks) records outside the traced event
   // stream, so the machine trace must be byte-identical across kernels
   // even with profiling enabled.
   const TracedRun ref = runTraced(kAllKernels[0]);
@@ -252,11 +251,11 @@ TEST(FlowTraceTest, KernelProfileSidecarIsKernelSpecificButDeterministic) {
   // The sidecar is the one artifact allowed to differ per kernel; per
   // kernel it must still be reproducible, and it must be empty-trace JSON
   // with profiling off.
-  const TracedRun event = runTraced(kAllKernels[1]);
-  EXPECT_EQ(event.kernelJson, runTraced(kAllKernels[1]).kernelJson);
+  const TracedRun compiled = runTraced(kAllKernels[1]);
+  EXPECT_EQ(compiled.kernelJson, runTraced(kAllKernels[1]).kernelJson);
   const TracedRun naive = runTraced(kAllKernels[0]);
-  EXPECT_NE(event.kernelJson, naive.kernelJson)
-      << "naive evaluates everything, event-driven only the woken set";
+  EXPECT_NE(compiled.kernelJson, naive.kernelJson)
+      << "naive evaluates every module, compiled only its thunks";
   TraceConfig noProfile;
   noProfile.profileKernel = false;
   const TracedRun off = runTraced(kAllKernels[1], noProfile);

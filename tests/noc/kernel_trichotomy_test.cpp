@@ -1,18 +1,22 @@
-// Three-kernel differential harness: Naive, EventDriven and Compiled
-// networks built from identical configurations must stay cycle-for-cycle
-// identical.  The compiled kernel's claim is the strong one (a whole
-// different execution substrate: word-packed arena + levelized op tape),
-// so this suite pins the matrix four ways:
+// Kernel differential harness: Naive and Compiled networks built from
+// identical configurations must stay cycle-for-cycle identical.  (The
+// KernelTrichotomyTest suite name predates the removal of a third,
+// event-driven kernel.)  The compiled kernel's claim is the strong one (a
+// whole different execution substrate: word-packed arena + levelized op
+// tape), so this suite pins it five ways against the naive reference:
 //
-//  1. The golden cycle fingerprints recorded for the event-driven kernel in
-//     network_topology_test.cpp must reproduce exactly under the compiled
-//     kernel (same queued/delivered/flit counts and the same latency means
-//     to the last ulp).
-//  2. Lockstep runs on mesh, torus and ring topologies compare all three
-//     kernels per cycle against the naive reference.
-//  3. A saturated flood-and-drain must complete in the same cycle with the
-//     same delivery count under every kernel.
-//  4. A fault campaign (background corruption + scheduled stall/outage
+//  1. The golden cycle fingerprints network_topology_test.cpp pins for the
+//     naive kernel must reproduce exactly under the compiled kernel (same
+//     queued/delivered/flit counts and the same latency means to the last
+//     ulp).
+//  2. Lockstep runs on mesh, torus and ring topologies, VC and QoS
+//     networks compare the kernels per cycle (KernelTrichotomyTest).
+//  3. Lockstep runs at 8x8 and over the microarchitectural corners
+//     (saturation, credit flow control with flip-flop FIFOs, faulty links
+//     with parity) do the same (KernelEquivalenceTest).
+//  4. A saturated flood-and-drain must complete in the same cycle with the
+//     same delivery count under both kernels.
+//  5. A fault campaign (background corruption + scheduled stall/outage
 //     windows) must produce identical recovery behaviour under the
 //     compiled kernel, whose fault links run as behavioural thunks inside
 //     iterated segments.
@@ -33,20 +37,22 @@ namespace {
 using sim::Simulator;
 
 const Simulator::Kernel kAllKernels[] = {Simulator::Kernel::Naive,
-                                         Simulator::Kernel::EventDriven,
                                          Simulator::Kernel::Compiled};
 
-std::unique_ptr<Network> makeNet(const std::shared_ptr<const Topology>& topo,
-                                 Simulator::Kernel kernel,
-                                 const TrafficConfig& traffic,
-                                 int numVCs = 1,
-                                 router::FlowControl flowControl =
-                                     router::FlowControl::Handshake) {
+NetworkConfig baseConfig(
+    int numVCs = 1,
+    router::FlowControl flowControl = router::FlowControl::Handshake) {
   NetworkConfig cfg;
   cfg.params.n = 16;
   cfg.params.p = 4;
   cfg.params.numVCs = numVCs;
   cfg.params.flowControl = flowControl;
+  return cfg;
+}
+
+std::unique_ptr<Network> makeNet(const std::shared_ptr<const Topology>& topo,
+                                 NetworkConfig cfg, Simulator::Kernel kernel,
+                                 const TrafficConfig& traffic) {
   cfg.kernel = kernel;
   auto net = std::make_unique<Network>(topo, cfg);
   net->attachTraffic(traffic);
@@ -55,12 +61,11 @@ std::unique_ptr<Network> makeNet(const std::shared_ptr<const Topology>& topo,
 
 // One network per kernel, the naive reference first.
 std::vector<std::unique_ptr<Network>> makeNets(
-    const std::shared_ptr<const Topology>& topo, const TrafficConfig& traffic,
-    int numVCs = 1,
-    router::FlowControl flowControl = router::FlowControl::Handshake) {
+    const std::shared_ptr<const Topology>& topo, const NetworkConfig& base,
+    const TrafficConfig& traffic) {
   std::vector<std::unique_ptr<Network>> nets;
   for (const Simulator::Kernel kernel : kAllKernels)
-    nets.push_back(makeNet(topo, kernel, traffic, numVCs, flowControl));
+    nets.push_back(makeNet(topo, base, kernel, traffic));
   return nets;
 }
 
@@ -131,8 +136,8 @@ void runLockstep(std::vector<std::unique_ptr<Network>>& nets,
 // --- golden fingerprints ---------------------------------------------------
 
 // The exact constants network_topology_test.cpp records for the 8x8 mesh
-// under the naive and event-driven kernels.  The compiled kernel must
-// reproduce them bit-for-bit.
+// under the naive kernel.  The compiled kernel must reproduce them
+// bit-for-bit.
 struct Golden {
   TrafficPattern pattern;
   double load;
@@ -158,7 +163,7 @@ const Golden kMeshGoldens[] = {
      48.710008092797409},
 };
 
-TEST(CompiledGoldenTest, MeshFingerprintsMatchEventDrivenGoldens) {
+TEST(CompiledGoldenTest, MeshFingerprintsMatchNaiveGoldens) {
   for (const Golden& g : kMeshGoldens) {
     SCOPED_TRACE("pattern " + std::string(name(g.pattern)) + " load " +
                  std::to_string(g.load));
@@ -168,7 +173,7 @@ TEST(CompiledGoldenTest, MeshFingerprintsMatchEventDrivenGoldens) {
     traffic.payloadFlits = 4;
     traffic.seed = 2026;
     auto net = makeNet(std::make_shared<MeshTopology>(MeshShape{8, 8}),
-                       Simulator::Kernel::Compiled, traffic);
+                       baseConfig(), Simulator::Kernel::Compiled, traffic);
     net->run(2000);
     EXPECT_EQ(net->ledger().queued(), g.queued);
     EXPECT_EQ(net->ledger().delivered(), g.delivered);
@@ -197,7 +202,7 @@ TEST(KernelTrichotomyTest, TorusUniformRandomLockstep) {
   traffic.offeredLoad = 0.30;
   traffic.payloadFlits = 3;
   traffic.seed = 1234;
-  auto nets = makeNets(topo, traffic);
+  auto nets = makeNets(topo, baseConfig(), traffic);
   runLockstep(nets, 1200, 300);
 }
 
@@ -210,27 +215,27 @@ TEST(KernelTrichotomyTest, RingBitComplementLockstep) {
   traffic.offeredLoad = 0.25;
   traffic.payloadFlits = 4;
   traffic.seed = 77;
-  auto nets = makeNets(topo, traffic);
+  auto nets = makeNets(topo, baseConfig(), traffic);
   runLockstep(nets, 1500, 300);
 }
 
 TEST(KernelTrichotomyTest, MeshSaturatedTransposeLockstep) {
-  // High load stresses arbitration and backpressure, where a lost wake-up
-  // or a mis-levelized op would stall only one kernel.
+  // High load stresses arbitration and backpressure, where a mis-levelized
+  // op would stall only one kernel.
   const auto topo = makeTopology("mesh", 4, 4);
   TrafficConfig traffic;
   traffic.pattern = TrafficPattern::Transpose;
   traffic.offeredLoad = 0.80;
   traffic.payloadFlits = 3;
   traffic.seed = 41;
-  auto nets = makeNets(topo, traffic);
+  auto nets = makeNets(topo, baseConfig(), traffic);
   runLockstep(nets, 1000, 250);
 }
 
 TEST(KernelTrichotomyTest, VirtualChannelLockstepAtTwoAndFourVCs) {
   // The VC'd channels (VcInputChannel / VcOutputChannel) are a different
   // state machine from the 1-VC router, with their own compiled-kernel
-  // lowerings; the three-kernel bit-identity claim must hold for them too,
+  // lowerings; the kernels' bit-identity claim must hold for them too,
   // under on/off (vcFree) and credit (vcAck) flow control alike.  Torus and
   // ring exercise wrap (escape dateline-class) routes, mesh the
   // adaptive-over-one-escape configuration.
@@ -249,7 +254,7 @@ TEST(KernelTrichotomyTest, VirtualChannelLockstepAtTwoAndFourVCs) {
         traffic.offeredLoad = 0.30;
         traffic.payloadFlits = 3;
         traffic.seed = 555;
-        auto nets = makeNets(topo, traffic, vcs, flow);
+        auto nets = makeNets(topo, baseConfig(vcs, flow), traffic);
         runLockstep(nets, 800, 200);
         expectAcyclicOpsOnly(*nets.back());
       }
@@ -260,7 +265,7 @@ TEST(KernelTrichotomyTest, VirtualChannelLockstepAtTwoAndFourVCs) {
 TEST(KernelTrichotomyTest, QosMixedClassLockstepAtFourVCs) {
   // QoS adds class-tagged headers, the class->VC bid mask, the NI's per-VC
   // inject queues and the output channels' strict-priority-with-starvation
-  // scheduler; all of it must stay bit-identical across every kernel (the
+  // scheduler; all of it must stay bit-identical across the kernels (the
   // modules lower as phase ops calling the same member functions their
   // evaluate() calls, so this pins the shared behavioural code under both
   // the swept and the levelized schedule).
@@ -329,9 +334,110 @@ TEST(KernelTrichotomyTest, FaultFreeVcNetworksCompileAcyclic) {
   }
 }
 
+// --- naive-vs-compiled equivalence -----------------------------------------
+
+TEST(KernelEquivalenceTest, EightByEightUniformRandomMultipleSeeds) {
+  const auto topo = std::make_shared<MeshTopology>(MeshShape{8, 8});
+  for (const std::uint64_t seed : {3u, 17u, 9001u}) {
+    TrafficConfig traffic;
+    traffic.pattern = TrafficPattern::UniformRandom;
+    traffic.offeredLoad = 0.15;
+    traffic.payloadFlits = 4;
+    traffic.seed = seed;
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    auto nets = makeNets(topo, baseConfig(), traffic);
+    runLockstep(nets, 3500, 500);
+  }
+}
+
+TEST(KernelEquivalenceTest, EightByEightSaturatedTranspose) {
+  // High load + deterministic hotspot pattern stresses arbitration and
+  // backpressure paths at the full 8x8 scale, with shallow FIFOs.
+  NetworkConfig base = baseConfig();
+  base.params.p = 2;
+  TrafficConfig traffic;
+  traffic.pattern = TrafficPattern::Transpose;
+  traffic.offeredLoad = 0.8;
+  traffic.payloadFlits = 3;
+  traffic.seed = 41;
+  auto nets =
+      makeNets(std::make_shared<MeshTopology>(MeshShape{8, 8}), base, traffic);
+  runLockstep(nets, 2000, 400);
+}
+
+TEST(KernelEquivalenceTest, CreditFlowControlAndFlipFlopFifos) {
+  // The other microarchitectural corner: credit-based flow control with
+  // flip-flop FIFOs on a smaller mesh.
+  NetworkConfig base = baseConfig(1, router::FlowControl::CreditBased);
+  base.params.fifoImpl = router::FifoImpl::FlipFlop;
+  TrafficConfig traffic;
+  traffic.pattern = TrafficPattern::UniformRandom;
+  traffic.offeredLoad = 0.25;
+  traffic.payloadFlits = 2;
+  traffic.seed = 7;
+  auto nets =
+      makeNets(std::make_shared<MeshTopology>(MeshShape{4, 4}), base, traffic);
+  runLockstep(nets, 2500, 250);
+}
+
+TEST(KernelEquivalenceTest, FaultyLinksAndParityStayDeterministic) {
+  // Fault injection draws from per-link RNG state at clock edges, so both
+  // kernels must corrupt exactly the same flits.
+  NetworkConfig base = baseConfig();
+  base.hlpParity = true;
+  base.linkFaultRate = 0.01;
+  TrafficConfig traffic;
+  traffic.pattern = TrafficPattern::UniformRandom;
+  traffic.offeredLoad = 0.2;
+  traffic.payloadFlits = 3;
+  traffic.seed = 13;
+  auto nets =
+      makeNets(std::make_shared<MeshTopology>(MeshShape{4, 4}), base, traffic);
+  Network& naive = *nets[0];
+  Network& compiled = *nets[1];
+  for (int chunk = 0; chunk < 10; ++chunk) {
+    naive.run(200);
+    compiled.run(200);
+    ASSERT_EQ(naive.flitsCorrupted(), compiled.flitsCorrupted())
+        << "chunk " << chunk;
+    ASSERT_EQ(naive.parityErrorsDetected(), compiled.parityErrorsDetected())
+        << "chunk " << chunk;
+    ASSERT_EQ(naive.unattributedPackets(), compiled.unattributedPackets())
+        << "chunk " << chunk;
+    ASSERT_EQ(naive.ledger().delivered(), compiled.ledger().delivered())
+        << "chunk " << chunk;
+  }
+}
+
+TEST(KernelEquivalenceTest, DrainAgreesOnCompletionCycle) {
+  // runUntil boundary semantics must match across kernels too: both meshes
+  // drain the same hand-crafted all-to-all workload at exactly the same
+  // cycle.
+  const MeshShape shape{4, 4};
+  std::vector<std::unique_ptr<Network>> nets;
+  for (const Simulator::Kernel kernel : kAllKernels) {
+    NetworkConfig cfg = baseConfig();
+    cfg.kernel = kernel;
+    auto mesh = std::make_unique<Network>(std::make_shared<MeshTopology>(shape),
+                                          cfg);
+    for (int s = 0; s < shape.nodes(); ++s) {
+      for (int d = 0; d < shape.nodes(); ++d) {
+        if (s == d) continue;
+        mesh->ni(shape.nodeAt(s))
+            .send(shape.nodeAt(d), {static_cast<std::uint32_t>(s * 16 + d)});
+      }
+    }
+    ASSERT_TRUE(mesh->drain(20000));
+    EXPECT_TRUE(mesh->healthy());
+    nets.push_back(std::move(mesh));
+  }
+  EXPECT_EQ(nets[0]->simulator().cycle(), nets[1]->simulator().cycle());
+  EXPECT_EQ(nets[0]->ledger().delivered(), nets[1]->ledger().delivered());
+}
+
 // --- fault-campaign agreement ----------------------------------------------
 
-TEST(KernelTrichotomyTest, FaultCampaignLockstepCompiledVsEventDriven) {
+TEST(KernelTrichotomyTest, FaultCampaignLockstepCompiledVsNaive) {
   // Under a fault campaign every link is a FaultyLink, so the compiled
   // program is mostly behavioural thunks handshaking with lowered channel
   // ops - the configuration that exercises iterated (cyclic) segments and
@@ -354,11 +460,8 @@ TEST(KernelTrichotomyTest, FaultCampaignLockstepCompiledVsEventDriven) {
   reliability.rtoMax = 1024;
   reliability.nackMinInterval = 16;
   std::vector<std::unique_ptr<Network>> nets;
-  for (const Simulator::Kernel kernel :
-       {Simulator::Kernel::EventDriven, Simulator::Kernel::Compiled}) {
-    NetworkConfig cfg;
-    cfg.params.n = 16;
-    cfg.params.p = 4;
+  for (const Simulator::Kernel kernel : kAllKernels) {
+    NetworkConfig cfg = baseConfig();
     cfg.kernel = kernel;
     cfg.reliability = reliability;
     cfg.faultPlan = makeFaultPlan(*topo, campaign);

@@ -178,13 +178,13 @@ TEST(NetworkBuildTest, LinkCountMatchesTheAdjacency) {
 // checks RIB consumption through the actual routers on every topology and
 // both simulator kernels.
 TEST(NetworkDeliveryTest, AllPairsDeliverWithZeroResidualRib) {
-  for (auto kernel : {Simulator::Kernel::Naive, Simulator::Kernel::EventDriven}) {
+  for (auto kernel : {Simulator::Kernel::Naive, Simulator::Kernel::Compiled}) {
     for (const auto& topo :
          {makeTopology("mesh", 3, 3), makeTopology("torus", 3, 3),
           makeTopology("ring", 6, 1)}) {
       SCOPED_TRACE(topo->describe() + (kernel == Simulator::Kernel::Naive
                                            ? " naive"
-                                           : " event"));
+                                           : " compiled"));
       NetworkConfig cfg;
       cfg.kernel = kernel;
       Network net(topo, cfg);
@@ -233,7 +233,7 @@ void floodAndDrain(const std::shared_ptr<const Topology>& topo,
 
 TEST(NetworkDrainTest, TorusDrainsSaturatedUniformAndTransposeBothKernels) {
   for (auto kernel :
-       {Simulator::Kernel::Naive, Simulator::Kernel::EventDriven}) {
+       {Simulator::Kernel::Naive, Simulator::Kernel::Compiled}) {
     floodAndDrain(makeTopology("torus", 4, 4), TrafficPattern::UniformRandom,
                   kernel);
     floodAndDrain(makeTopology("torus", 4, 4), TrafficPattern::Transpose,
@@ -245,7 +245,7 @@ TEST(NetworkDrainTest, RingDrainsSaturatedUniformAndComplementBothKernels) {
   // Transpose cannot exist on a ring (non-square extent); BitComplement is
   // the long-haul equivalent, pairing node i with node N-1-i.
   for (auto kernel :
-       {Simulator::Kernel::Naive, Simulator::Kernel::EventDriven}) {
+       {Simulator::Kernel::Naive, Simulator::Kernel::Compiled}) {
     floodAndDrain(makeTopology("ring", 8, 1), TrafficPattern::UniformRandom,
                   kernel);
     floodAndDrain(makeTopology("ring", 8, 1), TrafficPattern::BitComplement,
@@ -329,7 +329,7 @@ TEST(LockstepGoldenTest, MeshTopologyNetworkMatchesPreRefactorMesh) {
   };
   for (const Golden& golden : goldens) {
     for (auto kernel :
-         {Simulator::Kernel::Naive, Simulator::Kernel::EventDriven}) {
+         {Simulator::Kernel::Naive, Simulator::Kernel::Compiled}) {
       SCOPED_TRACE(std::string(name(golden.pattern)) + " load " +
                    std::to_string(golden.load));
       NetworkConfig cfg;

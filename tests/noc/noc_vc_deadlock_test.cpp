@@ -35,15 +35,6 @@ struct KernelPick {
 
 const KernelPick kAllKernels[] = {
     {Simulator::Kernel::Naive, "naive"},
-    {Simulator::Kernel::EventDriven, "event"},
-    {Simulator::Kernel::Compiled, "compiled"},
-};
-
-// The cheap pair that still covers both execution substrates (behavioural
-// fixpoint and compiled tape); the heavier sweeps use it so the whole
-// battery stays inside the tier-1 time budget.
-const KernelPick kFastKernels[] = {
-    {Simulator::Kernel::EventDriven, "event"},
     {Simulator::Kernel::Compiled, "compiled"},
 };
 
@@ -182,7 +173,7 @@ TEST(VcDeadlockTest, TorusAllToAllDrainsAtEveryVcCountOnEveryKernel) {
 TEST(VcDeadlockTest, TorusTransposeDrainsWithWrapRoutes) {
   const auto torus = makeTopology("torus", 4, 4);
   for (int vcs : {1, 2, 4})
-    for (const KernelPick& pick : kFastKernels)
+    for (const KernelPick& pick : kAllKernels)
       runScenario(torus, vcs, pick, FlowControl::Handshake,
                   [](Network& n, const Topology& t) {
                     return sendTranspose(n, t, 6);
@@ -197,7 +188,7 @@ TEST(VcDeadlockTest, HotspotStarvationResolvesThroughTheEscapePath) {
        {makeTopology("mesh", 4, 4), makeTopology("torus", 4, 4),
         makeTopology("ring", 8, 1)}) {
     for (int vcs : {2, 4})
-      for (const KernelPick& pick : kFastKernels)
+      for (const KernelPick& pick : kAllKernels)
         runScenario(topo, vcs, pick, FlowControl::Handshake,
                     [](Network& n, const Topology& t) {
                       return sendHotspot(n, t, 5);
@@ -223,7 +214,7 @@ TEST(VcDeadlockTest, CreditFlowControlDrainsTheSameBattery) {
   for (const auto& topo :
        {makeTopology("torus", 4, 4), makeTopology("ring", 8, 1)}) {
     for (int vcs : {2, 4})
-      for (const KernelPick& pick : kFastKernels)
+      for (const KernelPick& pick : kAllKernels)
         runScenario(topo, vcs, pick, FlowControl::CreditBased, &sendAllToAll,
                     label(topo, vcs, pick) + " credit all-to-all");
   }
@@ -238,7 +229,7 @@ TEST(VcDeadlockTest, QosClassMappedAllToAllDrainsOnEveryTopology) {
   for (const auto& topo :
        {makeTopology("mesh", 4, 4), makeTopology("torus", 4, 4),
         makeTopology("ring", 8, 1)}) {
-    for (const KernelPick& pick : kFastKernels) {
+    for (const KernelPick& pick : kAllKernels) {
       for (FlowControl fc :
            {FlowControl::Handshake, FlowControl::CreditBased}) {
         const std::string what =

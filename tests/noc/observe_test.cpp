@@ -148,12 +148,12 @@ TEST(MeshTelemetryTest, RunReportStatesCompiledProgramShape) {
   EXPECT_NE(qosJson.find("\"program_iterate_segments\": 0"),
             std::string::npos);
 
-  // The behavioural kernels have no program to describe.
-  NetworkConfig eventCfg = InstrumentedRun::config();
-  eventCfg.kernel = sim::Simulator::Kernel::EventDriven;
-  Network event(std::make_shared<MeshTopology>(MeshShape{3, 3}), eventCfg);
-  event.run(10);
-  EXPECT_EQ(buildRunReport("kernel", event).toJson().find("\"kernel\": {"),
+  // The naive kernel has no program to describe.
+  NetworkConfig naiveCfg = InstrumentedRun::config();
+  naiveCfg.kernel = sim::Simulator::Kernel::Naive;
+  Network naive(std::make_shared<MeshTopology>(MeshShape{3, 3}), naiveCfg);
+  naive.run(10);
+  EXPECT_EQ(buildRunReport("kernel", naive).toJson().find("\"kernel\": {"),
             std::string::npos);
 }
 

@@ -160,7 +160,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(FifoImpl::FlipFlop, FifoImpl::Eab),
                        ::testing::Values(1, 2, 4, 7),
                        ::testing::Values(sim::Simulator::Kernel::Naive,
-                                         sim::Simulator::Kernel::EventDriven)),
+                                         sim::Simulator::Kernel::Compiled)),
     [](const auto& info) {
       return std::string(std::get<0>(info.param) == FifoImpl::FlipFlop
                              ? "Ff"
@@ -168,7 +168,7 @@ INSTANTIATE_TEST_SUITE_P(
              "Depth" + std::to_string(std::get<1>(info.param)) +
              (std::get<2>(info.param) == sim::Simulator::Kernel::Naive
                   ? "Naive"
-                  : "Event");
+                  : "Compiled");
     });
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Per-module evaluate() profiling (Simulator::enableProfiling): counts
 // attribute every evaluation, stay empty while disabled, survive reset()
-// and rank deterministically, under all three settle kernels.
+// and rank deterministically, under both settle kernels.
 #include <gtest/gtest.h>
 
 #include <numeric>
@@ -34,9 +34,7 @@ class Increment : public Module {
 class Counter : public Module {
  public:
   Counter(std::string name, Wire<int>& out)
-      : Module(std::move(name)), out_(&out) {
-    declareSequential();
-  }
+      : Module(std::move(name)), out_(&out) {}
 
  protected:
   void onReset() override { value_ = 0; }
@@ -81,7 +79,7 @@ TEST(ProfilingTest, DisabledByDefaultAndCountsNothing) {
 
 TEST(ProfilingTest, CountsAccountForEveryEvaluation) {
   for (const auto kernel :
-       {Simulator::Kernel::Naive, Simulator::Kernel::EventDriven}) {
+       {Simulator::Kernel::Naive, Simulator::Kernel::Compiled}) {
     SCOPED_TRACE(static_cast<int>(kernel));
     Simulator sim;
     sim.setKernel(kernel);

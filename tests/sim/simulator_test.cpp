@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/compile.hpp"
 #include "sim/module.hpp"
 #include "sim/wire.hpp"
 
@@ -20,27 +21,19 @@ class Increment : public Module {
     sensitive(x);
   }
 
-  std::uint64_t evaluations() const { return evaluations_; }
-
  protected:
-  void evaluate() override {
-    ++evaluations_;
-    y_->set(x_->get() + 1);
-  }
+  void evaluate() override { y_->set(x_->get() + 1); }
 
  private:
   const Wire<int>* x_;
   Wire<int>* y_;
-  std::uint64_t evaluations_ = 0;
 };
 
 // Registered counter with combinational output wire.
 class Counter : public Module {
  public:
   Counter(std::string name, Wire<int>& out)
-      : Module(std::move(name)), out_(&out) {
-    declareSequential();
-  }
+      : Module(std::move(name)), out_(&out) {}
 
  protected:
   void onReset() override { value_ = 0; }
@@ -68,20 +61,29 @@ class Inverter : public Module {
 };
 
 TEST(SimulatorTest, SettleReachesFixpointThroughChainedModules) {
-  // A chain x -> +1 -> +1 -> +1 settles regardless of evaluation order.
-  Wire<int> a{0}, b, c, d;
-  Increment m3("m3", c, d);  // deliberately registered in reverse order
-  Increment m2("m2", b, c);
-  Increment m1("m1", a, b);
-  Simulator sim;
-  sim.add(m3);
-  sim.add(m2);
-  sim.add(m1);
-  sim.settle();
-  EXPECT_EQ(d.get(), 3);
-  a.force(10);
-  sim.settle();
-  EXPECT_EQ(d.get(), 13);
+  // A chain x -> +1 -> +1 -> +1 settles regardless of evaluation order,
+  // and both poke flavours propagate on the next settle, under both
+  // kernels.
+  for (const Simulator::Kernel kernel :
+       {Simulator::Kernel::Naive, Simulator::Kernel::Compiled}) {
+    Wire<int> a{0}, b, c, d;
+    Increment m3("m3", c, d);  // deliberately registered in reverse order
+    Increment m2("m2", b, c);
+    Increment m1("m1", a, b);
+    Simulator sim;
+    sim.setKernel(kernel);
+    sim.add(m3);
+    sim.add(m2);
+    sim.add(m1);
+    sim.settle();
+    EXPECT_EQ(d.get(), 3);
+    a.force(10);
+    sim.settle();
+    EXPECT_EQ(d.get(), 13);
+    a.set(20);
+    sim.settle();
+    EXPECT_EQ(d.get(), 23);
+  }
 }
 
 TEST(SimulatorTest, StepAdvancesRegisteredState) {
@@ -226,66 +228,13 @@ TEST(SimulatorTest, MaxSettleIterationsIsConfigurable) {
   EXPECT_EQ(sim.maxSettleIterations(), 7);
 }
 
-// --- event-driven kernel ------------------------------------------------
+// --- compiled kernel on undescribed modules -------------------------------
 
-TEST(EventDrivenKernelTest, SettlesChainedModulesAndTracksPokes) {
-  Wire<int> a{0}, b, c, d;
-  Increment m3("m3", c, d);  // deliberately registered in reverse order
-  Increment m2("m2", b, c);
-  Increment m1("m1", a, b);
-  Simulator sim;
-  sim.setKernel(Simulator::Kernel::EventDriven);
-  sim.add(m3);
-  sim.add(m2);
-  sim.add(m1);
-  sim.settle();
-  EXPECT_EQ(d.get(), 3);
-  // Both poke flavours wake the fanout for the next settle.
-  a.force(10);
-  sim.settle();
-  EXPECT_EQ(d.get(), 13);
-  a.set(20);
-  sim.settle();
-  EXPECT_EQ(d.get(), 23);
-}
-
-TEST(EventDrivenKernelTest, OnlyModulesWhoseInputsChangedAreReEvaluated) {
-  // Two independent chains; poking chain A must not re-evaluate chain B.
-  Wire<int> a{0}, aOut, b{0}, bOut;
-  Increment incA("incA", a, aOut);
-  Increment incB("incB", b, bOut);
-  Simulator sim;
-  sim.setKernel(Simulator::Kernel::EventDriven);
-  sim.add(incA);
-  sim.add(incB);
-  sim.settle();  // initial seed evaluates everything once
-  const std::uint64_t evalsB = incB.evaluations();
-  a.force(5);
-  sim.settle();
-  EXPECT_EQ(aOut.get(), 6);
-  EXPECT_EQ(incB.evaluations(), evalsB) << "untouched chain re-evaluated";
-  EXPECT_GT(incA.evaluations(), 1u);
-}
-
-TEST(EventDrivenKernelTest, SequentialModulesReSeedAfterEveryEdge) {
-  Wire<int> out, plusOne;
-  Counter counter("counter", out);
-  Increment inc("inc", out, plusOne);
-  Simulator sim;
-  sim.setKernel(Simulator::Kernel::EventDriven);
-  sim.add(counter);
-  sim.add(inc);
-  sim.reset();
-  sim.run(4);
-  sim.settle();
-  EXPECT_EQ(out.get(), 4);
-  EXPECT_EQ(plusOne.get(), 5);
-  EXPECT_EQ(sim.cycle(), 4u);
-}
-
-TEST(EventDrivenKernelTest, MatchesNaiveKernelOnARandomizedCircuit) {
+TEST(CompiledKernelTest, MatchesNaiveKernelOnARandomizedCircuit) {
   // Same circuit built twice, one simulator per kernel; identical stimulus
-  // must produce identical wire trajectories.
+  // must produce identical wire trajectories.  No module here describes
+  // itself, so the compiled program is all fallback thunks: their read
+  // sets come from sensitive() and their write sets from discovery.
   struct Rig {
     Wire<int> in;
     Wire<int> stage1, stage2, counterOut;
@@ -304,21 +253,30 @@ TEST(EventDrivenKernelTest, MatchesNaiveKernelOnARandomizedCircuit) {
     }
   };
   Rig naive(Simulator::Kernel::Naive);
-  Rig event(Simulator::Kernel::EventDriven);
+  Rig compiled(Simulator::Kernel::Compiled);
   std::uint64_t lcg = 42;
   for (int cycleNo = 0; cycleNo < 200; ++cycleNo) {
     lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
     const int stimulus = static_cast<int>(lcg >> 60);
     naive.in.force(stimulus);
-    event.in.force(stimulus);
+    compiled.in.force(stimulus);
     naive.sim.step();
-    event.sim.step();
+    compiled.sim.step();
+    // One settle each so far: the compiled schedule alone must have
+    // ordered the chain.
+    ASSERT_EQ(naive.stage2.get(), compiled.stage2.get())
+        << "cycle " << cycleNo << " after one settle";
     naive.sim.settle();
-    event.sim.settle();
-    ASSERT_EQ(naive.stage2.get(), event.stage2.get()) << "cycle " << cycleNo;
-    ASSERT_EQ(naive.counterOut.get(), event.counterOut.get());
-    ASSERT_EQ(naive.sim.cycle(), event.sim.cycle());
+    compiled.sim.settle();
+    ASSERT_EQ(naive.stage2.get(), compiled.stage2.get())
+        << "cycle " << cycleNo;
+    ASSERT_EQ(naive.counterOut.get(), compiled.counterOut.get());
+    ASSERT_EQ(naive.sim.cycle(), compiled.sim.cycle());
   }
+  const CompiledProgram* prog = compiled.sim.compiledProgram();
+  ASSERT_NE(prog, nullptr);
+  EXPECT_EQ(prog->opCount(), 0u);
+  EXPECT_EQ(prog->thunkCount(), 3u);
 }
 
 // --- contract shared by every kernel -------------------------------------
@@ -333,11 +291,6 @@ TEST_P(KernelContractTest, CombinationalLoopThrowsAndStaysUsable) {
   sim.setKernel(GetParam());
   sim.add(inv);
   EXPECT_THROW(sim.settle(), std::runtime_error);
-  if (GetParam() == Simulator::Kernel::EventDriven) {
-    // The failed settle drained its worklist (no stale dirty state), so a
-    // quiescent settle has nothing to do.
-    EXPECT_NO_THROW(sim.settle());
-  }
   // The poke window is open again, and poking the loop re-detects it
   // instead of hanging.
   EXPECT_NO_THROW(y.force(!y.get()));
@@ -355,7 +308,7 @@ TEST_P(KernelContractTest, ModulesAddedBetweenSettlesAreEvaluated) {
   Wire<int> lateOut;
   Increment inc2("inc2", aOut, lateOut);
   sim.add(inc2);
-  sim.settle();  // re-collection seeds (or recompiles): inc2 evaluates
+  sim.settle();  // re-collection recompiles: inc2 evaluates
   EXPECT_EQ(lateOut.get(), 3);
 }
 
@@ -393,8 +346,8 @@ TEST_P(KernelContractTest, EvaluateCallsNeverDecrease) {
 }
 
 TEST_P(KernelContractTest, KernelSwitchRejectedAfterFirstCycleUntilReset) {
-  // A mid-run switch would hand the new kernel a stale worklist (or a
-  // stale compiled program); reset() reopens the selection window.
+  // A mid-run switch would carry live state across a compiled program's
+  // arena binding; reset() reopens the selection window.
   Wire<int> out, plusOne;
   Counter counter("counter", out);
   Increment inc("inc", out, plusOne);
@@ -405,8 +358,7 @@ TEST_P(KernelContractTest, KernelSwitchRejectedAfterFirstCycleUntilReset) {
   sim.reset();
   sim.run(3);
   for (const Simulator::Kernel other :
-       {Simulator::Kernel::Naive, Simulator::Kernel::EventDriven,
-        Simulator::Kernel::Compiled}) {
+       {Simulator::Kernel::Naive, Simulator::Kernel::Compiled}) {
     if (other == GetParam()) {
       // Re-selecting the current kernel is a no-op, not an error.
       EXPECT_NO_THROW(sim.setKernel(other));
@@ -455,14 +407,13 @@ TEST_P(KernelContractTest, ForceDuringSettleThrows) {
 
 std::string kernelName(
     const ::testing::TestParamInfo<Simulator::Kernel>& info) {
-  const char* const names[] = {"Naive", "EventDriven", "Compiled"};
+  const char* const names[] = {"Naive", "Compiled"};
   return names[static_cast<int>(info.param)];
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllKernels, KernelContractTest,
-    ::testing::Values(Simulator::Kernel::Naive, Simulator::Kernel::EventDriven,
-                      Simulator::Kernel::Compiled),
+    ::testing::Values(Simulator::Kernel::Naive, Simulator::Kernel::Compiled),
     kernelName);
 
 }  // namespace
