@@ -1,8 +1,11 @@
 #include "router/input_channel.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "sim/compile.hpp"
+
+#include "router/vc_arena.hpp"
 
 namespace rasoc::router {
 
@@ -305,6 +308,115 @@ bool InputChannel::describe(sim::Lowering& lw) {
 }
 
 // --- VcInputChannel --------------------------------------------------------
+//
+// Each phase (publish, credit return, edge) is one member template written
+// over a small signal accessor: WireIo reads and drives the Wire objects
+// (evaluate() / clockEdge(), hence the naive kernel), ArenaIo the packed
+// words of router/vc_arena.hpp (the compiled kernel's ops).  The two
+// accessors expose the same signals at the same granularity, so the
+// kernels share every line of channel behaviour.
+
+namespace {
+
+std::uint64_t packFlit(std::uint32_t data, bool bop, bool eop) {
+  return data | (std::uint64_t{bop} << sim::kFlitBopShift) |
+         (std::uint64_t{eop} << sim::kFlitEopShift);
+}
+
+bool flitBop(std::uint64_t flit) {
+  return ((flit >> sim::kFlitBopShift) & 1u) != 0;
+}
+
+}  // namespace
+
+struct VcInputChannel::WireIo {
+  const VcInputChannel& ch;
+
+  // Port masks (bit o) of the outputs granting / reading VC v.
+  unsigned grants(int v) const { return strobes(v, &CrossbarWires::gnt); }
+  unsigned reads(int v) const { return strobes(v, &CrossbarWires::rd); }
+  // The link: val, target VC and the offered flit (packed).
+  bool inVal() const { return ch.in_->val.get(); }
+  int inVc() const { return ch.in_->vc.get(); }
+  std::uint64_t inFlit() const {
+    const FlitWires& f = ch.in_->flit;
+    return packFlit(f.data.get(), f.bop.get(), f.eop.get());
+  }
+  // Per-VC levels (bit v) driven back up the link.
+  void putFree(unsigned vcs) const { putLevels(ch.in_->vcFree, vcs); }
+  void putAcks(unsigned vcs) const { putLevels(ch.in_->vcAck, vcs); }
+  // VC v's crossbar bundle; `req` is a port mask.
+  void putBundle(int v, bool rok, unsigned req, unsigned want,
+                 std::uint32_t data, bool bop, bool eop) const {
+    CrossbarWires& x = (*ch.xbar_)[static_cast<std::size_t>(v)];
+    x.rok.set(rok);
+    for (int o = 0; o < kNumPorts; ++o)
+      x.req[static_cast<std::size_t>(o)].set(((req >> o) & 1u) != 0);
+    x.want.set(static_cast<int>(want));
+    x.flit.data.set(data);
+    x.flit.bop.set(bop);
+    x.flit.eop.set(eop);
+  }
+
+ private:
+  unsigned strobes(int v, std::array<sim::Wire<bool>, kNumPorts>
+                              CrossbarWires::*net) const {
+    const auto& wires = (*ch.xbar_)[static_cast<std::size_t>(v)].*net;
+    unsigned mask = 0;
+    for (int o = 0; o < kNumPorts; ++o)
+      if (wires[static_cast<std::size_t>(o)].get()) mask |= 1u << o;
+    return mask;
+  }
+  void putLevels(std::array<sim::Wire<bool>, kMaxVCs>& wires,
+                 unsigned vcs) const {
+    for (int v = 0; v < ch.numVCs_; ++v)
+      wires[static_cast<std::size_t>(v)].set(((vcs >> v) & 1u) != 0);
+  }
+};
+
+struct VcInputChannel::ArenaCtx {
+  VcInputChannel* self = nullptr;
+  std::uint32_t link = 0;   // channel word of the input link
+  std::uint32_t block = 0;  // port block: control word, then VC bundles
+};
+
+struct VcInputChannel::ArenaIo {
+  std::uint64_t* w;
+  const ArenaCtx* c;
+
+  unsigned grants(int v) const {
+    return static_cast<unsigned>(w[c->block] >> (vcarena::kLane * v)) &
+           vcarena::kPortMask;
+  }
+  unsigned reads(int v) const {
+    return static_cast<unsigned>(w[c->block] >>
+                                 (vcarena::kRd + vcarena::kLane * v)) &
+           vcarena::kPortMask;
+  }
+  bool inVal() const { return ((w[c->link] >> vcarena::kVal) & 1u) != 0; }
+  int inVc() const {
+    return static_cast<int>((w[c->link] >> vcarena::kVc) &
+                            sim::fieldMask(vcarena::kVcWidth));
+  }
+  std::uint64_t inFlit() const { return w[c->link] & sim::kFlitWordMask; }
+  void putFree(unsigned vcs) const {
+    sim::opPutBits(w, c->link, vcarena::kFreeMask,
+                   std::uint64_t{vcs} << vcarena::kFree);
+  }
+  void putAcks(unsigned vcs) const {
+    sim::opPutBits(w, c->link, vcarena::kAckMask,
+                   std::uint64_t{vcs} << vcarena::kAck);
+  }
+  void putBundle(int v, bool rok, unsigned req, unsigned want,
+                 std::uint32_t data, bool bop, bool eop) const {
+    sim::opPutBits(w, c->block + 1 + static_cast<std::uint32_t>(v),
+                   vcarena::kBundleMask,
+                   packFlit(data, bop, eop) |
+                       (std::uint64_t{rok} << vcarena::kRok) |
+                       (std::uint64_t{req} << vcarena::kReq) |
+                       (std::uint64_t{want} << vcarena::kWant));
+  }
+};
 
 VcInputChannel::VcInputChannel(std::string name, const RouterParams& params,
                                Port ownPort, VcGeometry geometry,
@@ -317,8 +429,10 @@ VcInputChannel::VcInputChannel(std::string name, const RouterParams& params,
       geometry_(geometry),
       numVCs_(params.numVCs),
       escapeVCs_(std::min(geometry.escapeVCs(), params.numVCs)),
+      dataMask_(dataMask(params.n)),
       in_(&in),
-      xbar_(&xbar) {
+      xbar_(&xbar),
+      fifo_(params.numVCs, params.p) {
   // evaluate() reacts to the grant/read nets the output channels drive
   // from their (registered) connection tables.
   for (int v = 0; v < numVCs_; ++v) {
@@ -333,24 +447,17 @@ VcInputChannel::VcInputChannel(std::string name, const RouterParams& params,
 void VcInputChannel::attachMetrics(const VcInputChannelMetrics& metrics) {
   metrics_ = metrics;
   metricsAttached_ = true;
-}
-
-bool VcInputChannel::popFired(int v) const {
-  const CrossbarWires& xb = (*xbar_)[static_cast<std::size_t>(v)];
-  for (int o = 0; o < kNumPorts; ++o) {
-    if (xb.gnt[static_cast<std::size_t>(o)].get() &&
-        xb.rd[static_cast<std::size_t>(o)].get())
-      return true;
-  }
-  return false;
+  // The compiled edge op is chosen by whether metrics accounting runs.
+  noteDescribeChanged();
 }
 
 bool VcInputChannel::dequeueFired(int v) const {
-  return !fifo_[static_cast<std::size_t>(v)].empty() && popFired(v);
+  const WireIo io{*this};
+  return fifo_.size(v) > 0 && (io.grants(v) & io.reads(v)) != 0;
 }
 
 void VcInputChannel::onReset() {
-  for (auto& q : fifo_) q.clear();
+  fifo_.clear();
   patience_.fill(0);
   occupancySum_.fill(0);
   flitsAccepted_ = 0;
@@ -359,48 +466,58 @@ void VcInputChannel::onReset() {
 }
 
 void VcInputChannel::evaluate() {
-  publish();
-  if (creditMode()) returnCredits();
+  const WireIo io{*this};
+  publish(io);
+  if (creditMode()) returnCredits(io);
 }
 
-void VcInputChannel::returnCredits() {
+void VcInputChannel::clockEdge() {
+  if (metricsAttached_)
+    edge<true>(WireIo{*this});
+  else
+    edge<false>(WireIo{*this});
+}
+
+template <class Io>
+void VcInputChannel::returnCredits(const Io& io) {
   // Credit mode pulses the per-VC credit return as the flit leaves the
   // buffer.
+  unsigned acks = 0;
   for (int v = 0; v < numVCs_; ++v) {
-    const auto vi = static_cast<std::size_t>(v);
-    in_->vcAck[vi].set(!fifo_[vi].empty() && popFired(v));
+    if (fifo_.size(v) > 0 && (io.grants(v) & io.reads(v)) != 0)
+      acks |= 1u << v;
   }
+  io.putAcks(acks);
 }
 
-void VcInputChannel::publish() {
+template <class Io>
+void VcInputChannel::publish(const Io& io) {
+  unsigned free = 0;
   for (int v = 0; v < numVCs_; ++v) {
     const auto vi = static_cast<std::size_t>(v);
-    CrossbarWires& xb = (*xbar_)[vi];
-    const auto& q = fifo_[vi];
+    const int size = fifo_.size(v);
     // Upstream flow control: on/off advertises registered buffer space;
     // credit mode advertises link-up (the sender counts credits).
-    const bool space = static_cast<int>(q.size()) < params_.p;
-    in_->vcFree[vi].set(creditMode() ? true : space);
-    const bool empty = q.empty();
-    xb.rok.set(!empty);
+    if (creditMode() || size < params_.p) free |= 1u << v;
 
-    Flit head;
-    if (!empty) head = q.front();
-    const bool headerVisible = !empty && head.bop;
-    Port target = Port::Local;
+    const std::uint64_t head = size > 0 ? fifo_.head(v) : 0;
+    const auto data = static_cast<std::uint32_t>(head);
+    const bool bop = flitBop(head);
+    const bool eop = ((head >> sim::kFlitEopShift) & 1u) != 0;
+    const bool headerVisible = size > 0 && bop;
+    unsigned req = 0;
     unsigned want = 0;
-    std::uint32_t forwarded = head.data;
+    std::uint32_t forwarded = data;
     if (headerVisible) {
       // A granted header forwards the RIB consumed for the hop actually
       // connected — the patience rotation may have moved the bid between
-      // allocation and readout.
-      int grantedPort = -1;
-      for (int o = 0; o < kNumPorts; ++o) {
-        if (xb.gnt[static_cast<std::size_t>(o)].get()) grantedPort = o;
-      }
-      const Rib rib = decodeRib(head.data, params_.m);
-      if (grantedPort >= 0) {
-        target = static_cast<Port>(grantedPort);
+      // allocation and readout.  Grants are one-hot in practice; the
+      // highest granted port wins.
+      const unsigned granted = io.grants(v);
+      const Rib rib = decodeRib(data, params_.m);
+      Port target;
+      if (granted != 0) {
+        target = static_cast<Port>(std::bit_width(granted) - 1);
       } else {
         // Adaptive bids request the packet's whole adaptive VC set; under
         // QoS the header's class tag narrows it to the class's channels.
@@ -408,8 +525,7 @@ void VcInputChannel::publish() {
         unsigned adaptiveMask =
             ((1u << numVCs_) - 1u) & ~((1u << escapeVCs_) - 1u);
         if (params_.qosClasses) {
-          const TrafficClass cls =
-              decodeTrafficClass(head.data, params_.m);
+          const TrafficClass cls = decodeTrafficClass(data, params_.m);
           adaptiveMask = qosVcMask(cls, numVCs_, escapeVCs_);
           window = qosPatienceWindow(cls);
         }
@@ -421,40 +537,29 @@ void VcInputChannel::publish() {
         target = options[static_cast<std::size_t>(idx)].port;
         want = options[static_cast<std::size_t>(idx)].want;
       }
-      forwarded = updateHeader(head.data, consumeHop(rib, target), params_.m) &
-                  dataMask(params_.n);
+      forwarded =
+          updateHeader(data, consumeHop(rib, target), params_.m) & dataMask_;
       if (target == ownPort_) misroute_ = true;
+      req = 1u << index(target);
     }
-    for (int o = 0; o < kNumPorts; ++o)
-      xb.req[static_cast<std::size_t>(o)].set(headerVisible &&
-                                              o == index(target));
-    xb.want.set(static_cast<int>(want));
-    xb.flit.data.set(forwarded);
-    xb.flit.bop.set(head.bop);
-    xb.flit.eop.set(head.eop);
+    io.putBundle(v, size > 0, req, want, forwarded, bop, eop);
   }
+  io.putFree(free);
 }
 
-void VcInputChannel::clockEdge() {
+template <bool kMetrics, class Io>
+void VcInputChannel::edge(const Io& io) {
   // Accept: the sender only schedules a VC with advertised space (on/off)
   // or an available credit, so a full target FIFO means broken flow
   // control — recorded sticky, never overwritten silently.
-  if (in_->val.get()) {
-    const int v = in_->vc.get();
-    if (v < 0 || v >= numVCs_ ||
-        static_cast<int>(fifo_[static_cast<std::size_t>(v)].size()) >=
-            params_.p) {
+  if (io.inVal()) {
+    const int v = io.inVc();
+    if (v < 0 || v >= numVCs_ || fifo_.full(v)) {
       overflow_ = true;
     } else {
-      Flit f;
-      f.data = in_->flit.data.get();
-      f.bop = in_->flit.bop.get();
-      f.eop = in_->flit.eop.get();
-      f.vc = v;
-      fifo_[static_cast<std::size_t>(v)].push_back(f);
+      fifo_.push(v, io.inFlit());
       ++flitsAccepted_;
-      if (metricsAttached_ && metrics_.flitsAccepted)
-        metrics_.flitsAccepted->inc();
+      if (kMetrics && metrics_.flitsAccepted) metrics_.flitsAccepted->inc();
     }
   }
 
@@ -462,41 +567,40 @@ void VcInputChannel::clockEdge() {
   bool anyStall = false;
   for (int v = 0; v < numVCs_; ++v) {
     const auto vi = static_cast<std::size_t>(v);
-    auto& q = fifo_[vi];
-    // One pass over the settled strobes: granted by some output, and
-    // (popFired) read out this edge.
-    bool granted = false;
-    bool pop = false;
-    for (int o = 0; o < kNumPorts; ++o) {
-      const auto oi = static_cast<std::size_t>(o);
-      const bool g = (*xbar_)[vi].gnt[oi].get();
-      granted = granted || g;
-      pop = pop || (g && (*xbar_)[vi].rd[oi].get());
-    }
+    // Granted by some output, and read out this edge.
+    const unsigned granted = io.grants(v);
+    const bool pop = (granted & io.reads(v)) != 0;
     // A pop strobe can only refer to a flit that was at the head pre-edge,
     // so popping after the accept push is safe: the push appended to the
     // back, and an empty pre-edge FIFO never had rd granted.
-    if (!q.empty() && pop) q.pop_front();
+    if (fifo_.size(v) > 0 && pop) fifo_.pop(v);
 
-    if (!q.empty() && q.front().bop && !granted) {
+    const int size = fifo_.size(v);
+    if (size > 0 && flitBop(fifo_.head(v)) && granted == 0) {
       if (patience_[vi] < kVcPatienceCap) ++patience_[vi];
     } else {
       patience_[vi] = 0;
     }
 
-    occupancySum_[vi] += q.size();
-    anyFull = anyFull || static_cast<int>(q.size()) >= params_.p;
-    anyStall = anyStall || (!q.empty() && !pop);
-    if (metricsAttached_ && metrics_.occupancy[vi])
-      metrics_.occupancy[vi]->observe(static_cast<double>(q.size()));
+    occupancySum_[vi] += static_cast<std::uint64_t>(size);
+    anyFull = anyFull || size >= params_.p;
+    anyStall = anyStall || (size > 0 && !pop);
+    if (kMetrics && metrics_.occupancy[vi])
+      metrics_.occupancy[vi]->observe(static_cast<double>(size));
   }
-  if (metricsAttached_) {
+  if (kMetrics) {
     if (metrics_.fullCycles && anyFull) metrics_.fullCycles->inc();
     if (metrics_.stallCycles && anyStall) metrics_.stallCycles->inc();
   }
 }
 
 bool VcInputChannel::describe(sim::Lowering& lw) {
+  ArenaCtx proto;
+  proto.self = this;
+  proto.link = vcarena::channelWord(lw, *in_, numVCs_);
+  proto.block = vcarena::portBlock(lw, *xbar_, numVCs_);
+  ArenaCtx* ctx = lw.ctx(proto);
+
   std::vector<const sim::WireBase*> grants;
   std::vector<const sim::WireBase*> grantsAndReads;
   std::vector<const sim::WireBase*> pubWrites;
@@ -518,12 +622,33 @@ bool VcInputChannel::describe(sim::Lowering& lw) {
       pubWrites.push_back(&xb.req[static_cast<std::size_t>(o)]);
     acks.push_back(&in_->vcAck[static_cast<std::size_t>(v)]);
   }
-  lw.phaseOp<&VcInputChannel::publish>(*this, std::move(grants),
-                                       std::move(pubWrites));
+  lw.op(
+      [](std::uint64_t* w, void* c) {
+        auto* x = static_cast<ArenaCtx*>(c);
+        x->self->publish(ArenaIo{w, x});
+      },
+      ctx, std::move(grants), std::move(pubWrites));
   if (creditMode())
-    lw.phaseOp<&VcInputChannel::returnCredits>(
-        *this, std::move(grantsAndReads), std::move(acks));
-  lw.edgeCall(*this);
+    lw.op(
+        [](std::uint64_t* w, void* c) {
+          auto* x = static_cast<ArenaCtx*>(c);
+          x->self->returnCredits(ArenaIo{w, x});
+        },
+        ctx, std::move(grantsAndReads), std::move(acks));
+  if (metricsAttached_)
+    lw.edgeOp(
+        [](std::uint64_t* w, void* c) {
+          auto* x = static_cast<ArenaCtx*>(c);
+          x->self->edge<true>(ArenaIo{w, x});
+        },
+        ctx);
+  else
+    lw.edgeOp(
+        [](std::uint64_t* w, void* c) {
+          auto* x = static_cast<ArenaCtx*>(c);
+          x->self->edge<false>(ArenaIo{w, x});
+        },
+        ctx);
   return true;
 }
 

@@ -6,16 +6,16 @@
 /// VcInputChannel is the numVCs > 1 variant: the FIFO + routing (IRS) state
 /// is replicated per virtual channel, flits are demultiplexed by the
 /// channel's vc wire, and flow control switches to per-VC on/off (vcFree
-/// levels) or per-VC credits (vcAck pulses) — see router/channel.hpp.  It
-/// is a behavioural module whose evaluate() splits into combinational
-/// phases, each lowered as its own compiled op over the Wire objects, so
-/// the numVCs == 1 fused lowering and its pinned goldens stay
-/// byte-identical.
+/// levels) or per-VC credits (vcAck pulses) — see router/channel.hpp.  Its
+/// evaluate() splits into combinational phases, and each phase and the
+/// clock edge is written once over a signal accessor: Wire objects under
+/// the naive kernel, packed arena words (router/vc_arena.hpp) under the
+/// compiled one.
 #pragma once
 
 #include <array>
-#include <deque>
 #include <memory>
+#include <vector>
 
 #include "sim/module.hpp"
 #include "sim/wire.hpp"
@@ -98,6 +98,54 @@ class InputChannel : public sim::Module {
   bool metricsAttached_ = false;
 };
 
+/// Registered per-VC input buffers of a VcInputChannel: one fixed-depth ring
+/// per virtual channel.  Flits are held as opaque packed words (the channel
+/// stores the arena's flit-word layout, so a buffered flit moves as one
+/// word); the compiled ops read the rings in place.
+class VcFifos {
+ public:
+  VcFifos(int numVCs, int depth)
+      : depth_(depth),
+        slots_(static_cast<std::size_t>(numVCs) *
+               static_cast<std::size_t>(depth)) {}
+
+  int size(int v) const { return count_[static_cast<std::size_t>(v)]; }
+  bool full(int v) const { return size(v) >= depth_; }
+  /// Oldest flit of VC v; only meaningful when size(v) > 0.
+  std::uint64_t head(int v) const {
+    return slots_[base(v) + static_cast<std::size_t>(
+                                head_[static_cast<std::size_t>(v)])];
+  }
+  /// Appends a flit to VC v; the caller guarantees !full(v).
+  void push(int v, std::uint64_t flit) {
+    const auto vi = static_cast<std::size_t>(v);
+    int tail = head_[vi] + count_[vi];
+    if (tail >= depth_) tail -= depth_;
+    slots_[base(v) + static_cast<std::size_t>(tail)] = flit;
+    ++count_[vi];
+  }
+  /// Drops VC v's head; the caller guarantees size(v) > 0.
+  void pop(int v) {
+    const auto vi = static_cast<std::size_t>(v);
+    if (++head_[vi] == depth_) head_[vi] = 0;
+    --count_[vi];
+  }
+  void clear() {
+    head_.fill(0);
+    count_.fill(0);
+  }
+
+ private:
+  std::size_t base(int v) const {
+    return static_cast<std::size_t>(v) * static_cast<std::size_t>(depth_);
+  }
+
+  int depth_;
+  std::array<int, kMaxVCs> head_{};
+  std::array<int, kMaxVCs> count_{};
+  std::vector<std::uint64_t> slots_;  // VC v's ring at [v * depth, +depth)
+};
+
 /// Per-VC instrumentation for the VC'd input channel (telemetry subsystem):
 /// shared counters plus one occupancy histogram per virtual channel.
 struct VcInputChannelMetrics {
@@ -138,9 +186,7 @@ class VcInputChannel : public sim::Module {
 
   /// Registered per-VC occupancy (flits buffered), for credit-conservation
   /// checks and occupancy heatmaps.
-  int occupancy(int v) const {
-    return static_cast<int>(fifo_[static_cast<std::size_t>(v)].size());
-  }
+  int occupancy(int v) const { return fifo_.size(v); }
   /// Per-cycle running sum of occupancy(v), for time-averaged depth.
   std::uint64_t occupancySum(int v) const {
     return occupancySum_[static_cast<std::size_t>(v)];
@@ -161,9 +207,9 @@ class VcInputChannel : public sim::Module {
   /// Enables instrumentation; the metrics must outlive the channel.
   void attachMetrics(const VcInputChannelMetrics& metrics);
 
-  /// Compiled-kernel lowering: one op per combinational phase (publish,
-  /// credit return), each calling the member function evaluate() calls,
-  /// plus a clockEdge() call.
+  /// Compiled-kernel lowering: one arena op per combinational phase
+  /// (publish, credit return) and an arena edge op, all running the same
+  /// phase bodies evaluate() and clockEdge() run (router/input_channel.cpp).
   bool describe(sim::Lowering& lw) override;
 
  protected:
@@ -172,18 +218,26 @@ class VcInputChannel : public sim::Module {
   void clockEdge() override;
 
  private:
+  // Signal accessors the phase bodies are written over (input_channel.cpp):
+  // the Wire objects, or the packed arena words.
+  struct WireIo;
+  struct ArenaIo;
+  struct ArenaCtx;
+
   bool creditMode() const {
     return flowControl_ == FlowControl::CreditBased;
   }
-  // Pop strobe computed from the settled crossbar wires.
-  bool popFired(int v) const;
 
   // The two combinational phases of evaluate(), each a compiled op.
   // Publish: gnt -> vcFree, rok, req, want and the crossbar flit (the FIFO
   // heads are registered).  Credit return (credit mode only): gnt/rd ->
-  // vcAck.
-  void publish();
-  void returnCredits();
+  // vcAck.  Edge: accept, pops, patience and accounting.
+  template <class Io>
+  void publish(const Io& io);
+  template <class Io>
+  void returnCredits(const Io& io);
+  template <bool kMetrics, class Io>
+  void edge(const Io& io);
 
   RouterParams params_;
   Port ownPort_;
@@ -191,12 +245,13 @@ class VcInputChannel : public sim::Module {
   VcGeometry geometry_;
   int numVCs_ = 1;
   int escapeVCs_ = 1;
+  std::uint32_t dataMask_ = 0;
 
   ChannelWires* in_;
   std::array<CrossbarWires, kMaxVCs>* xbar_;
 
   // Registered per-VC state.
-  std::array<std::deque<Flit>, kMaxVCs> fifo_;
+  VcFifos fifo_;
   std::array<int, kMaxVCs> patience_{};
 
   std::uint64_t flitsAccepted_ = 0;

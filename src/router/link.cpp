@@ -7,6 +7,8 @@
 
 #include "sim/compile.hpp"
 
+#include "router/vc_arena.hpp"
+
 namespace rasoc::router {
 
 Link::Link(std::string name, ChannelWires& src, ChannelWires& dst,
@@ -119,6 +121,23 @@ void linkReverse(std::uint64_t* w, void* vctx) {
   sim::opPutBit(w, c->srcAck, sim::opBit(w, c->dstAck));
 }
 
+// Field copies between two packed words: src -> dst downstream, dst ->
+// src upstream.
+struct LinkCopyCtx {
+  std::uint32_t src = 0, dst = 0;
+  std::uint64_t mask = 0;
+};
+
+void linkCopyDown(std::uint64_t* w, void* vctx) {
+  auto* c = static_cast<LinkCopyCtx*>(vctx);
+  sim::opCopyBits(w, c->dst, c->src, c->mask);
+}
+
+void linkCopyUp(std::uint64_t* w, void* vctx) {
+  auto* c = static_cast<LinkCopyCtx*>(vctx);
+  sim::opCopyBits(w, c->src, c->dst, c->mask);
+}
+
 void linkEdge(std::uint64_t* w, void* vctx) {
   auto* c = static_cast<LinkEdgeCtx*>(vctx);
   const bool transferred =
@@ -136,18 +155,22 @@ bool Link::describe(sim::Lowering& lw) {
   if (typeid(*this) != typeid(Link)) return false;
 
   if (numVCs_ > 1) {
-    // VC links lower as one op per direction-and-wire over the Wire
-    // objects, plus an edge call; the numVCs == 1 fused ops below stay
-    // byte-identical.  The two reverse wires need separate ops: under
-    // credit flow control vcAck is driven from the receiver's rd, which
-    // the receiver computes from the vcFree of the next hop, so one op
-    // carrying both would close a cycle through neighbouring routers.
-    lw.phaseOp<&Link::forward>(
-        *this,
-        {&src_->flit.data, &src_->flit.bop, &src_->flit.eop, &src_->val,
-         &src_->vc},
-        {&dst_->flit.data, &dst_->flit.bop, &dst_->flit.eop, &dst_->val,
-         &dst_->vc});
+    // VC links copy whole fields between the two channel words
+    // (router/vc_arena.hpp): flit + val + vc downstream, the vcFree levels
+    // and (credit mode) the vcAck pulses upstream.  The two reverse fields
+    // need separate ops: under credit flow control vcAck is driven from the
+    // receiver's rd, which the receiver computes from the vcFree of the
+    // next hop, so one op carrying both would close a cycle through
+    // neighbouring routers.
+    LinkCopyCtx copy;
+    copy.src = vcarena::channelWord(lw, *src_, numVCs_);
+    copy.dst = vcarena::channelWord(lw, *dst_, numVCs_);
+    copy.mask = vcarena::kForwardMask;
+    lw.op(&linkCopyDown, lw.ctx(copy),
+          {&src_->flit.data, &src_->flit.bop, &src_->flit.eop, &src_->val,
+           &src_->vc},
+          {&dst_->flit.data, &dst_->flit.bop, &dst_->flit.eop, &dst_->val,
+           &dst_->vc});
     std::vector<const sim::WireBase*> freeIn, freeOut, ackIn, ackOut;
     for (int v = 0; v < numVCs_; ++v) {
       freeIn.push_back(&dst_->vcFree[static_cast<std::size_t>(v)]);
@@ -155,14 +178,20 @@ bool Link::describe(sim::Lowering& lw) {
       ackIn.push_back(&dst_->vcAck[static_cast<std::size_t>(v)]);
       ackOut.push_back(&src_->vcAck[static_cast<std::size_t>(v)]);
     }
-    lw.phaseOp<&Link::reverseVcFree>(*this, std::move(freeIn),
-                                     std::move(freeOut));
+    copy.mask = vcarena::kFreeMask;
+    lw.op(&linkCopyUp, lw.ctx(copy), std::move(freeIn), std::move(freeOut));
     // vcAck pulses exist only under credit flow control; on/off links
     // never see one.
-    if (flowControl_ == FlowControl::CreditBased)
-      lw.phaseOp<&Link::reverseVcAck>(*this, std::move(ackIn),
-                                      std::move(ackOut));
-    lw.edgeCall(*this);
+    if (flowControl_ == FlowControl::CreditBased) {
+      copy.mask = vcarena::kAckMask;
+      lw.op(&linkCopyUp, lw.ctx(copy), std::move(ackIn), std::move(ackOut));
+    }
+    // Every scheduled VC flit transfers (see clockEdge()).
+    LinkEdgeCtx edge;
+    edge.srcVal = sim::Slice(copy.src, vcarena::kVal);
+    edge.handshake = false;
+    edge.flits = &flitsTransferred_;
+    lw.edgeOp(&linkEdge, lw.ctx(edge));
     return true;
   }
 

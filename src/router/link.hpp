@@ -57,8 +57,9 @@ class Link : public sim::Module {
 
   /// Compiled-kernel lowering: a plain link is two masked word copies (flit
   /// + val downstream, ack upstream) and a counting edge op; a VC link is
-  /// one op per phase of evaluate().  Subclasses with fault behaviour fall
-  /// back to behavioural thunks (link.cpp guards on the dynamic type).
+  /// one masked field copy per phase of evaluate() between the packed
+  /// channel words of router/vc_arena.hpp.  Subclasses with fault behaviour
+  /// fall back to behavioural thunks (link.cpp guards on the dynamic type).
   bool describe(sim::Lowering& lw) override;
 
  protected:
@@ -88,9 +89,10 @@ class Link : public sim::Module {
   int numVCs() const { return numVCs_; }
 
  private:
-  // The combinational phases of evaluate(); at numVCs > 1 each is its own
-  // compiled op.  forward: flit, val (and vc) downstream.  reverseVcFree /
-  // reverseVcAck: the per-VC levels and credit pulses upstream.
+  // The combinational phases of evaluate(); at numVCs > 1 each lowers to
+  // its own field-copy op.  forward: flit, val (and vc) downstream.
+  // reverseVcFree / reverseVcAck: the per-VC levels and credit pulses
+  // upstream.
   void forward();
   void reverseVcFree();
   void reverseVcAck();

@@ -5,6 +5,8 @@
 
 #include "sim/compile.hpp"
 
+#include "router/vc_arena.hpp"
+
 namespace rasoc::router {
 
 OutputChannel::OutputChannel(std::string name, const RouterParams& params,
@@ -301,6 +303,123 @@ int roundRobinSlot(std::uint32_t candidates, int start) {
 
 }  // namespace
 
+// Signal accessors for the phase bodies (see the VcInputChannel notes in
+// input_channel.cpp): WireIo over the Wire objects, ArenaIo over the packed
+// words of router/vc_arena.hpp.  Input (i, v) is crossbar bundle v of input
+// port i; `vcs` arguments are masks with bit v per VC.
+struct VcOutputChannel::WireIo {
+  const VcOutputChannel& ch;
+
+  bool rok(int i, int v) const { return bundle(i, v).rok.get(); }
+  // Input (i, v) requests this output; `want` is read only when it does.
+  bool requests(int i, int v) const {
+    return bundle(i, v).req[static_cast<std::size_t>(index(ch.ownPort_))]
+        .get();
+  }
+  unsigned want(int i, int v) const {
+    return static_cast<unsigned>(bundle(i, v).want.get());
+  }
+  unsigned vcFree() const { return levels(ch.out_->vcFree); }
+  unsigned vcAcks() const { return levels(ch.out_->vcAck); }
+  bool outVal() const { return ch.out_->val.get(); }
+  int outVc() const { return ch.out_->vc.get(); }
+  bool outEop() const { return ch.out_->flit.eop.get(); }
+  void putGrants(int i, unsigned vcs) const {
+    putStrobes(i, &CrossbarWires::gnt, vcs);
+  }
+  void putReads(int i, unsigned vcs) const {
+    putStrobes(i, &CrossbarWires::rd, vcs);
+  }
+  // Drives input (i, v)'s flit onto the link as downstream VC d.
+  void putLink(int i, int v, int d) const {
+    vcOutputDataSwitch(bundle(i, v), d, ch.out_->flit, ch.out_->vc,
+                       ch.out_->val);
+  }
+  void putIdle() const {
+    vcOutputDataIdle(ch.out_->flit, ch.out_->vc, ch.out_->val);
+  }
+
+ private:
+  CrossbarWires& bundle(int i, int v) const {
+    return (*ch.xbar_)[static_cast<std::size_t>(i)]
+                      [static_cast<std::size_t>(v)];
+  }
+  unsigned levels(const std::array<sim::Wire<bool>, kMaxVCs>& wires) const {
+    unsigned mask = 0;
+    for (int d = 0; d < ch.numVCs_; ++d)
+      if (wires[static_cast<std::size_t>(d)].get()) mask |= 1u << d;
+    return mask;
+  }
+  void putStrobes(int i,
+                  std::array<sim::Wire<bool>, kNumPorts> CrossbarWires::*net,
+                  unsigned vcs) const {
+    const auto own = static_cast<std::size_t>(index(ch.ownPort_));
+    for (int v = 0; v < ch.numVCs_; ++v)
+      (bundle(i, v).*net)[own].set(((vcs >> v) & 1u) != 0);
+  }
+};
+
+struct VcOutputChannel::ArenaCtx {
+  VcOutputChannel* self = nullptr;
+  std::uint32_t link = 0;                // channel word of the output link
+  std::uint32_t block[kNumPorts] = {};  // each input port's port block
+  unsigned own = 0;                      // index(ownPort_)
+};
+
+struct VcOutputChannel::ArenaIo {
+  std::uint64_t* w;
+  const ArenaCtx* c;
+
+  bool rok(int i, int v) const { return bit(bundle(i, v), vcarena::kRok); }
+  bool requests(int i, int v) const {
+    return bit(bundle(i, v), vcarena::kReq + c->own);
+  }
+  unsigned want(int i, int v) const {
+    return field(bundle(i, v), vcarena::kWant, kMaxVCs);
+  }
+  unsigned vcFree() const {
+    return field(w[c->link], vcarena::kFree, kMaxVCs);
+  }
+  unsigned vcAcks() const { return field(w[c->link], vcarena::kAck, kMaxVCs); }
+  bool outVal() const { return bit(w[c->link], vcarena::kVal); }
+  int outVc() const {
+    return static_cast<int>(field(w[c->link], vcarena::kVc,
+                                  vcarena::kVcWidth));
+  }
+  bool outEop() const { return bit(w[c->link], sim::kFlitEopShift); }
+  void putGrants(int i, unsigned vcs) const { putLanes(i, c->own, vcs); }
+  void putReads(int i, unsigned vcs) const {
+    putLanes(i, vcarena::kRd + c->own, vcs);
+  }
+  void putLink(int i, int v, int d) const {
+    sim::opPutBits(w, c->link, vcarena::kForwardMask,
+                   (bundle(i, v) & sim::kFlitWordMask) |
+                       (std::uint64_t{1} << vcarena::kVal) |
+                       (static_cast<std::uint64_t>(d) << vcarena::kVc));
+  }
+  void putIdle() const {
+    sim::opPutBits(w, c->link, vcarena::kForwardMask, 0);
+  }
+
+ private:
+  static bool bit(std::uint64_t word, unsigned shift) {
+    return ((word >> shift) & 1u) != 0;
+  }
+  static unsigned field(std::uint64_t word, unsigned shift, unsigned width) {
+    return static_cast<unsigned>((word >> shift) & sim::fieldMask(width));
+  }
+  std::uint64_t bundle(int i, int v) const {
+    return w[c->block[i] + 1 + static_cast<std::uint32_t>(v)];
+  }
+  // This output's strobe in every VC lane of input port i's control word.
+  void putLanes(int i, unsigned shift, unsigned vcs) const {
+    constexpr std::uint64_t kAllLanes =
+        vcarena::kLaneSpread[(1u << kMaxVCs) - 1];
+    sim::opPutBits(w, c->block[i], kAllLanes << shift,
+                   vcarena::kLaneSpread[vcs] << shift);
+  }
+};
+
 VcOutputChannel::VcOutputChannel(
     std::string name, const RouterParams& params, Port ownPort,
     VcGeometry geometry,
@@ -332,6 +451,8 @@ VcOutputChannel::VcOutputChannel(
 void VcOutputChannel::attachMetrics(const VcOutputChannelMetrics& metrics) {
   metrics_ = metrics;
   metricsAttached_ = true;
+  // The compiled edge op is chosen by whether metrics accounting runs.
+  noteDescribeChanged();
 }
 
 void VcOutputChannel::onReset() {
@@ -344,20 +465,27 @@ void VcOutputChannel::onReset() {
   vcFlitsSent_.fill(0);
 }
 
-bool VcOutputChannel::schedulable(int d) const {
+template <class Io>
+bool VcOutputChannel::schedulable(const Io& io, unsigned free, int d) const {
   const Conn& c = conn_[static_cast<std::size_t>(d)];
   if (!c.active) return false;
-  const CrossbarWires& src = (*xbar_)[static_cast<std::size_t>(c.inPort)]
-                                     [static_cast<std::size_t>(c.inVc)];
-  if (!src.rok.get()) return false;
-  if (!out_->vcFree[static_cast<std::size_t>(d)].get()) return false;
+  if (!io.rok(c.inPort, c.inVc)) return false;
+  if (((free >> d) & 1u) == 0) return false;
   if (creditMode() && !credits_.available(d)) return false;
   return true;
 }
 
 void VcOutputChannel::evaluate() {
-  publishGrants();
-  scheduleLink();
+  const WireIo io{*this};
+  publishGrants(io);
+  scheduleLink(io);
+}
+
+void VcOutputChannel::clockEdge() {
+  if (metricsAttached_)
+    edge<true>(WireIo{*this});
+  else
+    edge<false>(WireIo{*this});
 }
 
 std::uint32_t VcOutputChannel::connectedSlots() const {
@@ -369,22 +497,16 @@ std::uint32_t VcOutputChannel::connectedSlots() const {
   return slots;
 }
 
-void VcOutputChannel::publishGrants() {
+template <class Io>
+void VcOutputChannel::publishGrants(const Io& io) {
   // Grants come from the registered connection table alone.
   const std::uint32_t granted = connectedSlots();
-  const int own = index(ownPort_);
-  for (int i = 0; i < kNumPorts; ++i) {
-    for (int v = 0; v < numVCs_; ++v) {
-      (*xbar_)[static_cast<std::size_t>(i)][static_cast<std::size_t>(v)]
-          .gnt[static_cast<std::size_t>(own)]
-          .set(((granted >> (i * kMaxVCs + v)) & 1u) != 0);
-    }
-  }
+  for (int i = 0; i < kNumPorts; ++i)
+    io.putGrants(i, (granted >> (i * kMaxVCs)) & sim::fieldMask(kMaxVCs));
 }
 
-void VcOutputChannel::scheduleLink() {
-  const int own = index(ownPort_);
-
+template <class Io>
+void VcOutputChannel::scheduleLink(const Io& io) {
   // Schedule one connected, ready, non-blocked downstream VC onto the
   // physical link.  vcFree is the receiver's space advertisement (on/off) or
   // the link-up level (credit mode, masked low by a faulted link), so a
@@ -398,11 +520,12 @@ void VcOutputChannel::scheduleLink() {
   // on higher VCs) unless some VC's starvation counter crossed
   // kQosStarvationWindow, in which case the lowest-index starved VC wins so
   // escape VCs are always served within a bounded interval.
+  const unsigned free = io.vcFree();
   int sched = -1;
   if (params_.qosClasses) {
     int starved = -1;
     for (int d = numVCs_ - 1; d >= 0; --d) {
-      if (!schedulable(d)) continue;
+      if (!schedulable(io, free, d)) continue;
       if (sched < 0) sched = d;
       if (starve_[static_cast<std::size_t>(d)] >= kQosStarvationWindow)
         starved = d;  // descending loop: the last hit is the lowest index
@@ -411,41 +534,36 @@ void VcOutputChannel::scheduleLink() {
   } else {
     for (int step = 0; step < numVCs_ && sched < 0; ++step) {
       const int d = (schedRR_ + step) % numVCs_;
-      if (schedulable(d)) sched = d;
+      if (schedulable(io, free, d)) sched = d;
     }
   }
   const Conn* sc =
       sched >= 0 ? &conn_[static_cast<std::size_t>(sched)] : nullptr;
 
   // Read strobe of the scheduled source (all other strobes low).
-  for (int i = 0; i < kNumPorts; ++i) {
-    for (int v = 0; v < numVCs_; ++v) {
-      (*xbar_)[static_cast<std::size_t>(i)][static_cast<std::size_t>(v)]
-          .rd[static_cast<std::size_t>(own)]
-          .set(sc && sc->inPort == i && sc->inVc == v);
-    }
-  }
-  if (sc) {
-    const CrossbarWires& src = (*xbar_)[static_cast<std::size_t>(sc->inPort)]
-                                       [static_cast<std::size_t>(sc->inVc)];
-    vcOutputDataSwitch(src, sched, out_->flit, out_->vc, out_->val);
-  } else {
-    vcOutputDataIdle(out_->flit, out_->vc, out_->val);
-  }
+  for (int i = 0; i < kNumPorts; ++i)
+    io.putReads(i, sc && sc->inPort == i ? 1u << sc->inVc : 0u);
+  if (sc)
+    io.putLink(sc->inPort, sc->inVc, sched);
+  else
+    io.putIdle();
 }
 
-void VcOutputChannel::clockEdge() {
+template <bool kMetrics, class Io>
+void VcOutputChannel::edge(const Io& io) {
   const int own = index(ownPort_);
+  const bool val = io.outVal();
+  const unsigned free = io.vcFree();
 
   // 0. QoS starvation accounting, from pre-commit wire state (credits_ not
   //    yet burned): a VC that could have sent but was not scheduled ages by
   //    one edge; a served or ineligible VC resets.  Bounded so a VC parked
   //    behind a full receiver cannot overflow the counter.
   if (params_.qosClasses) {
-    const int servedVc = out_->val.get() ? out_->vc.get() : -1;
+    const int servedVc = val ? io.outVc() : -1;
     for (int d = 0; d < numVCs_; ++d) {
       auto& age = starve_[static_cast<std::size_t>(d)];
-      if (schedulable(d) && d != servedVc) {
+      if (schedulable(io, free, d) && d != servedVc) {
         if (age <= kQosStarvationWindow) ++age;
       } else {
         age = 0;
@@ -455,29 +573,28 @@ void VcOutputChannel::clockEdge() {
 
   // 1. Commit the scheduled transfer: count, burn a credit, tear the
   //    connection down on the tail flit and advance the link RR.
-  if (out_->val.get()) {
-    const int d = out_->vc.get();
+  if (val) {
+    const int d = io.outVc();
     ++flitsSent_;
     ++vcFlitsSent_[static_cast<std::size_t>(d)];
     if (creditMode()) credits_.onSent(d);
-    if (out_->flit.eop.get()) conn_[static_cast<std::size_t>(d)].active = false;
+    if (io.outEop()) conn_[static_cast<std::size_t>(d)].active = false;
     schedRR_ = (d + 1) % numVCs_;
-    if (metricsAttached_) {
+    if (kMetrics) {
       if (metrics_.flitsSent) metrics_.flitsSent->inc();
       if (metrics_.routerFlits) metrics_.routerFlits->inc();
       if (metrics_.vcFlits[static_cast<std::size_t>(d)])
         metrics_.vcFlits[static_cast<std::size_t>(d)]->inc();
     }
   }
-  if (metricsAttached_ && metrics_.busyCycles && out_->val.get())
-    metrics_.busyCycles->inc();
+  if (kMetrics && metrics_.busyCycles && val) metrics_.busyCycles->inc();
 
   // 2. Per-VC credit returns (pulses from the receiver; a faulted link
   //    passes these through even while down, so no credit is ever lost).
   if (creditMode()) {
-    for (int d = 0; d < numVCs_; ++d) {
-      if (out_->vcAck[static_cast<std::size_t>(d)].get()) credits_.onReturn(d);
-    }
+    const unsigned acks = io.vcAcks();
+    for (int d = 0; d < numVCs_; ++d)
+      if ((acks >> d) & 1u) credits_.onReturn(d);
   }
 
   // 3. Allocation: hand each idle downstream VC to a matching requester.
@@ -492,12 +609,10 @@ void VcOutputChannel::clockEdge() {
   for (int i = 0; i < kNumPorts; ++i) {
     if (i == own) continue;
     for (int v = 0; v < numVCs_; ++v) {
-      const CrossbarWires& x =
-          (*xbar_)[static_cast<std::size_t>(i)][static_cast<std::size_t>(v)];
-      if (!x.req[static_cast<std::size_t>(own)].get()) continue;
+      if (!io.requests(i, v)) continue;
       const std::uint32_t bit = 1u << (i * kMaxVCs + v);
       requesting |= bit;
-      const auto want = static_cast<unsigned>(x.want.get());
+      const unsigned want = io.want(i, v);
       for (int d = 0; d < numVCs_; ++d)
         if ((want >> d) & 1u) wants[static_cast<std::size_t>(d)] |= bit;
     }
@@ -512,7 +627,7 @@ void VcOutputChannel::clockEdge() {
     // flits closes wait cycles the escape layer can never break (a Bulk
     // flood confined to one lane by the QoS class map wedges a ring this
     // way).  Keeping the header unallocated keeps its escape bid alive.
-    if (!out_->vcFree[static_cast<std::size_t>(d)].get()) continue;
+    if (((free >> d) & 1u) == 0) continue;
     if (creditMode() && !credits_.available(d)) continue;
     const std::uint32_t candidates =
         wants[static_cast<std::size_t>(d)] & ~consumed;
@@ -525,7 +640,7 @@ void VcOutputChannel::clockEdge() {
     rrNext_[static_cast<std::size_t>(d)] = (slot + 1) % kVcSlots;
     ++grantsIssued;
   }
-  if (metricsAttached_) {
+  if (kMetrics) {
     if (metrics_.grants)
       for (int g = 0; g < grantsIssued; ++g) metrics_.grants->inc();
     if (metrics_.conflictCycles && (requesting & ~consumed) != 0)
@@ -535,6 +650,15 @@ void VcOutputChannel::clockEdge() {
 
 bool VcOutputChannel::describe(sim::Lowering& lw) {
   const int own = index(ownPort_);
+  ArenaCtx proto;
+  proto.self = this;
+  proto.link = vcarena::channelWord(lw, *out_, numVCs_);
+  for (int i = 0; i < kNumPorts; ++i)
+    proto.block[i] =
+        vcarena::portBlock(lw, (*xbar_)[static_cast<std::size_t>(i)], numVCs_);
+  proto.own = static_cast<unsigned>(own);
+  ArenaCtx* ctx = lw.ctx(proto);
+
   std::vector<const sim::WireBase*> grants;
   std::vector<const sim::WireBase*> schedReads;
   std::vector<const sim::WireBase*> schedWrites;
@@ -557,10 +681,32 @@ bool VcOutputChannel::describe(sim::Lowering& lw) {
   schedWrites.push_back(&out_->flit.eop);
   schedWrites.push_back(&out_->vc);
   schedWrites.push_back(&out_->val);
-  lw.phaseOp<&VcOutputChannel::publishGrants>(*this, {}, std::move(grants));
-  lw.phaseOp<&VcOutputChannel::scheduleLink>(*this, std::move(schedReads),
-                                             std::move(schedWrites));
-  lw.edgeCall(*this);
+  lw.op(
+      [](std::uint64_t* w, void* c) {
+        auto* x = static_cast<ArenaCtx*>(c);
+        x->self->publishGrants(ArenaIo{w, x});
+      },
+      ctx, {}, std::move(grants));
+  lw.op(
+      [](std::uint64_t* w, void* c) {
+        auto* x = static_cast<ArenaCtx*>(c);
+        x->self->scheduleLink(ArenaIo{w, x});
+      },
+      ctx, std::move(schedReads), std::move(schedWrites));
+  if (metricsAttached_)
+    lw.edgeOp(
+        [](std::uint64_t* w, void* c) {
+          auto* x = static_cast<ArenaCtx*>(c);
+          x->self->edge<true>(ArenaIo{w, x});
+        },
+        ctx);
+  else
+    lw.edgeOp(
+        [](std::uint64_t* w, void* c) {
+          auto* x = static_cast<ArenaCtx*>(c);
+          x->self->edge<false>(ArenaIo{w, x});
+        },
+        ctx);
   return true;
 }
 

@@ -175,9 +175,9 @@ class VcOutputChannel : public sim::Module {
   /// Enables instrumentation; the metrics must outlive the channel.
   void attachMetrics(const VcOutputChannelMetrics& metrics);
 
-  /// Compiled-kernel lowering: one op per combinational phase (grant
-  /// publish, link schedule), each calling the member function evaluate()
-  /// calls, plus a clockEdge() call.
+  /// Compiled-kernel lowering: one arena op per combinational phase (grant
+  /// publish, link schedule) and an arena edge op, all running the same
+  /// phase bodies evaluate() and clockEdge() run (router/output_channel.cpp).
   bool describe(sim::Lowering& lw) override;
 
  protected:
@@ -186,12 +186,20 @@ class VcOutputChannel : public sim::Module {
   void clockEdge() override;
 
  private:
+  // Signal accessors the phase bodies are written over (output_channel.cpp):
+  // the Wire objects, or the packed arena words.
+  struct WireIo;
+  struct ArenaIo;
+  struct ArenaCtx;
+
   bool creditMode() const {
     return flowControl_ == FlowControl::CreditBased;
   }
   // Downstream VC d is connected, its source has a flit ready, and the
-  // receiver can take it — the link scheduler's candidate predicate.
-  bool schedulable(int d) const;
+  // receiver can take it (`free`: the vcFree levels, bit per VC) — the link
+  // scheduler's candidate predicate.
+  template <class Io>
+  bool schedulable(const Io& io, unsigned free, int d) const;
   // Bitmask over the (input port, input VC) slots, bit inPort * kMaxVCs +
   // inVc, of the inputs holding a downstream VC.
   std::uint32_t connectedSlots() const;
@@ -199,8 +207,13 @@ class VcOutputChannel : public sim::Module {
   // The two combinational phases of evaluate(), each a compiled op.
   // Grant publish: gnt from the registered connection table (reads no
   // wire).  Link schedule: rok/flit/vcFree -> rd and the output link.
-  void publishGrants();
-  void scheduleLink();
+  // Edge: starvation ageing, transfer commit, credit returns, allocation.
+  template <class Io>
+  void publishGrants(const Io& io);
+  template <class Io>
+  void scheduleLink(const Io& io);
+  template <bool kMetrics, class Io>
+  void edge(const Io& io);
 
   // One downstream VC's registered connection (wormhole: held from header
   // grant to tail send).

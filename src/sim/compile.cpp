@@ -19,41 +19,50 @@ void Lowering::beginModule(Module& m) {
 std::uint32_t Lowering::flitWord(const Wire<std::uint32_t>& data,
                                  const Wire<bool>& bop,
                                  const Wire<bool>& eop) {
-  auto it = prog_.bindingIndex_.find(&data);
-  if (it != prog_.bindingIndex_.end()) {
-    const CompiledProgram::Binding& d = prog_.bindings_[it->second];
-    auto bIt = prog_.bindingIndex_.find(&bop);
-    auto eIt = prog_.bindingIndex_.find(&eop);
-    if (d.shift != 0 || bIt == prog_.bindingIndex_.end() ||
-        eIt == prog_.bindingIndex_.end() ||
-        prog_.bindings_[bIt->second].word != d.word ||
-        prog_.bindings_[bIt->second].shift != kFlitBopShift ||
-        prog_.bindings_[eIt->second].word != d.word ||
-        prog_.bindings_[eIt->second].shift != kFlitEopShift)
+  return packedWord({{data, 0}, {bop, kFlitBopShift}, {eop, kFlitEopShift}});
+}
+
+std::optional<std::uint32_t> Lowering::placedWord(const WireBase& w) const {
+  const std::size_t b = prog_.bindingOf(&w);
+  if (b == CompiledProgram::kUnplaced) return std::nullopt;
+  return prog_.bindings_[b].word;
+}
+
+std::uint32_t Lowering::packedWord(std::span<const WordField> fields) {
+  auto& bindings = prog_.bindings_;
+  if (fields.empty())
+    throw std::logic_error("Lowering::packedWord: no fields");
+  const std::size_t first = prog_.bindingOf(fields.front().wire);
+  if (first != CompiledProgram::kUnplaced) {
+    // Placed before: by this same layout, whose bindings were appended
+    // consecutively, so the check is a linear scan.
+    const std::uint32_t word = bindings[first].word;
+    bool same = first + fields.size() <= bindings.size();
+    for (std::size_t k = 0; same && k < fields.size(); ++k) {
+      const CompiledProgram::Binding& b = bindings[first + k];
+      same = b.wire == fields[k].wire && b.word == word &&
+             b.shift == fields[k].shift && b.width == fields[k].width;
+    }
+    if (!same)
       throw std::logic_error(
-          "Lowering::flitWord: trio previously placed with a different "
+          "Lowering::packedWord: wires previously placed with a different "
           "layout");
-    return d.word;
+    return word;
   }
-  if (prog_.bindingIndex_.count(&bop) || prog_.bindingIndex_.count(&eop))
-    throw std::logic_error(
-        "Lowering::flitWord: bop/eop already placed outside a flit word");
   const std::uint32_t word = prog_.newWord();
-  auto place = [&](const WireBase* w, void* value, std::uint8_t shift,
-                   std::uint8_t width, void (*store)(const WireBase*)) {
-    prog_.bindingIndex_.emplace(w, prog_.bindings_.size());
-    prog_.bindings_.push_back({w, value, word, shift, width, store});
-  };
-  place(&data, data.arenaValueSlot(), 0, 32, [](const WireBase* wb) {
-    static_cast<const Wire<std::uint32_t>*>(wb)->syncArena();
-  });
-  auto storeBool = [](const WireBase* wb) {
-    static_cast<const Wire<bool>*>(wb)->syncArena();
-  };
-  place(&bop, bop.arenaValueSlot(), static_cast<std::uint8_t>(kFlitBopShift),
-        1, storeBool);
-  place(&eop, eop.arenaValueSlot(), static_cast<std::uint8_t>(kFlitEopShift),
-        1, storeBool);
+  std::uint64_t used = 0;
+  for (const WordField& f : fields) {
+    const std::uint64_t mask = fieldMask(f.width) << f.shift;
+    if (f.width == 0 || f.width > 32 || f.shift + f.width > 64 ||
+        (used & mask) != 0)
+      throw std::logic_error(
+          "Lowering::packedWord: fields overlap or leave the word");
+    used |= mask;
+    if (prog_.bindingOf(f.wire) != CompiledProgram::kUnplaced)
+      throw std::logic_error(
+          "Lowering::packedWord: wire already placed outside this word");
+    prog_.addBinding({f.wire, f.value, word, f.shift, f.width, f.store});
+  }
   return word;
 }
 
@@ -149,10 +158,7 @@ void CompiledProgram::finalize() {
   // the arena starts coherent; write-through (set/force) and read-through
   // (get) keep the two views coherent from here on.
   for (const Binding& b : bindings_) {
-    const std::uint64_t mask =
-        (b.width == 1 ? std::uint64_t{1} : std::uint64_t{0xffffffff})
-        << b.shift;
-    b.wire->bindArena(&cur_[b.word], b.shift, mask);
+    b.wire->bindArena(&cur_[b.word], b.shift, b.width);
     b.store(b.wire);
   }
 
@@ -236,17 +242,50 @@ void CompiledProgram::buildRuns() {
 void CompiledProgram::scheduleUnits() {
   const std::uint32_t n = static_cast<std::uint32_t>(drafts_.size());
 
-  // Wire -> writer units, then reader edges writer -> reader.
-  std::unordered_map<const WireBase*, std::vector<std::uint32_t>> writers;
-  for (std::uint32_t u = 0; u < n; ++u)
-    for (const WireBase* w : drafts_[u].writes) writers[w].push_back(u);
+  // Wire -> writer units, then reader edges writer -> reader.  The writer
+  // index is a flat open-addressing table over the wire pointers (linear
+  // probing, power-of-two capacity, at most half full) whose slots head
+  // per-wire chains in `chain`: two allocations in all, where a node-based
+  // map spent two per written wire and dominated compile time.
+  constexpr std::uint32_t kEnd = 0xffffffffu;
+  struct WriterSlot {
+    const WireBase* wire = nullptr;
+    std::uint32_t head = kEnd;
+  };
+  struct WriterLink {
+    std::uint32_t unit;
+    std::uint32_t next;
+  };
+  std::size_t totalWrites = 0;
+  for (const UnitDraft& d : drafts_) totalWrites += d.writes.size();
+  unsigned tableBits = 4;
+  while ((std::size_t{1} << tableBits) < 2 * totalWrites) ++tableBits;
+  std::vector<WriterSlot> table(std::size_t{1} << tableBits);
+  std::vector<WriterLink> chain;
+  chain.reserve(totalWrites);
+  const auto slotOf = [&](const WireBase* w) -> WriterSlot& {
+    std::size_t i = static_cast<std::size_t>(
+        (static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(w)) *
+         0x9e3779b97f4a7c15ull) >>
+        (64 - tableBits));
+    while (table[i].wire != nullptr && table[i].wire != w)
+      i = (i + 1) & (table.size() - 1);
+    return table[i];
+  };
+  for (std::uint32_t u = 0; u < n; ++u) {
+    for (const WireBase* w : drafts_[u].writes) {
+      WriterSlot& slot = slotOf(w);
+      slot.wire = w;
+      chain.push_back({u, slot.head});
+      slot.head = static_cast<std::uint32_t>(chain.size() - 1);
+    }
+  }
   std::vector<std::vector<std::uint32_t>> succ(n);
   std::vector<bool> selfLoop(n, false);
   for (std::uint32_t u = 0; u < n; ++u) {
     for (const WireBase* r : drafts_[u].reads) {
-      auto it = writers.find(r);
-      if (it == writers.end()) continue;
-      for (std::uint32_t w : it->second) {
+      for (std::uint32_t k = slotOf(r).head; k != kEnd; k = chain[k].next) {
+        const std::uint32_t w = chain[k].unit;
         if (w == u)
           selfLoop[u] = true;
         else
@@ -348,9 +387,8 @@ void CompiledProgram::scheduleUnits() {
       // Watch the arena words this unit's op writes land in; thunk writes
       // are tracked through SettleContext instead.
       for (const WireBase* w : d.writes) {
-        auto it = bindingIndex_.find(w);
-        if (it != bindingIndex_.end())
-          watchWords_.push_back(bindings_[it->second].word);
+        const std::size_t b = bindingOf(w);
+        if (b != kUnplaced) watchWords_.push_back(bindings_[b].word);
       }
     }
   };
@@ -502,9 +540,9 @@ void CompiledProgram::unbindWires() const {
   // Materialize the final arena value into each wire before detaching:
   // once unbound, get() serves the cached value with no arena to consult.
   for (const Binding& b : bindings_) {
-    const std::uint64_t bits = cur_[b.word] >> b.shift;
+    const std::uint64_t bits = (cur_[b.word] >> b.shift) & fieldMask(b.width);
     if (b.width == 1) {
-      *static_cast<bool*>(b.value) = (bits & 1) != 0;
+      *static_cast<bool*>(b.value) = bits != 0;
     } else {
       const std::uint32_t v = static_cast<std::uint32_t>(bits);
       std::memcpy(b.value, &v, sizeof(v));

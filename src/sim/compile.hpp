@@ -8,7 +8,8 @@
 //  * every wire an op touches is assigned a (word, bit-offset) slice of a
 //    contiguous std::uint64_t arena - bools are 1 bit, 32-bit values are a
 //    32-bit slice, and a flit (data, bop, eop) trio shares one word so flit
-//    moves are single masked word copies;
+//    moves are single masked word copies (describe() may pack any group of
+//    wires into one word at fixed fields the same way, packedWord);
 //  * every module contributes, via Module::describe(), either word-level
 //    ops (plain function pointers over the arena, no virtual dispatch) or a
 //    fallback thunk wrapping its behavioural evaluate() - so migration is
@@ -33,7 +34,10 @@
 #pragma once
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
+#include <optional>
+#include <span>
 #include <stdexcept>
 #include <cstring>
 #include <string>
@@ -109,6 +113,52 @@ inline void opCopyFlit(std::uint64_t* words, std::uint32_t dst,
   words[dst] = (words[dst] & ~kFlitWordMask) | (words[src] & kFlitWordMask);
 }
 
+// Whole-field access to words laid out by Lowering::packedWord: replace the
+// bits under `mask` (`bits` must already sit at their shifts), or copy them
+// from another word.
+inline void opPutBits(std::uint64_t* words, std::uint32_t w,
+                      std::uint64_t mask, std::uint64_t bits) {
+  words[w] = (words[w] & ~mask) | (bits & mask);
+}
+inline void opCopyBits(std::uint64_t* words, std::uint32_t dst,
+                       std::uint32_t src, std::uint64_t mask) {
+  words[dst] = (words[dst] & ~mask) | (words[src] & mask);
+}
+
+// Low `width` bits set (width <= 64).
+constexpr std::uint64_t fieldMask(unsigned width) {
+  return width >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
+}
+
+// One wire's fixed place in a word packed by Lowering::packedWord: `width`
+// bits at `shift` (default: 1 for bools, 32 for integers).  A narrow
+// integer field must be wide enough for every value the wire carries: the
+// arena keeps only the low `width` bits.
+struct WordField {
+  template <typename T>
+  WordField(const Wire<T>& w, unsigned shift,
+            unsigned width = std::is_same_v<T, bool> ? 1u : 32u)
+      : wire(&w),
+        value(w.arenaValueSlot()),
+        store([](const WireBase* wb) {
+          static_cast<const Wire<T>*>(wb)->syncArena();
+        }),
+        shift(static_cast<std::uint8_t>(shift)),
+        width(static_cast<std::uint8_t>(width)) {
+    static_assert(std::is_same_v<T, bool> || sizeof(T) == 4,
+                  "flush tables store raw 4-byte integrals");
+    // Width 1 is how the unbind-time flush recognises a bool slot.
+    if (std::is_same_v<T, bool> != (width == 1))
+      throw std::logic_error("WordField: bools take width 1, integers >= 2");
+  }
+
+  const WireBase* wire;
+  void* value;
+  void (*store)(const WireBase*);
+  std::uint8_t shift;
+  std::uint8_t width;
+};
+
 class CompiledProgram;
 
 // The interface Module::describe() implementations program against.  All
@@ -128,6 +178,21 @@ class Lowering {
   // implementations must route every flit through flitWord().
   std::uint32_t flitWord(const Wire<std::uint32_t>& data,
                          const Wire<bool>& bop, const Wire<bool>& eop);
+
+  // Co-allocates `fields` in one fresh word at their fixed shifts and
+  // returns the word index; unlisted bits stay unbound.  Idempotent per
+  // layout: a later call with the same fields in the same order returns the
+  // same word.  Throws std::logic_error when fields overlap or leave the
+  // word, or when some field wire was placed before by a different layout.
+  std::uint32_t packedWord(std::span<const WordField> fields);
+  std::uint32_t packedWord(std::initializer_list<WordField> fields) {
+    return packedWord(std::span<const WordField>(fields.begin(),
+                                                 fields.size()));
+  }
+
+  // Word index of an already placed wire: lets a helper that always places
+  // a group whole skip rebuilding the group's field list.
+  std::optional<std::uint32_t> placedWord(const WireBase& w) const;
 
   // --- settle-phase units -----------------------------------------------
   //
@@ -266,7 +331,7 @@ class CompiledProgram {
     void* value;                       // Wire<T>::arenaValueSlot()
     std::uint32_t word;
     std::uint8_t shift;
-    std::uint8_t width;                // 1 or 32
+    std::uint8_t width;                // 1..32
     void (*store)(const WireBase*);    // wire -> arena (Wire::syncArena)
   };
 
@@ -338,8 +403,20 @@ class CompiledProgram {
   std::int64_t halfWord_ = -1;
   unsigned halfUsed_ = 0;
 
+  // Every placed wire, in placement order; a wire's index here is its
+  // binding slot (WireBase::bindingSlot).
   std::vector<Binding> bindings_;
-  std::unordered_map<const WireBase*, std::size_t> bindingIndex_;
+  static constexpr std::size_t kUnplaced = ~std::size_t{0};
+  // bindings_ index of `w`, or kUnplaced.
+  std::size_t bindingOf(const WireBase* w) const {
+    const std::uint32_t slot = w->bindingSlot();
+    return slot < bindings_.size() && bindings_[slot].wire == w ? slot
+                                                                : kUnplaced;
+  }
+  void addBinding(const Binding& b) {
+    b.wire->setBindingSlot(static_cast<std::uint32_t>(bindings_.size()));
+    bindings_.push_back(b);
+  }
 
   std::vector<UnitDraft> drafts_;
   std::vector<ExecUnit> units_;
@@ -376,10 +453,9 @@ class CompiledProgram {
 
 template <typename T>
 Slice Lowering::slice(const Wire<T>& w, int width) {
-  auto [it, inserted] =
-      prog_.bindingIndex_.try_emplace(&w, prog_.bindings_.size());
-  if (!inserted) {
-    const CompiledProgram::Binding& b = prog_.bindings_[it->second];
+  const std::size_t placed = prog_.bindingOf(&w);
+  if (placed != CompiledProgram::kUnplaced) {
+    const CompiledProgram::Binding& b = prog_.bindings_[placed];
     if (b.width != width)
       throw std::logic_error("Lowering: wire placed with conflicting widths");
     return {b.word, b.shift};
@@ -403,7 +479,7 @@ Slice Lowering::slice(const Wire<T>& w, int width) {
   }
   static_assert(std::is_same_v<T, bool> || sizeof(T) == 4,
                 "flush tables store raw 4-byte integrals");
-  prog_.bindings_.push_back(
+  prog_.addBinding(
       {&w, w.arenaValueSlot(), word, shift, static_cast<std::uint8_t>(width),
        [](const WireBase* wb) {
          static_cast<const Wire<T>*>(wb)->syncArena();

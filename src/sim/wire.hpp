@@ -74,29 +74,39 @@ class WireBase {
   // backpointer): the CompiledProgram unbinds wires when it is rebuilt or
   // the simulator leaves Kernel::Compiled; a wire destroyed together with
   // its simulator may keep a dangling binding, which is only ever
-  // dereferenced by set()/force() on that wire.
-  void bindArena(std::uint64_t* word, unsigned shift,
-                 std::uint64_t mask) const {
+  // dereferenced by set()/force() on that wire.  The slice is `width` bits
+  // (at most 32) at `shift` of *word.
+  void bindArena(std::uint64_t* word, unsigned shift, unsigned width) const {
     arenaWord_ = word;
     arenaShift_ = static_cast<std::uint8_t>(shift);
-    arenaMask_ = mask;
+    arenaMask_ = width >= 32 ? ~std::uint32_t{0}
+                             : (std::uint32_t{1} << width) - 1;
   }
   void unbindArena() const { arenaWord_ = nullptr; }
   bool arenaBound() const { return arenaWord_ != nullptr; }
 
+  // Index of this wire's binding in the program last placing it: a lookup
+  // hint for the compiler's slice allocator, which confirms it against its
+  // own binding table (a stale hint from an older program simply misses).
+  std::uint32_t bindingSlot() const { return bindingSlot_; }
+  void setBindingSlot(std::uint32_t slot) const { bindingSlot_ = slot; }
+
  protected:
   void storeArenaBits(std::uint64_t bits) const {
-    *arenaWord_ = (*arenaWord_ & ~arenaMask_) |
-                  ((bits << arenaShift_) & arenaMask_);
+    const std::uint64_t mask = std::uint64_t{arenaMask_} << arenaShift_;
+    *arenaWord_ = (*arenaWord_ & ~mask) | ((bits << arenaShift_) & mask);
   }
   std::uint64_t loadArenaBits() const {
-    return (*arenaWord_ & arenaMask_) >> arenaShift_;
+    return (*arenaWord_ >> arenaShift_) & arenaMask_;
   }
 
  private:
-  // Arena slice (null word pointer = unbound).  Mutable: see bindArena().
+  // Arena slice (null word pointer = unbound) and the binding-slot hint.
+  // Mutable: see bindArena().  Packed so a Wire's value still fits the
+  // base's tail padding.
   mutable std::uint64_t* arenaWord_ = nullptr;
-  mutable std::uint64_t arenaMask_ = 0;
+  mutable std::uint32_t arenaMask_ = 0;  // low `width` bits, unshifted
+  mutable std::uint32_t bindingSlot_ = ~std::uint32_t{0};
   mutable std::uint8_t arenaShift_ = 0;
 };
 

@@ -28,8 +28,10 @@
 #include <vector>
 
 #include "noc/network.hpp"
+#include "noc/observe.hpp"
 #include "noc/topology.hpp"
 #include "sim/compile.hpp"
+#include "telemetry/report.hpp"
 
 namespace rasoc::noc {
 namespace {
@@ -69,14 +71,16 @@ std::vector<std::unique_ptr<Network>> makeNets(
   return nets;
 }
 
-// A fault-free VC network must compile to phase ops only, in one linear
-// pass: no behavioural thunk and no iterated segment.
+// A fault-free VC network must compile to ops only, in one linear pass: no
+// behavioural thunk and no iterated segment, with the VC router's nets
+// bound to arena words (its channels and links are word-level ops).
 void expectAcyclicOpsOnly(const Network& compiled) {
   const sim::CompiledProgram* prog = compiled.simulator().compiledProgram();
   ASSERT_NE(prog, nullptr);
   EXPECT_GT(prog->opCount(), 0u);
   EXPECT_EQ(prog->thunkCount(), 0u);
   EXPECT_EQ(prog->iterateSegmentCount(), 0u);
+  EXPECT_GT(prog->wordCount(), 0u);
 }
 
 // Steps every network one cycle at a time and asserts the externally
@@ -334,6 +338,43 @@ TEST(KernelTrichotomyTest, FaultFreeVcNetworksCompileAcyclic) {
   }
 }
 
+TEST(KernelTrichotomyTest, TelemetryEnabledMidRunMatchesAcrossKernels) {
+  // The VC channels' compiled edge ops are chosen by whether metrics are
+  // attached, so attaching them after the first compile must rebuild the
+  // program: a late enableTelemetry() has to count exactly what the naive
+  // kernel counts.
+  const auto topo = makeTopology("mesh", 4, 4);
+  FlowSpec control;
+  control.trafficClass = router::TrafficClass::Control;
+  control.traffic.offeredLoad = 0.05;
+  control.traffic.payloadFlits = 2;
+  control.traffic.seed = 61;
+  FlowSpec bulk;
+  bulk.trafficClass = router::TrafficClass::Bulk;
+  bulk.traffic.offeredLoad = 0.35;
+  bulk.traffic.payloadFlits = 4;
+  bulk.traffic.seed = 62;
+  std::vector<std::string> reports;
+  for (const Simulator::Kernel kernel : kAllKernels) {
+    NetworkConfig cfg = baseConfig(4);
+    cfg.params.qosClasses = true;
+    cfg.kernel = kernel;
+    telemetry::MetricsRegistry registry;
+    Network net(topo, cfg);
+    net.attachTraffic(std::vector<FlowSpec>{control, bulk});
+    net.run(50);
+    net.enableTelemetry(registry);
+    net.run(400);
+    EXPECT_GT(registry.counterValue(routerMetricPrefix(topo->nodeAt(5)) +
+                                    ".flits_routed"),
+              0u);
+    telemetry::RunReport report("late_telemetry");
+    report.attachRegistry(registry);
+    reports.push_back(report.toJson());
+  }
+  EXPECT_EQ(reports[0], reports[1]);
+}
+
 // --- naive-vs-compiled equivalence -----------------------------------------
 
 TEST(KernelEquivalenceTest, EightByEightUniformRandomMultipleSeeds) {
@@ -437,11 +478,9 @@ TEST(KernelEquivalenceTest, DrainAgreesOnCompletionCycle) {
 
 // --- fault-campaign agreement ----------------------------------------------
 
-TEST(KernelTrichotomyTest, FaultCampaignLockstepCompiledVsNaive) {
-  // Under a fault campaign every link is a FaultyLink, so the compiled
-  // program is mostly behavioural thunks handshaking with lowered channel
-  // ops - the configuration that exercises iterated (cyclic) segments and
-  // the thunk pre-flush path hardest.
+// A fault campaign (background corruption plus stall and outage windows)
+// on a 4x4 mesh, stepped in lockstep under both kernels.
+void runFaultCampaignLockstep(int numVCs, router::FlowControl flow) {
   const auto topo = makeTopology("mesh", 4, 4);
   CampaignConfig campaign;
   campaign.horizon = 1500;
@@ -461,7 +500,7 @@ TEST(KernelTrichotomyTest, FaultCampaignLockstepCompiledVsNaive) {
   reliability.nackMinInterval = 16;
   std::vector<std::unique_ptr<Network>> nets;
   for (const Simulator::Kernel kernel : kAllKernels) {
-    NetworkConfig cfg = baseConfig();
+    NetworkConfig cfg = baseConfig(numVCs, flow);
     cfg.kernel = kernel;
     cfg.reliability = reliability;
     cfg.faultPlan = makeFaultPlan(*topo, campaign);
@@ -501,6 +540,27 @@ TEST(KernelTrichotomyTest, FaultCampaignLockstepCompiledVsNaive) {
   const sim::CompiledProgram* prog = compiled.simulator().compiledProgram();
   ASSERT_NE(prog, nullptr);
   EXPECT_GT(prog->iterateSegmentCount(), 0u);
+}
+
+TEST(KernelTrichotomyTest, FaultCampaignLockstepCompiledVsNaive) {
+  // Under a fault campaign every link is a FaultyLink, so the compiled
+  // program is mostly behavioural thunks handshaking with lowered channel
+  // ops - the configuration that exercises iterated (cyclic) segments and
+  // the thunk pre-flush path hardest.
+  runFaultCampaignLockstep(1, router::FlowControl::Handshake);
+}
+
+TEST(KernelTrichotomyTest, FaultCampaignLockstepCompiledVsNaiveAtFourVCs) {
+  // At VC > 1 the thunked FaultyLinks read and drive the packed channel
+  // words of arena-bound VC channels: their reads refresh through
+  // Wire::get, their writes land through Wire::set, and the iterated
+  // segments they close with the channel ops watch whole arena words.
+  for (const router::FlowControl flow :
+       {router::FlowControl::Handshake, router::FlowControl::CreditBased}) {
+    SCOPED_TRACE(flow == router::FlowControl::CreditBased ? "credit"
+                                                          : "on/off");
+    runFaultCampaignLockstep(4, flow);
+  }
 }
 
 // --- drain agreement -------------------------------------------------------
