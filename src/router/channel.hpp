@@ -6,6 +6,7 @@
 
 #include "sim/wire.hpp"
 
+#include "router/flit.hpp"
 #include "router/params.hpp"
 
 namespace rasoc::router {
@@ -16,6 +17,20 @@ struct FlitWires {
   sim::Wire<bool> bop;
   sim::Wire<bool> eop;
 };
+
+// The flit on a FlitWires bundle (vc stays 0), and driving one onto it.
+inline Flit readFlit(const FlitWires& w) {
+  Flit f;
+  f.data = w.data.get();
+  f.bop = w.bop.get();
+  f.eop = w.eop.get();
+  return f;
+}
+inline void driveFlit(FlitWires& w, const Flit& f) {
+  w.data.set(f.data);
+  w.bop.set(f.bop);
+  w.eop.set(f.eop);
+}
 
 // One unidirectional channel (paper Figure 3): n data bits, bop/eop framing
 // and the val/ack handshake pair.  `ack` travels against the data flow.
@@ -71,5 +86,20 @@ struct CrossbarWires {
   std::array<sim::Wire<bool>, kNumPorts> gnt;
   std::array<sim::Wire<bool>, kNumPorts> rd;
 };
+
+// Single-VC crossbar, one bundle per input port: the mask of inputs (bit
+// i) whose req line to output `own` is raised, and driving output `own`'s
+// rd line of every input.
+inline unsigned requestMask(const std::array<CrossbarWires, kNumPorts>& xbar,
+                            Port own) {
+  unsigned m = 0;
+  for (int i = 0; i < kNumPorts; ++i)
+    if (xbar[static_cast<std::size_t>(i)].req[index(own)].get()) m |= 1u << i;
+  return m;
+}
+inline void driveReads(std::array<CrossbarWires, kNumPorts>& xbar, Port own,
+                       bool v) {
+  for (CrossbarWires& in : xbar) in.rd[index(own)].set(v);
+}
 
 }  // namespace rasoc::router

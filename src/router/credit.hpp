@@ -45,31 +45,38 @@ class CreditOfc : public sim::Module {
 
   int credits() const { return credits_; }
 
-  // The exact clockEdge() body with the wire values passed in: the
-  // compiled kernel's fused edge op (router/output_channel.cpp) reads
-  // rokSel and the credit-return line from the state arena and steps the
-  // counter through here.
-  void creditEdge(bool rokSel, bool creditReturn) {
-    const bool sent = rokSel && credits_ > 0;
-    credits_ += (creditReturn ? 1 : 0) - (sent ? 1 : 0);
+  // The combinational body and the clock edge, written over a signal
+  // accessor: WireIo below (evaluate() / clockEdge()) or the output
+  // channel's arena accessor (its compiled ops).  putReads drives this
+  // output's rd line of every input.
+  template <class Io>
+  void send(const Io& io) const {
+    const bool go = io.rokSel() && credits_ > 0;
+    io.putOutVal(go);
+    io.putXRd(go);
+    io.putReads(go);
+  }
+  template <class Io>
+  void edge(const Io& io) {
+    const bool sent = io.rokSel() && credits_ > 0;
+    credits_ += (io.outAck() ? 1 : 0) - (sent ? 1 : 0);
   }
 
  protected:
   void onReset() override { credits_ = initialCredits_; }
-
-  void evaluate() override {
-    const bool send = rokSel_->get() && credits_ > 0;
-    outVal_->set(send);
-    xRd_->set(send);
-    const int own = index(ownPort_);
-    for (auto& in : *xbar_) in.rd[own].set(send);
-  }
-
-  void clockEdge() override {
-    creditEdge(rokSel_->get(), creditReturn_->get());
-  }
+  void evaluate() override { send(WireIo{*this}); }
+  void clockEdge() override { edge(WireIo{*this}); }
 
  private:
+  struct WireIo {
+    const CreditOfc& b;
+    bool rokSel() const { return b.rokSel_->get(); }
+    bool outAck() const { return b.creditReturn_->get(); }
+    void putOutVal(bool v) const { b.outVal_->set(v); }
+    void putXRd(bool v) const { b.xRd_->set(v); }
+    void putReads(bool v) const { driveReads(*b.xbar_, b.ownPort_, v); }
+  };
+
   Port ownPort_;
   int initialCredits_;
   int credits_ = 0;
@@ -113,10 +120,23 @@ class CreditReturnTap : public sim::Module {
     sensitive(rok);
   }
 
+  // The combinational body over a signal accessor (see CreditOfc::send).
+  template <class Io>
+  void pulse(const Io& io) const {
+    io.putInAck(io.rd() && io.rok());
+  }
+
  protected:
-  void evaluate() override { creditOut_->set(rd_->get() && rok_->get()); }
+  void evaluate() override { pulse(WireIo{*this}); }
 
  private:
+  struct WireIo {
+    const CreditReturnTap& b;
+    bool rd() const { return b.rd_->get(); }
+    bool rok() const { return b.rok_->get(); }
+    void putInAck(bool v) const { b.creditOut_->set(v); }
+  };
+
   const sim::Wire<bool>* rd_;
   const sim::Wire<bool>* rok_;
   sim::Wire<bool>* creditOut_;

@@ -40,6 +40,7 @@ void FaultyLink::setWindows(std::vector<FaultWindow> windows) {
 }
 
 void FaultyLink::onReset() {
+  Link::onReset();
   rng_ = sim::Xoshiro256(seed_);
   flitsCorrupted_ = 0;
   flitsDropped_ = 0;

@@ -16,24 +16,6 @@ InputBuffer::InputBuffer(std::string name, const RouterParams& params,
       wok_(&wok),
       rok_(&rok) {}
 
-void InputBuffer::evaluate() {
-  wok_->set(!full());
-  rok_->set(!empty());
-  const Flit h = empty() ? Flit{} : head();
-  dout_->data.set(h.data);
-  dout_->bop.set(h.bop);
-  dout_->eop.set(h.eop);
-}
-
-void InputBuffer::clockEdge() {
-  // A simultaneous read frees the slot the write needs, so write-while-full
-  // is legal exactly when a read drains this edge (as on real FIFOs);
-  // commitEdge carries that rule for both the behavioural and compiled
-  // kernels.
-  commitEdge(wr_->get(), rd_->get(), din_->data.get(), din_->bop.get(),
-             din_->eop.get());
-}
-
 std::unique_ptr<InputBuffer> InputBuffer::create(
     std::string name, const RouterParams& params, const FlitWires& din,
     const sim::Wire<bool>& wr, const sim::Wire<bool>& rd, FlitWires& dout,

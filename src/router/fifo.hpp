@@ -40,37 +40,38 @@ class InputBuffer : public sim::Module {
 
   ~InputBuffer() override = default;
 
-  virtual int occupancy() const = 0;
+  int occupancy() const { return count_; }
   int depth() const { return depth_; }
-  bool full() const { return occupancy() >= depth_; }
-  bool empty() const { return occupancy() == 0; }
+  bool full() const { return count_ >= depth_; }
+  bool empty() const { return count_ == 0; }
 
   // Sticky flag: a write arrived while the buffer was full (protocol
   // violation under credit-based flow control; impossible under handshake).
   bool overflowDetected() const { return overflow_; }
 
-  // Raw view of the backing store for the compiled kernel's fused publish
-  // op (router/input_channel.cpp).  The head flit is slots[*rptr] when
-  // rptr is non-null (ring buffer), slots[*count - 1] otherwise (shift
-  // register).  Pointers are valid until the next onReset(), which may
-  // reallocate the store - the simulator recompiles after reset, so a
-  // program never outlives its view.
-  struct CompiledView {
-    const Flit* slots = nullptr;
-    const int* count = nullptr;
-    const int* rptr = nullptr;
-  };
-  virtual CompiledView compiledView() const = 0;
+  // The combinational body and the clock edge, written over a signal
+  // accessor: WireIo below (evaluate() / clockEdge()) or the input
+  // channel's arena accessor (its compiled ops).
+  template <class Io>
+  void publish(const Io& io) const {
+    io.putWok(!full());
+    io.putRok(!empty());
+    io.putDout(empty() ? Flit{} : head());
+  }
 
-  // The exact clockEdge() body with the wire values passed in: the
-  // compiled kernel's fused edge op reads wr/rd/din from the state arena
-  // and commits through here.
-  void commitEdge(bool wr, bool rd, std::uint32_t data, bool bop, bool eop) {
-    const bool doRead = rd && !empty();
+  // A simultaneous read frees the slot the write needs, so write-while-full
+  // is legal exactly when a read drains this edge (as on real FIFOs).
+  template <class Io>
+  void edge(const Io& io) {
+    const bool wr = io.wr();
+    const bool doRead = io.rd() && !empty();
     const bool doWrite = wr && (!full() || doRead);
     if (wr && full() && !doRead) overflow_ = true;
     Flit incoming;
-    if (doWrite) incoming = {data & mask_, bop, eop};
+    if (doWrite) {
+      incoming = io.inFlit();
+      incoming.data &= mask_;
+    }
     commit(doWrite ? &incoming : nullptr, doRead);
   }
 
@@ -81,8 +82,8 @@ class InputBuffer : public sim::Module {
       sim::Wire<bool>& wok, sim::Wire<bool>& rok);
 
  protected:
-  void evaluate() override;
-  void clockEdge() override;
+  void evaluate() override { publish(WireIo{*this}); }
+  void clockEdge() override { edge(WireIo{*this}); }
 
   // Oldest stored flit; only meaningful when !empty().
   virtual Flit head() const = 0;
@@ -92,8 +93,19 @@ class InputBuffer : public sim::Module {
 
   std::uint32_t mask_;
   int depth_;
+  int count_ = 0;
 
  private:
+  struct WireIo {
+    const InputBuffer& b;
+    bool wr() const { return b.wr_->get(); }
+    bool rd() const { return b.rd_->get(); }
+    Flit inFlit() const { return readFlit(*b.din_); }
+    void putWok(bool v) const { b.wok_->set(v); }
+    void putRok(bool v) const { b.rok_->set(v); }
+    void putDout(const Flit& f) const { driveFlit(*b.dout_, f); }
+  };
+
   const FlitWires* din_;
   const sim::Wire<bool>* wr_;
   const sim::Wire<bool>* rd_;
@@ -108,11 +120,6 @@ class FfFifo final : public InputBuffer {
  public:
   using InputBuffer::InputBuffer;
 
-  int occupancy() const override { return count_; }
-  CompiledView compiledView() const override {
-    return {stages_.data(), &count_, nullptr};
-  }
-
  protected:
   void onReset() override;
   Flit head() const override;
@@ -120,18 +127,12 @@ class FfFifo final : public InputBuffer {
 
  private:
   std::vector<Flit> stages_;  // stage 0 = newest
-  int count_ = 0;
 };
 
 // Ring-buffer FIFO mapped onto embedded memory.
 class EabFifo final : public InputBuffer {
  public:
   using InputBuffer::InputBuffer;
-
-  int occupancy() const override { return count_; }
-  CompiledView compiledView() const override {
-    return {mem_.data(), &count_, &rptr_};
-  }
 
  protected:
   void onReset() override;
@@ -142,7 +143,6 @@ class EabFifo final : public InputBuffer {
   std::vector<Flit> mem_;
   int rptr_ = 0;
   int wptr_ = 0;
-  int count_ = 0;
 };
 
 }  // namespace rasoc::router

@@ -59,32 +59,4 @@ void InputController::onReset() {
   misroute_ = false;
 }
 
-void InputController::evaluate() {
-  const std::uint32_t data = ibDout_->data.get();
-  const bool bop = ibDout_->bop.get();
-  const bool eop = ibDout_->eop.get();
-  const bool headerVisible = rok_->get() && bop;
-
-  Port target = Port::Local;
-  std::uint32_t forwarded = data;
-  if (headerVisible) {
-    const Rib rib = decodeRib(data, m_);
-    target = route(routing_, rib);
-    // Update the header for the hop being taken before it leaves.
-    forwarded = updateHeader(data, consumeHop(rib, target), m_) & mask_;
-    if (target == ownPort_) misroute_ = true;
-  }
-
-  for (Port o : kAllPorts)
-    xbar_->req[index(o)].set(headerVisible && o == target);
-
-  xbar_->flit.data.set(forwarded);
-  xbar_->flit.bop.set(bop);
-  xbar_->flit.eop.set(eop);
-  xbar_->rok.set(rok_->get());
-
-  requesting_ = headerVisible;
-  target_ = target;
-}
-
 }  // namespace rasoc::router

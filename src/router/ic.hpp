@@ -85,23 +85,48 @@ class InputController : public sim::Module {
   Port requestedTarget() const { return target_; }
   bool misrouteDetected() const { return misroute_; }
 
-  // Compiled-kernel hooks (router/input_channel.cpp): the fused routing op
-  // reproduces evaluate() over the arena, so it needs the routing
-  // parameters and a way to keep the observability state current.
-  int ribBits() const { return m_; }
-  std::uint32_t dataMaskValue() const { return mask_; }
-  RoutingAlgorithm routingAlgorithm() const { return routing_; }
-  void noteDecision(bool requesting, Port target) {
-    requesting_ = requesting;
+  // The combinational body, written over a signal accessor: WireIo below
+  // (evaluate()) or the input channel's arena accessor (its compiled ops).
+  // putXbar drives x_rok, the request lines (a port mask) and x_dout.
+  template <class Io>
+  void route(const Io& io) {
+    const Flit head = io.dout();
+    const bool rok = io.rok();
+    const bool headerVisible = rok && head.bop;
+
+    Port target = Port::Local;
+    Flit forwarded = head;
+    if (headerVisible) {
+      const Rib rib = decodeRib(head.data, m_);
+      target = router::route(routing_, rib);
+      // Update the header for the hop being taken before it leaves.
+      forwarded.data =
+          updateHeader(head.data, consumeHop(rib, target), m_) & mask_;
+      if (target == ownPort_) misroute_ = true;
+    }
+    io.putXbar(rok, headerVisible ? 1u << index(target) : 0u, forwarded);
+
+    requesting_ = headerVisible;
     target_ = target;
-    if (requesting && target == ownPort_) misroute_ = true;
   }
 
  protected:
   void onReset() override;
-  void evaluate() override;
+  void evaluate() override { route(WireIo{*this}); }
 
  private:
+  struct WireIo {
+    const InputController& b;
+    Flit dout() const { return readFlit(*b.ibDout_); }
+    bool rok() const { return b.rok_->get(); }
+    void putXbar(bool rok, unsigned req, const Flit& f) const {
+      for (int o = 0; o < kNumPorts; ++o)
+        b.xbar_->req[static_cast<std::size_t>(o)].set(((req >> o) & 1u) != 0);
+      driveFlit(b.xbar_->flit, f);
+      b.xbar_->rok.set(rok);
+    }
+  };
+
   int m_;
   std::uint32_t mask_;
   RoutingAlgorithm routing_ = RoutingAlgorithm::XY;

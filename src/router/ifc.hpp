@@ -33,19 +33,34 @@ class Ifc : public sim::Module {
     if (mode_ == FlowControl::Handshake) sensitive(wok);
   }
 
- protected:
-  void evaluate() override {
+  // The combinational body, written over a signal accessor: WireIo below
+  // (evaluate()) or the input channel's arena accessor (its compiled ops).
+  template <class Io>
+  void flow(const Io& io) const {
     if (mode_ == FlowControl::Handshake) {
-      const bool accept = inVal_->get() && wok_->get();
-      if (inAck_ != nullptr) inAck_->set(accept);
-      wr_->set(accept);
+      const bool accept = io.inVal() && io.wok();
+      io.putInAck(accept);
+      io.putWr(accept);
     } else {
       // Credit-based: space is guaranteed by the sender's credit counter.
-      wr_->set(inVal_->get());
+      io.putWr(io.inVal());
     }
   }
 
+ protected:
+  void evaluate() override { flow(WireIo{*this}); }
+
  private:
+  struct WireIo {
+    const Ifc& b;
+    bool inVal() const { return b.inVal_->get(); }
+    bool wok() const { return b.wok_->get(); }
+    void putInAck(bool v) const {
+      if (b.inAck_ != nullptr) b.inAck_->set(v);
+    }
+    void putWr(bool v) const { b.wr_->set(v); }
+  };
+
   FlowControl mode_;
   const sim::Wire<bool>* inVal_;
   const sim::Wire<bool>* wok_;

@@ -61,249 +61,184 @@ void InputChannel::attachMetrics(const InputChannelMetrics& metrics) {
   noteDescribeChanged();
 }
 
-void InputChannel::clockEdge() {
-  if (wr_.get() && !ib_->full()) ++flitsAccepted_;
-  if (!metricsAttached_) return;
-  if (metrics_.flitsAccepted && wr_.get() && !ib_->full())
-    metrics_.flitsAccepted->inc();
-  if (metrics_.fullCycles && ib_->full()) metrics_.fullCycles->inc();
-  if (metrics_.stallCycles && rok_.get() && !rd_.get())
-    metrics_.stallCycles->inc();
-  if (metrics_.occupancy)
-    metrics_.occupancy->observe(static_cast<double>(ib_->occupancy()));
+void InputChannel::onReset() { flitsAccepted_ = 0; }
+
+template <bool kMetrics, class Io>
+void InputChannel::edge(const Io& io) {
+  const bool accepted = io.wr() && !ib_->full();
+  if (accepted) ++flitsAccepted_;
+  if constexpr (kMetrics) {
+    if (metrics_.flitsAccepted && accepted) metrics_.flitsAccepted->inc();
+    if (metrics_.fullCycles && ib_->full()) metrics_.fullCycles->inc();
+    if (metrics_.stallCycles && io.rok() && !io.rd())
+      metrics_.stallCycles->inc();
+    if (metrics_.occupancy)
+      metrics_.occupancy->observe(static_cast<double>(ib_->occupancy()));
+  }
 }
 
 // --- compiled-kernel lowering ------------------------------------------
 //
-// The whole IFC + IB + IC + IRS (+ credit tap) subtree lowers to three
-// combinational arena ops plus one edge op:
+// The IFC + IB + IC + IRS (+ credit tap) subtree lowers to three arena ops
+// plus one edge op, each calling the blocks' own bodies through ArenaIo:
 //
-//   publish  - IB evaluate() (wok/rok/dout from registered FIFO state) fused
-//              with the IC routing function (x_dout/x_rok/x_req).  Reads
-//              nothing combinational, so it levelizes to the front.
+//   publish  - IB publish (wok/rok/dout from registered FIFO state), then
+//              IC routing (x_dout/x_rok/x_req).  Reads nothing
+//              combinational, so it levelizes to the front.
 //   flowCtl  - the IFC: wr (and, under handshake, in_ack) from in_val/wok.
 //   readSw   - the IRS OR-reduce of gnt&rd (plus, under credit flow
 //              control, the credit-return pulse on in_ack).  Kept separate
 //              from flowCtl: fusing them would tie the in_ack driver to the
 //              gnt/rd readers and manufacture a false combinational cycle
 //              through the neighbouring router's ack chain.
-//   edge     - flit-accept counting plus the FIFO commit, reading wr/rd/din
-//              from the settled arena exactly as clockEdge() reads wires.
+//   edge     - the channel's accounting, then the IB commit: the
+//              clockEdgeAll() order, so accounting sees pre-commit state.
 
-// Each op carries exactly the slices it touches: op contexts are the
-// interpreter's dominant memory traffic, so smaller structs mean fewer
-// cache lines streamed per simulated cycle.
+struct InputChannel::WireIo {
+  const InputChannel& ch;
 
-namespace {
-
-struct InChanPublishCtx {
-  // FIFO view (registered state, read directly).
-  const Flit* slots = nullptr;
-  const int* count = nullptr;
-  const int* rptr = nullptr;  // null: shift register, head = slots[count-1]
-  int depth = 0;
-  // Routing parameters and observability sink.
-  int m = 0;
-  std::uint32_t mask = 0;
-  RoutingAlgorithm routing = RoutingAlgorithm::XY;
-  InputController* ic = nullptr;
-  sim::Slice wok, rok, xrok;
-  std::uint32_t doutWord = 0, xbarWord = 0;
-  sim::Slice req[kNumPorts];
+  bool wr() const { return ch.wr_.get(); }
+  bool rok() const { return ch.rok_.get(); }
+  bool rd() const { return ch.rd_.get(); }
 };
 
-struct InChanFlowHsCtx {
-  sim::Slice inVal, wok, inAck, wr;
+struct InputChannel::ArenaCtx {
+  InputChannel* self = nullptr;
+  std::uint32_t link = 0;   // channel word of the input link
+  std::uint32_t block = 0;  // port block: control word, then the bundle
+  std::uint32_t nets = 0;   // the nets between the blocks
 };
 
-struct InChanFlowCrCtx {
-  sim::Slice inVal, wr;
-};
+// Every signal the channel's blocks read or drive, over the packed words.
+struct InputChannel::ArenaIo {
+  std::uint64_t* w;
+  const ArenaCtx* c;
 
-struct InChanRsCtx {
-  sim::Slice gnt[kNumPorts], rdIn[kNumPorts];
-  sim::Slice rd;
-};
-
-struct InChanRsCrCtx {
-  InChanRsCtx rs;
-  sim::Slice rok, inAck;
-};
-
-struct InChanCommitCtx {
-  InputBuffer* ib = nullptr;
-  sim::Slice wr, rd;
-  std::uint32_t inWord = 0;
-};
-
-struct InChanEdgeCtx {
-  InChanCommitCtx commit;
-  const int* count = nullptr;
-  int depth = 0;
-  std::uint64_t* flitsAccepted = nullptr;
-};
-
-// IB publish + IC routing (ic.cpp InputController::evaluate over the
-// arena, with the buffer head read straight from the FIFO store).
-void inChanPublish(std::uint64_t* w, void* vctx) {
-  auto* c = static_cast<InChanPublishCtx*>(vctx);
-  const int count = *c->count;
-  const bool empty = count == 0;
-  sim::opPutBit(w, c->wok, count < c->depth);
-  sim::opPutBit(w, c->rok, !empty);
-  Flit h;
-  if (!empty) h = c->rptr ? c->slots[*c->rptr] : c->slots[count - 1];
-  sim::opPutFlit(w, c->doutWord, h.data, h.bop, h.eop);
-
-  const bool headerVisible = !empty && h.bop;
-  Port target = Port::Local;
-  std::uint32_t forwarded = h.data;
-  if (headerVisible) {
-    const Rib rib = decodeRib(h.data, c->m);
-    target = route(c->routing, rib);
-    forwarded = updateHeader(h.data, consumeHop(rib, target), c->m) & c->mask;
+  // The input link.
+  bool inVal() const { return vcarena::bitAt(w, c->link, vcarena::kVal); }
+  Flit inFlit() const { return vcarena::bitsFlit(w[c->link]); }
+  void putInAck(bool v) const {
+    vcarena::putBitAt(w, c->link, vcarena::kAck, v);
   }
-  for (int o = 0; o < kNumPorts; ++o)
-    sim::opPutBit(w, c->req[o], headerVisible && o == index(target));
-  sim::opPutFlit(w, c->xbarWord, forwarded, h.bop, h.eop);
-  sim::opPutBit(w, c->xrok, !empty);
-  c->ic->noteDecision(headerVisible, target);
-}
+  // The crossbar: grant and read strobes as port masks, and the bundle.
+  unsigned grants() const { return strobes(0); }
+  unsigned reads() const { return strobes(vcarena::kRd); }
+  void putXbar(bool rok, unsigned req, const Flit& f) const {
+    sim::opPutBits(w, c->block + 1, sim::fieldMask(vcarena::kWant),
+                   vcarena::flitBits(f) |
+                       (std::uint64_t{rok} << vcarena::kRok) |
+                       (std::uint64_t{req} << vcarena::kReq));
+  }
+  // The nets between the blocks.
+  bool wok() const { return net(vcarena::kWok); }
+  bool rok() const { return net(vcarena::kRokNet); }
+  bool wr() const { return net(vcarena::kWr); }
+  bool rd() const { return net(vcarena::kRdNet); }
+  Flit dout() const { return vcarena::bitsFlit(w[c->nets]); }
+  void putWok(bool v) const { putNet(vcarena::kWok, v); }
+  void putRok(bool v) const { putNet(vcarena::kRokNet, v); }
+  void putWr(bool v) const { putNet(vcarena::kWr, v); }
+  void putRd(bool v) const { putNet(vcarena::kRdNet, v); }
+  void putDout(const Flit& f) const {
+    sim::opPutBits(w, c->nets, vcarena::kFlitMask, vcarena::flitBits(f));
+  }
 
-// IFC, handshake mode: accept when offered and space is available.
-void inChanFlowHandshake(std::uint64_t* w, void* vctx) {
-  auto* c = static_cast<InChanFlowHsCtx*>(vctx);
-  const bool accept = sim::opBit(w, c->inVal) && sim::opBit(w, c->wok);
-  sim::opPutBit(w, c->inAck, accept);
-  sim::opPutBit(w, c->wr, accept);
-}
+ private:
+  unsigned strobes(unsigned shift) const {
+    return static_cast<unsigned>(w[c->block] >> shift) & vcarena::kPortMask;
+  }
+  bool net(unsigned shift) const { return vcarena::bitAt(w, c->nets, shift); }
+  void putNet(unsigned shift, bool v) const {
+    vcarena::putBitAt(w, c->nets, shift, v);
+  }
+};
 
-// IFC, credit mode: space is guaranteed by the sender's credit counter.
-void inChanFlowCredit(std::uint64_t* w, void* vctx) {
-  auto* c = static_cast<InChanFlowCrCtx*>(vctx);
-  sim::opPutBit(w, c->wr, sim::opBit(w, c->inVal));
+void InputChannel::clockEdge() {
+  if (metricsAttached_)
+    edge<true>(WireIo{*this});
+  else
+    edge<false>(WireIo{*this});
 }
-
-inline bool irsRead(const std::uint64_t* w, const InChanRsCtx* c) {
-  bool read = false;
-  for (int o = 0; o < kNumPorts; ++o)
-    read = read || (sim::opBit(w, c->gnt[o]) && sim::opBit(w, c->rdIn[o]));
-  return read;
-}
-
-// IRS: connect the granted output's read command to the buffer.
-void inChanReadSwitch(std::uint64_t* w, void* vctx) {
-  auto* c = static_cast<InChanRsCtx*>(vctx);
-  sim::opPutBit(w, c->rd, irsRead(w, c));
-}
-
-// IRS + credit-return tap: the ack wire pulses when a flit leaves.
-void inChanReadSwitchCredit(std::uint64_t* w, void* vctx) {
-  auto* c = static_cast<InChanRsCrCtx*>(vctx);
-  const bool read = irsRead(w, &c->rs);
-  sim::opPutBit(w, c->rs.rd, read);
-  sim::opPutBit(w, c->inAck, read && sim::opBit(w, c->rok));
-}
-
-// FIFO commit only (the metrics path lets clockEdge() do the accounting).
-void inChanCommit(std::uint64_t* w, void* vctx) {
-  auto* c = static_cast<InChanCommitCtx*>(vctx);
-  c->ib->commitEdge(sim::opBit(w, c->wr), sim::opBit(w, c->rd),
-                    sim::opFlitData(w, c->inWord),
-                    sim::opFlitBop(w, c->inWord),
-                    sim::opFlitEop(w, c->inWord));
-}
-
-// Accept counting + FIFO commit, in clockEdgeAll() order (channel before
-// buffer child, so the occupancy test sees pre-commit state).
-void inChanEdge(std::uint64_t* w, void* vctx) {
-  auto* c = static_cast<InChanEdgeCtx*>(vctx);
-  if (sim::opBit(w, c->commit.wr) && *c->count < c->depth)
-    ++*c->flitsAccepted;
-  inChanCommit(w, &c->commit);
-}
-
-}  // namespace
 
 bool InputChannel::describe(sim::Lowering& lw) {
-  const InputBuffer::CompiledView view = ib_->compiledView();
-
-  InChanPublishCtx pub;
-  pub.slots = view.slots;
-  pub.count = view.count;
-  pub.rptr = view.rptr;
-  pub.depth = ib_->depth();
-  pub.m = ic_.ribBits();
-  pub.mask = ic_.dataMaskValue();
-  pub.routing = ic_.routingAlgorithm();
-  pub.ic = &ic_;
-  pub.wok = lw.bit(wok_);
-  pub.rok = lw.bit(rok_);
-  pub.xrok = lw.bit(xbar_->rok);
-  pub.doutWord = lw.flitWord(ibDout_.data, ibDout_.bop, ibDout_.eop);
-  pub.xbarWord = lw.flitWord(xbar_->flit.data, xbar_->flit.bop,
-                             xbar_->flit.eop);
-  for (int o = 0; o < kNumPorts; ++o) pub.req[o] = lw.bit(xbar_->req[o]);
+  ArenaCtx proto;
+  proto.self = this;
+  proto.link = vcarena::channelWord(lw, *in_, 1);
+  proto.block = vcarena::portBlock(lw, {xbar_, 1});
+  proto.nets = lw.packedWord({{ibDout_.data, 0},
+                              {ibDout_.bop, vcarena::kBop},
+                              {ibDout_.eop, vcarena::kEop},
+                              {wok_, vcarena::kWok},
+                              {rok_, vcarena::kRokNet},
+                              {wr_, vcarena::kWr},
+                              {rd_, vcarena::kRdNet}});
+  ArenaCtx* ctx = lw.ctx(proto);
 
   std::vector<const sim::WireBase*> pubWrites = {
       &wok_,          &rok_,          &ibDout_.data,      &ibDout_.bop,
       &ibDout_.eop,   &xbar_->rok,    &xbar_->flit.data,  &xbar_->flit.bop,
       &xbar_->flit.eop};
-  for (int o = 0; o < kNumPorts; ++o) pubWrites.push_back(&xbar_->req[o]);
-  lw.op(&inChanPublish, lw.ctx(pub), {}, std::move(pubWrites));
+  for (const auto& req : xbar_->req) pubWrites.push_back(&req);
+  lw.op(
+      [](std::uint64_t* w, void* c) {
+        auto* x = static_cast<ArenaCtx*>(c);
+        const ArenaIo io{w, x};
+        x->self->ib_->publish(io);
+        x->self->ic_.route(io);
+      },
+      ctx, {}, std::move(pubWrites));
 
-  InChanRsCtx rs;
+  const bool credit = creditTap_ != nullptr;
+  std::vector<const sim::WireBase*> flowReads = {&in_->val};
+  std::vector<const sim::WireBase*> flowWrites = {&wr_};
+  if (!credit) {
+    flowReads.push_back(&wok_);
+    flowWrites.push_back(&in_->ack);
+  }
+  lw.op(
+      [](std::uint64_t* w, void* c) {
+        auto* x = static_cast<ArenaCtx*>(c);
+        x->self->ifc_.flow(ArenaIo{w, x});
+      },
+      ctx, std::move(flowReads), std::move(flowWrites));
+
+  std::vector<const sim::WireBase*> rsReads;
   for (int o = 0; o < kNumPorts; ++o) {
-    rs.gnt[o] = lw.bit(xbar_->gnt[o]);
-    rs.rdIn[o] = lw.bit(xbar_->rd[o]);
+    rsReads.push_back(&xbar_->gnt[static_cast<std::size_t>(o)]);
+    rsReads.push_back(&xbar_->rd[static_cast<std::size_t>(o)]);
   }
-  rs.rd = lw.bit(rd_);
+  std::vector<const sim::WireBase*> rsWrites = {&rd_};
+  if (credit) {
+    rsReads.push_back(&rok_);
+    rsWrites.push_back(&in_->ack);
+  }
+  lw.op(
+      [](std::uint64_t* w, void* c) {
+        auto* x = static_cast<ArenaCtx*>(c);
+        const ArenaIo io{w, x};
+        x->self->irs_.select(io);
+        if (x->self->creditTap_) x->self->creditTap_->pulse(io);
+      },
+      ctx, std::move(rsReads), std::move(rsWrites));
 
-  std::vector<const sim::WireBase*> irsReads;
-  for (int o = 0; o < kNumPorts; ++o) {
-    irsReads.push_back(&xbar_->gnt[o]);
-    irsReads.push_back(&xbar_->rd[o]);
-  }
-  if (creditTap_ == nullptr) {
-    InChanFlowHsCtx flow;
-    flow.inVal = lw.bit(in_->val);
-    flow.wok = pub.wok;
-    flow.inAck = lw.bit(in_->ack);
-    flow.wr = lw.bit(wr_);
-    lw.op(&inChanFlowHandshake, lw.ctx(flow), {&in_->val, &wok_},
-          {&in_->ack, &wr_});
-    lw.op(&inChanReadSwitch, lw.ctx(rs), std::move(irsReads), {&rd_});
-  } else {
-    InChanFlowCrCtx flow;
-    flow.inVal = lw.bit(in_->val);
-    flow.wr = lw.bit(wr_);
-    lw.op(&inChanFlowCredit, lw.ctx(flow), {&in_->val}, {&wr_});
-    InChanRsCrCtx rsc;
-    rsc.rs = rs;
-    rsc.rok = pub.rok;
-    rsc.inAck = lw.bit(in_->ack);
-    irsReads.push_back(&rok_);
-    lw.op(&inChanReadSwitchCredit, lw.ctx(rsc), std::move(irsReads),
-          {&rd_, &in_->ack});
-  }
-
-  InChanCommitCtx commit;
-  commit.ib = ib_.get();
-  commit.wr = lw.bit(wr_);
-  commit.rd = rs.rd;
-  commit.inWord = lw.flitWord(in_->flit.data, in_->flit.bop, in_->flit.eop);
-
-  if (metricsAttached_) {
-    lw.edgeCall(*this);  // accept counter + metrics via clockEdge()
-    lw.edgeOp(&inChanCommit, lw.ctx(commit));
-  } else {
-    InChanEdgeCtx edge;
-    edge.commit = commit;
-    edge.count = view.count;
-    edge.depth = ib_->depth();
-    edge.flitsAccepted = &flitsAccepted_;
-    lw.edgeOp(&inChanEdge, lw.ctx(edge));
-  }
+  if (metricsAttached_)
+    lw.edgeOp(
+        [](std::uint64_t* w, void* c) {
+          auto* x = static_cast<ArenaCtx*>(c);
+          const ArenaIo io{w, x};
+          x->self->edge<true>(io);
+          x->self->ib_->edge(io);
+        },
+        ctx);
+  else
+    lw.edgeOp(
+        [](std::uint64_t* w, void* c) {
+          auto* x = static_cast<ArenaCtx*>(c);
+          const ArenaIo io{w, x};
+          x->self->edge<false>(io);
+          x->self->ib_->edge(io);
+        },
+        ctx);
   return true;
 }
 
@@ -316,19 +251,6 @@ bool InputChannel::describe(sim::Lowering& lw) {
 // accessors expose the same signals at the same granularity, so the
 // kernels share every line of channel behaviour.
 
-namespace {
-
-std::uint64_t packFlit(std::uint32_t data, bool bop, bool eop) {
-  return data | (std::uint64_t{bop} << sim::kFlitBopShift) |
-         (std::uint64_t{eop} << sim::kFlitEopShift);
-}
-
-bool flitBop(std::uint64_t flit) {
-  return ((flit >> sim::kFlitBopShift) & 1u) != 0;
-}
-
-}  // namespace
-
 struct VcInputChannel::WireIo {
   const VcInputChannel& ch;
 
@@ -339,23 +261,20 @@ struct VcInputChannel::WireIo {
   bool inVal() const { return ch.in_->val.get(); }
   int inVc() const { return ch.in_->vc.get(); }
   std::uint64_t inFlit() const {
-    const FlitWires& f = ch.in_->flit;
-    return packFlit(f.data.get(), f.bop.get(), f.eop.get());
+    return vcarena::flitBits(readFlit(ch.in_->flit));
   }
   // Per-VC levels (bit v) driven back up the link.
   void putFree(unsigned vcs) const { putLevels(ch.in_->vcFree, vcs); }
   void putAcks(unsigned vcs) const { putLevels(ch.in_->vcAck, vcs); }
   // VC v's crossbar bundle; `req` is a port mask.
   void putBundle(int v, bool rok, unsigned req, unsigned want,
-                 std::uint32_t data, bool bop, bool eop) const {
+                 const Flit& f) const {
     CrossbarWires& x = (*ch.xbar_)[static_cast<std::size_t>(v)];
     x.rok.set(rok);
     for (int o = 0; o < kNumPorts; ++o)
       x.req[static_cast<std::size_t>(o)].set(((req >> o) & 1u) != 0);
     x.want.set(static_cast<int>(want));
-    x.flit.data.set(data);
-    x.flit.bop.set(bop);
-    x.flit.eop.set(eop);
+    driveFlit(x.flit, f);
   }
 
  private:
@@ -398,20 +317,20 @@ struct VcInputChannel::ArenaIo {
     return static_cast<int>((w[c->link] >> vcarena::kVc) &
                             sim::fieldMask(vcarena::kVcWidth));
   }
-  std::uint64_t inFlit() const { return w[c->link] & sim::kFlitWordMask; }
+  std::uint64_t inFlit() const { return w[c->link] & vcarena::kFlitMask; }
   void putFree(unsigned vcs) const {
     sim::opPutBits(w, c->link, vcarena::kFreeMask,
                    std::uint64_t{vcs} << vcarena::kFree);
   }
   void putAcks(unsigned vcs) const {
-    sim::opPutBits(w, c->link, vcarena::kAckMask,
-                   std::uint64_t{vcs} << vcarena::kAck);
+    sim::opPutBits(w, c->link, vcarena::kVcAckMask,
+                   std::uint64_t{vcs} << vcarena::kVcAck);
   }
   void putBundle(int v, bool rok, unsigned req, unsigned want,
-                 std::uint32_t data, bool bop, bool eop) const {
+                 const Flit& f) const {
     sim::opPutBits(w, c->block + 1 + static_cast<std::uint32_t>(v),
                    vcarena::kBundleMask,
-                   packFlit(data, bop, eop) |
+                   vcarena::flitBits(f) |
                        (std::uint64_t{rok} << vcarena::kRok) |
                        (std::uint64_t{req} << vcarena::kReq) |
                        (std::uint64_t{want} << vcarena::kWant));
@@ -500,14 +419,11 @@ void VcInputChannel::publish(const Io& io) {
     // credit mode advertises link-up (the sender counts credits).
     if (creditMode() || size < params_.p) free |= 1u << v;
 
-    const std::uint64_t head = size > 0 ? fifo_.head(v) : 0;
-    const auto data = static_cast<std::uint32_t>(head);
-    const bool bop = flitBop(head);
-    const bool eop = ((head >> sim::kFlitEopShift) & 1u) != 0;
-    const bool headerVisible = size > 0 && bop;
+    Flit head = vcarena::bitsFlit(size > 0 ? fifo_.head(v) : 0);
+    const std::uint32_t data = head.data;
+    const bool headerVisible = size > 0 && head.bop;
     unsigned req = 0;
     unsigned want = 0;
-    std::uint32_t forwarded = data;
     if (headerVisible) {
       // A granted header forwards the RIB consumed for the hop actually
       // connected — the patience rotation may have moved the bid between
@@ -537,12 +453,12 @@ void VcInputChannel::publish(const Io& io) {
         target = options[static_cast<std::size_t>(idx)].port;
         want = options[static_cast<std::size_t>(idx)].want;
       }
-      forwarded =
+      head.data =
           updateHeader(data, consumeHop(rib, target), params_.m) & dataMask_;
       if (target == ownPort_) misroute_ = true;
       req = 1u << index(target);
     }
-    io.putBundle(v, size > 0, req, want, forwarded, bop, eop);
+    io.putBundle(v, size > 0, req, want, head);
   }
   io.putFree(free);
 }
@@ -576,7 +492,7 @@ void VcInputChannel::edge(const Io& io) {
     if (fifo_.size(v) > 0 && pop) fifo_.pop(v);
 
     const int size = fifo_.size(v);
-    if (size > 0 && flitBop(fifo_.head(v)) && granted == 0) {
+    if (size > 0 && vcarena::bitsFlit(fifo_.head(v)).bop && granted == 0) {
       if (patience_[vi] < kVcPatienceCap) ++patience_[vi];
     } else {
       patience_[vi] = 0;
@@ -598,7 +514,9 @@ bool VcInputChannel::describe(sim::Lowering& lw) {
   ArenaCtx proto;
   proto.self = this;
   proto.link = vcarena::channelWord(lw, *in_, numVCs_);
-  proto.block = vcarena::portBlock(lw, *xbar_, numVCs_);
+  proto.block = vcarena::portBlock(
+      lw, std::span<const CrossbarWires>(*xbar_).first(
+              static_cast<std::size_t>(numVCs_)));
   ArenaCtx* ctx = lw.ctx(proto);
 
   std::vector<const sim::WireBase*> grants;

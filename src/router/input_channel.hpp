@@ -6,11 +6,12 @@
 /// VcInputChannel is the numVCs > 1 variant: the FIFO + routing (IRS) state
 /// is replicated per virtual channel, flits are demultiplexed by the
 /// channel's vc wire, and flow control switches to per-VC on/off (vcFree
-/// levels) or per-VC credits (vcAck pulses) — see router/channel.hpp.  Its
-/// evaluate() splits into combinational phases, and each phase and the
-/// clock edge is written once over a signal accessor: Wire objects under
-/// the naive kernel, packed arena words (router/vc_arena.hpp) under the
-/// compiled one.
+/// levels) or per-VC credits (vcAck pulses) — see router/channel.hpp.
+///
+/// Both routers write each combinational phase and clock edge once, over a
+/// signal accessor: Wire objects under the naive kernel, packed arena words
+/// (router/vc_arena.hpp, one layout for every VC count) under the compiled
+/// one.  At numVCs == 1 the phases are the paper's blocks' own bodies.
 #pragma once
 
 #include <array>
@@ -66,15 +67,29 @@ class InputChannel : public sim::Module {
   /// Enables instrumentation; the metrics must outlive the channel.
   void attachMetrics(const InputChannelMetrics& metrics);
 
-  /// Compiled-kernel lowering: replaces the IFC/IB/IC/IRS subtree with
-  /// three fused arena ops (FIFO publish + routing, link-side flow control,
-  /// read switch) and a fused edge op (router/input_channel.cpp).
+  /// Compiled-kernel lowering: the IFC/IB/IC/IRS subtree becomes three
+  /// arena ops (buffer publish + routing, link-side flow control, read
+  /// switch + credit return) and one edge op.  Each op runs the blocks' own
+  /// bodies, the ones their evaluate() and clockEdge() run, over the packed
+  /// words of router/vc_arena.hpp (router/input_channel.cpp).
   bool describe(sim::Lowering& lw) override;
 
  protected:
+  void onReset() override;
   void clockEdge() override;
 
  private:
+  // Signal accessors the channel's edge and the compiled ops are written
+  // over (input_channel.cpp): the Wire objects, or the packed arena words.
+  struct WireIo;
+  struct ArenaIo;
+  struct ArenaCtx;
+
+  // Accept counting and metrics, from pre-commit state: the channel's
+  // clock edge runs before its buffer child's.
+  template <bool kMetrics, class Io>
+  void edge(const Io& io);
+
   Port ownPort_;
 
   // Internal nets (VHDL signals of the input_channel entity).
@@ -99,9 +114,9 @@ class InputChannel : public sim::Module {
 };
 
 /// Registered per-VC input buffers of a VcInputChannel: one fixed-depth ring
-/// per virtual channel.  Flits are held as opaque packed words (the channel
-/// stores the arena's flit-word layout, so a buffered flit moves as one
-/// word); the compiled ops read the rings in place.
+/// per virtual channel.  Flits are held as opaque packed words (the flit
+/// layout of router/vc_arena.hpp, so a buffered flit moves as one word);
+/// the compiled ops read the rings in place.
 class VcFifos {
  public:
   VcFifos(int numVCs, int depth)

@@ -6,6 +6,8 @@
 // (gnt & rd); at most one grant is active at a time, so the OR is a switch.
 #pragma once
 
+#include <array>
+
 #include "sim/module.hpp"
 #include "sim/wire.hpp"
 
@@ -24,15 +26,31 @@ class Irs : public sim::Module {
     }
   }
 
- protected:
-  void evaluate() override {
-    bool read = false;
-    for (int o = 0; o < kNumPorts; ++o)
-      read = read || (xbar_->gnt[o].get() && xbar_->rd[o].get());
-    rd_->set(read);
+  // The combinational body over a signal accessor (see Ifc::flow); grants()
+  // and reads() are port masks.
+  template <class Io>
+  void select(const Io& io) const {
+    io.putRd((io.grants() & io.reads()) != 0);
   }
 
+ protected:
+  void evaluate() override { select(WireIo{*this}); }
+
  private:
+  struct WireIo {
+    const Irs& b;
+    unsigned grants() const { return mask(b.xbar_->gnt); }
+    unsigned reads() const { return mask(b.xbar_->rd); }
+    void putRd(bool v) const { b.rd_->set(v); }
+
+    static unsigned mask(const std::array<sim::Wire<bool>, kNumPorts>& w) {
+      unsigned m = 0;
+      for (int o = 0; o < kNumPorts; ++o)
+        if (w[static_cast<std::size_t>(o)].get()) m |= 1u << o;
+      return m;
+    }
+  };
+
   const CrossbarWires* xbar_;
   sim::Wire<bool>* rd_;
 };

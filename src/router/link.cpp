@@ -69,6 +69,8 @@ void Link::reverseVcAck() {
         dst_->vcAck[static_cast<std::size_t>(v)].get());
 }
 
+void Link::onReset() { flitsTransferred_ = 0; }
+
 void Link::clockEdge() {
   // With VCs a scheduled flit always transfers: the sender only raises val
   // toward a VC with advertised space or an in-hand credit.
@@ -84,42 +86,14 @@ void Link::clockEdge() {
 
 // --- compiled-kernel lowering ------------------------------------------
 //
-// Forward (flit + val) and reverse (ack) directions are separate ops:
-// fusing them would tie the downstream val driver to the downstream ack
-// reader and manufacture a false combinational cycle through the
-// receiving router's flow controller.
-
-// Each op carries exactly the slices it touches: op contexts are the
-// interpreter's dominant memory traffic, so smaller structs mean fewer
-// cache lines streamed per simulated cycle.
+// A link copies whole fields between the two channel words
+// (router/vc_arena.hpp), one op per direction: flit + val + vc downstream,
+// ack (single VC) or the vcFree levels and vcAck pulses (VCs) upstream.
+// Fusing the directions would tie the downstream val driver to the
+// downstream ack reader and manufacture a false combinational cycle
+// through the receiving router's flow controller.
 
 namespace {
-
-struct LinkFwdCtx {
-  std::uint32_t srcWord = 0, dstWord = 0;
-  sim::Slice srcVal, dstVal;
-};
-
-struct LinkRevCtx {
-  sim::Slice srcAck, dstAck;
-};
-
-struct LinkEdgeCtx {
-  sim::Slice srcVal, srcAck;
-  bool handshake = true;
-  std::uint64_t* flits = nullptr;
-};
-
-void linkForward(std::uint64_t* w, void* vctx) {
-  auto* c = static_cast<LinkFwdCtx*>(vctx);
-  sim::opCopyFlit(w, c->dstWord, c->srcWord);
-  sim::opPutBit(w, c->dstVal, sim::opBit(w, c->srcVal));
-}
-
-void linkReverse(std::uint64_t* w, void* vctx) {
-  auto* c = static_cast<LinkRevCtx*>(vctx);
-  sim::opPutBit(w, c->srcAck, sim::opBit(w, c->dstAck));
-}
 
 // Field copies between two packed words: src -> dst downstream, dst ->
 // src upstream.
@@ -138,12 +112,16 @@ void linkCopyUp(std::uint64_t* w, void* vctx) {
   sim::opCopyBits(w, c->src, c->dst, c->mask);
 }
 
+// A flit transferred when every bit of `need` is set in the source word.
+struct LinkEdgeCtx {
+  std::uint32_t src = 0;
+  std::uint64_t need = 0;
+  std::uint64_t* flits = nullptr;
+};
+
 void linkEdge(std::uint64_t* w, void* vctx) {
   auto* c = static_cast<LinkEdgeCtx*>(vctx);
-  const bool transferred =
-      c->handshake ? (sim::opBit(w, c->srcVal) && sim::opBit(w, c->srcAck))
-                   : sim::opBit(w, c->srcVal);
-  if (transferred) ++*c->flits;
+  if ((w[c->src] & c->need) == c->need) ++*c->flits;
 }
 
 }  // namespace
@@ -154,66 +132,48 @@ bool Link::describe(sim::Lowering& lw) {
   // behavioural thunks instead.
   if (typeid(*this) != typeid(Link)) return false;
 
-  if (numVCs_ > 1) {
-    // VC links copy whole fields between the two channel words
-    // (router/vc_arena.hpp): flit + val + vc downstream, the vcFree levels
-    // and (credit mode) the vcAck pulses upstream.  The two reverse fields
-    // need separate ops: under credit flow control vcAck is driven from the
-    // receiver's rd, which the receiver computes from the vcFree of the
-    // next hop, so one op carrying both would close a cycle through
-    // neighbouring routers.
-    LinkCopyCtx copy;
-    copy.src = vcarena::channelWord(lw, *src_, numVCs_);
-    copy.dst = vcarena::channelWord(lw, *dst_, numVCs_);
-    copy.mask = vcarena::kForwardMask;
-    lw.op(&linkCopyDown, lw.ctx(copy),
-          {&src_->flit.data, &src_->flit.bop, &src_->flit.eop, &src_->val,
-           &src_->vc},
-          {&dst_->flit.data, &dst_->flit.bop, &dst_->flit.eop, &dst_->val,
-           &dst_->vc});
-    std::vector<const sim::WireBase*> freeIn, freeOut, ackIn, ackOut;
-    for (int v = 0; v < numVCs_; ++v) {
-      freeIn.push_back(&dst_->vcFree[static_cast<std::size_t>(v)]);
-      freeOut.push_back(&src_->vcFree[static_cast<std::size_t>(v)]);
-      ackIn.push_back(&dst_->vcAck[static_cast<std::size_t>(v)]);
-      ackOut.push_back(&src_->vcAck[static_cast<std::size_t>(v)]);
-    }
-    copy.mask = vcarena::kFreeMask;
-    lw.op(&linkCopyUp, lw.ctx(copy), std::move(freeIn), std::move(freeOut));
-    // vcAck pulses exist only under credit flow control; on/off links
-    // never see one.
-    if (flowControl_ == FlowControl::CreditBased) {
-      copy.mask = vcarena::kAckMask;
-      lw.op(&linkCopyUp, lw.ctx(copy), std::move(ackIn), std::move(ackOut));
-    }
-    // Every scheduled VC flit transfers (see clockEdge()).
-    LinkEdgeCtx edge;
-    edge.srcVal = sim::Slice(copy.src, vcarena::kVal);
-    edge.handshake = false;
-    edge.flits = &flitsTransferred_;
+  LinkCopyCtx copy;
+  copy.src = vcarena::channelWord(lw, *src_, numVCs_);
+  copy.dst = vcarena::channelWord(lw, *dst_, numVCs_);
+  copy.mask = vcarena::kForwardMask;
+  lw.op(&linkCopyDown, lw.ctx(copy),
+        {&src_->flit.data, &src_->flit.bop, &src_->flit.eop, &src_->val,
+         &src_->vc},
+        {&dst_->flit.data, &dst_->flit.bop, &dst_->flit.eop, &dst_->val,
+         &dst_->vc});
+
+  LinkEdgeCtx edge;
+  edge.src = copy.src;
+  edge.need = std::uint64_t{1} << vcarena::kVal;
+  edge.flits = &flitsTransferred_;
+  if (numVCs_ == 1) {
+    copy.mask = std::uint64_t{1} << vcarena::kAck;
+    lw.op(&linkCopyUp, lw.ctx(copy), {&dst_->ack}, {&src_->ack});
+    // A handshake transfer also needs the receiver's ack (see clockEdge()).
+    if (flowControl_ == FlowControl::Handshake) edge.need |= copy.mask;
     lw.edgeOp(&linkEdge, lw.ctx(edge));
     return true;
   }
 
-  LinkFwdCtx fwd;
-  fwd.srcWord = lw.flitWord(src_->flit.data, src_->flit.bop, src_->flit.eop);
-  fwd.dstWord = lw.flitWord(dst_->flit.data, dst_->flit.bop, dst_->flit.eop);
-  fwd.srcVal = lw.bit(src_->val);
-  fwd.dstVal = lw.bit(dst_->val);
-  lw.op(&linkForward, lw.ctx(fwd),
-        {&src_->flit.data, &src_->flit.bop, &src_->flit.eop, &src_->val},
-        {&dst_->flit.data, &dst_->flit.bop, &dst_->flit.eop, &dst_->val});
-
-  LinkRevCtx rev;
-  rev.srcAck = lw.bit(src_->ack);
-  rev.dstAck = lw.bit(dst_->ack);
-  lw.op(&linkReverse, lw.ctx(rev), {&dst_->ack}, {&src_->ack});
-
-  LinkEdgeCtx edge;
-  edge.srcVal = fwd.srcVal;
-  edge.srcAck = rev.srcAck;
-  edge.handshake = flowControl_ == FlowControl::Handshake;
-  edge.flits = &flitsTransferred_;
+  // The two VC reverse fields need separate ops: under credit flow control
+  // vcAck is driven from the receiver's rd, which the receiver computes
+  // from the vcFree of the next hop, so one op carrying both would close a
+  // cycle through neighbouring routers.
+  std::vector<const sim::WireBase*> freeIn, freeOut, ackIn, ackOut;
+  for (int v = 0; v < numVCs_; ++v) {
+    freeIn.push_back(&dst_->vcFree[static_cast<std::size_t>(v)]);
+    freeOut.push_back(&src_->vcFree[static_cast<std::size_t>(v)]);
+    ackIn.push_back(&dst_->vcAck[static_cast<std::size_t>(v)]);
+    ackOut.push_back(&src_->vcAck[static_cast<std::size_t>(v)]);
+  }
+  copy.mask = vcarena::kFreeMask;
+  lw.op(&linkCopyUp, lw.ctx(copy), std::move(freeIn), std::move(freeOut));
+  // vcAck pulses exist only under credit flow control; on/off links never
+  // see one.
+  if (flowControl_ == FlowControl::CreditBased) {
+    copy.mask = vcarena::kVcAckMask;
+    lw.op(&linkCopyUp, lw.ctx(copy), std::move(ackIn), std::move(ackOut));
+  }
   lw.edgeOp(&linkEdge, lw.ctx(edge));
   return true;
 }

@@ -55,14 +55,16 @@ class Link : public sim::Module {
            src_->val.get() && !src_->ack.get();
   }
 
-  /// Compiled-kernel lowering: a plain link is two masked word copies (flit
-  /// + val downstream, ack upstream) and a counting edge op; a VC link is
-  /// one masked field copy per phase of evaluate() between the packed
-  /// channel words of router/vc_arena.hpp.  Subclasses with fault behaviour
-  /// fall back to behavioural thunks (link.cpp guards on the dynamic type).
+  /// Compiled-kernel lowering, one layout for every VC count: one masked
+  /// field copy per phase of evaluate() between the packed channel words of
+  /// router/vc_arena.hpp (flit + val + vc downstream; ack, or the vcFree
+  /// levels and vcAck pulses, upstream) and a counting edge op.  Subclasses
+  /// with fault behaviour fall back to behavioural thunks (link.cpp guards
+  /// on the dynamic type).
   bool describe(sim::Lowering& lw) override;
 
  protected:
+  void onReset() override;
   void evaluate() override;
   void clockEdge() override;
 
@@ -89,8 +91,8 @@ class Link : public sim::Module {
   int numVCs() const { return numVCs_; }
 
  private:
-  // The combinational phases of evaluate(); at numVCs > 1 each lowers to
-  // its own field-copy op.  forward: flit, val (and vc) downstream.
+  // The combinational phases of evaluate(), each lowered to its own
+  // field-copy op.  forward: flit, val (and vc) downstream.
   // reverseVcFree / reverseVcAck: the per-VC levels and credit pulses
   // upstream.
   void forward();

@@ -24,25 +24,8 @@ void OutputController::onReset() {
   grantsIssued_ = 0;
 }
 
-void OutputController::evaluate() {
-  connectedWire_->set(connected_);
-  selWire_->set(sel_);
-  const int own = index(ownPort_);
-  for (int i = 0; i < kNumPorts; ++i)
-    (*xbar_)[static_cast<std::size_t>(i)].gnt[own].set(connected_ &&
-                                                       i == sel_);
-}
-
-void OutputController::clockEdge() {
-  const int own = index(ownPort_);
-  bool req[kNumPorts];
-  for (int i = 0; i < kNumPorts; ++i)
-    req[i] = (*xbar_)[static_cast<std::size_t>(i)].req[own].get();
-  edgeStep(req, outEop_->get(), rokSel_->get(), xRd_->get());
-}
-
-void OutputController::edgeStep(const bool req[kNumPorts], bool outEop,
-                                bool rokSel, bool xRd) {
+void OutputController::step(unsigned req, bool outEop, bool rokSel,
+                            bool xRd) {
   const int own = index(ownPort_);
   if (!connected_) {
     // Scan the other input ports starting after the round-robin pointer
@@ -51,7 +34,7 @@ void OutputController::edgeStep(const bool req[kNumPorts], bool outEop,
     for (int k = 1; k <= kNumPorts; ++k) {
       const int i = ((start + k) % kNumPorts + kNumPorts) % kNumPorts;
       if (i == own) continue;
-      if (req[i]) {
+      if ((req >> i) & 1u) {
         connected_ = true;
         sel_ = i;
         rrPtr_ = i;

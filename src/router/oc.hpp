@@ -45,19 +45,46 @@ class OutputController : public sim::Module {
   Port selectedInput() const { return static_cast<Port>(sel_); }
   std::uint64_t grantsIssued() const { return grantsIssued_; }
 
-  // The exact clockEdge() body with the wire values passed in: the
-  // compiled kernel's fused edge op (router/output_channel.cpp) reads the
-  // request/teardown nets from the state arena and steps the arbiter
-  // through here.
-  void edgeStep(const bool req[kNumPorts], bool outEop, bool rokSel,
-                bool xRd);
+  // The combinational body and the clock edge, written over a signal
+  // accessor: WireIo below (evaluate() / clockEdge()) or the output
+  // channel's arena accessor (its compiled ops).  Grants and requests are
+  // input-port masks: bit i is this output's gnt / req line of input i.
+  template <class Io>
+  void publish(const Io& io) const {
+    io.putConnected(connected_);
+    io.putSel(sel_);
+    io.putGrants(connected_ ? 1u << sel_ : 0u);
+  }
+  template <class Io>
+  void edge(const Io& io) {
+    step(io.requests(), io.outEop(), io.rokSel(), io.xRd());
+  }
 
  protected:
   void onReset() override;
-  void evaluate() override;
-  void clockEdge() override;
+  void evaluate() override { publish(WireIo{*this}); }
+  void clockEdge() override { edge(WireIo{*this}); }
 
  private:
+  struct WireIo {
+    const OutputController& b;
+    unsigned requests() const { return requestMask(*b.xbar_, b.ownPort_); }
+    bool outEop() const { return b.outEop_->get(); }
+    bool rokSel() const { return b.rokSel_->get(); }
+    bool xRd() const { return b.xRd_->get(); }
+    void putConnected(bool v) const { b.connectedWire_->set(v); }
+    void putSel(int v) const { b.selWire_->set(v); }
+    void putGrants(unsigned inputs) const {
+      const int own = index(b.ownPort_);
+      for (int i = 0; i < kNumPorts; ++i)
+        (*b.xbar_)[static_cast<std::size_t>(i)].gnt[own].set(
+            ((inputs >> i) & 1u) != 0);
+    }
+  };
+
+  // Arbitration and teardown for one edge; `req` is the request mask.
+  void step(unsigned req, bool outEop, bool rokSel, bool xRd);
+
   Port ownPort_;
   std::array<CrossbarWires, kNumPorts>* xbar_;
   const sim::Wire<bool>* outEop_;

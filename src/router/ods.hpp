@@ -36,41 +36,31 @@ class Ods : public sim::Module {
     }
   }
 
- protected:
-  void evaluate() override {
-    if (connected_->get()) {
-      const CrossbarWires& src =
-          (*xbar_)[static_cast<std::size_t>(sel_->get())];
-      out_->data.set(src.flit.data.get());
-      out_->bop.set(src.flit.bop.get());
-      out_->eop.set(src.flit.eop.get());
-    } else {
-      out_->data.set(0);
-      out_->bop.set(false);
-      out_->eop.set(false);
-    }
+  // The combinational body, written over a signal accessor: WireIo below
+  // (evaluate()) or the output channel's arena accessor (its compiled ops).
+  template <class Io>
+  void mux(const Io& io) const {
+    io.putOutFlit(io.connected() ? io.xFlit(io.sel()) : Flit{});
   }
 
+ protected:
+  void evaluate() override { mux(WireIo{*this}); }
+
  private:
+  struct WireIo {
+    const Ods& b;
+    bool connected() const { return b.connected_->get(); }
+    int sel() const { return b.sel_->get(); }
+    Flit xFlit(int i) const {
+      return readFlit((*b.xbar_)[static_cast<std::size_t>(i)].flit);
+    }
+    void putOutFlit(const Flit& f) const { driveFlit(*b.out_, f); }
+  };
+
   const std::array<CrossbarWires, kNumPorts>* xbar_;
   const sim::Wire<bool>* connected_;
   const sim::Wire<int>* sel_;
   FlitWires* out_;
 };
-
-// --- VC-aware output data switch (numVCs > 1) ------------------------------
-//
-// The VC'd output channel (output_channel.hpp) time-multiplexes one
-// physical link over its downstream VCs, so the data switch grows a second
-// select dimension: it connects the crossbar flit of the (input port,
-// input VC) pair scheduled this cycle to the external output and tags it
-// with the downstream VC id.  Plain functions rather than a Module — the
-// VC channel lowers as one behavioural unit.
-void vcOutputDataSwitch(const CrossbarWires& src, int downVc, FlitWires& out,
-                        sim::Wire<int>& outVc, sim::Wire<bool>& outVal);
-
-// Idle drive: nothing scheduled on the link this cycle.
-void vcOutputDataIdle(FlitWires& out, sim::Wire<int>& outVc,
-                      sim::Wire<bool>& outVal);
 
 }  // namespace rasoc::router

@@ -37,16 +37,40 @@ class Ofc : public sim::Module {
     sensitive(outAck);
   }
 
+  // The combinational body in its two halves, written over a signal
+  // accessor: WireIo below (evaluate()) or the output channel's arena
+  // accessor, whose compiled ops run them apart: offer reads the selected
+  // rok, respond the link's ack, and one op reading both would close a
+  // false cycle through the next router's flow control.  putReads drives
+  // this output's rd line of every input.
+  template <class Io>
+  void offer(const Io& io) const {
+    io.putOutVal(io.rokSel());
+  }
+  template <class Io>
+  void respond(const Io& io) const {
+    const bool rd = io.outAck();
+    io.putXRd(rd);
+    io.putReads(rd);
+  }
+
  protected:
   void evaluate() override {
-    outVal_->set(rokSel_->get());
-    const bool rd = outAck_->get();
-    xRd_->set(rd);
-    const int own = index(ownPort_);
-    for (auto& in : *xbar_) in.rd[own].set(rd);
+    const WireIo io{*this};
+    offer(io);
+    respond(io);
   }
 
  private:
+  struct WireIo {
+    const Ofc& b;
+    bool rokSel() const { return b.rokSel_->get(); }
+    bool outAck() const { return b.outAck_->get(); }
+    void putOutVal(bool v) const { b.outVal_->set(v); }
+    void putXRd(bool v) const { b.xRd_->set(v); }
+    void putReads(bool v) const { driveReads(*b.xbar_, b.ownPort_, v); }
+  };
+
   Port ownPort_;
   const sim::Wire<bool>* rokSel_;
   const sim::Wire<bool>* outAck_;

@@ -30,15 +30,26 @@ class Ors : public sim::Module {
     for (const CrossbarWires& in : xbar) sensitive(in.rok);
   }
 
- protected:
-  void evaluate() override {
-    const bool rok =
-        connected_->get() &&
-        (*xbar_)[static_cast<std::size_t>(sel_->get())].rok.get();
-    rokSel_->set(rok);
+  // The combinational body over a signal accessor (see Ods::mux).
+  template <class Io>
+  void select(const Io& io) const {
+    io.putRokSel(io.connected() && io.xRok(io.sel()));
   }
 
+ protected:
+  void evaluate() override { select(WireIo{*this}); }
+
  private:
+  struct WireIo {
+    const Ors& b;
+    bool connected() const { return b.connected_->get(); }
+    int sel() const { return b.sel_->get(); }
+    bool xRok(int i) const {
+      return (*b.xbar_)[static_cast<std::size_t>(i)].rok.get();
+    }
+    void putRokSel(bool v) const { b.rokSel_->set(v); }
+  };
+
   const std::array<CrossbarWires, kNumPorts>* xbar_;
   const sim::Wire<bool>* connected_;
   const sim::Wire<int>* sel_;

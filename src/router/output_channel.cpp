@@ -45,242 +45,222 @@ void OutputChannel::attachMetrics(const OutputChannelMetrics& metrics) {
   noteDescribeChanged();
 }
 
-void OutputChannel::clockEdge() {
+void OutputChannel::onReset() { flitsSent_ = 0; }
+
+template <bool kMetrics, class Io>
+void OutputChannel::edge(const Io& io) {
+  const bool val = io.outVal();
   const bool transferred =
-      flowControl_ == FlowControl::Handshake
-          ? (out_->val.get() && out_->ack.get())
-          : out_->val.get();
+      flowControl_ == FlowControl::Handshake ? val && io.outAck() : val;
   if (transferred) ++flitsSent_;
-  if (!metricsAttached_) return;
-  if (transferred) {
-    if (metrics_.flitsSent) metrics_.flitsSent->inc();
-    if (metrics_.routerFlits) metrics_.routerFlits->inc();
+  if constexpr (kMetrics) {
+    if (transferred) {
+      if (metrics_.flitsSent) metrics_.flitsSent->inc();
+      if (metrics_.routerFlits) metrics_.routerFlits->inc();
+    }
+    if (metrics_.busyCycles && val) metrics_.busyCycles->inc();
+    // Arbitration accounting, observed pre-edge: the OC grants this edge
+    // iff it is idle and some input requests; a conflict cycle leaves at
+    // least one requester waiting.
+    const unsigned requests = io.requests();
+    const int own = index(ownPort_);
+    int waiting = 0;
+    for (int i = 0; i < kNumPorts; ++i) {
+      if (i == own) continue;
+      if (((requests >> i) & 1u) != 0 &&
+          !(oc_.isConnected() && oc_.selectedInput() == static_cast<Port>(i)))
+        ++waiting;
+    }
+    if (!oc_.isConnected() && waiting > 0) {
+      if (metrics_.grants) metrics_.grants->inc();
+      --waiting;  // one requester is served by this edge's grant
+    }
+    if (metrics_.conflictCycles && waiting > 0)
+      metrics_.conflictCycles->inc();
   }
-  if (metrics_.busyCycles && out_->val.get()) metrics_.busyCycles->inc();
-  // Arbitration accounting, observed pre-edge (this module's clockEdge runs
-  // before the OC child's): the OC grants this edge iff it is idle and some
-  // input requests; a conflict cycle leaves at least one requester waiting.
-  const int own = index(ownPort_);
-  int waiting = 0;
-  for (int i = 0; i < kNumPorts; ++i) {
-    if (i == own) continue;
-    const auto& x = (*xbar_)[static_cast<std::size_t>(i)];
-    if (x.req[own].get() && !(oc_.isConnected() && oc_.selectedInput() ==
-                                  static_cast<Port>(i)))
-      ++waiting;
-  }
-  if (!oc_.isConnected() && waiting > 0) {
-    if (metrics_.grants) metrics_.grants->inc();
-    --waiting;  // one requester is served by this edge's grant
-  }
-  if (metrics_.conflictCycles && waiting > 0) metrics_.conflictCycles->inc();
 }
 
 // --- compiled-kernel lowering ------------------------------------------
 //
-// The OC + ODS + ORS + OFC subtree lowers to two combinational arena ops
-// plus one edge op:
+// The OC + ODS + ORS + OFC subtree lowers to two arena ops plus one edge
+// op, each calling the blocks' own bodies through ArenaIo:
 //
-//   publish  - OC evaluate() (registered connection state onto the
-//              connected/sel/gnt nets) fused with the ODS flit mux, the
-//              ORS rok mux and, under handshake flow control, the OFC's
-//              out_val = rok_sel wire.
+//   publish  - OC publish (registered connection state onto the
+//              connected/sel/gnt nets), the ODS flit mux, the ORS rok mux
+//              and, under handshake flow control, the OFC's
+//              out_val = rok_sel.
 //   flowRsp  - the flow-control response: under handshake, out_ack fanned
 //              out to x_rd and every input's rd line; under credit flow
 //              control the credit-gated send driving out_val/x_rd/rd.
-//   edge     - flit-sent counting, the OC arbitration step and, in credit
-//              mode, the credit counter update - all reading the settled
-//              arena exactly as the behavioural clockEdge() chain reads
-//              wires, in the same order (channel counters, then OC, then
-//              OFC).
+//   edge     - the channel's accounting, the OC arbitration step and, in
+//              credit mode, the credit counter update: the clockEdgeAll()
+//              order (channel, then OC, then OFC).
 
-// Each op carries exactly the slices it touches: op contexts are the
-// interpreter's dominant memory traffic, so smaller structs mean fewer
-// cache lines streamed per simulated cycle.
+struct OutputChannel::WireIo {
+  const OutputChannel& ch;
 
-namespace {
-
-struct OutChanPublishCtx {
-  OutputController* oc = nullptr;
-  bool handshake = true;
-  sim::Slice connected, sel, rokSel, outVal;
-  std::uint32_t outWord = 0;
-  std::uint32_t xWord[kNumPorts] = {};
-  sim::Slice xrok[kNumPorts];
-  sim::Slice gnt[kNumPorts];
+  bool outVal() const { return ch.out_->val.get(); }
+  bool outAck() const { return ch.out_->ack.get(); }
+  unsigned requests() const { return requestMask(*ch.xbar_, ch.ownPort_); }
 };
 
-struct OutChanFlowHsCtx {
-  sim::Slice outAck, xRd;
-  sim::Slice rdOut[kNumPorts];
+struct OutputChannel::ArenaCtx {
+  OutputChannel* self = nullptr;
+  std::uint32_t link = 0;               // channel word of the output link
+  std::uint32_t block[kNumPorts] = {};  // each input port's port block
+  std::uint32_t nets = 0;               // the nets between the blocks
+  unsigned own = 0;                     // index(ownPort_)
 };
 
-struct OutChanFlowCrCtx {
-  CreditOfc* credit = nullptr;
-  sim::Slice rokSel, outVal, xRd;
-  sim::Slice rdOut[kNumPorts];
+// Every signal the channel's blocks read or drive, over the packed words.
+// Input i is the crossbar bundle of input port i.
+struct OutputChannel::ArenaIo {
+  std::uint64_t* w;
+  const ArenaCtx* c;
+
+  // The output link.
+  bool outVal() const { return vcarena::bitAt(w, c->link, vcarena::kVal); }
+  bool outAck() const { return vcarena::bitAt(w, c->link, vcarena::kAck); }
+  bool outEop() const {
+    return vcarena::bitAt(w, c->link, vcarena::kEop);
+  }
+  void putOutVal(bool v) const {
+    vcarena::putBitAt(w, c->link, vcarena::kVal, v);
+  }
+  void putOutFlit(const Flit& f) const {
+    sim::opPutBits(w, c->link, vcarena::kFlitMask, vcarena::flitBits(f));
+  }
+  // The crossbar; grants and requests are input-port masks.
+  Flit xFlit(int i) const { return vcarena::bitsFlit(w[bundle(i)]); }
+  bool xRok(int i) const { return vcarena::bitAt(w, bundle(i), vcarena::kRok); }
+  unsigned requests() const {
+    unsigned m = 0;
+    for (int i = 0; i < kNumPorts; ++i)
+      if (vcarena::bitAt(w, bundle(i), vcarena::kReq + c->own)) m |= 1u << i;
+    return m;
+  }
+  void putGrants(unsigned inputs) const {
+    for (int i = 0; i < kNumPorts; ++i)
+      vcarena::putBitAt(w, c->block[i], c->own, ((inputs >> i) & 1u) != 0);
+  }
+  void putReads(bool v) const {
+    for (int i = 0; i < kNumPorts; ++i)
+      vcarena::putBitAt(w, c->block[i], vcarena::kRd + c->own, v);
+  }
+  // The nets between the blocks.
+  bool connected() const { return net(vcarena::kConnected); }
+  int sel() const {
+    return static_cast<int>((w[c->nets] >> vcarena::kSel) &
+                            sim::fieldMask(vcarena::kSelWidth));
+  }
+  bool rokSel() const { return net(vcarena::kRokSel); }
+  bool xRd() const { return net(vcarena::kXRd); }
+  void putConnected(bool v) const { putNet(vcarena::kConnected, v); }
+  void putSel(int v) const {
+    sim::opPutBits(w, c->nets,
+                   sim::fieldMask(vcarena::kSelWidth) << vcarena::kSel,
+                   static_cast<std::uint64_t>(v) << vcarena::kSel);
+  }
+  void putRokSel(bool v) const { putNet(vcarena::kRokSel, v); }
+  void putXRd(bool v) const { putNet(vcarena::kXRd, v); }
+
+ private:
+  std::uint32_t bundle(int i) const { return c->block[i] + 1; }
+  bool net(unsigned shift) const { return vcarena::bitAt(w, c->nets, shift); }
+  void putNet(unsigned shift, bool v) const {
+    vcarena::putBitAt(w, c->nets, shift, v);
+  }
 };
 
-struct OutChanBlocksEdgeCtx {
-  OutputController* oc = nullptr;
-  CreditOfc* credit = nullptr;  // null under handshake flow control
-  sim::Slice rokSel, xRd, outAck;
-  std::uint32_t outWord = 0;
-  sim::Slice req[kNumPorts];
-};
-
-struct OutChanEdgeCtx {
-  OutChanBlocksEdgeCtx blocks;
-  bool handshake = true;
-  sim::Slice outVal;
-  std::uint64_t* flitsSent = nullptr;
-};
-
-// OC publish + ODS + ORS (+ handshake out_val).
-void outChanPublish(std::uint64_t* w, void* vctx) {
-  auto* c = static_cast<OutChanPublishCtx*>(vctx);
-  const bool connected = c->oc->isConnected();
-  const int sel = index(c->oc->selectedInput());
-  sim::opPutBit(w, c->connected, connected);
-  sim::opPutWord32(w, c->sel, static_cast<std::uint32_t>(sel));
-  for (int i = 0; i < kNumPorts; ++i)
-    sim::opPutBit(w, c->gnt[i], connected && i == sel);
-  if (connected)
-    sim::opCopyFlit(w, c->outWord, c->xWord[sel]);
+void OutputChannel::clockEdge() {
+  if (metricsAttached_)
+    edge<true>(WireIo{*this});
   else
-    sim::opPutFlit(w, c->outWord, 0, false, false);
-  const bool rokSel = connected && sim::opBit(w, c->xrok[sel]);
-  sim::opPutBit(w, c->rokSel, rokSel);
-  if (c->handshake) sim::opPutBit(w, c->outVal, rokSel);
+    edge<false>(WireIo{*this});
 }
-
-// Handshake OFC response: out_ack -> x_rd, broadcast to every rd line.
-void outChanFlowHandshake(std::uint64_t* w, void* vctx) {
-  auto* c = static_cast<OutChanFlowHsCtx*>(vctx);
-  const bool rd = sim::opBit(w, c->outAck);
-  sim::opPutBit(w, c->xRd, rd);
-  for (int i = 0; i < kNumPorts; ++i) sim::opPutBit(w, c->rdOut[i], rd);
-}
-
-// Credit OFC: send whenever the selected input is ready and credit remains.
-void outChanFlowCredit(std::uint64_t* w, void* vctx) {
-  auto* c = static_cast<OutChanFlowCrCtx*>(vctx);
-  const bool send = sim::opBit(w, c->rokSel) && c->credit->credits() > 0;
-  sim::opPutBit(w, c->outVal, send);
-  sim::opPutBit(w, c->xRd, send);
-  for (int i = 0; i < kNumPorts; ++i) sim::opPutBit(w, c->rdOut[i], send);
-}
-
-// OC arbitration + credit counter only (the metrics path lets clockEdge()
-// do the counter/metrics accounting first).
-void outChanBlocksEdge(std::uint64_t* w, void* vctx) {
-  auto* c = static_cast<OutChanBlocksEdgeCtx*>(vctx);
-  bool req[kNumPorts];
-  for (int i = 0; i < kNumPorts; ++i) req[i] = sim::opBit(w, c->req[i]);
-  c->oc->edgeStep(req, sim::opFlitEop(w, c->outWord),
-                  sim::opBit(w, c->rokSel), sim::opBit(w, c->xRd));
-  if (c->credit)
-    c->credit->creditEdge(sim::opBit(w, c->rokSel),
-                          sim::opBit(w, c->outAck));
-}
-
-// Sent counting + arbitration + credits, in clockEdgeAll() order.
-void outChanEdge(std::uint64_t* w, void* vctx) {
-  auto* c = static_cast<OutChanEdgeCtx*>(vctx);
-  const bool transferred =
-      c->handshake
-          ? (sim::opBit(w, c->outVal) && sim::opBit(w, c->blocks.outAck))
-          : sim::opBit(w, c->outVal);
-  if (transferred) ++*c->flitsSent;
-  outChanBlocksEdge(w, &c->blocks);
-}
-
-}  // namespace
 
 bool OutputChannel::describe(sim::Lowering& lw) {
   const bool handshake = flowControl_ == FlowControl::Handshake;
-  const int own = index(ownPort_);
+  const auto own = static_cast<std::size_t>(index(ownPort_));
 
-  OutChanPublishCtx pub;
-  pub.oc = &oc_;
-  pub.handshake = handshake;
-  pub.connected = lw.bit(connected_);
-  pub.sel = lw.word32(sel_);
-  pub.rokSel = lw.bit(rokSel_);
-  pub.outVal = lw.bit(out_->val);
-  pub.outWord = lw.flitWord(out_->flit.data, out_->flit.bop, out_->flit.eop);
-  for (int i = 0; i < kNumPorts; ++i) {
-    CrossbarWires& x = (*xbar_)[static_cast<std::size_t>(i)];
-    pub.xWord[i] = lw.flitWord(x.flit.data, x.flit.bop, x.flit.eop);
-    pub.xrok[i] = lw.bit(x.rok);
-    pub.gnt[i] = lw.bit(x.gnt[static_cast<std::size_t>(own)]);
-  }
+  ArenaCtx proto;
+  proto.self = this;
+  proto.link = vcarena::channelWord(lw, *out_, 1);
+  for (int i = 0; i < kNumPorts; ++i)
+    proto.block[i] =
+        vcarena::portBlock(lw, {&(*xbar_)[static_cast<std::size_t>(i)], 1});
+  proto.nets = lw.packedWord({{connected_, vcarena::kConnected},
+                              {rokSel_, vcarena::kRokSel},
+                              {xRd_, vcarena::kXRd},
+                              {sel_, vcarena::kSel, vcarena::kSelWidth}});
+  proto.own = static_cast<unsigned>(own);
+  ArenaCtx* ctx = lw.ctx(proto);
 
   std::vector<const sim::WireBase*> pubReads;
   std::vector<const sim::WireBase*> pubWrites = {
       &connected_,      &sel_,           &out_->flit.data,
       &out_->flit.bop,  &out_->flit.eop, &rokSel_};
-  std::vector<const sim::WireBase*> rdWrites = {&xRd_};
-  for (int i = 0; i < kNumPorts; ++i) {
-    CrossbarWires& x = (*xbar_)[static_cast<std::size_t>(i)];
+  std::vector<const sim::WireBase*> rspWrites = {&xRd_};
+  for (CrossbarWires& x : *xbar_) {
     pubReads.push_back(&x.flit.data);
     pubReads.push_back(&x.flit.bop);
     pubReads.push_back(&x.flit.eop);
     pubReads.push_back(&x.rok);
-    pubWrites.push_back(&x.gnt[static_cast<std::size_t>(own)]);
-    rdWrites.push_back(&x.rd[static_cast<std::size_t>(own)]);
+    pubWrites.push_back(&x.gnt[own]);
+    rspWrites.push_back(&x.rd[own]);
   }
   if (handshake) pubWrites.push_back(&out_->val);
-  lw.op(&outChanPublish, lw.ctx(pub), std::move(pubReads),
-        std::move(pubWrites));
+  lw.op(
+      [](std::uint64_t* w, void* c) {
+        auto* x = static_cast<ArenaCtx*>(c);
+        const ArenaIo io{w, x};
+        OutputChannel& ch = *x->self;
+        ch.oc_.publish(io);
+        ch.ods_.mux(io);
+        ch.ors_.select(io);
+        if (ch.handshakeOfc_) ch.handshakeOfc_->offer(io);
+      },
+      ctx, std::move(pubReads), std::move(pubWrites));
 
   if (handshake) {
-    OutChanFlowHsCtx flow;
-    flow.outAck = lw.bit(out_->ack);
-    flow.xRd = lw.bit(xRd_);
-    for (int i = 0; i < kNumPorts; ++i) {
-      CrossbarWires& x = (*xbar_)[static_cast<std::size_t>(i)];
-      flow.rdOut[i] = lw.bit(x.rd[static_cast<std::size_t>(own)]);
-    }
-    lw.op(&outChanFlowHandshake, lw.ctx(flow), {&out_->ack},
-          std::move(rdWrites));
+    lw.op(
+        [](std::uint64_t* w, void* c) {
+          auto* x = static_cast<ArenaCtx*>(c);
+          x->self->handshakeOfc_->respond(ArenaIo{w, x});
+        },
+        ctx, {&out_->ack}, std::move(rspWrites));
   } else {
-    OutChanFlowCrCtx flow;
-    flow.credit = creditOfc_.get();
-    flow.rokSel = pub.rokSel;
-    flow.outVal = pub.outVal;
-    flow.xRd = lw.bit(xRd_);
-    for (int i = 0; i < kNumPorts; ++i) {
-      CrossbarWires& x = (*xbar_)[static_cast<std::size_t>(i)];
-      flow.rdOut[i] = lw.bit(x.rd[static_cast<std::size_t>(own)]);
-    }
-    rdWrites.push_back(&out_->val);
-    lw.op(&outChanFlowCredit, lw.ctx(flow), {&rokSel_}, std::move(rdWrites));
+    rspWrites.push_back(&out_->val);
+    lw.op(
+        [](std::uint64_t* w, void* c) {
+          auto* x = static_cast<ArenaCtx*>(c);
+          x->self->creditOfc_->send(ArenaIo{w, x});
+        },
+        ctx, {&rokSel_}, std::move(rspWrites));
   }
 
-  OutChanBlocksEdgeCtx blocks;
-  blocks.oc = &oc_;
-  blocks.credit = creditOfc_.get();
-  blocks.rokSel = pub.rokSel;
-  blocks.xRd = lw.bit(xRd_);
-  blocks.outAck = lw.bit(out_->ack);
-  blocks.outWord = pub.outWord;
-  for (int i = 0; i < kNumPorts; ++i) {
-    CrossbarWires& x = (*xbar_)[static_cast<std::size_t>(i)];
-    blocks.req[i] = lw.bit(x.req[static_cast<std::size_t>(own)]);
-  }
-
-  if (metricsAttached_) {
-    lw.edgeCall(*this);  // sent counter + metrics via clockEdge()
-    lw.edgeOp(&outChanBlocksEdge, lw.ctx(blocks));
-  } else {
-    OutChanEdgeCtx edge;
-    edge.blocks = blocks;
-    edge.handshake = handshake;
-    edge.outVal = pub.outVal;
-    edge.flitsSent = &flitsSent_;
-    lw.edgeOp(&outChanEdge, lw.ctx(edge));
-  }
+  if (metricsAttached_)
+    lw.edgeOp(
+        [](std::uint64_t* w, void* c) {
+          auto* x = static_cast<ArenaCtx*>(c);
+          const ArenaIo io{w, x};
+          OutputChannel& ch = *x->self;
+          ch.edge<true>(io);
+          ch.oc_.edge(io);
+          if (ch.creditOfc_) ch.creditOfc_->edge(io);
+        },
+        ctx);
+  else
+    lw.edgeOp(
+        [](std::uint64_t* w, void* c) {
+          auto* x = static_cast<ArenaCtx*>(c);
+          const ArenaIo io{w, x};
+          OutputChannel& ch = *x->self;
+          ch.edge<false>(io);
+          ch.oc_.edge(io);
+          if (ch.creditOfc_) ch.creditOfc_->edge(io);
+        },
+        ctx);
   return true;
 }
 
@@ -330,13 +310,17 @@ struct VcOutputChannel::WireIo {
   void putReads(int i, unsigned vcs) const {
     putStrobes(i, &CrossbarWires::rd, vcs);
   }
-  // Drives input (i, v)'s flit onto the link as downstream VC d.
+  // Drives input (i, v)'s flit onto the link as downstream VC d (the VC
+  // data switch), or nothing.
   void putLink(int i, int v, int d) const {
-    vcOutputDataSwitch(bundle(i, v), d, ch.out_->flit, ch.out_->vc,
-                       ch.out_->val);
+    driveFlit(ch.out_->flit, readFlit(bundle(i, v).flit));
+    ch.out_->vc.set(d);
+    ch.out_->val.set(true);
   }
   void putIdle() const {
-    vcOutputDataIdle(ch.out_->flit, ch.out_->vc, ch.out_->val);
+    driveFlit(ch.out_->flit, Flit{});
+    ch.out_->vc.set(0);
+    ch.out_->val.set(false);
   }
 
  private:
@@ -380,20 +364,22 @@ struct VcOutputChannel::ArenaIo {
   unsigned vcFree() const {
     return field(w[c->link], vcarena::kFree, kMaxVCs);
   }
-  unsigned vcAcks() const { return field(w[c->link], vcarena::kAck, kMaxVCs); }
+  unsigned vcAcks() const {
+    return field(w[c->link], vcarena::kVcAck, kMaxVCs);
+  }
   bool outVal() const { return bit(w[c->link], vcarena::kVal); }
   int outVc() const {
     return static_cast<int>(field(w[c->link], vcarena::kVc,
                                   vcarena::kVcWidth));
   }
-  bool outEop() const { return bit(w[c->link], sim::kFlitEopShift); }
+  bool outEop() const { return bit(w[c->link], vcarena::kEop); }
   void putGrants(int i, unsigned vcs) const { putLanes(i, c->own, vcs); }
   void putReads(int i, unsigned vcs) const {
     putLanes(i, vcarena::kRd + c->own, vcs);
   }
   void putLink(int i, int v, int d) const {
     sim::opPutBits(w, c->link, vcarena::kForwardMask,
-                   (bundle(i, v) & sim::kFlitWordMask) |
+                   (bundle(i, v) & vcarena::kFlitMask) |
                        (std::uint64_t{1} << vcarena::kVal) |
                        (static_cast<std::uint64_t>(d) << vcarena::kVc));
   }
@@ -654,8 +640,9 @@ bool VcOutputChannel::describe(sim::Lowering& lw) {
   proto.self = this;
   proto.link = vcarena::channelWord(lw, *out_, numVCs_);
   for (int i = 0; i < kNumPorts; ++i)
-    proto.block[i] =
-        vcarena::portBlock(lw, (*xbar_)[static_cast<std::size_t>(i)], numVCs_);
+    proto.block[i] = vcarena::portBlock(
+        lw, std::span<const CrossbarWires>((*xbar_)[static_cast<std::size_t>(i)])
+                .first(static_cast<std::size_t>(numVCs_)));
   proto.own = static_cast<unsigned>(own);
   ArenaCtx* ctx = lw.ctx(proto);
 

@@ -64,15 +64,29 @@ class OutputChannel : public sim::Module {
   /// Enables instrumentation; the metrics must outlive the channel.
   void attachMetrics(const OutputChannelMetrics& metrics);
 
-  /// Compiled-kernel lowering: replaces the OC/ODS/ORS/OFC subtree with two
-  /// fused arena ops (grant publish + output mux, flow-control response) and
-  /// a fused edge op (router/output_channel.cpp).
+  /// Compiled-kernel lowering: the OC/ODS/ORS/OFC subtree becomes two arena
+  /// ops (grant publish + output muxes, flow-control response) and one edge
+  /// op.  Each op runs the blocks' own bodies, the ones their evaluate()
+  /// and clockEdge() run, over the packed words of router/vc_arena.hpp
+  /// (router/output_channel.cpp).
   bool describe(sim::Lowering& lw) override;
 
  protected:
+  void onReset() override;
   void clockEdge() override;
 
  private:
+  // Signal accessors the channel's edge and the compiled ops are written
+  // over (output_channel.cpp): the Wire objects, or the packed arena words.
+  struct WireIo;
+  struct ArenaIo;
+  struct ArenaCtx;
+
+  // Sent counting and metrics, from pre-edge state: the channel's clock
+  // edge runs before its OC child's.
+  template <bool kMetrics, class Io>
+  void edge(const Io& io);
+
   Port ownPort_;
 
   // Internal nets.

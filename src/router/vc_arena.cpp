@@ -12,37 +12,36 @@ std::uint32_t channelWord(sim::Lowering& lw, const ChannelWires& c,
   if (const auto word = lw.placedWord(c.flit.data)) return *word;
   std::vector<sim::WordField> fields = {
       {c.flit.data, 0},
-      {c.flit.bop, sim::kFlitBopShift},
-      {c.flit.eop, sim::kFlitEopShift},
+      {c.flit.bop, kBop},
+      {c.flit.eop, kEop},
       {c.val, kVal},
-      {c.vc, kVc, kVcWidth}};
+      {c.vc, kVc, kVcWidth},
+      {c.ack, kAck}};
   for (int v = 0; v < numVCs; ++v) {
     const auto vi = static_cast<unsigned>(v);
     fields.emplace_back(c.vcFree[vi], kFree + vi);
-    fields.emplace_back(c.vcAck[vi], kAck + vi);
+    fields.emplace_back(c.vcAck[vi], kVcAck + vi);
   }
   return lw.packedWord(fields);
 }
 
 std::uint32_t portBlock(sim::Lowering& lw,
-                        const std::array<CrossbarWires, kMaxVCs>& xbar,
-                        int numVCs) {
+                        std::span<const CrossbarWires> xbar) {
   if (const auto word = lw.placedWord(xbar[0].gnt[0])) return *word;
   std::vector<sim::WordField> control;
-  for (int v = 0; v < numVCs; ++v) {
-    const CrossbarWires& x = xbar[static_cast<std::size_t>(v)];
+  for (std::size_t v = 0; v < xbar.size(); ++v) {
     for (unsigned o = 0; o < kNumPorts; ++o) {
       const unsigned bit = kLane * static_cast<unsigned>(v) + o;
-      control.emplace_back(x.gnt[o], bit);
-      control.emplace_back(x.rd[o], kRd + bit);
+      control.emplace_back(xbar[v].gnt[o], bit);
+      control.emplace_back(xbar[v].rd[o], kRd + bit);
     }
   }
   const std::uint32_t base = lw.packedWord(control);
-  for (int v = 0; v < numVCs; ++v) {
-    const CrossbarWires& x = xbar[static_cast<std::size_t>(v)];
+  for (std::size_t v = 0; v < xbar.size(); ++v) {
+    const CrossbarWires& x = xbar[v];
     std::vector<sim::WordField> bundle = {{x.flit.data, 0},
-                                          {x.flit.bop, sim::kFlitBopShift},
-                                          {x.flit.eop, sim::kFlitEopShift},
+                                          {x.flit.bop, kBop},
+                                          {x.flit.eop, kEop},
                                           {x.rok, kRok}};
     for (unsigned o = 0; o < kNumPorts; ++o)
       bundle.emplace_back(x.req[o], kReq + o);

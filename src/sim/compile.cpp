@@ -16,12 +16,6 @@ void Lowering::beginModule(Module& m) {
   descend_ = false;
 }
 
-std::uint32_t Lowering::flitWord(const Wire<std::uint32_t>& data,
-                                 const Wire<bool>& bop,
-                                 const Wire<bool>& eop) {
-  return packedWord({{data, 0}, {bop, kFlitBopShift}, {eop, kFlitEopShift}});
-}
-
 std::optional<std::uint32_t> Lowering::placedWord(const WireBase& w) const {
   const std::size_t b = prog_.bindingOf(&w);
   if (b == CompiledProgram::kUnplaced) return std::nullopt;

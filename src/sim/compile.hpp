@@ -6,10 +6,9 @@
 // Kernel::Compiled instead runs a single lowering pass at elaboration time:
 //
 //  * every wire an op touches is assigned a (word, bit-offset) slice of a
-//    contiguous std::uint64_t arena - bools are 1 bit, 32-bit values are a
-//    32-bit slice, and a flit (data, bop, eop) trio shares one word so flit
-//    moves are single masked word copies (describe() may pack any group of
-//    wires into one word at fixed fields the same way, packedWord);
+//    contiguous std::uint64_t arena - a 32-bit slice of its own, or a fixed
+//    field of a word describe() packs with a group of related wires
+//    (packedWord), so moving the group is one masked word copy;
 //  * every module contributes, via Module::describe(), either word-level
 //    ops (plain function pointers over the arena, no virtual dispatch) or a
 //    fallback thunk wrapping its behavioural evaluate() - so migration is
@@ -71,13 +70,6 @@ using OpFn = void (*)(std::uint64_t* words, void* ctx);
 
 // --- arena accessors for op functions --------------------------------------
 
-inline bool opBit(const std::uint64_t* words, Slice s) {
-  return ((words[s.word()] >> s.shift()) & 1u) != 0;
-}
-inline void opPutBit(std::uint64_t* words, Slice s, bool v) {
-  const std::uint64_t m = std::uint64_t{1} << s.shift();
-  words[s.word()] = (words[s.word()] & ~m) | (v ? m : 0);
-}
 inline std::uint32_t opWord32(const std::uint64_t* words, Slice s) {
   return static_cast<std::uint32_t>(words[s.word()] >> s.shift());
 }
@@ -85,32 +77,6 @@ inline void opPutWord32(std::uint64_t* words, Slice s, std::uint32_t v) {
   const std::uint64_t m = std::uint64_t{0xffffffff} << s.shift();
   words[s.word()] =
       (words[s.word()] & ~m) | (static_cast<std::uint64_t>(v) << s.shift());
-}
-
-// Flit words: data in bits [0,32), bop at 32, eop at 33.  Allocated as a
-// dedicated word per flit so a flit move is one masked copy.
-inline constexpr unsigned kFlitBopShift = 32;
-inline constexpr unsigned kFlitEopShift = 33;
-inline constexpr std::uint64_t kFlitWordMask = 0x3ffffffffull;
-
-inline std::uint32_t opFlitData(const std::uint64_t* words, std::uint32_t w) {
-  return static_cast<std::uint32_t>(words[w]);
-}
-inline bool opFlitBop(const std::uint64_t* words, std::uint32_t w) {
-  return ((words[w] >> kFlitBopShift) & 1u) != 0;
-}
-inline bool opFlitEop(const std::uint64_t* words, std::uint32_t w) {
-  return ((words[w] >> kFlitEopShift) & 1u) != 0;
-}
-inline void opPutFlit(std::uint64_t* words, std::uint32_t w,
-                      std::uint32_t data, bool bop, bool eop) {
-  words[w] = (words[w] & ~kFlitWordMask) | data |
-             (bop ? std::uint64_t{1} << kFlitBopShift : 0) |
-             (eop ? std::uint64_t{1} << kFlitEopShift : 0);
-}
-inline void opCopyFlit(std::uint64_t* words, std::uint32_t dst,
-                       std::uint32_t src) {
-  words[dst] = (words[dst] & ~kFlitWordMask) | (words[src] & kFlitWordMask);
 }
 
 // Whole-field access to words laid out by Lowering::packedWord: replace the
@@ -168,16 +134,8 @@ class CompiledProgram;
 class Lowering {
  public:
   // --- slice allocation / lookup ---------------------------------------
-  Slice bit(const Wire<bool>& w) { return slice(w, 1); }
-  Slice word32(const Wire<std::uint32_t>& w) { return slice(w, 32); }
-  Slice word32(const Wire<int>& w) { return slice(w, 32); }
-
-  // Co-allocates a (data, bop, eop) trio in one fresh word (shifts 0 / 32 /
-  // 33) and returns the word index.  Throws std::logic_error if any member
-  // was previously placed with a different layout - describe()
-  // implementations must route every flit through flitWord().
-  std::uint32_t flitWord(const Wire<std::uint32_t>& data,
-                         const Wire<bool>& bop, const Wire<bool>& eop);
+  Slice word32(const Wire<std::uint32_t>& w) { return slice(w); }
+  Slice word32(const Wire<int>& w) { return slice(w); }
 
   // Co-allocates `fields` in one fresh word at their fixed shifts and
   // returns the word index; unlisted bits stay unbound.  Idempotent per
@@ -263,7 +221,7 @@ class Lowering {
   explicit Lowering(CompiledProgram& prog) : prog_(prog) {}
 
   template <typename T>
-  Slice slice(const Wire<T>& w, int width);
+  Slice slice(const Wire<T>& w);
   void* allocCtx(std::size_t size, std::size_t align);
   bool descendRequested() const { return descend_; }
   void beginModule(Module& m);
@@ -398,8 +356,6 @@ class CompiledProgram {
   std::uint32_t wordCount_ = 0;
 
   // Packing cursors for the slice allocator.
-  std::int64_t bitWord_ = -1;
-  unsigned bitUsed_ = 0;
   std::int64_t halfWord_ = -1;
   unsigned halfUsed_ = 0;
 
@@ -452,38 +408,25 @@ class CompiledProgram {
 };
 
 template <typename T>
-Slice Lowering::slice(const Wire<T>& w, int width) {
+Slice Lowering::slice(const Wire<T>& w) {
   const std::size_t placed = prog_.bindingOf(&w);
   if (placed != CompiledProgram::kUnplaced) {
     const CompiledProgram::Binding& b = prog_.bindings_[placed];
-    if (b.width != width)
+    if (b.width != 32)
       throw std::logic_error("Lowering: wire placed with conflicting widths");
     return {b.word, b.shift};
   }
-  std::uint32_t word;
-  std::uint8_t shift;
-  if (width == 1) {
-    if (prog_.bitWord_ < 0 || prog_.bitUsed_ == 64) {
-      prog_.bitWord_ = prog_.newWord();
-      prog_.bitUsed_ = 0;
-    }
-    word = static_cast<std::uint32_t>(prog_.bitWord_);
-    shift = static_cast<std::uint8_t>(prog_.bitUsed_++);
-  } else {
-    if (prog_.halfWord_ < 0 || prog_.halfUsed_ == 2) {
-      prog_.halfWord_ = prog_.newWord();
-      prog_.halfUsed_ = 0;
-    }
-    word = static_cast<std::uint32_t>(prog_.halfWord_);
-    shift = static_cast<std::uint8_t>(32 * prog_.halfUsed_++);
+  if (prog_.halfWord_ < 0 || prog_.halfUsed_ == 2) {
+    prog_.halfWord_ = prog_.newWord();
+    prog_.halfUsed_ = 0;
   }
-  static_assert(std::is_same_v<T, bool> || sizeof(T) == 4,
-                "flush tables store raw 4-byte integrals");
-  prog_.addBinding(
-      {&w, w.arenaValueSlot(), word, shift, static_cast<std::uint8_t>(width),
-       [](const WireBase* wb) {
-         static_cast<const Wire<T>*>(wb)->syncArena();
-       }});
+  const auto word = static_cast<std::uint32_t>(prog_.halfWord_);
+  const auto shift = static_cast<std::uint8_t>(32 * prog_.halfUsed_++);
+  static_assert(sizeof(T) == 4, "flush tables store raw 4-byte integrals");
+  prog_.addBinding({&w, w.arenaValueSlot(), word, shift, 32,
+                    [](const WireBase* wb) {
+                      static_cast<const Wire<T>*>(wb)->syncArena();
+                    }});
   return {word, shift};
 }
 

@@ -144,8 +144,8 @@ TEST(CompiledFuzzTest, MidRunResetRecompilesCleanly) {
     compareNets(s, *ref, *com, "post-reset");
 
     // The ledger accumulates across reset() by design, so the fresh-network
-    // leg compares the replayed machine state (per-node deliveries), not
-    // the lifetime totals.
+    // leg compares the replayed machine state (per-node deliveries, and the
+    // link flit counters reset() clears), not the lifetime totals.
     auto fresh = buildNet(s, Simulator::Kernel::Compiled);
     fresh->run(s.cycles);
     for (int n = 0; n < s.topo->nodes(); ++n) {
@@ -154,6 +154,8 @@ TEST(CompiledFuzzTest, MidRunResetRecompilesCleanly) {
           << "fresh-vs-recompiled node " << n;
     }
     EXPECT_EQ(com->healthy(), fresh->healthy());
+    EXPECT_DOUBLE_EQ(com->meanLinkUtilization(), fresh->meanLinkUtilization());
+    EXPECT_DOUBLE_EQ(com->maxLinkUtilization(), fresh->maxLinkUtilization());
   }
 }
 

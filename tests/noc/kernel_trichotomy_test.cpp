@@ -339,10 +339,11 @@ TEST(KernelTrichotomyTest, FaultFreeVcNetworksCompileAcyclic) {
 }
 
 TEST(KernelTrichotomyTest, TelemetryEnabledMidRunMatchesAcrossKernels) {
-  // The VC channels' compiled edge ops are chosen by whether metrics are
+  // Every channel's compiled edge op is chosen by whether metrics are
   // attached, so attaching them after the first compile must rebuild the
   // program: a late enableTelemetry() has to count exactly what the naive
-  // kernel counts.
+  // kernel counts.  Checked on the QoS VC router and on the single-VC
+  // router under both flow controls.
   const auto topo = makeTopology("mesh", 4, 4);
   FlowSpec control;
   control.trafficClass = router::TrafficClass::Control;
@@ -354,25 +355,39 @@ TEST(KernelTrichotomyTest, TelemetryEnabledMidRunMatchesAcrossKernels) {
   bulk.traffic.offeredLoad = 0.35;
   bulk.traffic.payloadFlits = 4;
   bulk.traffic.seed = 62;
-  std::vector<std::string> reports;
-  for (const Simulator::Kernel kernel : kAllKernels) {
-    NetworkConfig cfg = baseConfig(4);
-    cfg.params.qosClasses = true;
-    cfg.kernel = kernel;
-    telemetry::MetricsRegistry registry;
-    Network net(topo, cfg);
-    net.attachTraffic(std::vector<FlowSpec>{control, bulk});
-    net.run(50);
-    net.enableTelemetry(registry);
-    net.run(400);
-    EXPECT_GT(registry.counterValue(routerMetricPrefix(topo->nodeAt(5)) +
-                                    ".flits_routed"),
-              0u);
-    telemetry::RunReport report("late_telemetry");
-    report.attachRegistry(registry);
-    reports.push_back(report.toJson());
+  struct Case {
+    const char* name;
+    int numVCs;
+    router::FlowControl flow;
+  };
+  for (const Case& c :
+       {Case{"qos vc4", 4, router::FlowControl::Handshake},
+        Case{"vc1 handshake", 1, router::FlowControl::Handshake},
+        Case{"vc1 credit", 1, router::FlowControl::CreditBased}}) {
+    SCOPED_TRACE(c.name);
+    std::vector<std::string> reports;
+    for (const Simulator::Kernel kernel : kAllKernels) {
+      NetworkConfig cfg = baseConfig(c.numVCs, c.flow);
+      cfg.params.qosClasses = c.numVCs > 1;
+      cfg.kernel = kernel;
+      telemetry::MetricsRegistry registry;
+      Network net(topo, cfg);
+      if (c.numVCs > 1)
+        net.attachTraffic(std::vector<FlowSpec>{control, bulk});
+      else
+        net.attachTraffic(bulk.traffic);
+      net.run(50);
+      net.enableTelemetry(registry);
+      net.run(400);
+      EXPECT_GT(registry.counterValue(routerMetricPrefix(topo->nodeAt(5)) +
+                                      ".flits_routed"),
+                0u);
+      telemetry::RunReport report("late_telemetry");
+      report.attachRegistry(registry);
+      reports.push_back(report.toJson());
+    }
+    EXPECT_EQ(reports[0], reports[1]);
   }
-  EXPECT_EQ(reports[0], reports[1]);
 }
 
 // --- naive-vs-compiled equivalence -----------------------------------------
@@ -407,18 +422,31 @@ TEST(KernelEquivalenceTest, EightByEightSaturatedTranspose) {
 }
 
 TEST(KernelEquivalenceTest, CreditFlowControlAndFlipFlopFifos) {
-  // The other microarchitectural corner: credit-based flow control with
-  // flip-flop FIFOs on a smaller mesh.
-  NetworkConfig base = baseConfig(1, router::FlowControl::CreditBased);
-  base.params.fifoImpl = router::FifoImpl::FlipFlop;
-  TrafficConfig traffic;
-  traffic.pattern = TrafficPattern::UniformRandom;
-  traffic.offeredLoad = 0.25;
-  traffic.payloadFlits = 2;
-  traffic.seed = 7;
-  auto nets =
-      makeNets(std::make_shared<MeshTopology>(MeshShape{4, 4}), base, traffic);
-  runLockstep(nets, 2500, 250);
+  // The microarchitectural corners on a smaller mesh: every flow control
+  // with every FIFO implementation (credit-based flow control with
+  // flip-flop FIFOs first, the corner this test was written for).  The
+  // single-VC channel's compiled ops serve all four.
+  for (const router::FlowControl flow :
+       {router::FlowControl::CreditBased, router::FlowControl::Handshake}) {
+    for (const router::FifoImpl fifo :
+         {router::FifoImpl::FlipFlop, router::FifoImpl::Eab}) {
+      SCOPED_TRACE(std::string(flow == router::FlowControl::CreditBased
+                                   ? "credit"
+                                   : "handshake") +
+                   (fifo == router::FifoImpl::FlipFlop ? " flip-flop"
+                                                       : " eab"));
+      NetworkConfig base = baseConfig(1, flow);
+      base.params.fifoImpl = fifo;
+      TrafficConfig traffic;
+      traffic.pattern = TrafficPattern::UniformRandom;
+      traffic.offeredLoad = 0.25;
+      traffic.payloadFlits = 2;
+      traffic.seed = 7;
+      auto nets = makeNets(std::make_shared<MeshTopology>(MeshShape{4, 4}),
+                           base, traffic);
+      runLockstep(nets, 2500, 250);
+    }
+  }
 }
 
 TEST(KernelEquivalenceTest, FaultyLinksAndParityStayDeterministic) {
@@ -491,6 +519,10 @@ void runFaultCampaignLockstep(int numVCs, router::FlowControl flow) {
   campaign.minDuration = 16;
   campaign.maxDuration = 48;
   campaign.seed = 0xc0ffee;
+  // A single-VC credit link rejects stall and drop windows (its ack wire
+  // carries credit returns), so that leg runs the corruption alone.
+  const bool windows = numVCs > 1 || flow == router::FlowControl::Handshake;
+  if (!windows) campaign.stallEvents = campaign.dropEvents = 0;
   ReliabilityConfig reliability;
   reliability.enabled = true;
   reliability.seqBits = 6;
@@ -536,18 +568,30 @@ void runFaultCampaignLockstep(int numVCs, router::FlowControl flow) {
         << "node " << i;
   }
   // The stalled handshakes must have been settled through iterated
-  // segments, proving the cyclic path is actually exercised.
+  // segments, proving the cyclic path is actually exercised.  Without
+  // windows the fault links close no cycle: they run as thunks in the
+  // linear schedule.
   const sim::CompiledProgram* prog = compiled.simulator().compiledProgram();
   ASSERT_NE(prog, nullptr);
-  EXPECT_GT(prog->iterateSegmentCount(), 0u);
+  if (windows)
+    EXPECT_GT(prog->iterateSegmentCount(), 0u);
+  else
+    EXPECT_GT(prog->thunkCount(), 0u);
 }
 
 TEST(KernelTrichotomyTest, FaultCampaignLockstepCompiledVsNaive) {
   // Under a fault campaign every link is a FaultyLink, so the compiled
   // program is mostly behavioural thunks handshaking with lowered channel
   // ops - the configuration that exercises iterated (cyclic) segments and
-  // the thunk pre-flush path hardest.
-  runFaultCampaignLockstep(1, router::FlowControl::Handshake);
+  // the thunk pre-flush path hardest.  The thunks read and drive the
+  // packed channel words of the single-VC channels, under both flow
+  // controls.
+  for (const router::FlowControl flow :
+       {router::FlowControl::Handshake, router::FlowControl::CreditBased}) {
+    SCOPED_TRACE(flow == router::FlowControl::CreditBased ? "credit"
+                                                          : "handshake");
+    runFaultCampaignLockstep(1, flow);
+  }
 }
 
 TEST(KernelTrichotomyTest, FaultCampaignLockstepCompiledVsNaiveAtFourVCs) {
