@@ -12,12 +12,14 @@
 #include <vector>
 
 #include "noc/fault.hpp"
+#include "noc/flow_trace.hpp"
 #include "noc/network.hpp"
 #include "noc/observe.hpp"
 #include "noc/topology.hpp"
 #include "noc/traffic.hpp"
 #include "noc/watchdog.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/report.hpp"
 
 namespace rasoc::noc {
 namespace {
@@ -368,6 +370,108 @@ TEST(FaultCampaignTest, TelemetryCountsFaultsPerLinkAndInTheReport) {
   EXPECT_NE(json.find("\"reliability\""), std::string::npos);
   EXPECT_NE(json.find("\"retransmissions\""), std::string::npos);
   EXPECT_NE(json.find("\"fault_stall_cycles\""), std::string::npos);
+}
+
+// 64-bit FNV-1a: a compact fingerprint of a byte-stable artifact.
+std::uint64_t fnv1a(const std::string& bytes) {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  for (const unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+// Golden for the reliability and observer layers together: parity,
+// retransmission, a seeded fault campaign, telemetry and flit tracing on
+// one 4x4 mesh.  The registry samples net.reliability.unacked_frames and
+// backlog_frames every cycle, so its JSON hash pins the transport's frame
+// counts cycle by cycle; the Perfetto hash pins every traced event; the
+// ReliabilityStats pin the protocol's retransmission decisions.
+TEST(FaultCampaignTest, ReliableObservedGoldenOnBothKernels) {
+  for (const auto kernel :
+       {sim::Simulator::Kernel::Naive, sim::Simulator::Kernel::Compiled}) {
+    SCOPED_TRACE("kernel=" + std::to_string(static_cast<int>(kernel)));
+    auto topology = makeTopology("mesh", 4, 4);
+    NetworkConfig cfg;
+    cfg.kernel = kernel;
+    cfg.params.n = 16;
+    cfg.params.p = 4;
+    cfg.hlpParity = true;
+    cfg.reliability.enabled = true;
+    cfg.reliability.seqBits = 6;
+    cfg.reliability.window = 8;
+    cfg.reliability.rtoInitial = 256;
+    cfg.reliability.rtoMax = 4096;
+    cfg.reliability.nackMinInterval = 16;
+    CampaignConfig campaign;
+    campaign.horizon = 2000;
+    campaign.corruptRate = 0.01;
+    campaign.corruptLinkFraction = 0.75;
+    campaign.stallEvents = 4;
+    campaign.dropEvents = 4;
+    campaign.minDuration = 16;
+    campaign.maxDuration = 96;
+    campaign.seed = 0x90210;
+    cfg.faultPlan = makeFaultPlan(*topology, campaign);
+    Network net(topology, cfg);
+    telemetry::MetricsRegistry registry;
+    net.enableTelemetry(registry);
+    TraceConfig trace;
+    trace.capacity = 1u << 18;  // retain every event: the hash covers all
+    FlowTracer& tracer = net.enableTracing(trace);
+    // Bit-complement gives every node one long-haul flow, so a lost frame
+    // stalls a whole window and the backlog fills behind it.
+    TrafficConfig traffic;
+    traffic.pattern = TrafficPattern::BitComplement;
+    traffic.offeredLoad = 0.2;
+    traffic.payloadFlits = 4;
+    traffic.seed = 17;
+    net.attachTraffic(traffic);
+    net.run(2000);
+    net.pauseTraffic(true);
+    ASSERT_TRUE(net.drain(40000)) << "reliable network must drain";
+    EXPECT_EQ(net.ledger().delivered(), net.ledger().queued());
+    EXPECT_TRUE(net.healthy());
+
+    EXPECT_EQ(net.simulator().cycle(), 2271u);
+
+    // Non-vacuous: the transport had frames in flight and in backlog, and
+    // the gauges saw every cycle.
+    const telemetry::Gauge* unacked =
+        registry.findGauge("net.reliability.unacked_frames");
+    const telemetry::Gauge* backlog =
+        registry.findGauge("net.reliability.backlog_frames");
+    ASSERT_NE(unacked, nullptr);
+    ASSERT_NE(backlog, nullptr);
+    EXPECT_EQ(unacked->samples(), net.simulator().cycle());
+    EXPECT_GT(unacked->max(), 0.0);
+    EXPECT_GT(backlog->max(), 0.0);
+
+    EXPECT_EQ(tracer.sink().dropped(), 0u);
+    EXPECT_EQ(tracer.sink().recorded(), 203774u);
+    EXPECT_EQ(tracer.packetsTraced(), 1899u);
+    EXPECT_EQ(tracer.packetsCompleted(), 1898u);
+
+    telemetry::RunReport report("golden");
+    report.attachRegistry(registry);
+    EXPECT_EQ(fnv1a(report.toJson()), 0xcfff915671e704a8ull);
+    EXPECT_EQ(fnv1a(tracer.perfettoJson()), 0x08e0d9b8cd107390ull);
+
+    const ReliabilityStats rs = net.reliabilityStats();
+    EXPECT_EQ(rs.dataFramesSent, 729u);
+    EXPECT_EQ(rs.retransmissions, 321u);
+    EXPECT_EQ(rs.timeouts, 157u);
+    EXPECT_EQ(rs.acksSent, 591u);
+    EXPECT_EQ(rs.nacksSent, 258u);
+    EXPECT_EQ(rs.acksReceived, 544u);
+    EXPECT_EQ(rs.nacksReceived, 235u);
+    EXPECT_EQ(rs.duplicatesDropped, 143u);
+    EXPECT_EQ(rs.outOfOrderBuffered, 264u);
+    EXPECT_EQ(rs.malformedFrames, 5u);
+    EXPECT_EQ(rs.payloadsDelivered, 729u);
+    EXPECT_EQ(rs.abandoned, 0u);
+  }
 }
 
 }  // namespace
