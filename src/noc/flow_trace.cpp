@@ -56,9 +56,9 @@ FlowTracer::FlowTracer(Network& network, TraceConfig config)
   niStream_.assign(static_cast<std::size_t>(nodes_), {});
   prevAccepted_.assign(slots, 0);
   prevSent_.assign(slots, 0);
-  popped_.assign(slots, 0);
+  popped_.assign(slots, {});
   poppedValid_.assign(slots, 0);
-  transferId_.assign(slots, 0);
+  transfer_.assign(slots, {});
   transferValid_.assign(slots, 0);
 
   for (int n = 0; n < nodes_; ++n) {
@@ -84,12 +84,6 @@ FlowTracer::FlowTracer(Network& network, TraceConfig config)
     faulty_.push_back(view);
   }
   resyncCounters();
-}
-
-FlowTracer::PacketMeta* FlowTracer::meta(std::uint64_t id) {
-  if (id == 0) return nullptr;
-  const auto it = metas_.find(id);
-  return it == metas_.end() ? nullptr : &it->second;
 }
 
 void FlowTracer::emit(TraceEventKind kind, std::uint64_t cycle,
@@ -124,23 +118,29 @@ std::uint64_t FlowTracer::onPacketQueued(NodeId src, NodeId dst,
   staged.src = s;
   staged.dst = d;
   staged.flits = flits;
-  if (sampled) {
-    PacketMeta m;
-    m.src = s;
-    m.dst = d;
-    m.flits = flits;
-    m.kind = kind;
-    metas_.emplace(id, m);
-    ++packetsTraced_;
-    staged.id = id;
-    staged_.push_back(staged);
-    return id;
+  if (!sampled) {
+    staged_.push_back(staged);  // a filler: id 0, no slot
+    return 0;
   }
-  // Unsampled packets still occupy a shadow stream/FIFO slot (id 0) so the
-  // per-flit accounting stays aligned with the hardware queues.
-  staged.id = 0;
+  PacketMeta m;
+  m.id = id;
+  m.src = s;
+  m.dst = d;
+  m.flits = flits;
+  m.kind = kind;
+  std::uint32_t metaSlot;
+  if (freeSlots_.empty()) {
+    metaSlot = static_cast<std::uint32_t>(metas_.size());
+    metas_.push_back(m);
+  } else {
+    metaSlot = freeSlots_.back();
+    freeSlots_.pop_back();
+    metas_[metaSlot] = m;
+  }
+  ++packetsTraced_;
+  staged.ref = {id, metaSlot};
   staged_.push_back(staged);
-  return 0;
+  return id;
 }
 
 void FlowTracer::desync(const char* where, int node, int port) const {
@@ -159,12 +159,12 @@ void FlowTracer::onTick() {
   //    per-NI stream queues (order matches the hardware sendQueue_).
   for (const Staged& s : staged_) {
     NiEntry entry;
-    entry.id = s.id;
+    entry.ref = s.ref;
     entry.flits = s.flits;
     niStream_[static_cast<std::size_t>(s.src)].push_back(entry);
-    if (PacketMeta* m = meta(s.id)) {
+    if (PacketMeta* m = meta(s.ref)) {
       m->queuedCycle = cycle;
-      emit(s.kind, cycle, s.id, *m, s.src, router::index(Port::Local),
+      emit(s.kind, cycle, s.ref.id, *m, s.src, router::index(Port::Local),
            s.flits);
     }
   }
@@ -182,15 +182,15 @@ void FlowTracer::onTick() {
       if (q.empty()) desync("buffer read", n, router::index(p));
       const FifoEntry e = q.front();
       q.pop_front();
-      popped_[s] = e.id;
+      popped_[s] = e.ref;
       poppedValid_[s] = 1;
-      if (PacketMeta* m = meta(e.id)) {
+      if (PacketMeta* m = meta(e.ref)) {
         const std::uint64_t residency = cycle - e.enqCycle;
         if (e.bop) {
           ++m->hops;
           m->hopBlocked += residency - 1;
         }
-        emit(TraceEventKind::FifoDequeue, cycle, e.id, *m, n,
+        emit(TraceEventKind::FifoDequeue, cycle, e.ref.id, *m, n,
              router::index(p), static_cast<std::int32_t>(residency));
       }
     }
@@ -222,34 +222,35 @@ void FlowTracer::onTick() {
           continue;
         if (preConn && preSel == i) continue;  // already being served
         const auto& q = fifo_[slot(n, i)];
-        const std::uint64_t id = q.empty() ? 0 : q.front().id;
-        if (PacketMeta* m = meta(id)) {
+        if (q.empty()) continue;
+        const PacketRef& ref = q.front().ref;
+        if (PacketMeta* m = meta(ref)) {
           const bool won = grantFired && granted == i;
           emit(won ? TraceEventKind::ArbGrant : TraceEventKind::ArbConflict,
-               cycle, id, *m, n, own, i);
+               cycle, ref.id, *m, n, own, i);
         }
       }
 
       if (!transferred) continue;
       const std::size_t from = slot(n, preSel);
       if (!poppedValid_[from]) desync("transfer source", n, own);
-      const std::uint64_t id = popped_[from];
+      const PacketRef ref = popped_[from];
       if (p == Port::Local) {
         const auto& w = oc->outWires();
-        if (PacketMeta* m = meta(id)) {
+        if (PacketMeta* m = meta(ref)) {
           if (w.flit.bop.get()) {
             m->headerEjectCycle = cycle;
-            emit(TraceEventKind::HeaderEjected, cycle, id, *m, n, own, 0);
+            emit(TraceEventKind::HeaderEjected, cycle, ref.id, *m, n, own, 0);
           }
           if (w.flit.eop.get()) {
-            emit(TraceEventKind::PacketEjected, cycle, id, *m, n, own, 0);
-            completePacket(id, *m, cycle);
+            emit(TraceEventKind::PacketEjected, cycle, ref.id, *m, n, own, 0);
+            completePacket(ref, cycle);
           }
         }
       } else {
-        if (PacketMeta* m = meta(id))
-          emit(TraceEventKind::LinkTransfer, cycle, id, *m, n, own, 0);
-        transferId_[s] = id;
+        if (PacketMeta* m = meta(ref))
+          emit(TraceEventKind::LinkTransfer, cycle, ref.id, *m, n, own, 0);
+        transfer_[s] = ref;
         transferValid_[s] = 1;
       }
     }
@@ -264,18 +265,18 @@ void FlowTracer::onTick() {
     if (corrupted != f.prevCorrupted) {
       f.prevCorrupted = corrupted;
       if (transferValid_[f.slot]) {
-        if (PacketMeta* m = meta(transferId_[f.slot]))
-          emit(TraceEventKind::LinkCorrupt, cycle, transferId_[f.slot], *m, n,
-               p, 0);
+        const PacketRef& ref = transfer_[f.slot];
+        if (PacketMeta* m = meta(ref))
+          emit(TraceEventKind::LinkCorrupt, cycle, ref.id, *m, n, p, 0);
       }
     }
     const std::uint64_t dropped = f.link->flitsDropped();
     if (dropped != f.prevDropped) {
       f.prevDropped = dropped;
       if (transferValid_[f.slot]) {
-        if (PacketMeta* m = meta(transferId_[f.slot]))
-          emit(TraceEventKind::LinkDrop, cycle, transferId_[f.slot], *m, n, p,
-               0);
+        const PacketRef& ref = transfer_[f.slot];
+        if (PacketMeta* m = meta(ref))
+          emit(TraceEventKind::LinkDrop, cycle, ref.id, *m, n, p, 0);
         // The flit was consumed by the link; it never reaches the far side.
         transferValid_[f.slot] = 0;
       }
@@ -287,8 +288,9 @@ void FlowTracer::onTick() {
       if (oc && oc->connectedWire()) {
         const auto& q = fifo_[slot(n, oc->selWire())];
         if (!q.empty()) {
-          if (PacketMeta* m = meta(q.front().id))
-            emit(TraceEventKind::LinkStall, cycle, q.front().id, *m, n, p, 0);
+          const PacketRef& ref = q.front().ref;
+          if (PacketMeta* m = meta(ref))
+            emit(TraceEventKind::LinkStall, cycle, ref.id, *m, n, p, 0);
         }
       }
     }
@@ -306,19 +308,19 @@ void FlowTracer::onTick() {
       if (accepted == prevAccepted_[s]) continue;
       prevAccepted_[s] = accepted;
       const bool bop = ic->inWires().flit.bop.get();
-      std::uint64_t id = 0;
+      PacketRef ref;
       if (p == Port::Local) {
         auto& stream = niStream_[static_cast<std::size_t>(n)];
         if (stream.empty()) desync("NI stream", n, router::index(p));
         NiEntry& e = stream.front();
-        id = e.id;
+        ref = e.ref;
         const std::int32_t seq = e.next++;
-        if (PacketMeta* m = meta(id)) {
-          emit(TraceEventKind::FlitInjected, cycle, id, *m, n,
+        if (PacketMeta* m = meta(ref)) {
+          emit(TraceEventKind::FlitInjected, cycle, ref.id, *m, n,
                router::index(p), seq);
           if (bop) {
             m->headerInjectCycle = cycle;
-            emit(TraceEventKind::HeaderInjected, cycle, id, *m, n,
+            emit(TraceEventKind::HeaderInjected, cycle, ref.id, *m, n,
                  router::index(p), 0);
           }
         }
@@ -327,13 +329,13 @@ void FlowTracer::onTick() {
         const int up = upstream_[s];
         if (up < 0 || !transferValid_[static_cast<std::size_t>(up)])
           desync("link push", n, router::index(p));
-        id = transferId_[static_cast<std::size_t>(up)];
-        if (PacketMeta* m = meta(id))
-          emit(TraceEventKind::FifoEnqueue, cycle, id, *m, n,
+        ref = transfer_[static_cast<std::size_t>(up)];
+        if (PacketMeta* m = meta(ref))
+          emit(TraceEventKind::FifoEnqueue, cycle, ref.id, *m, n,
                router::index(p), 0);
       }
       FifoEntry e;
-      e.id = id;
+      e.ref = ref;
       e.enqCycle = cycle;
       e.bop = bop;
       fifo_[s].push_back(e);
@@ -350,9 +352,9 @@ void FlowTracer::onTick() {
   }
 }
 
-void FlowTracer::completePacket(std::uint64_t id, const PacketMeta& m,
+void FlowTracer::completePacket(const PacketRef& ref,
                                 std::uint64_t ejectCycle) {
-  const PacketMeta done = m;  // metas_.erase below invalidates the reference
+  const PacketMeta& done = metas_[ref.slot];
   decomp_.endToEnd.record(static_cast<double>(ejectCycle - done.queuedCycle));
   decomp_.sourceQueue.record(
       static_cast<double>(done.headerInjectCycle - done.queuedCycle));
@@ -363,7 +365,7 @@ void FlowTracer::completePacket(std::uint64_t id, const PacketMeta& m,
   ++packetsCompleted_;
   if (spans_.size() < config_.maxFlowSpans) {
     FlowSpan span;
-    span.id = id;
+    span.id = ref.id;
     span.src = done.src;
     span.dst = done.dst;
     span.kind = done.kind;
@@ -377,7 +379,8 @@ void FlowTracer::completePacket(std::uint64_t id, const PacketMeta& m,
   } else {
     ++spanOverflow_;
   }
-  metas_.erase(id);
+  metas_[ref.slot].id = 0;
+  freeSlots_.push_back(ref.slot);
 }
 
 void FlowTracer::resyncCounters() {
@@ -398,6 +401,7 @@ void FlowTracer::clear() {
   sink_.clear();
   staged_.clear();
   metas_.clear();
+  freeSlots_.clear();
   for (auto& q : fifo_) q.clear();
   for (auto& q : niStream_) q.clear();
   decomp_ = Decomposition{};

@@ -42,7 +42,6 @@
 #include <cstdint>
 #include <deque>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "telemetry/report.hpp"
@@ -69,7 +68,7 @@ struct TraceConfig {
 
   /// Flow sampling: a packet is traced iff its flow satisfies
   /// (srcIndex * nodes + dstIndex) % sampleEvery == 0.  1 traces
-  /// everything.  Untraced packets still occupy shadow-queue slots (the
+  /// everything.  Untraced packets still occupy shadow-queue entries (the
   /// reconstruction needs every flit accounted for) but record no events,
   /// so the ring and the JSON shrink roughly by the factor.
   std::uint64_t sampleEvery = 1;
@@ -180,24 +179,33 @@ class FlowTracer {
                                                       std::size_t n) const;
 
  private:
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+  // A traced packet's id and its slot in metas_.  Untraced (sampled-out)
+  // packets are id 0 with no slot; they still fill shadow entries so the
+  // per-flit accounting stays aligned with the hardware queues.
+  struct PacketRef {
+    std::uint64_t id = 0;
+    std::uint32_t slot = kNoSlot;
+  };
   struct FifoEntry {
-    std::uint64_t id = 0;        // 0 = untraced filler, keeps alignment
+    PacketRef ref;
     std::uint64_t enqCycle = 0;
     bool bop = false;
   };
   struct NiEntry {
-    std::uint64_t id = 0;
+    PacketRef ref;
     std::int32_t flits = 0;
     std::int32_t next = 0;
   };
   struct Staged {
-    std::uint64_t id = 0;
+    PacketRef ref;
     telemetry::TraceEventKind kind = telemetry::TraceEventKind::PacketQueued;
     std::int32_t src = 0;
     std::int32_t dst = 0;
     std::int32_t flits = 0;
   };
   struct PacketMeta {
+    std::uint64_t id = 0;  // owner of this slot; 0 = free
     std::int32_t src = 0;
     std::int32_t dst = 0;
     std::int32_t flits = 0;
@@ -224,13 +232,17 @@ class FlowTracer {
     return static_cast<std::size_t>(node) * router::kNumPorts +
            static_cast<std::size_t>(port);
   }
-  PacketMeta* meta(std::uint64_t id);
+  /// The packet's metadata, or null when untraced or already completed.
+  PacketMeta* meta(const PacketRef& ref) {
+    if (ref.slot == kNoSlot) return nullptr;
+    PacketMeta& m = metas_[ref.slot];
+    return m.id == ref.id ? &m : nullptr;
+  }
   void emit(telemetry::TraceEventKind kind, std::uint64_t cycle,
             std::uint64_t id, const PacketMeta& m, int node, int port,
             std::int32_t value);
   void resyncCounters();
-  void completePacket(std::uint64_t id, const PacketMeta& m,
-                      std::uint64_t ejectCycle);
+  void completePacket(const PacketRef& ref, std::uint64_t ejectCycle);
   [[noreturn]] void desync(const char* where, int node, int port) const;
 
   Network* net_;
@@ -248,17 +260,20 @@ class FlowTracer {
   std::vector<std::deque<FifoEntry>> fifo_;   // one per (node, in-port)
   std::vector<std::deque<NiEntry>> niStream_;  // one per node
   std::vector<Staged> staged_;
-  std::unordered_map<std::uint64_t, PacketMeta> metas_;
+  // Dense packet slots: a traced packet holds one from queueing until
+  // ejection, then its slot returns to the free list.
+  std::vector<PacketMeta> metas_;
+  std::vector<std::uint32_t> freeSlots_;
 
   // Previous lifetime counters, for per-edge deltas.
   std::vector<std::uint64_t> prevAccepted_;
   std::vector<std::uint64_t> prevSent_;
 
-  // Per-tick scratch: which id was read out of each input buffer this edge,
-  // and which id left each (node, out-port) over its link.
-  std::vector<std::uint64_t> popped_;
+  // Per-tick scratch: which packet was read out of each input buffer this
+  // edge, and which packet left each (node, out-port) over its link.
+  std::vector<PacketRef> popped_;
   std::vector<char> poppedValid_;
-  std::vector<std::uint64_t> transferId_;
+  std::vector<PacketRef> transfer_;
   std::vector<char> transferValid_;
 
   Decomposition decomp_;

@@ -82,6 +82,9 @@ void ReliableTransport::reset() {
   pendingDeliveries_.clear();
   stats_ = ReliabilityStats{};
   nextFrameId_ = 1;
+  unackedFrames_ = 0;
+  backlogFrames_ = 0;
+  nextDeadline_ = UINT64_MAX;
 }
 
 std::uint32_t ReliableTransport::checksum(
@@ -100,6 +103,7 @@ void ReliableTransport::submit(NodeId dst,
     transmit(dstIndex, flow, payload, cls);
   } else {
     flow.backlog.push_back({payload, cls});
+    ++backlogFrames_;
   }
 }
 
@@ -132,6 +136,7 @@ void ReliableTransport::transmit(int dstIndex, SendFlow& flow,
                             frame.frameId, true, FrameType::Data, cls});
   ++stats_.dataFramesSent;
   flow.unacked.push_back(std::move(frame));
+  ++unackedFrames_;
 }
 
 void ReliableTransport::retransmit(int dstIndex, Outstanding& frame) {
@@ -185,6 +190,7 @@ void ReliableTransport::promote(int dstIndex, SendFlow& flow) {
          !flow.backlog.empty()) {
     Backlogged next = std::move(flow.backlog.front());
     flow.backlog.pop_front();
+    --backlogFrames_;
     transmit(dstIndex, flow, std::move(next.payload), next.cls);
   }
 }
@@ -193,20 +199,27 @@ void ReliableTransport::onFrameSent(std::uint64_t frameId,
                                     std::uint64_t cycle) {
   const auto it = frameFlow_.find(frameId);
   if (it == frameFlow_.end()) return;  // already acknowledged in transit
-  SendFlow& flow = sendFlows_[it->second];
-  for (Outstanding& frame : flow.unacked) {
+  for (Outstanding& frame : sendFlows_.find(it->second)->second.unacked) {
     if (frame.frameId == frameId) {
       frame.deadline = cycle + frame.rto;
+      nextDeadline_ = std::min(nextDeadline_, frame.deadline);
       break;
     }
   }
 }
 
-void ReliableTransport::onCycle(std::uint64_t cycle) {
+void ReliableTransport::expireTimers(std::uint64_t cycle) {
+  // Something may be due: scan every flow in destination order, then each
+  // flow's unacked frames in sequence order, so retransmissions (and the
+  // frame ids they draw) come out in a fixed order.  The scan also
+  // recomputes the earliest deadline still armed.
+  std::uint64_t next = UINT64_MAX;
   for (auto& [dstIndex, flow] : sendFlows_) {
+    bool abandoned = false;
     for (auto it = flow.unacked.begin(); it != flow.unacked.end();) {
       Outstanding& frame = *it;
       if (frame.deadline == 0 || cycle < frame.deadline) {
+        if (frame.deadline != 0) next = std::min(next, frame.deadline);
         ++it;
         continue;
       }
@@ -216,14 +229,19 @@ void ReliableTransport::onCycle(std::uint64_t cycle) {
         ++stats_.abandoned;
         frameFlow_.erase(frame.frameId);
         it = flow.unacked.erase(it);
+        --unackedFrames_;
+        abandoned = true;
         continue;
       }
       frame.rto = std::min(frame.rto * 2, config_.rtoMax);
       retransmit(dstIndex, frame);
       ++it;
     }
-    promote(dstIndex, flow);
+    // A backlog waits only behind a full window, and every ACK/NACK pop
+    // already promotes; an abandon is the one other way a window opens.
+    if (abandoned) promote(dstIndex, flow);
   }
+  nextDeadline_ = next;
 }
 
 void ReliableTransport::popAcked(SendFlow& flow, std::uint32_t upTo,
@@ -235,6 +253,7 @@ void ReliableTransport::popAcked(SendFlow& flow, std::uint32_t upTo,
     if (!acked) break;
     frameFlow_.erase(flow.unacked.front().frameId);
     flow.unacked.pop_front();
+    --unackedFrames_;
   }
 }
 
@@ -388,33 +407,6 @@ ReliableTransport::takeDeliveries() {
   std::vector<Delivery> out;
   out.swap(pendingDeliveries_);
   return out;
-}
-
-bool ReliableTransport::idle() const {
-  if (!pendingFrames_.empty() || !pendingDeliveries_.empty()) return false;
-  for (const auto& [dst, flow] : sendFlows_) {
-    (void)dst;
-    if (!flow.unacked.empty() || !flow.backlog.empty()) return false;
-  }
-  return true;
-}
-
-std::size_t ReliableTransport::backlogFrames() const {
-  std::size_t total = 0;
-  for (const auto& [dst, flow] : sendFlows_) {
-    (void)dst;
-    total += flow.backlog.size();
-  }
-  return total;
-}
-
-std::size_t ReliableTransport::unackedFrames() const {
-  std::size_t total = 0;
-  for (const auto& [dst, flow] : sendFlows_) {
-    (void)dst;
-    total += flow.unacked.size();
-  }
-  return total;
 }
 
 std::uint64_t ReliableTransport::currentRto(NodeId dst) const {

@@ -171,7 +171,10 @@ class ReliableTransport {
   void onFrameSent(std::uint64_t frameId, std::uint64_t cycle);
 
   /// Per-cycle timeout scan; expired frames are re-queued with doubled RTO.
-  void onCycle(std::uint64_t cycle);
+  /// Returns at once while `cycle` is below the earliest armed deadline.
+  void onCycle(std::uint64_t cycle) {
+    if (cycle >= nextDeadline_) expireTimers(cycle);
+  }
 
   /// Receiver: a complete, well-framed packet arrived.  `words` are all
   /// payload words including the leading source index, masked to
@@ -188,10 +191,15 @@ class ReliableTransport {
   std::vector<Delivery> takeDeliveries();
 
   /// No unacknowledged frames, no backlog, nothing queued for the wire.
-  bool idle() const;
+  bool idle() const {
+    return unackedFrames_ == 0 && backlogFrames_ == 0 &&
+           pendingFrames_.empty() && pendingDeliveries_.empty();
+  }
 
-  std::size_t backlogFrames() const;
-  std::size_t unackedFrames() const;
+  /// Frames waiting in per-flow backlogs / sent but not yet acknowledged,
+  /// summed over every flow (running counts, O(1)).
+  std::size_t backlogFrames() const { return backlogFrames_; }
+  std::size_t unackedFrames() const { return unackedFrames_; }
 
   /// Current RTO of the oldest unacknowledged frame for `dst`
   /// (rtoInitial when the flow has none) — exposed for backoff tests.
@@ -247,6 +255,7 @@ class ReliableTransport {
   void handleAck(int srcIndex, std::uint32_t seq);
   void handleNack(int srcIndex, std::uint32_t seq);
   void popAcked(SendFlow& flow, std::uint32_t upTo, bool inclusive);
+  void expireTimers(std::uint64_t cycle);
 
   ReliabilityConfig config_;
   std::shared_ptr<const Topology> topology_;
@@ -262,6 +271,11 @@ class ReliableTransport {
   std::vector<Delivery> pendingDeliveries_;
   ReliabilityStats stats_;
   std::uint64_t nextFrameId_ = 1;
+  std::size_t unackedFrames_ = 0;  // sum of every flow's unacked.size()
+  std::size_t backlogFrames_ = 0;  // sum of every flow's backlog.size()
+  // No armed deadline is earlier than this (UINT64_MAX: none armed).  It
+  // may be stale low after an ACK, which costs one empty scan.
+  std::uint64_t nextDeadline_ = UINT64_MAX;
 };
 
 }  // namespace rasoc::noc

@@ -12,9 +12,9 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <string>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "noc/topology.hpp"
@@ -118,7 +118,17 @@ class DeliveryLedger {
   static FlowKey flowKey(NodeId src, NodeId dst, int trafficClass) {
     return {src.x, src.y, dst.x, dst.y, trafficClass};
   }
-  std::map<FlowKey, std::deque<PacketRecord>> flows_;
+  struct FlowKeyHash {
+    std::size_t operator()(const FlowKey& k) const {
+      std::uint64_t h = 0;
+      for (const int v : {std::get<0>(k), std::get<1>(k), std::get<2>(k),
+                          std::get<3>(k), std::get<4>(k)})
+        h = (h ^ static_cast<std::uint32_t>(v)) * 0x9e3779b97f4a7c15ull;
+      return static_cast<std::size_t>(h ^ (h >> 32));
+    }
+  };
+  // Only ever looked up by key, never iterated, so hash order is harmless.
+  std::unordered_map<FlowKey, std::deque<PacketRecord>, FlowKeyHash> flows_;
   LatencyStats packetLatency_;
   LatencyStats networkLatency_;
   std::array<LatencyStats, router::kNumTrafficClasses> classPacketLatency_;

@@ -64,17 +64,6 @@ std::string describe(const TraceEvent& event) {
 TraceSink::TraceSink(std::size_t capacity)
     : ring_(capacity == 0 ? 1 : capacity) {}
 
-void TraceSink::record(const TraceEvent& event) {
-  if (size_ < ring_.size()) {
-    ring_[(head_ + size_) % ring_.size()] = event;
-    ++size_;
-  } else {
-    ring_[head_] = event;
-    head_ = (head_ + 1) % ring_.size();
-  }
-  ++recorded_;
-}
-
 const TraceEvent& TraceSink::at(std::size_t i) const {
   if (i >= size_) throw std::out_of_range("TraceSink::at");
   return ring_[(head_ + i) % ring_.size()];

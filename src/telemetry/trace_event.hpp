@@ -81,7 +81,16 @@ class TraceSink {
   /// `capacity` is clamped to at least 1.
   explicit TraceSink(std::size_t capacity);
 
-  void record(const TraceEvent& event);
+  void record(const TraceEvent& event) {
+    if (size_ < ring_.size()) {
+      // head_ stays 0 until the ring first fills (only clear() shrinks it).
+      ring_[size_++] = event;
+    } else {
+      ring_[head_] = event;
+      if (++head_ == ring_.size()) head_ = 0;
+    }
+    ++recorded_;
+  }
 
   std::size_t capacity() const { return ring_.size(); }
   std::size_t size() const { return size_; }

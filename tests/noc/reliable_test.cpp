@@ -325,5 +325,174 @@ TEST(ReliableTransportTest, BidirectionalTrafficKeepsFlowsIndependent) {
   }
 }
 
+// The words a frame carries on the wire: the NI prepends the source index.
+std::vector<std::uint32_t> onWire(
+    int srcIndex, const ReliableTransport::WireFrame& frame) {
+  std::vector<std::uint32_t> words{static_cast<std::uint32_t>(srcIndex)};
+  words.insert(words.end(), frame.words.begin(), frame.words.end());
+  return words;
+}
+
+std::uint32_t seqOf(const ReliableTransport::WireFrame& frame, int seqBits) {
+  return frame.words.front() & seqMask(seqBits);
+}
+
+TEST(ReliableTransportTest, SimultaneousTimeoutsRetransmitInDestinationOrder) {
+  // Three flows time out in the same cycle while one of them exhausts its
+  // retries.  The retransmissions come out in ascending destination index
+  // (not submission order), and the abandoned flow's backlog is promoted in
+  // the same scan, ahead of the flows after it.
+  auto topology = makeTopology("mesh", 2, 2);
+  ReliabilityConfig c = makeConfig(4, /*window=*/1);
+  c.rtoInitial = 16;
+  c.rtoMax = 64;
+  c.maxRetries = 1;
+  ReliableTransport t(c, topology, topology->nodeAt(0), kPayloadBits);
+  t.reset();
+  EXPECT_TRUE(t.idle());
+
+  // Flow to node 1: one frame out, one backlogged behind the full window.
+  t.submit(topology->nodeAt(1), {0xa0});
+  t.submit(topology->nodeAt(1), {0xa1});
+  EXPECT_EQ(t.unackedFrames(), 1u);
+  EXPECT_EQ(t.backlogFrames(), 1u);
+  auto frames = t.takeFrames();
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0].frameId, 1u);
+  t.onFrameSent(1, 0);  // deadline 16
+  for (std::uint64_t cycle = 0; cycle < 16; ++cycle) t.onCycle(cycle);
+  EXPECT_TRUE(t.takeFrames().empty());
+  EXPECT_EQ(t.stats().timeouts, 0u);
+  t.onCycle(16);  // first timeout: retransmitted with the RTO doubled
+  frames = t.takeFrames();
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0].frameId, 2u);
+  EXPECT_FALSE(frames[0].firstTransmission);
+  EXPECT_EQ(t.stats().timeouts, 1u);
+  t.onFrameSent(2, 16);  // deadline 16 + 32 = 48
+
+  // Flows to nodes 3 and 2, submitted in that order, armed to expire at
+  // the same cycle as the retry above.
+  for (int i = 17; i < 32; ++i) t.onCycle(static_cast<std::uint64_t>(i));
+  t.submit(topology->nodeAt(3), {0xc0});
+  t.submit(topology->nodeAt(2), {0xb0});
+  EXPECT_EQ(t.unackedFrames(), 3u);
+  EXPECT_EQ(t.backlogFrames(), 1u);
+  frames = t.takeFrames();
+  ASSERT_EQ(frames.size(), 2u);
+  EXPECT_EQ(frames[0].frameId, 3u);  // to node 3
+  EXPECT_EQ(frames[1].frameId, 4u);  // to node 2
+  t.onFrameSent(3, 32);
+  t.onFrameSent(4, 32);
+  for (std::uint64_t cycle = 32; cycle < 48; ++cycle) t.onCycle(cycle);
+  EXPECT_TRUE(t.takeFrames().empty());
+  EXPECT_EQ(t.stats().timeouts, 1u);
+
+  t.onCycle(48);
+  EXPECT_EQ(t.stats().timeouts, 4u);
+  EXPECT_EQ(t.stats().abandoned, 1u);
+  EXPECT_EQ(t.stats().retransmissions, 3u);
+  EXPECT_EQ(t.unackedFrames(), 3u);  // 0xa1 promoted, 0xb0, 0xc0
+  EXPECT_EQ(t.backlogFrames(), 0u);
+  frames = t.takeFrames();
+  ASSERT_EQ(frames.size(), 3u);
+  EXPECT_EQ(frames[0].dst, topology->nodeAt(1));
+  EXPECT_EQ(frames[0].frameId, 5u);
+  EXPECT_TRUE(frames[0].firstTransmission) << "the promoted backlog frame";
+  EXPECT_EQ(seqOf(frames[0], c.seqBits), 1u);
+  EXPECT_EQ(frames[0].words[1], 0xa1u);
+  EXPECT_EQ(frames[1].dst, topology->nodeAt(2));
+  EXPECT_EQ(frames[1].frameId, 6u);
+  EXPECT_FALSE(frames[1].firstTransmission);
+  EXPECT_EQ(frames[1].words[1], 0xb0u);
+  EXPECT_EQ(frames[2].dst, topology->nodeAt(3));
+  EXPECT_EQ(frames[2].frameId, 7u);
+  EXPECT_FALSE(frames[2].firstTransmission);
+  EXPECT_EQ(frames[2].words[1], 0xc0u);
+  EXPECT_EQ(t.currentRto(topology->nodeAt(2)), 32u);
+  EXPECT_FALSE(t.idle());
+}
+
+TEST(ReliableTransportTest, AckAfterDeadlineArmedCausesNoSpuriousTimeout) {
+  auto topology = makeTopology("mesh", 2, 1);
+  const ReliabilityConfig c = makeConfig(4, 8);  // rtoInitial 16
+  ReliableTransport a(c, topology, topology->nodeAt(0), kPayloadBits);
+  ReliableTransport b(c, topology, topology->nodeAt(1), kPayloadBits);
+  a.reset();
+  b.reset();
+  a.submit(topology->nodeAt(1), {0x1});
+  a.submit(topology->nodeAt(1), {0x2});
+  auto frames = a.takeFrames();
+  ASSERT_EQ(frames.size(), 2u);
+  a.onFrameSent(frames[0].frameId, 0);   // deadline 16
+  a.onFrameSent(frames[1].frameId, 10);  // deadline 26
+  EXPECT_EQ(a.unackedFrames(), 2u);
+
+  // The first frame is acknowledged before its deadline.
+  b.onWireWords(onWire(0, frames[0]), 4);
+  auto acks = b.takeFrames();
+  ASSERT_EQ(acks.size(), 1u);
+  EXPECT_EQ(acks[0].type, FrameType::Ack);
+  a.onWireWords(onWire(1, acks[0]), 5);
+  EXPECT_EQ(a.unackedFrames(), 1u);
+  EXPECT_EQ(a.backlogFrames(), 0u);
+
+  for (std::uint64_t cycle = 5; cycle < 26; ++cycle) a.onCycle(cycle);
+  EXPECT_EQ(a.stats().timeouts, 0u) << "the acknowledged frame's deadline";
+  EXPECT_TRUE(a.takeFrames().empty());
+
+  a.onCycle(26);  // the second frame's own deadline still fires
+  EXPECT_EQ(a.stats().timeouts, 1u);
+  frames = a.takeFrames();
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0].words[1], 0x2u);
+
+  // Acknowledging everything leaves the sender idle, with no timer due.
+  b.onWireWords(onWire(0, frames[0]), 27);
+  for (auto& ack : b.takeFrames()) a.onWireWords(onWire(1, ack), 28);
+  EXPECT_EQ(a.unackedFrames(), 0u);
+  EXPECT_TRUE(a.idle());
+  for (std::uint64_t cycle = 28; cycle < 200; ++cycle) a.onCycle(cycle);
+  EXPECT_EQ(a.stats().timeouts, 1u);
+  EXPECT_TRUE(a.idle());
+}
+
+TEST(ReliableTransportTest, ResetForgetsFramesBacklogAndTimers) {
+  auto topology = makeTopology("mesh", 2, 1);
+  const ReliabilityConfig c = makeConfig(4, /*window=*/2);
+  ReliableTransport t(c, topology, topology->nodeAt(0), kPayloadBits);
+  t.reset();
+  for (std::uint32_t i = 0; i < 4; ++i)
+    t.submit(topology->nodeAt(1), {0x10 + i});
+  for (const auto& frame : t.takeFrames()) t.onFrameSent(frame.frameId, 0);
+  EXPECT_EQ(t.unackedFrames(), 2u);
+  EXPECT_EQ(t.backlogFrames(), 2u);
+  t.onCycle(16);
+  EXPECT_EQ(t.stats().timeouts, 2u);
+
+  t.reset();
+  EXPECT_EQ(t.unackedFrames(), 0u);
+  EXPECT_EQ(t.backlogFrames(), 0u);
+  EXPECT_TRUE(t.idle());
+  EXPECT_TRUE(t.takeFrames().empty());
+  EXPECT_EQ(t.stats().timeouts, 0u);
+  for (std::uint64_t cycle = 0; cycle < 100; ++cycle) t.onCycle(cycle);
+  EXPECT_EQ(t.stats().timeouts, 0u) << "no timer survives a reset";
+
+  // A fresh start: ids and sequence numbers begin again, and a new timer
+  // fires at its own deadline.
+  t.submit(topology->nodeAt(1), {0x99});
+  auto frames = t.takeFrames();
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0].frameId, 1u);
+  EXPECT_EQ(seqOf(frames[0], c.seqBits), 0u);
+  EXPECT_EQ(t.unackedFrames(), 1u);
+  t.onFrameSent(1, 100);
+  t.onCycle(115);
+  EXPECT_EQ(t.stats().timeouts, 0u);
+  t.onCycle(116);
+  EXPECT_EQ(t.stats().timeouts, 1u);
+}
+
 }  // namespace
 }  // namespace rasoc::noc
