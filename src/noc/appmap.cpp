@@ -5,6 +5,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "sim/compile.hpp"
+
 #include "noc/network.hpp"
 #include "noc/ni.hpp"
 
@@ -26,6 +28,11 @@ FlowReplayer::FlowReplayer(std::string name, NetworkInterface& ni,
 void FlowReplayer::onReset() {
   rng_ = sim::Xoshiro256(seed_);
   packetsGenerated_ = 0;
+}
+
+bool FlowReplayer::describe(sim::Lowering& lw) {
+  lw.edgeCall(*this);
+  return true;
 }
 
 void FlowReplayer::clockEdge() {

@@ -80,6 +80,10 @@ class FlowReplayer : public sim::Module {
 
   std::uint64_t packetsGenerated() const { return packetsGenerated_; }
 
+  // Compiled-kernel lowering: purely sequential (no evaluate()), so the
+  // module contributes only its clockEdge() to the edge tape.
+  bool describe(sim::Lowering& lw) override;
+
  protected:
   void onReset() override;
   void clockEdge() override;

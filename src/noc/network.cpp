@@ -132,8 +132,7 @@ Network::Network(std::shared_ptr<const Topology> topology,
   }
 
   // Worst-case combinational propagation spans the network diameter; give
-  // the naive settle loop generous headroom (the compiled kernel bounds
-  // its iterated segments by the same knob).
+  // the naive settle loop generous headroom.
   const Extent extent = topology_->extent();
   sim_.setMaxSettleIterations(32 + 8 * (extent.width + extent.height));
   sim_.setKernel(config_.kernel);

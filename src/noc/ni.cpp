@@ -51,24 +51,9 @@ NetworkInterface::NetworkInterface(std::string name,
           "qosClasses + reliability: control word (seqBits + 2 class + 2 "
           "type bits) does not fit the flit payload");
   }
-  // The receive side of evaluate() echoes the router's val into ack.
-  sensitive(fromRouter.val);
-  if (vcMode()) {
-    if (options_.injectVc < 0 || options_.injectVc >= params_.numVCs)
-      throw std::invalid_argument("NI injectVc outside [0, numVCs)");
-    sensitive(fromRouter.vc);
-    if (!creditMode()) {
-      if (params_.qosClasses) {
-        // Every class inject VC is adaptive (>= escapeVCs); the scheduler
-        // watches each one's space advertisement.
-        for (int v = options_.escapeVCs; v < params_.numVCs; ++v)
-          sensitive(toRouter.vcFree[static_cast<std::size_t>(v)]);
-      } else {
-        sensitive(
-            toRouter.vcFree[static_cast<std::size_t>(options_.injectVc)]);
-      }
-    }
-  }
+  if (vcMode() &&
+      (options_.injectVc < 0 || options_.injectVc >= params_.numVCs))
+    throw std::invalid_argument("NI injectVc outside [0, numVCs)");
 }
 
 NetworkInterface::NetworkInterface(std::string name,
@@ -550,10 +535,9 @@ bool NetworkInterface::describe(sim::Lowering& lw) {
     lw.edgeCall(*this);
     return true;
   }
-  lw.thunkDeclared(*this, {&fromRouter_->val},
-                   {&toRouter_->flit.data, &toRouter_->flit.bop,
-                    &toRouter_->flit.eop, &toRouter_->val,
-                    &fromRouter_->ack});
+  lw.thunk(*this, {&fromRouter_->val},
+           {&toRouter_->flit.data, &toRouter_->flit.bop, &toRouter_->flit.eop,
+            &toRouter_->val, &fromRouter_->ack});
   lw.edgeCall(*this);
   return true;
 }

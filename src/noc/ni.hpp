@@ -184,9 +184,8 @@ class NetworkInterface : public sim::Module {
   void setTracer(FlowTracer* tracer) { tracer_ = tracer; }
 
   /// Compiled-kernel lowering: the NI walks deque/transport state, so it
-  /// stays behavioural.  At numVCs == 1 it is a declared thunk (skipping
-  /// write discovery so the send queue is untouched at compile time); with
-  /// VCs each phase of evaluate() (send, rx vcFree, rx vcAck) is its own
+  /// stays behavioural.  At numVCs == 1 it is one thunk around evaluate();
+  /// with VCs each phase of evaluate() (send, rx vcFree, rx vcAck) is its own
   /// op over the Wire objects.  Both add a clockEdge() call.
   bool describe(sim::Lowering& lw) override;
 

@@ -209,8 +209,8 @@ telemetry::RunReport buildRunReport(std::string name, const Network& network,
   report.set("links", "mean_utilization", network.meanLinkUtilization());
   report.set("links", "max_utilization", network.maxLinkUtilization());
 
-  // Compiled-kernel program shape: iterate segments > 0 means some settle
-  // swept a combinational cycle to a fixpoint instead of one linear pass.
+  // Compiled-kernel program shape.  program_iterate_segments is always 0
+  // (the tape is one linear pass); report readers still check it.
   if (const sim::CompiledProgram* program =
           network.simulator().compiledProgram()) {
     report.set("kernel", "program_ops",

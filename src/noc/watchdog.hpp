@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "sim/compile.hpp"
 #include "sim/module.hpp"
 
 #include "noc/stats.hpp"
@@ -67,6 +68,13 @@ class Watchdog : public sim::Module {
   bool stallDetected() const { return snapshot_.stalled; }
   std::uint64_t longestStall() const { return snapshot_.longestStall; }
   const WatchdogSnapshot& snapshot() const { return snapshot_; }
+
+  // Compiled-kernel lowering: purely sequential (no evaluate()), so the
+  // module contributes only its clockEdge() to the edge tape.
+  bool describe(sim::Lowering& lw) override {
+    lw.edgeCall(*this);
+    return true;
+  }
 
  protected:
   void onReset() override {

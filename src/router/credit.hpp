@@ -39,9 +39,7 @@ class CreditOfc : public sim::Module {
         creditReturn_(&creditReturn),
         outVal_(&outVal),
         xRd_(&xRd),
-        xbar_(&xbar) {
-    sensitive(rokSel);
-  }
+        xbar_(&xbar) {}
 
   int credits() const { return credits_; }
 
@@ -115,10 +113,7 @@ class CreditReturnTap : public sim::Module {
  public:
   CreditReturnTap(std::string name, const sim::Wire<bool>& rd,
                   const sim::Wire<bool>& rok, sim::Wire<bool>& creditOut)
-      : Module(std::move(name)), rd_(&rd), rok_(&rok), creditOut_(&creditOut) {
-    sensitive(rd);
-    sensitive(rok);
-  }
+      : Module(std::move(name)), rd_(&rd), rok_(&rok), creditOut_(&creditOut) {}
 
   // The combinational body over a signal accessor (see CreditOfc::send).
   template <class Io>

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "sim/compile.hpp"
+
+#include "router/vc_arena.hpp"
+
 namespace rasoc::router {
 
 FaultyLink::FaultyLink(std::string name, ChannelWires& src, ChannelWires& dst,
@@ -89,48 +93,40 @@ void FaultyLink::arm() {
   }
 }
 
-void FaultyLink::evaluate() {
-  if (numVCs() > 1) {
-    if (stallActive_ || downActive_) {
-      // VC window: present nothing downstream and mask every vcFree level
-      // so the sender cannot schedule; vcAck pulses still pass (a swallowed
-      // credit return would be lost forever, wedging the VC after the
-      // window lifts).  No flit is ever consumed: the sender only raises
-      // val when vcFree said so pre-edge, and the window state is
-      // registered, so val is low for the whole window.
-      dstWires().flit.data.set(0);
-      dstWires().flit.bop.set(false);
-      dstWires().flit.eop.set(false);
-      dstWires().val.set(false);
-      dstWires().vc.set(0);
-      for (int v = 0; v < numVCs(); ++v) {
-        srcWires().vcFree[static_cast<std::size_t>(v)].set(false);
-        srcWires().vcAck[static_cast<std::size_t>(v)].set(
-            dstWires().vcAck[static_cast<std::size_t>(v)].get());
-      }
-      return;
-    }
-    Link::evaluate();
+void FaultyLink::forward() {
+  if (!stallActive_ && !downActive_) {
+    Link::forward();
     return;
   }
-  if (stallActive_ || downActive_) {
-    const bool bop = srcWires().flit.bop.get();
-    const bool eop = srcWires().flit.eop.get();
-    const bool body = !bop && !eop;
-    dstWires().flit.data.set(0);
-    dstWires().flit.bop.set(false);
-    dstWires().flit.eop.set(false);
-    dstWires().val.set(false);
-    if (!stallActive_ && body) {
-      // Link down: consume the offered body flit without presenting it.
-      srcWires().ack.set(srcWires().val.get());
-    } else {
-      // Full stall: nothing moves; both endpoints wait.
-      srcWires().ack.set(false);
-    }
+  // A window presents nothing downstream.  With VCs no flit is ever
+  // consumed: the sender only raises val when vcFree said so pre-edge, and
+  // the window state is registered, so val is low for the whole window.
+  dstWires().flit.data.set(0);
+  dstWires().flit.bop.set(false);
+  dstWires().flit.eop.set(false);
+  dstWires().val.set(false);
+  if (numVCs() > 1) dstWires().vc.set(0);
+}
+
+void FaultyLink::reverseAck() {
+  if (!stallActive_ && !downActive_) {
+    Link::reverseAck();
     return;
   }
-  Link::evaluate();
+  // Link down consumes an offered body flit without presenting it; a full
+  // stall moves nothing, so both endpoints wait.
+  const bool body = !srcWires().flit.bop.get() && !srcWires().flit.eop.get();
+  srcWires().ack.set(!stallActive_ && body && srcWires().val.get());
+}
+
+void FaultyLink::reverseVcFree() {
+  if (!stallActive_ && !downActive_) {
+    Link::reverseVcFree();
+    return;
+  }
+  // Mask every vcFree level so the sender cannot schedule.
+  for (int v = 0; v < numVCs(); ++v)
+    srcWires().vcFree[static_cast<std::size_t>(v)].set(false);
 }
 
 void FaultyLink::clockEdge() {
@@ -138,7 +134,7 @@ void FaultyLink::clockEdge() {
   const bool bop = srcWires().flit.bop.get();
   const bool eop = srcWires().flit.eop.get();
   const bool body = !bop && !eop;
-  // VC windows never consume flits (see evaluate()); every active-window
+  // VC windows never consume flits (see forward()); every active-window
   // cycle counts as a stall because all VCs are frozen for its duration.
   droppedThisEdge_ =
       numVCs() == 1 && downActive_ && !stallActive_ && body && val;
@@ -179,6 +175,40 @@ void FaultyLink::onTransfer(bool bop) {
     if (metrics_.flitsCorrupted) metrics_.flitsCorrupted->inc();
   }
   arm();
+}
+
+// --- compiled-kernel lowering ------------------------------------------
+
+bool FaultyLink::describe(sim::Lowering& lw) {
+  ChannelWires& src = srcWires();
+  ChannelWires& dst = dstWires();
+  // Same channel-word layout as a plain Link.
+  vcarena::channelWord(lw, src, numVCs());
+  vcarena::channelWord(lw, dst, numVCs());
+  lw.phaseOp<&FaultyLink::forward>(
+      *this,
+      {&src.flit.data, &src.flit.bop, &src.flit.eop, &src.val, &src.vc},
+      {&dst.flit.data, &dst.flit.bop, &dst.flit.eop, &dst.val, &dst.vc});
+  if (numVCs() == 1) {
+    lw.phaseOp<&FaultyLink::reverseAck>(
+        *this, {&dst.ack, &src.val, &src.flit.bop, &src.flit.eop},
+        {&src.ack});
+  } else {
+    std::vector<const sim::WireBase*> freeIn, freeOut, ackIn, ackOut;
+    for (std::size_t v = 0; v < static_cast<std::size_t>(numVCs()); ++v) {
+      freeIn.push_back(&dst.vcFree[v]);
+      freeOut.push_back(&src.vcFree[v]);
+      ackIn.push_back(&dst.vcAck[v]);
+      ackOut.push_back(&src.vcAck[v]);
+    }
+    lw.phaseOp<&FaultyLink::reverseVcFree>(*this, std::move(freeIn),
+                                           std::move(freeOut));
+    if (flowControl() == FlowControl::CreditBased)
+      lw.phaseOp<&FaultyLink::reverseVcAck>(*this, std::move(ackIn),
+                                            std::move(ackOut));
+  }
+  lw.edgeCall(*this);
+  return true;
 }
 
 }  // namespace rasoc::router

@@ -23,7 +23,7 @@
 ///    protocol could recover from.
 ///
 /// The flip decision for the next flit is drawn at the clock edge so the
-/// combinational evaluate() stays idempotent, and window activity is
+/// combinational phases stay idempotent, and window activity is
 /// recomputed from a registered cycle counter for the same reason.  Stall
 /// and drop windows require handshake flow control: under credit-based
 /// flow control the ack wire carries credit returns, and masking or
@@ -90,15 +90,21 @@ class FaultyLink : public Link {
   /// window.
   std::uint64_t stallCycles() const { return stallCycles_; }
 
-  /// Fault behaviour (RNG draws, window masking) stays behavioural under
-  /// the compiled kernel: the base Link's typeid guard already falls back,
-  /// this override just makes the choice explicit.
-  bool describe(sim::Lowering&) override { return false; }
+  /// Compiled-kernel lowering: each of Link's phases is a phase op over
+  /// the overrides below, with the read/write sets of Link::describe's
+  /// field copies, and the clock edge (RNG draws, counters) is an edge
+  /// call.  Window state is registered, so the split stays acyclic.
+  bool describe(sim::Lowering& lw) override;
 
  protected:
   void onReset() override;
-  void evaluate() override;
   void clockEdge() override;
+  // Window masking of Link's phases.  reverseAck also reads the offered
+  // flit's val/bop/eop, because LinkDown consumes body flits.  vcAck
+  // credit pulses always pass, so reverseVcAck is Link's.
+  void forward() override;
+  void reverseAck() override;
+  void reverseVcFree() override;
   std::uint32_t transformData(std::uint32_t data, bool bop,
                               bool eop) override;
   void onTransfer(bool bop) override;

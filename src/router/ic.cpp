@@ -46,12 +46,7 @@ InputController::InputController(std::string name, const RouterParams& params,
       ownPort_(ownPort),
       ibDout_(&ibDout),
       rok_(&rok),
-      xbar_(&xbar) {
-  sensitive(ibDout.data);
-  sensitive(ibDout.bop);
-  sensitive(ibDout.eop);
-  sensitive(rok);
-}
+      xbar_(&xbar) {}
 
 void InputController::onReset() {
   requesting_ = false;

@@ -28,10 +28,7 @@ class Ifc : public sim::Module {
         inVal_(&inVal),
         wok_(&wok),
         inAck_(inAck),
-        wr_(&wr) {
-    sensitive(inVal);
-    if (mode_ == FlowControl::Handshake) sensitive(wok);
-  }
+        wr_(&wr) {}
 
   // The combinational body, written over a signal accessor: WireIo below
   // (evaluate()) or the input channel's arena accessor (its compiled ops).

@@ -351,17 +351,7 @@ VcInputChannel::VcInputChannel(std::string name, const RouterParams& params,
       dataMask_(dataMask(params.n)),
       in_(&in),
       xbar_(&xbar),
-      fifo_(params.numVCs, params.p) {
-  // evaluate() reacts to the grant/read nets the output channels drive
-  // from their (registered) connection tables.
-  for (int v = 0; v < numVCs_; ++v) {
-    CrossbarWires& xb = (*xbar_)[static_cast<std::size_t>(v)];
-    for (int o = 0; o < kNumPorts; ++o) {
-      sensitive(xb.gnt[static_cast<std::size_t>(o)]);
-      sensitive(xb.rd[static_cast<std::size_t>(o)]);
-    }
-  }
-}
+      fifo_(params.numVCs, params.p) {}
 
 void VcInputChannel::attachMetrics(const VcInputChannelMetrics& metrics) {
   metrics_ = metrics;

@@ -19,12 +19,7 @@ namespace rasoc::router {
 class Irs : public sim::Module {
  public:
   Irs(std::string name, const CrossbarWires& xbar, sim::Wire<bool>& rd)
-      : Module(std::move(name)), xbar_(&xbar), rd_(&rd) {
-    for (int o = 0; o < kNumPorts; ++o) {
-      sensitive(xbar.gnt[o]);
-      sensitive(xbar.rd[o]);
-    }
-  }
+      : Module(std::move(name)), xbar_(&xbar), rd_(&rd) {}
 
   // The combinational body over a signal accessor (see Ifc::flow); grants()
   // and reads() are port masks.

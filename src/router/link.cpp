@@ -2,7 +2,6 @@
 
 #include <memory>
 #include <stdexcept>
-#include <typeinfo>
 #include <vector>
 
 #include "sim/compile.hpp"
@@ -20,25 +19,12 @@ Link::Link(std::string name, ChannelWires& src, ChannelWires& dst,
       numVCs_(numVCs) {
   if (numVCs_ < 1 || numVCs_ > kMaxVCs)
     throw std::invalid_argument("Link: numVCs must be in [1, kMaxVCs]");
-  sensitive(src.flit.data);
-  sensitive(src.flit.bop);
-  sensitive(src.flit.eop);
-  sensitive(src.val);
-  if (numVCs_ == 1) {
-    sensitive(dst.ack);
-  } else {
-    sensitive(src.vc);
-    for (int v = 0; v < numVCs_; ++v) {
-      sensitive(dst.vcFree[static_cast<std::size_t>(v)]);
-      sensitive(dst.vcAck[static_cast<std::size_t>(v)]);
-    }
-  }
 }
 
 void Link::evaluate() {
   forward();
   if (numVCs_ == 1) {
-    src_->ack.set(dst_->ack.get());
+    reverseAck();
     return;
   }
   // VC mode: per-VC space/link-up levels and credit pulses upstream.  The
@@ -56,6 +42,8 @@ void Link::forward() {
   dst_->val.set(src_->val.get());
   if (numVCs_ > 1) dst_->vc.set(src_->vc.get());
 }
+
+void Link::reverseAck() { src_->ack.set(dst_->ack.get()); }
 
 void Link::reverseVcFree() {
   for (int v = 0; v < numVCs_; ++v)
@@ -127,11 +115,6 @@ void linkEdge(std::uint64_t* w, void* vctx) {
 }  // namespace
 
 bool Link::describe(sim::Lowering& lw) {
-  // Subclasses override transformData/onTransfer/evaluate (fault
-  // injection); only an exact Link is pass-through wiring.  They run as
-  // behavioural thunks instead.
-  if (typeid(*this) != typeid(Link)) return false;
-
   LinkCopyCtx copy;
   copy.src = vcarena::channelWord(lw, *src_, numVCs_);
   copy.dst = vcarena::channelWord(lw, *dst_, numVCs_);

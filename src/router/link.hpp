@@ -58,15 +58,24 @@ class Link : public sim::Module {
   /// Compiled-kernel lowering, one layout for every VC count: one masked
   /// field copy per phase of evaluate() between the packed channel words of
   /// router/vc_arena.hpp (flit + val + vc downstream; ack, or the vcFree
-  /// levels and vcAck pulses, upstream) and a counting edge op.  Subclasses
-  /// with fault behaviour fall back to behavioural thunks (link.cpp guards
-  /// on the dynamic type).
+  /// levels and vcAck pulses, upstream) and a counting edge op.  The copies
+  /// bypass the virtual hooks below, so a subclass that overrides a phase
+  /// or transformData() overrides describe() too (FaultyLink does).
   bool describe(sim::Lowering& lw) override;
 
  protected:
   void onReset() override;
   void evaluate() override;
   void clockEdge() override;
+
+  /// The combinational phases of evaluate(), in call order, each lowered
+  /// to its own op.  forward: flit, val (and vc) downstream.  reverseAck
+  /// (single VC): ack upstream.  reverseVcFree / reverseVcAck (VCs): the
+  /// per-VC levels and credit pulses upstream.
+  virtual void forward();
+  virtual void reverseAck();
+  virtual void reverseVcFree();
+  virtual void reverseVcAck();
 
   /// Hook for derived links (fault injection): the data word actually
   /// presented downstream.  Must be a pure function of its inputs and the
@@ -91,14 +100,6 @@ class Link : public sim::Module {
   int numVCs() const { return numVCs_; }
 
  private:
-  // The combinational phases of evaluate(), each lowered to its own
-  // field-copy op.  forward: flit, val (and vc) downstream.
-  // reverseVcFree / reverseVcAck: the per-VC levels and credit pulses
-  // upstream.
-  void forward();
-  void reverseVcFree();
-  void reverseVcAck();
-
   ChannelWires* src_;
   ChannelWires* dst_;
   FlowControl flowControl_;

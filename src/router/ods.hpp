@@ -26,15 +26,7 @@ class Ods : public sim::Module {
         xbar_(&xbar),
         connected_(&connected),
         sel_(&sel),
-        out_(&out) {
-    sensitive(connected);
-    sensitive(sel);
-    for (const CrossbarWires& in : xbar) {
-      sensitive(in.flit.data);
-      sensitive(in.flit.bop);
-      sensitive(in.flit.eop);
-    }
-  }
+        out_(&out) {}
 
   // The combinational body, written over a signal accessor: WireIo below
   // (evaluate()) or the output channel's arena accessor (its compiled ops).

@@ -32,10 +32,7 @@ class Ofc : public sim::Module {
         outAck_(&outAck),
         outVal_(&outVal),
         xRd_(&xRd),
-        xbar_(&xbar) {
-    sensitive(rokSel);
-    sensitive(outAck);
-  }
+        xbar_(&xbar) {}
 
   // The combinational body in its two halves, written over a signal
   // accessor: WireIo below (evaluate()) or the output channel's arena

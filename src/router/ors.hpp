@@ -24,11 +24,7 @@ class Ors : public sim::Module {
         xbar_(&xbar),
         connected_(&connected),
         sel_(&sel),
-        rokSel_(&rokSel) {
-    sensitive(connected);
-    sensitive(sel);
-    for (const CrossbarWires& in : xbar) sensitive(in.rok);
-  }
+        rokSel_(&rokSel) {}
 
   // The combinational body over a signal accessor (see Ods::mux).
   template <class Io>

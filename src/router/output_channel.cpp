@@ -420,18 +420,6 @@ VcOutputChannel::VcOutputChannel(
       out_(&out),
       xbar_(&xbar) {
   if (creditMode()) credits_.reset(numVCs_, params.p);
-  for (int i = 0; i < kNumPorts; ++i) {
-    for (int v = 0; v < numVCs_; ++v) {
-      const CrossbarWires& x =
-          xbar[static_cast<std::size_t>(i)][static_cast<std::size_t>(v)];
-      sensitive(x.rok);
-      sensitive(x.flit.data);
-      sensitive(x.flit.bop);
-      sensitive(x.flit.eop);
-    }
-  }
-  for (int d = 0; d < numVCs_; ++d)
-    sensitive(out.vcFree[static_cast<std::size_t>(d)]);
 }
 
 void VcOutputChannel::attachMetrics(const VcOutputChannelMetrics& metrics) {

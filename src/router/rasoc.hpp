@@ -68,7 +68,7 @@ class Rasoc : public sim::Module {
 
   // Compiled-kernel lowering: the router top is a structural shell (no
   // evaluate/clockEdge of its own), so lowering just recurses into the
-  // channel modules without spending a fallback thunk on the shell.
+  // channel modules and emits nothing for the shell.
   bool describe(sim::Lowering& lw) override;
 
  private:

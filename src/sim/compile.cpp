@@ -1,7 +1,6 @@
 #include "sim/compile.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cstddef>
 
 #include "sim/module.hpp"
@@ -12,7 +11,6 @@ namespace rasoc::sim {
 
 void Lowering::beginModule(Module& m) {
   current_ = &m;
-  currentIndex_ = static_cast<std::uint32_t>(m.moduleIndex());
   descend_ = false;
 }
 
@@ -82,36 +80,18 @@ void Lowering::op(OpFn fn, void* ctx, std::vector<const WireBase*> reads,
   CompiledProgram::UnitDraft d;
   d.fn = fn;
   d.ctx = ctx;
+  d.module = current_;
   d.reads = std::move(reads);
   d.writes = std::move(writes);
-  d.moduleIndex = currentIndex_;
   prog_.drafts_.push_back(std::move(d));
 }
 
-void Lowering::thunk(Module& m) {
-  // Discover the write set by running evaluate() once under the write
-  // recorder (stable-write-set contract: evaluate() must drive the same
-  // wires on every call).  The recorder is disarmed even if evaluate()
-  // throws, so it never outlives `writes`.
-  std::vector<const WireBase*> writes;
-  struct Disarm {
-    ~Disarm() { SettleContext::armWriteRecorder(nullptr); }
-  } disarm;
-  SettleContext::armWriteRecorder(&writes);
-  m.evaluateOne();
-  prog_.discovered_.push_back(&m);
-  std::sort(writes.begin(), writes.end());
-  writes.erase(std::unique(writes.begin(), writes.end()), writes.end());
-  thunkDeclared(m, m.sensitivities(), std::move(writes));
-}
-
-void Lowering::thunkDeclared(Module& m, std::vector<const WireBase*> reads,
-                             std::vector<const WireBase*> writes) {
+void Lowering::thunk(Module& m, std::vector<const WireBase*> reads,
+                     std::vector<const WireBase*> writes) {
   CompiledProgram::UnitDraft d;
-  d.thunk = &m;
+  d.module = &m;
   d.reads = std::move(reads);
   d.writes = std::move(writes);
-  d.moduleIndex = static_cast<std::uint32_t>(m.moduleIndex());
   prog_.drafts_.push_back(std::move(d));
 }
 
@@ -127,14 +107,13 @@ void Lowering::edgeCall(Module& m) {
 
 void CompiledProgram::walk(Lowering& lw, Module& m) {
   lw.beginModule(m);
-  const bool described = m.describe(lw);
-  if (!described) {
-    lw.thunk(m);
-    lw.edgeCall(m);
+  if (!m.describe(lw))
+    throw std::logic_error(
+        "Kernel::Compiled: module '" + m.name() +
+        "' has no lowering; override Module::describe() to declare its "
+        "settle units and clock edge");
+  if (lw.descendRequested())
     for (Module* child : m.children()) walk(lw, *child);
-  } else if (lw.descendRequested()) {
-    for (Module* child : m.children()) walk(lw, *child);
-  }
 }
 
 std::unique_ptr<CompiledProgram> CompiledProgram::build(
@@ -147,6 +126,7 @@ std::unique_ptr<CompiledProgram> CompiledProgram::build(
 }
 
 void CompiledProgram::finalize() {
+  scheduleUnits();  // throws on a cycle, before any wire is bound
   cur_.assign(wordCount_, 0);
   // Point every wire at its slice and import the current wire values so
   // the arena starts coherent; write-through (set/force) and read-through
@@ -156,7 +136,6 @@ void CompiledProgram::finalize() {
     b.store(b.wire);
   }
 
-  scheduleUnits();
   packContexts();
   buildRuns();
   drafts_.clear();
@@ -221,14 +200,7 @@ void CompiledProgram::buildRuns() {
     out.push_back({fn, ctx, m, 0, 1});
   };
   runs_.clear();
-  segRuns_.clear();
-  for (const Segment& s : segments_) {
-    const std::uint32_t begin = static_cast<std::uint32_t>(runs_.size());
-    if (!s.iterate)
-      for (std::uint32_t i = s.begin; i != s.end; ++i)
-        batch(runs_, units_[i].fn, units_[i].ctx, units_[i].thunk);
-    segRuns_.emplace_back(begin, static_cast<std::uint32_t>(runs_.size()));
-  }
+  for (const ExecUnit& u : units_) batch(runs_, u.fn, u.ctx, u.thunk);
   edgeRuns_.clear();
   for (const EdgeItem& e : edges_) batch(edgeRuns_, e.fn, e.ctx, e.call);
 }
@@ -274,246 +246,121 @@ void CompiledProgram::scheduleUnits() {
       slot.head = static_cast<std::uint32_t>(chain.size() - 1);
     }
   }
+  // A unit reading its own write keeps a self edge, so it never leaves
+  // Kahn's queue below and is reported as a cycle.
   std::vector<std::vector<std::uint32_t>> succ(n);
-  std::vector<bool> selfLoop(n, false);
-  for (std::uint32_t u = 0; u < n; ++u) {
-    for (const WireBase* r : drafts_[u].reads) {
-      for (std::uint32_t k = slotOf(r).head; k != kEnd; k = chain[k].next) {
-        const std::uint32_t w = chain[k].unit;
-        if (w == u)
-          selfLoop[u] = true;
-        else
-          succ[w].push_back(u);
-      }
-    }
-  }
+  for (std::uint32_t u = 0; u < n; ++u)
+    for (const WireBase* r : drafts_[u].reads)
+      for (std::uint32_t k = slotOf(r).head; k != kEnd; k = chain[k].next)
+        succ[chain[k].unit].push_back(u);
+  std::vector<std::uint32_t> indegree(n, 0);
   for (auto& s : succ) {
     std::sort(s.begin(), s.end());
     s.erase(std::unique(s.begin(), s.end()), s.end());
+    for (std::uint32_t v : s) ++indegree[v];
   }
 
-  // Iterative Tarjan.  Components are emitted sinks-first, so reading the
-  // emission list backwards yields a topological order of the condensation.
-  constexpr std::uint32_t kUnvisited = 0xffffffffu;
-  std::vector<std::uint32_t> index(n, kUnvisited), lowlink(n, 0);
-  std::vector<bool> onStack(n, false);
-  std::vector<std::uint32_t> stack;
-  std::vector<std::vector<std::uint32_t>> comps;
-  std::uint32_t nextIndex = 0;
-  struct Frame {
-    std::uint32_t v;
-    std::size_t edge;
-  };
-  std::vector<Frame> frames;
-  for (std::uint32_t root = 0; root < n; ++root) {
-    if (index[root] != kUnvisited) continue;
-    frames.push_back({root, 0});
-    index[root] = lowlink[root] = nextIndex++;
-    stack.push_back(root);
-    onStack[root] = true;
-    while (!frames.empty()) {
-      Frame& f = frames.back();
-      if (f.edge < succ[f.v].size()) {
-        const std::uint32_t w = succ[f.v][f.edge++];
-        if (index[w] == kUnvisited) {
-          index[w] = lowlink[w] = nextIndex++;
-          stack.push_back(w);
-          onStack[w] = true;
-          frames.push_back({w, 0});
-        } else if (onStack[w]) {
-          lowlink[f.v] = std::min(lowlink[f.v], index[w]);
-        }
-      } else {
-        const std::uint32_t v = f.v;
-        frames.pop_back();
-        if (!frames.empty())
-          lowlink[frames.back().v] = std::min(lowlink[frames.back().v],
-                                              lowlink[v]);
-        if (lowlink[v] == index[v]) {
-          comps.emplace_back();
-          for (;;) {
-            const std::uint32_t w = stack.back();
-            stack.pop_back();
-            onStack[w] = false;
-            comps.back().push_back(w);
-            if (w == v) break;
-          }
-        }
-      }
+  // Kahn's algorithm: `order` collects the units whose writers have all
+  // been placed, and level[u] becomes the longest writer->reader path from
+  // a source.  Units left over sit on or behind a cycle.
+  std::vector<std::uint32_t> order, level(n, 0);
+  order.reserve(n);
+  for (std::uint32_t u = 0; u < n; ++u)
+    if (indegree[u] == 0) order.push_back(u);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    const std::uint32_t u = order[i];
+    for (std::uint32_t v : succ[u]) {
+      level[v] = std::max(level[v], level[u] + 1);
+      if (--indegree[v] == 0) order.push_back(v);
     }
   }
+  if (order.size() != n) throwCycle(succ, indegree);
 
-  // Dependency level per draft (longest path from a source), computed by
-  // pushing levels forward in topological order of the condensation.
-  // Members of a cyclic component share a level for scheduling purposes;
-  // intra-component edges may bump it imprecisely, which is harmless
-  // because iterate segments are never reordered.
-  std::vector<std::uint32_t> level(n, 0);
-  for (auto comp = comps.rbegin(); comp != comps.rend(); ++comp)
-    for (std::uint32_t u : *comp)
-      for (std::uint32_t s : succ[u])
-        level[s] = std::max(level[s], level[u] + 1);
-  std::vector<std::uint32_t> unitDraft;  // unit index -> draft index
-
-  // Emit the schedule: singleton acyclic components extend the current
-  // linear segment; genuine cycles get their own iterate segment.  Units
-  // within a component run in emission (lowering) order, which tracks the
-  // behavioural module walk and keeps the schedule deterministic.
-  auto openSegment = [&](bool iterate) {
-    Segment s;
-    s.begin = s.end = static_cast<std::uint32_t>(units_.size());
-    s.watchBegin = s.watchEnd = static_cast<std::uint32_t>(watchWords_.size());
-    s.iterate = iterate;
-    segments_.push_back(s);
-  };
-  auto appendUnit = [&](std::uint32_t u) {
-    unitDraft.push_back(u);
+  // Any topological order settles in one pass, so pick the one that
+  // interprets fastest: by level, then by op function, then by lowering
+  // order.  Long same-target runs make the indirect calls perfectly
+  // predicted and keep each op body hot in the I-cache; results do not
+  // depend on the choice because every writer->reader edge climbs a level.
+  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+    if (level[a] != level[b]) return level[a] < level[b];
+    const auto fa = reinterpret_cast<std::uintptr_t>(drafts_[a].fn);
+    const auto fb = reinterpret_cast<std::uintptr_t>(drafts_[b].fn);
+    if (fa != fb) return fa < fb;
+    return a < b;
+  });
+  units_.reserve(n);
+  for (std::uint32_t u : order) {
     const UnitDraft& d = drafts_[u];
-    ExecUnit e{};
-    e.fn = d.fn;
-    e.ctx = d.ctx;
-    e.thunk = d.thunk;
-    e.moduleIndex = d.moduleIndex;
-    if (!d.thunk) ++opCount_;
-    units_.push_back(e);
-    segments_.back().end = static_cast<std::uint32_t>(units_.size());
-    if (segments_.back().iterate) {
-      // Watch the arena words this unit's op writes land in; thunk writes
-      // are tracked through SettleContext instead.
-      for (const WireBase* w : d.writes) {
-        const std::size_t b = bindingOf(w);
-        if (b != kUnplaced) watchWords_.push_back(bindings_[b].word);
-      }
-    }
-  };
-
-  bool linearOpen = false;
-  for (auto comp = comps.rbegin(); comp != comps.rend(); ++comp) {
-    std::sort(comp->begin(), comp->end());
-    const bool iterate = comp->size() > 1 || selfLoop[comp->front()];
-    if (iterate) {
-      openSegment(true);
-      ++iterateSegments_;
-      for (std::uint32_t u : *comp) appendUnit(u);
-      auto& seg = segments_.back();
-      std::sort(watchWords_.begin() + seg.watchBegin, watchWords_.end());
-      watchWords_.erase(std::unique(watchWords_.begin() + seg.watchBegin,
-                                    watchWords_.end()),
-                        watchWords_.end());
-      seg.watchEnd = static_cast<std::uint32_t>(watchWords_.size());
-      linearOpen = false;
-    } else {
-      if (!linearOpen) {
-        openSegment(false);
-        linearOpen = true;
-      }
-      appendUnit(comp->front());
-    }
+    units_.push_back({d.fn, d.ctx, d.fn ? nullptr : d.module,
+                      static_cast<std::uint32_t>(d.module->moduleIndex())});
+    if (d.fn) ++opCount_;
   }
-  // Level-sort each linear segment: any topological order of an acyclic
-  // segment reaches the same fixpoint in a single pass, so we are free to
-  // pick the order that interprets fastest — by dependency level, then by
-  // op function.  Long same-target runs make the indirect calls perfectly
-  // predicted and keep each op body hot in the I-cache; results are
-  // bit-identical because level order respects every writer->reader edge.
-  for (const Segment& s : segments_) {
-    if (s.iterate || s.end - s.begin < 2) continue;
-    std::vector<std::uint32_t> order(s.end - s.begin);
-    for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = s.begin + i;
-    std::stable_sort(order.begin(), order.end(),
-                     [&](std::uint32_t a, std::uint32_t b) {
-                       const std::uint32_t la = level[unitDraft[a]];
-                       const std::uint32_t lb = level[unitDraft[b]];
-                       if (la != lb) return la < lb;
-                       return reinterpret_cast<std::uintptr_t>(units_[a].fn) <
-                              reinterpret_cast<std::uintptr_t>(units_[b].fn);
-                     });
-    std::vector<ExecUnit> sorted(order.size());
-    for (std::uint32_t i = 0; i < order.size(); ++i)
-      sorted[i] = units_[order[i]];
-    std::copy(sorted.begin(), sorted.end(),
-              units_.begin() + s.begin);
-  }
+}
 
-  std::size_t maxWatch = 0;
-  for (const Segment& s : segments_)
-    maxWatch = std::max<std::size_t>(maxWatch, s.watchEnd - s.watchBegin);
-  watchScratch_.resize(maxWatch);
+// Names the modules on one cycle among the units Kahn's algorithm left
+// over.  Each leftover unit has a leftover writer (that is why its
+// in-degree never reached zero), so walking writers from any of them must
+// revisit a unit: the walk's tail from that unit is the cycle.
+void CompiledProgram::throwCycle(
+    const std::vector<std::vector<std::uint32_t>>& succ,
+    const std::vector<std::uint32_t>& indegree) const {
+  constexpr std::uint32_t kNone = 0xffffffffu;
+  const auto n = static_cast<std::uint32_t>(succ.size());
+  std::vector<std::uint32_t> writer(n, kNone);
+  std::uint32_t start = kNone;
+  for (std::uint32_t u = 0; u < n; ++u) {
+    if (indegree[u] == 0) continue;
+    start = u;
+    for (std::uint32_t v : succ[u])
+      if (indegree[v] != 0) writer[v] = u;
+  }
+  std::vector<std::uint32_t> step(n, kNone), walk;
+  std::uint32_t u = start;
+  while (step[u] == kNone) {
+    step[u] = static_cast<std::uint32_t>(walk.size());
+    walk.push_back(u);
+    u = writer[u];
+  }
+  std::string names;
+  std::vector<const Module*> named;
+  for (std::size_t i = step[u]; i < walk.size(); ++i) {
+    const Module* m = drafts_[walk[i]].module;
+    if (std::find(named.begin(), named.end(), m) != named.end()) continue;
+    named.push_back(m);
+    names += (names.empty() ? "" : ", ") + m->name();
+  }
+  throw std::runtime_error(
+      "Kernel::Compiled: combinational cycle through " + names +
+      " (a unit's declared reads depend on its own writes)");
 }
 
 // --- run --------------------------------------------------------------------
 
-inline void CompiledProgram::runUnit(const ExecUnit& u,
-                                     std::uint64_t* profileBase) {
-  if (u.fn)
-    u.fn(cur_.data(), u.ctx);
-  else
-    u.thunk->evaluateOne();  // wire reads refresh from the arena in get()
-  if (profileBase) ++profileBase[u.moduleIndex];
-}
-
-void CompiledProgram::throwUnsettled(std::uint64_t bound) const {
-  throw std::runtime_error(
-      "Kernel::Compiled: cyclic segment failed to settle within " +
-      std::to_string(bound) +
-      " iterations - combinational loop (raise "
-      "Simulator::setMaxSettleIterations if the design is legitimately "
-      "deep)");
-}
-
-std::uint64_t CompiledProgram::settle(std::uint64_t maxIterationsPerSegment,
-                                      std::uint64_t* profileBase) {
-  std::uint64_t executed = 0;
-  for (std::size_t si = 0; si < segments_.size(); ++si) {
-    const Segment& seg = segments_[si];
-    if (!seg.iterate) {
-      if (profileBase == nullptr) {
-        // Batched fast path: identical order and calls as the per-unit
-        // walk, with the dispatch hoisted out of each same-fn stretch.
-        const auto [rb, re] = segRuns_[si];
-        for (std::uint32_t ri = rb; ri != re; ++ri) {
-          const Run& r = runs_[ri];
-          if (r.fn == nullptr) {
-            r.behavioural->evaluateOne();
-            continue;
-          }
-          auto* c = static_cast<unsigned char*>(r.ctx);
-          for (std::uint32_t k = 0; k != r.count; ++k) {
-            r.fn(cur_.data(), c);
-            c += r.stride;
-          }
-        }
-      } else {
-        for (std::uint32_t i = seg.begin; i != seg.end; ++i)
-          runUnit(units_[i], profileBase);
-      }
-      executed += seg.end - seg.begin;
+std::uint64_t CompiledProgram::settle(std::uint64_t* profileBase) {
+  if (profileBase != nullptr) {
+    for (const ExecUnit& u : units_) {
+      if (u.fn)
+        u.fn(cur_.data(), u.ctx);
+      else
+        u.thunk->evaluateOne();  // wire reads refresh from the arena
+      ++profileBase[u.moduleIndex];
+    }
+    return units_.size();
+  }
+  // Batched fast path: identical order and calls as the per-unit walk,
+  // with the dispatch hoisted out of each same-fn stretch.
+  for (const Run& r : runs_) {
+    if (r.fn == nullptr) {
+      r.behavioural->evaluateOne();
       continue;
     }
-    const std::uint32_t nWatch = seg.watchEnd - seg.watchBegin;
-    std::uint64_t iterations = 0;
-    for (;;) {
-      for (std::uint32_t k = 0; k < nWatch; ++k)
-        watchScratch_[k] = cur_[watchWords_[seg.watchBegin + k]];
-      SettleContext::clearChanged();
-      for (std::uint32_t i = seg.begin; i != seg.end; ++i)
-        runUnit(units_[i], profileBase);
-      executed += seg.end - seg.begin;
-      bool changed = SettleContext::changed();
-      if (!changed) {
-        for (std::uint32_t k = 0; k < nWatch; ++k) {
-          if (watchScratch_[k] != cur_[watchWords_[seg.watchBegin + k]]) {
-            changed = true;
-            break;
-          }
-        }
-      }
-      if (!changed) break;
-      if (++iterations >= maxIterationsPerSegment)
-        throwUnsettled(maxIterationsPerSegment);
+    auto* c = static_cast<unsigned char*>(r.ctx);
+    for (std::uint32_t k = 0; k != r.count; ++k) {
+      r.fn(cur_.data(), c);
+      c += r.stride;
     }
   }
-  return executed;
+  return units_.size();
 }
 
 void CompiledProgram::edge() {

@@ -9,15 +9,18 @@
 //    contiguous std::uint64_t arena - a 32-bit slice of its own, or a fixed
 //    field of a word describe() packs with a group of related wires
 //    (packedWord), so moving the group is one masked word copy;
-//  * every module contributes, via Module::describe(), either word-level
-//    ops (plain function pointers over the arena, no virtual dispatch) or a
-//    fallback thunk wrapping its behavioural evaluate() - so migration is
-//    incremental and unported modules stay exact;
-//  * the resulting units are levelized: Tarjan SCCs over the wire-level
-//    driver/reader relation, scheduled in topological order.  Acyclic
-//    stretches run exactly once per settle; genuine cycles (e.g. a fault
-//    thunk handshaking with a lowered channel) iterate to a local fixpoint
-//    bounded by Simulator::maxSettleIterations.
+//  * every module contributes, via Module::describe(), word-level ops
+//    (plain function pointers over the arena, no virtual dispatch), phase
+//    ops over its own Wire-level code, or a declared thunk around its
+//    behavioural evaluate() - each with the wires it reads and drives.  A
+//    module without a lowering is a build error (std::logic_error naming
+//    it);
+//  * the resulting units are levelized over the wire-level driver/reader
+//    relation (Kahn's algorithm) into one linear tape that runs exactly
+//    once per settle.  RASoC blocks talk through val/ack nets that end at
+//    registers, so a network has no combinational cycle; a cycle in the
+//    declared units is a build error (std::runtime_error naming its
+//    modules), the same type the naive kernel throws for a loop.
 //
 // The clock edge lowers the same way: an edge tape in clockEdgeAll()
 // preorder whose entries are either word/member-level edge ops or
@@ -178,16 +181,10 @@ class Lowering {
        ctx(PhaseCtx{&m}), std::move(reads), std::move(writes));
   }
 
-  // Fallback thunk around m.evaluate().  Reads default to the module's
-  // declared sensitivities; the write set is discovered by running
-  // evaluate() once under the write recorder, so evaluate() must drive the
-  // same wires on every call (stable-write-set contract).
-  void thunk(Module& m);
-
-  // Thunk with an explicitly declared write set: skips discovery, so no
-  // scratch evaluate() runs at compile time.
-  void thunkDeclared(Module& m, std::vector<const WireBase*> reads,
-                     std::vector<const WireBase*> writes);
+  // A unit that runs m.evaluate() behaviourally.  `reads` and `writes`
+  // must name every wire evaluate() reads and drives.
+  void thunk(Module& m, std::vector<const WireBase*> reads,
+             std::vector<const WireBase*> writes);
 
   // --- edge tape --------------------------------------------------------
   //
@@ -228,7 +225,6 @@ class Lowering {
 
   CompiledProgram& prog_;
   Module* current_ = nullptr;
-  std::uint32_t currentIndex_ = 0;
   bool descend_ = false;
 };
 
@@ -237,7 +233,9 @@ class CompiledProgram {
   // Lowers `tops` (the simulator's top-level modules, in collection order)
   // into a runnable program.  Module indices must be up to date
   // (Simulator::ensureCollected) because units carry them for profiling
-  // attribution.
+  // attribution.  Throws std::logic_error when a module has no lowering
+  // (describe() returns false) and std::runtime_error when the declared
+  // units form a combinational cycle; no wire is bound to an arena then.
   static std::unique_ptr<CompiledProgram> build(
       const std::vector<Module*>& tops);
 
@@ -245,13 +243,10 @@ class CompiledProgram {
   CompiledProgram(const CompiledProgram&) = delete;
   CompiledProgram& operator=(const CompiledProgram&) = delete;
 
-  // One settle pass: runs the schedule, iterating cyclic segments to a
-  // fixpoint bounded by maxIterationsPerSegment.  Returns the number of
-  // units executed (ops + thunk evaluations, including iteration repeats).
-  // When profileBase is non-null, each execution increments
-  // profileBase[unit.moduleIndex].
-  std::uint64_t settle(std::uint64_t maxIterationsPerSegment,
-                       std::uint64_t* profileBase);
+  // One settle pass: runs every unit once in schedule order.  Returns the
+  // number of units executed (ops + thunk evaluations).  When profileBase
+  // is non-null, each execution increments profileBase[unit.moduleIndex].
+  std::uint64_t settle(std::uint64_t* profileBase);
 
   // One clock edge: runs the edge tape (registered state and counters
   // only; wires are untouched, matching the clockEdge() contract).
@@ -270,11 +265,8 @@ class CompiledProgram {
   std::size_t opCount() const { return opCount_; }
   std::size_t thunkCount() const { return units_.size() - opCount_; }
   std::size_t edgeItemCount() const { return edges_.size(); }
-  std::size_t segmentCount() const { return segments_.size(); }
-  std::size_t iterateSegmentCount() const { return iterateSegments_; }
-  // Fallback modules whose evaluate() ran once at build time to discover
-  // their write set (Lowering::thunk), in discovery order.
-  const std::vector<Module*>& discoveredModules() const { return discovered_; }
+  // Always 0; perfbench/driver.cpp and RunReport still read it.
+  std::size_t iterateSegmentCount() const { return 0; }
 
  private:
   friend class Lowering;
@@ -293,14 +285,14 @@ class CompiledProgram {
     void (*store)(const WireBase*);    // wire -> arena (Wire::syncArena)
   };
 
-  // Pre-schedule unit as emitted by Lowering.
+  // Pre-schedule unit as emitted by Lowering: an op (fn != nullptr) of
+  // the describing module, or a thunk (fn == nullptr) around `module`.
   struct UnitDraft {
     OpFn fn = nullptr;
     void* ctx = nullptr;
-    Module* thunk = nullptr;
+    Module* module = nullptr;
     std::vector<const WireBase*> reads;
     std::vector<const WireBase*> writes;
-    std::uint32_t moduleIndex = 0;
   };
 
   // Scheduled unit: op (fn != nullptr) or behavioural thunk (whose wire
@@ -310,17 +302,6 @@ class CompiledProgram {
     void* ctx;
     Module* thunk;
     std::uint32_t moduleIndex;
-  };
-
-  // A run of scheduled units.  iterate=false: one pass (topologically
-  // safe).  iterate=true: a genuine SCC; repeat until neither the watched
-  // arena words nor any Wire changes.
-  struct Segment {
-    std::uint32_t begin;
-    std::uint32_t end;
-    std::uint32_t watchBegin;
-    std::uint32_t watchEnd;
-    bool iterate;
   };
 
   struct EdgeItem {
@@ -347,8 +328,9 @@ class CompiledProgram {
   void walk(Lowering& lw, Module& m);
   void finalize();
   void scheduleUnits();
-  void runUnit(const ExecUnit& u, std::uint64_t* profileBase);
-  [[noreturn]] void throwUnsettled(std::uint64_t bound) const;
+  [[noreturn]] void throwCycle(
+      const std::vector<std::vector<std::uint32_t>>& succ,
+      const std::vector<std::uint32_t>& indegree) const;
 
   // Arena: the authoritative packed signal state while the program is
   // bound (wires read through to it, see wire.hpp).
@@ -376,17 +358,11 @@ class CompiledProgram {
 
   std::vector<UnitDraft> drafts_;
   std::vector<ExecUnit> units_;
-  std::vector<Segment> segments_;
-  std::vector<std::uint32_t> watchWords_;  // arena words (iterate segments)
-  std::vector<std::uint64_t> watchScratch_;
   std::vector<EdgeItem> edges_;
 
-  // Batched streams (see Run).  Linear segments execute runs_ via
-  // segRuns_[segment] = [begin, end); profiling falls back to the per-unit
-  // walk for attribution.  Iterate segments always walk units (they are
-  // small and need per-pass change tracking anyway).
+  // Batched streams (see Run); profiling walks units_ instead, for
+  // attribution.
   std::vector<Run> runs_;
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> segRuns_;
   std::vector<Run> edgeRuns_;
   void buildRuns();
 
@@ -403,8 +379,6 @@ class CompiledProgram {
   void packContexts();
 
   std::size_t opCount_ = 0;
-  std::size_t iterateSegments_ = 0;
-  std::vector<Module*> discovered_;
 };
 
 template <typename T>

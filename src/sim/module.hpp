@@ -13,11 +13,10 @@
 // wires/registered state and commits the next registered state; it must not
 // drive wires (drive them in evaluate() from registered state instead).
 //
-// Both settle kernels (see Simulator::Kernel) re-derive every wire each
-// settle, so a module owes the simulator no scheduling declarations.  The
-// one annotation, sensitive(wire), records the wires evaluate() reads: the
-// compiled kernel uses that list as the read set of the fallback thunk it
-// wraps an undescribed module in (Lowering::thunk).
+// The naive kernel needs nothing more.  The compiled kernel (see
+// Simulator::Kernel) needs every module it runs to declare its lowering
+// through describe(): the units that stand in for evaluate(), with the
+// wires each reads and drives, and the clock edge.
 #pragma once
 
 #include <string>
@@ -28,7 +27,6 @@ namespace rasoc::sim {
 
 class Lowering;
 class Module;
-class WireBase;
 
 // Simulator hook reached through each module's scheduler backpointer, so
 // several simulators can coexist on one thread without cross-talk.
@@ -61,7 +59,7 @@ class Module {
   void clockEdgeAll();
 
   // Single-module evaluate, used by the profiled naive sweep and the
-  // compiled kernel's fallback thunks (children are separate units).
+  // compiled kernel's behavioural units (Lowering::thunk).
   void evaluateOne() { evaluate(); }
 
   // Single-module clock edge, used by the compiled kernel's edge tape when
@@ -71,13 +69,13 @@ class Module {
 
   // --- compiled-kernel lowering hook (see sim/compile.hpp) --------------
 
-  // Contributes word-level ops for this module (and, by covenant, its
-  // entire subtree) to the compiled kernel's program.  Return true when the
-  // subtree is covered by the emitted units; call Lowering::descendChildren
-  // first if the children should still lower themselves.  Returning false
-  // (the default) makes the compiler wrap this module's evaluate() in a
-  // fallback thunk, append its clockEdge() to the edge tape, and recurse -
-  // behaviourally exact, just slower, so migration is incremental.
+  // Contributes this module's units (and, by covenant, its entire
+  // subtree's) to the compiled kernel's program: settle units standing in
+  // for evaluate() and edge items standing in for clockEdge().  Return true
+  // when the subtree is covered by the emitted units; call
+  // Lowering::descendChildren first if the children should still lower
+  // themselves.  Returning false (the default) means the module has no
+  // lowering, and CompiledProgram::build throws std::logic_error naming it.
   virtual bool describe(Lowering&) { return false; }
 
   const std::vector<Module*>& children() const { return children_; }
@@ -90,10 +88,6 @@ class Module {
   void setModuleIndex(std::size_t index) { moduleIndex_ = index; }
   std::size_t moduleIndex() const { return moduleIndex_; }
 
-  // Wires declared via sensitive() - the read set the compiled kernel
-  // gives a fallback thunk (Lowering::thunk).
-  const std::vector<const WireBase*>& sensitivities() const { return reads_; }
-
  protected:
   virtual void onReset() {}
   virtual void evaluate() {}
@@ -102,11 +96,6 @@ class Module {
   // Registers a structural child.  The child must outlive this module; the
   // usual pattern is member-object children registered in the constructor.
   void addChild(Module& child) { children_.push_back(&child); }
-
-  // Declares that evaluate() reads `wire`, adding it to the read set the
-  // compiled kernel gives this module's fallback thunk.  Call from the
-  // constructor, once per input wire.
-  void sensitive(const WireBase& wire) { reads_.push_back(&wire); }
 
   // Tells the bound scheduler that this module's describe() output is no
   // longer valid (e.g. telemetry was attached after the first compile).
@@ -117,7 +106,6 @@ class Module {
  private:
   std::string name_;
   std::vector<Module*> children_;
-  std::vector<const WireBase*> reads_;  // declared via sensitive()
   EvalScheduler* scheduler_ = nullptr;
   std::size_t moduleIndex_ = 0;
 };

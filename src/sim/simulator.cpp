@@ -9,11 +9,6 @@
 
 namespace rasoc::sim {
 
-thread_local bool SettleContext::changed_ = false;
-thread_local bool SettleContext::inSettle_ = false;
-thread_local std::vector<const WireBase*>* SettleContext::writeRecorder_ =
-    nullptr;
-
 namespace {
 
 // Marks the settle phase for Wire::force's poke-window check; exception
@@ -143,17 +138,10 @@ void Simulator::releaseProgram() {
 
 void Simulator::ensureProgramBuilt() {
   if (program_ && !compiledStale_) return;
-  // Unbind the previous program's wires first: the build's write-set
-  // discovery evaluates fallback modules, and those scratch writes must
-  // not land in a dying arena.
+  // Unbind the previous program's wires first, so each wire's cached value
+  // is current when the new arena imports it.
   releaseProgram();
   program_ = CompiledProgram::build(tops_);
-  // Discovery evaluations are settle work, counted and attributed like
-  // any other evaluation.
-  for (const Module* m : program_->discoveredModules()) {
-    ++evaluateCalls_;
-    if (profileBase_) ++profileBase_[m->moduleIndex()];
-  }
   compiledStale_ = false;
 }
 
@@ -161,9 +149,7 @@ void Simulator::settleCompiled() {
   ensureProgramBuilt();
   // Pokes are already reflected in the arena (wires write through); the
   // tape re-derives everything else.
-  evaluateCalls_ += program_->settle(
-      static_cast<std::uint64_t>(std::max(maxSettleIterations_, 1)),
-      profileBase_);
+  evaluateCalls_ += program_->settle(profileBase_);
 }
 
 void Simulator::enableProfiling() {

@@ -21,10 +21,10 @@
 ///  * Kernel::Compiled - the fast kernel.  Lowers the module tree once into
 ///    a word-packed state arena plus a levelized op tape (sim/compile.hpp)
 ///    and settles by interpreting the flat op arrays: no virtual dispatch,
-///    one topologically ordered pass (cyclic stretches, e.g. fault thunks,
-///    iterate locally).  Modules lower themselves through
-///    Module::describe(); undescribed modules run behaviourally as fallback
-///    thunks, so the kernel is exact for arbitrary module soups.  Wires
+///    one topologically ordered pass.  Every module declares its units and
+///    clock edge through Module::describe(); the build rejects a module
+///    without a lowering (std::logic_error) and a combinational cycle
+///    (std::runtime_error, the naive kernel's no-fixpoint type).  Wires
 ///    write through to the arena on set()/force() (the poke window keeps
 ///    working) and read through on get(), so all wire-level observers
 ///    behave as under the naive kernel.  The program is rebuilt
@@ -75,17 +75,17 @@ class Simulator final : private EvalScheduler {
 
   /// The compiled kernel's current program, or nullptr when no program is
   /// built (other kernel active, or no settle yet).  Introspection only
-  /// (unit/word/segment counts for tests and stats).
+  /// (unit/word/thunk counts for tests and stats).
   const CompiledProgram* compiledProgram() const { return program_.get(); }
 
   /// Resets registered state in every module and restarts the cycle count.
   void reset();
 
   /// Runs evaluate() passes until the combinational network is stable.
-  /// Throws std::runtime_error if no fixpoint is reached within the
-  /// evaluation bound derived from maxSettleIterations() (combinational
-  /// loop); under the naive kernel the message names the modules still
-  /// changing wires.
+  /// Throws std::runtime_error on a combinational loop: the naive kernel
+  /// when no fixpoint is reached within maxSettleIterations() passes (the
+  /// message names the modules still changing wires), the compiled kernel
+  /// when its build finds a cycle (the message names the modules on it).
   void settle();
 
   /// Commits one clock edge.  Callers normally use step() instead.
@@ -115,9 +115,8 @@ class Simulator final : private EvalScheduler {
 
   std::uint64_t cycle() const { return cycle_; }
 
-  /// Naive kernel: maximum full evaluation passes per settle.  Compiled
-  /// kernel: maximum sweeps of each iterated (cyclic) segment per settle,
-  /// so both kernels tolerate the same combinational depth.
+  /// Naive kernel: maximum full evaluation passes per settle.  The
+  /// compiled kernel settles in one pass and ignores it.
   int maxSettleIterations() const { return maxSettleIterations_; }
   void setMaxSettleIterations(int n) { maxSettleIterations_ = n; }
 

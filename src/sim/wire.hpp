@@ -17,11 +17,8 @@
 #include <stdexcept>
 #include <type_traits>
 #include <utility>
-#include <vector>
 
 namespace rasoc::sim {
-
-class WireBase;
 
 // Global (per-thread) change flag used by the naive settle loop, plus the
 // in-settle marker that guards the poke window.  The simulator is
@@ -37,22 +34,11 @@ class SettleContext {
   static void exitSettle() { inSettle_ = false; }
   static bool inSettle() { return inSettle_; }
 
-  // Write-set recorder for the compiled kernel's thunk discovery
-  // (Lowering::thunk): while a recorder is armed on this thread, every
-  // Wire::set call is appended to it - including value-unchanged calls,
-  // because levelization cares about the driving relation, not about
-  // signal activity.
-  static void armWriteRecorder(std::vector<const WireBase*>* recorder) {
-    writeRecorder_ = recorder;
-  }
-  static void recordWrite(const WireBase* wire) {
-    if (writeRecorder_) writeRecorder_->push_back(wire);
-  }
-
  private:
-  static thread_local bool changed_;
-  static thread_local bool inSettle_;
-  static thread_local std::vector<const WireBase*>* writeRecorder_;
+  // constinit: both flags are constant-initialized, so every access is a
+  // plain TLS load or store with no lazy-init wrapper call.
+  static inline constinit thread_local bool changed_ = false;
+  static inline constinit thread_local bool inSettle_ = false;
 };
 
 // Type-erased base: identity for read/write sets plus the compiled kernel's
@@ -64,7 +50,7 @@ class WireBase {
   // Under Kernel::Compiled the wire's value is mirrored into a (word, shift)
   // slice of the word-packed state arena.  set()/force() write through to
   // the slice, so the arena never goes stale between settles even when a
-  // testbench pokes wires or a fallback thunk drives them; reads refresh
+  // testbench pokes wires or a behavioural unit drives them; reads refresh
   // from the slice (Wire::get), so settled op results are visible without
   // any flush pass.
   //
@@ -130,7 +116,6 @@ class Wire : public WireBase {
   }
 
   void set(const T& v) {
-    SettleContext::recordWrite(this);
     refreshFromArena();
     if (!(value_ == v)) {
       value_ = v;

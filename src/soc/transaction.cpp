@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "sim/compile.hpp"
+
 namespace rasoc::soc {
 
 std::vector<std::uint32_t> TxnPacket::encode() const {
@@ -46,6 +48,11 @@ void MemoryTarget::onReset() {
   cycle_ = 0;
   readsServed_ = 0;
   writesServed_ = 0;
+}
+
+bool MemoryTarget::describe(sim::Lowering& lw) {
+  lw.edgeCall(*this);
+  return true;
 }
 
 void MemoryTarget::clockEdge() {
@@ -106,6 +113,11 @@ void Initiator::onReset() {
   cycle_ = 0;
   completed_ = 0;
   dataErrors_ = 0;
+}
+
+bool Initiator::describe(sim::Lowering& lw) {
+  lw.edgeCall(*this);
+  return true;
 }
 
 void Initiator::clockEdge() {

@@ -60,6 +60,10 @@ class MemoryTarget : public sim::Module {
   std::uint64_t writesServed() const { return writesServed_; }
   std::uint32_t peek(std::uint32_t addr) const;
 
+  // Compiled-kernel lowering: purely sequential (no evaluate()), so the
+  // module contributes only its clockEdge() to the edge tape.
+  bool describe(sim::Lowering& lw) override;
+
  protected:
   void onReset() override;
   void clockEdge() override;
@@ -100,6 +104,10 @@ class Initiator : public sim::Module {
   std::uint64_t completed() const { return completed_; }
   std::uint64_t dataErrors() const { return dataErrors_; }
   const noc::LatencyStats& roundTrip() const { return roundTrip_; }
+
+  // Compiled-kernel lowering: purely sequential (no evaluate()), so the
+  // module contributes only its clockEdge() to the edge tape.
+  bool describe(sim::Lowering& lw) override;
 
  protected:
   void onReset() override;

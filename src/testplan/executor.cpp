@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "sim/compile.hpp"
+
 namespace rasoc::testplan {
 
 TestPortDriver::TestPortDriver(std::string name, noc::NetworkInterface& ni,
@@ -15,6 +17,11 @@ TestPortDriver::TestPortDriver(std::string name, noc::NetworkInterface& ni,
 void TestPortDriver::onReset() {
   next_ = 0;
   cycle_ = 0;
+}
+
+bool TestPortDriver::describe(sim::Lowering& lw) {
+  lw.edgeCall(*this);
+  return true;
 }
 
 void TestPortDriver::clockEdge() {
@@ -43,6 +50,11 @@ void BistMonitor::onReset() {
   delivered_ = false;
   doneAt_ = 0;
   cycle_ = 0;
+}
+
+bool BistMonitor::describe(sim::Lowering& lw) {
+  lw.edgeCall(*this);
+  return true;
 }
 
 void BistMonitor::clockEdge() {

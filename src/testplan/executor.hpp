@@ -28,6 +28,10 @@ class TestPortDriver : public sim::Module {
   TestPortDriver(std::string name, noc::NetworkInterface& ni,
                  std::vector<Job> jobs);
 
+  // Compiled-kernel lowering: purely sequential (no evaluate()), so the
+  // module contributes only its clockEdge() to the edge tape.
+  bool describe(sim::Lowering& lw) override;
+
  protected:
   void onReset() override;
   void clockEdge() override;
@@ -49,6 +53,10 @@ class BistMonitor : public sim::Module {
   bool done() const { return delivered_ && cycle_ >= doneAt_; }
   std::uint64_t doneCycle() const { return doneAt_; }
   bool stimuliDelivered() const { return delivered_; }
+
+  // Compiled-kernel lowering: purely sequential (no evaluate()), so the
+  // module contributes only its clockEdge() to the edge tape.
+  bool describe(sim::Lowering& lw) override;
 
  protected:
   void onReset() override;

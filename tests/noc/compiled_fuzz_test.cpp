@@ -177,9 +177,7 @@ class AddConst : public sim::Module {
  public:
   AddConst(std::string name, Wire<std::uint32_t>& x, Wire<std::uint32_t>& y,
            std::uint32_t k)
-      : Module(std::move(name)), x_(x), y_(y), k_(k) {
-    sensitive(x_);
-  }
+      : Module(std::move(name)), x_(x), y_(y), k_(k) {}
   void evaluate() override { y_.set(x_.get() + k_); }
   bool describe(sim::Lowering& lw) override {
     AddKCtx c;
@@ -283,8 +281,10 @@ TEST(CompiledFuzzTest, ForceInsideCompiledSettleThrows) {
     Wire<std::uint32_t>& in;
     Wire<std::uint32_t>& out;
     Poker(Wire<std::uint32_t>& x, Wire<std::uint32_t>& y)
-        : Module("poker"), in(x), out(y) {
-      sensitive(in);
+        : Module("poker"), in(x), out(y) {}
+    bool describe(sim::Lowering& lw) override {
+      lw.thunk(*this, {&in}, {&out});
+      return true;
     }
     void evaluate() override {
       if (in.get() == 7) in.force(9);  // illegal: force mid-settle

@@ -211,7 +211,7 @@ TracedRun runTraced(const KernelPick& pick, TraceConfig config = {}) {
 TEST(FlowTraceTest, EventStreamIsIdenticalAcrossKernels) {
   // Profiling stays ON here on purpose: kernel-profile data (which *is*
   // kernel-specific — a naive settle evaluates every module, a compiled
-  // one counts only its fallback thunks) records outside the traced event
+  // one counts each unit it runs) records outside the traced event
   // stream, so the machine trace must be byte-identical across kernels
   // even with profiling enabled.
   const TracedRun ref = runTraced(kAllKernels[0]);

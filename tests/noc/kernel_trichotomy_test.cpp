@@ -18,8 +18,8 @@
 //     same delivery count under both kernels.
 //  5. A fault campaign (background corruption + scheduled stall/outage
 //     windows) must produce identical recovery behaviour under the
-//     compiled kernel, whose fault links run as behavioural thunks inside
-//     iterated segments.
+//     compiled kernel, whose fault links run as phase ops in the same
+//     single linear pass.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -30,6 +30,7 @@
 #include "noc/network.hpp"
 #include "noc/observe.hpp"
 #include "noc/topology.hpp"
+#include "noc/watchdog.hpp"
 #include "sim/compile.hpp"
 #include "telemetry/report.hpp"
 
@@ -567,25 +568,19 @@ void runFaultCampaignLockstep(int numVCs, router::FlowControl flow) {
     ASSERT_EQ(ref.ni(n).received(), compiled.ni(n).received())
         << "node " << i;
   }
-  // The stalled handshakes must have been settled through iterated
-  // segments, proving the cyclic path is actually exercised.  Without
-  // windows the fault links close no cycle: they run as thunks in the
-  // linear schedule.
+  // Every FaultyLink lowers to phase ops, so the campaign compiles to one
+  // linear pass whose only thunks are the single-VC NIs.
   const sim::CompiledProgram* prog = compiled.simulator().compiledProgram();
   ASSERT_NE(prog, nullptr);
-  if (windows)
-    EXPECT_GT(prog->iterateSegmentCount(), 0u);
-  else
-    EXPECT_GT(prog->thunkCount(), 0u);
+  EXPECT_EQ(prog->iterateSegmentCount(), 0u);
+  EXPECT_EQ(prog->thunkCount(),
+            numVCs == 1 ? static_cast<std::size_t>(topo->nodes()) : 0u);
 }
 
 TEST(KernelTrichotomyTest, FaultCampaignLockstepCompiledVsNaive) {
-  // Under a fault campaign every link is a FaultyLink, so the compiled
-  // program is mostly behavioural thunks handshaking with lowered channel
-  // ops - the configuration that exercises iterated (cyclic) segments and
-  // the thunk pre-flush path hardest.  The thunks read and drive the
-  // packed channel words of the single-VC channels, under both flow
-  // controls.
+  // Under a fault campaign every link is a FaultyLink, whose phase ops
+  // read and drive the packed channel words of the single-VC channels
+  // through Wire objects, under both flow controls.
   for (const router::FlowControl flow :
        {router::FlowControl::Handshake, router::FlowControl::CreditBased}) {
     SCOPED_TRACE(flow == router::FlowControl::CreditBased ? "credit"
@@ -595,16 +590,35 @@ TEST(KernelTrichotomyTest, FaultCampaignLockstepCompiledVsNaive) {
 }
 
 TEST(KernelTrichotomyTest, FaultCampaignLockstepCompiledVsNaiveAtFourVCs) {
-  // At VC > 1 the thunked FaultyLinks read and drive the packed channel
+  // At VC > 1 the FaultyLink phase ops read and drive the packed channel
   // words of arena-bound VC channels: their reads refresh through
-  // Wire::get, their writes land through Wire::set, and the iterated
-  // segments they close with the channel ops watch whole arena words.
+  // Wire::get and their writes land through Wire::set.
   for (const router::FlowControl flow :
        {router::FlowControl::Handshake, router::FlowControl::CreditBased}) {
     SCOPED_TRACE(flow == router::FlowControl::CreditBased ? "credit"
                                                           : "on/off");
     runFaultCampaignLockstep(4, flow);
   }
+}
+
+TEST(KernelTrichotomyTest, WatchdogAddsAnEdgeCallAndNoSettleUnit) {
+  // An edge-only module lowers to its clock edge alone: a 4x4 mesh with a
+  // Watchdog compiles to the same settle units as the same mesh without.
+  const auto topo = makeTopology("mesh", 4, 4);
+  Network plain(topo, baseConfig());
+  plain.run(10);
+  Network guarded(topo, baseConfig());
+  Watchdog dog("dog", guarded.ledger(), 100);
+  guarded.simulator().add(dog);
+  guarded.run(10);
+  const sim::CompiledProgram* plainProg = plain.simulator().compiledProgram();
+  const sim::CompiledProgram* guardedProg =
+      guarded.simulator().compiledProgram();
+  ASSERT_NE(plainProg, nullptr);
+  ASSERT_NE(guardedProg, nullptr);
+  EXPECT_EQ(guardedProg->unitCount(), plainProg->unitCount());
+  EXPECT_EQ(guardedProg->thunkCount(), plainProg->thunkCount());
+  EXPECT_EQ(guardedProg->edgeItemCount(), plainProg->edgeItemCount() + 1);
 }
 
 // --- drain agreement -------------------------------------------------------

@@ -13,6 +13,7 @@
 #include <string>
 #include <tuple>
 
+#include "sim/compile.hpp"
 #include "sim/rng.hpp"
 #include "sim/simulator.hpp"
 
@@ -49,6 +50,31 @@ class ReferenceFifo {
   bool overflow_ = false;
 };
 
+// Lowers a bare InputBuffer for the compiled kernel.  Inside a router the
+// input channel lowers its buffer; on its own the buffer is one thunk
+// (publish() reads only registered state) plus its clock edge.
+class BufferShell : public sim::Module {
+ public:
+  BufferShell(InputBuffer& fifo, const FlitWires& dout,
+              const sim::Wire<bool>& wok, const sim::Wire<bool>& rok)
+      : Module("shell"), fifo_(&fifo), dout_(&dout), wok_(&wok), rok_(&rok) {
+    addChild(fifo);
+  }
+
+  bool describe(sim::Lowering& lw) override {
+    lw.thunk(*fifo_, {},
+             {&dout_->data, &dout_->bop, &dout_->eop, wok_, rok_});
+    lw.edgeCall(*fifo_);
+    return true;
+  }
+
+ private:
+  InputBuffer* fifo_;
+  const FlitWires* dout_;
+  const sim::Wire<bool>* wok_;
+  const sim::Wire<bool>* rok_;
+};
+
 struct FuzzHarness {
   FuzzHarness(int n, int p, FifoImpl impl, sim::Simulator::Kernel kernel)
       : model(n, p) {
@@ -57,8 +83,9 @@ struct FuzzHarness {
     params.p = p;
     params.fifoImpl = impl;
     fifo = InputBuffer::create("fifo", params, din, wr, rd, dout, wok, rok);
+    shell = std::make_unique<BufferShell>(*fifo, dout, wok, rok);
     sim.setKernel(kernel);
-    sim.add(*fifo);
+    sim.add(*shell);
     sim.reset();
   }
 
@@ -95,6 +122,7 @@ struct FuzzHarness {
   sim::Wire<bool> wr, rd, wok, rok;
   ReferenceFifo model;
   std::unique_ptr<InputBuffer> fifo;
+  std::unique_ptr<BufferShell> shell;
   sim::Simulator sim;
 };
 

@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/compile.hpp"
 #include "sim/module.hpp"
 #include "sim/simulator.hpp"
 #include "sim/wire.hpp"
@@ -18,8 +19,11 @@ namespace {
 class Increment : public Module {
  public:
   Increment(std::string name, const Wire<int>& x, Wire<int>& y)
-      : Module(std::move(name)), x_(&x), y_(&y) {
-    sensitive(x);
+      : Module(std::move(name)), x_(&x), y_(&y) {}
+
+  bool describe(Lowering& lw) override {
+    lw.thunk(*this, {x_}, {y_});
+    return true;
   }
 
  protected:
@@ -35,6 +39,12 @@ class Counter : public Module {
  public:
   Counter(std::string name, Wire<int>& out)
       : Module(std::move(name)), out_(&out) {}
+
+  bool describe(Lowering& lw) override {
+    lw.thunk(*this, {}, {out_});
+    lw.edgeCall(*this);
+    return true;
+  }
 
  protected:
   void onReset() override { value_ = 0; }

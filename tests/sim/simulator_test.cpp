@@ -17,8 +17,11 @@ namespace {
 class Increment : public Module {
  public:
   Increment(std::string name, const Wire<int>& x, Wire<int>& y)
-      : Module(std::move(name)), x_(&x), y_(&y) {
-    sensitive(x);
+      : Module(std::move(name)), x_(&x), y_(&y) {}
+
+  bool describe(Lowering& lw) override {
+    lw.thunk(*this, {x_}, {y_});
+    return true;
   }
 
  protected:
@@ -35,6 +38,12 @@ class Counter : public Module {
   Counter(std::string name, Wire<int>& out)
       : Module(std::move(name)), out_(&out) {}
 
+  bool describe(Lowering& lw) override {
+    lw.thunk(*this, {}, {out_});
+    lw.edgeCall(*this);
+    return true;
+  }
+
  protected:
   void onReset() override { value_ = 0; }
   void evaluate() override { out_->set(value_); }
@@ -49,8 +58,11 @@ class Counter : public Module {
 class Inverter : public Module {
  public:
   Inverter(std::string name, Wire<bool>& y)
-      : Module(std::move(name)), y_(&y) {
-    sensitive(y);
+      : Module(std::move(name)), y_(&y) {}
+
+  bool describe(Lowering& lw) override {
+    lw.thunk(*this, {y_}, {y_});
+    return true;
   }
 
  protected:
@@ -228,13 +240,13 @@ TEST(SimulatorTest, MaxSettleIterationsIsConfigurable) {
   EXPECT_EQ(sim.maxSettleIterations(), 7);
 }
 
-// --- compiled kernel on undescribed modules -------------------------------
+// --- compiled kernel on behavioural thunks --------------------------------
 
 TEST(CompiledKernelTest, MatchesNaiveKernelOnARandomizedCircuit) {
   // Same circuit built twice, one simulator per kernel; identical stimulus
-  // must produce identical wire trajectories.  No module here describes
-  // itself, so the compiled program is all fallback thunks: their read
-  // sets come from sensitive() and their write sets from discovery.
+  // must produce identical wire trajectories.  Every module here lowers to
+  // one thunk around its evaluate(), so the schedule comes from the
+  // declared read and write sets alone.
   struct Rig {
     Wire<int> in;
     Wire<int> stage1, stage2, counterOut;
@@ -279,6 +291,38 @@ TEST(CompiledKernelTest, MatchesNaiveKernelOnARandomizedCircuit) {
   EXPECT_EQ(prog->thunkCount(), 3u);
 }
 
+TEST(CompiledKernelTest, UndescribedModuleIsRejectedByName) {
+  // A module without a lowering has no place in the compiled tape: the
+  // build names it instead of guessing its reads and writes.
+  class Opaque : public Module {
+   public:
+    Opaque(std::string name, Wire<int>& out)
+        : Module(std::move(name)), out_(&out) {}
+
+   protected:
+    void evaluate() override { out_->set(1); }
+
+   private:
+    Wire<int>* out_;
+  };
+  Wire<int> a{1}, b, c;
+  Increment inc("inc", a, b);
+  Opaque opaque("opaque_block", c);
+  Simulator sim;
+  sim.setKernel(Simulator::Kernel::Compiled);
+  sim.add(inc);
+  sim.add(opaque);
+  try {
+    sim.settle();
+    FAIL() << "an undescribed module must not compile";
+  } catch (const std::logic_error& e) {
+    const std::string message = e.what();
+    EXPECT_NE(message.find("opaque_block"), std::string::npos) << message;
+    EXPECT_NE(message.find("describe()"), std::string::npos) << message;
+  }
+  EXPECT_EQ(sim.compiledProgram(), nullptr);
+}
+
 // --- contract shared by every kernel -------------------------------------
 
 class KernelContractTest : public ::testing::TestWithParam<Simulator::Kernel> {
@@ -295,6 +339,16 @@ TEST_P(KernelContractTest, CombinationalLoopThrowsAndStaysUsable) {
   // instead of hanging.
   EXPECT_NO_THROW(y.force(!y.get()));
   EXPECT_THROW(sim.settle(), std::runtime_error);
+  if (GetParam() == Simulator::Kernel::Compiled) {
+    // The compiled build rejects the cycle and names the modules on it.
+    try {
+      sim.settle();
+      FAIL() << "the loop must be re-detected";
+    } catch (const std::runtime_error& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("inv"), std::string::npos) << message;
+    }
+  }
 }
 
 TEST_P(KernelContractTest, ModulesAddedBetweenSettlesAreEvaluated) {
@@ -388,6 +442,11 @@ TEST_P(KernelContractTest, ForceDuringSettleThrows) {
    public:
     Poker(std::string name, Wire<int>& victim)
         : Module(std::move(name)), victim_(&victim) {}
+
+    bool describe(Lowering& lw) override {
+      lw.thunk(*this, {}, {});
+      return true;
+    }
 
    protected:
     void evaluate() override { victim_->force(1); }
