@@ -282,8 +282,7 @@ int runQosSweep() {
 }
 
 std::string instrumentedReport(double intensity, double load, bool reliable,
-                               std::string* traceJson = nullptr,
-                               std::string* kernelJson = nullptr) {
+                               std::string* traceJson = nullptr) {
   auto topology = makeBenchTopology();
   noc::Network net(topology, benchConfig(intensity, reliable));
   telemetry::MetricsRegistry registry;
@@ -303,10 +302,7 @@ std::string instrumentedReport(double intensity, double load, bool reliable,
   net.run(static_cast<std::uint64_t>(cycles));
   net.pauseTraffic(true);
   net.drain(static_cast<std::uint64_t>(cycles) * 20);
-  if (tracer) {
-    *traceJson = tracer->perfettoJson();
-    if (kernelJson) *kernelJson = tracer->kernelProfileJson();
-  }
+  if (tracer) *traceJson = tracer->perfettoJson();
   telemetry::RunReport report = noc::buildRunReport(
       std::string("faultsweep.") + (reliable ? "reliable" : "unprotected"),
       net, &watchdog);
@@ -467,10 +463,8 @@ int main(int argc, char** argv) {
   }
   std::fputs("[\n", out);
   std::string traceJson;
-  std::string kernelJson;
   std::fputs(instrumentedReport(midRate, midLoad, true,
-                                gTracePath.empty() ? nullptr : &traceJson,
-                                gTracePath.empty() ? nullptr : &kernelJson)
+                                gTracePath.empty() ? nullptr : &traceJson)
                  .c_str(),
              out);
   std::fputs(",\n", out);
@@ -496,24 +490,6 @@ int main(int argc, char** argv) {
     std::printf("Perfetto trace written to %s (%zu bytes, sample=%llu)\n",
                 gTracePath.c_str(), traceJson.size(),
                 static_cast<unsigned long long>(gTraceSample));
-
-    // Kernel-profile counters are kernel-dependent, so they ship as a
-    // sidecar and the machine trace stays byte-identical across kernels.
-    const std::string kernelPath = gTracePath + ".kernel.json";
-    if (!telemetry::validatePerfettoJson(kernelJson, &error)) {
-      std::printf("!! kernel-profile sidecar failed schema validation: %s\n",
-                  error.c_str());
-      return 1;
-    }
-    std::FILE* kernelOut = std::fopen(kernelPath.c_str(), "w");
-    if (!kernelOut) {
-      std::printf("!! cannot write %s\n", kernelPath.c_str());
-      return 1;
-    }
-    std::fputs(kernelJson.c_str(), kernelOut);
-    std::fclose(kernelOut);
-    std::printf("Kernel-profile sidecar written to %s (%zu bytes)\n",
-                kernelPath.c_str(), kernelJson.size());
   }
   return exitCode;
 }

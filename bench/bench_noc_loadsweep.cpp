@@ -126,11 +126,9 @@ std::string fmt(double v, const char* f = "%.2f") {
 
 // One instrumented run at the given load; returns the serialized report.
 // When `traceJson` is non-null the run is flit-traced and the Perfetto
-// export is stored there, with the kernel-profile counter sidecar in
-// `kernelJson` (kernel-dependent by nature, hence the separate file).
+// export is stored there.
 std::string instrumentedReport(noc::TrafficPattern pattern, double load,
-                               std::string* traceJson = nullptr,
-                               std::string* kernelJson = nullptr) {
+                               std::string* traceJson = nullptr) {
   noc::Network net(makeBenchTopology(), benchConfig(4));
   telemetry::MetricsRegistry registry;
   net.enableTelemetry(registry);
@@ -147,10 +145,7 @@ std::string instrumentedReport(noc::TrafficPattern pattern, double load,
   net.ledger().setWarmupCycles(kWarmup);
   net.attachTraffic(benchTraffic(pattern, load));
   net.run(kWarmup + kMeasure);
-  if (tracer) {
-    *traceJson = tracer->perfettoJson();
-    if (kernelJson) *kernelJson = tracer->kernelProfileJson();
-  }
+  if (tracer) *traceJson = tracer->perfettoJson();
   telemetry::RunReport report = noc::buildRunReport(
       std::string("loadsweep.") + std::string(noc::name(pattern)), net,
       &watchdog);
@@ -440,18 +435,16 @@ int main(int argc, char** argv) {
   std::fputs("[\n", out);
   bool first = true;
   std::string traceJson;
-  std::string kernelJson;
   for (noc::TrafficPattern pattern : benchPatterns()) {
     if (!first) std::fputs(",\n", out);
     // The hotspot run is the interesting one to trace: its congestion tree
     // shows up as hop_blocked time on the flow tracks.
     const bool traceThis =
         !gTracePath.empty() && pattern == noc::TrafficPattern::HotSpot;
-    std::fputs(instrumentedReport(pattern, 0.20,
-                                  traceThis ? &traceJson : nullptr,
-                                  traceThis ? &kernelJson : nullptr)
-                   .c_str(),
-               out);
+    std::fputs(
+        instrumentedReport(pattern, 0.20, traceThis ? &traceJson : nullptr)
+            .c_str(),
+        out);
     first = false;
   }
   std::fputs("]\n", out);
@@ -475,25 +468,6 @@ int main(int argc, char** argv) {
     std::printf("Perfetto trace written to %s (%zu bytes, sample=%llu)\n",
                 gTracePath.c_str(), traceJson.size(),
                 static_cast<unsigned long long>(gTraceSample));
-
-    // Kernel-profile counters go in a sidecar: they are a property of the
-    // settle kernel, so keeping them out of the machine trace preserves
-    // its byte-identity across --kernel choices.
-    const std::string kernelPath = gTracePath + ".kernel.json";
-    if (!telemetry::validatePerfettoJson(kernelJson, &error)) {
-      std::printf("!! kernel-profile sidecar failed schema validation: %s\n",
-                  error.c_str());
-      return 1;
-    }
-    std::FILE* kernelOut = std::fopen(kernelPath.c_str(), "w");
-    if (!kernelOut) {
-      std::printf("!! cannot write %s\n", kernelPath.c_str());
-      return 1;
-    }
-    std::fputs(kernelJson.c_str(), kernelOut);
-    std::fclose(kernelOut);
-    std::printf("Kernel-profile sidecar written to %s (%zu bytes)\n",
-                kernelPath.c_str(), kernelJson.size());
   }
   return 0;
 }

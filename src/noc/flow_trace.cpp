@@ -22,10 +22,9 @@ using telemetry::TraceEventKind;
 
 namespace {
 
-// Perfetto track-id plan.  Process 0 is the settle kernel's counter group;
-// routers get one process each (tids 1..5 = input ports, 11..15 = output
-// ports in Port order); flows group by source node.
-constexpr int kKernelPid = 0;
+// Perfetto track-id plan.  Routers get one process each (tids 1..5 =
+// input ports, 11..15 = output ports in Port order); flows group by source
+// node.
 constexpr int kRouterPidBase = 100;
 constexpr int kFlowPidBase = 10000;
 
@@ -156,7 +155,7 @@ void FlowTracer::onTick() {
   const std::uint64_t cycle = net_->simulator().cycle();
 
   // 1. Flush NI enqueues staged since the previous edge into the shadow
-  //    per-NI stream queues (order matches the hardware sendQueue_).
+  //    per-NI stream queues (order matches the NI's send queue).
   for (const Staged& s : staged_) {
     NiEntry entry;
     entry.ref = s.ref;
@@ -341,15 +340,6 @@ void FlowTracer::onTick() {
       fifo_[s].push_back(e);
     }
   }
-
-  // 6. Settle-kernel timeline sample (per-cycle work deltas).
-  if (config_.profileKernel) {
-    sim::Simulator& sim = net_->simulator();
-    const std::uint64_t evals = sim.evaluateCalls();
-    kernelSamples_.push_back({cycle, evals - prevEvals_});
-    prevEvals_ = evals;
-    if (kernelSamples_.size() > config_.capacity) kernelSamples_.pop_front();
-  }
 }
 
 void FlowTracer::completePacket(const PacketRef& ref,
@@ -394,7 +384,6 @@ void FlowTracer::resyncCounters() {
     f.prevDropped = f.link->flitsDropped();
     f.prevStalls = f.link->stallCycles();
   }
-  prevEvals_ = net_->simulator().evaluateCalls();
 }
 
 void FlowTracer::clear() {
@@ -407,7 +396,6 @@ void FlowTracer::clear() {
   decomp_ = Decomposition{};
   spans_.clear();
   spanOverflow_ = 0;
-  kernelSamples_.clear();
   nextId_ = 1;
   packetsTraced_ = 0;
   packetsCompleted_ = 0;
@@ -419,9 +407,7 @@ std::string FlowTracer::perfettoJson() const {
   const Topology& topo = net_->topology();
 
   // Metadata: one process per router (tracks per port), one process per
-  // flow source (tracks per destination).  Kernel-profile counters are
-  // deliberately absent — they live in kernelProfileJson() so this export
-  // stays byte-identical across settle kernels even with profiling on.
+  // flow source (tracks per destination).
   for (int n = 0; n < nodes_; ++n) {
     const NodeId node = topo.nodeAt(n);
     w.processName(kRouterPidBase + n,
@@ -524,17 +510,6 @@ std::string FlowTracer::perfettoJson() const {
   return w.toJson();
 }
 
-std::string FlowTracer::kernelProfileJson() const {
-  telemetry::PerfettoWriter w;
-  if (config_.profileKernel && !kernelSamples_.empty()) {
-    w.processName(kKernelPid, "settle kernel");
-    for (const KernelSample& ks : kernelSamples_)
-      w.counter(kKernelPid, ks.cycle, "evals/cycle",
-                {{"evals", static_cast<double>(ks.evals)}});
-  }
-  return w.toJson();
-}
-
 namespace {
 
 void statRow(telemetry::RunReport& report, const std::string& key,
@@ -563,19 +538,6 @@ void FlowTracer::writeReport(telemetry::RunReport& report) const {
   statRow(report, "hop_min", decomp_.hopMin);
   statRow(report, "hop_blocked", decomp_.hopBlocked);
   statRow(report, "drain", decomp_.drain);
-  // Kernel-dependent numbers go in their own section so the `trace`
-  // section compares byte-equal across kernels.
-  if (config_.profileKernel && net_->simulator().profilingEnabled()) {
-    const auto hottest = net_->simulator().hottestModules(5);
-    report.set("kernel_profile", "profiled_modules",
-               static_cast<std::uint64_t>(
-                   net_->simulator().profileCounts().size()));
-    report.set("kernel_profile", "samples",
-               static_cast<std::uint64_t>(kernelSamples_.size()));
-    for (std::size_t i = 0; i < hottest.size(); ++i)
-      report.set("kernel_profile", "hot_module_" + std::to_string(i),
-                 hottest[i].first + "=" + std::to_string(hottest[i].second));
-  }
 }
 
 std::string FlowTracer::decompositionTable() const {

@@ -30,13 +30,8 @@
 /// Chrome/Perfetto JSON export (one track per router port, one per
 /// traced flow), a per-flow latency decomposition (source queueing / hop
 /// minimum / hop blocked / drain) whose components sum *exactly* to the
-/// traced end-to-end latency, and a `trace` RunReport section.  Kernel
-/// profiling data (evaluations per cycle, hottest modules) is a property
-/// of the *kernel*, not of the simulated machine, so it is kept strictly
-/// outside the traced event stream: it exports through the separate
-/// kernelProfileJson() sidecar and the `kernel_profile` report section,
-/// keeping perfettoJson() and the `trace` section byte-identical across
-/// every kernel even with profiling enabled.
+/// traced end-to-end latency, and a `trace` RunReport section.  All of
+/// them are byte-identical across settle kernels.
 #pragma once
 
 #include <cstdint>
@@ -72,14 +67,6 @@ struct TraceConfig {
   /// reconstruction needs every flit accounted for) but record no events,
   /// so the ring and the JSON shrink roughly by the factor.
   std::uint64_t sampleEvery = 1;
-
-  /// Also profile the settle kernel: per-module evaluate() counts
-  /// (Simulator::enableProfiling) plus a per-cycle evaluation timeline.
-  /// Profile data never touches the traced event stream — it exports
-  /// through kernelProfileJson() and the `kernel_profile` report section —
-  /// so enabling this does not perturb cross-kernel byte-identity of
-  /// perfettoJson().
-  bool profileKernel = true;
 
   /// Completed per-packet spans retained for the Perfetto flow tracks and
   /// the decomposition detail; the latency statistics keep accumulating
@@ -153,19 +140,12 @@ class FlowTracer {
 
   /// Chrome/Perfetto trace_events JSON of everything currently retained
   /// (loadable in ui.perfetto.dev).  Deterministic for a seeded run and
-  /// byte-identical across settle kernels, with or without profiling.
+  /// byte-identical across settle kernels.
   std::string perfettoJson() const;
 
-  /// Chrome/Perfetto JSON of the kernel-profile counter track
-  /// (evaluations per cycle).  Kernel-dependent by nature — keep it a
-  /// sidecar next to the machine trace, never merged into it.  Empty-trace
-  /// JSON when profileKernel is off or no samples were taken.
-  std::string kernelProfileJson() const;
-
   /// Fills the `trace` section of a RunReport (ring occupancy, packet
-  /// counts, per-component latency percentiles — kernel-independent) and,
-  /// when profiling, a separate `kernel_profile` section (hottest
-  /// modules, sample count).  Deterministic.
+  /// counts, per-component latency percentiles).  Deterministic and
+  /// kernel-independent.
   void writeReport(telemetry::RunReport& report) const;
 
   /// Human-readable per-component latency table (examples, logs).
@@ -215,10 +195,6 @@ class FlowTracer {
     std::uint64_t headerEjectCycle = 0;
     std::uint32_t hops = 0;
     std::uint64_t hopBlocked = 0;
-  };
-  struct KernelSample {
-    std::uint64_t cycle = 0;
-    std::uint64_t evals = 0;
   };
   struct FaultyView {
     std::size_t slot = 0;  // (fromNode, fromPort)
@@ -279,9 +255,6 @@ class FlowTracer {
   Decomposition decomp_;
   std::vector<FlowSpan> spans_;
   std::uint64_t spanOverflow_ = 0;
-
-  std::deque<KernelSample> kernelSamples_;  // bounded by config_.capacity
-  std::uint64_t prevEvals_ = 0;
 
   std::uint64_t nextId_ = 1;
   std::uint64_t packetsTraced_ = 0;

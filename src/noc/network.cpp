@@ -317,7 +317,6 @@ FlowTracer& Network::enableTracing(TraceConfig config) {
   }
   tracer_ = std::make_unique<FlowTracer>(*this, config);
   for (auto& ni : nis_) ni->setTracer(tracer_.get());
-  if (config.profileKernel) sim_.enableProfiling();
   sim_.addTickListener([this] { tracer_->onTick(); });
   return *tracer_;
 }

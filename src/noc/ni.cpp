@@ -75,46 +75,34 @@ int NetworkInterface::injectVcFor(router::TrafficClass cls) const {
   return router::qosInjectVc(cls, params_.numVCs, options_.escapeVCs);
 }
 
-std::deque<NetworkInterface::OutPacket>& NetworkInterface::queueFor(int vc) {
-  return params_.qosClasses ? vcSendQueue_[static_cast<std::size_t>(vc)]
-                            : sendQueue_;
-}
-
-const std::deque<NetworkInterface::OutPacket>& NetworkInterface::queueFor(
-    int vc) const {
-  return params_.qosClasses ? vcSendQueue_[static_cast<std::size_t>(vc)]
-                            : sendQueue_;
-}
-
 std::size_t NetworkInterface::sendQueuePackets() const {
-  std::size_t total = sendQueue_.size();
-  if (params_.qosClasses) {
-    for (int v = 0; v < params_.numVCs; ++v)
-      total += vcSendQueue_[static_cast<std::size_t>(v)].size();
-  }
+  std::size_t total = 0;
+  for (const auto& q : sendQueues_) total += q.size();
   return total + (transport_ ? transport_->backlogFrames() : 0);
 }
 
 std::size_t NetworkInterface::sendQueuePackets(
     router::TrafficClass cls) const {
-  return queueFor(injectVcFor(cls)).size();
+  return sendQueues_[static_cast<std::size_t>(injectVcFor(cls))].size();
 }
 
 bool NetworkInterface::idle() const {
-  if (!sendQueue_.empty()) return false;
-  for (const auto& q : vcSendQueue_)
+  for (const auto& q : sendQueues_)
     if (!q.empty()) return false;
   return !transport_ || transport_->idle();
 }
 
 int NetworkInterface::scheduledInjectVc() const {
-  // Strict priority, work-conserving: the class→VC map puts higher classes
-  // on higher VCs, so the highest non-empty, non-blocked inject queue wins.
+  // Work-conserving: the highest non-empty, non-blocked inject queue wins.
+  // Downstream space is a credit in hand (credit mode), the VC's vcFree
+  // level (on/off VC flow control), or nothing at numVCs == 1 in
+  // handshake mode, where the ack completes the transfer.
   for (int v = params_.numVCs - 1; v >= 0; --v) {
-    if (vcSendQueue_[static_cast<std::size_t>(v)].empty()) continue;
-    const bool space =
-        creditMode() ? vcCredits_[static_cast<std::size_t>(v)] > 0
-                     : toRouter_->vcFree[static_cast<std::size_t>(v)].get();
+    const auto vi = static_cast<std::size_t>(v);
+    if (sendQueues_[vi].empty()) continue;
+    const bool space = creditMode()
+                           ? credits_[vi] > 0
+                           : !vcMode() || toRouter_->vcFree[vi].get();
     if (space) return v;
   }
   return -1;
@@ -138,13 +126,10 @@ void NetworkInterface::attachMetrics(const NiMetrics& metrics) {
 }
 
 void NetworkInterface::onReset() {
-  sendQueue_.clear();
-  for (auto& q : vcSendQueue_) q.clear();
+  for (auto& q : sendQueues_) q.clear();
   sendQueueFlits_ = 0;
-  credits_ = params_.p;
-  vcCredits_.fill(params_.p);
-  for (auto& buf : rxVc_) buf.clear();
-  rxFlits_.clear();
+  credits_.fill(params_.p);
+  for (auto& buf : rxFlits_) buf.clear();
   received_.clear();
   cycle_ = 0;
   packetsSent_ = 0;
@@ -194,7 +179,7 @@ void NetworkInterface::send(NodeId dst,
     for (std::uint32_t& word : words) word = parityProtect(word);
   }
 
-  const int vc = vcMode() ? injectVcFor(cls) : 0;
+  const int vc = injectVcFor(cls);
   OutPacket packet;
   packet.dst = dst;
   packet.ledgerClass = ledgerClass;
@@ -218,7 +203,7 @@ void NetworkInterface::send(NodeId dst,
                             static_cast<int>(packet.flits.size()));
 
   sendQueueFlits_ += packet.flits.size();
-  queueFor(vc).push_back(std::move(packet));
+  sendQueues_[static_cast<std::size_t>(vc)].push_back(std::move(packet));
 }
 
 void NetworkInterface::evaluate() {
@@ -234,33 +219,14 @@ void NetworkInterface::evaluate() {
 }
 
 void NetworkInterface::presentSend() {
-  // Present the next flit whenever one is pending and the flow
-  // control permits it.  numVCs == 1: a credit (credit mode) or always
-  // (handshake, the ack completes the transfer).  numVCs > 1: the inject
-  // VC's advertised space (on/off level) or an in-hand per-VC credit — the
-  // transfer is then unconditional.  Under qosClasses the inject VC is
-  // picked per cycle by strict class priority over the per-VC queues.
-  const OutPacket* pending = nullptr;
-  int injectVc = vcMode() ? options_.injectVc : 0;
-  if (params_.qosClasses) {
-    const int v = scheduledInjectVc();
-    injectVc = v >= 0 ? v : 0;
-    if (v >= 0) pending = &vcSendQueue_[static_cast<std::size_t>(v)].front();
-  } else {
-    bool canSend = !sendQueue_.empty();
-    if (vcMode()) {
-      canSend =
-          canSend &&
-          (creditMode()
-               ? vcCredits_[static_cast<std::size_t>(injectVc)] > 0
-               : toRouter_->vcFree[static_cast<std::size_t>(injectVc)].get());
-    } else if (creditMode()) {
-      canSend = canSend && credits_ > 0;
-    }
-    if (canSend) pending = &sendQueue_.front();
-  }
-  if (pending) {
-    const Flit& flit = pending->flits[pending->next];
+  // Present the next flit whenever one is pending and the flow control
+  // permits it (scheduledInjectVc).  With VCs the transfer is then
+  // unconditional; at numVCs == 1 in handshake mode the ack completes it.
+  const int injectVc = scheduledInjectVc();
+  if (injectVc >= 0) {
+    const OutPacket& pending =
+        sendQueues_[static_cast<std::size_t>(injectVc)].front();
+    const Flit& flit = pending.flits[pending.next];
     toRouter_->flit.data.set(flit.data);
     toRouter_->flit.bop.set(flit.bop);
     toRouter_->flit.eop.set(flit.eop);
@@ -271,7 +237,7 @@ void NetworkInterface::presentSend() {
     toRouter_->flit.eop.set(false);
     toRouter_->val.set(false);
   }
-  if (vcMode()) toRouter_->vc.set(pending ? injectVc : 0);
+  if (vcMode()) toRouter_->vc.set(injectVc >= 0 ? injectVc : 0);
 }
 
 void NetworkInterface::advertiseRxSpace() {
@@ -298,7 +264,8 @@ void NetworkInterface::clockEdge() {
       presented && (vcMode() || creditMode() || toRouter_->ack.get());
   if (sent) {
     const int sentVc = vcMode() ? toRouter_->vc.get() : 0;
-    std::deque<OutPacket>& queue = queueFor(sentVc);
+    std::deque<OutPacket>& queue =
+        sendQueues_[static_cast<std::size_t>(sentVc)];
     OutPacket& packet = queue.front();
     const Flit& flit = packet.flits[packet.next];
     if (flit.bop && packet.tracked)
@@ -316,21 +283,16 @@ void NetworkInterface::clockEdge() {
   }
   if (creditMode()) {
     if (vcMode()) {
-      if (params_.qosClasses) {
-        // Credits return on whichever VC each flit entered; every class
-        // inject VC keeps its own pool.
-        const int sentVc = sent ? toRouter_->vc.get() : -1;
-        for (int v = 0; v < params_.numVCs; ++v) {
-          const auto vi = static_cast<std::size_t>(v);
-          vcCredits_[vi] += (toRouter_->vcAck[vi].get() ? 1 : 0) -
-                            (v == sentVc ? 1 : 0);
-        }
-      } else {
-        const auto v = static_cast<std::size_t>(options_.injectVc);
-        vcCredits_[v] += (toRouter_->vcAck[v].get() ? 1 : 0) - (sent ? 1 : 0);
+      // Credits return on whichever VC each flit entered; every inject VC
+      // keeps its own pool.
+      const int sentVc = sent ? toRouter_->vc.get() : -1;
+      for (int v = 0; v < params_.numVCs; ++v) {
+        const auto vi = static_cast<std::size_t>(v);
+        credits_[vi] += (toRouter_->vcAck[vi].get() ? 1 : 0) -
+                        (v == sentVc ? 1 : 0);
       }
     } else {
-      credits_ += (toRouter_->ack.get() ? 1 : 0) - (sent ? 1 : 0);
+      credits_[0] += (toRouter_->ack.get() ? 1 : 0) - (sent ? 1 : 0);
     }
   }
 
@@ -353,10 +315,8 @@ void NetworkInterface::clockEdge() {
     flit.eop = fromRouter_->flit.eop.get();
     // Packets on different VCs interleave flit-by-flit on the physical
     // link, so each VC reassembles in its own buffer.
-    std::vector<Flit>& buf =
-        vcMode() ? rxVc_[static_cast<std::size_t>(fromRouter_->vc.get())]
-                 : rxFlits_;
-    acceptRxFlit(flit, buf);
+    const int rxVc = vcMode() ? fromRouter_->vc.get() : 0;
+    acceptRxFlit(flit, rxFlits_[static_cast<std::size_t>(rxVc)]);
   }
 
   if (transport_) {
@@ -454,7 +414,7 @@ void NetworkInterface::enqueueFrame(ReliableTransport::WireFrame&& frame) {
   // The transport picked the frame's class: the submitter's on first DATA
   // transmissions, the reliability class on retransmissions and ACK/NACKs
   // — so recovery traffic rides its own isolated channel.
-  const int vc = vcMode() ? injectVcFor(frame.cls) : 0;
+  const int vc = injectVcFor(frame.cls);
   OutPacket packet;
   packet.dst = frame.dst;
   packet.frameId = frame.frameId;
@@ -480,7 +440,7 @@ void NetworkInterface::enqueueFrame(ReliableTransport::WireFrame&& frame) {
                             static_cast<int>(packet.flits.size()));
   }
   sendQueueFlits_ += packet.flits.size();
-  queueFor(vc).push_back(std::move(packet));
+  sendQueues_[static_cast<std::size_t>(vc)].push_back(std::move(packet));
 }
 
 void NetworkInterface::pumpTransport() {

@@ -151,10 +151,10 @@ class NetworkInterface : public sim::Module {
   int payloadBits() const;
 
   /// Sender-side credit counter for virtual channel `v` (meaningful under
-  /// credit flow control with numVCs > 1; tests pair it with the local
-  /// input channel's occupancy for the conservation invariant).
+  /// credit flow control; v = 0 at numVCs == 1; tests pair it with the
+  /// local input channel's occupancy for the conservation invariant).
   int vcSendCredits(int v) const {
-    return vcCredits_[static_cast<std::size_t>(v)];
+    return credits_[static_cast<std::size_t>(v)];
   }
 
   /// Payload words of every received packet, in arrival order (the source
@@ -180,7 +180,7 @@ class NetworkInterface : public sim::Module {
   /// Attaches the flow tracer (Network::enableTracing).  The NI reports
   /// only wire-packet enqueues — everything downstream is reconstructed
   /// from wires and counters — but must do so before any packet is queued
-  /// so the tracer's shadow stream stays aligned with sendQueue_.
+  /// so the tracer's shadow stream stays aligned with the send queues.
   void setTracer(FlowTracer* tracer) { tracer_ = tracer; }
 
   /// Compiled-kernel lowering: the NI walks deque/transport state, so it
@@ -199,11 +199,13 @@ class NetworkInterface : public sim::Module {
     return flowControl_ == router::FlowControl::CreditBased;
   }
   bool vcMode() const { return params_.numVCs > 1; }
-  // Inject VC for a class under qosClasses (options_.injectVc otherwise).
+  // Inject VC for a class under qosClasses (otherwise options_.injectVc,
+  // or 0 at numVCs == 1).
   int injectVcFor(router::TrafficClass cls) const;
-  // QoS: the inject VC evaluate() schedules this cycle, or -1.  Strict
-  // priority: highest VC (= highest class) with a pending flit and
-  // downstream space wins.
+  // The inject VC evaluate() sends from this cycle, or -1: the highest VC
+  // with a pending flit and downstream space.  Under qosClasses that is
+  // strict class priority (higher classes ride higher VCs); otherwise only
+  // the fixed inject VC's queue ever holds packets.
   int scheduledInjectVc() const;
   // The combinational phases of evaluate().  presentSend: the next pending
   // flit onto toRouter (reads the inject VCs' vcFree under on/off VC flow
@@ -213,8 +215,8 @@ class NetworkInterface : public sim::Module {
   void presentSend();
   void advertiseRxSpace();
   void returnRxCredits();
-  // Packet-completion step shared by the single-queue (numVCs == 1) and
-  // per-VC reassembly paths.
+  // Appends a received flit to its VC's reassembly buffer and completes
+  // the packet on eop.
   void acceptRxFlit(const router::Flit& flit, std::vector<router::Flit>& buf);
 
   // Even-parity protect / check over the payload word layout.
@@ -247,26 +249,20 @@ class NetworkInterface : public sim::Module {
     // Delivery-ledger flow class of a tracked packet (-1 off QoS).
     int ledgerClass = -1;
   };
-  // The single queue when QoS is off; per-inject-VC queues under
-  // qosClasses, so a backed-up Bulk queue never blocks a Control packet
-  // behind it (queueFor() routes between them).
-  std::deque<OutPacket> sendQueue_;
-  std::array<std::deque<OutPacket>, router::kMaxVCs> vcSendQueue_;
+  // One send queue per inject VC (index 0 at numVCs == 1).  Off QoS only
+  // the fixed inject VC's queue fills; under qosClasses each class queues
+  // on its own VC, so a backed-up Bulk queue never blocks a Control packet
+  // behind it.
+  std::array<std::deque<OutPacket>, router::kMaxVCs> sendQueues_;
   std::size_t sendQueueFlits_ = 0;
-  int credits_ = 0;
+  // Send-side credits per VC (credit flow control).
+  std::array<int, router::kMaxVCs> credits_{};
 
-  // The send queue feeding inject VC `vc`.
-  std::deque<OutPacket>& queueFor(int vc);
-  const std::deque<OutPacket>& queueFor(int vc) const;
-
-  // Receive side.  numVCs == 1 reassembles in rxFlits_; with VCs, packets
-  // on different virtual channels interleave flit-by-flit on the physical
-  // link, so each VC reassembles independently in rxVc_.
-  std::vector<router::Flit> rxFlits_;
-  std::array<std::vector<router::Flit>, router::kMaxVCs> rxVc_;
+  // Receive side: packets on different virtual channels interleave
+  // flit-by-flit on the physical link, so each VC reassembles
+  // independently (index 0 at numVCs == 1).
+  std::array<std::vector<router::Flit>, router::kMaxVCs> rxFlits_;
   std::vector<std::vector<std::uint32_t>> received_;
-  // Send-side per-VC credits (credit flow control with numVCs > 1).
-  std::array<int, router::kMaxVCs> vcCredits_{};
 
   std::uint64_t cycle_ = 0;
   std::uint64_t packetsSent_ = 0;

@@ -291,8 +291,7 @@ void CompiledProgram::scheduleUnits() {
   units_.reserve(n);
   for (std::uint32_t u : order) {
     const UnitDraft& d = drafts_[u];
-    units_.push_back({d.fn, d.ctx, d.fn ? nullptr : d.module,
-                      static_cast<std::uint32_t>(d.module->moduleIndex())});
+    units_.push_back({d.fn, d.ctx, d.fn ? nullptr : d.module});
     if (d.fn) ++opCount_;
   }
 }
@@ -336,22 +335,12 @@ void CompiledProgram::throwCycle(
 
 // --- run --------------------------------------------------------------------
 
-std::uint64_t CompiledProgram::settle(std::uint64_t* profileBase) {
-  if (profileBase != nullptr) {
-    for (const ExecUnit& u : units_) {
-      if (u.fn)
-        u.fn(cur_.data(), u.ctx);
-      else
-        u.thunk->evaluateOne();  // wire reads refresh from the arena
-      ++profileBase[u.moduleIndex];
-    }
-    return units_.size();
-  }
-  // Batched fast path: identical order and calls as the per-unit walk,
-  // with the dispatch hoisted out of each same-fn stretch.
+std::uint64_t CompiledProgram::settle() {
+  // Runs the units in schedule order, with the dispatch hoisted out of
+  // each same-fn stretch.
   for (const Run& r : runs_) {
     if (r.fn == nullptr) {
-      r.behavioural->evaluateOne();
+      r.behavioural->evaluateOne();  // wire reads refresh from the arena
       continue;
     }
     auto* c = static_cast<unsigned char*>(r.ctx);

@@ -231,11 +231,10 @@ class Lowering {
 class CompiledProgram {
  public:
   // Lowers `tops` (the simulator's top-level modules, in collection order)
-  // into a runnable program.  Module indices must be up to date
-  // (Simulator::ensureCollected) because units carry them for profiling
-  // attribution.  Throws std::logic_error when a module has no lowering
-  // (describe() returns false) and std::runtime_error when the declared
-  // units form a combinational cycle; no wire is bound to an arena then.
+  // into a runnable program.  Throws std::logic_error when a module has no
+  // lowering (describe() returns false) and std::runtime_error when the
+  // declared units form a combinational cycle; no wire is bound to an
+  // arena then.
   static std::unique_ptr<CompiledProgram> build(
       const std::vector<Module*>& tops);
 
@@ -244,9 +243,8 @@ class CompiledProgram {
   CompiledProgram& operator=(const CompiledProgram&) = delete;
 
   // One settle pass: runs every unit once in schedule order.  Returns the
-  // number of units executed (ops + thunk evaluations).  When profileBase
-  // is non-null, each execution increments profileBase[unit.moduleIndex].
-  std::uint64_t settle(std::uint64_t* profileBase);
+  // number of units executed (ops + thunk evaluations).
+  std::uint64_t settle();
 
   // One clock edge: runs the edge tape (registered state and counters
   // only; wires are untouched, matching the clockEdge() contract).
@@ -301,7 +299,6 @@ class CompiledProgram {
     OpFn fn;
     void* ctx;
     Module* thunk;
-    std::uint32_t moduleIndex;
   };
 
   struct EdgeItem {
@@ -360,8 +357,7 @@ class CompiledProgram {
   std::vector<ExecUnit> units_;
   std::vector<EdgeItem> edges_;
 
-  // Batched streams (see Run); profiling walks units_ instead, for
-  // attribution.
+  // Batched streams (see Run).
   std::vector<Run> runs_;
   std::vector<Run> edgeRuns_;
   void buildRuns();

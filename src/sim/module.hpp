@@ -58,8 +58,8 @@ class Module {
   void evaluateAll();
   void clockEdgeAll();
 
-  // Single-module evaluate, used by the profiled naive sweep and the
-  // compiled kernel's behavioural units (Lowering::thunk).
+  // Single-module evaluate, used by the naive kernel's culprit pass and
+  // the compiled kernel's behavioural units (Lowering::thunk).
   void evaluateOne() { evaluate(); }
 
   // Single-module clock edge, used by the compiled kernel's edge tape when
@@ -82,12 +82,6 @@ class Module {
 
   void bindScheduler(EvalScheduler* s) { scheduler_ = s; }
 
-  // Index in the simulator's flattened module list, written whenever the
-  // list is (re)collected so every kernel can attribute per-module work
-  // (Simulator::enableProfiling).
-  void setModuleIndex(std::size_t index) { moduleIndex_ = index; }
-  std::size_t moduleIndex() const { return moduleIndex_; }
-
  protected:
   virtual void onReset() {}
   virtual void evaluate() {}
@@ -107,7 +101,6 @@ class Module {
   std::string name_;
   std::vector<Module*> children_;
   EvalScheduler* scheduler_ = nullptr;
-  std::size_t moduleIndex_ = 0;
 };
 
 }  // namespace rasoc::sim

@@ -1,6 +1,5 @@
 #include "sim/simulator.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -36,7 +35,6 @@ void Simulator::ensureCollected() {
       Module* m = stack.back();
       stack.pop_back();
       m->bindScheduler(this);
-      m->setModuleIndex(modules_.size());
       modules_.push_back(m);
       const auto& children = m->children();
       for (auto it = children.rbegin(); it != children.rend(); ++it)
@@ -45,13 +43,6 @@ void Simulator::ensureCollected() {
   }
   modulesStale_ = false;
   compiledStale_ = true;
-  if (profileBase_) {
-    // Late add()s (e.g. traffic generators attached after construction)
-    // append to the flatten, so existing counts keep their slots; new
-    // modules get zeroed ones.  Re-point the base: resize may reallocate.
-    profileCounts_.resize(modules_.size(), 0);
-    profileBase_ = profileCounts_.data();
-  }
 }
 
 void Simulator::setKernel(Kernel kernel) {
@@ -69,6 +60,15 @@ void Simulator::setKernel(Kernel kernel) {
   if (kernel_ == Kernel::Compiled) releaseProgram();
   kernel_ = kernel;
   compiledStale_ = true;
+}
+
+void Simulator::setMaxSettleIterations(int n) {
+  if (n < 1)
+    throw std::invalid_argument(
+        "Simulator::setMaxSettleIterations: maxSettleIterations must be at "
+        "least 1 (got " + std::to_string(n) +
+        "); a settle needs one pass to confirm a fixpoint");
+  maxSettleIterations_ = n;
 }
 
 void Simulator::reset() {
@@ -98,17 +98,7 @@ void Simulator::settle() {
 void Simulator::settleNaive() {
   for (int iter = 0; iter < maxSettleIterations_; ++iter) {
     SettleContext::clearChanged();
-    if (profileBase_) {
-      // modules_ is the preorder flatten of tops_, so this sweep evaluates
-      // in exactly the order evaluateAll() would - it just goes module by
-      // module so each evaluation can be attributed.
-      for (Module* m : modules_) {
-        m->evaluateOne();
-        ++profileBase_[m->moduleIndex()];
-      }
-    } else {
-      for (Module* m : tops_) m->evaluateAll();
-    }
+    for (Module* m : tops_) m->evaluateAll();
     evaluateCalls_ += modules_.size();
     if (!SettleContext::changed()) return;
   }
@@ -149,31 +139,7 @@ void Simulator::settleCompiled() {
   ensureProgramBuilt();
   // Pokes are already reflected in the arena (wires write through); the
   // tape re-derives everything else.
-  evaluateCalls_ += program_->settle(profileBase_);
-}
-
-void Simulator::enableProfiling() {
-  ensureCollected();
-  if (profileBase_) return;
-  profileCounts_.assign(modules_.size(), 0);
-  profileBase_ = profileCounts_.data();
-}
-
-std::vector<std::pair<std::string, std::uint64_t>> Simulator::hottestModules(
-    std::size_t n) {
-  ensureCollected();
-  std::vector<std::size_t> order(profileCounts_.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
-    if (profileCounts_[a] != profileCounts_[b])
-      return profileCounts_[a] > profileCounts_[b];
-    return a < b;
-  });
-  std::vector<std::pair<std::string, std::uint64_t>> out;
-  out.reserve(std::min(n, order.size()));
-  for (std::size_t i = 0; i < order.size() && out.size() < n; ++i)
-    out.emplace_back(modules_[order[i]]->name(), profileCounts_[order[i]]);
-  return out;
+  evaluateCalls_ += program_->settle();
 }
 
 void Simulator::tick() {

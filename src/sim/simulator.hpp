@@ -116,40 +116,17 @@ class Simulator final : private EvalScheduler {
   std::uint64_t cycle() const { return cycle_; }
 
   /// Naive kernel: maximum full evaluation passes per settle.  The
-  /// compiled kernel settles in one pass and ignores it.
+  /// compiled kernel settles in one pass and ignores it.  Throws
+  /// std::invalid_argument for n < 1: a settle needs at least one pass.
   int maxSettleIterations() const { return maxSettleIterations_; }
-  void setMaxSettleIterations(int n) { maxSettleIterations_ = n; }
+  void setMaxSettleIterations(int n);
 
-  /// Total evaluate() calls issued by settle() since construction - the
-  /// kernel-independent work metric bench_sim_speed reports.  Monotone
-  /// non-decreasing and deterministic for a given kernel.
+  /// Total units issued by settle() since construction - the work metric
+  /// bench_sim_speed and perfbench report.  It is kernel-specific: a
+  /// naive settle adds the registered module count once per pass, a
+  /// compiled settle adds CompiledProgram::unitCount() (ops + thunks).
+  /// Monotone non-decreasing and deterministic for a given kernel.
   std::uint64_t evaluateCalls() const { return evaluateCalls_; }
-
-  /// Turns on per-module evaluate() attribution for whichever kernel is
-  /// active.  Off by default: the settle loops then pay one null-pointer
-  /// test per evaluation and write nothing, so unprofiled runs keep their
-  /// exact behaviour.  Counts accumulate from the call onward and survive
-  /// reset(); modules added later extend the table with zeroed slots.
-  void enableProfiling();
-  bool profilingEnabled() const { return profileBase_ != nullptr; }
-
-  /// Per-module evaluate() counts since enableProfiling(), indexed by
-  /// Module::moduleIndex().  Empty when profiling is off.
-  const std::vector<std::uint64_t>& profileCounts() const {
-    return profileCounts_;
-  }
-
-  /// The up-to-n costliest modules as (name, evaluate count), highest
-  /// count first; ties break toward the lower module index so the ranking
-  /// is deterministic.
-  std::vector<std::pair<std::string, std::uint64_t>> hottestModules(
-      std::size_t n);
-
-  /// Modules known to the simulator (tops plus transitive children).
-  std::size_t moduleCount() {
-    ensureCollected();
-    return modules_.size();
-  }
 
  private:
   void describeChanged() override { compiledStale_ = true; }
@@ -166,10 +143,6 @@ class Simulator final : private EvalScheduler {
   std::vector<Module*> modules_;  // flattened: tops + children
   std::vector<std::function<void()>> tickListeners_;
   std::unique_ptr<CompiledProgram> program_;
-  std::vector<std::uint64_t> profileCounts_;  // one slot per module index
-  /// profileCounts_.data() when profiling, else nullptr - the single flag
-  /// the settle loops test.  Re-pointed whenever the table reallocates.
-  std::uint64_t* profileBase_ = nullptr;
   std::uint64_t cycle_ = 0;
   std::uint64_t evaluateCalls_ = 0;
   int maxSettleIterations_ = 64;

@@ -130,21 +130,6 @@ void PerfettoWriter::instant(int pid, int tid, std::uint64_t ts,
   events_.push_back(os.str());
 }
 
-void PerfettoWriter::counter(
-    int pid, std::uint64_t ts, const std::string& name,
-    const std::vector<std::pair<std::string, double>>& series) {
-  std::ostringstream os;
-  os << "{\"ph\":\"C\",\"pid\":" << pid << ",\"ts\":" << ts
-     << ",\"name\":\"" << RunReport::escape(name) << "\",\"args\":{";
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    if (i) os << ',';
-    os << '"' << RunReport::escape(series[i].first)
-       << "\":" << RunReport::formatNumber(series[i].second);
-  }
-  os << "}}";
-  events_.push_back(os.str());
-}
-
 std::string PerfettoWriter::toJson() const {
   std::string out = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[";
   std::size_t total = out.size() + 3;

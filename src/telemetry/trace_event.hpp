@@ -136,10 +136,6 @@ class PerfettoWriter {
   /// A thread-scoped instant event ("ph":"i").
   void instant(int pid, int tid, std::uint64_t ts, const std::string& name);
 
-  /// A counter sample ("ph":"C"); each series becomes one stacked band.
-  void counter(int pid, std::uint64_t ts, const std::string& name,
-               const std::vector<std::pair<std::string, double>>& series);
-
   std::size_t events() const { return events_.size(); }
 
   /// `{"displayTimeUnit":"ms","traceEvents":[...]}`.

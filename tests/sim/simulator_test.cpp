@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -240,6 +241,31 @@ TEST(SimulatorTest, MaxSettleIterationsIsConfigurable) {
   EXPECT_EQ(sim.maxSettleIterations(), 7);
 }
 
+TEST(SimulatorTest, MaxSettleIterationsBelowOneIsRejected) {
+  // Zero passes cannot confirm a fixpoint, so a loop-free circuit would be
+  // reported as a combinational loop; the setter refuses instead and keeps
+  // the old bound.
+  Wire<int> x{1}, y;
+  Increment inc("inc", x, y);
+  Simulator sim;
+  sim.add(inc);
+  for (int n : {0, -1, std::numeric_limits<int>::min()}) {
+    SCOPED_TRACE(n);
+    try {
+      sim.setMaxSettleIterations(n);
+      ADD_FAILURE() << "n < 1 must be rejected";
+    } catch (const std::invalid_argument& e) {
+      const std::string message = e.what();
+      EXPECT_NE(message.find("maxSettleIterations"), std::string::npos)
+          << message;
+    }
+    EXPECT_EQ(sim.maxSettleIterations(), 64);
+  }
+  sim.setMaxSettleIterations(2);  // one pass settles y, one confirms it
+  EXPECT_NO_THROW(sim.reset());
+  EXPECT_EQ(y.get(), 2);
+}
+
 // --- compiled kernel on behavioural thunks --------------------------------
 
 TEST(CompiledKernelTest, MatchesNaiveKernelOnARandomizedCircuit) {
@@ -376,26 +402,41 @@ TEST_P(KernelContractTest, EvaluateCallsNeverDecrease) {
   sim.add(counter);
   sim.add(inc1);
   sim.add(inc2);
-  sim.reset();
-  std::uint64_t last = sim.evaluateCalls();
-  EXPECT_GT(last, 0u) << "the reset settle did work";
-  const auto expectMonotonic = [&] {
+  std::uint64_t last = 0;
+  // Exact accounting per kernel, which is what perfbench's
+  // sim.units_per_cycle and bench_sim_speed's evals_per_cycle read: a
+  // compiled settle runs every unit of its program once; a naive settle
+  // runs all 3 registered modules once per pass, at least once.
+  const auto expectSettles = [&](std::uint64_t settles) {
     const std::uint64_t now = sim.evaluateCalls();
-    EXPECT_GE(now, last);
+    ASSERT_GE(now, last);
+    const std::uint64_t added = now - last;
+    if (GetParam() == Simulator::Kernel::Compiled) {
+      ASSERT_NE(sim.compiledProgram(), nullptr);
+      EXPECT_EQ(sim.compiledProgram()->unitCount(), 3u);
+      EXPECT_EQ(added, settles * sim.compiledProgram()->unitCount());
+    } else {
+      EXPECT_GE(added, settles * 3);
+      EXPECT_EQ(added % 3, 0u);
+    }
     last = now;
   };
+  sim.reset();
+  EXPECT_GT(sim.evaluateCalls(), 0u) << "the reset settle did work";
+  expectSettles(1);
   sim.settle();  // already settled: no decrease
-  expectMonotonic();
+  expectSettles(1);
   out.force(40);
   sim.settle();
-  expectMonotonic();
+  expectSettles(1);
   sim.step();
-  expectMonotonic();
+  expectSettles(1);
   sim.run(3);
-  expectMonotonic();
+  expectSettles(3);
   sim.reset();
-  expectMonotonic();
+  expectSettles(1);
   sim.settle();
+  expectSettles(1);
   EXPECT_EQ(plusTwo.get(), 2);
 }
 
