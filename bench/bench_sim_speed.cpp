@@ -50,8 +50,7 @@ bool kernelArg(benchmark::State& state, sim::Simulator::Kernel& kernel) {
 // (--benchmark_filter='BM_MeshUnderLoad/(8|16)/1/' prints the compiled VC
 // table).  Rates are wall clock (UseRealTime), not CPU time.
 // `evals_per_cycle` is Simulator::evaluateCalls() per cycle: evaluate()
-// calls under the naive kernel, executed units (ops plus thunks) under the
-// compiled one.
+// calls under the naive kernel, executed ops under the compiled one.
 void BM_MeshUnderLoad(benchmark::State& state) {
   const int side = static_cast<int>(state.range(0));
   noc::NetworkConfig cfg;

@@ -88,7 +88,7 @@ void FaultPlan::validate(const Topology& topology) const {
     if (e.duration == 0)
       throw std::invalid_argument("fault plan: " + describe(e) +
                                   " has zero duration");
-    if (e.rate < 0.0 || e.rate > 1.0)
+    if (!(e.rate >= 0.0 && e.rate <= 1.0))
       throw std::invalid_argument("fault plan: " + describe(e) +
                                   " rate outside [0,1]");
   }
@@ -108,9 +108,10 @@ std::vector<LinkId> allLinks(const Topology& topology) {
 
 FaultPlan makeFaultPlan(const Topology& topology,
                         const CampaignConfig& config) {
-  if (config.corruptRate < 0.0 || config.corruptRate > 1.0)
+  if (!(config.corruptRate >= 0.0 && config.corruptRate <= 1.0))
     throw std::invalid_argument("campaign: corruptRate outside [0,1]");
-  if (config.corruptLinkFraction < 0.0 || config.corruptLinkFraction > 1.0)
+  if (!(config.corruptLinkFraction >= 0.0 &&
+        config.corruptLinkFraction <= 1.0))
     throw std::invalid_argument(
         "campaign: corruptLinkFraction outside [0,1]");
   if (config.stallEvents < 0 || config.dropEvents < 0)

@@ -30,6 +30,10 @@ Network::Network(std::shared_ptr<const Topology> topology,
     throw std::invalid_argument(
         "topology offsets exceed the RIB range; increase m");
 
+  // Negated so that NaN fails the check too.
+  if (!(config_.linkFaultRate >= 0.0 && config_.linkFaultRate <= 1.0))
+    throw std::invalid_argument("linkFaultRate must be in [0,1]");
+
   if (!config_.faultPlan.empty()) {
     config_.faultPlan.validate(*topology_);
     // With VCs every window kind is legal under either flow control: the

@@ -211,11 +211,9 @@ void NetworkInterface::evaluate() {
   if (vcMode()) {
     advertiseRxSpace();
     if (creditMode()) returnRxCredits();
-    return;
+  } else {
+    ackRx();
   }
-  // Receive side, always ready: in handshake mode this acknowledges the
-  // incoming flit; in credit mode the same pulse returns the credit.
-  fromRouter_->ack.set(fromRouter_->val.get());
 }
 
 void NetworkInterface::presentSend() {
@@ -238,6 +236,12 @@ void NetworkInterface::presentSend() {
     toRouter_->val.set(false);
   }
   if (vcMode()) toRouter_->vc.set(injectVc >= 0 ? injectVc : 0);
+}
+
+void NetworkInterface::ackRx() {
+  // Receive side, always ready: in handshake mode this acknowledges the
+  // incoming flit; in credit mode the same pulse returns the credit.
+  fromRouter_->ack.set(fromRouter_->val.get());
 }
 
 void NetworkInterface::advertiseRxSpace() {
@@ -462,10 +466,14 @@ void NetworkInterface::pumpTransport() {
 }
 
 bool NetworkInterface::describe(sim::Lowering& lw) {
+  // One op per phase of evaluate(), so the receive side's wires do not
+  // tie the send side into the router's combinational graph.
+  std::vector<const sim::WireBase*> sendReads;
+  std::vector<const sim::WireBase*> sendWrites = {
+      &toRouter_->flit.data, &toRouter_->flit.bop, &toRouter_->flit.eop,
+      &toRouter_->val};
   if (vcMode()) {
-    // One op per phase of evaluate(), so the receive side's wires do not
-    // tie the send side into the router's combinational graph.
-    std::vector<const sim::WireBase*> sendReads;
+    sendWrites.push_back(&toRouter_->vc);
     if (!creditMode()) {
       // QoS injects on any adaptive VC, so the send side reads them all;
       // otherwise only the fixed inject VC's level matters.
@@ -478,10 +486,10 @@ bool NetworkInterface::describe(sim::Lowering& lw) {
             &toRouter_->vcFree[static_cast<std::size_t>(options_.injectVc)]);
       }
     }
-    lw.phaseOp<&NetworkInterface::presentSend>(
-        *this, std::move(sendReads),
-        {&toRouter_->flit.data, &toRouter_->flit.bop, &toRouter_->flit.eop,
-         &toRouter_->val, &toRouter_->vc});
+  }
+  lw.phaseOp<&NetworkInterface::presentSend>(*this, std::move(sendReads),
+                                             std::move(sendWrites));
+  if (vcMode()) {
     std::vector<const sim::WireBase*> frees, acks;
     for (int v = 0; v < params_.numVCs; ++v) {
       frees.push_back(&fromRouter_->vcFree[static_cast<std::size_t>(v)]);
@@ -492,12 +500,10 @@ bool NetworkInterface::describe(sim::Lowering& lw) {
     if (creditMode())
       lw.phaseOp<&NetworkInterface::returnRxCredits>(
           *this, {&fromRouter_->val, &fromRouter_->vc}, std::move(acks));
-    lw.edgeCall(*this);
-    return true;
+  } else {
+    lw.phaseOp<&NetworkInterface::ackRx>(*this, {&fromRouter_->val},
+                                         {&fromRouter_->ack});
   }
-  lw.thunk(*this, {&fromRouter_->val},
-           {&toRouter_->flit.data, &toRouter_->flit.bop, &toRouter_->flit.eop,
-            &toRouter_->val, &fromRouter_->ack});
   lw.edgeCall(*this);
   return true;
 }

@@ -183,10 +183,10 @@ class NetworkInterface : public sim::Module {
   /// so the tracer's shadow stream stays aligned with the send queues.
   void setTracer(FlowTracer* tracer) { tracer_ = tracer; }
 
-  /// Compiled-kernel lowering: the NI walks deque/transport state, so it
-  /// stays behavioural.  At numVCs == 1 it is one thunk around evaluate();
-  /// with VCs each phase of evaluate() (send, rx vcFree, rx vcAck) is its own
-  /// op over the Wire objects.  Both add a clockEdge() call.
+  /// Compiled-kernel lowering: the NI walks deque/transport state, so its
+  /// ops run its own Wire-level code.  Each phase of evaluate() (send, and
+  /// rx ack at numVCs == 1 or rx vcFree and vcAck with VCs) is its own
+  /// phase op, plus one clockEdge() call on the edge tape.
   bool describe(sim::Lowering& lw) override;
 
  protected:
@@ -209,10 +209,12 @@ class NetworkInterface : public sim::Module {
   int scheduledInjectVc() const;
   // The combinational phases of evaluate().  presentSend: the next pending
   // flit onto toRouter (reads the inject VCs' vcFree under on/off VC flow
-  // control).  With VCs, advertiseRxSpace raises every fromRouter vcFree
-  // (reads no wire) and returnRxCredits (credit mode) pulses the arriving
-  // flit's vcAck.
+  // control).  At numVCs == 1, ackRx mirrors fromRouter val onto its ack.
+  // With VCs, advertiseRxSpace raises every fromRouter vcFree (reads no
+  // wire) and returnRxCredits (credit mode) pulses the arriving flit's
+  // vcAck.
   void presentSend();
+  void ackRx();
   void advertiseRxSpace();
   void returnRxCredits();
   // Appends a received flit to its VC's reassembly buffer and completes

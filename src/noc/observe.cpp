@@ -209,16 +209,11 @@ telemetry::RunReport buildRunReport(std::string name, const Network& network,
   report.set("links", "mean_utilization", network.meanLinkUtilization());
   report.set("links", "max_utilization", network.maxLinkUtilization());
 
-  // Compiled-kernel program shape.  program_iterate_segments is always 0
-  // (the tape is one linear pass); report readers still check it.
+  // Compiled-kernel program shape.
   if (const sim::CompiledProgram* program =
           network.simulator().compiledProgram()) {
     report.set("kernel", "program_ops",
                static_cast<std::uint64_t>(program->opCount()));
-    report.set("kernel", "program_thunks",
-               static_cast<std::uint64_t>(program->thunkCount()));
-    report.set("kernel", "program_iterate_segments",
-               static_cast<std::uint64_t>(program->iterateSegmentCount()));
     report.set("kernel", "program_arena_words",
                static_cast<std::uint64_t>(program->wordCount()));
   }

@@ -78,10 +78,10 @@ telemetry::MeshHeatmap faultHeatmap(
 // The standard structured report: network configuration (the "mesh" key
 // holds the extent for backward compatibility; "topology" names the
 // instance), health flags, ledger statistics, under the compiled kernel a
-// "kernel" section with the program shape (program_ops, program_thunks,
-// program_iterate_segments, program_arena_words), optional watchdog
-// snapshot, and - when the network was instrumented - the full metrics
-// registry.  Deterministic for a given seeded run.
+// "kernel" section with the program shape (program_ops,
+// program_arena_words), optional watchdog snapshot, and - when the network
+// was instrumented - the full metrics registry.  Deterministic for a given
+// seeded run.
 telemetry::RunReport buildRunReport(std::string name, const Network& network,
                                     const Watchdog* watchdog = nullptr);
 

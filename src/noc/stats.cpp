@@ -28,8 +28,9 @@ double LatencyStats::max() const {
 }
 
 double LatencyStats::percentile(double q) const {
+  if (!(q >= 0.0 && q <= 1.0))
+    throw std::invalid_argument("percentile q in [0,1]");
   if (samples_.empty()) return 0.0;
-  if (q < 0.0 || q > 1.0) throw std::invalid_argument("percentile q in [0,1]");
   if (sortedCount_ < samples_.size()) {
     const auto mergedEnd =
         static_cast<std::vector<double>::difference_type>(sorted_.size());

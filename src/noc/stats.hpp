@@ -30,7 +30,8 @@ class LatencyStats {
   double mean() const;
   double min() const;
   double max() const;
-  // q in [0,1]; nearest-rank on the sorted samples.
+  // Nearest-rank on the sorted samples, 0 on an empty set.  A q outside
+  // [0,1], NaN included, throws std::invalid_argument, empty set or not.
   double percentile(double q) const;
 
   const std::vector<double>& samples() const { return samples_; }

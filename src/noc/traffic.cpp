@@ -102,8 +102,8 @@ TrafficGenerator::TrafficGenerator(std::string name,
                          static_cast<double>(config.packetFlits())),
       rng_(config.seed) {
   if (!topology_) throw std::invalid_argument("generator needs a topology");
-  if (config_.offeredLoad < 0.0 || config_.offeredLoad > 1.0)
-    throw std::invalid_argument("offered load must be in [0,1] flits/cycle");
+  if (!(config_.offeredLoad >= 0.0 && config_.offeredLoad <= 1.0))
+    throw std::invalid_argument("offeredLoad must be in [0,1] flits/cycle");
   if (config_.payloadFlits < 1)
     throw std::invalid_argument("a packet needs at least one payload flit");
   topology_->indexOf(self_);  // bounds-check our own address

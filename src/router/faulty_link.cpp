@@ -20,15 +20,16 @@ FaultyLink::FaultyLink(std::string name, ChannelWires& src, ChannelWires& dst,
       rng_(seed) {
   if (dataBits_ < 1 || dataBits_ > 32)
     throw std::invalid_argument("FaultyLink: dataBits must be 1..32");
-  if (flipProbability_ < 0.0 || flipProbability_ > 1.0)
-    throw std::invalid_argument("FaultyLink: probability must be in [0,1]");
+  if (!(flipProbability_ >= 0.0 && flipProbability_ <= 1.0))
+    throw std::invalid_argument(
+        "FaultyLink: flipProbability must be in [0,1]");
   recomputeActive();
   arm();
 }
 
 void FaultyLink::setWindows(std::vector<FaultWindow> windows) {
   for (const auto& w : windows) {
-    if (w.rate < 0.0 || w.rate > 1.0)
+    if (!(w.rate >= 0.0 && w.rate <= 1.0))
       throw std::invalid_argument("FaultyLink: window rate must be in [0,1]");
     if (w.kind != FaultWindow::Kind::Corrupt &&
         flowControl() != FlowControl::Handshake && numVCs() == 1)

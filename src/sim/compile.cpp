@@ -77,30 +77,22 @@ void* CompiledProgram::allocCtx(std::size_t size, std::size_t align) {
 
 void Lowering::op(OpFn fn, void* ctx, std::vector<const WireBase*> reads,
                   std::vector<const WireBase*> writes) {
-  CompiledProgram::UnitDraft d;
-  d.fn = fn;
-  d.ctx = ctx;
-  d.module = current_;
-  d.reads = std::move(reads);
-  d.writes = std::move(writes);
-  prog_.drafts_.push_back(std::move(d));
-}
-
-void Lowering::thunk(Module& m, std::vector<const WireBase*> reads,
-                     std::vector<const WireBase*> writes) {
-  CompiledProgram::UnitDraft d;
-  d.module = &m;
-  d.reads = std::move(reads);
-  d.writes = std::move(writes);
-  prog_.drafts_.push_back(std::move(d));
+  prog_.drafts_.push_back({fn, ctx, current_, std::move(reads),
+                           std::move(writes)});
 }
 
 void Lowering::edgeOp(OpFn fn, void* ctx) {
-  prog_.edges_.push_back({fn, ctx, nullptr});
+  prog_.edges_.push_back({fn, ctx});
 }
 
 void Lowering::edgeCall(Module& m) {
-  prog_.edges_.push_back({nullptr, nullptr, &m});
+  struct EdgeCallCtx {
+    Module* module;
+  };
+  edgeOp([](std::uint64_t*, void* c) {
+           static_cast<EdgeCallCtx*>(c)->module->clockEdgeOne();
+         },
+         ctx(EdgeCallCtx{&m}));
 }
 
 // --- build ------------------------------------------------------------------
@@ -157,8 +149,8 @@ void CompiledProgram::packContexts() {
     auto it = ctxSize_.find(ctx);
     if (it != ctxSize_.end()) total += alignedSize(it->second);
   };
-  for (const ExecUnit& u : units_) measure(u.ctx);
-  for (const EdgeItem& e : edges_) measure(e.ctx);
+  for (const Op& u : units_) measure(u.ctx);
+  for (const Op& e : edges_) measure(e.ctx);
 
   std::vector<std::unique_ptr<unsigned char[]>> packed;
   packed.push_back(std::make_unique<unsigned char[]>(std::max<std::size_t>(
@@ -172,8 +164,8 @@ void CompiledProgram::packContexts() {
     ctx = base + used;
     used += alignedSize(it->second);
   };
-  for (ExecUnit& u : units_) repack(u.ctx);
-  for (EdgeItem& e : edges_) repack(e.ctx);
+  for (Op& u : units_) repack(u.ctx);
+  for (Op& e : edges_) repack(e.ctx);
   ctxChunks_ = std::move(packed);
   ctxChunkUsed_ = ctxChunkCap_ = 0;
   ctxSize_.clear();
@@ -184,12 +176,12 @@ void CompiledProgram::packContexts() {
 // the stretch executes as one hoisted-dispatch loop.  Detection is by raw
 // pointer arithmetic — anything irregular just stays a count-1 run.
 void CompiledProgram::buildRuns() {
-  auto batch = [](std::vector<Run>& out, OpFn fn, void* ctx, Module* m) {
-    if (fn != nullptr && !out.empty() && out.back().fn == fn) {
+  auto batch = [](std::vector<Run>& out, const Op& op) {
+    if (!out.empty() && out.back().fn == op.fn) {
       Run& r = out.back();
       auto* prev = static_cast<unsigned char*>(r.ctx) +
                    static_cast<std::size_t>(r.stride) * (r.count - 1);
-      const std::ptrdiff_t diff = static_cast<unsigned char*>(ctx) - prev;
+      const std::ptrdiff_t diff = static_cast<unsigned char*>(op.ctx) - prev;
       if (diff > 0 &&
           (r.count == 1 || diff == static_cast<std::ptrdiff_t>(r.stride))) {
         r.stride = static_cast<std::uint32_t>(diff);
@@ -197,12 +189,12 @@ void CompiledProgram::buildRuns() {
         return;
       }
     }
-    out.push_back({fn, ctx, m, 0, 1});
+    out.push_back({op.fn, op.ctx, 0, 1});
   };
   runs_.clear();
-  for (const ExecUnit& u : units_) batch(runs_, u.fn, u.ctx, u.thunk);
+  for (const Op& u : units_) batch(runs_, u);
   edgeRuns_.clear();
-  for (const EdgeItem& e : edges_) batch(edgeRuns_, e.fn, e.ctx, e.call);
+  for (const Op& e : edges_) batch(edgeRuns_, e);
 }
 
 void CompiledProgram::scheduleUnits() {
@@ -289,11 +281,8 @@ void CompiledProgram::scheduleUnits() {
     return a < b;
   });
   units_.reserve(n);
-  for (std::uint32_t u : order) {
-    const UnitDraft& d = drafts_[u];
-    units_.push_back({d.fn, d.ctx, d.fn ? nullptr : d.module});
-    if (d.fn) ++opCount_;
-  }
+  for (std::uint32_t u : order)
+    units_.push_back({drafts_[u].fn, drafts_[u].ctx});
 }
 
 // Names the modules on one cycle among the units Kahn's algorithm left
@@ -336,28 +325,14 @@ void CompiledProgram::throwCycle(
 // --- run --------------------------------------------------------------------
 
 std::uint64_t CompiledProgram::settle() {
-  // Runs the units in schedule order, with the dispatch hoisted out of
-  // each same-fn stretch.
-  for (const Run& r : runs_) {
-    if (r.fn == nullptr) {
-      r.behavioural->evaluateOne();  // wire reads refresh from the arena
-      continue;
-    }
-    auto* c = static_cast<unsigned char*>(r.ctx);
-    for (std::uint32_t k = 0; k != r.count; ++k) {
-      r.fn(cur_.data(), c);
-      c += r.stride;
-    }
-  }
+  runTape(runs_);
   return units_.size();
 }
 
-void CompiledProgram::edge() {
-  for (const Run& r : edgeRuns_) {
-    if (r.fn == nullptr) {
-      r.behavioural->clockEdgeOne();
-      continue;
-    }
+// Runs a tape in order, with the dispatch hoisted out of each same-fn
+// stretch.
+void CompiledProgram::runTape(const std::vector<Run>& runs) {
+  for (const Run& r : runs) {
     auto* c = static_cast<unsigned char*>(r.ctx);
     for (std::uint32_t k = 0; k != r.count; ++k) {
       r.fn(cur_.data(), c);

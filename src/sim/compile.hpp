@@ -9,12 +9,11 @@
 //    contiguous std::uint64_t arena - a 32-bit slice of its own, or a fixed
 //    field of a word describe() packs with a group of related wires
 //    (packedWord), so moving the group is one masked word copy;
-//  * every module contributes, via Module::describe(), word-level ops
-//    (plain function pointers over the arena, no virtual dispatch), phase
-//    ops over its own Wire-level code, or a declared thunk around its
-//    behavioural evaluate() - each with the wires it reads and drives.  A
-//    module without a lowering is a build error (std::logic_error naming
-//    it);
+//  * every module contributes, via Module::describe(), ops: word-level
+//    ops (plain function pointers over the arena, no virtual dispatch) or
+//    phase ops over its own Wire-level code - each with the wires it reads
+//    and drives.  A module without a lowering is a build error
+//    (std::logic_error naming it);
 //  * the resulting units are levelized over the wire-level driver/reader
 //    relation (Kahn's algorithm) into one linear tape that runs exactly
 //    once per settle.  RASoC blocks talk through val/ack nets that end at
@@ -22,11 +21,11 @@
 //    declared units is a build error (std::runtime_error naming its
 //    modules), the same type the naive kernel throws for a loop.
 //
-// The clock edge lowers the same way: an edge tape in clockEdgeAll()
-// preorder whose entries are either word/member-level edge ops or
-// clockEdgeOne() calls.  Edge ops mutate registered state and counters
+// The clock edge lowers the same way: an edge tape of ops in
+// clockEdgeAll() preorder, word/member-level or clockEdgeOne() calls
+// (Lowering::edgeCall).  Edge ops mutate registered state and counters
 // only, never wires, so tick listeners and FlowTracer observe the same
-// pre-edge settled wires as under the behavioural kernels.
+// pre-edge settled wires as under the naive kernel.
 //
 // Wire<->arena coherence: bound wires write through to their slice on
 // set()/force() (the poke window keeps working) and read through on get()
@@ -181,11 +180,6 @@ class Lowering {
        ctx(PhaseCtx{&m}), std::move(reads), std::move(writes));
   }
 
-  // A unit that runs m.evaluate() behaviourally.  `reads` and `writes`
-  // must name every wire evaluate() reads and drives.
-  void thunk(Module& m, std::vector<const WireBase*> reads,
-             std::vector<const WireBase*> writes);
-
   // --- edge tape --------------------------------------------------------
   //
   // Emitted in call order; the compiler walks the tree in clockEdgeAll()
@@ -242,13 +236,13 @@ class CompiledProgram {
   CompiledProgram(const CompiledProgram&) = delete;
   CompiledProgram& operator=(const CompiledProgram&) = delete;
 
-  // One settle pass: runs every unit once in schedule order.  Returns the
-  // number of units executed (ops + thunk evaluations).
+  // One settle pass: runs every op once in schedule order.  Returns the
+  // number of ops executed.
   std::uint64_t settle();
 
   // One clock edge: runs the edge tape (registered state and counters
   // only; wires are untouched, matching the clockEdge() contract).
-  void edge();
+  void edge() { runTape(edgeRuns_); }
 
   // Materializes every bound wire's final arena value into the wire, then
   // detaches it from the arena (get() reads the cached value once the
@@ -259,11 +253,12 @@ class CompiledProgram {
 
   // --- introspection (tests, stats, docs) -------------------------------
   std::size_t wordCount() const { return wordCount_; }
+  // Every settle unit is an op, so the two counts agree.
   std::size_t unitCount() const { return units_.size(); }
-  std::size_t opCount() const { return opCount_; }
-  std::size_t thunkCount() const { return units_.size() - opCount_; }
+  std::size_t opCount() const { return units_.size(); }
   std::size_t edgeItemCount() const { return edges_.size(); }
-  // Always 0; perfbench/driver.cpp and RunReport still read it.
+  // Always 0; perfbench/driver.cpp still reads them.
+  std::size_t thunkCount() const { return 0; }
   std::size_t iterateSegmentCount() const { return 0; }
 
  private:
@@ -283,39 +278,30 @@ class CompiledProgram {
     void (*store)(const WireBase*);    // wire -> arena (Wire::syncArena)
   };
 
-  // Pre-schedule unit as emitted by Lowering: an op (fn != nullptr) of
-  // the describing module, or a thunk (fn == nullptr) around `module`.
+  // Pre-schedule settle op as emitted by Lowering, with the describing
+  // module (named in cycle errors).
   struct UnitDraft {
-    OpFn fn = nullptr;
-    void* ctx = nullptr;
-    Module* module = nullptr;
+    OpFn fn;
+    void* ctx;
+    Module* module;
     std::vector<const WireBase*> reads;
     std::vector<const WireBase*> writes;
   };
 
-  // Scheduled unit: op (fn != nullptr) or behavioural thunk (whose wire
-  // reads refresh from the arena inside Wire::get, needing no pre-flush).
-  struct ExecUnit {
+  // One entry of the settle or edge tape.
+  struct Op {
     OpFn fn;
     void* ctx;
-    Module* thunk;
-  };
-
-  struct EdgeItem {
-    OpFn fn;
-    void* ctx;
-    Module* call;
   };
 
   // Batched interpreter stream: a maximal stretch of identical-fn ops whose
   // packed contexts sit at a fixed stride (count == 1 covers everything
-  // else, including thunks/calls with fn == nullptr).  The run loop hoists
-  // the fn load and unit bookkeeping out of the hot call sequence; since
-  // execution order is exactly the unit order, results are bit-identical.
+  // else).  The run loop hoists the fn load and op bookkeeping out of the
+  // hot call sequence; since execution order is exactly the tape order,
+  // results are bit-identical.
   struct Run {
     OpFn fn;
     void* ctx;
-    Module* behavioural;  // thunk (settle) or clockEdge target (edge tape)
     std::uint32_t stride;
     std::uint32_t count;
   };
@@ -354,13 +340,14 @@ class CompiledProgram {
   }
 
   std::vector<UnitDraft> drafts_;
-  std::vector<ExecUnit> units_;
-  std::vector<EdgeItem> edges_;
+  std::vector<Op> units_;
+  std::vector<Op> edges_;
 
   // Batched streams (see Run).
   std::vector<Run> runs_;
   std::vector<Run> edgeRuns_;
   void buildRuns();
+  void runTape(const std::vector<Run>& runs);
 
   // Op context arena (Lowering::ctx): chunked so pointers stay stable as
   // it grows; freed wholesale with the program.  After scheduling,
@@ -373,8 +360,6 @@ class CompiledProgram {
   std::size_t ctxChunkCap_ = 0;
   std::unordered_map<const void*, std::uint32_t> ctxSize_;
   void packContexts();
-
-  std::size_t opCount_ = 0;
 };
 
 template <typename T>

@@ -58,13 +58,15 @@ class Module {
   void evaluateAll();
   void clockEdgeAll();
 
-  // Single-module evaluate, used by the naive kernel's culprit pass and
-  // the compiled kernel's behavioural units (Lowering::thunk).
+  // Single-module evaluate, used by the naive kernel's culprit pass and as
+  // a phase op (Lowering::phaseOp<&Module::evaluateOne>) for a module that
+  // lowers its whole evaluate() as one op.
   void evaluateOne() { evaluate(); }
 
-  // Single-module clock edge, used by the compiled kernel's edge tape when
-  // a module keeps its behavioural clockEdge() (children are separate tape
-  // entries, emitted in clockEdgeAll() preorder).
+  // Single-module clock edge, run by the compiled kernel's edge tape
+  // (Lowering::edgeCall) when a module keeps its behavioural clockEdge()
+  // (children are separate tape entries, emitted in clockEdgeAll()
+  // preorder).
   void clockEdgeOne() { clockEdge(); }
 
   // --- compiled-kernel lowering hook (see sim/compile.hpp) --------------

@@ -75,7 +75,7 @@ class Simulator final : private EvalScheduler {
 
   /// The compiled kernel's current program, or nullptr when no program is
   /// built (other kernel active, or no settle yet).  Introspection only
-  /// (unit/word/thunk counts for tests and stats).
+  /// (op/word/edge-item counts for tests and stats).
   const CompiledProgram* compiledProgram() const { return program_.get(); }
 
   /// Resets registered state in every module and restarts the cycle count.
@@ -124,7 +124,7 @@ class Simulator final : private EvalScheduler {
   /// Total units issued by settle() since construction - the work metric
   /// bench_sim_speed and perfbench report.  It is kernel-specific: a
   /// naive settle adds the registered module count once per pass, a
-  /// compiled settle adds CompiledProgram::unitCount() (ops + thunks).
+  /// compiled settle adds CompiledProgram::unitCount() (its ops).
   /// Monotone non-decreasing and deterministic for a given kernel.
   std::uint64_t evaluateCalls() const { return evaluateCalls_; }
 

@@ -50,7 +50,7 @@ class WireBase {
   // Under Kernel::Compiled the wire's value is mirrored into a (word, shift)
   // slice of the word-packed state arena.  set()/force() write through to
   // the slice, so the arena never goes stale between settles even when a
-  // testbench pokes wires or a behavioural unit drives them; reads refresh
+  // testbench pokes wires or a phase op drives them; reads refresh
   // from the slice (Wire::get), so settled op results are visible without
   // any flush pass.
   //
@@ -107,9 +107,9 @@ class Wire : public WireBase {
 
   // Under Kernel::Compiled the arena is authoritative between settles; a
   // bound wire refreshes its cached value from its slice on every read, so
-  // observers (thunks, tick listeners, telemetry, testbenches) see settled
-  // state without the kernel ever flushing wires it computed.  Unbound
-  // wires (the behavioural kernels) pay one predictable null check.
+  // observers (phase ops, tick listeners, telemetry, testbenches) see
+  // settled state without the kernel ever flushing wires it computed.
+  // Unbound wires (the naive kernel) pay one predictable null check.
   const T& get() const {
     refreshFromArena();
     return value_;

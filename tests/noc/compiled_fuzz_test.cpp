@@ -162,7 +162,8 @@ TEST(CompiledFuzzTest, MidRunResetRecompilesCleanly) {
 // --- poke-window fuzz on arena-bound wires ---------------------------------
 
 // y = x + k as a compiled arena op, so the chain's wires are genuinely
-// bound into the word-packed arena (thunk-only programs bind nothing).
+// bound into the word-packed arena (programs of phase ops only bind
+// nothing).
 struct AddKCtx {
   sim::Slice in, out;
   std::uint32_t k = 0;
@@ -283,7 +284,7 @@ TEST(CompiledFuzzTest, ForceInsideCompiledSettleThrows) {
     Poker(Wire<std::uint32_t>& x, Wire<std::uint32_t>& y)
         : Module("poker"), in(x), out(y) {}
     bool describe(sim::Lowering& lw) override {
-      lw.thunk(*this, {&in}, {&out});
+      lw.phaseOp<&Poker::evaluate>(*this, {&in}, {&out});
       return true;
     }
     void evaluate() override {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -90,6 +91,26 @@ TEST(FaultPlanTest, ValidateRejectsLinksTheTopologyLacks) {
   NetworkConfig cfg;
   cfg.faultPlan = plan;
   EXPECT_THROW(Network(mesh, cfg), std::invalid_argument);
+}
+
+TEST(FaultPlanTest, ValidateRejectsNanRates) {
+  auto mesh = makeTopology("mesh", 3, 3);
+  FaultPlan plan;
+  plan.events.push_back({LinkId{NodeId{0, 0}, Port::East}, FaultKind::Corrupt,
+                         0, 100, std::numeric_limits<double>::quiet_NaN()});
+  EXPECT_THROW(plan.validate(*mesh), std::invalid_argument);
+}
+
+TEST(FaultPlanTest, CampaignRejectsNanFractions) {
+  // A NaN rate or link fraction must not quietly yield an empty campaign.
+  auto mesh = makeTopology("mesh", 3, 3);
+  CampaignConfig rate;
+  rate.corruptRate = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(makeFaultPlan(*mesh, rate), std::invalid_argument);
+  CampaignConfig fraction;
+  fraction.corruptRate = 0.01;
+  fraction.corruptLinkFraction = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(makeFaultPlan(*mesh, fraction), std::invalid_argument);
 }
 
 TEST(FaultPlanTest, AllLinksEnumeratesEveryDirectedLink) {

@@ -1,6 +1,9 @@
 // HLP parity + link fault injection (the paper's data-integrity extension).
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 #include "noc/network.hpp"
 #include "router/faulty_link.hpp"
 #include "sim/simulator.hpp"
@@ -130,6 +133,18 @@ TEST(FaultyLinkTest, InvalidConfigThrows) {
                std::invalid_argument);
   EXPECT_THROW(router::FaultyLink("f", a, b, 16, 1.5, 1),
                std::invalid_argument);
+}
+
+TEST(FaultyLinkTest, NanProbabilitiesThrow) {
+  router::ChannelWires a, b;
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(router::FaultyLink("f", a, b, 16, nan, 1),
+               std::invalid_argument);
+  router::FaultyLink link("f", a, b, 16, 0.0, 1);
+  router::FaultWindow window;
+  window.duration = 10;
+  window.rate = nan;
+  EXPECT_THROW(link.setWindows({window}), std::invalid_argument);
 }
 
 TEST(FaultyLinkTest, HeadersAreNeverCorrupted) {

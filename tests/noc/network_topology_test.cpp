@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <limits>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "sim/rng.hpp"
@@ -158,6 +161,26 @@ TEST(NetworkBuildTest, RejectsTopologiesExceedingTheRibRange) {
   cfg.params.m = 12;  // per-axis range 31
   cfg.params.n = 16;  // the header flit must hold the wider RIB
   EXPECT_NO_THROW(Network(std::make_shared<RingTopology>(32), cfg));
+}
+
+TEST(NetworkBuildTest, RejectsLinkFaultRateOutsideUnitIntervalByName) {
+  // NaN and negative rates used to build ideal links; 1.5 failed inside
+  // FaultyLink without naming the network parameter.
+  const auto mesh = std::make_shared<MeshTopology>(2, 2);
+  for (const double rate :
+       {std::numeric_limits<double>::quiet_NaN(), -0.5, 1.5}) {
+    SCOPED_TRACE(rate);
+    NetworkConfig cfg;
+    cfg.linkFaultRate = rate;
+    try {
+      Network net(mesh, cfg);
+      FAIL() << "expected std::invalid_argument";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("linkFaultRate"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 TEST(NetworkBuildTest, LinkCountMatchesTheAdjacency) {

@@ -126,27 +126,28 @@ TEST(MeshTelemetryTest, RunReportCarriesLedgerAndMetrics) {
 
 TEST(MeshTelemetryTest, RunReportStatesCompiledProgramShape) {
   // The network default is the compiled kernel: the report says what the
-  // program lowered to, including whether any settle had to iterate.
+  // program lowered to.  Every unit is an op, so there is no thunk or
+  // iterate-segment count to report.
   InstrumentedRun run(5, 200);
   ASSERT_EQ(run.mesh.simulator().kernel(), sim::Simulator::Kernel::Compiled);
   const std::string json = buildRunReport("kernel", run.mesh).toJson();
   EXPECT_NE(json.find("\"kernel\": {"), std::string::npos);
   EXPECT_NE(json.find("\"program_ops\": "), std::string::npos);
   EXPECT_NE(json.find("\"program_arena_words\": "), std::string::npos);
-  EXPECT_NE(json.find("\"program_iterate_segments\": 0"), std::string::npos);
-  // At one VC the NIs stay behavioural thunks.
-  EXPECT_EQ(json.find("\"program_thunks\": 0,"), std::string::npos);
+  EXPECT_EQ(json.find("\"program_thunks\""), std::string::npos);
+  EXPECT_EQ(json.find("\"program_iterate_segments\""), std::string::npos);
 
-  // A QoS network at four VCs lowers to phase ops only.
+  // A QoS network at four VCs lowers its VC routers to word-level ops
+  // over a bound arena.
   NetworkConfig qosCfg = InstrumentedRun::config();
   qosCfg.params.numVCs = 4;
   qosCfg.params.qosClasses = true;
   Network qos(std::make_shared<MeshTopology>(MeshShape{3, 3}), qosCfg);
   qos.run(10);
   const std::string qosJson = buildRunReport("kernel", qos).toJson();
-  EXPECT_NE(qosJson.find("\"program_thunks\": 0,"), std::string::npos);
-  EXPECT_NE(qosJson.find("\"program_iterate_segments\": 0"),
-            std::string::npos);
+  EXPECT_NE(qosJson.find("\"program_ops\": "), std::string::npos);
+  EXPECT_NE(qosJson.find("\"program_arena_words\": "), std::string::npos);
+  EXPECT_EQ(qosJson.find("\"program_arena_words\": 0"), std::string::npos);
 
   // The naive kernel has no program to describe.
   NetworkConfig naiveCfg = InstrumentedRun::config();

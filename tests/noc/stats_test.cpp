@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 namespace rasoc::noc {
 namespace {
 
@@ -36,6 +39,20 @@ TEST(LatencyStatsTest, EmptyStatsPercentileIsZero) {
   EXPECT_DOUBLE_EQ(stats.percentile(0.0), 0.0);
   EXPECT_DOUBLE_EQ(stats.percentile(0.5), 0.0);
   EXPECT_DOUBLE_EQ(stats.percentile(1.0), 0.0);
+}
+
+TEST(LatencyStatsTest, PercentileRejectsNanAndOutOfRangeQ) {
+  // q is checked before anything else: an empty set rejects it too, and
+  // NaN never reaches the rank computation.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  LatencyStats empty;
+  EXPECT_THROW(empty.percentile(1.5), std::invalid_argument);
+  EXPECT_THROW(empty.percentile(-0.1), std::invalid_argument);
+  EXPECT_THROW(empty.percentile(nan), std::invalid_argument);
+  LatencyStats stats;
+  for (double v : {3.0, 1.0, 2.0}) stats.record(v);
+  EXPECT_THROW(stats.percentile(nan), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(stats.percentile(0.5), 2.0);
 }
 
 TEST(LatencyStatsTest, SingleSamplePercentileIsThatSample) {

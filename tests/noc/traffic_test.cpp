@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
+#include <stdexcept>
+#include <string>
 
 #include "noc/ni.hpp"
 #include "router/rasoc.hpp"
@@ -186,6 +189,27 @@ TEST(TrafficGeneratorTest, RejectsInvalidConfigs) {
   config.payloadFlits = 0;
   EXPECT_THROW(TrafficGenerator("tg", shape, NodeId{0, 0}, ni, config),
                std::invalid_argument);
+}
+
+TEST(TrafficGeneratorTest, RejectsNanOfferedLoadByName) {
+  // NaN compares false against both bounds, so it must fail the range
+  // check rather than silently generate nothing.
+  const MeshShape shape{2, 2};
+  router::RouterParams params;
+  router::Rasoc router("r", params);
+  DeliveryLedger ledger;
+  NetworkInterface ni("ni", params, shape, NodeId{0, 0},
+                      router.in(router::Port::Local),
+                      router.out(router::Port::Local), ledger);
+  TrafficConfig config;
+  config.offeredLoad = std::numeric_limits<double>::quiet_NaN();
+  try {
+    TrafficGenerator("tg", shape, NodeId{0, 0}, ni, config);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("offeredLoad"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace

@@ -51,8 +51,9 @@ class ReferenceFifo {
 };
 
 // Lowers a bare InputBuffer for the compiled kernel.  Inside a router the
-// input channel lowers its buffer; on its own the buffer is one thunk
-// (publish() reads only registered state) plus its clock edge.
+// input channel lowers its buffer; on its own the buffer is one phase op
+// over its evaluate() (publish() reads only registered state) plus its
+// clock edge.
 class BufferShell : public sim::Module {
  public:
   BufferShell(InputBuffer& fifo, const FlitWires& dout,
@@ -62,8 +63,8 @@ class BufferShell : public sim::Module {
   }
 
   bool describe(sim::Lowering& lw) override {
-    lw.thunk(*fifo_, {},
-             {&dout_->data, &dout_->bop, &dout_->eop, wok_, rok_});
+    lw.phaseOp<&sim::Module::evaluateOne>(
+        *fifo_, {}, {&dout_->data, &dout_->bop, &dout_->eop, wok_, rok_});
     lw.edgeCall(*fifo_);
     return true;
   }

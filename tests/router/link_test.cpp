@@ -236,7 +236,7 @@ class EchoSink : public sim::Module {
   explicit EchoSink(ChannelWires& in) : Module("sink"), in_(&in) {}
 
   bool describe(sim::Lowering& lw) override {
-    lw.thunk(*this, {&in_->val}, {&in_->ack});
+    lw.phaseOp<&EchoSink::evaluate>(*this, {&in_->val}, {&in_->ack});
     return true;
   }
 

@@ -21,7 +21,7 @@ class Increment : public Module {
       : Module(std::move(name)), x_(&x), y_(&y) {}
 
   bool describe(Lowering& lw) override {
-    lw.thunk(*this, {x_}, {y_});
+    lw.phaseOp<&Increment::evaluate>(*this, {x_}, {y_});
     return true;
   }
 
@@ -40,7 +40,7 @@ class Counter : public Module {
       : Module(std::move(name)), out_(&out) {}
 
   bool describe(Lowering& lw) override {
-    lw.thunk(*this, {}, {out_});
+    lw.phaseOp<&Counter::evaluate>(*this, {}, {out_});
     lw.edgeCall(*this);
     return true;
   }
@@ -62,7 +62,7 @@ class Inverter : public Module {
       : Module(std::move(name)), y_(&y) {}
 
   bool describe(Lowering& lw) override {
-    lw.thunk(*this, {y_}, {y_});
+    lw.phaseOp<&Inverter::evaluate>(*this, {y_}, {y_});
     return true;
   }
 
@@ -266,12 +266,12 @@ TEST(SimulatorTest, MaxSettleIterationsBelowOneIsRejected) {
   EXPECT_EQ(y.get(), 2);
 }
 
-// --- compiled kernel on behavioural thunks --------------------------------
+// --- compiled kernel on phase ops ------------------------------------------
 
 TEST(CompiledKernelTest, MatchesNaiveKernelOnARandomizedCircuit) {
   // Same circuit built twice, one simulator per kernel; identical stimulus
   // must produce identical wire trajectories.  Every module here lowers to
-  // one thunk around its evaluate(), so the schedule comes from the
+  // one phase op over its evaluate(), so the schedule comes from the
   // declared read and write sets alone.
   struct Rig {
     Wire<int> in;
@@ -313,8 +313,8 @@ TEST(CompiledKernelTest, MatchesNaiveKernelOnARandomizedCircuit) {
   }
   const CompiledProgram* prog = compiled.sim.compiledProgram();
   ASSERT_NE(prog, nullptr);
-  EXPECT_EQ(prog->opCount(), 0u);
-  EXPECT_EQ(prog->thunkCount(), 3u);
+  EXPECT_EQ(prog->opCount(), 3u);
+  EXPECT_EQ(prog->edgeItemCount(), 1u);  // the counter's clockEdge()
 }
 
 TEST(CompiledKernelTest, UndescribedModuleIsRejectedByName) {
@@ -475,6 +475,53 @@ TEST_P(KernelContractTest, KernelSwitchRejectedAfterFirstCycleUntilReset) {
   EXPECT_EQ(plusOne.get(), 4);
 }
 
+TEST_P(KernelContractTest, EdgeTapeRunsInClockEdgeAllPreorder) {
+  // Edge-only modules under a structural parent that lowers its children
+  // itself: every clock edge must reach them in clockEdgeAll() preorder
+  // (parent, then each child's subtree in registration order, then the
+  // next top-level module), whichever kernel runs the cycle.
+  class Logger : public Module {
+   public:
+    Logger(std::string name, std::vector<std::string>& log)
+        : Module(std::move(name)), log_(&log) {}
+    void adopt(Module& child) { addChild(child); }
+
+    bool describe(Lowering& lw) override {
+      lw.edgeCall(*this);
+      lw.descendChildren();
+      return true;
+    }
+
+   protected:
+    void clockEdge() override { log_->push_back(name()); }
+
+   private:
+    std::vector<std::string>* log_;
+  };
+  std::vector<std::string> log;
+  Logger top("top", log), a("a", log), ax("a.x", log), b("b", log),
+      tail("tail", log);
+  a.adopt(ax);
+  top.adopt(a);
+  top.adopt(b);
+  Simulator sim;
+  sim.setKernel(GetParam());
+  sim.add(top);
+  sim.add(tail);
+  sim.reset();
+  const std::vector<std::string> preorder = {"top", "a", "a.x", "b", "tail"};
+  for (int cycle = 0; cycle < 3; ++cycle) {
+    log.clear();
+    sim.step();
+    EXPECT_EQ(log, preorder) << "cycle " << cycle;
+  }
+  if (GetParam() == Simulator::Kernel::Compiled) {
+    ASSERT_NE(sim.compiledProgram(), nullptr);
+    EXPECT_EQ(sim.compiledProgram()->unitCount(), 0u);
+    EXPECT_EQ(sim.compiledProgram()->edgeItemCount(), preorder.size());
+  }
+}
+
 TEST_P(KernelContractTest, ForceDuringSettleThrows) {
   // A module that pokes a foreign wire from evaluate() via force() would
   // bypass change tracking and corrupt the fixpoint; the wire rejects it.
@@ -485,7 +532,7 @@ TEST_P(KernelContractTest, ForceDuringSettleThrows) {
         : Module(std::move(name)), victim_(&victim) {}
 
     bool describe(Lowering& lw) override {
-      lw.thunk(*this, {}, {});
+      lw.phaseOp<&Poker::evaluate>(*this, {}, {});
       return true;
     }
 
