@@ -32,6 +32,7 @@ void SharedBus::send(NodeId src, NodeId dst, int flits) {
 
 void SharedBus::attachTraffic(const noc::TrafficConfig& traffic) {
   if (trafficAttached_) throw std::logic_error("traffic already attached");
+  noc::validateOfferedLoad(traffic.offeredLoad);
   trafficAttached_ = true;
   traffic_ = traffic;
   packetProbability_ =

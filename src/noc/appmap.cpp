@@ -92,7 +92,7 @@ void CoreGraph::validate() const {
       throw std::invalid_argument("flow references an unknown core");
     if (flow.src == flow.dst)
       throw std::invalid_argument("flow must connect two distinct cores");
-    if (flow.bandwidth < 0.0 || flow.bandwidth > 1.0)
+    if (!(flow.bandwidth >= 0.0 && flow.bandwidth <= 1.0))
       throw std::invalid_argument("flow bandwidth must be in [0,1]");
   }
 }

@@ -6,10 +6,13 @@
 #include "noc/flow_trace.hpp"
 #include "sim/compile.hpp"
 
+#include "router/vc_arena.hpp"
+
 namespace rasoc::noc {
 
 using router::Flit;
 using router::FlowControl;
+namespace vcarena = router::vcarena;
 
 NetworkInterface::NetworkInterface(std::string name,
                                    const router::RouterParams& params,
@@ -92,21 +95,16 @@ bool NetworkInterface::idle() const {
   return !transport_ || transport_->idle();
 }
 
-int NetworkInterface::scheduledInjectVc() const {
-  // Work-conserving: the highest non-empty, non-blocked inject queue wins.
-  // Downstream space is a credit in hand (credit mode), the VC's vcFree
-  // level (on/off VC flow control), or nothing at numVCs == 1 in
-  // handshake mode, where the ack completes the transfer.
-  for (int v = params_.numVCs - 1; v >= 0; --v) {
-    const auto vi = static_cast<std::size_t>(v);
-    if (sendQueues_[vi].empty()) continue;
-    const bool space = creditMode()
-                           ? credits_[vi] > 0
-                           : !vcMode() || toRouter_->vcFree[vi].get();
-    if (space) return v;
-  }
-  return -1;
-}
+namespace {
+
+// Channel-word accessor indices (router::vcarena::ChannelWireIo /
+// ChannelArenaIo).
+constexpr std::size_t kTo = 0;
+constexpr std::size_t kFrom = 1;
+
+}  // namespace
+
+using vcarena::bit;
 
 std::uint32_t NetworkInterface::parityProtect(std::uint32_t word) const {
   const std::uint32_t payload = word & router::dataMask(payloadBits());
@@ -207,56 +205,68 @@ void NetworkInterface::send(NodeId dst,
 }
 
 void NetworkInterface::evaluate() {
-  presentSend();
+  const vcarena::ChannelWireIo io{{toRouter_, fromRouter_}, params_.numVCs};
+  presentSend(io);
   if (vcMode()) {
-    advertiseRxSpace();
-    if (creditMode()) returnRxCredits();
+    advertiseRxSpace(io);
+    if (creditMode()) returnRxCredits(io);
   } else {
-    ackRx();
+    ackRx(io);
   }
 }
 
-void NetworkInterface::presentSend() {
-  // Present the next flit whenever one is pending and the flow control
-  // permits it (scheduledInjectVc).  With VCs the transfer is then
-  // unconditional; at numVCs == 1 in handshake mode the ack completes it.
-  const int injectVc = scheduledInjectVc();
-  if (injectVc >= 0) {
-    const OutPacket& pending =
-        sendQueues_[static_cast<std::size_t>(injectVc)].front();
-    const Flit& flit = pending.flits[pending.next];
-    toRouter_->flit.data.set(flit.data);
-    toRouter_->flit.bop.set(flit.bop);
-    toRouter_->flit.eop.set(flit.eop);
-    toRouter_->val.set(true);
-  } else {
-    toRouter_->flit.data.set(0);
-    toRouter_->flit.bop.set(false);
-    toRouter_->flit.eop.set(false);
-    toRouter_->val.set(false);
+template <class Io>
+void NetworkInterface::presentSend(const Io& io) const {
+  // Work-conserving: the highest non-empty, non-blocked inject queue
+  // presents its next flit.  Downstream space is a credit in hand (credit
+  // mode), the VC's vcFree level (on/off VC flow control), or nothing at
+  // numVCs == 1 in handshake mode, where the ack completes the transfer.
+  // With VCs the transfer is then unconditional.
+  std::uint64_t send = 0;
+  for (int v = params_.numVCs - 1; v >= 0; --v) {
+    const auto vi = static_cast<std::size_t>(v);
+    if (sendQueues_[vi].empty()) continue;
+    const unsigned free = vcarena::kFree + static_cast<unsigned>(v);
+    if (creditMode() ? credits_[vi] <= 0
+                     : vcMode() && io.word(kTo, bit(free)) == 0)
+      continue;
+    const OutPacket& pending = sendQueues_[vi].front();
+    send = vcarena::flitBits(pending.flits[pending.next]) |
+           bit(vcarena::kVal) |
+           (static_cast<std::uint64_t>(v) << vcarena::kVc);
+    break;
   }
-  if (vcMode()) toRouter_->vc.set(injectVc >= 0 ? injectVc : 0);
+  io.put(kTo, vcarena::kForwardMask, send);
 }
 
-void NetworkInterface::ackRx() {
+template <class Io>
+void NetworkInterface::ackRx(const Io& io) const {
   // Receive side, always ready: in handshake mode this acknowledges the
   // incoming flit; in credit mode the same pulse returns the credit.
-  fromRouter_->ack.set(fromRouter_->val.get());
+  const bool val = io.word(kFrom, bit(vcarena::kVal)) != 0;
+  io.put(kFrom, bit(vcarena::kAck), val ? bit(vcarena::kAck) : 0);
 }
 
-void NetworkInterface::advertiseRxSpace() {
+template <class Io>
+void NetworkInterface::advertiseRxSpace(const Io& io) const {
   // Every VC has unbounded reassembly space here, so all vcFree levels
   // stay up.
-  for (int v = 0; v < params_.numVCs; ++v)
-    fromRouter_->vcFree[static_cast<std::size_t>(v)].set(true);
+  io.put(kFrom, vcarena::kFreeMask,
+         sim::fieldMask(static_cast<unsigned>(params_.numVCs))
+             << vcarena::kFree);
 }
 
-void NetworkInterface::returnRxCredits() {
+template <class Io>
+void NetworkInterface::returnRxCredits(const Io& io) const {
   // The flit is consumed the cycle it lands, so its credit returns
   // immediately on the arriving VC's vcAck line.
-  for (int v = 0; v < params_.numVCs; ++v)
-    fromRouter_->vcAck[static_cast<std::size_t>(v)].set(
-        fromRouter_->val.get() && fromRouter_->vc.get() == v);
+  constexpr std::uint64_t kVcField = sim::fieldMask(vcarena::kVcWidth)
+                                      << vcarena::kVc;
+  const std::uint64_t from = io.word(kFrom, bit(vcarena::kVal) | kVcField);
+  const auto vc = static_cast<unsigned>(from >> vcarena::kVc);
+  const bool landed = (from & bit(vcarena::kVal)) != 0 &&
+                      vc < static_cast<unsigned>(params_.numVCs);
+  io.put(kFrom, vcarena::kVcAckMask, landed ? bit(vcarena::kVcAck + vc) : 0);
 }
 
 void NetworkInterface::clockEdge() {
@@ -466,43 +476,52 @@ void NetworkInterface::pumpTransport() {
 }
 
 bool NetworkInterface::describe(sim::Lowering& lw) {
+  using Ctx = vcarena::ChannelCtx<NetworkInterface>;
+  using vcarena::ChannelArenaIo;
+  Ctx* ctx = lw.ctx(
+      Ctx{this,
+          {vcarena::channelWord(lw, *toRouter_, params_.numVCs),
+           vcarena::channelWord(lw, *fromRouter_, params_.numVCs)}});
+
   // One op per phase of evaluate(), so the receive side's wires do not
   // tie the send side into the router's combinational graph.
   std::vector<const sim::WireBase*> sendReads;
-  std::vector<const sim::WireBase*> sendWrites = {
-      &toRouter_->flit.data, &toRouter_->flit.bop, &toRouter_->flit.eop,
-      &toRouter_->val};
-  if (vcMode()) {
-    sendWrites.push_back(&toRouter_->vc);
-    if (!creditMode()) {
-      // QoS injects on any adaptive VC, so the send side reads them all;
-      // otherwise only the fixed inject VC's level matters.
-      if (params_.qosClasses) {
-        for (int v = options_.escapeVCs; v < params_.numVCs; ++v)
-          sendReads.push_back(
-              &toRouter_->vcFree[static_cast<std::size_t>(v)]);
-      } else {
-        sendReads.push_back(
-            &toRouter_->vcFree[static_cast<std::size_t>(options_.injectVc)]);
-      }
+  if (vcMode() && !creditMode()) {
+    // QoS injects on any adaptive VC, so the send side reads them all;
+    // otherwise only the fixed inject VC's level matters.
+    if (params_.qosClasses) {
+      for (int v = options_.escapeVCs; v < params_.numVCs; ++v)
+        sendReads.push_back(&toRouter_->vcFree[static_cast<std::size_t>(v)]);
+    } else {
+      sendReads.push_back(
+          &toRouter_->vcFree[static_cast<std::size_t>(options_.injectVc)]);
     }
   }
-  lw.phaseOp<&NetworkInterface::presentSend>(*this, std::move(sendReads),
-                                             std::move(sendWrites));
+  lw.op(&vcarena::channelOp<NetworkInterface,
+                            &NetworkInterface::presentSend<ChannelArenaIo>>,
+        ctx, std::move(sendReads),
+        {&toRouter_->flit.data, &toRouter_->flit.bop, &toRouter_->flit.eop,
+         &toRouter_->val, &toRouter_->vc});
   if (vcMode()) {
     std::vector<const sim::WireBase*> frees, acks;
-    for (int v = 0; v < params_.numVCs; ++v) {
-      frees.push_back(&fromRouter_->vcFree[static_cast<std::size_t>(v)]);
-      acks.push_back(&fromRouter_->vcAck[static_cast<std::size_t>(v)]);
+    for (std::size_t v = 0; v < static_cast<std::size_t>(params_.numVCs);
+         ++v) {
+      frees.push_back(&fromRouter_->vcFree[v]);
+      acks.push_back(&fromRouter_->vcAck[v]);
     }
-    lw.phaseOp<&NetworkInterface::advertiseRxSpace>(*this, {},
-                                                    std::move(frees));
+    lw.op(&vcarena::channelOp<
+              NetworkInterface,
+              &NetworkInterface::advertiseRxSpace<ChannelArenaIo>>,
+          ctx, {}, std::move(frees));
     if (creditMode())
-      lw.phaseOp<&NetworkInterface::returnRxCredits>(
-          *this, {&fromRouter_->val, &fromRouter_->vc}, std::move(acks));
+      lw.op(&vcarena::channelOp<
+                NetworkInterface,
+                &NetworkInterface::returnRxCredits<ChannelArenaIo>>,
+            ctx, {&fromRouter_->val, &fromRouter_->vc}, std::move(acks));
   } else {
-    lw.phaseOp<&NetworkInterface::ackRx>(*this, {&fromRouter_->val},
-                                         {&fromRouter_->ack});
+    lw.op(&vcarena::channelOp<NetworkInterface,
+                              &NetworkInterface::ackRx<ChannelArenaIo>>,
+          ctx, {&fromRouter_->val}, {&fromRouter_->ack});
   }
   lw.edgeCall(*this);
   return true;

@@ -183,10 +183,9 @@ class NetworkInterface : public sim::Module {
   /// so the tracer's shadow stream stays aligned with the send queues.
   void setTracer(FlowTracer* tracer) { tracer_ = tracer; }
 
-  /// Compiled-kernel lowering: the NI walks deque/transport state, so its
-  /// ops run its own Wire-level code.  Each phase of evaluate() (send, and
-  /// rx ack at numVCs == 1 or rx vcFree and vcAck with VCs) is its own
-  /// phase op, plus one clockEdge() call on the edge tape.
+  /// Compiled-kernel lowering: one arena op per phase of evaluate(), so
+  /// the send and receive sides stay apart in the combinational graph, and
+  /// a clockEdge() call (queues, reassembly, the reliability machine).
   bool describe(sim::Lowering& lw) override;
 
  protected:
@@ -202,21 +201,23 @@ class NetworkInterface : public sim::Module {
   // Inject VC for a class under qosClasses (otherwise options_.injectVc,
   // or 0 at numVCs == 1).
   int injectVcFor(router::TrafficClass cls) const;
-  // The inject VC evaluate() sends from this cycle, or -1: the highest VC
-  // with a pending flit and downstream space.  Under qosClasses that is
-  // strict class priority (higher classes ride higher VCs); otherwise only
-  // the fixed inject VC's queue ever holds packets.
-  int scheduledInjectVc() const;
-  // The combinational phases of evaluate().  presentSend: the next pending
-  // flit onto toRouter (reads the inject VCs' vcFree under on/off VC flow
-  // control).  At numVCs == 1, ackRx mirrors fromRouter val onto its ack.
-  // With VCs, advertiseRxSpace raises every fromRouter vcFree (reads no
-  // wire) and returnRxCredits (credit mode) pulses the arriving flit's
-  // vcAck.
-  void presentSend();
-  void ackRx();
-  void advertiseRxSpace();
-  void returnRxCredits();
+  // The combinational phases of evaluate(), each written once over the
+  // toRouter and fromRouter channel words (router::vcarena::ChannelWireIo
+  // in evaluate(), ChannelArenaIo in the compiled ops).  presentSend: the
+  // next pending flit onto toRouter, from the highest inject VC with a
+  // pending flit and downstream space (reads the inject VCs' vcFree under
+  // on/off VC flow control).  At numVCs == 1, ackRx mirrors fromRouter val
+  // onto its ack.  With VCs, advertiseRxSpace raises every fromRouter
+  // vcFree (reads no wire) and returnRxCredits (credit mode) pulses the
+  // arriving flit's vcAck.
+  template <class Io>
+  void presentSend(const Io& io) const;
+  template <class Io>
+  void ackRx(const Io& io) const;
+  template <class Io>
+  void advertiseRxSpace(const Io& io) const;
+  template <class Io>
+  void returnRxCredits(const Io& io) const;
   // Appends a received flit to its VC's reassembly buffer and completes
   // the packet on eop.
   void acceptRxFlit(const router::Flit& flit, std::vector<router::Flit>& buf);

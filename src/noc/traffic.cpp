@@ -18,6 +18,11 @@ std::string_view name(TrafficPattern pattern) {
   return "?";
 }
 
+void validateOfferedLoad(double offeredLoad) {
+  if (!(offeredLoad >= 0.0 && offeredLoad <= 1.0))
+    throw std::invalid_argument("offeredLoad must be in [0,1] flits/cycle");
+}
+
 void validatePattern(TrafficPattern pattern, const Topology& topology,
                      const TrafficConfig& config) {
   const Extent extent = topology.extent();
@@ -102,8 +107,7 @@ TrafficGenerator::TrafficGenerator(std::string name,
                          static_cast<double>(config.packetFlits())),
       rng_(config.seed) {
   if (!topology_) throw std::invalid_argument("generator needs a topology");
-  if (!(config_.offeredLoad >= 0.0 && config_.offeredLoad <= 1.0))
-    throw std::invalid_argument("offeredLoad must be in [0,1] flits/cycle");
+  validateOfferedLoad(config_.offeredLoad);
   if (config_.payloadFlits < 1)
     throw std::invalid_argument("a packet needs at least one payload flit");
   topology_->indexOf(self_);  // bounds-check our own address

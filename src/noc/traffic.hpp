@@ -66,6 +66,11 @@ struct FlowSpec {
 void validatePattern(TrafficPattern pattern, const Topology& topology,
                      const TrafficConfig& config);
 
+// Throws std::invalid_argument, naming offeredLoad, unless `offeredLoad`
+// lies in [0,1] flits/cycle (NaN fails too).  Called by TrafficGenerator
+// and by the baseline interconnects' attachTraffic.
+void validateOfferedLoad(double offeredLoad);
+
 // Destination for one packet from `src` under a pattern; may return src for
 // patterns with fixed points (callers skip those injections).
 NodeId destinationFor(TrafficPattern pattern, NodeId src,

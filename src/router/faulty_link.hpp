@@ -22,8 +22,9 @@
 ///    every router downstream, a failure no end-to-end retransmission
 ///    protocol could recover from.
 ///
-/// The flip decision for the next flit is drawn at the clock edge so the
-/// combinational phases stay idempotent, and window activity is
+/// Faults are registered Link state (Link::Faults), which Link's own ops
+/// read: the flip decision for the next flit is drawn at the clock edge so
+/// the combinational phases stay idempotent, and window activity is
 /// recomputed from a registered cycle counter for the same reason.  Stall
 /// and drop windows require handshake flow control: under credit-based
 /// flow control the ack wire carries credit returns, and masking or
@@ -90,24 +91,9 @@ class FaultyLink : public Link {
   /// window.
   std::uint64_t stallCycles() const { return stallCycles_; }
 
-  /// Compiled-kernel lowering: each of Link's phases is a phase op over
-  /// the overrides below, with the read/write sets of Link::describe's
-  /// field copies, and the clock edge (RNG draws, counters) is an edge
-  /// call.  Window state is registered, so the split stays acyclic.
-  bool describe(sim::Lowering& lw) override;
-
  protected:
   void onReset() override;
   void clockEdge() override;
-  // Window masking of Link's phases.  reverseAck also reads the offered
-  // flit's val/bop/eop, because LinkDown consumes body flits.  vcAck
-  // credit pulses always pass, so reverseVcAck is Link's.
-  void forward() override;
-  void reverseAck() override;
-  void reverseVcFree() override;
-  std::uint32_t transformData(std::uint32_t data, bool bop,
-                              bool eop) override;
-  void onTransfer(bool bop) override;
 
  private:
   void arm();
@@ -119,14 +105,10 @@ class FaultyLink : public Link {
   sim::Xoshiro256 rng_;
   std::vector<FaultWindow> windows_;
 
-  // Registered state: recomputed at reset and at every clock edge so the
-  // combinational evaluate() sees a stable view within each settle.
+  // Registered state, recomputed with Link::faults_ (whose flip is the
+  // mask armed for the next payload flit) at reset and at every edge.
   std::uint64_t cycle_ = 0;
-  bool stallActive_ = false;
-  bool downActive_ = false;
-  double corruptRate_ = 0.0;   // effective flip probability this cycle
-  std::uint32_t armedMask_ = 0;  // XORed into the next payload flit
-  bool droppedThisEdge_ = false;
+  double corruptRate_ = 0.0;  // effective flip probability this cycle
 
   std::uint64_t flitsCorrupted_ = 0;
   std::uint64_t flitsDropped_ = 0;

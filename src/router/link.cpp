@@ -10,154 +10,166 @@
 
 namespace rasoc::router {
 
+namespace {
+
+// Channel-word accessor indices (vcarena::ChannelWireIo / ChannelArenaIo).
+constexpr std::size_t kSrc = 0;
+constexpr std::size_t kDst = 1;
+
+}  // namespace
+
+using vcarena::bit;
+
 Link::Link(std::string name, ChannelWires& src, ChannelWires& dst,
            FlowControl flowControl, int numVCs)
+    : Link(std::move(name), src, dst, flowControl, numVCs, false) {}
+
+Link::Link(std::string name, ChannelWires& src, ChannelWires& dst,
+           FlowControl flowControl, int numVCs, bool faultable)
     : Module(std::move(name)),
       src_(&src),
       dst_(&dst),
       flowControl_(flowControl),
-      numVCs_(numVCs) {
+      numVCs_(numVCs),
+      faultable_(faultable) {
   if (numVCs_ < 1 || numVCs_ > kMaxVCs)
     throw std::invalid_argument("Link: numVCs must be in [1, kMaxVCs]");
 }
 
+// --- phases, over the source and destination channel words --------------
+
+template <class Io>
+void Link::forward(const Io& io) const {
+  std::uint64_t f = io.word(kSrc, vcarena::kForwardMask);
+  if ((f & bit(vcarena::kBop)) == 0) f ^= faults_.flip;
+  io.put(kDst, vcarena::kForwardMask, f & faults_.keep);
+}
+
+template <class Io>
+void Link::reverseAck(const Io& io) const {
+  std::uint64_t ack = 0;
+  switch (faults_.ack) {
+    case AckPath::Copy:
+      ack = io.word(kDst, bit(vcarena::kAck));
+      break;
+    case AckPath::Stall:
+      break;
+    case AckPath::Consume: {
+      // An offered body flit: val set, neither bop nor eop.
+      constexpr std::uint64_t kFraming =
+          bit(vcarena::kBop) | bit(vcarena::kEop) | bit(vcarena::kVal);
+      if (io.word(kSrc, kFraming) == bit(vcarena::kVal))
+        ack = bit(vcarena::kAck);
+      break;
+    }
+  }
+  io.put(kSrc, bit(vcarena::kAck), ack);
+}
+
+template <class Io>
+void Link::reverseVcFree(const Io& io) const {
+  io.put(kSrc, vcarena::kFreeMask,
+         io.word(kDst, vcarena::kFreeMask) & faults_.keep);
+}
+
+template <class Io>
+void Link::reverseVcAck(const Io& io) const {
+  io.put(kSrc, vcarena::kVcAckMask, io.word(kDst, vcarena::kVcAckMask));
+}
+
+template <class Io>
+bool Link::transferring(const Io& io) const {
+  const std::uint64_t need =
+      flowControl_ == FlowControl::Handshake && numVCs_ == 1
+          ? bit(vcarena::kVal) | bit(vcarena::kAck)
+          : bit(vcarena::kVal);
+  return io.word(kSrc, need) == need;
+}
+
 void Link::evaluate() {
-  forward();
+  const vcarena::ChannelWireIo io{{src_, dst_}, numVCs_};
+  forward(io);
   if (numVCs_ == 1) {
-    reverseAck();
+    reverseAck(io);
     return;
   }
   // VC mode: per-VC space/link-up levels and credit pulses upstream.  The
   // ack wire is unused.
-  reverseVcFree();
-  reverseVcAck();
+  reverseVcFree(io);
+  reverseVcAck(io);
 }
 
-void Link::forward() {
-  const bool bop = src_->flit.bop.get();
-  const bool eop = src_->flit.eop.get();
-  dst_->flit.data.set(transformData(src_->flit.data.get(), bop, eop));
-  dst_->flit.bop.set(bop);
-  dst_->flit.eop.set(eop);
-  dst_->val.set(src_->val.get());
-  if (numVCs_ > 1) dst_->vc.set(src_->vc.get());
-}
-
-void Link::reverseAck() { src_->ack.set(dst_->ack.get()); }
-
-void Link::reverseVcFree() {
-  for (int v = 0; v < numVCs_; ++v)
-    src_->vcFree[static_cast<std::size_t>(v)].set(
-        dst_->vcFree[static_cast<std::size_t>(v)].get());
-}
-
-void Link::reverseVcAck() {
-  for (int v = 0; v < numVCs_; ++v)
-    src_->vcAck[static_cast<std::size_t>(v)].set(
-        dst_->vcAck[static_cast<std::size_t>(v)].get());
+bool Link::transferring() const {
+  return transferring(vcarena::ChannelWireIo{{src_, dst_}, numVCs_});
 }
 
 void Link::onReset() { flitsTransferred_ = 0; }
 
 void Link::clockEdge() {
-  // With VCs a scheduled flit always transfers: the sender only raises val
-  // toward a VC with advertised space or an in-hand credit.
-  const bool transferred =
-      (flowControl_ == FlowControl::Handshake && numVCs_ == 1)
-          ? (src_->val.get() && src_->ack.get())
-          : src_->val.get();
-  if (transferred) {
-    ++flitsTransferred_;
-    onTransfer(src_->flit.bop.get());
-  }
+  if (transferring()) ++flitsTransferred_;
 }
 
 // --- compiled-kernel lowering ------------------------------------------
 //
-// A link copies whole fields between the two channel words
-// (router/vc_arena.hpp), one op per direction: flit + val + vc downstream,
-// ack (single VC) or the vcFree levels and vcAck pulses (VCs) upstream.
-// Fusing the directions would tie the downstream val driver to the
-// downstream ack reader and manufacture a false combinational cycle
+// One op per direction over the two channel words: flit + val + vc
+// downstream, ack (single VC) or the vcFree levels and vcAck pulses (VCs)
+// upstream.  Fusing the directions would tie the downstream val driver to
+// the downstream ack reader and manufacture a false combinational cycle
 // through the receiving router's flow controller.
 
-namespace {
-
-// Field copies between two packed words: src -> dst downstream, dst ->
-// src upstream.
-struct LinkCopyCtx {
-  std::uint32_t src = 0, dst = 0;
-  std::uint64_t mask = 0;
-};
-
-void linkCopyDown(std::uint64_t* w, void* vctx) {
-  auto* c = static_cast<LinkCopyCtx*>(vctx);
-  sim::opCopyBits(w, c->dst, c->src, c->mask);
-}
-
-void linkCopyUp(std::uint64_t* w, void* vctx) {
-  auto* c = static_cast<LinkCopyCtx*>(vctx);
-  sim::opCopyBits(w, c->src, c->dst, c->mask);
-}
-
-// A flit transferred when every bit of `need` is set in the source word.
-struct LinkEdgeCtx {
-  std::uint32_t src = 0;
-  std::uint64_t need = 0;
-  std::uint64_t* flits = nullptr;
-};
-
-void linkEdge(std::uint64_t* w, void* vctx) {
-  auto* c = static_cast<LinkEdgeCtx*>(vctx);
-  if ((w[c->src] & c->need) == c->need) ++*c->flits;
-}
-
-}  // namespace
-
 bool Link::describe(sim::Lowering& lw) {
-  LinkCopyCtx copy;
-  copy.src = vcarena::channelWord(lw, *src_, numVCs_);
-  copy.dst = vcarena::channelWord(lw, *dst_, numVCs_);
-  copy.mask = vcarena::kForwardMask;
-  lw.op(&linkCopyDown, lw.ctx(copy),
+  using Ctx = vcarena::ChannelCtx<Link>;
+  using vcarena::ChannelArenaIo;
+  Ctx* ctx = lw.ctx(Ctx{this,
+                        {vcarena::channelWord(lw, *src_, numVCs_),
+                         vcarena::channelWord(lw, *dst_, numVCs_)}});
+
+  lw.op(&vcarena::channelOp<Link, &Link::forward<ChannelArenaIo>>, ctx,
         {&src_->flit.data, &src_->flit.bop, &src_->flit.eop, &src_->val,
          &src_->vc},
         {&dst_->flit.data, &dst_->flit.bop, &dst_->flit.eop, &dst_->val,
          &dst_->vc});
 
-  LinkEdgeCtx edge;
-  edge.src = copy.src;
-  edge.need = std::uint64_t{1} << vcarena::kVal;
-  edge.flits = &flitsTransferred_;
   if (numVCs_ == 1) {
-    copy.mask = std::uint64_t{1} << vcarena::kAck;
-    lw.op(&linkCopyUp, lw.ctx(copy), {&dst_->ack}, {&src_->ack});
-    // A handshake transfer also needs the receiver's ack (see clockEdge()).
-    if (flowControl_ == FlowControl::Handshake) edge.need |= copy.mask;
-    lw.edgeOp(&linkEdge, lw.ctx(edge));
-    return true;
+    std::vector<const sim::WireBase*> reads = {&dst_->ack};
+    if (faultable_)
+      reads.insert(reads.end(),
+                   {&src_->val, &src_->flit.bop, &src_->flit.eop});
+    lw.op(&vcarena::channelOp<Link, &Link::reverseAck<ChannelArenaIo>>, ctx,
+          std::move(reads), {&src_->ack});
+  } else {
+    // The two VC reverse fields need separate ops: under credit flow
+    // control vcAck is driven from the receiver's rd, which the receiver
+    // computes from the vcFree of the next hop, so one op carrying both
+    // would close a cycle through neighbouring routers.
+    std::vector<const sim::WireBase*> freeIn, freeOut, ackIn, ackOut;
+    for (std::size_t v = 0; v < static_cast<std::size_t>(numVCs_); ++v) {
+      freeIn.push_back(&dst_->vcFree[v]);
+      freeOut.push_back(&src_->vcFree[v]);
+      ackIn.push_back(&dst_->vcAck[v]);
+      ackOut.push_back(&src_->vcAck[v]);
+    }
+    lw.op(&vcarena::channelOp<Link, &Link::reverseVcFree<ChannelArenaIo>>,
+          ctx, std::move(freeIn), std::move(freeOut));
+    // vcAck pulses exist only under credit flow control; on/off links
+    // never see one.
+    if (flowControl_ == FlowControl::CreditBased)
+      lw.op(&vcarena::channelOp<Link, &Link::reverseVcAck<ChannelArenaIo>>,
+            ctx, std::move(ackIn), std::move(ackOut));
   }
 
-  // The two VC reverse fields need separate ops: under credit flow control
-  // vcAck is driven from the receiver's rd, which the receiver computes
-  // from the vcFree of the next hop, so one op carrying both would close a
-  // cycle through neighbouring routers.
-  std::vector<const sim::WireBase*> freeIn, freeOut, ackIn, ackOut;
-  for (int v = 0; v < numVCs_; ++v) {
-    freeIn.push_back(&dst_->vcFree[static_cast<std::size_t>(v)]);
-    freeOut.push_back(&src_->vcFree[static_cast<std::size_t>(v)]);
-    ackIn.push_back(&dst_->vcAck[static_cast<std::size_t>(v)]);
-    ackOut.push_back(&src_->vcAck[static_cast<std::size_t>(v)]);
+  if (faultable_) {
+    // Fault windows and RNG draws stay host-side clockEdge() code.
+    lw.edgeCall(*this);
+  } else {
+    lw.edgeOp(
+        [](std::uint64_t* w, void* c) {
+          auto* x = static_cast<Ctx*>(c);
+          if (x->self->transferring(ChannelArenaIo{w, x->words.data()}))
+            ++x->self->flitsTransferred_;
+        },
+        ctx);
   }
-  copy.mask = vcarena::kFreeMask;
-  lw.op(&linkCopyUp, lw.ctx(copy), std::move(freeIn), std::move(freeOut));
-  // vcAck pulses exist only under credit flow control; on/off links never
-  // see one.
-  if (flowControl_ == FlowControl::CreditBased) {
-    copy.mask = vcarena::kVcAckMask;
-    lw.op(&linkCopyUp, lw.ctx(copy), std::move(ackIn), std::move(ackOut));
-  }
-  lw.edgeOp(&linkEdge, lw.ctx(edge));
   return true;
 }
 

@@ -21,7 +21,9 @@ namespace rasoc::router {
 /// flit/val wires downstream and the receiver's ack wire upstream every
 /// settle, and counts transferred flits at the clock edge (a transfer is
 /// `val && ack` under handshake flow control, `val` under credit-based
-/// flow control where `ack` carries returning credits instead).
+/// flow control where `ack` carries returning credits instead).  The
+/// copies pass through a registered fault mask (Faults), which only a
+/// fault-injecting link (FaultyLink) ever changes.
 class Link : public sim::Module {
  public:
   /// `src` is an output channel bundle (val driven by the sender, ack read
@@ -55,55 +57,71 @@ class Link : public sim::Module {
            src_->val.get() && !src_->ack.get();
   }
 
-  /// Compiled-kernel lowering, one layout for every VC count: one masked
-  /// field copy per phase of evaluate() between the packed channel words of
-  /// router/vc_arena.hpp (flit + val + vc downstream; ack, or the vcFree
-  /// levels and vcAck pulses, upstream) and a counting edge op.  The copies
-  /// bypass the virtual hooks below, so a subclass that overrides a phase
-  /// or transformData() overrides describe() too (FaultyLink does).
+  /// Compiled-kernel lowering, one layout for every VC count: one arena op
+  /// per phase of evaluate() over the channel words of router/vc_arena.hpp,
+  /// and a counting edge op (a clockEdge() call on a fault-injecting link).
   bool describe(sim::Lowering& lw) override;
 
  protected:
+  /// How the single-VC ack wire travels upstream: copied from the
+  /// receiver, held low (a stall), or raised for an offered body flit,
+  /// which is then consumed without being presented downstream (link
+  /// down).
+  enum class AckPath : std::uint8_t { Copy, Stall, Consume };
+
+  /// Registered fault state the combinational phases read.  A plain link
+  /// keeps the defaults; a fault-injecting link recomputes it at reset and
+  /// at its clock edge, so it is stable within each settle.
+  struct Faults {
+    /// ANDed into the forward copy and the vcFree levels: all ones, or 0
+    /// while the link presents nothing downstream and advertises no space.
+    std::uint64_t keep = ~std::uint64_t{0};
+    /// XORed into the data of non-header flits (headers pass clean).
+    std::uint32_t flip = 0;
+    AckPath ack = AckPath::Copy;
+  };
+
+  /// For derived links that change `faults_` at their clock edge: the
+  /// compiled edge calls clockEdge(), and the single-VC ack op also reads
+  /// the offered flit (AckPath::Consume).
+  Link(std::string name, ChannelWires& src, ChannelWires& dst,
+       FlowControl flowControl, int numVCs, bool faultable);
+
   void onReset() override;
   void evaluate() override;
   void clockEdge() override;
 
-  /// The combinational phases of evaluate(), in call order, each lowered
-  /// to its own op.  forward: flit, val (and vc) downstream.  reverseAck
-  /// (single VC): ack upstream.  reverseVcFree / reverseVcAck (VCs): the
-  /// per-VC levels and credit pulses upstream.
-  virtual void forward();
-  virtual void reverseAck();
-  virtual void reverseVcFree();
-  virtual void reverseVcAck();
+  /// True when the offered flit crosses at this edge: `val && ack` under
+  /// single-VC handshake flow control, `val` otherwise (a credit or VC
+  /// sender only raises val against space).
+  bool transferring() const;
 
-  /// Hook for derived links (fault injection): the data word actually
-  /// presented downstream.  Must be a pure function of its inputs and the
-  /// link's registered state (evaluate() runs to fixpoint).
-  virtual std::uint32_t transformData(std::uint32_t data, bool bop,
-                                      bool eop) {
-    (void)bop;
-    (void)eop;
-    return data;
-  }
-
-  /// Called once per transferred flit, at the clock edge; `bop` marks
-  /// header flits.
-  virtual void onTransfer(bool bop) { (void)bop; }
-
-  /// Wire bundles, exposed so fault-injecting subclasses can mask the
-  /// val/ack handshake (stall and link-down windows).
-  ChannelWires& srcWires() { return *src_; }
-  ChannelWires& dstWires() { return *dst_; }
   const ChannelWires& srcWires() const { return *src_; }
-  FlowControl flowControl() const { return flowControl_; }
   int numVCs() const { return numVCs_; }
+  FlowControl flowControl() const { return flowControl_; }
+
+  Faults faults_;
 
  private:
+  // The phases of evaluate() and the transfer test, written once over the
+  // source and destination channel words (vcarena::ChannelWireIo in
+  // evaluate() / clockEdge(), ChannelArenaIo in the compiled ops).
+  template <class Io>
+  void forward(const Io& io) const;
+  template <class Io>
+  void reverseAck(const Io& io) const;
+  template <class Io>
+  void reverseVcFree(const Io& io) const;
+  template <class Io>
+  void reverseVcAck(const Io& io) const;
+  template <class Io>
+  bool transferring(const Io& io) const;
+
   ChannelWires* src_;
   ChannelWires* dst_;
   FlowControl flowControl_;
   int numVCs_ = 1;
+  bool faultable_ = false;
   std::uint64_t flitsTransferred_ = 0;
 };
 

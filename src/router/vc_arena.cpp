@@ -25,6 +25,49 @@ std::uint32_t channelWord(sim::Lowering& lw, const ChannelWires& c,
   return lw.packedWord(fields);
 }
 
+std::uint64_t channelBits(const ChannelWires& c, int numVCs,
+                          std::uint64_t mask) {
+  std::uint64_t bits = 0;
+  const auto read = [&](const sim::Wire<bool>& wire, std::size_t shift) {
+    if ((mask >> shift) & 1u) bits |= std::uint64_t{wire.get()} << shift;
+  };
+  if (mask & sim::fieldMask(32)) bits |= c.flit.data.get();
+  read(c.flit.bop, kBop);
+  read(c.flit.eop, kEop);
+  read(c.val, kVal);
+  if ((mask >> kVc) & 1u)
+    bits |= (static_cast<std::uint64_t>(c.vc.get()) &
+             sim::fieldMask(kVcWidth))
+            << kVc;
+  read(c.ack, kAck);
+  for (int v = 0; v < numVCs; ++v) {
+    const auto vi = static_cast<std::size_t>(v);
+    read(c.vcFree[vi], kFree + vi);
+    read(c.vcAck[vi], kVcAck + vi);
+  }
+  return bits & mask;
+}
+
+void driveChannelBits(ChannelWires& c, int numVCs, std::uint64_t mask,
+                      std::uint64_t bits) {
+  const auto drive = [&](sim::Wire<bool>& wire, std::size_t shift) {
+    if ((mask >> shift) & 1u) wire.set(((bits >> shift) & 1u) != 0);
+  };
+  if (mask & sim::fieldMask(32))
+    c.flit.data.set(static_cast<std::uint32_t>(bits));
+  drive(c.flit.bop, kBop);
+  drive(c.flit.eop, kEop);
+  drive(c.val, kVal);
+  if ((mask >> kVc) & 1u)
+    c.vc.set(static_cast<int>((bits >> kVc) & sim::fieldMask(kVcWidth)));
+  drive(c.ack, kAck);
+  for (int v = 0; v < numVCs; ++v) {
+    const auto vi = static_cast<std::size_t>(v);
+    drive(c.vcFree[vi], kFree + vi);
+    drive(c.vcAck[vi], kVcAck + vi);
+  }
+}
+
 std::uint32_t portBlock(sim::Lowering& lw,
                         std::span<const CrossbarWires> xbar) {
   if (const auto word = lw.placedWord(xbar[0].gnt[0])) return *word;

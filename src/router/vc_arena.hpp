@@ -1,10 +1,10 @@
 /// \file
 /// Arena layout of the router's nets under the compiled kernel
-/// (sim/compile.hpp), for every VC count.  The input and output channels and
-/// the Link lower to word-level ops over these packed words.  Every module
-/// that lowers against a bundle places it through the helpers below, so
-/// whichever describes first allocates the words and the others find the
-/// same ones (Lowering::packedWord is idempotent per layout).
+/// (sim/compile.hpp), for every VC count.  The input and output channels,
+/// the Link and the NI lower to word-level ops over these packed words.
+/// Every module that lowers against a bundle places it through the helpers
+/// below, so whichever describes first allocates the words and the others
+/// find the same ones (Lowering::packedWord is idempotent per layout).
 ///
 /// Every word that carries a flit holds it in its low bits ([0,32) data,
 /// 32 bop, 33 eop), so a flit moves between words as one masked copy.
@@ -39,6 +39,8 @@
 ///   output:  0 connected  1 rokSel  2 xRd  [8,11) sel
 #pragma once
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 
@@ -107,6 +109,11 @@ static_assert((1u << kVcWidth) >= kMaxVCs && kVc + kVcWidth <= kAck &&
 static_assert(kReq + kNumPorts <= kWant, "bundle fields must not overlap");
 static_assert((1u << kSelWidth) >= kNumPorts, "sel must hold every port");
 
+// The single bit at `shift`, e.g. a one-bit field's mask.
+inline constexpr std::uint64_t bit(unsigned shift) {
+  return std::uint64_t{1} << shift;
+}
+
 // One bit of arena word `word`: read, and replace.
 inline bool bitAt(const std::uint64_t* w, std::uint32_t word, unsigned shift) {
   return ((w[word] >> shift) & 1u) != 0;
@@ -133,6 +140,57 @@ inline Flit bitsFlit(std::uint64_t bits) {
 /// Places (or finds) the channel word of `c`.
 std::uint32_t channelWord(sim::Lowering& lw, const ChannelWires& c,
                           int numVCs);
+
+/// The fields under `mask` (whole fields) of the channel word of `c`, read
+/// from its wires, and its wires driven from a channel word: each field
+/// under `mask` takes its value from `bits`.  The Wire-level twin of an
+/// arena channel word; only the wires under `mask` are touched.
+std::uint64_t channelBits(const ChannelWires& c, int numVCs,
+                          std::uint64_t mask);
+void driveChannelBits(ChannelWires& c, int numVCs, std::uint64_t mask,
+                      std::uint64_t bits);
+
+/// Signal accessors over a module's two channel bundles as channel words,
+/// so a Link or NI phase body is written once: ChannelWireIo reads and
+/// drives the bundles' wires (evaluate(), hence the naive kernel),
+/// ChannelArenaIo their arena words (the compiled ops).  word() reads, and
+/// put() replaces, the fields under `mask` of bundle `i`'s word.
+struct ChannelWireIo {
+  std::array<ChannelWires*, 2> bundles;
+  int numVCs;
+
+  std::uint64_t word(std::size_t i, std::uint64_t mask) const {
+    return channelBits(*bundles[i], numVCs, mask);
+  }
+  void put(std::size_t i, std::uint64_t mask, std::uint64_t bits) const {
+    driveChannelBits(*bundles[i], numVCs, mask, bits);
+  }
+};
+
+struct ChannelArenaIo {
+  std::uint64_t* w;
+  const std::uint32_t* words;
+
+  std::uint64_t word(std::size_t i, std::uint64_t mask) const {
+    return w[words[i]] & mask;
+  }
+  void put(std::size_t i, std::uint64_t mask, std::uint64_t bits) const {
+    sim::opPutBits(w, words[i], mask, bits);
+  }
+};
+
+/// Op context of a module's phases over ChannelArenaIo, and the op running
+/// one of them.
+template <class M>
+struct ChannelCtx {
+  M* self;
+  std::array<std::uint32_t, 2> words;
+};
+template <class M, void (M::*Phase)(const ChannelArenaIo&) const>
+void channelOp(std::uint64_t* w, void* ctx) {
+  auto* x = static_cast<ChannelCtx<M>*>(ctx);
+  (x->self->*Phase)(ChannelArenaIo{w, x->words.data()});
+}
 
 /// Places (or finds) the port block of one input port's crossbar bundles,
 /// one per VC, and returns its first (control) word; bundle v is

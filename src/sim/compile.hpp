@@ -5,14 +5,13 @@
 // settle round, and sweeps the whole module list until nothing changes.
 // Kernel::Compiled instead runs a single lowering pass at elaboration time:
 //
-//  * every wire an op touches is assigned a (word, bit-offset) slice of a
-//    contiguous std::uint64_t arena - a 32-bit slice of its own, or a fixed
-//    field of a word describe() packs with a group of related wires
-//    (packedWord), so moving the group is one masked word copy;
-//  * every module contributes, via Module::describe(), ops: word-level
-//    ops (plain function pointers over the arena, no virtual dispatch) or
-//    phase ops over its own Wire-level code - each with the wires it reads
-//    and drives.  A module without a lowering is a build error
+//  * every wire an op touches is assigned a fixed field of a word of a
+//    contiguous std::uint64_t arena, which describe() packs with a group
+//    of related wires (packedWord), so moving the group is one masked word
+//    copy;
+//  * every module contributes, via Module::describe(), ops (plain function
+//    pointers over the arena, no virtual dispatch), each with the wires it
+//    reads and drives.  A module without a lowering is a build error
 //    (std::logic_error naming it);
 //  * the resulting units are levelized over the wire-level driver/reader
 //    relation (Kahn's algorithm) into one linear tape that runs exactly
@@ -51,35 +50,14 @@
 
 namespace rasoc::sim {
 
-// A bit-addressed view into the arena: word index plus bit offset, packed
-// into four bytes ((word << 6) | shift, good to 64M words) so op context
-// structs - the interpreter's main memory traffic - stay dense.
-struct Slice {
-  std::uint32_t packed = 0;
-
-  Slice() = default;
-  Slice(std::uint32_t word, unsigned shift)
-      : packed((word << 6) | (shift & 63u)) {}
-  std::uint32_t word() const { return packed >> 6; }
-  unsigned shift() const { return packed & 63u; }
-};
-
 // Op functions are plain function pointers over the raw arena.  `ctx`
-// points at a context struct owned by the describing module (slices,
-// parameters, raw pointers to registered state); it must stay valid until
-// the program is rebuilt, which the module guarantees by owning it.
+// points at a context struct owned by the describing module (word
+// indices, parameters, raw pointers to registered state); it must stay
+// valid until the program is rebuilt, which the module guarantees by
+// owning it.
 using OpFn = void (*)(std::uint64_t* words, void* ctx);
 
 // --- arena accessors for op functions --------------------------------------
-
-inline std::uint32_t opWord32(const std::uint64_t* words, Slice s) {
-  return static_cast<std::uint32_t>(words[s.word()] >> s.shift());
-}
-inline void opPutWord32(std::uint64_t* words, Slice s, std::uint32_t v) {
-  const std::uint64_t m = std::uint64_t{0xffffffff} << s.shift();
-  words[s.word()] =
-      (words[s.word()] & ~m) | (static_cast<std::uint64_t>(v) << s.shift());
-}
 
 // Whole-field access to words laid out by Lowering::packedWord: replace the
 // bits under `mask` (`bits` must already sit at their shifts), or copy them
@@ -129,16 +107,12 @@ struct WordField {
 
 class CompiledProgram;
 
-// The interface Module::describe() implementations program against.  All
-// slice methods are idempotent per wire identity: the first caller
-// allocates, later callers get the same slice, so producer and consumer
-// modules agree on placement without coordination.
+// The interface Module::describe() implementations program against.
+// Placement is idempotent per layout: the first packedWord() call
+// allocates, later calls with the same fields get the same word, so
+// producer and consumer modules agree on placement without coordination.
 class Lowering {
  public:
-  // --- slice allocation / lookup ---------------------------------------
-  Slice word32(const Wire<std::uint32_t>& w) { return slice(w); }
-  Slice word32(const Wire<int>& w) { return slice(w); }
-
   // Co-allocates `fields` in one fresh word at their fixed shifts and
   // returns the word index; unlisted bits stay unbound.  Idempotent per
   // layout: a later call with the same fields in the same order returns the
@@ -157,28 +131,12 @@ class Lowering {
   // --- settle-phase units -----------------------------------------------
   //
   // The read/write lists drive levelization only; they must name every
-  // *wire* the op reads or writes through the arena.  Registered state read
-  // through raw pointers needs no declaration (it only changes at edges).
+  // *wire* the op reads or writes, through the arena or through the Wire
+  // objects (whose get()/set() read and write through).  Registered state
+  // read through raw pointers needs no declaration (it only changes at
+  // edges).
   void op(OpFn fn, void* ctx, std::vector<const WireBase*> reads,
           std::vector<const WireBase*> writes);
-
-  // An op that runs one combinational phase of a behavioural module: `Phase`
-  // is a member function of M that reads and drives Wire objects directly
-  // (not arena slices), so the module keeps a single implementation that its
-  // evaluate() also calls.  Splitting evaluate() into phases that declare
-  // exactly what each reads and writes is what lets a module whose whole
-  // read set would close a combinational cycle levelize acyclically.
-  template <auto Phase, typename M>
-  void phaseOp(M& m, std::vector<const WireBase*> reads,
-               std::vector<const WireBase*> writes) {
-    struct PhaseCtx {
-      M* module;
-    };
-    op([](std::uint64_t*, void* c) {
-         (static_cast<PhaseCtx*>(c)->module->*Phase)();
-       },
-       ctx(PhaseCtx{&m}), std::move(reads), std::move(writes));
-  }
 
   // --- edge tape --------------------------------------------------------
   //
@@ -211,8 +169,6 @@ class Lowering {
   friend class CompiledProgram;
   explicit Lowering(CompiledProgram& prog) : prog_(prog) {}
 
-  template <typename T>
-  Slice slice(const Wire<T>& w);
   void* allocCtx(std::size_t size, std::size_t align);
   bool descendRequested() const { return descend_; }
   void beginModule(Module& m);
@@ -320,10 +276,6 @@ class CompiledProgram {
   std::vector<std::uint64_t> cur_;
   std::uint32_t wordCount_ = 0;
 
-  // Packing cursors for the slice allocator.
-  std::int64_t halfWord_ = -1;
-  unsigned halfUsed_ = 0;
-
   // Every placed wire, in placement order; a wire's index here is its
   // binding slot (WireBase::bindingSlot).
   std::vector<Binding> bindings_;
@@ -361,28 +313,5 @@ class CompiledProgram {
   std::unordered_map<const void*, std::uint32_t> ctxSize_;
   void packContexts();
 };
-
-template <typename T>
-Slice Lowering::slice(const Wire<T>& w) {
-  const std::size_t placed = prog_.bindingOf(&w);
-  if (placed != CompiledProgram::kUnplaced) {
-    const CompiledProgram::Binding& b = prog_.bindings_[placed];
-    if (b.width != 32)
-      throw std::logic_error("Lowering: wire placed with conflicting widths");
-    return {b.word, b.shift};
-  }
-  if (prog_.halfWord_ < 0 || prog_.halfUsed_ == 2) {
-    prog_.halfWord_ = prog_.newWord();
-    prog_.halfUsed_ = 0;
-  }
-  const auto word = static_cast<std::uint32_t>(prog_.halfWord_);
-  const auto shift = static_cast<std::uint8_t>(32 * prog_.halfUsed_++);
-  static_assert(sizeof(T) == 4, "flush tables store raw 4-byte integrals");
-  prog_.addBinding({&w, w.arenaValueSlot(), word, shift, 32,
-                    [](const WireBase* wb) {
-                      static_cast<const Wire<T>*>(wb)->syncArena();
-                    }});
-  return {word, shift};
-}
 
 }  // namespace rasoc::sim

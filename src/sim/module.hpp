@@ -58,9 +58,9 @@ class Module {
   void evaluateAll();
   void clockEdgeAll();
 
-  // Single-module evaluate, used by the naive kernel's culprit pass and as
-  // a phase op (Lowering::phaseOp<&Module::evaluateOne>) for a module that
-  // lowers its whole evaluate() as one op.
+  // Single-module evaluate, used by the naive kernel's culprit pass and by
+  // an op that runs a module's whole evaluate() (test shells around a lone
+  // block).
   void evaluateOne() { evaluate(); }
 
   // Single-module clock edge, run by the compiled kernel's edge tape

@@ -50,7 +50,7 @@ class WireBase {
   // Under Kernel::Compiled the wire's value is mirrored into a (word, shift)
   // slice of the word-packed state arena.  set()/force() write through to
   // the slice, so the arena never goes stale between settles even when a
-  // testbench pokes wires or a phase op drives them; reads refresh
+  // testbench pokes wires or host-side code drives them; reads refresh
   // from the slice (Wire::get), so settled op results are visible without
   // any flush pass.
   //
@@ -72,8 +72,8 @@ class WireBase {
   bool arenaBound() const { return arenaWord_ != nullptr; }
 
   // Index of this wire's binding in the program last placing it: a lookup
-  // hint for the compiler's slice allocator, which confirms it against its
-  // own binding table (a stale hint from an older program simply misses).
+  // hint for Lowering::packedWord, which confirms it against its own
+  // binding table (a stale hint from an older program simply misses).
   std::uint32_t bindingSlot() const { return bindingSlot_; }
   void setBindingSlot(std::uint32_t slot) const { bindingSlot_ = slot; }
 
@@ -107,7 +107,7 @@ class Wire : public WireBase {
 
   // Under Kernel::Compiled the arena is authoritative between settles; a
   // bound wire refreshes its cached value from its slice on every read, so
-  // observers (phase ops, tick listeners, telemetry, testbenches) see
+  // observers (edge calls, tick listeners, telemetry, testbenches) see
   // settled state without the kernel ever flushing wires it computed.
   // Unbound wires (the naive kernel) pay one predictable null check.
   const T& get() const {

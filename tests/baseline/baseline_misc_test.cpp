@@ -2,6 +2,10 @@
 // crossbar scan fairness.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+#include <string>
+
 #include "baseline/bus.hpp"
 #include "baseline/crossbar.hpp"
 #include "baseline/spin.hpp"
@@ -11,6 +15,25 @@ namespace rasoc::baseline {
 namespace {
 
 using noc::NodeId;
+
+// Every out-of-range offered load (NaN included) is rejected with a message
+// naming offeredLoad, and a rejected attach leaves the model attachable.
+template <class Attach>
+void expectOfferedLoadChecked(Attach attach) {
+  for (const double load :
+       {std::numeric_limits<double>::quiet_NaN(), -0.5, 1.5}) {
+    noc::TrafficConfig traffic;
+    traffic.offeredLoad = load;
+    try {
+      attach(traffic);
+      ADD_FAILURE() << "offeredLoad " << load << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("offeredLoad"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_NO_THROW(attach(noc::TrafficConfig{}));
+}
 
 TEST(BusMiscTest, OverheadCyclesLengthenEveryTransfer) {
   auto measure = [](int arb, int addr) {
@@ -59,6 +82,18 @@ TEST(BusMiscTest, DoubleAttachThrows) {
   EXPECT_THROW(bus.attachTraffic(traffic), std::logic_error);
 }
 
+TEST(BusMiscTest, OfferedLoadOutsideUnitRangeRejected) {
+  SharedBus bus("bus", BusConfig{});
+  expectOfferedLoadChecked(
+      [&](const noc::TrafficConfig& t) { bus.attachTraffic(t); });
+}
+
+TEST(CrossbarMiscTest, OfferedLoadOutsideUnitRangeRejected) {
+  IdealCrossbar xbar("xbar", noc::MeshShape{2, 2});
+  expectOfferedLoadChecked(
+      [&](const noc::TrafficConfig& t) { xbar.attachTraffic(t); });
+}
+
 TEST(CrossbarMiscTest, RotatingScanAvoidsPersistentBias) {
   // Two sources permanently competing for one sink: the rotating scan must
   // serve both within a factor of each other.
@@ -94,6 +129,13 @@ TEST(SpinMiscTest, IdleAndWarmupBehaviour) {
   EXPECT_TRUE(spin.idle());
   EXPECT_EQ(spin.ledger().delivered(), 1u);
   EXPECT_EQ(spin.ledger().packetLatency().count(), 0u);  // warmup filtered
+}
+
+TEST(SpinMiscTest, OfferedLoadOutsideUnitRangeRejected) {
+  SpinFatTree spin("spin", 16);
+  expectOfferedLoadChecked([&](const noc::TrafficConfig& t) {
+    spin.attachTraffic(t, noc::MeshShape{4, 4});
+  });
 }
 
 TEST(SpinMiscTest, MismatchedTrafficShapeThrows) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "noc/network.hpp"
 
 namespace rasoc::noc {
@@ -30,6 +32,14 @@ TEST(CoreGraphTest, ValidationCatchesBadFlows) {
   graph.flows.back() = CoreGraph::Flow{0, 5, 0.1};
   EXPECT_THROW(graph.validate(), std::invalid_argument);
   graph.flows.back() = CoreGraph::Flow{0, 1, 1.5};
+  EXPECT_THROW(graph.validate(), std::invalid_argument);
+}
+
+TEST(CoreGraphTest, ValidationRejectsNaNBandwidth) {
+  CoreGraph graph;
+  graph.addCore("a");
+  graph.addCore("b");
+  graph.addFlow(0, 1, std::numeric_limits<double>::quiet_NaN());
   EXPECT_THROW(graph.validate(), std::invalid_argument);
 }
 

@@ -162,16 +162,16 @@ TEST(CompiledFuzzTest, MidRunResetRecompilesCleanly) {
 // --- poke-window fuzz on arena-bound wires ---------------------------------
 
 // y = x + k as a compiled arena op, so the chain's wires are genuinely
-// bound into the word-packed arena (programs of phase ops only bind
-// nothing).
+// bound into the word-packed arena (ops over Wire objects alone bind
+// nothing).  Each wire is a one-field packed word.
 struct AddKCtx {
-  sim::Slice in, out;
+  std::uint32_t in = 0, out = 0;
   std::uint32_t k = 0;
 };
 
 void addKOp(std::uint64_t* w, void* vctx) {
   auto* c = static_cast<AddKCtx*>(vctx);
-  sim::opPutWord32(w, c->out, sim::opWord32(w, c->in) + c->k);
+  sim::opPutBits(w, c->out, sim::fieldMask(32), w[c->in] + c->k);
 }
 
 class AddConst : public sim::Module {
@@ -182,8 +182,8 @@ class AddConst : public sim::Module {
   void evaluate() override { y_.set(x_.get() + k_); }
   bool describe(sim::Lowering& lw) override {
     AddKCtx c;
-    c.in = lw.word32(x_);
-    c.out = lw.word32(y_);
+    c.in = lw.packedWord({{x_, 0}});
+    c.out = lw.packedWord({{y_, 0}});
     c.k = k_;
     lw.op(&addKOp, lw.ctx(c), {&x_}, {&y_});
     return true;
@@ -284,7 +284,9 @@ TEST(CompiledFuzzTest, ForceInsideCompiledSettleThrows) {
     Poker(Wire<std::uint32_t>& x, Wire<std::uint32_t>& y)
         : Module("poker"), in(x), out(y) {}
     bool describe(sim::Lowering& lw) override {
-      lw.phaseOp<&Poker::evaluate>(*this, {&in}, {&out});
+      lw.op([](std::uint64_t*,
+               void* m) { static_cast<Poker*>(m)->evaluate(); },
+            this, {&in}, {&out});
       return true;
     }
     void evaluate() override {

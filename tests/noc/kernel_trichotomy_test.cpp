@@ -18,8 +18,8 @@
 //     same delivery count under both kernels.
 //  5. A fault campaign (background corruption + scheduled stall/outage
 //     windows) must produce identical recovery behaviour under the
-//     compiled kernel, whose fault links run as phase ops in the same
-//     single linear pass.
+//     compiled kernel, whose fault links run Link's own arena ops over
+//     registered fault state, in the same single linear pass.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -185,7 +185,7 @@ TEST(CompiledGoldenTest, MeshFingerprintsMatchNaiveGoldens) {
     EXPECT_DOUBLE_EQ(net->ledger().networkLatency().mean(), g.netMean);
     EXPECT_TRUE(net->healthy());
     // The run must actually have executed a lowered program: 1888
-    // word-level ops for the routers and links, plus two phase ops per NI
+    // word-level ops for the routers and links, plus two arena ops per NI
     // (presentSend, ackRx).
     const sim::CompiledProgram* prog = net->simulator().compiledProgram();
     ASSERT_NE(prog, nullptr);
@@ -266,9 +266,9 @@ TEST(KernelTrichotomyTest, QosMixedClassLockstepAtFourVCs) {
   // QoS adds class-tagged headers, the class->VC bid mask, the NI's per-VC
   // inject queues and the output channels' strict-priority-with-starvation
   // scheduler; all of it must stay bit-identical across the kernels (the
-  // modules lower as phase ops calling the same member functions their
-  // evaluate() calls, so this pins the shared behavioural code under both
-  // the swept and the levelized schedule).
+  // modules lower as arena ops running the same phase bodies their
+  // evaluate() runs, so this pins the shared code under both the swept and
+  // the levelized schedule).
   for (const auto& topo :
        {makeTopology("mesh", 4, 4), makeTopology("torus", 4, 4),
         makeTopology("ring", 8, 1)}) {
@@ -563,17 +563,18 @@ void runFaultCampaignLockstep(int numVCs, router::FlowControl flow) {
     ASSERT_EQ(ref.ni(n).received(), compiled.ni(n).received())
         << "node " << i;
   }
-  // Every FaultyLink lowers to phase ops, so the campaign compiles to one
-  // linear pass of ops.
+  // Every FaultyLink lowers to Link's arena ops, so the campaign compiles
+  // to one linear pass of ops.
   const sim::CompiledProgram* prog = compiled.simulator().compiledProgram();
   ASSERT_NE(prog, nullptr);
   EXPECT_GT(prog->opCount(), 0u);
 }
 
 TEST(KernelTrichotomyTest, FaultCampaignLockstepCompiledVsNaive) {
-  // Under a fault campaign every link is a FaultyLink, whose phase ops
-  // read and drive the packed channel words of the single-VC channels
-  // through Wire objects, under both flow controls.
+  // Under a fault campaign the faulted links are FaultyLinks: Link's arena
+  // ops over the single-VC channel words read their registered fault
+  // state, and their edge is a clockEdge() call, under both flow
+  // controls.
   for (const router::FlowControl flow :
        {router::FlowControl::Handshake, router::FlowControl::CreditBased}) {
     SCOPED_TRACE(flow == router::FlowControl::CreditBased ? "credit"
@@ -583,14 +584,45 @@ TEST(KernelTrichotomyTest, FaultCampaignLockstepCompiledVsNaive) {
 }
 
 TEST(KernelTrichotomyTest, FaultCampaignLockstepCompiledVsNaiveAtFourVCs) {
-  // At VC > 1 the FaultyLink phase ops read and drive the packed channel
-  // words of arena-bound VC channels: their reads refresh through
-  // Wire::get and their writes land through Wire::set.
+  // At VC > 1 a window masks the forward copy and every vcFree level in
+  // the arena ops, while vcAck credit pulses pass.
   for (const router::FlowControl flow :
        {router::FlowControl::Handshake, router::FlowControl::CreditBased}) {
     SCOPED_TRACE(flow == router::FlowControl::CreditBased ? "credit"
                                                           : "on/off");
     runFaultCampaignLockstep(4, flow);
+  }
+}
+
+TEST(KernelTrichotomyTest, FaultCampaignCompilesToTheFaultFreeShape) {
+  // Link faults are registered state, not extra combinational paths: a 4x4
+  // mesh whose every link is a FaultyLink (background corruption plus a
+  // stall and outage campaign) compiles to the same settle ops and edge
+  // items as the fault-free mesh, at one and at four VCs.
+  const auto topo = makeTopology("mesh", 4, 4);
+  CampaignConfig campaign;
+  campaign.horizon = 400;
+  campaign.stallEvents = 3;
+  campaign.dropEvents = 3;
+  campaign.seed = 7;
+  for (const int numVCs : {1, 4}) {
+    SCOPED_TRACE("numVCs " + std::to_string(numVCs));
+    Network plain(topo, baseConfig(numVCs));
+    NetworkConfig cfg = baseConfig(numVCs);
+    cfg.linkFaultRate = 0.01;
+    cfg.faultPlan = makeFaultPlan(*topo, campaign);
+    Network faulted(topo, cfg);
+    ASSERT_EQ(faulted.faultyLinks().size(), plain.linkCount());
+    plain.run(1);
+    faulted.run(1);
+    const sim::CompiledProgram* plainProg =
+        plain.simulator().compiledProgram();
+    const sim::CompiledProgram* faultedProg =
+        faulted.simulator().compiledProgram();
+    ASSERT_NE(plainProg, nullptr);
+    ASSERT_NE(faultedProg, nullptr);
+    EXPECT_EQ(faultedProg->opCount(), plainProg->opCount());
+    EXPECT_EQ(faultedProg->edgeItemCount(), plainProg->edgeItemCount());
   }
 }
 

@@ -51,9 +51,9 @@ class ReferenceFifo {
 };
 
 // Lowers a bare InputBuffer for the compiled kernel.  Inside a router the
-// input channel lowers its buffer; on its own the buffer is one phase op
-// over its evaluate() (publish() reads only registered state) plus its
-// clock edge.
+// input channel lowers its buffer; on its own the buffer is one op over
+// its evaluate() (publish() reads only registered state) plus its clock
+// edge.
 class BufferShell : public sim::Module {
  public:
   BufferShell(InputBuffer& fifo, const FlitWires& dout,
@@ -63,8 +63,10 @@ class BufferShell : public sim::Module {
   }
 
   bool describe(sim::Lowering& lw) override {
-    lw.phaseOp<&sim::Module::evaluateOne>(
-        *fifo_, {}, {&dout_->data, &dout_->bop, &dout_->eop, wok_, rok_});
+    lw.op([](std::uint64_t*,
+             void* m) { static_cast<sim::Module*>(m)->evaluateOne(); },
+          static_cast<sim::Module*>(fifo_), {},
+          {&dout_->data, &dout_->bop, &dout_->eop, wok_, rok_});
     lw.edgeCall(*fifo_);
     return true;
   }

@@ -201,10 +201,13 @@ class StagedSender : public sim::Module {
   }
 
   bool describe(sim::Lowering& lw) override {
-    lw.phaseOp<&StagedSender::publish>(*this, {}, {&rok_});
-    lw.phaseOp<&StagedSender::offer>(
-        *this, {&rok_},
-        {&out_->flit.data, &out_->flit.bop, &out_->flit.eop, &out_->val});
+    lw.op([](std::uint64_t*,
+             void* m) { static_cast<StagedSender*>(m)->publish(); },
+          this, {}, {&rok_});
+    lw.op([](std::uint64_t*,
+             void* m) { static_cast<StagedSender*>(m)->offer(); },
+          this, {&rok_},
+          {&out_->flit.data, &out_->flit.bop, &out_->flit.eop, &out_->val});
     lw.edgeCall(*this);
     return true;
   }
@@ -236,7 +239,9 @@ class EchoSink : public sim::Module {
   explicit EchoSink(ChannelWires& in) : Module("sink"), in_(&in) {}
 
   bool describe(sim::Lowering& lw) override {
-    lw.phaseOp<&EchoSink::evaluate>(*this, {&in_->val}, {&in_->ack});
+    lw.op([](std::uint64_t*,
+             void* m) { static_cast<EchoSink*>(m)->evaluate(); },
+          this, {&in_->val}, {&in_->ack});
     return true;
   }
 

@@ -21,7 +21,9 @@ class Increment : public Module {
       : Module(std::move(name)), x_(&x), y_(&y) {}
 
   bool describe(Lowering& lw) override {
-    lw.phaseOp<&Increment::evaluate>(*this, {x_}, {y_});
+    lw.op([](std::uint64_t*,
+             void* m) { static_cast<Increment*>(m)->evaluate(); },
+          this, {x_}, {y_});
     return true;
   }
 
@@ -40,7 +42,9 @@ class Counter : public Module {
       : Module(std::move(name)), out_(&out) {}
 
   bool describe(Lowering& lw) override {
-    lw.phaseOp<&Counter::evaluate>(*this, {}, {out_});
+    lw.op([](std::uint64_t*,
+             void* m) { static_cast<Counter*>(m)->evaluate(); },
+          this, {}, {out_});
     lw.edgeCall(*this);
     return true;
   }
@@ -62,7 +66,9 @@ class Inverter : public Module {
       : Module(std::move(name)), y_(&y) {}
 
   bool describe(Lowering& lw) override {
-    lw.phaseOp<&Inverter::evaluate>(*this, {y_}, {y_});
+    lw.op([](std::uint64_t*,
+             void* m) { static_cast<Inverter*>(m)->evaluate(); },
+          this, {y_}, {y_});
     return true;
   }
 
@@ -266,13 +272,13 @@ TEST(SimulatorTest, MaxSettleIterationsBelowOneIsRejected) {
   EXPECT_EQ(y.get(), 2);
 }
 
-// --- compiled kernel on phase ops ------------------------------------------
+// --- compiled kernel on Wire-level ops -------------------------------------
 
 TEST(CompiledKernelTest, MatchesNaiveKernelOnARandomizedCircuit) {
   // Same circuit built twice, one simulator per kernel; identical stimulus
   // must produce identical wire trajectories.  Every module here lowers to
-  // one phase op over its evaluate(), so the schedule comes from the
-  // declared read and write sets alone.
+  // one op over its evaluate(), so the schedule comes from the declared
+  // read and write sets alone.
   struct Rig {
     Wire<int> in;
     Wire<int> stage1, stage2, counterOut;
@@ -532,7 +538,9 @@ TEST_P(KernelContractTest, ForceDuringSettleThrows) {
         : Module(std::move(name)), victim_(&victim) {}
 
     bool describe(Lowering& lw) override {
-      lw.phaseOp<&Poker::evaluate>(*this, {}, {});
+      lw.op([](std::uint64_t*,
+               void* m) { static_cast<Poker*>(m)->evaluate(); },
+            this, {}, {});
       return true;
     }
 
