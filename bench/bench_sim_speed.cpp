@@ -1,144 +1,168 @@
-// Simulator performance microbenchmarks (google-benchmark): cycles/second
-// for a single router and for full meshes - the practical limit on how much
-// NoC evaluation the harnesses above can afford.
-#include <benchmark/benchmark.h>
-
+// Whole-network simulation speed: wall-clock simulated cycles per second
+// for loaded meshes and tori, the practical limit on how much NoC
+// evaluation the harnesses above can afford.
+//
+// Each row builds one network under 0.2 flits/cycle/node uniform traffic
+// (6-flit payloads, seed 17), runs kWarmupCycles untimed, then times
+// kRepetitions windows of the row's fixed cycle count with
+// std::chrono::steady_clock.  It reports the median cycles/s, the
+// interquartile range of the repetitions, and `units_per_cycle`, the
+// Simulator::evaluateCalls() delta per timed cycle (module evaluate()
+// passes under the naive kernel, executed ops under the compiled one).
+//
+//   bench_sim_speed            every row (about 20 s on a 4-core host)
+//   bench_sim_speed <prefix>   only the rows whose name starts with it,
+//                              e.g. `mesh8` or `mesh16_vc`
+//
+// Stdout is one JSON object; per-row progress goes to stderr.  When both
+// mesh8_vc1 and mesh8_vc1_telemetry run, `telemetry_ratio` is the
+// instrumented row's rate over the plain one.  Exits 1 if any row's
+// network ends unhealthy, 2 on a bad argument.
+#include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "noc/network.hpp"
-#include "router/rasoc.hpp"
-#include "sim/simulator.hpp"
-#include "softcore/elaborate.hpp"
-#include "tech/mapper.hpp"
+#include "telemetry/metrics.hpp"
 
 using namespace rasoc;
 
 namespace {
 
-void BM_SingleRouterIdle(benchmark::State& state) {
-  router::RouterParams params;
-  router::Rasoc dut("dut", params);
-  sim::Simulator sim;
-  sim.add(dut);
-  sim.reset();
-  for (auto _ : state) sim.step();
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+constexpr std::uint64_t kWarmupCycles = 500;
+constexpr int kRepetitions = 7;
+
+struct Row {
+  std::string name;
+  const char* topology;  // makeTopology kind
+  int side;
+  sim::Simulator::Kernel kernel;
+  int vcs;
+  bool telemetry;
+  std::uint64_t windowCycles;  // per timed repetition
+};
+
+// Windows are sized so each repetition takes roughly 0.1-0.3 s.
+std::vector<Row> rows() {
+  using K = sim::Simulator::Kernel;
+  std::vector<Row> out;
+  for (int side : {8, 16})
+    for (int vcs : {1, 2, 4})
+      out.push_back({"mesh" + std::to_string(side) + "_vc" +
+                         std::to_string(vcs),
+                     "mesh", side, K::Compiled, vcs, false,
+                     side == 8 ? 2000u : 400u});
+  out.push_back({"mesh8_vc1_naive", "mesh", 8, K::Naive, 1, false, 300});
+  out.push_back({"mesh8_vc1_telemetry", "mesh", 8, K::Compiled, 1, true,
+                 2000});
+  out.push_back({"torus8_vc1", "torus", 8, K::Compiled, 1, false, 2000});
+  out.push_back({"torus16_vc1", "torus", 16, K::Compiled, 1, false, 400});
+  out.push_back({"mesh32_vc1", "mesh", 32, K::Compiled, 1, false, 100});
+  return out;
 }
-BENCHMARK(BM_SingleRouterIdle);
 
-constexpr auto kNaive =
-    static_cast<std::int64_t>(sim::Simulator::Kernel::Naive);
-constexpr auto kCompiled =
-    static_cast<std::int64_t>(sim::Simulator::Kernel::Compiled);
+struct Result {
+  double cyclesPerS;  // median over the repetitions
+  double iqr;         // of the per-repetition cycles/s
+  double unitsPerCycle;
+  bool healthy;
+};
 
-// Decodes the kernel argument (state.range(1)); a value that names no
-// kernel skips the row with an error instead of building a network.
-bool kernelArg(benchmark::State& state, sim::Simulator::Kernel& kernel) {
-  const std::int64_t arg = state.range(1);
-  if (arg != kNaive && arg != kCompiled) {
-    state.SkipWithError("kernel arg must be 0 (naive) or 1 (compiled)");
-    return false;
-  }
-  kernel = static_cast<sim::Simulator::Kernel>(arg);
-  return true;
+// Linear-interpolated quantile of an ascending sample.
+double quantile(const std::vector<double>& sorted, double q) {
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
+  return sorted[lo] +
+         (pos - static_cast<double>(lo)) * (sorted[hi] - sorted[lo]);
 }
 
-// Args: (side, kernel, numVCs) with the kernel arg the Simulator::Kernel
-// value: 0 = naive fixpoint, 1 = compiled (word-packed arena + levelized
-// op tape).  Compare BM_MeshUnderLoad/8/0/1 against /8/1/1 for the
-// lowering speedup; the VC axis covers the VC router at 8x8 and 16x16
-// (--benchmark_filter='BM_MeshUnderLoad/(8|16)/1/' prints the compiled VC
-// table).  Rates are wall clock (UseRealTime), not CPU time.
-// `evals_per_cycle` is Simulator::evaluateCalls() per cycle: evaluate()
-// calls under the naive kernel, executed ops under the compiled one.
-void BM_MeshUnderLoad(benchmark::State& state) {
-  const int side = static_cast<int>(state.range(0));
+Result measure(const Row& row) {
   noc::NetworkConfig cfg;
   cfg.params.n = 16;
   cfg.params.p = 4;
-  if (side > 8) cfg.params.m = 12;  // 16x16 offsets exceed the m=8 RIB range
-  if (!kernelArg(state, cfg.kernel)) return;
-  cfg.params.numVCs = static_cast<int>(state.range(2));
-  noc::Network mesh(
-      std::make_shared<noc::MeshTopology>(noc::MeshShape{side, side}), cfg);
-  noc::TrafficConfig traffic;
-  traffic.offeredLoad = 0.2;
-  traffic.payloadFlits = 6;
-  traffic.seed = 17;
-  mesh.attachTraffic(traffic);
-  const std::uint64_t evalsBefore = mesh.simulator().evaluateCalls();
-  for (auto _ : state) mesh.run(1);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.counters["routers"] = side * side;
-  state.counters["evals_per_cycle"] = benchmark::Counter(
-      static_cast<double>(mesh.simulator().evaluateCalls() - evalsBefore),
-      benchmark::Counter::kAvgIterations);
-}
-BENCHMARK(BM_MeshUnderLoad)
-    ->ArgsProduct({{2, 4, 6, 8}, {kNaive}, {1}})
-    ->ArgsProduct({{8, 16}, {kCompiled}, {1, 2, 4}})
-    ->Args({32, kCompiled, 1})
-    ->UseRealTime();
-
-// Torus counterpart of BM_MeshUnderLoad (same arg encoding): the wrap
-// links leave no edge port pruned, so every router carries all five.
-void BM_TorusUnderLoad(benchmark::State& state) {
-  const int side = static_cast<int>(state.range(0));
-  noc::NetworkConfig cfg;
-  cfg.params.n = 16;
-  cfg.params.p = 4;
-  if (side > 8) cfg.params.m = 12;  // 16x16 offsets exceed the m=8 RIB range
-  if (!kernelArg(state, cfg.kernel)) return;
-  noc::Network net(noc::makeTopology("torus", side, side), cfg);
+  cfg.params.numVCs = row.vcs;
+  if (row.side > 8) cfg.params.m = 12;  // offsets beyond 8x8 exceed m=8
+  cfg.kernel = row.kernel;
+  noc::Network net(noc::makeTopology(row.topology, row.side, row.side), cfg);
+  telemetry::MetricsRegistry registry;
+  if (row.telemetry) net.enableTelemetry(registry);
   noc::TrafficConfig traffic;
   traffic.offeredLoad = 0.2;
   traffic.payloadFlits = 6;
   traffic.seed = 17;
   net.attachTraffic(traffic);
-  for (auto _ : state) net.run(1);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.counters["routers"] = side * side;
-}
-BENCHMARK(BM_TorusUnderLoad)
-    ->ArgsProduct({{8, 16}, {kCompiled}})
-    ->UseRealTime();
+  net.run(kWarmupCycles);
 
-// Same mesh with the telemetry subsystem attached: the delta against
-// BM_MeshUnderLoad is the full cost of leaving instrumentation enabled
-// (null-sink runs pay only a per-channel branch and are covered above).
-void BM_MeshUnderLoadTelemetry(benchmark::State& state) {
-  const int side = static_cast<int>(state.range(0));
-  noc::NetworkConfig cfg;
-  cfg.params.n = 16;
-  cfg.params.p = 4;
-  noc::Network mesh(
-      std::make_shared<noc::MeshTopology>(noc::MeshShape{side, side}), cfg);
-  telemetry::MetricsRegistry registry;
-  mesh.enableTelemetry(registry);
-  noc::TrafficConfig traffic;
-  traffic.offeredLoad = 0.2;
-  traffic.payloadFlits = 6;
-  traffic.seed = 17;
-  mesh.attachTraffic(traffic);
-  for (auto _ : state) mesh.run(1);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.counters["routers"] = side * side;
-}
-BENCHMARK(BM_MeshUnderLoadTelemetry)->Arg(4);
-
-void BM_ElaborateAndMap(benchmark::State& state) {
-  // Elaboration + technology mapping cost (the "synthesis" analogue).
-  const tech::Flex10keMapper mapper;
-  router::RouterParams params;
-  params.n = 32;
-  params.p = 4;
-  for (auto _ : state) {
-    const softcore::Entity router = softcore::elaborateRouter(params);
-    benchmark::DoNotOptimize(router.totalCost(mapper));
+  std::vector<double> rates;
+  const std::uint64_t unitsBefore = net.simulator().evaluateCalls();
+  for (int r = 0; r < kRepetitions; ++r) {
+    const auto start = std::chrono::steady_clock::now();
+    net.run(row.windowCycles);
+    const std::chrono::duration<double> elapsed =
+        std::chrono::steady_clock::now() - start;
+    rates.push_back(static_cast<double>(row.windowCycles) / elapsed.count());
   }
+  const double timedCycles =
+      static_cast<double>(row.windowCycles) * kRepetitions;
+  std::sort(rates.begin(), rates.end());
+  return {quantile(rates, 0.5),
+          quantile(rates, 0.75) - quantile(rates, 0.25),
+          static_cast<double>(net.simulator().evaluateCalls() - unitsBefore) /
+              timedCycles,
+          net.healthy()};
 }
-BENCHMARK(BM_ElaborateAndMap);
 
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  if (argc > 2 || (argc == 2 && argv[1][0] == '-')) {
+    std::fprintf(stderr, "usage: %s [row-name-prefix]\n", argv[0]);
+    return 2;
+  }
+  const std::string_view prefix = argc == 2 ? argv[1] : "";
+  std::vector<Row> selected;
+  for (const Row& row : rows())
+    if (row.name.substr(0, prefix.size()) == prefix) selected.push_back(row);
+  if (selected.empty()) {
+    std::fprintf(stderr, "no row name starts with '%s'\n", argv[1]);
+    return 2;
+  }
+
+  double plainRate = 0.0;  // mesh8_vc1 and mesh8_vc1_telemetry, if run
+  double telemetryRate = 0.0;
+  bool healthy = true;
+  std::printf("{\n  \"warmup_cycles\": %llu,\n  \"repetitions\": %d,\n"
+              "  \"rows\": {\n",
+              static_cast<unsigned long long>(kWarmupCycles), kRepetitions);
+  for (std::size_t i = 0; i < selected.size(); ++i) {
+    const Row& row = selected[i];
+    const Result res = measure(row);
+    if (row.name == "mesh8_vc1") plainRate = res.cyclesPerS;
+    if (row.name == "mesh8_vc1_telemetry") telemetryRate = res.cyclesPerS;
+    healthy = healthy && res.healthy;
+    std::fprintf(stderr, "%-20s %10.1f cycles/s (IQR %.1f)%s\n",
+                 row.name.c_str(), res.cyclesPerS, res.iqr,
+                 res.healthy ? "" : "  UNHEALTHY");
+    std::printf(
+        "    \"%s\": {\"topology\": \"%s\", \"side\": %d, \"kernel\": "
+        "\"%s\", \"vcs\": %d, \"telemetry\": %s, \"window_cycles\": %llu, "
+        "\"cycles_per_s\": %.1f, \"cycles_per_s_iqr\": %.1f, "
+        "\"units_per_cycle\": %.2f, \"healthy\": %s}%s\n",
+        row.name.c_str(), row.topology, row.side,
+        row.kernel == sim::Simulator::Kernel::Naive ? "naive" : "compiled",
+        row.vcs, row.telemetry ? "true" : "false",
+        static_cast<unsigned long long>(row.windowCycles), res.cyclesPerS,
+        res.iqr, res.unitsPerCycle, res.healthy ? "true" : "false",
+        i + 1 < selected.size() ? "," : "");
+  }
+  std::printf("  }");
+  if (plainRate > 0.0 && telemetryRate > 0.0)
+    std::printf(",\n  \"telemetry_ratio\": %.4f", telemetryRate / plainRate);
+  std::printf("\n}\n");
+  return healthy ? 0 : 1;
+}

@@ -32,7 +32,7 @@ void SharedBus::send(NodeId src, NodeId dst, int flits) {
 
 void SharedBus::attachTraffic(const noc::TrafficConfig& traffic) {
   if (trafficAttached_) throw std::logic_error("traffic already attached");
-  noc::validateOfferedLoad(traffic.offeredLoad);
+  noc::validateTraffic(traffic, noc::MeshTopology(config_.shape));
   trafficAttached_ = true;
   traffic_ = traffic;
   packetProbability_ =

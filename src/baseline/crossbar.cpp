@@ -31,7 +31,7 @@ void IdealCrossbar::send(NodeId src, NodeId dst, int flits) {
 
 void IdealCrossbar::attachTraffic(const noc::TrafficConfig& traffic) {
   if (trafficAttached_) throw std::logic_error("traffic already attached");
-  noc::validateOfferedLoad(traffic.offeredLoad);
+  noc::validateTraffic(traffic, noc::MeshTopology(shape_));
   trafficAttached_ = true;
   traffic_ = traffic;
   packetProbability_ =

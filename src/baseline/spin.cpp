@@ -86,9 +86,9 @@ void SpinFatTree::send(int src, int dst, int flits) {
 void SpinFatTree::attachTraffic(const noc::TrafficConfig& traffic,
                                 noc::MeshShape logicalShape) {
   if (trafficAttached_) throw std::logic_error("traffic already attached");
-  noc::validateOfferedLoad(traffic.offeredLoad);
   if (logicalShape.nodes() != terminals_)
     throw std::invalid_argument("logical shape must match terminal count");
+  noc::validateTraffic(traffic, noc::MeshTopology(logicalShape));
   trafficAttached_ = true;
   traffic_ = traffic;
   logicalShape_ = logicalShape;

@@ -156,7 +156,7 @@ void Network::attachTraffic(const std::vector<FlowSpec>& flows) {
   if (flows.empty())
     throw std::invalid_argument("attachTraffic: empty flow list");
   for (const FlowSpec& flow : flows)
-    validatePattern(flow.traffic.pattern, *topology_, flow.traffic);
+    validateTraffic(flow.traffic, *topology_);
   for (std::size_t f = 0; f < flows.size(); ++f) {
     // Flow 0 keeps the legacy names and per-node seeds so single-flow
     // attachTraffic(TrafficConfig) callers see bit-identical runs.

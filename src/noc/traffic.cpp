@@ -18,11 +18,10 @@ std::string_view name(TrafficPattern pattern) {
   return "?";
 }
 
-void validateOfferedLoad(double offeredLoad) {
-  if (!(offeredLoad >= 0.0 && offeredLoad <= 1.0))
-    throw std::invalid_argument("offeredLoad must be in [0,1] flits/cycle");
-}
+namespace {
 
+// The topology half of validateTraffic; destinationFor repeats it for the
+// patterns whose draw would otherwise go out of range.
 void validatePattern(TrafficPattern pattern, const Topology& topology,
                      const TrafficConfig& config) {
   const Extent extent = topology.extent();
@@ -54,6 +53,24 @@ void validatePattern(TrafficPattern pattern, const Topology& topology,
       return;  // the eastward wrap target exists in every extent
   }
   throw std::logic_error("unknown traffic pattern");
+}
+
+}  // namespace
+
+void validateTraffic(const TrafficConfig& config, const Topology& topology) {
+  // Written as negated ranges so NaN fails each check.
+  if (!(config.offeredLoad >= 0.0 && config.offeredLoad <= 1.0))
+    throw std::invalid_argument("offeredLoad must be in [0,1] flits/cycle");
+  if (config.payloadFlits < 1)
+    throw std::invalid_argument(
+        "payloadFlits must be >= 1 (got " +
+        std::to_string(config.payloadFlits) +
+        "): a packet needs at least one payload flit");
+  if (!(config.hotspotFraction >= 0.0 && config.hotspotFraction <= 1.0))
+    throw std::invalid_argument(
+        "hotspotFraction must be in [0,1] (the probability of targeting "
+        "the hot spot)");
+  validatePattern(config.pattern, topology, config);
 }
 
 NodeId destinationFor(TrafficPattern pattern, NodeId src,
@@ -107,11 +124,8 @@ TrafficGenerator::TrafficGenerator(std::string name,
                          static_cast<double>(config.packetFlits())),
       rng_(config.seed) {
   if (!topology_) throw std::invalid_argument("generator needs a topology");
-  validateOfferedLoad(config_.offeredLoad);
-  if (config_.payloadFlits < 1)
-    throw std::invalid_argument("a packet needs at least one payload flit");
+  validateTraffic(config_, *topology_);
   topology_->indexOf(self_);  // bounds-check our own address
-  validatePattern(config_.pattern, *topology_, config_);
 }
 
 TrafficGenerator::TrafficGenerator(std::string name, MeshShape shape,

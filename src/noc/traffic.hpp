@@ -58,18 +58,14 @@ struct FlowSpec {
   TrafficConfig traffic;
 };
 
-// Throws std::invalid_argument when `pattern` cannot run on `topology`:
-// Transpose needs a square extent, UniformRandom needs at least two nodes,
-// and a HotSpot target must be a node of the topology.  Called by
-// Network::attachTraffic and the TrafficGenerator constructor so bad
-// configurations fail loudly before any packet is injected.
-void validatePattern(TrafficPattern pattern, const Topology& topology,
-                     const TrafficConfig& config);
-
-// Throws std::invalid_argument, naming offeredLoad, unless `offeredLoad`
-// lies in [0,1] flits/cycle (NaN fails too).  Called by TrafficGenerator
-// and by the baseline interconnects' attachTraffic.
-void validateOfferedLoad(double offeredLoad);
+// Throws std::invalid_argument, naming the parameter, unless `config` can
+// run on `topology`: offeredLoad and hotspotFraction lie in [0,1] (NaN
+// fails), payloadFlits >= 1, Transpose has a square extent, UniformRandom
+// and HotSpot have at least two nodes, and a HotSpot target is a node of
+// the topology.  Called by Network::attachTraffic, the TrafficGenerator
+// constructor and the baseline interconnects' attachTraffic, so every
+// traffic source rejects a bad configuration before any packet is drawn.
+void validateTraffic(const TrafficConfig& config, const Topology& topology);
 
 // Destination for one packet from `src` under a pattern; may return src for
 // patterns with fixed points (callers skip those injections).

@@ -57,8 +57,6 @@ InputChannel::InputChannel(std::string name, const RouterParams& params,
 void InputChannel::attachMetrics(const InputChannelMetrics& metrics) {
   metrics_ = metrics;
   metricsAttached_ = true;
-  // The compiled edge lowering depends on whether metrics accounting runs.
-  noteDescribeChanged();
 }
 
 void InputChannel::onReset() { flitsAccepted_ = 0; }
@@ -153,12 +151,15 @@ struct InputChannel::ArenaIo {
   }
 };
 
-void InputChannel::clockEdge() {
+template <class Io>
+void InputChannel::runEdge(const Io& io) {
   if (metricsAttached_)
-    edge<true>(WireIo{*this});
+    edge<true>(io);
   else
-    edge<false>(WireIo{*this});
+    edge<false>(io);
 }
+
+void InputChannel::clockEdge() { runEdge(WireIo{*this}); }
 
 bool InputChannel::describe(sim::Lowering& lw) {
   ArenaCtx proto;
@@ -221,24 +222,14 @@ bool InputChannel::describe(sim::Lowering& lw) {
       },
       ctx, std::move(rsReads), std::move(rsWrites));
 
-  if (metricsAttached_)
-    lw.edgeOp(
-        [](std::uint64_t* w, void* c) {
-          auto* x = static_cast<ArenaCtx*>(c);
-          const ArenaIo io{w, x};
-          x->self->edge<true>(io);
-          x->self->ib_->edge(io);
-        },
-        ctx);
-  else
-    lw.edgeOp(
-        [](std::uint64_t* w, void* c) {
-          auto* x = static_cast<ArenaCtx*>(c);
-          const ArenaIo io{w, x};
-          x->self->edge<false>(io);
-          x->self->ib_->edge(io);
-        },
-        ctx);
+  lw.edgeOp(
+      [](std::uint64_t* w, void* c) {
+        auto* x = static_cast<ArenaCtx*>(c);
+        const ArenaIo io{w, x};
+        x->self->runEdge(io);
+        x->self->ib_->edge(io);
+      },
+      ctx);
   return true;
 }
 
@@ -356,8 +347,6 @@ VcInputChannel::VcInputChannel(std::string name, const RouterParams& params,
 void VcInputChannel::attachMetrics(const VcInputChannelMetrics& metrics) {
   metrics_ = metrics;
   metricsAttached_ = true;
-  // The compiled edge op is chosen by whether metrics accounting runs.
-  noteDescribeChanged();
 }
 
 bool VcInputChannel::dequeueFired(int v) const {
@@ -380,12 +369,15 @@ void VcInputChannel::evaluate() {
   if (creditMode()) returnCredits(io);
 }
 
-void VcInputChannel::clockEdge() {
+template <class Io>
+void VcInputChannel::runEdge(const Io& io) {
   if (metricsAttached_)
-    edge<true>(WireIo{*this});
+    edge<true>(io);
   else
-    edge<false>(WireIo{*this});
+    edge<false>(io);
 }
+
+void VcInputChannel::clockEdge() { runEdge(WireIo{*this}); }
 
 template <class Io>
 void VcInputChannel::returnCredits(const Io& io) {
@@ -543,20 +535,12 @@ bool VcInputChannel::describe(sim::Lowering& lw) {
           x->self->returnCredits(ArenaIo{w, x});
         },
         ctx, std::move(grantsAndReads), std::move(acks));
-  if (metricsAttached_)
-    lw.edgeOp(
-        [](std::uint64_t* w, void* c) {
-          auto* x = static_cast<ArenaCtx*>(c);
-          x->self->edge<true>(ArenaIo{w, x});
-        },
-        ctx);
-  else
-    lw.edgeOp(
-        [](std::uint64_t* w, void* c) {
-          auto* x = static_cast<ArenaCtx*>(c);
-          x->self->edge<false>(ArenaIo{w, x});
-        },
-        ctx);
+  lw.edgeOp(
+      [](std::uint64_t* w, void* c) {
+        auto* x = static_cast<ArenaCtx*>(c);
+        x->self->runEdge(ArenaIo{w, x});
+      },
+      ctx);
   return true;
 }
 

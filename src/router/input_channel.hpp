@@ -86,9 +86,13 @@ class InputChannel : public sim::Module {
   struct ArenaCtx;
 
   // Accept counting and metrics, from pre-commit state: the channel's
-  // clock edge runs before its buffer child's.
+  // clock edge runs before its buffer child's.  runEdge picks the body
+  // from metricsAttached_ at run time, so attaching telemetry leaves the
+  // compiled program as it was.
   template <bool kMetrics, class Io>
   void edge(const Io& io);
+  template <class Io>
+  void runEdge(const Io& io);
 
   Port ownPort_;
 
@@ -107,10 +111,13 @@ class InputChannel : public sim::Module {
   std::unique_ptr<CreditReturnTap> creditTap_;  // credit mode only
 
   std::uint64_t flitsAccepted_ = 0;
+  // Tested by the edge op every cycle: kept beside the counter the edge
+  // updates, not behind the metrics pointers, so an uninstrumented edge
+  // touches no extra cache line.
+  bool metricsAttached_ = false;
   const ChannelWires* in_;
   const CrossbarWires* xbar_;
   InputChannelMetrics metrics_;
-  bool metricsAttached_ = false;
 };
 
 /// Registered per-VC input buffers of a VcInputChannel: one fixed-depth ring
@@ -253,6 +260,8 @@ class VcInputChannel : public sim::Module {
   void returnCredits(const Io& io);
   template <bool kMetrics, class Io>
   void edge(const Io& io);
+  template <class Io>
+  void runEdge(const Io& io);  // edge<true> or edge<false>, at run time
 
   RouterParams params_;
   Port ownPort_;
@@ -270,12 +279,12 @@ class VcInputChannel : public sim::Module {
   std::array<int, kMaxVCs> patience_{};
 
   std::uint64_t flitsAccepted_ = 0;
+  bool metricsAttached_ = false;  // beside the counter, as in InputChannel
   std::array<std::uint64_t, kMaxVCs> occupancySum_{};
   bool misroute_ = false;  // sticky diagnostics
   bool overflow_ = false;
 
   VcInputChannelMetrics metrics_;
-  bool metricsAttached_ = false;
 };
 
 }  // namespace rasoc::router

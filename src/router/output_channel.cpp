@@ -41,8 +41,6 @@ OutputChannel::OutputChannel(std::string name, const RouterParams& params,
 void OutputChannel::attachMetrics(const OutputChannelMetrics& metrics) {
   metrics_ = metrics;
   metricsAttached_ = true;
-  // The compiled edge lowering depends on whether metrics accounting runs.
-  noteDescribeChanged();
 }
 
 void OutputChannel::onReset() { flitsSent_ = 0; }
@@ -172,12 +170,15 @@ struct OutputChannel::ArenaIo {
   }
 };
 
-void OutputChannel::clockEdge() {
+template <class Io>
+void OutputChannel::runEdge(const Io& io) {
   if (metricsAttached_)
-    edge<true>(WireIo{*this});
+    edge<true>(io);
   else
-    edge<false>(WireIo{*this});
+    edge<false>(io);
 }
+
+void OutputChannel::clockEdge() { runEdge(WireIo{*this}); }
 
 bool OutputChannel::describe(sim::Lowering& lw) {
   const bool handshake = flowControl_ == FlowControl::Handshake;
@@ -239,28 +240,16 @@ bool OutputChannel::describe(sim::Lowering& lw) {
         ctx, {&rokSel_}, std::move(rspWrites));
   }
 
-  if (metricsAttached_)
-    lw.edgeOp(
-        [](std::uint64_t* w, void* c) {
-          auto* x = static_cast<ArenaCtx*>(c);
-          const ArenaIo io{w, x};
-          OutputChannel& ch = *x->self;
-          ch.edge<true>(io);
-          ch.oc_.edge(io);
-          if (ch.creditOfc_) ch.creditOfc_->edge(io);
-        },
-        ctx);
-  else
-    lw.edgeOp(
-        [](std::uint64_t* w, void* c) {
-          auto* x = static_cast<ArenaCtx*>(c);
-          const ArenaIo io{w, x};
-          OutputChannel& ch = *x->self;
-          ch.edge<false>(io);
-          ch.oc_.edge(io);
-          if (ch.creditOfc_) ch.creditOfc_->edge(io);
-        },
-        ctx);
+  lw.edgeOp(
+      [](std::uint64_t* w, void* c) {
+        auto* x = static_cast<ArenaCtx*>(c);
+        const ArenaIo io{w, x};
+        OutputChannel& ch = *x->self;
+        ch.runEdge(io);
+        ch.oc_.edge(io);
+        if (ch.creditOfc_) ch.creditOfc_->edge(io);
+      },
+      ctx);
   return true;
 }
 
@@ -425,8 +414,6 @@ VcOutputChannel::VcOutputChannel(
 void VcOutputChannel::attachMetrics(const VcOutputChannelMetrics& metrics) {
   metrics_ = metrics;
   metricsAttached_ = true;
-  // The compiled edge op is chosen by whether metrics accounting runs.
-  noteDescribeChanged();
 }
 
 void VcOutputChannel::onReset() {
@@ -455,12 +442,15 @@ void VcOutputChannel::evaluate() {
   scheduleLink(io);
 }
 
-void VcOutputChannel::clockEdge() {
+template <class Io>
+void VcOutputChannel::runEdge(const Io& io) {
   if (metricsAttached_)
-    edge<true>(WireIo{*this});
+    edge<true>(io);
   else
-    edge<false>(WireIo{*this});
+    edge<false>(io);
 }
+
+void VcOutputChannel::clockEdge() { runEdge(WireIo{*this}); }
 
 std::uint32_t VcOutputChannel::connectedSlots() const {
   std::uint32_t slots = 0;
@@ -668,20 +658,12 @@ bool VcOutputChannel::describe(sim::Lowering& lw) {
         x->self->scheduleLink(ArenaIo{w, x});
       },
       ctx, std::move(schedReads), std::move(schedWrites));
-  if (metricsAttached_)
-    lw.edgeOp(
-        [](std::uint64_t* w, void* c) {
-          auto* x = static_cast<ArenaCtx*>(c);
-          x->self->edge<true>(ArenaIo{w, x});
-        },
-        ctx);
-  else
-    lw.edgeOp(
-        [](std::uint64_t* w, void* c) {
-          auto* x = static_cast<ArenaCtx*>(c);
-          x->self->edge<false>(ArenaIo{w, x});
-        },
-        ctx);
+  lw.edgeOp(
+      [](std::uint64_t* w, void* c) {
+        auto* x = static_cast<ArenaCtx*>(c);
+        x->self->runEdge(ArenaIo{w, x});
+      },
+      ctx);
   return true;
 }
 

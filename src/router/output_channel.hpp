@@ -83,9 +83,13 @@ class OutputChannel : public sim::Module {
   struct ArenaCtx;
 
   // Sent counting and metrics, from pre-edge state: the channel's clock
-  // edge runs before its OC child's.
+  // edge runs before its OC child's.  runEdge picks the body from
+  // metricsAttached_ at run time, so attaching telemetry leaves the
+  // compiled program as it was.
   template <bool kMetrics, class Io>
   void edge(const Io& io);
+  template <class Io>
+  void runEdge(const Io& io);
 
   Port ownPort_;
 
@@ -103,11 +107,14 @@ class OutputChannel : public sim::Module {
   std::unique_ptr<CreditOfc> creditOfc_;
 
   std::uint64_t flitsSent_ = 0;
+  // Tested by the edge op every cycle: kept beside the counter the edge
+  // updates, not behind the metrics pointers, so an uninstrumented edge
+  // touches no extra cache line.
+  bool metricsAttached_ = false;
   const ChannelWires* out_;
   FlowControl flowControl_;
   std::array<CrossbarWires, kNumPorts>* xbar_;
   OutputChannelMetrics metrics_;
-  bool metricsAttached_ = false;
 };
 
 /// Per-VC instrumentation for the VC'd output channel (telemetry subsystem).
@@ -228,6 +235,8 @@ class VcOutputChannel : public sim::Module {
   void scheduleLink(const Io& io);
   template <bool kMetrics, class Io>
   void edge(const Io& io);
+  template <class Io>
+  void runEdge(const Io& io);  // edge<true> or edge<false>, at run time
 
   // One downstream VC's registered connection (wormhole: held from header
   // grant to tail send).
@@ -254,9 +263,9 @@ class VcOutputChannel : public sim::Module {
   VcCredits credits_;                  // credit mode only
 
   std::uint64_t flitsSent_ = 0;
+  bool metricsAttached_ = false;  // beside the counter, as in OutputChannel
   std::array<std::uint64_t, kMaxVCs> vcFlitsSent_{};
   VcOutputChannelMetrics metrics_;
-  bool metricsAttached_ = false;
 };
 
 }  // namespace rasoc::router

@@ -26,22 +26,6 @@
 namespace rasoc::sim {
 
 class Lowering;
-class Module;
-
-// Simulator hook reached through each module's scheduler backpointer, so
-// several simulators can coexist on one thread without cross-talk.
-class EvalScheduler {
- public:
-  // A module's lowering (Module::describe) depends on attached state, e.g.
-  // telemetry hooks that change which edge path a channel takes.  Modules
-  // call noteDescribeChanged() when that state changes; the compiled kernel
-  // reacts by rebuilding its program before the next settle.  Default:
-  // ignore (the naive kernel re-reads the module each cycle anyway).
-  virtual void describeChanged() {}
-
- protected:
-  ~EvalScheduler() = default;
-};
 
 class Module {
  public:
@@ -82,8 +66,6 @@ class Module {
 
   const std::vector<Module*>& children() const { return children_; }
 
-  void bindScheduler(EvalScheduler* s) { scheduler_ = s; }
-
  protected:
   virtual void onReset() {}
   virtual void evaluate() {}
@@ -93,16 +75,9 @@ class Module {
   // usual pattern is member-object children registered in the constructor.
   void addChild(Module& child) { children_.push_back(&child); }
 
-  // Tells the bound scheduler that this module's describe() output is no
-  // longer valid (e.g. telemetry was attached after the first compile).
-  void noteDescribeChanged() {
-    if (scheduler_) scheduler_->describeChanged();
-  }
-
  private:
   std::string name_;
   std::vector<Module*> children_;
-  EvalScheduler* scheduler_ = nullptr;
 };
 
 }  // namespace rasoc::sim

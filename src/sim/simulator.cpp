@@ -34,7 +34,6 @@ void Simulator::ensureCollected() {
     while (!stack.empty()) {
       Module* m = stack.back();
       stack.pop_back();
-      m->bindScheduler(this);
       modules_.push_back(m);
       const auto& children = m->children();
       for (auto it = children.rbegin(); it != children.rend(); ++it)

@@ -28,9 +28,9 @@
 ///    write through to the arena on set()/force() (the poke window keeps
 ///    working) and read through on get(), so all wire-level observers
 ///    behave as under the naive kernel.  The program is rebuilt
-///    automatically after add(), reset(), or a telemetry attach.  The
-///    lockstep suites (tests/noc/kernel_trichotomy_test.cpp) hold it to
-///    the naive reference cycle for cycle.
+///    automatically after add() or reset().  The lockstep suites
+///    (tests/noc/kernel_trichotomy_test.cpp) hold it to the naive
+///    reference cycle for cycle.
 #pragma once
 
 #include <cstdint>
@@ -45,15 +45,15 @@ namespace rasoc::sim {
 
 class CompiledProgram;
 
-class Simulator final : private EvalScheduler {
+class Simulator final {
  public:
   enum class Kernel { Naive, Compiled };
 
   Simulator();
   ~Simulator();
 
-  /// Registered modules keep a backpointer into this scheduler; moving or
-  /// copying the simulator would dangle them.
+  /// A compiled program binds the registered modules' wires into an arena
+  /// this simulator owns; copying the simulator would alias that binding.
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -129,10 +129,7 @@ class Simulator final : private EvalScheduler {
   std::uint64_t evaluateCalls() const { return evaluateCalls_; }
 
  private:
-  void describeChanged() override { compiledStale_ = true; }
-
-  /// Rebuilds the flattened module list (and scheduler backpointers) after
-  /// add().
+  /// Rebuilds the flattened module list after add().
   void ensureCollected();
   void settleNaive();
   void settleCompiled();

@@ -56,12 +56,11 @@ class WireBase {
   //
   // Binding is const because the compiler reaches read-only wires through
   // const references: it is kernel bookkeeping layered onto the net, not
-  // value state.  Lifetime contract (mirrors the Module scheduler
-  // backpointer): the CompiledProgram unbinds wires when it is rebuilt or
-  // the simulator leaves Kernel::Compiled; a wire destroyed together with
-  // its simulator may keep a dangling binding, which is only ever
-  // dereferenced by set()/force() on that wire.  The slice is `width` bits
-  // (at most 32) at `shift` of *word.
+  // value state.  Lifetime contract: the CompiledProgram unbinds wires
+  // when it is rebuilt or the simulator leaves Kernel::Compiled; a wire
+  // destroyed together with its simulator may keep a dangling binding,
+  // which is only ever dereferenced by set()/force() on that wire.  The
+  // slice is `width` bits (at most 32) at `shift` of *word.
   void bindArena(std::uint64_t* word, unsigned shift, unsigned width) const {
     arenaWord_ = word;
     arenaShift_ = static_cast<std::uint8_t>(shift);

@@ -35,6 +35,45 @@ void expectOfferedLoadChecked(Attach attach) {
   EXPECT_NO_THROW(attach(noc::TrafficConfig{}));
 }
 
+// The rest of the traffic config is checked the same way as on the NoC:
+// a hot-spot fraction outside [0,1] (NaN included) and a packet without
+// payload are rejected by name before anything is drawn.
+template <class Attach>
+void expectTrafficChecked(Attach attach) {
+  auto hotspot = [] {
+    noc::TrafficConfig traffic;
+    traffic.pattern = noc::TrafficPattern::HotSpot;
+    traffic.hotspot = NodeId{1, 1};
+    return traffic;
+  };
+  for (const double fraction :
+       {std::numeric_limits<double>::quiet_NaN(), -0.5, 1.5}) {
+    noc::TrafficConfig traffic = hotspot();
+    traffic.hotspotFraction = fraction;
+    try {
+      attach(traffic);
+      ADD_FAILURE() << "hotspotFraction " << fraction << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("hotspotFraction"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  for (const int payload : {0, -2}) {
+    noc::TrafficConfig traffic = hotspot();
+    traffic.payloadFlits = payload;
+    try {
+      attach(traffic);
+      ADD_FAILURE() << "payloadFlits " << payload << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("payloadFlits"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_NO_THROW(attach(hotspot()));
+}
+
 TEST(BusMiscTest, OverheadCyclesLengthenEveryTransfer) {
   auto measure = [](int arb, int addr) {
     BusConfig cfg;
@@ -94,6 +133,20 @@ TEST(CrossbarMiscTest, OfferedLoadOutsideUnitRangeRejected) {
       [&](const noc::TrafficConfig& t) { xbar.attachTraffic(t); });
 }
 
+TEST(BusMiscTest, TrafficParametersRejectedByName) {
+  expectTrafficChecked([](const noc::TrafficConfig& t) {
+    SharedBus bus("bus", BusConfig{});
+    bus.attachTraffic(t);
+  });
+}
+
+TEST(CrossbarMiscTest, TrafficParametersRejectedByName) {
+  expectTrafficChecked([](const noc::TrafficConfig& t) {
+    IdealCrossbar xbar("xbar", noc::MeshShape{4, 4});
+    xbar.attachTraffic(t);
+  });
+}
+
 TEST(CrossbarMiscTest, RotatingScanAvoidsPersistentBias) {
   // Two sources permanently competing for one sink: the rotating scan must
   // serve both within a factor of each other.
@@ -134,6 +187,13 @@ TEST(SpinMiscTest, IdleAndWarmupBehaviour) {
 TEST(SpinMiscTest, OfferedLoadOutsideUnitRangeRejected) {
   SpinFatTree spin("spin", 16);
   expectOfferedLoadChecked([&](const noc::TrafficConfig& t) {
+    spin.attachTraffic(t, noc::MeshShape{4, 4});
+  });
+}
+
+TEST(SpinMiscTest, TrafficParametersRejectedByName) {
+  expectTrafficChecked([](const noc::TrafficConfig& t) {
+    SpinFatTree spin("spin", 16);
     spin.attachTraffic(t, noc::MeshShape{4, 4});
   });
 }

@@ -108,19 +108,17 @@ TEST(PatternNamesTest, AllNamed) {
 TEST(PatternValidationTest, TransposeRejectsNonSquareTopologies) {
   TrafficConfig config;
   config.pattern = TrafficPattern::Transpose;
-  EXPECT_NO_THROW(
-      validatePattern(config.pattern, MeshTopology(4, 4), config));
-  EXPECT_NO_THROW(
-      validatePattern(config.pattern, TorusTopology(3, 3), config));
-  EXPECT_THROW(validatePattern(config.pattern, MeshTopology(4, 2), config),
+  EXPECT_NO_THROW(validateTraffic(config, MeshTopology(4, 4)));
+  EXPECT_NO_THROW(validateTraffic(config, TorusTopology(3, 3)));
+  EXPECT_THROW(validateTraffic(config, MeshTopology(4, 2)),
                std::invalid_argument);
-  EXPECT_THROW(validatePattern(config.pattern, TorusTopology(2, 4), config),
+  EXPECT_THROW(validateTraffic(config, TorusTopology(2, 4)),
                std::invalid_argument);
   // A ring's extent is Nx1: transpose is inexpressible, and the message
   // should steer callers to the ring-capable pattern.
   const RingTopology ring(8);
   try {
-    validatePattern(config.pattern, ring, config);
+    validateTraffic(config, ring);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string what = e.what();
@@ -133,23 +131,22 @@ TEST(PatternValidationTest, HotSpotTargetMustBeANode) {
   TrafficConfig config;
   config.pattern = TrafficPattern::HotSpot;
   config.hotspot = NodeId{3, 3};
-  EXPECT_NO_THROW(
-      validatePattern(config.pattern, MeshTopology(4, 4), config));
-  EXPECT_THROW(validatePattern(config.pattern, RingTopology(8), config),
+  EXPECT_NO_THROW(validateTraffic(config, MeshTopology(4, 4)));
+  EXPECT_THROW(validateTraffic(config, RingTopology(8)),
                std::invalid_argument);
   config.hotspot = NodeId{5, 0};
-  EXPECT_NO_THROW(validatePattern(config.pattern, RingTopology(8), config));
+  EXPECT_NO_THROW(validateTraffic(config, RingTopology(8)));
 }
 
 TEST(PatternValidationTest, RingFriendlyPatternsPass) {
   TrafficConfig config;
   const RingTopology ring(8);
-  EXPECT_NO_THROW(
-      validatePattern(TrafficPattern::UniformRandom, ring, config));
-  EXPECT_NO_THROW(
-      validatePattern(TrafficPattern::BitComplement, ring, config));
-  EXPECT_NO_THROW(
-      validatePattern(TrafficPattern::NearestNeighbor, ring, config));
+  for (const TrafficPattern pattern :
+       {TrafficPattern::UniformRandom, TrafficPattern::BitComplement,
+        TrafficPattern::NearestNeighbor}) {
+    config.pattern = pattern;
+    EXPECT_NO_THROW(validateTraffic(config, ring)) << name(pattern);
+  }
   sim::Xoshiro256 rng(4);
   EXPECT_EQ(destinationFor(TrafficPattern::BitComplement, NodeId{1, 0}, ring,
                            rng, config),
@@ -209,6 +206,59 @@ TEST(TrafficGeneratorTest, RejectsNanOfferedLoadByName) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("offeredLoad"), std::string::npos)
         << e.what();
+  }
+}
+
+// validateTraffic is the one check every traffic source runs: each bad
+// parameter fails by name, on the NoC generator path as well.
+TEST(TrafficValidationTest, EachParameterRejectedByName) {
+  const MeshTopology mesh(4, 4);
+  const MeshShape shape{4, 4};
+  router::RouterParams params;
+  router::Rasoc router("r", params);
+  DeliveryLedger ledger;
+  NetworkInterface ni("ni", params, shape, NodeId{0, 0},
+                      router.in(router::Port::Local),
+                      router.out(router::Port::Local), ledger);
+  struct Bad {
+    const char* parameter;
+    void (*mutate)(TrafficConfig&);
+  };
+  const Bad cases[] = {
+      {"hotspotFraction", [](TrafficConfig& c) {
+         c.hotspotFraction = std::numeric_limits<double>::quiet_NaN();
+       }},
+      {"hotspotFraction", [](TrafficConfig& c) { c.hotspotFraction = -0.5; }},
+      {"hotspotFraction", [](TrafficConfig& c) { c.hotspotFraction = 1.5; }},
+      {"payloadFlits", [](TrafficConfig& c) { c.payloadFlits = 0; }},
+      {"payloadFlits", [](TrafficConfig& c) { c.payloadFlits = -2; }},
+      {"offeredLoad", [](TrafficConfig& c) { c.offeredLoad = -0.1; }},
+  };
+  for (const Bad& bad : cases) {
+    TrafficConfig config;
+    config.pattern = TrafficPattern::HotSpot;
+    config.hotspot = NodeId{1, 1};
+    bad.mutate(config);
+    for (int path = 0; path < 2; ++path) {
+      try {
+        if (path == 0)
+          validateTraffic(config, mesh);
+        else
+          TrafficGenerator("tg", shape, NodeId{0, 0}, ni, config);
+        ADD_FAILURE() << bad.parameter << " accepted (path " << path << ")";
+      } catch (const std::invalid_argument& e) {
+        EXPECT_NE(std::string(e.what()).find(bad.parameter),
+                  std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  TrafficConfig edges;
+  edges.pattern = TrafficPattern::HotSpot;
+  edges.hotspot = NodeId{1, 1};
+  for (const double fraction : {0.0, 1.0}) {
+    edges.hotspotFraction = fraction;
+    EXPECT_NO_THROW(validateTraffic(edges, mesh)) << fraction;
   }
 }
 

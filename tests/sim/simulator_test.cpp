@@ -410,7 +410,7 @@ TEST_P(KernelContractTest, EvaluateCallsNeverDecrease) {
   sim.add(inc2);
   std::uint64_t last = 0;
   // Exact accounting per kernel, which is what perfbench's
-  // sim.units_per_cycle and bench_sim_speed's evals_per_cycle read: a
+  // sim.units_per_cycle and bench_sim_speed's units_per_cycle read: a
   // compiled settle runs every unit of its program once; a naive settle
   // runs all 3 registered modules once per pass, at least once.
   const auto expectSettles = [&](std::uint64_t settles) {
