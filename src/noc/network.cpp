@@ -34,21 +34,9 @@ Network::Network(std::shared_ptr<const Topology> topology,
   if (!(config_.linkFaultRate >= 0.0 && config_.linkFaultRate <= 1.0))
     throw std::invalid_argument("linkFaultRate must be in [0,1]");
 
-  if (!config_.faultPlan.empty()) {
-    config_.faultPlan.validate(*topology_);
-    // With VCs every window kind is legal under either flow control: the
-    // faulted link masks the per-VC vcFree levels instead of the ack wire
-    // (router/faulty_link.hpp).
-    if (config_.params.flowControl != router::FlowControl::Handshake &&
-        config_.params.numVCs == 1) {
-      for (const FaultEvent& e : config_.faultPlan.events) {
-        if (e.kind != FaultKind::Corrupt)
-          throw std::invalid_argument(
-              "fault plan: stall/drop windows require handshake flow "
-              "control (the credit-based ack wire carries credit returns)");
-      }
-    }
-  }
+  // Window kinds the flow control cannot carry are rejected by
+  // FaultyLink::setWindows as the links are built.
+  if (!config_.faultPlan.empty()) config_.faultPlan.validate(*topology_);
 
   // Wrap probe: a West (resp. South) link out of node (0,0) only exists on
   // a wrapping axis.  Feeds each router's VcGeometry so escape-VC dateline

@@ -97,8 +97,7 @@ bool NetworkInterface::idle() const {
 
 namespace {
 
-// Channel-word accessor indices (router::vcarena::ChannelWireIo /
-// ChannelArenaIo).
+// Channel-word indices of the NI's vcarena::ChannelIo.
 constexpr std::size_t kTo = 0;
 constexpr std::size_t kFrom = 1;
 
@@ -205,14 +204,16 @@ void NetworkInterface::send(NodeId dst,
 }
 
 void NetworkInterface::evaluate() {
-  const vcarena::ChannelWireIo io{{toRouter_, fromRouter_}, params_.numVCs};
-  presentSend(io);
-  if (vcMode()) {
-    advertiseRxSpace(io);
-    if (creditMode()) returnRxCredits(io);
-  } else {
-    ackRx(io);
-  }
+  vcarena::onChannelWires(
+      *toRouter_, *fromRouter_, params_.numVCs, [&](const auto& io) {
+        presentSend(io);
+        if (vcMode()) {
+          advertiseRxSpace(io);
+          if (creditMode()) returnRxCredits(io);
+        } else {
+          ackRx(io);
+        }
+      });
 }
 
 template <class Io>
@@ -270,14 +271,26 @@ void NetworkInterface::returnRxCredits(const Io& io) const {
 }
 
 void NetworkInterface::clockEdge() {
+  vcarena::onChannelWires(*toRouter_, *fromRouter_, params_.numVCs,
+                          [&](const auto& io) { edge(io); });
+}
+
+template <class Io>
+void NetworkInterface::edge(const Io& io) {
   // --- send side ---------------------------------------------------------
-  const bool presented = toRouter_->val.get();
+  const std::uint64_t to = io.word(kTo, ~std::uint64_t{0});
+  const auto bitSet = [to](unsigned shift) {
+    return ((to >> shift) & 1u) != 0;
+  };
   // With VCs a presented flit always lands (evaluate() only raises val
   // against advertised space or a credit in hand).
-  const bool sent =
-      presented && (vcMode() || creditMode() || toRouter_->ack.get());
+  const bool sent = bitSet(vcarena::kVal) &&
+                    (vcMode() || creditMode() || bitSet(vcarena::kAck));
+  const int sentVc =
+      vcMode() ? static_cast<int>((to >> vcarena::kVc) &
+                                  sim::fieldMask(vcarena::kVcWidth))
+               : 0;
   if (sent) {
-    const int sentVc = vcMode() ? toRouter_->vc.get() : 0;
     std::deque<OutPacket>& queue =
         sendQueues_[static_cast<std::size_t>(sentVc)];
     OutPacket& packet = queue.front();
@@ -299,14 +312,12 @@ void NetworkInterface::clockEdge() {
     if (vcMode()) {
       // Credits return on whichever VC each flit entered; every inject VC
       // keeps its own pool.
-      const int sentVc = sent ? toRouter_->vc.get() : -1;
-      for (int v = 0; v < params_.numVCs; ++v) {
-        const auto vi = static_cast<std::size_t>(v);
-        credits_[vi] += (toRouter_->vcAck[vi].get() ? 1 : 0) -
-                        (v == sentVc ? 1 : 0);
-      }
+      for (int v = 0; v < params_.numVCs; ++v)
+        credits_[static_cast<std::size_t>(v)] +=
+            bitSet(vcarena::kVcAck + static_cast<unsigned>(v)) -
+            (sent && v == sentVc);
     } else {
-      credits_[0] += (toRouter_->ack.get() ? 1 : 0) - (sent ? 1 : 0);
+      credits_[0] += bitSet(vcarena::kAck) - sent;
     }
   }
 
@@ -319,18 +330,16 @@ void NetworkInterface::clockEdge() {
   }
 
   // --- receive side ------------------------------------------------------
-  const bool gotFlit = fromRouter_->val.get();
+  const std::uint64_t from = io.word(kFrom, vcarena::kForwardMask);
+  const bool gotFlit = (from & bit(vcarena::kVal)) != 0;
   if (metricsAttached_ && metrics_.flitsEjected && gotFlit)
     metrics_.flitsEjected->inc();
   if (gotFlit) {
-    Flit flit;
-    flit.data = fromRouter_->flit.data.get();
-    flit.bop = fromRouter_->flit.bop.get();
-    flit.eop = fromRouter_->flit.eop.get();
     // Packets on different VCs interleave flit-by-flit on the physical
     // link, so each VC reassembles in its own buffer.
-    const int rxVc = vcMode() ? fromRouter_->vc.get() : 0;
-    acceptRxFlit(flit, rxFlits_[static_cast<std::size_t>(rxVc)]);
+    const auto rxVc = vcMode() ? static_cast<std::size_t>(from >> vcarena::kVc)
+                               : 0;
+    acceptRxFlit(vcarena::bitsFlit(from), rxFlits_[rxVc]);
   }
 
   if (transport_) {
@@ -476,54 +485,50 @@ void NetworkInterface::pumpTransport() {
 }
 
 bool NetworkInterface::describe(sim::Lowering& lw) {
-  using Ctx = vcarena::ChannelCtx<NetworkInterface>;
-  using vcarena::ChannelArenaIo;
-  Ctx* ctx = lw.ctx(
-      Ctx{this,
-          {vcarena::channelWord(lw, *toRouter_, params_.numVCs),
-           vcarena::channelWord(lw, *fromRouter_, params_.numVCs)}});
+  using Ctx = vcarena::OpCtx<NetworkInterface>;
+  using ArenaIo = vcarena::ChannelIo<vcarena::ArenaWords>;
+  const vcarena::ArenaPlacer place{lw};
+  Ctx* ctx = lw.ctx(Ctx{
+      this,
+      {place(vcarena::WireTwin::channel(*toRouter_, params_.numVCs)),
+       place(vcarena::WireTwin::channel(*fromRouter_, params_.numVCs))}});
 
   // One op per phase of evaluate(), so the receive side's wires do not
-  // tie the send side into the router's combinational graph.
-  std::vector<const sim::WireBase*> sendReads;
-  if (vcMode() && !creditMode()) {
-    // QoS injects on any adaptive VC, so the send side reads them all;
-    // otherwise only the fixed inject VC's level matters.
-    if (params_.qosClasses) {
-      for (int v = options_.escapeVCs; v < params_.numVCs; ++v)
-        sendReads.push_back(&toRouter_->vcFree[static_cast<std::size_t>(v)]);
-    } else {
-      sendReads.push_back(
-          &toRouter_->vcFree[static_cast<std::size_t>(options_.injectVc)]);
-    }
-  }
+  // tie the send side into the router's combinational graph.  The ops'
+  // reads and writes are bits of the same words.
+  const auto twins =
+      vcarena::channelTwins(*toRouter_, *fromRouter_, params_.numVCs);
+  // Under on/off VC flow control the send side reads the inject VCs'
+  // vcFree levels: every adaptive VC under QoS, else the fixed inject VC.
+  std::uint64_t sendVcs = 0;
+  if (vcMode() && !creditMode())
+    sendVcs = params_.qosClasses ? ~std::uint64_t{0} << options_.escapeVCs
+                                 : std::uint64_t{1} << options_.injectVc;
   lw.op(&vcarena::channelOp<NetworkInterface,
-                            &NetworkInterface::presentSend<ChannelArenaIo>>,
-        ctx, std::move(sendReads),
-        {&toRouter_->flit.data, &toRouter_->flit.bop, &toRouter_->flit.eop,
-         &toRouter_->val, &toRouter_->vc});
+                            &NetworkInterface::presentSend<ArenaIo>>,
+        ctx, twins.wires(kTo, (sendVcs << vcarena::kFree) & vcarena::kFreeMask),
+        twins.wires(kTo, vcarena::kForwardMask));
   if (vcMode()) {
-    std::vector<const sim::WireBase*> frees, acks;
-    for (std::size_t v = 0; v < static_cast<std::size_t>(params_.numVCs);
-         ++v) {
-      frees.push_back(&fromRouter_->vcFree[v]);
-      acks.push_back(&fromRouter_->vcAck[v]);
-    }
     lw.op(&vcarena::channelOp<
               NetworkInterface,
-              &NetworkInterface::advertiseRxSpace<ChannelArenaIo>>,
-          ctx, {}, std::move(frees));
+              &NetworkInterface::advertiseRxSpace<ArenaIo>>,
+          ctx, {}, twins.wires(kFrom, vcarena::kFreeMask));
     if (creditMode())
       lw.op(&vcarena::channelOp<
                 NetworkInterface,
-                &NetworkInterface::returnRxCredits<ChannelArenaIo>>,
-            ctx, {&fromRouter_->val, &fromRouter_->vc}, std::move(acks));
+                &NetworkInterface::returnRxCredits<ArenaIo>>,
+            ctx,
+            twins.wires(kFrom, vcarena::kForwardMask & ~vcarena::kFlitMask),
+            twins.wires(kFrom, vcarena::kVcAckMask));
   } else {
     lw.op(&vcarena::channelOp<NetworkInterface,
-                              &NetworkInterface::ackRx<ChannelArenaIo>>,
-          ctx, {&fromRouter_->val}, {&fromRouter_->ack});
+                              &NetworkInterface::ackRx<ArenaIo>>,
+          ctx, twins.wires(kFrom, bit(vcarena::kVal)),
+          twins.wires(kFrom, bit(vcarena::kAck)));
   }
-  lw.edgeCall(*this);
+  lw.edgeOp(&vcarena::channelOp<NetworkInterface,
+                                 &NetworkInterface::edge<ArenaIo>>,
+            ctx);
   return true;
 }
 

@@ -185,7 +185,8 @@ class NetworkInterface : public sim::Module {
 
   /// Compiled-kernel lowering: one arena op per phase of evaluate(), so
   /// the send and receive sides stay apart in the combinational graph, and
-  /// a clockEdge() call (queues, reassembly, the reliability machine).
+  /// an arena edge op running the same edge body as clockEdge() (queues,
+  /// reassembly, the reliability machine).
   bool describe(sim::Lowering& lw) override;
 
  protected:
@@ -201,9 +202,10 @@ class NetworkInterface : public sim::Module {
   // Inject VC for a class under qosClasses (otherwise options_.injectVc,
   // or 0 at numVCs == 1).
   int injectVcFor(router::TrafficClass cls) const;
-  // The combinational phases of evaluate(), each written once over the
-  // toRouter and fromRouter channel words (router::vcarena::ChannelWireIo
-  // in evaluate(), ChannelArenaIo in the compiled ops).  presentSend: the
+  // The combinational phases of evaluate() and the edge, each written once
+  // over a router::vcarena::ChannelIo of the toRouter and fromRouter
+  // channel words (their wires in evaluate() and clockEdge(), the arena in
+  // the compiled ops).  presentSend: the
   // next pending flit onto toRouter, from the highest inject VC with a
   // pending flit and downstream space (reads the inject VCs' vcFree under
   // on/off VC flow control).  At numVCs == 1, ackRx mirrors fromRouter val
@@ -218,6 +220,10 @@ class NetworkInterface : public sim::Module {
   void advertiseRxSpace(const Io& io) const;
   template <class Io>
   void returnRxCredits(const Io& io) const;
+  // The edge: advances the send queue past a sent flit, settles credits,
+  // takes a received flit and runs the reliability machine.
+  template <class Io>
+  void edge(const Io& io);
   // Appends a received flit to its VC's reassembly buffer and completes
   // the packet on eop.
   void acceptRxFlit(const router::Flit& flit, std::vector<router::Flit>& buf);

@@ -87,6 +87,24 @@ struct CrossbarWires {
   std::array<sim::Wire<bool>, kNumPorts> rd;
 };
 
+// The nets between the paper's blocks inside one single-VC input channel
+// (IFC/IB/IC/IRS: the buffer head, its wok/rok status and the wr/rd
+// strobes) and one single-VC output channel (OC/ODS/ORS/OFC: the
+// connection state, the selected input, its rok and the read strobe).
+struct InputBlockNets {
+  FlitWires dout;
+  sim::Wire<bool> wok;
+  sim::Wire<bool> rok;
+  sim::Wire<bool> wr;
+  sim::Wire<bool> rd;
+};
+struct OutputBlockNets {
+  sim::Wire<bool> connected;
+  sim::Wire<int> sel;
+  sim::Wire<bool> rokSel;
+  sim::Wire<bool> xRd;
+};
+
 // Single-VC crossbar, one bundle per input port: the mask of inputs (bit
 // i) whose req line to output `own` is raised, and driving output `own`'s
 // rd line of every input.

@@ -9,7 +9,7 @@ FaultyLink::FaultyLink(std::string name, ChannelWires& src, ChannelWires& dst,
                        int dataBits, double flipProbability,
                        std::uint64_t seed, FlowControl flowControl,
                        int numVCs)
-    : Link(std::move(name), src, dst, flowControl, numVCs, true),
+    : Link(std::move(name), src, dst, flowControl, numVCs),
       dataBits_(dataBits),
       flipProbability_(flipProbability),
       seed_(seed),
@@ -94,11 +94,14 @@ void FaultyLink::arm() {
   }
 }
 
-void FaultyLink::clockEdge() {
-  const ChannelWires& src = srcWires();
-  const bool val = src.val.get();
-  const bool bop = src.flit.bop.get();
-  const bool body = !bop && !src.flit.eop.get();
+template <class Io>
+void FaultyLink::edge(const Io& io) {
+  using vcarena::bit;
+  const std::uint64_t offer = io.word(
+      kSrc, bit(vcarena::kVal) | bit(vcarena::kBop) | bit(vcarena::kEop));
+  const bool val = (offer & bit(vcarena::kVal)) != 0;
+  const bool bop = (offer & bit(vcarena::kBop)) != 0;
+  const bool body = (offer & (bit(vcarena::kBop) | bit(vcarena::kEop))) == 0;
   // VC windows never consume flits (see recomputeActive()); every
   // active-window cycle counts as a stall because all VCs are frozen for
   // its duration.
@@ -110,14 +113,14 @@ void FaultyLink::clockEdge() {
             : faults_.keep == 0;
   // Headers pass clean and do not consume the armed mask.  A dropped flit
   // never reached the far side, so its mask was not applied.
-  if (transferring() && !bop) {
+  if (transferring(io) && !bop) {
     if (!dropped && faults_.flip != 0) {
       ++flitsCorrupted_;
       if (metrics_.flitsCorrupted) metrics_.flitsCorrupted->inc();
     }
     arm();
   }
-  Link::clockEdge();
+  Link::edge(io);
   if (dropped) {
     ++flitsDropped_;
     if (metrics_.flitsDropped) metrics_.flitsDropped->inc();
@@ -128,6 +131,18 @@ void FaultyLink::clockEdge() {
   }
   ++cycle_;
   recomputeActive();
+}
+
+void FaultyLink::clockEdge() {
+  onWires([&](const auto& io) { edge(io); });
+}
+
+bool FaultyLink::describe(sim::Lowering& lw) {
+  using Ctx = vcarena::OpCtx<FaultyLink>;
+  const auto* phases = describePhases(lw, true);
+  lw.edgeOp(&vcarena::channelOp<FaultyLink, &FaultyLink::edge<ArenaIo>>,
+            lw.ctx(Ctx{this, phases->words}));
+  return true;
 }
 
 }  // namespace rasoc::router

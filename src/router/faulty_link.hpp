@@ -91,11 +91,19 @@ class FaultyLink : public Link {
   /// window.
   std::uint64_t stallCycles() const { return stallCycles_; }
 
+  /// Compiled-kernel lowering: Link's settle ops, and an arena edge op
+  /// running the same edge body as clockEdge().
+  bool describe(sim::Lowering& lw) override;
+
  protected:
   void onReset() override;
   void clockEdge() override;
 
  private:
+  // Fault accounting, RNG draws and the fault state's recomputation, then
+  // Link's transfer count, over the source and destination channel words.
+  template <class Io>
+  void edge(const Io& io);
   void arm();
   void recomputeActive();
 

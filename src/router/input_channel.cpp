@@ -33,12 +33,13 @@ InputChannel::InputChannel(std::string name, const RouterParams& params,
                            ChannelWires& in, CrossbarWires& xbar)
     : Module(std::move(name)),
       ownPort_(ownPort),
-      ifc_(this->name() + ".ifc", flowControl, in.val, wok_,
-           flowControl == FlowControl::Handshake ? &in.ack : nullptr, wr_),
-      ib_(InputBuffer::create(this->name() + ".ib", params, in.flit, wr_, rd_,
-                              ibDout_, wok_, rok_)),
-      ic_(this->name() + ".ic", params, ownPort, ibDout_, rok_, xbar),
-      irs_(this->name() + ".irs", xbar, rd_),
+      ifc_(this->name() + ".ifc", flowControl, in.val, nets_.wok,
+           flowControl == FlowControl::Handshake ? &in.ack : nullptr,
+           nets_.wr),
+      ib_(InputBuffer::create(this->name() + ".ib", params, in.flit, nets_.wr,
+                              nets_.rd, nets_.dout, nets_.wok, nets_.rok)),
+      ic_(this->name() + ".ic", params, ownPort, nets_.dout, nets_.rok, xbar),
+      irs_(this->name() + ".irs", xbar, nets_.rd),
       in_(&in),
       xbar_(&xbar) {
   addChild(ifc_);
@@ -48,8 +49,8 @@ InputChannel::InputChannel(std::string name, const RouterParams& params,
   if (flowControl == FlowControl::CreditBased) {
     // The channel ack wire becomes the credit-return line, pulsed when a
     // flit leaves the buffer.
-    creditTap_ = std::make_unique<CreditReturnTap>(this->name() + ".credit",
-                                                   rd_, rok_, in.ack);
+    creditTap_ = std::make_unique<CreditReturnTap>(
+        this->name() + ".credit", nets_.rd, nets_.rok, in.ack);
     addChild(*creditTap_);
   }
 }
@@ -75,10 +76,10 @@ void InputChannel::edge(const Io& io) {
   }
 }
 
-// --- compiled-kernel lowering ------------------------------------------
+// --- signal accessor and compiled-kernel lowering ------------------------
 //
 // The IFC + IB + IC + IRS (+ credit tap) subtree lowers to three arena ops
-// plus one edge op, each calling the blocks' own bodies through ArenaIo:
+// plus one edge op, each calling the blocks' own bodies through SignalIo:
 //
 //   publish  - IB publish (wok/rok/dout from registered FIFO state), then
 //              IC routing (x_dout/x_rok/x_req).  Reads nothing
@@ -92,62 +93,61 @@ void InputChannel::edge(const Io& io) {
 //   edge     - the channel's accounting, then the IB commit: the
 //              clockEdgeAll() order, so accounting sees pre-commit state.
 
-struct InputChannel::WireIo {
-  const InputChannel& ch;
+template <class Place>
+InputChannel::Words InputChannel::layout(Place& place) {
+  Words words;
+  words.link = place(vcarena::WireTwin::channel(*in_, 1));
+  words.block = vcarena::portBlock(place, xbar_, 1);
+  words.nets = place(vcarena::WireTwin::nets(nets_));
+  return words;
+}
 
-  bool wr() const { return ch.wr_.get(); }
-  bool rok() const { return ch.rok_.get(); }
-  bool rd() const { return ch.rd_.get(); }
-};
-
-struct InputChannel::ArenaCtx {
-  InputChannel* self = nullptr;
-  std::uint32_t link = 0;   // channel word of the input link
-  std::uint32_t block = 0;  // port block: control word, then the bundle
-  std::uint32_t nets = 0;   // the nets between the blocks
-};
-
-// Every signal the channel's blocks read or drive, over the packed words.
-struct InputChannel::ArenaIo {
-  std::uint64_t* w;
-  const ArenaCtx* c;
+// Every signal the channel's blocks read or drive.
+template <class Src>
+struct InputChannel::SignalIo {
+  Src src;
+  const Words& r;
 
   // The input link.
-  bool inVal() const { return vcarena::bitAt(w, c->link, vcarena::kVal); }
-  Flit inFlit() const { return vcarena::bitsFlit(w[c->link]); }
+  bool inVal() const { return vcarena::bitOf(src, r.link, vcarena::kVal); }
+  Flit inFlit() const {
+    return vcarena::bitsFlit(src.get(r.link, vcarena::kFlitMask));
+  }
   void putInAck(bool v) const {
-    vcarena::putBitAt(w, c->link, vcarena::kAck, v);
+    vcarena::putBit(src, r.link, vcarena::kAck, v);
   }
   // The crossbar: grant and read strobes as port masks, and the bundle.
-  unsigned grants() const { return strobes(0); }
-  unsigned reads() const { return strobes(vcarena::kRd); }
+  unsigned grants() const {
+    return vcarena::fieldOf(src, r.block, 0, kNumPorts);
+  }
+  unsigned reads() const {
+    return vcarena::fieldOf(src, r.block, vcarena::kRd, kNumPorts);
+  }
   void putXbar(bool rok, unsigned req, const Flit& f) const {
-    sim::opPutBits(w, c->block + 1, sim::fieldMask(vcarena::kWant),
-                   vcarena::flitBits(f) |
-                       (std::uint64_t{rok} << vcarena::kRok) |
-                       (std::uint64_t{req} << vcarena::kReq));
+    src.put(r.block + 1, sim::fieldMask(vcarena::kWant),
+            vcarena::flitBits(f) | (std::uint64_t{rok} << vcarena::kRok) |
+                (std::uint64_t{req} << vcarena::kReq));
   }
   // The nets between the blocks.
   bool wok() const { return net(vcarena::kWok); }
   bool rok() const { return net(vcarena::kRokNet); }
   bool wr() const { return net(vcarena::kWr); }
   bool rd() const { return net(vcarena::kRdNet); }
-  Flit dout() const { return vcarena::bitsFlit(w[c->nets]); }
+  Flit dout() const {
+    return vcarena::bitsFlit(src.get(r.nets, vcarena::kFlitMask));
+  }
   void putWok(bool v) const { putNet(vcarena::kWok, v); }
   void putRok(bool v) const { putNet(vcarena::kRokNet, v); }
   void putWr(bool v) const { putNet(vcarena::kWr, v); }
   void putRd(bool v) const { putNet(vcarena::kRdNet, v); }
   void putDout(const Flit& f) const {
-    sim::opPutBits(w, c->nets, vcarena::kFlitMask, vcarena::flitBits(f));
+    src.put(r.nets, vcarena::kFlitMask, vcarena::flitBits(f));
   }
 
  private:
-  unsigned strobes(unsigned shift) const {
-    return static_cast<unsigned>(w[c->block] >> shift) & vcarena::kPortMask;
-  }
-  bool net(unsigned shift) const { return vcarena::bitAt(w, c->nets, shift); }
+  bool net(unsigned shift) const { return vcarena::bitOf(src, r.nets, shift); }
   void putNet(unsigned shift, bool v) const {
-    vcarena::putBitAt(w, c->nets, shift, v);
+    vcarena::putBit(src, r.nets, shift, v);
   }
 };
 
@@ -159,64 +159,62 @@ void InputChannel::runEdge(const Io& io) {
     edge<false>(io);
 }
 
-void InputChannel::clockEdge() { runEdge(WireIo{*this}); }
+void InputChannel::clockEdge() {
+  vcarena::ChannelWords wires;
+  const Words words = layout(wires);
+  runEdge(SignalIo<const vcarena::ChannelWords&>{wires, words});
+}
 
 bool InputChannel::describe(sim::Lowering& lw) {
-  ArenaCtx proto;
-  proto.self = this;
-  proto.link = vcarena::channelWord(lw, *in_, 1);
-  proto.block = vcarena::portBlock(lw, {xbar_, 1});
-  proto.nets = lw.packedWord({{ibDout_.data, 0},
-                              {ibDout_.bop, vcarena::kBop},
-                              {ibDout_.eop, vcarena::kEop},
-                              {wok_, vcarena::kWok},
-                              {rok_, vcarena::kRokNet},
-                              {wr_, vcarena::kWr},
-                              {rd_, vcarena::kRdNet}});
-  ArenaCtx* ctx = lw.ctx(proto);
+  vcarena::ArenaPlacer place{lw};
+  using OpCtx = vcarena::OpCtx<InputChannel, Words>;
+  OpCtx* ctx = lw.ctx(OpCtx{this, layout(place)});
+  using ArenaIo = SignalIo<vcarena::ArenaWords>;
 
-  std::vector<const sim::WireBase*> pubWrites = {
-      &wok_,          &rok_,          &ibDout_.data,      &ibDout_.bop,
-      &ibDout_.eop,   &xbar_->rok,    &xbar_->flit.data,  &xbar_->flit.bop,
-      &xbar_->flit.eop};
-  for (const auto& req : xbar_->req) pubWrites.push_back(&req);
+  // The ops' reads and writes, as bits of the same words.  The link's ack
+  // is the IFC's under handshake and the credit tap's under credit flow
+  // control.
+  using vcarena::bit;
+  vcarena::ChannelWords twins;
+  const Words t = layout(twins);
+  const bool credit = creditTap_ != nullptr;
+  std::vector<const sim::WireBase*> pubWrites = twins.wires(
+      t.nets, vcarena::kFlitMask | bit(vcarena::kWok) | bit(vcarena::kRokNet));
+  twins.wires(t.block + 1, sim::fieldMask(vcarena::kWant), pubWrites);
+  const std::uint64_t handshakeAck = credit ? 0 : bit(vcarena::kAck);
+  std::vector<const sim::WireBase*> flowReads =
+      twins.wires(t.link, bit(vcarena::kVal));
+  twins.wires(t.nets, credit ? 0 : bit(vcarena::kWok), flowReads);
+  std::vector<const sim::WireBase*> flowWrites =
+      twins.wires(t.nets, bit(vcarena::kWr));
+  twins.wires(t.link, handshakeAck, flowWrites);
+  std::vector<const sim::WireBase*> rsReads =
+      twins.wires(t.block, ~std::uint64_t{0});
+  twins.wires(t.nets, credit ? bit(vcarena::kRokNet) : 0, rsReads);
+  std::vector<const sim::WireBase*> rsWrites =
+      twins.wires(t.nets, bit(vcarena::kRdNet));
+  twins.wires(t.link, bit(vcarena::kAck) & ~handshakeAck, rsWrites);
+
   lw.op(
       [](std::uint64_t* w, void* c) {
-        auto* x = static_cast<ArenaCtx*>(c);
-        const ArenaIo io{w, x};
+        auto* x = static_cast<OpCtx*>(c);
+        const ArenaIo io{{w}, x->words};
         x->self->ib_->publish(io);
         x->self->ic_.route(io);
       },
       ctx, {}, std::move(pubWrites));
 
-  const bool credit = creditTap_ != nullptr;
-  std::vector<const sim::WireBase*> flowReads = {&in_->val};
-  std::vector<const sim::WireBase*> flowWrites = {&wr_};
-  if (!credit) {
-    flowReads.push_back(&wok_);
-    flowWrites.push_back(&in_->ack);
-  }
   lw.op(
       [](std::uint64_t* w, void* c) {
-        auto* x = static_cast<ArenaCtx*>(c);
-        x->self->ifc_.flow(ArenaIo{w, x});
+        auto* x = static_cast<OpCtx*>(c);
+        x->self->ifc_.flow(ArenaIo{{w}, x->words});
       },
       ctx, std::move(flowReads), std::move(flowWrites));
 
-  std::vector<const sim::WireBase*> rsReads;
-  for (int o = 0; o < kNumPorts; ++o) {
-    rsReads.push_back(&xbar_->gnt[static_cast<std::size_t>(o)]);
-    rsReads.push_back(&xbar_->rd[static_cast<std::size_t>(o)]);
-  }
-  std::vector<const sim::WireBase*> rsWrites = {&rd_};
-  if (credit) {
-    rsReads.push_back(&rok_);
-    rsWrites.push_back(&in_->ack);
-  }
   lw.op(
       [](std::uint64_t* w, void* c) {
-        auto* x = static_cast<ArenaCtx*>(c);
-        const ArenaIo io{w, x};
+        auto* x = static_cast<OpCtx*>(c);
+        const ArenaIo io{{w}, x->words};
         x->self->irs_.select(io);
         if (x->self->creditTap_) x->self->creditTap_->pulse(io);
       },
@@ -224,8 +222,8 @@ bool InputChannel::describe(sim::Lowering& lw) {
 
   lw.edgeOp(
       [](std::uint64_t* w, void* c) {
-        auto* x = static_cast<ArenaCtx*>(c);
-        const ArenaIo io{w, x};
+        auto* x = static_cast<OpCtx*>(c);
+        const ArenaIo io{{w}, x->words};
         x->self->runEdge(io);
         x->self->ib_->edge(io);
       },
@@ -236,95 +234,59 @@ bool InputChannel::describe(sim::Lowering& lw) {
 // --- VcInputChannel --------------------------------------------------------
 //
 // Each phase (publish, credit return, edge) is one member template written
-// over a small signal accessor: WireIo reads and drives the Wire objects
-// (evaluate() / clockEdge(), hence the naive kernel), ArenaIo the packed
-// words of router/vc_arena.hpp (the compiled kernel's ops).  The two
-// accessors expose the same signals at the same granularity, so the
-// kernels share every line of channel behaviour.
+// over SignalIo, the channel's signal accessor on its packed words: evaluate()
+// and clockEdge() (hence the naive kernel) run it over the words' Wire
+// twins, the compiled ops over the arena, so the kernels share every line
+// of channel behaviour.
 
-struct VcInputChannel::WireIo {
-  const VcInputChannel& ch;
+template <class Place>
+VcInputChannel::Words VcInputChannel::layout(Place& place) const {
+  Words words;
+  words.link = place(vcarena::WireTwin::channel(*in_, numVCs_));
+  words.block = vcarena::portBlock(place, xbar_->data(), numVCs_);
+  return words;
+}
+
+template <class Src>
+struct VcInputChannel::SignalIo {
+  Src src;
+  const Words& r;
 
   // Port masks (bit o) of the outputs granting / reading VC v.
-  unsigned grants(int v) const { return strobes(v, &CrossbarWires::gnt); }
-  unsigned reads(int v) const { return strobes(v, &CrossbarWires::rd); }
-  // The link: val, target VC and the offered flit (packed).
-  bool inVal() const { return ch.in_->val.get(); }
-  int inVc() const { return ch.in_->vc.get(); }
-  std::uint64_t inFlit() const {
-    return vcarena::flitBits(readFlit(ch.in_->flit));
+  unsigned grants(int v) const {
+    return vcarena::fieldOf(src, r.block, lane(v), kNumPorts);
   }
+  unsigned reads(int v) const {
+    return vcarena::fieldOf(src, r.block, vcarena::kRd + lane(v), kNumPorts);
+  }
+  // The link: val, target VC and the offered flit (packed).
+  bool inVal() const { return vcarena::bitOf(src, r.link, vcarena::kVal); }
+  int inVc() const {
+    return static_cast<int>(
+        vcarena::fieldOf(src, r.link, vcarena::kVc, vcarena::kVcWidth));
+  }
+  std::uint64_t inFlit() const { return src.get(r.link, vcarena::kFlitMask); }
   // Per-VC levels (bit v) driven back up the link.
-  void putFree(unsigned vcs) const { putLevels(ch.in_->vcFree, vcs); }
-  void putAcks(unsigned vcs) const { putLevels(ch.in_->vcAck, vcs); }
+  void putFree(unsigned vcs) const {
+    src.put(r.link, vcarena::kFreeMask, std::uint64_t{vcs} << vcarena::kFree);
+  }
+  void putAcks(unsigned vcs) const {
+    src.put(r.link, vcarena::kVcAckMask,
+            std::uint64_t{vcs} << vcarena::kVcAck);
+  }
   // VC v's crossbar bundle; `req` is a port mask.
   void putBundle(int v, bool rok, unsigned req, unsigned want,
                  const Flit& f) const {
-    CrossbarWires& x = (*ch.xbar_)[static_cast<std::size_t>(v)];
-    x.rok.set(rok);
-    for (int o = 0; o < kNumPorts; ++o)
-      x.req[static_cast<std::size_t>(o)].set(((req >> o) & 1u) != 0);
-    x.want.set(static_cast<int>(want));
-    driveFlit(x.flit, f);
+    src.put(r.block + 1 + static_cast<std::uint32_t>(v), vcarena::kBundleMask,
+            vcarena::flitBits(f) | (std::uint64_t{rok} << vcarena::kRok) |
+                (std::uint64_t{req} << vcarena::kReq) |
+                (std::uint64_t{want} << vcarena::kWant));
   }
 
  private:
-  unsigned strobes(int v, std::array<sim::Wire<bool>, kNumPorts>
-                              CrossbarWires::*net) const {
-    const auto& wires = (*ch.xbar_)[static_cast<std::size_t>(v)].*net;
-    unsigned mask = 0;
-    for (int o = 0; o < kNumPorts; ++o)
-      if (wires[static_cast<std::size_t>(o)].get()) mask |= 1u << o;
-    return mask;
-  }
-  void putLevels(std::array<sim::Wire<bool>, kMaxVCs>& wires,
-                 unsigned vcs) const {
-    for (int v = 0; v < ch.numVCs_; ++v)
-      wires[static_cast<std::size_t>(v)].set(((vcs >> v) & 1u) != 0);
-  }
-};
-
-struct VcInputChannel::ArenaCtx {
-  VcInputChannel* self = nullptr;
-  std::uint32_t link = 0;   // channel word of the input link
-  std::uint32_t block = 0;  // port block: control word, then VC bundles
-};
-
-struct VcInputChannel::ArenaIo {
-  std::uint64_t* w;
-  const ArenaCtx* c;
-
-  unsigned grants(int v) const {
-    return static_cast<unsigned>(w[c->block] >> (vcarena::kLane * v)) &
-           vcarena::kPortMask;
-  }
-  unsigned reads(int v) const {
-    return static_cast<unsigned>(w[c->block] >>
-                                 (vcarena::kRd + vcarena::kLane * v)) &
-           vcarena::kPortMask;
-  }
-  bool inVal() const { return ((w[c->link] >> vcarena::kVal) & 1u) != 0; }
-  int inVc() const {
-    return static_cast<int>((w[c->link] >> vcarena::kVc) &
-                            sim::fieldMask(vcarena::kVcWidth));
-  }
-  std::uint64_t inFlit() const { return w[c->link] & vcarena::kFlitMask; }
-  void putFree(unsigned vcs) const {
-    sim::opPutBits(w, c->link, vcarena::kFreeMask,
-                   std::uint64_t{vcs} << vcarena::kFree);
-  }
-  void putAcks(unsigned vcs) const {
-    sim::opPutBits(w, c->link, vcarena::kVcAckMask,
-                   std::uint64_t{vcs} << vcarena::kVcAck);
-  }
-  void putBundle(int v, bool rok, unsigned req, unsigned want,
-                 const Flit& f) const {
-    sim::opPutBits(w, c->block + 1 + static_cast<std::uint32_t>(v),
-                   vcarena::kBundleMask,
-                   vcarena::flitBits(f) |
-                       (std::uint64_t{rok} << vcarena::kRok) |
-                       (std::uint64_t{req} << vcarena::kReq) |
-                       (std::uint64_t{want} << vcarena::kWant));
+  // VC v's lane of the control word.
+  static unsigned lane(int v) {
+    return vcarena::kLane * static_cast<unsigned>(v);
   }
 };
 
@@ -350,7 +312,9 @@ void VcInputChannel::attachMetrics(const VcInputChannelMetrics& metrics) {
 }
 
 bool VcInputChannel::dequeueFired(int v) const {
-  const WireIo io{*this};
+  vcarena::ChannelWords wires;
+  const Words words = layout(wires);
+  const SignalIo<const vcarena::ChannelWords&> io{wires, words};
   return fifo_.size(v) > 0 && (io.grants(v) & io.reads(v)) != 0;
 }
 
@@ -364,7 +328,9 @@ void VcInputChannel::onReset() {
 }
 
 void VcInputChannel::evaluate() {
-  const WireIo io{*this};
+  vcarena::ChannelWords wires;
+  const Words words = layout(wires);
+  const SignalIo<const vcarena::ChannelWords&> io{wires, words};
   publish(io);
   if (creditMode()) returnCredits(io);
 }
@@ -377,7 +343,11 @@ void VcInputChannel::runEdge(const Io& io) {
     edge<false>(io);
 }
 
-void VcInputChannel::clockEdge() { runEdge(WireIo{*this}); }
+void VcInputChannel::clockEdge() {
+  vcarena::ChannelWords wires;
+  const Words words = layout(wires);
+  runEdge(SignalIo<const vcarena::ChannelWords&>{wires, words});
+}
 
 template <class Io>
 void VcInputChannel::returnCredits(const Io& io) {
@@ -493,52 +463,39 @@ void VcInputChannel::edge(const Io& io) {
 }
 
 bool VcInputChannel::describe(sim::Lowering& lw) {
-  ArenaCtx proto;
-  proto.self = this;
-  proto.link = vcarena::channelWord(lw, *in_, numVCs_);
-  proto.block = vcarena::portBlock(
-      lw, std::span<const CrossbarWires>(*xbar_).first(
-              static_cast<std::size_t>(numVCs_)));
-  ArenaCtx* ctx = lw.ctx(proto);
+  vcarena::ArenaPlacer place{lw};
+  using OpCtx = vcarena::OpCtx<VcInputChannel, Words>;
+  OpCtx* ctx = lw.ctx(OpCtx{this, layout(place)});
+  using ArenaIo = SignalIo<vcarena::ArenaWords>;
 
-  std::vector<const sim::WireBase*> grants;
-  std::vector<const sim::WireBase*> grantsAndReads;
-  std::vector<const sim::WireBase*> pubWrites;
-  std::vector<const sim::WireBase*> acks;
-  for (int v = 0; v < numVCs_; ++v) {
-    CrossbarWires& xb = (*xbar_)[static_cast<std::size_t>(v)];
-    for (int o = 0; o < kNumPorts; ++o) {
-      grants.push_back(&xb.gnt[static_cast<std::size_t>(o)]);
-      grantsAndReads.push_back(&xb.gnt[static_cast<std::size_t>(o)]);
-      grantsAndReads.push_back(&xb.rd[static_cast<std::size_t>(o)]);
-    }
-    pubWrites.push_back(&in_->vcFree[static_cast<std::size_t>(v)]);
-    pubWrites.push_back(&xb.rok);
-    pubWrites.push_back(&xb.want);
-    pubWrites.push_back(&xb.flit.data);
-    pubWrites.push_back(&xb.flit.bop);
-    pubWrites.push_back(&xb.flit.eop);
-    for (int o = 0; o < kNumPorts; ++o)
-      pubWrites.push_back(&xb.req[static_cast<std::size_t>(o)]);
-    acks.push_back(&in_->vcAck[static_cast<std::size_t>(v)]);
-  }
+  // The ops' reads and writes, as bits of the same words.
+  vcarena::ChannelWords twins;
+  const Words t = layout(twins);
+  std::vector<const sim::WireBase*> grants, strobes, pubWrites, acks;
+  twins.wires(t.block, sim::fieldMask(vcarena::kRd), grants);
+  twins.wires(t.block, ~std::uint64_t{0}, strobes);
+  twins.wires(t.link, vcarena::kFreeMask, pubWrites);
+  for (int v = 0; v < numVCs_; ++v)
+    twins.wires(t.block + 1 + static_cast<std::uint32_t>(v),
+                vcarena::kBundleMask, pubWrites);
+  twins.wires(t.link, vcarena::kVcAckMask, acks);
   lw.op(
       [](std::uint64_t* w, void* c) {
-        auto* x = static_cast<ArenaCtx*>(c);
-        x->self->publish(ArenaIo{w, x});
+        auto* x = static_cast<OpCtx*>(c);
+        x->self->publish(ArenaIo{{w}, x->words});
       },
       ctx, std::move(grants), std::move(pubWrites));
   if (creditMode())
     lw.op(
         [](std::uint64_t* w, void* c) {
-          auto* x = static_cast<ArenaCtx*>(c);
-          x->self->returnCredits(ArenaIo{w, x});
+          auto* x = static_cast<OpCtx*>(c);
+          x->self->returnCredits(ArenaIo{{w}, x->words});
         },
-        ctx, std::move(grantsAndReads), std::move(acks));
+        ctx, std::move(strobes), std::move(acks));
   lw.edgeOp(
       [](std::uint64_t* w, void* c) {
-        auto* x = static_cast<ArenaCtx*>(c);
-        x->self->runEdge(ArenaIo{w, x});
+        auto* x = static_cast<OpCtx*>(c);
+        x->self->runEdge(ArenaIo{{w}, x->words});
       },
       ctx);
   return true;

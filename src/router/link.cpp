@@ -10,28 +10,15 @@
 
 namespace rasoc::router {
 
-namespace {
-
-// Channel-word accessor indices (vcarena::ChannelWireIo / ChannelArenaIo).
-constexpr std::size_t kSrc = 0;
-constexpr std::size_t kDst = 1;
-
-}  // namespace
-
 using vcarena::bit;
 
 Link::Link(std::string name, ChannelWires& src, ChannelWires& dst,
            FlowControl flowControl, int numVCs)
-    : Link(std::move(name), src, dst, flowControl, numVCs, false) {}
-
-Link::Link(std::string name, ChannelWires& src, ChannelWires& dst,
-           FlowControl flowControl, int numVCs, bool faultable)
     : Module(std::move(name)),
       src_(&src),
       dst_(&dst),
       flowControl_(flowControl),
-      numVCs_(numVCs),
-      faultable_(faultable) {
+      numVCs_(numVCs) {
   if (numVCs_ < 1 || numVCs_ > kMaxVCs)
     throw std::invalid_argument("Link: numVCs must be in [1, kMaxVCs]");
 }
@@ -77,36 +64,24 @@ void Link::reverseVcAck(const Io& io) const {
   io.put(kSrc, vcarena::kVcAckMask, io.word(kDst, vcarena::kVcAckMask));
 }
 
-template <class Io>
-bool Link::transferring(const Io& io) const {
-  const std::uint64_t need =
-      flowControl_ == FlowControl::Handshake && numVCs_ == 1
-          ? bit(vcarena::kVal) | bit(vcarena::kAck)
-          : bit(vcarena::kVal);
-  return io.word(kSrc, need) == need;
-}
-
 void Link::evaluate() {
-  const vcarena::ChannelWireIo io{{src_, dst_}, numVCs_};
-  forward(io);
-  if (numVCs_ == 1) {
-    reverseAck(io);
-    return;
-  }
-  // VC mode: per-VC space/link-up levels and credit pulses upstream.  The
-  // ack wire is unused.
-  reverseVcFree(io);
-  reverseVcAck(io);
-}
-
-bool Link::transferring() const {
-  return transferring(vcarena::ChannelWireIo{{src_, dst_}, numVCs_});
+  onWires([&](const auto& io) {
+    forward(io);
+    if (numVCs_ == 1) {
+      reverseAck(io);
+      return;
+    }
+    // VC mode: per-VC space/link-up levels and credit pulses upstream.
+    // The ack wire is unused.
+    reverseVcFree(io);
+    reverseVcAck(io);
+  });
 }
 
 void Link::onReset() { flitsTransferred_ = 0; }
 
 void Link::clockEdge() {
-  if (transferring()) ++flitsTransferred_;
+  onWires([&](const auto& io) { edge(io); });
 }
 
 // --- compiled-kernel lowering ------------------------------------------
@@ -117,59 +92,48 @@ void Link::clockEdge() {
 // the downstream ack reader and manufacture a false combinational cycle
 // through the receiving router's flow controller.
 
-bool Link::describe(sim::Lowering& lw) {
-  using Ctx = vcarena::ChannelCtx<Link>;
-  using vcarena::ChannelArenaIo;
+vcarena::OpCtx<Link>* Link::describePhases(sim::Lowering& lw,
+                                                bool readsOffer) {
+  using Ctx = vcarena::OpCtx<Link>;
+  vcarena::ArenaPlacer place{lw};
   Ctx* ctx = lw.ctx(Ctx{this,
-                        {vcarena::channelWord(lw, *src_, numVCs_),
-                         vcarena::channelWord(lw, *dst_, numVCs_)}});
+                        {place(vcarena::WireTwin::channel(*src_, numVCs_)),
+                         place(vcarena::WireTwin::channel(*dst_, numVCs_))}});
 
-  lw.op(&vcarena::channelOp<Link, &Link::forward<ChannelArenaIo>>, ctx,
-        {&src_->flit.data, &src_->flit.bop, &src_->flit.eop, &src_->val,
-         &src_->vc},
-        {&dst_->flit.data, &dst_->flit.bop, &dst_->flit.eop, &dst_->val,
-         &dst_->vc});
-
+  // The ops' reads and writes, as bits of the same words.
+  const auto twins = vcarena::channelTwins(*src_, *dst_, numVCs_);
+  lw.op(&vcarena::channelOp<Link, &Link::forward<ArenaIo>>, ctx,
+        twins.wires(kSrc, vcarena::kForwardMask),
+        twins.wires(kDst, vcarena::kForwardMask));
   if (numVCs_ == 1) {
-    std::vector<const sim::WireBase*> reads = {&dst_->ack};
-    if (faultable_)
-      reads.insert(reads.end(),
-                   {&src_->val, &src_->flit.bop, &src_->flit.eop});
-    lw.op(&vcarena::channelOp<Link, &Link::reverseAck<ChannelArenaIo>>, ctx,
-          std::move(reads), {&src_->ack});
+    const std::uint64_t offer =
+        bit(vcarena::kVal) | bit(vcarena::kBop) | bit(vcarena::kEop);
+    std::vector<const sim::WireBase*> reads =
+        twins.wires(kDst, bit(vcarena::kAck));
+    if (readsOffer) twins.wires(kSrc, offer, reads);
+    lw.op(&vcarena::channelOp<Link, &Link::reverseAck<ArenaIo>>, ctx,
+          std::move(reads), twins.wires(kSrc, bit(vcarena::kAck)));
   } else {
     // The two VC reverse fields need separate ops: under credit flow
     // control vcAck is driven from the receiver's rd, which the receiver
     // computes from the vcFree of the next hop, so one op carrying both
     // would close a cycle through neighbouring routers.
-    std::vector<const sim::WireBase*> freeIn, freeOut, ackIn, ackOut;
-    for (std::size_t v = 0; v < static_cast<std::size_t>(numVCs_); ++v) {
-      freeIn.push_back(&dst_->vcFree[v]);
-      freeOut.push_back(&src_->vcFree[v]);
-      ackIn.push_back(&dst_->vcAck[v]);
-      ackOut.push_back(&src_->vcAck[v]);
-    }
-    lw.op(&vcarena::channelOp<Link, &Link::reverseVcFree<ChannelArenaIo>>,
-          ctx, std::move(freeIn), std::move(freeOut));
+    lw.op(&vcarena::channelOp<Link, &Link::reverseVcFree<ArenaIo>>, ctx,
+          twins.wires(kDst, vcarena::kFreeMask),
+          twins.wires(kSrc, vcarena::kFreeMask));
     // vcAck pulses exist only under credit flow control; on/off links
     // never see one.
     if (flowControl_ == FlowControl::CreditBased)
-      lw.op(&vcarena::channelOp<Link, &Link::reverseVcAck<ChannelArenaIo>>,
-            ctx, std::move(ackIn), std::move(ackOut));
+      lw.op(&vcarena::channelOp<Link, &Link::reverseVcAck<ArenaIo>>, ctx,
+            twins.wires(kDst, vcarena::kVcAckMask),
+            twins.wires(kSrc, vcarena::kVcAckMask));
   }
+  return ctx;
+}
 
-  if (faultable_) {
-    // Fault windows and RNG draws stay host-side clockEdge() code.
-    lw.edgeCall(*this);
-  } else {
-    lw.edgeOp(
-        [](std::uint64_t* w, void* c) {
-          auto* x = static_cast<Ctx*>(c);
-          if (x->self->transferring(ChannelArenaIo{w, x->words.data()}))
-            ++x->self->flitsTransferred_;
-        },
-        ctx);
-  }
+bool Link::describe(sim::Lowering& lw) {
+  lw.edgeOp(&vcarena::channelOp<Link, &Link::edge<ArenaIo>>,
+            describePhases(lw, false));
   return true;
 }
 

@@ -12,6 +12,7 @@
 
 #include "router/channel.hpp"
 #include "router/params.hpp"
+#include "router/vc_arena.hpp"
 
 namespace rasoc::router {
 
@@ -59,7 +60,7 @@ class Link : public sim::Module {
 
   /// Compiled-kernel lowering, one layout for every VC count: one arena op
   /// per phase of evaluate() over the channel words of router/vc_arena.hpp,
-  /// and a counting edge op (a clockEdge() call on a fault-injecting link).
+  /// and an arena edge op running the same edge body as clockEdge().
   bool describe(sim::Lowering& lw) override;
 
  protected:
@@ -81,31 +82,53 @@ class Link : public sim::Module {
     AckPath ack = AckPath::Copy;
   };
 
-  /// For derived links that change `faults_` at their clock edge: the
-  /// compiled edge calls clockEdge(), and the single-VC ack op also reads
-  /// the offered flit (AckPath::Consume).
-  Link(std::string name, ChannelWires& src, ChannelWires& dst,
-       FlowControl flowControl, int numVCs, bool faultable);
-
   void onReset() override;
   void evaluate() override;
   void clockEdge() override;
 
+  // The link's phases, its transfer test and its edge are written once
+  // over a vcarena::ChannelIo of the source (kSrc) and destination (kDst)
+  // channel words: the wires in evaluate() and clockEdge() (onWires), the
+  // arena in the compiled ops.
+  static constexpr std::size_t kSrc = 0;
+  static constexpr std::size_t kDst = 1;
+  using ArenaIo = vcarena::ChannelIo<vcarena::ArenaWords>;
+
+  /// Runs body(io) over the wires of the two channel bundles.
+  template <class Body>
+  void onWires(Body&& body) {
+    vcarena::onChannelWires(*src_, *dst_, numVCs_, body);
+  }
+
   /// True when the offered flit crosses at this edge: `val && ack` under
   /// single-VC handshake flow control, `val` otherwise (a credit or VC
   /// sender only raises val against space).
-  bool transferring() const;
+  template <class Io>
+  bool transferring(const Io& io) const {
+    const std::uint64_t need =
+        flowControl_ == FlowControl::Handshake && numVCs_ == 1
+            ? vcarena::bit(vcarena::kVal) | vcarena::bit(vcarena::kAck)
+            : vcarena::bit(vcarena::kVal);
+    return io.word(kSrc, need) == need;
+  }
+  /// The edge: counts a transferred flit.
+  template <class Io>
+  void edge(const Io& io) {
+    if (transferring(io)) ++flitsTransferred_;
+  }
 
-  const ChannelWires& srcWires() const { return *src_; }
+  /// Emits the settle ops and returns their context, whose channel words a
+  /// derived link's edge op reuses.  `readsOffer`: the single-VC ack op
+  /// also reads the offered flit (AckPath::Consume).
+  vcarena::OpCtx<Link>* describePhases(sim::Lowering& lw,
+                                            bool readsOffer);
+
   int numVCs() const { return numVCs_; }
   FlowControl flowControl() const { return flowControl_; }
 
   Faults faults_;
 
  private:
-  // The phases of evaluate() and the transfer test, written once over the
-  // source and destination channel words (vcarena::ChannelWireIo in
-  // evaluate() / clockEdge(), ChannelArenaIo in the compiled ops).
   template <class Io>
   void forward(const Io& io) const;
   template <class Io>
@@ -114,14 +137,11 @@ class Link : public sim::Module {
   void reverseVcFree(const Io& io) const;
   template <class Io>
   void reverseVcAck(const Io& io) const;
-  template <class Io>
-  bool transferring(const Io& io) const;
 
   ChannelWires* src_;
   ChannelWires* dst_;
   FlowControl flowControl_;
   int numVCs_ = 1;
-  bool faultable_ = false;
   std::uint64_t flitsTransferred_ = 0;
 };
 

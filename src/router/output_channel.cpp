@@ -15,10 +15,11 @@ OutputChannel::OutputChannel(std::string name, const RouterParams& params,
                              ChannelWires& out, ArbiterKind arbiter)
     : Module(std::move(name)),
       ownPort_(ownPort),
-      oc_(this->name() + ".oc", ownPort, xbar, out.flit.eop, rokSel_, xRd_,
-          connected_, sel_, arbiter),
-      ods_(this->name() + ".ods", xbar, connected_, sel_, out.flit),
-      ors_(this->name() + ".ors", xbar, connected_, sel_, rokSel_),
+      oc_(this->name() + ".oc", ownPort, xbar, out.flit.eop, nets_.rokSel,
+          nets_.xRd, nets_.connected, nets_.sel, arbiter),
+      ods_(this->name() + ".ods", xbar, nets_.connected, nets_.sel, out.flit),
+      ors_(this->name() + ".ors", xbar, nets_.connected, nets_.sel,
+           nets_.rokSel),
       out_(&out),
       flowControl_(params.flowControl),
       xbar_(&xbar) {
@@ -27,13 +28,13 @@ OutputChannel::OutputChannel(std::string name, const RouterParams& params,
   addChild(ors_);
   if (params.flowControl == FlowControl::Handshake) {
     handshakeOfc_ = std::make_unique<Ofc>(this->name() + ".ofc", ownPort,
-                                          rokSel_, out.ack, out.val, xRd_,
-                                          xbar);
+                                          nets_.rokSel, out.ack, out.val,
+                                          nets_.xRd, xbar);
     addChild(*handshakeOfc_);
   } else {
     creditOfc_ = std::make_unique<CreditOfc>(this->name() + ".ofc", ownPort,
-                                             params.p, rokSel_, out.ack,
-                                             out.val, xRd_, xbar);
+                                             params.p, nets_.rokSel, out.ack,
+                                             out.val, nets_.xRd, xbar);
     addChild(*creditOfc_);
   }
 }
@@ -78,10 +79,10 @@ void OutputChannel::edge(const Io& io) {
   }
 }
 
-// --- compiled-kernel lowering ------------------------------------------
+// --- signal accessor and compiled-kernel lowering ------------------------
 //
 // The OC + ODS + ORS + OFC subtree lowers to two arena ops plus one edge
-// op, each calling the blocks' own bodies through ArenaIo:
+// op, each calling the blocks' own bodies through SignalIo:
 //
 //   publish  - OC publish (registered connection state onto the
 //              connected/sel/gnt nets), the ODS flit mux, the ORS rok mux
@@ -94,79 +95,77 @@ void OutputChannel::edge(const Io& io) {
 //              credit mode, the credit counter update: the clockEdgeAll()
 //              order (channel, then OC, then OFC).
 
-struct OutputChannel::WireIo {
-  const OutputChannel& ch;
+template <class Place>
+OutputChannel::Words OutputChannel::layout(Place& place) {
+  Words words;
+  words.link = place(vcarena::WireTwin::channel(*out_, 1));
+  for (int i = 0; i < kNumPorts; ++i)
+    words.block[i] =
+        vcarena::portBlock(place, &(*xbar_)[static_cast<std::size_t>(i)], 1);
+  words.nets = place(vcarena::WireTwin::nets(nets_));
+  words.own = static_cast<unsigned>(index(ownPort_));
+  return words;
+}
 
-  bool outVal() const { return ch.out_->val.get(); }
-  bool outAck() const { return ch.out_->ack.get(); }
-  unsigned requests() const { return requestMask(*ch.xbar_, ch.ownPort_); }
-};
-
-struct OutputChannel::ArenaCtx {
-  OutputChannel* self = nullptr;
-  std::uint32_t link = 0;               // channel word of the output link
-  std::uint32_t block[kNumPorts] = {};  // each input port's port block
-  std::uint32_t nets = 0;               // the nets between the blocks
-  unsigned own = 0;                     // index(ownPort_)
-};
-
-// Every signal the channel's blocks read or drive, over the packed words.
-// Input i is the crossbar bundle of input port i.
-struct OutputChannel::ArenaIo {
-  std::uint64_t* w;
-  const ArenaCtx* c;
+// Every signal the channel's blocks read or drive.  Input i is the crossbar
+// bundle of input port i.
+template <class Src>
+struct OutputChannel::SignalIo {
+  Src src;
+  const Words& r;
 
   // The output link.
-  bool outVal() const { return vcarena::bitAt(w, c->link, vcarena::kVal); }
-  bool outAck() const { return vcarena::bitAt(w, c->link, vcarena::kAck); }
-  bool outEop() const {
-    return vcarena::bitAt(w, c->link, vcarena::kEop);
-  }
+  bool outVal() const { return vcarena::bitOf(src, r.link, vcarena::kVal); }
+  bool outAck() const { return vcarena::bitOf(src, r.link, vcarena::kAck); }
+  bool outEop() const { return vcarena::bitOf(src, r.link, vcarena::kEop); }
   void putOutVal(bool v) const {
-    vcarena::putBitAt(w, c->link, vcarena::kVal, v);
+    vcarena::putBit(src, r.link, vcarena::kVal, v);
   }
   void putOutFlit(const Flit& f) const {
-    sim::opPutBits(w, c->link, vcarena::kFlitMask, vcarena::flitBits(f));
+    src.put(r.link, vcarena::kFlitMask, vcarena::flitBits(f));
   }
   // The crossbar; grants and requests are input-port masks.
-  Flit xFlit(int i) const { return vcarena::bitsFlit(w[bundle(i)]); }
-  bool xRok(int i) const { return vcarena::bitAt(w, bundle(i), vcarena::kRok); }
+  Flit xFlit(int i) const {
+    return vcarena::bitsFlit(src.get(bundle(i), vcarena::kFlitMask));
+  }
+  bool xRok(int i) const {
+    return vcarena::bitOf(src, bundle(i), vcarena::kRok);
+  }
   unsigned requests() const {
     unsigned m = 0;
     for (int i = 0; i < kNumPorts; ++i)
-      if (vcarena::bitAt(w, bundle(i), vcarena::kReq + c->own)) m |= 1u << i;
+      if (vcarena::bitOf(src, bundle(i), vcarena::kReq + r.own)) m |= 1u << i;
     return m;
   }
   void putGrants(unsigned inputs) const {
     for (int i = 0; i < kNumPorts; ++i)
-      vcarena::putBitAt(w, c->block[i], c->own, ((inputs >> i) & 1u) != 0);
+      vcarena::putBit(src, r.block[i], r.own, ((inputs >> i) & 1u) != 0);
   }
   void putReads(bool v) const {
     for (int i = 0; i < kNumPorts; ++i)
-      vcarena::putBitAt(w, c->block[i], vcarena::kRd + c->own, v);
+      vcarena::putBit(src, r.block[i], vcarena::kRd + r.own, v);
   }
   // The nets between the blocks.
   bool connected() const { return net(vcarena::kConnected); }
   int sel() const {
-    return static_cast<int>((w[c->nets] >> vcarena::kSel) &
-                            sim::fieldMask(vcarena::kSelWidth));
+    return static_cast<int>(
+        vcarena::fieldOf(src, r.nets, vcarena::kSel, vcarena::kSelWidth));
   }
   bool rokSel() const { return net(vcarena::kRokSel); }
   bool xRd() const { return net(vcarena::kXRd); }
   void putConnected(bool v) const { putNet(vcarena::kConnected, v); }
   void putSel(int v) const {
-    sim::opPutBits(w, c->nets,
-                   sim::fieldMask(vcarena::kSelWidth) << vcarena::kSel,
-                   static_cast<std::uint64_t>(v) << vcarena::kSel);
+    src.put(r.nets, sim::fieldMask(vcarena::kSelWidth) << vcarena::kSel,
+            static_cast<std::uint64_t>(v) << vcarena::kSel);
   }
   void putRokSel(bool v) const { putNet(vcarena::kRokSel, v); }
   void putXRd(bool v) const { putNet(vcarena::kXRd, v); }
 
  private:
-  std::uint32_t bundle(int i) const { return c->block[i] + 1; }
-  bool net(unsigned shift) const { return vcarena::bitAt(w, c->nets, shift); }
+  std::uint32_t bundle(int i) const { return r.block[i] + 1; }
+  bool net(unsigned shift) const { return vcarena::bitOf(src, r.nets, shift); }
   void putNet(unsigned shift, bool v) const {
-    vcarena::putBitAt(w, c->nets, shift, v);
+    vcarena::putBit(src, r.nets, shift, v);
   }
 };
 
@@ -178,30 +177,26 @@ void OutputChannel::runEdge(const Io& io) {
     edge<false>(io);
 }
 
-void OutputChannel::clockEdge() { runEdge(WireIo{*this}); }
+void OutputChannel::clockEdge() {
+  vcarena::ChannelWords wires;
+  const Words words = layout(wires);
+  runEdge(SignalIo<const vcarena::ChannelWords&>{wires, words});
+}
 
 bool OutputChannel::describe(sim::Lowering& lw) {
   const bool handshake = flowControl_ == FlowControl::Handshake;
   const auto own = static_cast<std::size_t>(index(ownPort_));
 
-  ArenaCtx proto;
-  proto.self = this;
-  proto.link = vcarena::channelWord(lw, *out_, 1);
-  for (int i = 0; i < kNumPorts; ++i)
-    proto.block[i] =
-        vcarena::portBlock(lw, {&(*xbar_)[static_cast<std::size_t>(i)], 1});
-  proto.nets = lw.packedWord({{connected_, vcarena::kConnected},
-                              {rokSel_, vcarena::kRokSel},
-                              {xRd_, vcarena::kXRd},
-                              {sel_, vcarena::kSel, vcarena::kSelWidth}});
-  proto.own = static_cast<unsigned>(own);
-  ArenaCtx* ctx = lw.ctx(proto);
+  vcarena::ArenaPlacer place{lw};
+  using OpCtx = vcarena::OpCtx<OutputChannel, Words>;
+  OpCtx* ctx = lw.ctx(OpCtx{this, layout(place)});
+  using ArenaIo = SignalIo<vcarena::ArenaWords>;
 
   std::vector<const sim::WireBase*> pubReads;
   std::vector<const sim::WireBase*> pubWrites = {
-      &connected_,      &sel_,           &out_->flit.data,
-      &out_->flit.bop,  &out_->flit.eop, &rokSel_};
-  std::vector<const sim::WireBase*> rspWrites = {&xRd_};
+      &nets_.connected, &nets_.sel,      &out_->flit.data,
+      &out_->flit.bop,  &out_->flit.eop, &nets_.rokSel};
+  std::vector<const sim::WireBase*> rspWrites = {&nets_.xRd};
   for (CrossbarWires& x : *xbar_) {
     pubReads.push_back(&x.flit.data);
     pubReads.push_back(&x.flit.bop);
@@ -213,8 +208,8 @@ bool OutputChannel::describe(sim::Lowering& lw) {
   if (handshake) pubWrites.push_back(&out_->val);
   lw.op(
       [](std::uint64_t* w, void* c) {
-        auto* x = static_cast<ArenaCtx*>(c);
-        const ArenaIo io{w, x};
+        auto* x = static_cast<OpCtx*>(c);
+        const ArenaIo io{{w}, x->words};
         OutputChannel& ch = *x->self;
         ch.oc_.publish(io);
         ch.ods_.mux(io);
@@ -226,24 +221,24 @@ bool OutputChannel::describe(sim::Lowering& lw) {
   if (handshake) {
     lw.op(
         [](std::uint64_t* w, void* c) {
-          auto* x = static_cast<ArenaCtx*>(c);
-          x->self->handshakeOfc_->respond(ArenaIo{w, x});
+          auto* x = static_cast<OpCtx*>(c);
+          x->self->handshakeOfc_->respond(ArenaIo{{w}, x->words});
         },
         ctx, {&out_->ack}, std::move(rspWrites));
   } else {
     rspWrites.push_back(&out_->val);
     lw.op(
         [](std::uint64_t* w, void* c) {
-          auto* x = static_cast<ArenaCtx*>(c);
-          x->self->creditOfc_->send(ArenaIo{w, x});
+          auto* x = static_cast<OpCtx*>(c);
+          x->self->creditOfc_->send(ArenaIo{{w}, x->words});
         },
-        ctx, {&rokSel_}, std::move(rspWrites));
+        ctx, {&nets_.rokSel}, std::move(rspWrites));
   }
 
   lw.edgeOp(
       [](std::uint64_t* w, void* c) {
-        auto* x = static_cast<ArenaCtx*>(c);
-        const ArenaIo io{w, x};
+        auto* x = static_cast<OpCtx*>(c);
+        const ArenaIo io{{w}, x->words};
         OutputChannel& ch = *x->self;
         ch.runEdge(io);
         ch.oc_.edge(io);
@@ -272,126 +267,69 @@ int roundRobinSlot(std::uint32_t candidates, int start) {
 
 }  // namespace
 
-// Signal accessors for the phase bodies (see the VcInputChannel notes in
-// input_channel.cpp): WireIo over the Wire objects, ArenaIo over the packed
-// words of router/vc_arena.hpp.  Input (i, v) is crossbar bundle v of input
-// port i; `vcs` arguments are masks with bit v per VC.
-struct VcOutputChannel::WireIo {
-  const VcOutputChannel& ch;
+template <class Place>
+VcOutputChannel::Words VcOutputChannel::layout(Place& place) const {
+  Words words;
+  words.link = place(vcarena::WireTwin::channel(*out_, numVCs_));
+  for (int i = 0; i < kNumPorts; ++i)
+    words.block[i] = vcarena::portBlock(
+        place, (*xbar_)[static_cast<std::size_t>(i)].data(), numVCs_);
+  words.own = static_cast<unsigned>(index(ownPort_));
+  return words;
+}
 
-  bool rok(int i, int v) const { return bundle(i, v).rok.get(); }
+// The signal accessor of the phase bodies (see the VcInputChannel notes in
+// input_channel.cpp).  Input (i, v) is crossbar bundle v of input port i;
+// `vcs` arguments are masks with bit v per VC.
+template <class Src>
+struct VcOutputChannel::SignalIo {
+  Src src;
+  const Words& r;
+
+  bool rok(int i, int v) const {
+    return vcarena::bitOf(src, bundle(i, v), vcarena::kRok);
+  }
   // Input (i, v) requests this output; `want` is read only when it does.
   bool requests(int i, int v) const {
-    return bundle(i, v).req[static_cast<std::size_t>(index(ch.ownPort_))]
-        .get();
+    return vcarena::bitOf(src, bundle(i, v), vcarena::kReq + r.own);
   }
   unsigned want(int i, int v) const {
-    return static_cast<unsigned>(bundle(i, v).want.get());
+    return vcarena::fieldOf(src, bundle(i, v), vcarena::kWant, kMaxVCs);
   }
-  unsigned vcFree() const { return levels(ch.out_->vcFree); }
-  unsigned vcAcks() const { return levels(ch.out_->vcAck); }
-  bool outVal() const { return ch.out_->val.get(); }
-  int outVc() const { return ch.out_->vc.get(); }
-  bool outEop() const { return ch.out_->flit.eop.get(); }
-  void putGrants(int i, unsigned vcs) const {
-    putStrobes(i, &CrossbarWires::gnt, vcs);
+  unsigned vcFree() const {
+    return vcarena::fieldOf(src, r.link, vcarena::kFree, kMaxVCs);
   }
+  unsigned vcAcks() const {
+    return vcarena::fieldOf(src, r.link, vcarena::kVcAck, kMaxVCs);
+  }
+  bool outVal() const { return vcarena::bitOf(src, r.link, vcarena::kVal); }
+  int outVc() const {
+    return static_cast<int>(
+        vcarena::fieldOf(src, r.link, vcarena::kVc, vcarena::kVcWidth));
+  }
+  bool outEop() const { return vcarena::bitOf(src, r.link, vcarena::kEop); }
+  void putGrants(int i, unsigned vcs) const { putLanes(i, r.own, vcs); }
   void putReads(int i, unsigned vcs) const {
-    putStrobes(i, &CrossbarWires::rd, vcs);
+    putLanes(i, vcarena::kRd + r.own, vcs);
   }
   // Drives input (i, v)'s flit onto the link as downstream VC d (the VC
   // data switch), or nothing.
   void putLink(int i, int v, int d) const {
-    driveFlit(ch.out_->flit, readFlit(bundle(i, v).flit));
-    ch.out_->vc.set(d);
-    ch.out_->val.set(true);
+    src.put(r.link, vcarena::kForwardMask,
+            src.get(bundle(i, v), vcarena::kFlitMask) |
+                vcarena::bit(vcarena::kVal) |
+                (static_cast<std::uint64_t>(d) << vcarena::kVc));
   }
-  void putIdle() const {
-    driveFlit(ch.out_->flit, Flit{});
-    ch.out_->vc.set(0);
-    ch.out_->val.set(false);
-  }
+  void putIdle() const { src.put(r.link, vcarena::kForwardMask, 0); }
 
  private:
-  CrossbarWires& bundle(int i, int v) const {
-    return (*ch.xbar_)[static_cast<std::size_t>(i)]
-                      [static_cast<std::size_t>(v)];
-  }
-  unsigned levels(const std::array<sim::Wire<bool>, kMaxVCs>& wires) const {
-    unsigned mask = 0;
-    for (int d = 0; d < ch.numVCs_; ++d)
-      if (wires[static_cast<std::size_t>(d)].get()) mask |= 1u << d;
-    return mask;
-  }
-  void putStrobes(int i,
-                  std::array<sim::Wire<bool>, kNumPorts> CrossbarWires::*net,
-                  unsigned vcs) const {
-    const auto own = static_cast<std::size_t>(index(ch.ownPort_));
-    for (int v = 0; v < ch.numVCs_; ++v)
-      (bundle(i, v).*net)[own].set(((vcs >> v) & 1u) != 0);
-  }
-};
-
-struct VcOutputChannel::ArenaCtx {
-  VcOutputChannel* self = nullptr;
-  std::uint32_t link = 0;                // channel word of the output link
-  std::uint32_t block[kNumPorts] = {};  // each input port's port block
-  unsigned own = 0;                      // index(ownPort_)
-};
-
-struct VcOutputChannel::ArenaIo {
-  std::uint64_t* w;
-  const ArenaCtx* c;
-
-  bool rok(int i, int v) const { return bit(bundle(i, v), vcarena::kRok); }
-  bool requests(int i, int v) const {
-    return bit(bundle(i, v), vcarena::kReq + c->own);
-  }
-  unsigned want(int i, int v) const {
-    return field(bundle(i, v), vcarena::kWant, kMaxVCs);
-  }
-  unsigned vcFree() const {
-    return field(w[c->link], vcarena::kFree, kMaxVCs);
-  }
-  unsigned vcAcks() const {
-    return field(w[c->link], vcarena::kVcAck, kMaxVCs);
-  }
-  bool outVal() const { return bit(w[c->link], vcarena::kVal); }
-  int outVc() const {
-    return static_cast<int>(field(w[c->link], vcarena::kVc,
-                                  vcarena::kVcWidth));
-  }
-  bool outEop() const { return bit(w[c->link], vcarena::kEop); }
-  void putGrants(int i, unsigned vcs) const { putLanes(i, c->own, vcs); }
-  void putReads(int i, unsigned vcs) const {
-    putLanes(i, vcarena::kRd + c->own, vcs);
-  }
-  void putLink(int i, int v, int d) const {
-    sim::opPutBits(w, c->link, vcarena::kForwardMask,
-                   (bundle(i, v) & vcarena::kFlitMask) |
-                       (std::uint64_t{1} << vcarena::kVal) |
-                       (static_cast<std::uint64_t>(d) << vcarena::kVc));
-  }
-  void putIdle() const {
-    sim::opPutBits(w, c->link, vcarena::kForwardMask, 0);
-  }
-
- private:
-  static bool bit(std::uint64_t word, unsigned shift) {
-    return ((word >> shift) & 1u) != 0;
-  }
-  static unsigned field(std::uint64_t word, unsigned shift, unsigned width) {
-    return static_cast<unsigned>((word >> shift) & sim::fieldMask(width));
-  }
-  std::uint64_t bundle(int i, int v) const {
-    return w[c->block[i] + 1 + static_cast<std::uint32_t>(v)];
+  std::uint32_t bundle(int i, int v) const {
+    return r.block[i] + 1 + static_cast<std::uint32_t>(v);
   }
   // This output's strobe in every VC lane of input port i's control word.
   void putLanes(int i, unsigned shift, unsigned vcs) const {
-    constexpr std::uint64_t kAllLanes =
-        vcarena::kLaneSpread[(1u << kMaxVCs) - 1];
-    sim::opPutBits(w, c->block[i], kAllLanes << shift,
-                   vcarena::kLaneSpread[vcs] << shift);
+    src.put(r.block[i], vcarena::kAllLanes << shift,
+            vcarena::kLaneSpread[vcs] << shift);
   }
 };
 
@@ -437,7 +375,9 @@ bool VcOutputChannel::schedulable(const Io& io, unsigned free, int d) const {
 }
 
 void VcOutputChannel::evaluate() {
-  const WireIo io{*this};
+  vcarena::ChannelWords wires;
+  const Words words = layout(wires);
+  const SignalIo<const vcarena::ChannelWords&> io{wires, words};
   publishGrants(io);
   scheduleLink(io);
 }
@@ -450,7 +390,11 @@ void VcOutputChannel::runEdge(const Io& io) {
     edge<false>(io);
 }
 
-void VcOutputChannel::clockEdge() { runEdge(WireIo{*this}); }
+void VcOutputChannel::clockEdge() {
+  vcarena::ChannelWords wires;
+  const Words words = layout(wires);
+  runEdge(SignalIo<const vcarena::ChannelWords&>{wires, words});
+}
 
 std::uint32_t VcOutputChannel::connectedSlots() const {
   std::uint32_t slots = 0;
@@ -613,55 +557,42 @@ void VcOutputChannel::edge(const Io& io) {
 }
 
 bool VcOutputChannel::describe(sim::Lowering& lw) {
-  const int own = index(ownPort_);
-  ArenaCtx proto;
-  proto.self = this;
-  proto.link = vcarena::channelWord(lw, *out_, numVCs_);
-  for (int i = 0; i < kNumPorts; ++i)
-    proto.block[i] = vcarena::portBlock(
-        lw, std::span<const CrossbarWires>((*xbar_)[static_cast<std::size_t>(i)])
-                .first(static_cast<std::size_t>(numVCs_)));
-  proto.own = static_cast<unsigned>(own);
-  ArenaCtx* ctx = lw.ctx(proto);
+  vcarena::ArenaPlacer place{lw};
+  using OpCtx = vcarena::OpCtx<VcOutputChannel, Words>;
+  OpCtx* ctx = lw.ctx(OpCtx{this, layout(place)});
+  using ArenaIo = SignalIo<vcarena::ArenaWords>;
 
-  std::vector<const sim::WireBase*> grants;
-  std::vector<const sim::WireBase*> schedReads;
-  std::vector<const sim::WireBase*> schedWrites;
+  // The ops' reads and writes, as bits of the same words.
+  vcarena::ChannelWords twins;
+  const Words t = layout(twins);
+  std::vector<const sim::WireBase*> grants, schedReads, schedWrites;
   for (int i = 0; i < kNumPorts; ++i) {
-    for (int v = 0; v < numVCs_; ++v) {
-      CrossbarWires& x =
-          (*xbar_)[static_cast<std::size_t>(i)][static_cast<std::size_t>(v)];
-      grants.push_back(&x.gnt[static_cast<std::size_t>(own)]);
-      schedReads.push_back(&x.rok);
-      schedReads.push_back(&x.flit.data);
-      schedReads.push_back(&x.flit.bop);
-      schedReads.push_back(&x.flit.eop);
-      schedWrites.push_back(&x.rd[static_cast<std::size_t>(own)]);
-    }
+    twins.wires(t.block[i], vcarena::kAllLanes << t.own, grants);
+    twins.wires(t.block[i], vcarena::kAllLanes << (vcarena::kRd + t.own),
+                schedWrites);
+    for (int v = 0; v < numVCs_; ++v)
+      twins.wires(t.block[i] + 1 + static_cast<std::uint32_t>(v),
+                  vcarena::kFlitMask | vcarena::bit(vcarena::kRok),
+                  schedReads);
   }
-  for (int d = 0; d < numVCs_; ++d)
-    schedReads.push_back(&out_->vcFree[static_cast<std::size_t>(d)]);
-  schedWrites.push_back(&out_->flit.data);
-  schedWrites.push_back(&out_->flit.bop);
-  schedWrites.push_back(&out_->flit.eop);
-  schedWrites.push_back(&out_->vc);
-  schedWrites.push_back(&out_->val);
+  twins.wires(t.link, vcarena::kFreeMask, schedReads);
+  twins.wires(t.link, vcarena::kForwardMask, schedWrites);
   lw.op(
       [](std::uint64_t* w, void* c) {
-        auto* x = static_cast<ArenaCtx*>(c);
-        x->self->publishGrants(ArenaIo{w, x});
+        auto* x = static_cast<OpCtx*>(c);
+        x->self->publishGrants(ArenaIo{{w}, x->words});
       },
       ctx, {}, std::move(grants));
   lw.op(
       [](std::uint64_t* w, void* c) {
-        auto* x = static_cast<ArenaCtx*>(c);
-        x->self->scheduleLink(ArenaIo{w, x});
+        auto* x = static_cast<OpCtx*>(c);
+        x->self->scheduleLink(ArenaIo{{w}, x->words});
       },
       ctx, std::move(schedReads), std::move(schedWrites));
   lw.edgeOp(
       [](std::uint64_t* w, void* c) {
-        auto* x = static_cast<ArenaCtx*>(c);
-        x->self->runEdge(ArenaIo{w, x});
+        auto* x = static_cast<OpCtx*>(c);
+        x->self->runEdge(ArenaIo{{w}, x->words});
       },
       ctx);
   return true;

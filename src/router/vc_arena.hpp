@@ -1,10 +1,12 @@
 /// \file
-/// Arena layout of the router's nets under the compiled kernel
-/// (sim/compile.hpp), for every VC count.  The input and output channels,
-/// the Link and the NI lower to word-level ops over these packed words.
-/// Every module that lowers against a bundle places it through the helpers
-/// below, so whichever describes first allocates the words and the others
-/// find the same ones (Lowering::packedWord is idempotent per layout).
+/// The packed words of the router's nets, for every VC count.  Each word's
+/// layout is declared once, as a field visitor in vc_arena.cpp, that both
+/// places the word in the compiled kernel's arena (sim/compile.hpp) and
+/// reads and drives its Wire objects (WireTwin).  Every channel, link and
+/// NI writes its signal accessor once over a word source: ArenaWords in
+/// the compiled ops, WireWords in evaluate() and clockEdge() (the naive
+/// kernel).  Whichever module places a word first allocates it; the
+/// others find it (Lowering::packedWord is idempotent per layout).
 ///
 /// Every word that carries a flit holds it in its low bits ([0,32) data,
 /// 32 bop, 33 eop), so a flit moves between words as one masked copy.
@@ -31,9 +33,10 @@
 /// (VC v's are the 5-bit lanes at 8v and 32 + 8v), and an output channel
 /// reads a candidate source's rok, request, want mask and flit from one.
 ///
-/// Block nets, one word per single-VC channel: the nets between the paper's
-/// blocks inside one InputChannel (IFC/IB/IC/IRS) or OutputChannel
-/// (OC/ODS/ORS/OFC), so one op can run several blocks' bodies in sequence:
+/// Block nets, one word per single-VC channel (InputBlockNets,
+/// OutputBlockNets): the nets between the paper's blocks inside one
+/// InputChannel (IFC/IB/IC/IRS) or OutputChannel (OC/ODS/ORS/OFC), so one
+/// op can run several blocks' bodies in sequence:
 ///
 ///   input:   [0,32) dout data  32 bop  33 eop  34 wok  35 rok  36 wr  37 rd
 ///   output:  0 connected  1 rokSel  2 xRd  [8,11) sel
@@ -42,7 +45,8 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <span>
+#include <stdexcept>
+#include <vector>
 
 #include "sim/compile.hpp"
 
@@ -78,7 +82,6 @@ inline constexpr std::uint64_t kBundleMask = sim::fieldMask(kWant + kMaxVCs);
 // Control word: one 8-bit lane per VC, grants low, reads high.
 inline constexpr unsigned kLane = 8;
 inline constexpr unsigned kRd = 32;
-inline constexpr std::uint32_t kPortMask = (1u << kNumPorts) - 1;
 
 // Control-word lane pattern of a VC mask: bit v moves to bit kLane * v.
 inline constexpr auto kLaneSpread = [] {
@@ -88,6 +91,9 @@ inline constexpr auto kLaneSpread = [] {
       if ((vcs >> v) & 1u) spread[vcs] |= std::uint64_t{1} << (kLane * v);
   return spread;
 }();
+// Bit 0 of every VC's lane; shifted by a port (and kRd), that port's
+// strobe in every lane.
+inline constexpr std::uint64_t kAllLanes = kLaneSpread[(1u << kMaxVCs) - 1];
 
 // Block nets of a single-VC input / output channel.
 inline constexpr unsigned kWok = 34;
@@ -114,16 +120,6 @@ inline constexpr std::uint64_t bit(unsigned shift) {
   return std::uint64_t{1} << shift;
 }
 
-// One bit of arena word `word`: read, and replace.
-inline bool bitAt(const std::uint64_t* w, std::uint32_t word, unsigned shift) {
-  return ((w[word] >> shift) & 1u) != 0;
-}
-inline void putBitAt(std::uint64_t* w, std::uint32_t word, unsigned shift,
-                     bool v) {
-  sim::opPutBits(w, word, std::uint64_t{1} << shift,
-                 std::uint64_t{v} << shift);
-}
-
 // A flit as the low bits of a word, and back.
 inline std::uint64_t flitBits(const Flit& f) {
   return f.data | (std::uint64_t{f.bop} << kBop) |
@@ -137,64 +133,180 @@ inline Flit bitsFlit(std::uint64_t bits) {
   return f;
 }
 
-/// Places (or finds) the channel word of `c`.
-std::uint32_t channelWord(sim::Lowering& lw, const ChannelWires& c,
-                          int numVCs);
-
-/// The fields under `mask` (whole fields) of the channel word of `c`, read
-/// from its wires, and its wires driven from a channel word: each field
-/// under `mask` takes its value from `bits`.  The Wire-level twin of an
-/// arena channel word; only the wires under `mask` are touched.
-std::uint64_t channelBits(const ChannelWires& c, int numVCs,
-                          std::uint64_t mask);
-void driveChannelBits(ChannelWires& c, int numVCs, std::uint64_t mask,
-                      std::uint64_t bits);
-
-/// Signal accessors over a module's two channel bundles as channel words,
-/// so a Link or NI phase body is written once: ChannelWireIo reads and
-/// drives the bundles' wires (evaluate(), hence the naive kernel),
-/// ChannelArenaIo their arena words (the compiled ops).  word() reads, and
-/// put() replaces, the fields under `mask` of bundle `i`'s word.
-struct ChannelWireIo {
-  std::array<ChannelWires*, 2> bundles;
-  int numVCs;
-
-  std::uint64_t word(std::size_t i, std::uint64_t mask) const {
-    return channelBits(*bundles[i], numVCs, mask);
+/// The Wire twin of one packed word: the nets the word holds, read and
+/// driven through the same field visitor that places the word.  read()
+/// returns the fields under `mask` (whole fields) at their shifts;
+/// drive() sets each wire under `mask` from `bits` and touches no other.
+class WireTwin {
+ public:
+  WireTwin() = default;
+  static WireTwin channel(ChannelWires& c, int numVCs) {
+    return {&c, Kind::Channel, numVCs};
   }
-  void put(std::size_t i, std::uint64_t mask, std::uint64_t bits) const {
-    driveChannelBits(*bundles[i], numVCs, mask, bits);
+  /// The control word of the port block over `numVCs` consecutive bundles.
+  static WireTwin control(CrossbarWires* xbar, int numVCs) {
+    return {xbar, Kind::Control, numVCs};
+  }
+  static WireTwin bundle(CrossbarWires& x) { return {&x, Kind::Bundle, 1}; }
+  static WireTwin nets(InputBlockNets& n) { return {&n, Kind::InNets, 1}; }
+  static WireTwin nets(OutputBlockNets& n) { return {&n, Kind::OutNets, 1}; }
+
+  std::uint64_t read(std::uint64_t mask) const;
+  void drive(std::uint64_t mask, std::uint64_t bits) const;
+  /// Appends the wires of the fields under `mask` to `out`: an op's read
+  /// or write list, declared as the bits of the word it touches.
+  void wires(std::uint64_t mask,
+             std::vector<const sim::WireBase*>& out) const;
+
+ private:
+  friend struct ArenaPlacer;
+
+  enum class Kind : std::uint8_t { Channel, Control, Bundle, InNets, OutNets };
+  WireTwin(void* nets, Kind kind, int vcs)
+      : nets_(nets), kind_(kind), vcs_(static_cast<std::uint8_t>(vcs)) {}
+  // Calls f(wire, shift, width) for every field of the word.
+  template <class F>
+  void visit(F&& f) const;
+
+  void* nets_ = nullptr;
+  Kind kind_ = Kind::Channel;
+  std::uint8_t vcs_ = 1;
+};
+
+/// Word sources: get() reads, and put() replaces, the fields under `mask`
+/// of the word a ref names, an arena word index or a twin's index.
+struct ArenaWords {
+  std::uint64_t* w;
+
+  std::uint64_t get(std::uint32_t word, std::uint64_t mask) const {
+    return w[word] & mask;
+  }
+  void put(std::uint32_t word, std::uint64_t mask, std::uint64_t bits) const {
+    sim::opPutBits(w, word, mask, bits);
   }
 };
 
-struct ChannelArenaIo {
-  std::uint64_t* w;
+/// The Wire twins of up to N words, and their placement target: a module's
+/// layout(), run against this or an ArenaPlacer, gives its word refs.  An
+/// accessor holds it as `const WireWords&`, an ArenaWords by value.
+template <std::size_t N>
+class WireWords {
+ public:
+  std::uint32_t operator()(const WireTwin& twin) {
+    twins_.at(size_) = twin;
+    return size_++;
+  }
+  std::uint64_t get(std::uint32_t word, std::uint64_t mask) const {
+    return twins_[word].read(mask);
+  }
+  void put(std::uint32_t word, std::uint64_t mask, std::uint64_t bits) const {
+    twins_[word].drive(mask, bits);
+  }
+  void wires(std::uint32_t word, std::uint64_t mask,
+             std::vector<const sim::WireBase*>& out) const {
+    twins_[word].wires(mask, out);
+  }
+  std::vector<const sim::WireBase*> wires(std::uint32_t word,
+                                          std::uint64_t mask) const {
+    std::vector<const sim::WireBase*> out;
+    wires(word, mask, out);
+    return out;
+  }
+
+ private:
+  std::array<WireTwin, N> twins_{};
+  std::uint32_t size_ = 0;
+};
+
+/// Room for any router channel's words: its link's channel word and, per
+/// input port, a control word and kMaxVCs bundles.
+using ChannelWords = WireWords<1 + kNumPorts * (1 + kMaxVCs)>;
+
+/// Placement of a module's words in the compiled kernel's arena: places
+/// (or finds) a twin's word and returns its index.
+struct ArenaPlacer {
+  sim::Lowering& lw;
+  std::uint32_t operator()(const WireTwin& twin) const;
+};
+
+// One bit, and one field, of a word: read, and replace.
+template <class Src>
+bool bitOf(const Src& src, std::uint32_t word, unsigned shift) {
+  return src.get(word, bit(shift)) != 0;
+}
+template <class Src>
+void putBit(const Src& src, std::uint32_t word, unsigned shift, bool v) {
+  src.put(word, bit(shift), std::uint64_t{v} << shift);
+}
+template <class Src>
+unsigned fieldOf(const Src& src, std::uint32_t word, unsigned shift,
+                 unsigned width) {
+  return static_cast<unsigned>(
+      src.get(word, sim::fieldMask(width) << shift) >> shift);
+}
+
+/// Places the port block of one input port's crossbar bundles, one per VC,
+/// through `place` and returns the control word's ref; bundle v is
+/// ref + 1 + v.  Throws std::logic_error when the words are not
+/// consecutive.
+template <class Place>
+std::uint32_t portBlock(Place& place, CrossbarWires* xbar, int numVCs) {
+  const std::uint32_t base = place(WireTwin::control(xbar, numVCs));
+  for (int v = 0; v < numVCs; ++v)
+    if (place(WireTwin::bundle(xbar[v])) !=
+        base + 1 + static_cast<std::uint32_t>(v))
+      throw std::logic_error("vcarena::portBlock: block is not contiguous");
+  return base;
+}
+
+/// The accessor of a module that owns two channel words (a Link, an NI):
+/// word() reads, and put() replaces, the fields under `mask` of channel
+/// i's word.
+template <class Src>
+struct ChannelIo {
+  Src src;
   const std::uint32_t* words;
 
   std::uint64_t word(std::size_t i, std::uint64_t mask) const {
-    return w[words[i]] & mask;
+    return src.get(words[i], mask);
   }
   void put(std::size_t i, std::uint64_t mask, std::uint64_t bits) const {
-    sim::opPutBits(w, words[i], mask, bits);
+    src.put(words[i], mask, bits);
   }
 };
 
-/// Op context of a module's phases over ChannelArenaIo, and the op running
-/// one of them.
-template <class M>
-struct ChannelCtx {
-  M* self;
-  std::array<std::uint32_t, 2> words;
-};
-template <class M, void (M::*Phase)(const ChannelArenaIo&) const>
-void channelOp(std::uint64_t* w, void* ctx) {
-  auto* x = static_cast<ChannelCtx<M>*>(ctx);
-  (x->self->*Phase)(ChannelArenaIo{w, x->words.data()});
+/// The twins of channels a and b, refs 0 and 1.
+inline WireWords<2> channelTwins(ChannelWires& a, ChannelWires& b,
+                                 int numVCs) {
+  WireWords<2> twins;
+  twins(WireTwin::channel(a, numVCs));
+  twins(WireTwin::channel(b, numVCs));
+  return twins;
 }
 
-/// Places (or finds) the port block of one input port's crossbar bundles,
-/// one per VC, and returns its first (control) word; bundle v is
-/// word + 1 + v.
-std::uint32_t portBlock(sim::Lowering& lw, std::span<const CrossbarWires> xbar);
+/// Runs `body` with the ChannelIo over the wires of channels a and b.
+template <class Body>
+void onChannelWires(ChannelWires& a, ChannelWires& b, int numVCs,
+                    Body&& body) {
+  const WireWords<2> wires = channelTwins(a, b, numVCs);
+  constexpr std::array<std::uint32_t, 2> kWords = {0, 1};
+  body(ChannelIo<const WireWords<2>&>{wires, kWords.data()});
+}
+
+/// Op context of a module's phases over its arena words: the module and
+/// its word refs (by default, two channel words).
+template <class M, class Words = std::array<std::uint32_t, 2>>
+struct OpCtx {
+  M* self;
+  Words words;
+};
+
+/// The op running phase `Phase` (a member template instance taking a
+/// ChannelIo<ArenaWords>) over an OpCtx<M>.
+template <class M, auto Phase>
+void channelOp(std::uint64_t* w, void* ctx) {
+  auto* x = static_cast<OpCtx<M>*>(ctx);
+  (x->self->*Phase)(ChannelIo<ArenaWords>{{w}, x->words.data()});
+}
 
 }  // namespace rasoc::router::vcarena

@@ -209,8 +209,6 @@ class CompiledProgram {
 
   // --- introspection (tests, stats, docs) -------------------------------
   std::size_t wordCount() const { return wordCount_; }
-  // Every settle unit is an op, so the two counts agree.
-  std::size_t unitCount() const { return units_.size(); }
   std::size_t opCount() const { return units_.size(); }
   std::size_t edgeItemCount() const { return edges_.size(); }
   // Always 0; perfbench/driver.cpp still reads them.

@@ -124,7 +124,7 @@ class Simulator final {
   /// Total units issued by settle() since construction - the work metric
   /// bench_sim_speed and perfbench report.  It is kernel-specific: a
   /// naive settle adds the registered module count once per pass, a
-  /// compiled settle adds CompiledProgram::unitCount() (its ops).
+  /// compiled settle adds CompiledProgram::opCount().
   /// Monotone non-decreasing and deterministic for a given kernel.
   std::uint64_t evaluateCalls() const { return evaluateCalls_; }
 

@@ -93,6 +93,25 @@ TEST(FaultPlanTest, ValidateRejectsLinksTheTopologyLacks) {
   EXPECT_THROW(Network(mesh, cfg), std::invalid_argument);
 }
 
+TEST(FaultPlanTest, NetworkRejectsStallWindowsUnderSingleVcCredits) {
+  // A single-VC credit link's ack wire carries credit returns, so it has
+  // no stuck-ack state to model; the network must refuse the plan and name
+  // the flow control to change.
+  auto mesh = makeTopology("mesh", 4, 4);
+  NetworkConfig cfg;
+  cfg.params.flowControl = router::FlowControl::CreditBased;
+  cfg.faultPlan.events.push_back(
+      {LinkId{NodeId{1, 1}, Port::East}, FaultKind::StuckAck, 10, 20, 1.0});
+  try {
+    Network net(mesh, cfg);
+    ADD_FAILURE() << "a stall window under single-VC credits was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("handshake flow control"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(FaultPlanTest, ValidateRejectsNanRates) {
   auto mesh = makeTopology("mesh", 3, 3);
   FaultPlan plan;

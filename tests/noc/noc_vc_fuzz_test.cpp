@@ -193,9 +193,10 @@ void expectDeliverySemantics(Network& net, const FuzzConfig& cfg,
         const int src = static_cast<int>(payload[0] >> 8);
         const int seq = static_cast<int>(payload[0] & 0xffu);
         auto it = lastSeq.find(src);
-        if (it != lastSeq.end())
+        if (it != lastSeq.end()) {
           EXPECT_GT(seq, it->second)
               << "flow " << src << "->" << i << " reordered";
+        }
         lastSeq[src] = seq;
       }
     }
@@ -226,10 +227,12 @@ void runFuzzConfig(const FuzzConfig& cfg, Xoshiro256& rng,
     compiled->run(1);
     ASSERT_EQ(naive->ledger().delivered(), compiled->ledger().delivered())
         << "kernel divergence at cycle " << cycle;
-    if (cfg.numVCs > 1)
-      for (int v = 0; v < cfg.numVCs; ++v)
+    if (cfg.numVCs > 1) {
+      for (int v = 0; v < cfg.numVCs; ++v) {
         ASSERT_EQ(naive->vcOccupancy(v), compiled->vcOccupancy(v))
             << "vc" << v << " occupancy divergence at cycle " << cycle;
+      }
+    }
     if (checkCredits) {
       expectCreditConservation(*naive, cfg, cycle, "naive");
       expectCreditConservation(*compiled, cfg, cycle, "compiled");

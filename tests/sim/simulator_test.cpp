@@ -419,8 +419,8 @@ TEST_P(KernelContractTest, EvaluateCallsNeverDecrease) {
     const std::uint64_t added = now - last;
     if (GetParam() == Simulator::Kernel::Compiled) {
       ASSERT_NE(sim.compiledProgram(), nullptr);
-      EXPECT_EQ(sim.compiledProgram()->unitCount(), 3u);
-      EXPECT_EQ(added, settles * sim.compiledProgram()->unitCount());
+      EXPECT_EQ(sim.compiledProgram()->opCount(), 3u);
+      EXPECT_EQ(added, settles * sim.compiledProgram()->opCount());
     } else {
       EXPECT_GE(added, settles * 3);
       EXPECT_EQ(added % 3, 0u);
@@ -523,7 +523,7 @@ TEST_P(KernelContractTest, EdgeTapeRunsInClockEdgeAllPreorder) {
   }
   if (GetParam() == Simulator::Kernel::Compiled) {
     ASSERT_NE(sim.compiledProgram(), nullptr);
-    EXPECT_EQ(sim.compiledProgram()->unitCount(), 0u);
+    EXPECT_EQ(sim.compiledProgram()->opCount(), 0u);
     EXPECT_EQ(sim.compiledProgram()->edgeItemCount(), preorder.size());
   }
 }
