@@ -53,9 +53,10 @@ int main(int argc, char** argv) {
               traffic.offeredLoad, static_cast<unsigned long long>(seed),
               static_cast<unsigned long long>(cycles));
 
-  const auto throughput = noc::throughputHeatmap(registry, shape, cycles);
-  const auto congestion = noc::congestionHeatmap(registry, shape, cycles);
-  const auto backpressure = noc::backpressureHeatmap(registry, shape, cycles);
+  const auto throughput = noc::throughputHeatmap(registry, *topology, cycles);
+  const auto congestion = noc::congestionHeatmap(registry, *topology, cycles);
+  const auto backpressure =
+      noc::backpressureHeatmap(registry, *topology, cycles);
   std::fputs(throughput.ascii().c_str(), stdout);
   std::printf("\n");
   std::fputs(congestion.ascii().c_str(), stdout);

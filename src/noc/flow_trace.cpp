@@ -410,9 +410,13 @@ std::string FlowTracer::perfettoJson() const {
   // flow source (tracks per destination).
   for (int n = 0; n < nodes_; ++n) {
     const NodeId node = topo.nodeAt(n);
-    w.processName(kRouterPidBase + n,
-                  "r" + std::to_string(n) + " (" + std::to_string(node.x) +
-                      "," + std::to_string(node.y) + ")");
+    // Appended piecewise: GCC 12 -O3 reports a false -Wrestrict overlap
+    // for `"literal" + std::string`.
+    std::string process = "r";
+    process += std::to_string(n);
+    process += " (" + std::to_string(node.x) + "," + std::to_string(node.y) +
+               ")";
+    w.processName(kRouterPidBase + n, process);
     for (Port p : kAllPorts) {
       if (!inputs_[slot(n, router::index(p))]) continue;
       const std::string letter(router::name(p));

@@ -38,45 +38,17 @@ Network::Network(std::shared_ptr<const Topology> topology,
   // FaultyLink::setWindows as the links are built.
   if (!config_.faultPlan.empty()) config_.faultPlan.validate(*topology_);
 
-  // Wrap probe: a West (resp. South) link out of node (0,0) only exists on
-  // a wrapping axis.  Feeds each router's VcGeometry so escape-VC dateline
-  // classes are computed locally, and picks the NI injection VC (the first
-  // adaptive one, keeping escape VCs clear for in-flight traffic).
-  const Extent ext = topology_->extent();
-  const NodeId origin = topology_->nodeAt(0);
-  const bool wrapX =
-      ext.width > 1 && topology_->neighbor(origin, Port::West).has_value();
-  const bool wrapY =
-      ext.height > 1 && topology_->neighbor(origin, Port::South).has_value();
-  const int escapeVCs = (wrapX || wrapY) ? 2 : 1;
-  const int injectVc =
-      config_.params.numVCs > escapeVCs ? escapeVCs : 0;
-
-  // QoS isolation needs at least two adaptive VCs above the escape layer so
-  // Control gets a lane Bulk never enters (router::qosVcMask).  The params
-  // check covers the mesh escape layer; wrapping topologies reserve one
-  // more escape VC, which only the builder knows.
-  if (config_.params.qosClasses &&
-      config_.params.numVCs - escapeVCs < 2)
-    throw std::invalid_argument(
-        "qosClasses on " + topology_->describe() + " needs numVCs >= " +
-        std::to_string(escapeVCs + 2) + " (" + std::to_string(escapeVCs) +
-        " escape VCs + two adaptive VCs for class separation)");
-
   // Routers and NIs, with the per-node port set the topology prescribes.
   for (int i = 0; i < topology_->nodes(); ++i) {
     const NodeId n = topology_->nodeAt(i);
     router::RouterParams params = config_.params;
     params.portMask = topology_->portMask(n);
-    const router::VcGeometry geometry{n.x,        n.y,  ext.width,
-                                      ext.height, wrapX, wrapY};
     auto r = std::make_unique<router::Rasoc>(nodeName("r", n), params,
-                                             config_.arbiter, geometry);
+                                             config_.arbiter,
+                                             vcGeometry(*topology_, n));
     NiOptions niOptions;
     niOptions.hlpParity = config_.hlpParity;
     niOptions.reliability = config_.reliability;
-    niOptions.injectVc = injectVc;
-    niOptions.escapeVCs = escapeVCs;
     auto ni = std::make_unique<NetworkInterface>(
         nodeName("ni", n), params, topology_, n, r->in(Port::Local),
         r->out(Port::Local), ledger_, niOptions);

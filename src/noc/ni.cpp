@@ -31,6 +31,8 @@ NetworkInterface::NetworkInterface(std::string name,
       ledger_(&ledger) {
   if (!topology_) throw std::invalid_argument("NI needs a topology");
   topology_->indexOf(self_);  // bounds-check our own address
+  escapeVCs_ = vcGeometry(*topology_, self_).escapeVCs();
+  injectVc_ = params_.numVCs > escapeVCs_ ? escapeVCs_ : 0;
   if (static_cast<std::uint64_t>(topology_->nodes()) >
       static_cast<std::uint64_t>(router::dataMask(payloadBits())) + 1)
     throw std::invalid_argument(
@@ -42,9 +44,15 @@ NetworkInterface::NetworkInterface(std::string name,
         options_.reliability, topology_, self_, payloadBits());
   }
   if (params_.qosClasses) {
-    if (options_.escapeVCs < 1 || options_.escapeVCs >= params_.numVCs)
+    // QoS isolation needs at least two adaptive VCs above the escape layer
+    // so Control gets a lane Bulk never enters (router::qosVcMask).  The
+    // params check covers the mesh escape layer; wrapping topologies
+    // reserve one more escape VC, which only the topology knows.
+    if (params_.numVCs - escapeVCs_ < 2)
       throw std::invalid_argument(
-          "qosClasses: NI escapeVCs outside [1, numVCs)");
+          "qosClasses on " + topology_->describe() + " needs numVCs >= " +
+          std::to_string(escapeVCs_ + 2) + " (" + std::to_string(escapeVCs_) +
+          " escape VCs + two adaptive VCs for class separation)");
     // The in-band class field of the reliability control word must not
     // overlap the type bits, or recovered payloads lose their class and
     // the per-class delivery ledger can never close them.
@@ -54,9 +62,6 @@ NetworkInterface::NetworkInterface(std::string name,
           "qosClasses + reliability: control word (seqBits + 2 class + 2 "
           "type bits) does not fit the flit payload");
   }
-  if (vcMode() &&
-      (options_.injectVc < 0 || options_.injectVc >= params_.numVCs))
-    throw std::invalid_argument("NI injectVc outside [0, numVCs)");
 }
 
 NetworkInterface::NetworkInterface(std::string name,
@@ -74,8 +79,8 @@ int NetworkInterface::payloadBits() const {
 }
 
 int NetworkInterface::injectVcFor(router::TrafficClass cls) const {
-  if (!params_.qosClasses) return vcMode() ? options_.injectVc : 0;
-  return router::qosInjectVc(cls, params_.numVCs, options_.escapeVCs);
+  if (!params_.qosClasses) return vcMode() ? injectVc_ : 0;
+  return router::qosInjectVc(cls, params_.numVCs, escapeVCs_);
 }
 
 std::size_t NetworkInterface::sendQueuePackets() const {
@@ -496,35 +501,33 @@ bool NetworkInterface::describe(sim::Lowering& lw) {
   // One op per phase of evaluate(), so the receive side's wires do not
   // tie the send side into the router's combinational graph.  The ops'
   // reads and writes are bits of the same words.
-  const auto twins =
-      vcarena::channelTwins(*toRouter_, *fromRouter_, params_.numVCs);
+  const std::uint32_t to = ctx->words[kTo];
+  const std::uint32_t from = ctx->words[kFrom];
   // Under on/off VC flow control the send side reads the inject VCs'
   // vcFree levels: every adaptive VC under QoS, else the fixed inject VC.
   std::uint64_t sendVcs = 0;
   if (vcMode() && !creditMode())
-    sendVcs = params_.qosClasses ? ~std::uint64_t{0} << options_.escapeVCs
-                                 : std::uint64_t{1} << options_.injectVc;
+    sendVcs = params_.qosClasses ? ~std::uint64_t{0} << escapeVCs_
+                                 : std::uint64_t{1} << injectVc_;
   lw.op(&vcarena::channelOp<NetworkInterface,
                             &NetworkInterface::presentSend<ArenaIo>>,
-        ctx, twins.wires(kTo, (sendVcs << vcarena::kFree) & vcarena::kFreeMask),
-        twins.wires(kTo, vcarena::kForwardMask));
+        ctx, {{to, (sendVcs << vcarena::kFree) & vcarena::kFreeMask}},
+        {{to, vcarena::kForwardMask}});
   if (vcMode()) {
     lw.op(&vcarena::channelOp<
               NetworkInterface,
               &NetworkInterface::advertiseRxSpace<ArenaIo>>,
-          ctx, {}, twins.wires(kFrom, vcarena::kFreeMask));
+          ctx, {}, {{from, vcarena::kFreeMask}});
     if (creditMode())
       lw.op(&vcarena::channelOp<
                 NetworkInterface,
                 &NetworkInterface::returnRxCredits<ArenaIo>>,
-            ctx,
-            twins.wires(kFrom, vcarena::kForwardMask & ~vcarena::kFlitMask),
-            twins.wires(kFrom, vcarena::kVcAckMask));
+            ctx, {{from, vcarena::kForwardMask & ~vcarena::kFlitMask}},
+            {{from, vcarena::kVcAckMask}});
   } else {
     lw.op(&vcarena::channelOp<NetworkInterface,
                               &NetworkInterface::ackRx<ArenaIo>>,
-          ctx, twins.wires(kFrom, bit(vcarena::kVal)),
-          twins.wires(kFrom, bit(vcarena::kAck)));
+          ctx, {{from, bit(vcarena::kVal)}}, {{from, bit(vcarena::kAck)}});
   }
   lw.edgeOp(&vcarena::channelOp<NetworkInterface,
                                  &NetworkInterface::edge<ArenaIo>>,

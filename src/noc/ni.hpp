@@ -67,17 +67,6 @@ struct NiOptions {
   /// control word and one checksum word per packet plus ACK/NACK traffic;
   /// leaves default runs untouched when disabled.
   ReliabilityConfig reliability;
-
-  /// Virtual channel new packets are injected on (numVCs > 1 only; the
-  /// network builder picks the first adaptive VC so escape VCs stay clear
-  /// for in-flight traffic).  Ignored at numVCs == 1 and under
-  /// RouterParams::qosClasses, where each class has its own inject VC.
-  int injectVc = 0;
-
-  /// Escape VCs of the attached router (1 on meshes, 2 on wrapping
-  /// topologies); the QoS class→VC map needs it to compute per-class
-  /// inject VCs.  Only read when RouterParams::qosClasses is set.
-  int escapeVCs = 1;
 };
 
 /// Opt-in injection-side instrumentation (telemetry subsystem).
@@ -199,8 +188,8 @@ class NetworkInterface : public sim::Module {
     return flowControl_ == router::FlowControl::CreditBased;
   }
   bool vcMode() const { return params_.numVCs > 1; }
-  // Inject VC for a class under qosClasses (otherwise options_.injectVc,
-  // or 0 at numVCs == 1).
+  // Inject VC for a class under qosClasses (otherwise injectVc_, or 0 at
+  // numVCs == 1).
   int injectVcFor(router::TrafficClass cls) const;
   // The combinational phases of evaluate() and the edge, each written once
   // over a router::vcarena::ChannelIo of the toRouter and fromRouter
@@ -240,6 +229,12 @@ class NetworkInterface : public sim::Module {
   router::FlowControl flowControl_;
   std::shared_ptr<const Topology> topology_;
   NodeId self_;
+  // Escape VCs of the attached router (vcGeometry: 1 on meshes, 2 on
+  // wrapping topologies), and the VC new packets are injected on without
+  // qosClasses: the first adaptive one, so escape VCs stay clear for
+  // in-flight traffic (0 when every VC is an escape VC).
+  int escapeVCs_ = 1;
+  int injectVc_ = 0;
   router::ChannelWires* toRouter_;
   router::ChannelWires* fromRouter_;
   DeliveryLedger* ledger_;

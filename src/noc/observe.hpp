@@ -45,9 +45,6 @@ std::string linkMetricPrefix(const LinkId& l); // "link<x>,<y><P>"
 telemetry::MeshHeatmap throughputHeatmap(
     const telemetry::MetricsRegistry& registry, const Topology& topology,
     std::uint64_t cycles);
-telemetry::MeshHeatmap throughputHeatmap(
-    const telemetry::MetricsRegistry& registry, MeshShape shape,
-    std::uint64_t cycles);
 
 // Congestion score in [0,1]: channel-cycles lost to full buffers, stalled
 // head flits and arbitration conflicts, normalized by the router's
@@ -55,16 +52,10 @@ telemetry::MeshHeatmap throughputHeatmap(
 telemetry::MeshHeatmap congestionHeatmap(
     const telemetry::MetricsRegistry& registry, const Topology& topology,
     std::uint64_t cycles);
-telemetry::MeshHeatmap congestionHeatmap(
-    const telemetry::MetricsRegistry& registry, MeshShape shape,
-    std::uint64_t cycles);
 
 // Fraction of cycles the local NI was ready to inject but held back.
 telemetry::MeshHeatmap backpressureHeatmap(
     const telemetry::MetricsRegistry& registry, const Topology& topology,
-    std::uint64_t cycles);
-telemetry::MeshHeatmap backpressureHeatmap(
-    const telemetry::MetricsRegistry& registry, MeshShape shape,
     std::uint64_t cycles);
 
 // Fault events per cycle charged to each node's outgoing links: corrupted

@@ -41,6 +41,16 @@ std::vector<LinkId> Topology::routePath(NodeId src, NodeId dst,
   return path;
 }
 
+router::VcGeometry vcGeometry(const Topology& topology, NodeId n) {
+  const Extent ext = topology.extent();
+  const NodeId origin = topology.nodeAt(0);
+  const bool wrapX =
+      ext.width > 1 && topology.neighbor(origin, Port::West).has_value();
+  const bool wrapY =
+      ext.height > 1 && topology.neighbor(origin, Port::South).has_value();
+  return {n.x, n.y, ext.width, ext.height, wrapX, wrapY};
+}
+
 int Topology::hops(NodeId src, NodeId dst) const {
   if (src == dst) return 1;
   return static_cast<int>(routePath(src, dst).size()) + 1;

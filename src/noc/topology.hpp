@@ -289,6 +289,12 @@ class RingTopology final : public Topology {
 /// (non-wrapping) direction.  Only safe with an escape VC (numVCs >= 2).
 int minimalRingOffset(int src, int dst, int size);
 
+/// Where node `n` sits for the escape-VC routing of a VC'd router: its
+/// coordinates, the extent and which axes wrap.  An axis wraps when the
+/// origin has a West (resp. South) link, which only a wrapping axis gives
+/// it.
+router::VcGeometry vcGeometry(const Topology& topology, NodeId n);
+
 /// Builds the topology named by `kind` ("mesh" | "torus" | "ring") over a
 /// WxH extent (a ring uses width*height nodes).  Throws on unknown names.
 std::shared_ptr<const Topology> makeTopology(std::string_view kind, int width,

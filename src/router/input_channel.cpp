@@ -175,26 +175,9 @@ bool InputChannel::describe(sim::Lowering& lw) {
   // is the IFC's under handshake and the credit tap's under credit flow
   // control.
   using vcarena::bit;
-  vcarena::ChannelWords twins;
-  const Words t = layout(twins);
+  const Words& t = ctx->words;
   const bool credit = creditTap_ != nullptr;
-  std::vector<const sim::WireBase*> pubWrites = twins.wires(
-      t.nets, vcarena::kFlitMask | bit(vcarena::kWok) | bit(vcarena::kRokNet));
-  twins.wires(t.block + 1, sim::fieldMask(vcarena::kWant), pubWrites);
   const std::uint64_t handshakeAck = credit ? 0 : bit(vcarena::kAck);
-  std::vector<const sim::WireBase*> flowReads =
-      twins.wires(t.link, bit(vcarena::kVal));
-  twins.wires(t.nets, credit ? 0 : bit(vcarena::kWok), flowReads);
-  std::vector<const sim::WireBase*> flowWrites =
-      twins.wires(t.nets, bit(vcarena::kWr));
-  twins.wires(t.link, handshakeAck, flowWrites);
-  std::vector<const sim::WireBase*> rsReads =
-      twins.wires(t.block, ~std::uint64_t{0});
-  twins.wires(t.nets, credit ? bit(vcarena::kRokNet) : 0, rsReads);
-  std::vector<const sim::WireBase*> rsWrites =
-      twins.wires(t.nets, bit(vcarena::kRdNet));
-  twins.wires(t.link, bit(vcarena::kAck) & ~handshakeAck, rsWrites);
-
   lw.op(
       [](std::uint64_t* w, void* c) {
         auto* x = static_cast<OpCtx*>(c);
@@ -202,14 +185,19 @@ bool InputChannel::describe(sim::Lowering& lw) {
         x->self->ib_->publish(io);
         x->self->ic_.route(io);
       },
-      ctx, {}, std::move(pubWrites));
+      ctx, {},
+      {{t.nets,
+        vcarena::kFlitMask | bit(vcarena::kWok) | bit(vcarena::kRokNet)},
+       {t.block + 1, sim::fieldMask(vcarena::kWant)}});
 
   lw.op(
       [](std::uint64_t* w, void* c) {
         auto* x = static_cast<OpCtx*>(c);
         x->self->ifc_.flow(ArenaIo{{w}, x->words});
       },
-      ctx, std::move(flowReads), std::move(flowWrites));
+      ctx,
+      {{t.link, bit(vcarena::kVal)}, {t.nets, credit ? 0 : bit(vcarena::kWok)}},
+      {{t.nets, bit(vcarena::kWr)}, {t.link, handshakeAck}});
 
   lw.op(
       [](std::uint64_t* w, void* c) {
@@ -218,7 +206,11 @@ bool InputChannel::describe(sim::Lowering& lw) {
         x->self->irs_.select(io);
         if (x->self->creditTap_) x->self->creditTap_->pulse(io);
       },
-      ctx, std::move(rsReads), std::move(rsWrites));
+      ctx,
+      {{t.block, ~std::uint64_t{0}},
+       {t.nets, credit ? bit(vcarena::kRokNet) : 0}},
+      {{t.nets, bit(vcarena::kRdNet)},
+       {t.link, bit(vcarena::kAck) & ~handshakeAck}});
 
   lw.edgeOp(
       [](std::uint64_t* w, void* c) {
@@ -468,30 +460,27 @@ bool VcInputChannel::describe(sim::Lowering& lw) {
   OpCtx* ctx = lw.ctx(OpCtx{this, layout(place)});
   using ArenaIo = SignalIo<vcarena::ArenaWords>;
 
-  // The ops' reads and writes, as bits of the same words.
-  vcarena::ChannelWords twins;
-  const Words t = layout(twins);
-  std::vector<const sim::WireBase*> grants, strobes, pubWrites, acks;
-  twins.wires(t.block, sim::fieldMask(vcarena::kRd), grants);
-  twins.wires(t.block, ~std::uint64_t{0}, strobes);
-  twins.wires(t.link, vcarena::kFreeMask, pubWrites);
+  // The ops' reads and writes, as bits of the same words (entries past
+  // the last VC's bundle keep an empty mask).
+  const Words& t = ctx->words;
+  std::array<sim::WordBits, 1 + kMaxVCs> pubWrites{};
+  pubWrites[0] = {t.link, vcarena::kFreeMask};
   for (int v = 0; v < numVCs_; ++v)
-    twins.wires(t.block + 1 + static_cast<std::uint32_t>(v),
-                vcarena::kBundleMask, pubWrites);
-  twins.wires(t.link, vcarena::kVcAckMask, acks);
+    pubWrites[1 + static_cast<std::size_t>(v)] = {
+        t.block + 1 + static_cast<std::uint32_t>(v), vcarena::kBundleMask};
   lw.op(
       [](std::uint64_t* w, void* c) {
         auto* x = static_cast<OpCtx*>(c);
         x->self->publish(ArenaIo{{w}, x->words});
       },
-      ctx, std::move(grants), std::move(pubWrites));
+      ctx, {{t.block, sim::fieldMask(vcarena::kRd)}}, pubWrites);
   if (creditMode())
     lw.op(
         [](std::uint64_t* w, void* c) {
           auto* x = static_cast<OpCtx*>(c);
           x->self->returnCredits(ArenaIo{{w}, x->words});
         },
-        ctx, std::move(strobes), std::move(acks));
+        ctx, {{t.block, ~std::uint64_t{0}}}, {{t.link, vcarena::kVcAckMask}});
   lw.edgeOp(
       [](std::uint64_t* w, void* c) {
         auto* x = static_cast<OpCtx*>(c);

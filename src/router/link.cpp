@@ -101,32 +101,28 @@ vcarena::OpCtx<Link>* Link::describePhases(sim::Lowering& lw,
                          place(vcarena::WireTwin::channel(*dst_, numVCs_))}});
 
   // The ops' reads and writes, as bits of the same words.
-  const auto twins = vcarena::channelTwins(*src_, *dst_, numVCs_);
+  const std::uint32_t src = ctx->words[kSrc];
+  const std::uint32_t dst = ctx->words[kDst];
   lw.op(&vcarena::channelOp<Link, &Link::forward<ArenaIo>>, ctx,
-        twins.wires(kSrc, vcarena::kForwardMask),
-        twins.wires(kDst, vcarena::kForwardMask));
+        {{src, vcarena::kForwardMask}}, {{dst, vcarena::kForwardMask}});
   if (numVCs_ == 1) {
     const std::uint64_t offer =
         bit(vcarena::kVal) | bit(vcarena::kBop) | bit(vcarena::kEop);
-    std::vector<const sim::WireBase*> reads =
-        twins.wires(kDst, bit(vcarena::kAck));
-    if (readsOffer) twins.wires(kSrc, offer, reads);
     lw.op(&vcarena::channelOp<Link, &Link::reverseAck<ArenaIo>>, ctx,
-          std::move(reads), twins.wires(kSrc, bit(vcarena::kAck)));
+          {{dst, bit(vcarena::kAck)}, {src, readsOffer ? offer : 0}},
+          {{src, bit(vcarena::kAck)}});
   } else {
     // The two VC reverse fields need separate ops: under credit flow
     // control vcAck is driven from the receiver's rd, which the receiver
     // computes from the vcFree of the next hop, so one op carrying both
     // would close a cycle through neighbouring routers.
     lw.op(&vcarena::channelOp<Link, &Link::reverseVcFree<ArenaIo>>, ctx,
-          twins.wires(kDst, vcarena::kFreeMask),
-          twins.wires(kSrc, vcarena::kFreeMask));
+          {{dst, vcarena::kFreeMask}}, {{src, vcarena::kFreeMask}});
     // vcAck pulses exist only under credit flow control; on/off links
     // never see one.
     if (flowControl_ == FlowControl::CreditBased)
       lw.op(&vcarena::channelOp<Link, &Link::reverseVcAck<ArenaIo>>, ctx,
-            twins.wires(kDst, vcarena::kVcAckMask),
-            twins.wires(kSrc, vcarena::kVcAckMask));
+            {{dst, vcarena::kVcAckMask}}, {{src, vcarena::kVcAckMask}});
   }
   return ctx;
 }

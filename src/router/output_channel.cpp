@@ -185,27 +185,30 @@ void OutputChannel::clockEdge() {
 
 bool OutputChannel::describe(sim::Lowering& lw) {
   const bool handshake = flowControl_ == FlowControl::Handshake;
-  const auto own = static_cast<std::size_t>(index(ownPort_));
 
   vcarena::ArenaPlacer place{lw};
   using OpCtx = vcarena::OpCtx<OutputChannel, Words>;
   OpCtx* ctx = lw.ctx(OpCtx{this, layout(place)});
   using ArenaIo = SignalIo<vcarena::ArenaWords>;
 
-  std::vector<const sim::WireBase*> pubReads;
-  std::vector<const sim::WireBase*> pubWrites = {
-      &nets_.connected, &nets_.sel,      &out_->flit.data,
-      &out_->flit.bop,  &out_->flit.eop, &nets_.rokSel};
-  std::vector<const sim::WireBase*> rspWrites = {&nets_.xRd};
-  for (CrossbarWires& x : *xbar_) {
-    pubReads.push_back(&x.flit.data);
-    pubReads.push_back(&x.flit.bop);
-    pubReads.push_back(&x.flit.eop);
-    pubReads.push_back(&x.rok);
-    pubWrites.push_back(&x.gnt[own]);
-    rspWrites.push_back(&x.rd[own]);
+  // The ops' reads and writes, as bits of the same words: per input port,
+  // its bundle's flit and rok, and this output's grant and read strobes.
+  using vcarena::bit;
+  const Words& t = ctx->words;
+  const std::uint64_t val = bit(vcarena::kVal);
+  std::array<sim::WordBits, kNumPorts> pubReads;
+  std::array<sim::WordBits, 2 + kNumPorts> pubWrites, rspWrites;
+  pubWrites[0] = {t.nets, bit(vcarena::kConnected) | bit(vcarena::kRokSel) |
+                              sim::fieldMask(vcarena::kSelWidth)
+                                  << vcarena::kSel};
+  pubWrites[1] = {t.link, vcarena::kFlitMask | (handshake ? val : 0)};
+  rspWrites[0] = {t.nets, bit(vcarena::kXRd)};
+  rspWrites[1] = {t.link, handshake ? 0 : val};
+  for (std::size_t i = 0; i < kNumPorts; ++i) {
+    pubReads[i] = {t.block[i] + 1, vcarena::kFlitMask | bit(vcarena::kRok)};
+    pubWrites[2 + i] = {t.block[i], bit(t.own)};
+    rspWrites[2 + i] = {t.block[i], bit(vcarena::kRd + t.own)};
   }
-  if (handshake) pubWrites.push_back(&out_->val);
   lw.op(
       [](std::uint64_t* w, void* c) {
         auto* x = static_cast<OpCtx*>(c);
@@ -216,7 +219,7 @@ bool OutputChannel::describe(sim::Lowering& lw) {
         ch.ors_.select(io);
         if (ch.handshakeOfc_) ch.handshakeOfc_->offer(io);
       },
-      ctx, std::move(pubReads), std::move(pubWrites));
+      ctx, pubReads, pubWrites);
 
   if (handshake) {
     lw.op(
@@ -224,15 +227,14 @@ bool OutputChannel::describe(sim::Lowering& lw) {
           auto* x = static_cast<OpCtx*>(c);
           x->self->handshakeOfc_->respond(ArenaIo{{w}, x->words});
         },
-        ctx, {&out_->ack}, std::move(rspWrites));
+        ctx, {{t.link, bit(vcarena::kAck)}}, rspWrites);
   } else {
-    rspWrites.push_back(&out_->val);
     lw.op(
         [](std::uint64_t* w, void* c) {
           auto* x = static_cast<OpCtx*>(c);
           x->self->creditOfc_->send(ArenaIo{{w}, x->words});
         },
-        ctx, {&nets_.rokSel}, std::move(rspWrites));
+        ctx, {{t.nets, bit(vcarena::kRokSel)}}, rspWrites);
   }
 
   lw.edgeOp(
@@ -562,33 +564,36 @@ bool VcOutputChannel::describe(sim::Lowering& lw) {
   OpCtx* ctx = lw.ctx(OpCtx{this, layout(place)});
   using ArenaIo = SignalIo<vcarena::ArenaWords>;
 
-  // The ops' reads and writes, as bits of the same words.
-  vcarena::ChannelWords twins;
-  const Words t = layout(twins);
-  std::vector<const sim::WireBase*> grants, schedReads, schedWrites;
-  for (int i = 0; i < kNumPorts; ++i) {
-    twins.wires(t.block[i], vcarena::kAllLanes << t.own, grants);
-    twins.wires(t.block[i], vcarena::kAllLanes << (vcarena::kRd + t.own),
-                schedWrites);
-    for (int v = 0; v < numVCs_; ++v)
-      twins.wires(t.block[i] + 1 + static_cast<std::uint32_t>(v),
-                  vcarena::kFlitMask | vcarena::bit(vcarena::kRok),
-                  schedReads);
+  // The ops' reads and writes, as bits of the same words: per input port,
+  // this output's grant and read lanes and each VC bundle's flit and rok
+  // (entries past the last VC's bundle keep an empty mask).
+  const Words& t = ctx->words;
+  std::array<sim::WordBits, kNumPorts> grants;
+  std::array<sim::WordBits, 1 + kNumPorts * kMaxVCs> schedReads{};
+  std::array<sim::WordBits, 1 + kNumPorts> schedWrites;
+  schedReads[0] = {t.link, vcarena::kFreeMask};
+  schedWrites[0] = {t.link, vcarena::kForwardMask};
+  for (std::size_t i = 0; i < kNumPorts; ++i) {
+    grants[i] = {t.block[i], vcarena::kAllLanes << t.own};
+    schedWrites[1 + i] = {t.block[i],
+                          vcarena::kAllLanes << (vcarena::kRd + t.own)};
+    for (std::size_t v = 0; v < static_cast<std::size_t>(numVCs_); ++v)
+      schedReads[1 + i * kMaxVCs + v] = {
+          t.block[i] + 1 + static_cast<std::uint32_t>(v),
+          vcarena::kFlitMask | vcarena::bit(vcarena::kRok)};
   }
-  twins.wires(t.link, vcarena::kFreeMask, schedReads);
-  twins.wires(t.link, vcarena::kForwardMask, schedWrites);
   lw.op(
       [](std::uint64_t* w, void* c) {
         auto* x = static_cast<OpCtx*>(c);
         x->self->publishGrants(ArenaIo{{w}, x->words});
       },
-      ctx, {}, std::move(grants));
+      ctx, {}, grants);
   lw.op(
       [](std::uint64_t* w, void* c) {
         auto* x = static_cast<OpCtx*>(c);
         x->self->scheduleLink(ArenaIo{{w}, x->words});
       },
-      ctx, std::move(schedReads), std::move(schedWrites));
+      ctx, schedReads, schedWrites);
   lw.edgeOp(
       [](std::uint64_t* w, void* c) {
         auto* x = static_cast<OpCtx*>(c);

@@ -103,19 +103,6 @@ void WireTwin::drive(std::uint64_t mask, std::uint64_t bits) const {
   });
 }
 
-void WireTwin::wires(std::uint64_t mask,
-                     std::vector<const sim::WireBase*>& out) const {
-  // Sized first: the lists live as long as the program build.
-  std::size_t n = out.size();
-  visit([&](const auto&, unsigned shift, unsigned width) {
-    n += (mask & (sim::fieldMask(width) << shift)) != 0;
-  });
-  out.reserve(n);
-  visit([&](const auto& wire, unsigned shift, unsigned width) {
-    if ((mask & (sim::fieldMask(width) << shift)) != 0) out.push_back(&wire);
-  });
-}
-
 std::uint32_t ArenaPlacer::operator()(const WireTwin& twin) const {
   // Every word is placed whole, so a placed first field means the word is.
   const sim::WireBase* first = nullptr;

@@ -6,7 +6,9 @@
 /// NI writes its signal accessor once over a word source: ArenaWords in
 /// the compiled ops, WireWords in evaluate() and clockEdge() (the naive
 /// kernel).  Whichever module places a word first allocates it; the
-/// others find it (Lowering::packedWord is idempotent per layout).
+/// others find it (Lowering::packedWord is idempotent per layout).  The
+/// compiled ops declare their reads and writes as masks over the same
+/// placed words (sim::WordBits), the masks their bodies use.
 ///
 /// Every word that carries a flit holds it in its low bits ([0,32) data,
 /// 32 bop, 33 eop), so a flit moves between words as one masked copy.
@@ -46,7 +48,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
-#include <vector>
 
 #include "sim/compile.hpp"
 
@@ -153,10 +154,6 @@ class WireTwin {
 
   std::uint64_t read(std::uint64_t mask) const;
   void drive(std::uint64_t mask, std::uint64_t bits) const;
-  /// Appends the wires of the fields under `mask` to `out`: an op's read
-  /// or write list, declared as the bits of the word it touches.
-  void wires(std::uint64_t mask,
-             std::vector<const sim::WireBase*>& out) const;
 
  private:
   friend struct ArenaPlacer;
@@ -201,16 +198,6 @@ class WireWords {
   }
   void put(std::uint32_t word, std::uint64_t mask, std::uint64_t bits) const {
     twins_[word].drive(mask, bits);
-  }
-  void wires(std::uint32_t word, std::uint64_t mask,
-             std::vector<const sim::WireBase*>& out) const {
-    twins_[word].wires(mask, out);
-  }
-  std::vector<const sim::WireBase*> wires(std::uint32_t word,
-                                          std::uint64_t mask) const {
-    std::vector<const sim::WireBase*> out;
-    wires(word, mask, out);
-    return out;
   }
 
  private:
@@ -275,21 +262,15 @@ struct ChannelIo {
   }
 };
 
-/// The twins of channels a and b, refs 0 and 1.
-inline WireWords<2> channelTwins(ChannelWires& a, ChannelWires& b,
-                                 int numVCs) {
-  WireWords<2> twins;
-  twins(WireTwin::channel(a, numVCs));
-  twins(WireTwin::channel(b, numVCs));
-  return twins;
-}
-
-/// Runs `body` with the ChannelIo over the wires of channels a and b.
+/// Runs `body` with the ChannelIo over the wires of channels a and b
+/// (channel indices 0 and 1).
 template <class Body>
 void onChannelWires(ChannelWires& a, ChannelWires& b, int numVCs,
                     Body&& body) {
-  const WireWords<2> wires = channelTwins(a, b, numVCs);
+  WireWords<2> wires;
   constexpr std::array<std::uint32_t, 2> kWords = {0, 1};
+  wires(WireTwin::channel(a, numVCs));
+  wires(WireTwin::channel(b, numVCs));
   body(ChannelIo<const WireWords<2>&>{wires, kWords.data()});
 }
 

@@ -75,10 +75,22 @@ void* CompiledProgram::allocCtx(std::size_t size, std::size_t align) {
   return p;
 }
 
-void Lowering::op(OpFn fn, void* ctx, std::vector<const WireBase*> reads,
-                  std::vector<const WireBase*> writes) {
-  prog_.drafts_.push_back({fn, ctx, current_, std::move(reads),
-                           std::move(writes)});
+void Lowering::op(OpFn fn, void* ctx, WordBitsList reads,
+                  WordBitsList writes) {
+  // Appends a list's non-empty masks; returns the end of the list.
+  auto& bits = prog_.draftBits_;
+  const auto add = [&](WordBitsList list) {
+    for (const WordBits& b : list) {
+      if (b.word >= prog_.wordCount_)
+        throw std::logic_error("Lowering::op: '" + current_->name() +
+                               "' declares a word that was never placed");
+      if (b.mask != 0) bits.push_back(b);
+    }
+    return static_cast<std::uint32_t>(bits.size());
+  };
+  const auto first = static_cast<std::uint32_t>(bits.size());
+  const std::uint32_t firstWrite = add(reads);
+  prog_.drafts_.push_back({fn, ctx, current_, first, firstWrite, add(writes)});
 }
 
 void Lowering::edgeOp(OpFn fn, void* ctx) {
@@ -132,6 +144,8 @@ void CompiledProgram::finalize() {
   buildRuns();
   drafts_.clear();
   drafts_.shrink_to_fit();
+  draftBits_.clear();
+  draftBits_.shrink_to_fit();
 }
 
 // Re-copies every unit's context into one arena laid out in execution
@@ -200,57 +214,46 @@ void CompiledProgram::buildRuns() {
 void CompiledProgram::scheduleUnits() {
   const std::uint32_t n = static_cast<std::uint32_t>(drafts_.size());
 
-  // Wire -> writer units, then reader edges writer -> reader.  The writer
-  // index is a flat open-addressing table over the wire pointers (linear
-  // probing, power-of-two capacity, at most half full) whose slots head
-  // per-wire chains in `chain`: two allocations in all, where a node-based
-  // map spent two per written wire and dominated compile time.
-  constexpr std::uint32_t kEnd = 0xffffffffu;
-  struct WriterSlot {
-    const WireBase* wire = nullptr;
-    std::uint32_t head = kEnd;
-  };
-  struct WriterLink {
+  // Per-word writer index: the writers of word w are
+  // writers[first[w], first[w + 1]), in unit order.  One counting pass
+  // sizes the flat array, a backwards pass fills it.
+  struct Writer {
     std::uint32_t unit;
-    std::uint32_t next;
+    std::uint64_t mask;
   };
-  std::size_t totalWrites = 0;
-  for (const UnitDraft& d : drafts_) totalWrites += d.writes.size();
-  unsigned tableBits = 4;
-  while ((std::size_t{1} << tableBits) < 2 * totalWrites) ++tableBits;
-  std::vector<WriterSlot> table(std::size_t{1} << tableBits);
-  std::vector<WriterLink> chain;
-  chain.reserve(totalWrites);
-  const auto slotOf = [&](const WireBase* w) -> WriterSlot& {
-    std::size_t i = static_cast<std::size_t>(
-        (static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(w)) *
-         0x9e3779b97f4a7c15ull) >>
-        (64 - tableBits));
-    while (table[i].wire != nullptr && table[i].wire != w)
-      i = (i + 1) & (table.size() - 1);
-    return table[i];
-  };
-  for (std::uint32_t u = 0; u < n; ++u) {
-    for (const WireBase* w : drafts_[u].writes) {
-      WriterSlot& slot = slotOf(w);
-      slot.wire = w;
-      chain.push_back({u, slot.head});
-      slot.head = static_cast<std::uint32_t>(chain.size() - 1);
-    }
+  std::vector<std::uint32_t> first(std::size_t{wordCount_} + 1, 0);
+  for (const UnitDraft& d : drafts_)
+    for (std::uint32_t k = d.writes; k < d.end; ++k)
+      ++first[draftBits_[k].word];
+  for (std::uint32_t w = 1; w <= wordCount_; ++w) first[w] += first[w - 1];
+  std::vector<Writer> writers(first[wordCount_]);
+  for (std::uint32_t u = n; u-- > 0;) {
+    const UnitDraft& d = drafts_[u];
+    for (std::uint32_t k = d.end; k-- > d.writes;)
+      writers[--first[draftBits_[k].word]] = {u, draftBits_[k].mask};
   }
-  // A unit reading its own write keeps a self edge, so it never leaves
+
+  // Writer -> reader edges, as writer << 32 | reader, sorted: each unit's
+  // successors are one ascending stretch, starting at succFirst[unit].  A
+  // unit reading its own write keeps a self edge, so it never leaves
   // Kahn's queue below and is reported as a cycle.
-  std::vector<std::vector<std::uint32_t>> succ(n);
+  std::vector<std::uint64_t> edges;
   for (std::uint32_t u = 0; u < n; ++u)
-    for (const WireBase* r : drafts_[u].reads)
-      for (std::uint32_t k = slotOf(r).head; k != kEnd; k = chain[k].next)
-        succ[chain[k].unit].push_back(u);
+    for (std::uint32_t k = drafts_[u].reads; k < drafts_[u].writes; ++k) {
+      const WordBits& r = draftBits_[k];
+      for (std::uint32_t i = first[r.word]; i < first[r.word + 1]; ++i)
+        if ((writers[i].mask & r.mask) != 0)
+          edges.push_back(std::uint64_t{writers[i].unit} << 32 | u);
+    }
+  std::sort(edges.begin(), edges.end());
+  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+  std::vector<std::uint32_t> succFirst(std::size_t{n} + 1, 0);
   std::vector<std::uint32_t> indegree(n, 0);
-  for (auto& s : succ) {
-    std::sort(s.begin(), s.end());
-    s.erase(std::unique(s.begin(), s.end()), s.end());
-    for (std::uint32_t v : s) ++indegree[v];
+  for (const std::uint64_t e : edges) {
+    ++succFirst[(e >> 32) + 1];
+    ++indegree[static_cast<std::uint32_t>(e)];
   }
+  for (std::uint32_t u = 1; u <= n; ++u) succFirst[u] += succFirst[u - 1];
 
   // Kahn's algorithm: `order` collects the units whose writers have all
   // been placed, and level[u] becomes the longest writer->reader path from
@@ -261,12 +264,13 @@ void CompiledProgram::scheduleUnits() {
     if (indegree[u] == 0) order.push_back(u);
   for (std::size_t i = 0; i < order.size(); ++i) {
     const std::uint32_t u = order[i];
-    for (std::uint32_t v : succ[u]) {
+    for (std::uint32_t k = succFirst[u]; k < succFirst[u + 1]; ++k) {
+      const auto v = static_cast<std::uint32_t>(edges[k]);
       level[v] = std::max(level[v], level[u] + 1);
       if (--indegree[v] == 0) order.push_back(v);
     }
   }
-  if (order.size() != n) throwCycle(succ, indegree);
+  if (order.size() != n) throwCycle(edges, indegree);
 
   // Any topological order settles in one pass, so pick the one that
   // interprets fastest: by level, then by op function, then by lowering
@@ -290,17 +294,18 @@ void CompiledProgram::scheduleUnits() {
 // in-degree never reached zero), so walking writers from any of them must
 // revisit a unit: the walk's tail from that unit is the cycle.
 void CompiledProgram::throwCycle(
-    const std::vector<std::vector<std::uint32_t>>& succ,
+    const std::vector<std::uint64_t>& edges,
     const std::vector<std::uint32_t>& indegree) const {
   constexpr std::uint32_t kNone = 0xffffffffu;
-  const auto n = static_cast<std::uint32_t>(succ.size());
+  const auto n = static_cast<std::uint32_t>(indegree.size());
   std::vector<std::uint32_t> writer(n, kNone);
   std::uint32_t start = kNone;
-  for (std::uint32_t u = 0; u < n; ++u) {
-    if (indegree[u] == 0) continue;
-    start = u;
-    for (std::uint32_t v : succ[u])
-      if (indegree[v] != 0) writer[v] = u;
+  for (std::uint32_t u = 0; u < n; ++u)
+    if (indegree[u] != 0) start = u;
+  for (const std::uint64_t e : edges) {
+    const auto u = static_cast<std::uint32_t>(e >> 32);
+    const auto v = static_cast<std::uint32_t>(e);
+    if (indegree[u] != 0 && indegree[v] != 0) writer[v] = u;
   }
   std::vector<std::uint32_t> step(n, kNone), walk;
   std::uint32_t u = start;

@@ -10,14 +10,15 @@
 //    of related wires (packedWord), so moving the group is one masked word
 //    copy;
 //  * every module contributes, via Module::describe(), ops (plain function
-//    pointers over the arena, no virtual dispatch), each with the wires it
-//    reads and drives.  A module without a lowering is a build error
-//    (std::logic_error naming it);
-//  * the resulting units are levelized over the wire-level driver/reader
-//    relation (Kahn's algorithm) into one linear tape that runs exactly
-//    once per settle.  RASoC blocks talk through val/ack nets that end at
-//    registers, so a network has no combinational cycle; a cycle in the
-//    declared units is a build error (std::runtime_error naming its
+//    pointers over the arena, no virtual dispatch), each with the bits it
+//    reads and drives, as masks over arena words.  A module without a
+//    lowering is a build error (std::logic_error naming it);
+//  * the resulting units are levelized over the bit-level writer/reader
+//    relation (a reader depends on every writer whose mask meets its own
+//    in the same word; Kahn's algorithm) into one linear tape that runs
+//    exactly once per settle.  RASoC blocks talk through val/ack nets that
+//    end at registers, so a network has no combinational cycle; a cycle in
+//    the declared units is a build error (std::runtime_error naming its
 //    modules), the same type the naive kernel throws for a loop.
 //
 // The clock edge lowers the same way: an edge tape of ops in
@@ -105,6 +106,20 @@ struct WordField {
   std::uint8_t width;
 };
 
+// The bits under `mask` of arena word `word` (an index from packedWord).
+struct WordBits {
+  std::uint32_t word;
+  std::uint64_t mask;
+};
+
+// An op's read or write declaration: a braced list of WordBits or any
+// contiguous container of them.
+struct WordBitsList : std::span<const WordBits> {
+  using span::span;
+  WordBitsList(std::initializer_list<WordBits> bits)
+      : span(bits.begin(), bits.size()) {}
+};
+
 class CompiledProgram;
 
 // The interface Module::describe() implementations program against.
@@ -130,13 +145,12 @@ class Lowering {
 
   // --- settle-phase units -----------------------------------------------
   //
-  // The read/write lists drive levelization only; they must name every
-  // *wire* the op reads or writes, through the arena or through the Wire
-  // objects (whose get()/set() read and write through).  Registered state
-  // read through raw pointers needs no declaration (it only changes at
-  // edges).
-  void op(OpFn fn, void* ctx, std::vector<const WireBase*> reads,
-          std::vector<const WireBase*> writes);
+  // The read/write lists drive levelization only; they must cover every
+  // placed bit the op reads or writes, through the arena or through the
+  // Wire objects (whose get()/set() read and write through).  Registered
+  // state read through raw pointers needs no declaration (it only changes
+  // at edges).  Throws std::logic_error for a word that was never placed.
+  void op(OpFn fn, void* ctx, WordBitsList reads, WordBitsList writes);
 
   // --- edge tape --------------------------------------------------------
   //
@@ -233,13 +247,15 @@ class CompiledProgram {
   };
 
   // Pre-schedule settle op as emitted by Lowering, with the describing
-  // module (named in cycle errors).
+  // module (named in cycle errors).  Its reads are draftBits_[reads,
+  // writes), its writes draftBits_[writes, end).
   struct UnitDraft {
     OpFn fn;
     void* ctx;
     Module* module;
-    std::vector<const WireBase*> reads;
-    std::vector<const WireBase*> writes;
+    std::uint32_t reads;
+    std::uint32_t writes;
+    std::uint32_t end;
   };
 
   // One entry of the settle or edge tape.
@@ -266,7 +282,7 @@ class CompiledProgram {
   void finalize();
   void scheduleUnits();
   [[noreturn]] void throwCycle(
-      const std::vector<std::vector<std::uint32_t>>& succ,
+      const std::vector<std::uint64_t>& edges,
       const std::vector<std::uint32_t>& indegree) const;
 
   // Arena: the authoritative packed signal state while the program is
@@ -290,6 +306,7 @@ class CompiledProgram {
   }
 
   std::vector<UnitDraft> drafts_;
+  std::vector<WordBits> draftBits_;
   std::vector<Op> units_;
   std::vector<Op> edges_;
 

@@ -15,7 +15,7 @@ TEST(MuxTreeTest, FourToOneSelectsEveryInput) {
   std::vector<std::vector<NodeId>> in;
   std::vector<NodeId> pins;
   for (int i = 0; i < 4; ++i) {
-    pins.push_back(nl.addInput("i" + std::to_string(i)));
+    pins.push_back(nl.addInput(std::string("i").append(std::to_string(i))));
     in.push_back({pins.back()});
   }
   const auto s0 = nl.addInput("s0");
@@ -79,7 +79,8 @@ TEST(UpDownCounterTest, CountsCorrectlyThroughRandomStrobes) {
 TEST(EqualsConstTest, MatchesOverAllValues) {
   GateNetlist nl;
   std::vector<NodeId> bus;
-  for (int i = 0; i < 5; ++i) bus.push_back(nl.addInput("b" + std::to_string(i)));
+  for (int i = 0; i < 5; ++i)
+    bus.push_back(nl.addInput(std::string("b").append(std::to_string(i))));
   const auto eq19 = buildEqualsConst(nl, bus, 19);
   for (unsigned value = 0; value < 32; ++value) {
     for (int i = 0; i < 5; ++i)

@@ -34,7 +34,8 @@ TEST(EquivalenceTest, RoundRobinArbiterMatchesOutputController) {
   GateNetlist nl;
   std::array<NodeId, 4> req{};
   for (int i = 0; i < 4; ++i)
-    req[static_cast<std::size_t>(i)] = nl.addInput("r" + std::to_string(i));
+    req[static_cast<std::size_t>(i)] =
+        nl.addInput(std::string("r").append(std::to_string(i)));
   const auto eopIn = nl.addInput("eop");
   const auto rokIn = nl.addInput("rok");
   const auto rdIn = nl.addInput("rd");

@@ -202,8 +202,10 @@ INSTANTIATE_TEST_SUITE_P(Configurations, GateRouterLockstep,
                                            std::pair{16, 2},
                                            std::pair{16, 4}),
                          [](const auto& info) {
-                           return "n" + std::to_string(info.param.first) +
-                                  "p" + std::to_string(info.param.second);
+                           return std::string("n")
+                               .append(std::to_string(info.param.first))
+                               .append("p")
+                               .append(std::to_string(info.param.second));
                          });
 
 TEST(GateRouterTest, ResourceFootprintIsReported) {

@@ -116,7 +116,8 @@ TEST(MapperTest, GreedyKeepsChattyCoresAdjacent) {
 TEST(MapperTest, AnnealingNeverWorsensTheGreedySeed) {
   Mapper mapper(MeshShape{4, 4}, /*seed=*/5);
   CoreGraph graph;
-  for (int i = 0; i < 8; ++i) graph.addCore("c" + std::to_string(i));
+  for (int i = 0; i < 8; ++i)
+    graph.addCore(std::string("c").append(std::to_string(i)));
   // A ring of flows plus two chords.
   for (int i = 0; i < 8; ++i) graph.addFlow(i, (i + 1) % 8, 0.1);
   graph.addFlow(0, 4, 0.2);

@@ -185,7 +185,8 @@ class AddConst : public sim::Module {
     c.in = lw.packedWord({{x_, 0}});
     c.out = lw.packedWord({{y_, 0}});
     c.k = k_;
-    lw.op(&addKOp, lw.ctx(c), {&x_}, {&y_});
+    lw.op(&addKOp, lw.ctx(c), {{c.in, sim::fieldMask(32)}},
+          {{c.out, sim::fieldMask(32)}});
     return true;
   }
 
@@ -286,7 +287,8 @@ TEST(CompiledFuzzTest, ForceInsideCompiledSettleThrows) {
     bool describe(sim::Lowering& lw) override {
       lw.op([](std::uint64_t*,
                void* m) { static_cast<Poker*>(m)->evaluate(); },
-            this, {&in}, {&out});
+            this, {{lw.packedWord({{in, 0}}), sim::fieldMask(32)}},
+            {{lw.packedWord({{out, 0}}), sim::fieldMask(32)}});
       return true;
     }
     void evaluate() override {

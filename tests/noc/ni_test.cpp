@@ -122,6 +122,30 @@ TEST(NiTest, MeshTooLargeForIndexFlitThrows) {
                std::invalid_argument);
 }
 
+TEST(NiTest, QosOnARingNeedsTwoAdaptiveVcsAboveBothEscapeVcs) {
+  // A ring wraps, so its routers reserve two escape VCs: a standalone NI
+  // rejects qosClasses at numVCs = 3, which the mesh escape layer admits.
+  router::RouterParams params;
+  params.n = 16;
+  params.qosClasses = true;
+  const auto ring = makeTopology("ring", 8, 1);
+  router::ChannelWires toRouter, fromRouter;
+  DeliveryLedger ledger;
+  params.numVCs = 3;
+  try {
+    NetworkInterface("ni", params, ring, ring->nodeAt(0), toRouter,
+                     fromRouter, ledger);
+    FAIL() << "3 VCs leave one adaptive VC on a ring";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_STREQ(e.what(),
+                 "qosClasses on ring8 needs numVCs >= 4 (2 escape VCs + two "
+                 "adaptive VCs for class separation)");
+  }
+  params.numVCs = 4;
+  EXPECT_NO_THROW(NetworkInterface("ni", params, ring, ring->nodeAt(0),
+                                   toRouter, fromRouter, ledger));
+}
+
 TEST(NiTest, CreditModeNiRespectsBufferDepth) {
   router::RouterParams params;
   params.flowControl = router::FlowControl::CreditBased;

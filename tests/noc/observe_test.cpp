@@ -85,14 +85,14 @@ TEST(MeshTelemetryTest, HeatmapsReflectTraffic) {
   InstrumentedRun run(5, 1500);
   const auto cycles = run.mesh.simulator().cycle();
   const auto throughput =
-      throughputHeatmap(run.registry, run.shape, cycles);
+      throughputHeatmap(run.registry, MeshTopology(run.shape), cycles);
   EXPECT_GT(throughput.maxValue(), 0.0);
   // The center router carries XY through-traffic: it must be at least as
   // busy as the minimum corner.
   EXPECT_GE(throughput.at(1, 1), 0.0);
 
   const auto congestion =
-      congestionHeatmap(run.registry, run.shape, cycles);
+      congestionHeatmap(run.registry, MeshTopology(run.shape), cycles);
   for (int y = 0; y < 3; ++y)
     for (int x = 0; x < 3; ++x) {
       EXPECT_GE(congestion.at(x, y), 0.0);
@@ -100,7 +100,7 @@ TEST(MeshTelemetryTest, HeatmapsReflectTraffic) {
     }
 
   const auto backpressure =
-      backpressureHeatmap(run.registry, run.shape, cycles);
+      backpressureHeatmap(run.registry, MeshTopology(run.shape), cycles);
   EXPECT_GE(backpressure.maxValue(), 0.0);
 
   // Renderers run on extracted maps.

@@ -63,10 +63,14 @@ class BufferShell : public sim::Module {
   }
 
   bool describe(sim::Lowering& lw) override {
+    const auto alone = [&](const auto& w) {
+      return sim::WordBits{lw.packedWord({{w, 0}}), ~std::uint64_t{0}};
+    };
     lw.op([](std::uint64_t*,
              void* m) { static_cast<sim::Module*>(m)->evaluateOne(); },
           static_cast<sim::Module*>(fifo_), {},
-          {&dout_->data, &dout_->bop, &dout_->eop, wok_, rok_});
+          {alone(dout_->data), alone(dout_->bop), alone(dout_->eop),
+           alone(*wok_), alone(*rok_)});
     lw.edgeCall(*fifo_);
     return true;
   }

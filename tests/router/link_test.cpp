@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "router/faulty_link.hpp"
+#include "router/vc_arena.hpp"
 #include "sim/compile.hpp"
 #include "sim/simulator.hpp"
 
@@ -201,13 +202,16 @@ class StagedSender : public sim::Module {
   }
 
   bool describe(sim::Lowering& lw) override {
+    const sim::WordBits rok{lw.packedWord({{rok_, 0}}), vcarena::bit(0)};
+    const std::uint32_t out =
+        vcarena::ArenaPlacer{lw}(vcarena::WireTwin::channel(*out_, 1));
     lw.op([](std::uint64_t*,
              void* m) { static_cast<StagedSender*>(m)->publish(); },
-          this, {}, {&rok_});
+          this, {}, {rok});
     lw.op([](std::uint64_t*,
              void* m) { static_cast<StagedSender*>(m)->offer(); },
-          this, {&rok_},
-          {&out_->flit.data, &out_->flit.bop, &out_->flit.eop, &out_->val});
+          this, {rok},
+          {{out, vcarena::kFlitMask | vcarena::bit(vcarena::kVal)}});
     lw.edgeCall(*this);
     return true;
   }
@@ -239,9 +243,12 @@ class EchoSink : public sim::Module {
   explicit EchoSink(ChannelWires& in) : Module("sink"), in_(&in) {}
 
   bool describe(sim::Lowering& lw) override {
+    const std::uint32_t in =
+        vcarena::ArenaPlacer{lw}(vcarena::WireTwin::channel(*in_, 1));
     lw.op([](std::uint64_t*,
              void* m) { static_cast<EchoSink*>(m)->evaluate(); },
-          this, {&in_->val}, {&in_->ack});
+          this, {{in, vcarena::bit(vcarena::kVal)}},
+          {{in, vcarena::bit(vcarena::kAck)}});
     return true;
   }
 

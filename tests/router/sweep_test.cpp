@@ -128,10 +128,14 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepParam{32, 16, 8, FifoImpl::Eab},
                       SweepParam{4, 4, 2, FifoImpl::FlipFlop}),
     [](const auto& info) {
-      return "n" + std::to_string(std::get<0>(info.param)) + "m" +
-             std::to_string(std::get<1>(info.param)) + "p" +
-             std::to_string(std::get<2>(info.param)) +
-             (std::get<3>(info.param) == FifoImpl::FlipFlop ? "FF" : "EAB");
+      return std::string("n")
+          .append(std::to_string(std::get<0>(info.param)))
+          .append("m")
+          .append(std::to_string(std::get<1>(info.param)))
+          .append("p")
+          .append(std::to_string(std::get<2>(info.param)))
+          .append(std::get<3>(info.param) == FifoImpl::FlipFlop ? "FF"
+                                                                : "EAB");
     });
 
 }  // namespace

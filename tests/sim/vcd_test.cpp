@@ -73,9 +73,8 @@ TEST(VcdTest, ManySignalsGetUniqueIds) {
   VcdWriter vcd("top");
   std::vector<std::string> ids;
   for (int i = 0; i < 200; ++i)
-    ids.push_back(vcd.addSignal("s" + std::to_string(i), 1, [] {
-      return 0u;
-    }));
+    ids.push_back(vcd.addSignal(std::string("s").append(std::to_string(i)),
+                                1, [] { return 0u; }));
   std::sort(ids.begin(), ids.end());
   EXPECT_EQ(std::unique(ids.begin(), ids.end()), ids.end());
 }
@@ -88,7 +87,8 @@ TEST(VcdTest, Signal95UsesTwoCharacterId) {
   std::uint64_t v = 0;
   for (int i = 0; i < 100; ++i) {
     const std::string id =
-        vcd.addSignal("s" + std::to_string(i), 1, [&] { return v; });
+        vcd.addSignal(std::string("s").append(std::to_string(i)), 1,
+                      [&] { return v; });
     if (i == 93) id93 = id;
     if (i == 94) id94 = id;
   }

@@ -56,7 +56,7 @@ TEST(RegistryTest, AccessorsCreateOnFirstUseAndReturnStableRefs) {
   a.inc(3);
   // Creating more metrics must not move the first one.
   for (int i = 0; i < 100; ++i)
-    registry.counter("c" + std::to_string(i)).inc();
+    registry.counter(std::string("c").append(std::to_string(i))).inc();
   EXPECT_EQ(&registry.counter("a"), &a);
   EXPECT_EQ(registry.counter("a").value(), 3u);
   EXPECT_EQ(registry.size(), 101u);

@@ -120,7 +120,7 @@ TEST(PlannerTest, EveryCoreScheduledExactlyOnce) {
   TestPlanner planner(config({NodeId{0, 0}, NodeId{3, 3}}));
   std::vector<CoreTestSpec> cores;
   for (int i = 0; i < 6; ++i)
-    cores.push_back(core(("c" + std::to_string(i)).c_str(),
+    cores.push_back(core(std::string("c").append(std::to_string(i)).c_str(),
                          NodeId{1 + i % 3, 1 + i / 3}, 1 + i, 10 * i));
   const TestSchedule schedule = planner.plan(cores);
   std::set<int> seen;
