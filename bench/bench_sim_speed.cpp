@@ -57,6 +57,7 @@ std::vector<Row> rows() {
                      "mesh", side, K::Compiled, vcs, false,
                      side == 8 ? 2000u : 400u});
   out.push_back({"mesh8_vc1_naive", "mesh", 8, K::Naive, 1, false, 300});
+  out.push_back({"mesh8_vc4_naive", "mesh", 8, K::Naive, 4, false, 100});
   out.push_back({"mesh8_vc1_telemetry", "mesh", 8, K::Compiled, 1, true,
                  2000});
   out.push_back({"torus8_vc1", "torus", 8, K::Compiled, 1, false, 2000});
