@@ -7,15 +7,15 @@ namespace rasoc::baseline {
 using noc::NodeId;
 
 SharedBus::SharedBus(std::string name, BusConfig config)
-    : Module(std::move(name)), config_(config) {
-  config_.shape.validate();
+    : Module(std::move(name)), config_(config), topology_(config.shape) {
+  topology_.validate();
   if (config_.arbitrationCycles < 0 || config_.addressCycles < 0)
     throw std::invalid_argument("overhead cycles must be >= 0");
-  queues_.resize(static_cast<std::size_t>(config_.shape.nodes()));
+  queues_.resize(static_cast<std::size_t>(topology_.nodes()));
 }
 
 void SharedBus::send(NodeId src, NodeId dst, int flits) {
-  if (!config_.shape.contains(src) || !config_.shape.contains(dst))
+  if (!topology_.contains(src) || !topology_.contains(dst))
     throw std::invalid_argument("node off the bus");
   if (src == dst) throw std::invalid_argument("self-addressed transfer");
   if (flits < 1) throw std::invalid_argument("empty transfer");
@@ -26,19 +26,19 @@ void SharedBus::send(NodeId src, NodeId dst, int flits) {
   record.createdCycle = cycle_;
   record.flits = flits;
   ledger_.onQueued(record);
-  queues_[static_cast<std::size_t>(config_.shape.indexOf(src))].push_back(
+  queues_[static_cast<std::size_t>(topology_.indexOf(src))].push_back(
       Transaction{src, dst, flits});
 }
 
 void SharedBus::attachTraffic(const noc::TrafficConfig& traffic) {
   if (trafficAttached_) throw std::logic_error("traffic already attached");
-  noc::validateTraffic(traffic, noc::MeshTopology(config_.shape));
+  noc::validateTraffic(traffic, topology_);
   trafficAttached_ = true;
   traffic_ = traffic;
   packetProbability_ =
       traffic.offeredLoad / static_cast<double>(traffic.packetFlits());
   rngs_.clear();
-  for (int i = 0; i < config_.shape.nodes(); ++i)
+  for (int i = 0; i < topology_.nodes(); ++i)
     rngs_.emplace_back(traffic.seed * 7919 + static_cast<std::uint64_t>(i) +
                        1);
 }
@@ -70,22 +70,22 @@ void SharedBus::onReset() {
 
 void SharedBus::generateTraffic() {
   if (!trafficAttached_) return;
-  for (int i = 0; i < config_.shape.nodes(); ++i) {
+  for (int i = 0; i < topology_.nodes(); ++i) {
     auto& rng = rngs_[static_cast<std::size_t>(i)];
     if (!rng.chance(packetProbability_)) continue;
     if (queues_[static_cast<std::size_t>(i)].size() >=
         traffic_.maxQueuedPackets)
       continue;
-    const NodeId src = config_.shape.nodeAt(i);
+    const NodeId src = topology_.nodeAt(i);
     const NodeId dst = noc::destinationFor(traffic_.pattern, src,
-                                           config_.shape, rng, traffic_);
+                                           topology_, rng, traffic_);
     if (dst == src) continue;
     send(src, dst, traffic_.packetFlits());
   }
 }
 
 void SharedBus::arbitrate() {
-  const int nodes = config_.shape.nodes();
+  const int nodes = topology_.nodes();
   for (int k = 1; k <= nodes; ++k) {
     const int i = (rrPtr_ + k) % nodes;
     auto& queue = queues_[static_cast<std::size_t>(i)];

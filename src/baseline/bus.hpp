@@ -68,6 +68,7 @@ class SharedBus : public sim::Module {
   void arbitrate();
 
   BusConfig config_;
+  noc::MeshTopology topology_;  // of config_.shape
   noc::DeliveryLedger ledger_;
 
   std::vector<std::deque<Transaction>> queues_;  // per master

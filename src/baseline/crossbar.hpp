@@ -46,7 +46,7 @@ class IdealCrossbar : public sim::Module {
 
   void generateTraffic();
 
-  noc::MeshShape shape_;
+  noc::MeshTopology topology_;
   noc::DeliveryLedger ledger_;
   std::vector<std::deque<Transaction>> queues_;  // per source
   std::vector<int> dstBusyUntilFlits_;           // flits left at each sink

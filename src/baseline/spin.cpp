@@ -88,10 +88,11 @@ void SpinFatTree::attachTraffic(const noc::TrafficConfig& traffic,
   if (trafficAttached_) throw std::logic_error("traffic already attached");
   if (logicalShape.nodes() != terminals_)
     throw std::invalid_argument("logical shape must match terminal count");
-  noc::validateTraffic(traffic, noc::MeshTopology(logicalShape));
+  const noc::MeshTopology logical(logicalShape);
+  noc::validateTraffic(traffic, logical);
   trafficAttached_ = true;
   traffic_ = traffic;
-  logicalShape_ = logicalShape;
+  logical_ = logical;
   packetProbability_ =
       traffic.offeredLoad / static_cast<double>(traffic.packetFlits());
   rngs_.clear();
@@ -109,9 +110,9 @@ void SpinFatTree::generateTraffic() {
       continue;
     const noc::NodeId src = nodeOf(i);
     const noc::NodeId dst = noc::destinationFor(traffic_.pattern, src,
-                                                logicalShape_, rng, traffic_);
+                                                logical_, rng, traffic_);
     if (dst == src) continue;
-    send(i, logicalShape_.indexOf(dst), traffic_.packetFlits());
+    send(i, logical_.indexOf(dst), traffic_.packetFlits());
   }
 }
 

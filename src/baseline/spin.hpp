@@ -68,14 +68,14 @@ class SpinFatTree : public sim::Module {
                         std::uint64_t earliest, int flits);
 
   noc::NodeId nodeOf(int terminal) const {
-    return logicalShape_.nodeAt(terminal);
+    return logical_.nodeAt(terminal);
   }
 
   int terminals_;
   int groups_;
   int roots_;
   noc::DeliveryLedger ledger_;
-  noc::MeshShape logicalShape_{4, 4};
+  noc::MeshTopology logical_{4, 4};
 
   std::vector<std::uint64_t> upTerminal_;    // terminal -> L1
   std::vector<std::uint64_t> downTerminal_;  // L1 -> terminal

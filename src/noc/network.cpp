@@ -30,10 +30,6 @@ Network::Network(std::shared_ptr<const Topology> topology,
     throw std::invalid_argument(
         "topology offsets exceed the RIB range; increase m");
 
-  // Negated so that NaN fails the check too.
-  if (!(config_.linkFaultRate >= 0.0 && config_.linkFaultRate <= 1.0))
-    throw std::invalid_argument("linkFaultRate must be in [0,1]");
-
   // Window kinds the flow control cannot carry are rejected by
   // FaultyLink::setWindows as the links are built.
   if (!config_.faultPlan.empty()) config_.faultPlan.validate(*topology_);
@@ -59,8 +55,9 @@ Network::Network(std::shared_ptr<const Topology> topology,
   }
 
   // One directed link per (node, outgoing port) pair of the adjacency
-  // relation; fault-injecting when requested.  Enumerating every node's
-  // outgoing ports covers both directions of every physical connection.
+  // relation; fault-injecting when the fault plan names it.  Enumerating
+  // every node's outgoing ports covers both directions of every physical
+  // connection.
   for (int i = 0; i < topology_->nodes(); ++i) {
     const NodeId from = topology_->nodeAt(i);
     for (Port out : router::kAllPorts) {
@@ -73,12 +70,11 @@ Network::Network(std::shared_ptr<const Topology> topology,
       std::vector<router::FaultWindow> windows =
           config_.faultPlan.windowsFor(linkId);
       std::unique_ptr<router::Link> link;
-      if (config_.linkFaultRate > 0.0 || !windows.empty()) {
+      if (!windows.empty()) {
         auto faulty = std::make_unique<router::FaultyLink>(
             linkName, routers_[indexOf(from)]->out(out),
             routers_[indexOf(*to)]->in(router::opposite(out)),
-            config_.params.n, config_.linkFaultRate,
-            config_.faultSeed + links_.size() * 131 + 7,
+            config_.params.n, config_.faultSeed + links_.size() * 131 + 7,
             config_.params.flowControl, config_.params.numVCs);
         faulty->setWindows(std::move(windows));
         faultyLinks_.emplace_back(linkId, faulty.get());

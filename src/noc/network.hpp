@@ -50,16 +50,16 @@ struct NetworkConfig {
   /// runs without it are bit-identical to the unprotected network.
   ReliabilityConfig reliability;
 
-  /// Per-flit probability of a single payload-bit flip on each inter-router
-  /// link (0 = ideal links, plain Link modules).  Uniform background noise;
-  /// for windowed faults use `faultPlan`.
-  double linkFaultRate = 0.0;
+  /// Seed of the fault-injecting links' flip draws (each link derives its
+  /// own stream from it).
   std::uint64_t faultSeed = 0xfa17;
 
   /// Scheduled fault campaign (noc/fault.hpp): links named by the plan are
   /// built as FaultyLink with the plan's corruption / stuck-ack /
-  /// link-down windows.  Stall and outage windows require handshake flow
-  /// control (the builder throws otherwise).
+  /// link-down windows; every other link is a plain Link.  Uniform
+  /// background noise is a Corrupt window over the whole run on every
+  /// link (makeFaultPlan's corruptLinkFraction = 1).  Stall and outage
+  /// windows require handshake flow control (the builder throws otherwise).
   FaultPlan faultPlan;
 };
 

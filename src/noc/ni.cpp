@@ -64,16 +64,6 @@ NetworkInterface::NetworkInterface(std::string name,
   }
 }
 
-NetworkInterface::NetworkInterface(std::string name,
-                                   const router::RouterParams& params,
-                                   MeshShape shape, NodeId self,
-                                   router::ChannelWires& toRouter,
-                                   router::ChannelWires& fromRouter,
-                                   DeliveryLedger& ledger, NiOptions options)
-    : NetworkInterface(std::move(name), params,
-                       std::make_shared<MeshTopology>(shape), self, toRouter,
-                       fromRouter, ledger, options) {}
-
 int NetworkInterface::payloadBits() const {
   return options_.hlpParity ? params_.n - 1 : params_.n;
 }
@@ -208,18 +198,7 @@ void NetworkInterface::send(NodeId dst,
   sendQueues_[static_cast<std::size_t>(vc)].push_back(std::move(packet));
 }
 
-void NetworkInterface::evaluate() {
-  vcarena::onChannelWires(
-      *toRouter_, *fromRouter_, params_.numVCs, [&](const auto& io) {
-        presentSend(io);
-        if (vcMode()) {
-          advertiseRxSpace(io);
-          if (creditMode()) returnRxCredits(io);
-        } else {
-          ackRx(io);
-        }
-      });
-}
+void NetworkInterface::evaluate() { vcarena::Phases::settle(*this); }
 
 template <class Io>
 void NetworkInterface::presentSend(const Io& io) const {
@@ -275,10 +254,7 @@ void NetworkInterface::returnRxCredits(const Io& io) const {
   io.put(kFrom, vcarena::kVcAckMask, landed ? bit(vcarena::kVcAck + vc) : 0);
 }
 
-void NetworkInterface::clockEdge() {
-  vcarena::onChannelWires(*toRouter_, *fromRouter_, params_.numVCs,
-                          [&](const auto& io) { edge(io); });
-}
+void NetworkInterface::clockEdge() { vcarena::Phases::clock(*this); }
 
 template <class Io>
 void NetworkInterface::edge(const Io& io) {
@@ -489,50 +465,46 @@ void NetworkInterface::pumpTransport() {
   }
 }
 
-bool NetworkInterface::describe(sim::Lowering& lw) {
-  using Ctx = vcarena::OpCtx<NetworkInterface>;
-  using ArenaIo = vcarena::ChannelIo<vcarena::ArenaWords>;
-  const vcarena::ArenaPlacer place{lw};
-  Ctx* ctx = lw.ctx(Ctx{
-      this,
-      {place(vcarena::WireTwin::channel(*toRouter_, params_.numVCs)),
-       place(vcarena::WireTwin::channel(*fromRouter_, params_.numVCs))}});
+template <class Place>
+vcarena::ChannelRefs NetworkInterface::layout(Place& place) const {
+  return {place(vcarena::WireTwin::channel(*toRouter_, params_.numVCs)),
+          place(vcarena::WireTwin::channel(*fromRouter_, params_.numVCs))};
+}
 
-  // One op per phase of evaluate(), so the receive side's wires do not
-  // tie the send side into the router's combinational graph.  The ops'
-  // reads and writes are bits of the same words.
-  const std::uint32_t to = ctx->words[kTo];
-  const std::uint32_t from = ctx->words[kFrom];
-  // Under on/off VC flow control the send side reads the inject VCs'
-  // vcFree levels: every adaptive VC under QoS, else the fixed inject VC.
+template <class Emit>
+void NetworkInterface::phases(const Emit& emit,
+                              const vcarena::ChannelRefs& r) const {
+  // One op per phase, so the receive side's wires do not tie the send side
+  // into the router's combinational graph.  Under on/off VC flow control
+  // the send side reads the inject VCs' vcFree levels: every adaptive VC
+  // under QoS, else the fixed inject VC.
+  const std::uint32_t to = r[kTo];
+  const std::uint32_t from = r[kFrom];
   std::uint64_t sendVcs = 0;
   if (vcMode() && !creditMode())
     sendVcs = params_.qosClasses ? ~std::uint64_t{0} << escapeVCs_
                                  : std::uint64_t{1} << injectVc_;
-  lw.op(&vcarena::channelOp<NetworkInterface,
-                            &NetworkInterface::presentSend<ArenaIo>>,
-        ctx, {{to, (sendVcs << vcarena::kFree) & vcarena::kFreeMask}},
-        {{to, vcarena::kForwardMask}});
+  emit.op([](NetworkInterface& m, const auto& io) { m.presentSend(io); },
+          {{to, (sendVcs << vcarena::kFree) & vcarena::kFreeMask}},
+          {{to, vcarena::kForwardMask}});
   if (vcMode()) {
-    lw.op(&vcarena::channelOp<
-              NetworkInterface,
-              &NetworkInterface::advertiseRxSpace<ArenaIo>>,
-          ctx, {}, {{from, vcarena::kFreeMask}});
+    emit.op(
+        [](NetworkInterface& m, const auto& io) { m.advertiseRxSpace(io); },
+        {}, {{from, vcarena::kFreeMask}});
     if (creditMode())
-      lw.op(&vcarena::channelOp<
-                NetworkInterface,
-                &NetworkInterface::returnRxCredits<ArenaIo>>,
-            ctx, {{from, vcarena::kForwardMask & ~vcarena::kFlitMask}},
-            {{from, vcarena::kVcAckMask}});
+      emit.op(
+          [](NetworkInterface& m, const auto& io) { m.returnRxCredits(io); },
+          {{from, vcarena::kForwardMask & ~vcarena::kFlitMask}},
+          {{from, vcarena::kVcAckMask}});
   } else {
-    lw.op(&vcarena::channelOp<NetworkInterface,
-                              &NetworkInterface::ackRx<ArenaIo>>,
-          ctx, {{from, bit(vcarena::kVal)}}, {{from, bit(vcarena::kAck)}});
+    emit.op([](NetworkInterface& m, const auto& io) { m.ackRx(io); },
+            {{from, bit(vcarena::kVal)}}, {{from, bit(vcarena::kAck)}});
   }
-  lw.edgeOp(&vcarena::channelOp<NetworkInterface,
-                                 &NetworkInterface::edge<ArenaIo>>,
-            ctx);
-  return true;
+  emit.edge([](NetworkInterface& m, const auto& io) { m.edge(io); });
+}
+
+bool NetworkInterface::describe(sim::Lowering& lw) {
+  return vcarena::Phases::lower(*this, lw);
 }
 
 }  // namespace rasoc::noc

@@ -48,6 +48,7 @@
 #include "router/channel.hpp"
 #include "router/flit.hpp"
 #include "router/params.hpp"
+#include "router/vc_arena.hpp"
 
 namespace rasoc::noc {
 
@@ -91,13 +92,6 @@ class NetworkInterface : public sim::Module {
   /// (the shared_ptr keeps it alive).
   NetworkInterface(std::string name, const router::RouterParams& params,
                    std::shared_ptr<const Topology> topology, NodeId self,
-                   router::ChannelWires& toRouter,
-                   router::ChannelWires& fromRouter, DeliveryLedger& ledger,
-                   NiOptions options = {});
-
-  /// Convenience: an interface on a standalone 2D mesh of `shape`.
-  NetworkInterface(std::string name, const router::RouterParams& params,
-                   MeshShape shape, NodeId self,
                    router::ChannelWires& toRouter,
                    router::ChannelWires& fromRouter, DeliveryLedger& ledger,
                    NiOptions options = {});
@@ -172,10 +166,10 @@ class NetworkInterface : public sim::Module {
   /// so the tracer's shadow stream stays aligned with the send queues.
   void setTracer(FlowTracer* tracer) { tracer_ = tracer; }
 
-  /// Compiled-kernel lowering: one arena op per phase of evaluate(), so
-  /// the send and receive sides stay apart in the combinational graph, and
-  /// an arena edge op running the same edge body as clockEdge() (queues,
-  /// reassembly, the reliability machine).
+  /// Compiled-kernel lowering: the phase list evaluate() and clockEdge()
+  /// run, one arena op per combinational phase (so the send and receive
+  /// sides stay apart in the combinational graph) and an arena edge op
+  /// (queues, reassembly, the reliability machine).
   bool describe(sim::Lowering& lw) override;
 
  protected:
@@ -191,11 +185,19 @@ class NetworkInterface : public sim::Module {
   // Inject VC for a class under qosClasses (otherwise injectVc_, or 0 at
   // numVCs == 1).
   int injectVcFor(router::TrafficClass cls) const;
-  // The combinational phases of evaluate() and the edge, each written once
-  // over a router::vcarena::ChannelIo of the toRouter and fromRouter
-  // channel words (their wires in evaluate() and clockEdge(), the arena in
-  // the compiled ops).  presentSend: the
-  // next pending flit onto toRouter, from the highest inject VC with a
+  // The channel words' refs (toRouter, fromRouter), the accessor the
+  // phases run over and the phase list (router::vcarena::Phases).
+  friend struct router::vcarena::Phases;
+  template <class Place>
+  router::vcarena::ChannelRefs layout(Place& place) const;
+  template <class Src>
+  using SignalIo = router::vcarena::ChannelIo<Src>;
+  template <class Emit>
+  void phases(const Emit& emit, const router::vcarena::ChannelRefs& r) const;
+  // The combinational phases and the edge, each written once over the
+  // ChannelIo of the toRouter and fromRouter channel words (their wires
+  // under the naive kernel, the arena in the compiled ops).  presentSend:
+  // the next pending flit onto toRouter, from the highest inject VC with a
   // pending flit and downstream space (reads the inject VCs' vcFree under
   // on/off VC flow control).  At numVCs == 1, ackRx mirrors fromRouter val
   // onto its ack.  With VCs, advertiseRxSpace raises every fromRouter

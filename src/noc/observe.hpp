@@ -11,7 +11,8 @@
 ///   - `ni<x>,<y>.{flits_injected,flits_ejected,backpressure_cycles,
 ///     send_queue_flits}` plus, with reliability enabled,
 ///     `{retransmits,timeouts,duplicates_dropped}`
-/// per fault-capable link (linkFaultRate > 0 or named by a FaultPlan):
+/// per fault-capable link (one a FaultPlan names; no link has a
+/// background flip rate):
 ///   - `link<x>,<y><P>.{flits_corrupted,flits_dropped,stall_cycles}`
 /// and the network-level sampled gauges:
 ///   - `mesh.{in_flight_packets,send_queue_flits}` and, with reliability,

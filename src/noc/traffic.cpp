@@ -105,12 +105,6 @@ NodeId destinationFor(TrafficPattern pattern, NodeId src,
   throw std::logic_error("unknown traffic pattern");
 }
 
-NodeId destinationFor(TrafficPattern pattern, NodeId src, MeshShape shape,
-                      sim::Xoshiro256& rng, const TrafficConfig& config) {
-  const MeshTopology topology(shape);
-  return destinationFor(pattern, src, topology, rng, config);
-}
-
 TrafficGenerator::TrafficGenerator(std::string name,
                                    std::shared_ptr<const Topology> topology,
                                    NodeId self, NetworkInterface& ni,
@@ -127,12 +121,6 @@ TrafficGenerator::TrafficGenerator(std::string name,
   validateTraffic(config_, *topology_);
   topology_->indexOf(self_);  // bounds-check our own address
 }
-
-TrafficGenerator::TrafficGenerator(std::string name, MeshShape shape,
-                                   NodeId self, NetworkInterface& ni,
-                                   TrafficConfig config)
-    : TrafficGenerator(std::move(name), std::make_shared<MeshTopology>(shape),
-                       self, ni, std::move(config)) {}
 
 void TrafficGenerator::onReset() {
   rng_ = sim::Xoshiro256(config_.seed);

@@ -73,11 +73,6 @@ NodeId destinationFor(TrafficPattern pattern, NodeId src,
                       const Topology& topology, sim::Xoshiro256& rng,
                       const TrafficConfig& config);
 
-// Convenience for standalone 2D-mesh callers (delegates to the topology
-// overload; same draws from `rng`, so destinations are identical).
-NodeId destinationFor(TrafficPattern pattern, NodeId src, MeshShape shape,
-                      sim::Xoshiro256& rng, const TrafficConfig& config);
-
 // Bernoulli packet source attached to one NI.
 class TrafficGenerator : public sim::Module {
  public:
@@ -85,10 +80,6 @@ class TrafficGenerator : public sim::Module {
   // generator (the shared_ptr keeps it alive).
   TrafficGenerator(std::string name,
                    std::shared_ptr<const Topology> topology, NodeId self,
-                   NetworkInterface& ni, TrafficConfig config);
-
-  // Convenience: a generator on a standalone 2D mesh of `shape`.
-  TrafficGenerator(std::string name, MeshShape shape, NodeId self,
                    NetworkInterface& ni, TrafficConfig config);
 
   std::uint64_t packetsGenerated() const { return packetsGenerated_; }

@@ -11,6 +11,12 @@
 
 namespace rasoc::router {
 
+namespace vcarena {
+// Runs a lowered module's phase list (router/vc_arena.hpp); the channels,
+// links and NI befriend it.
+struct Phases;
+}  // namespace vcarena
+
 // The data + framing portion of a channel.
 struct FlitWires {
   sim::Wire<std::uint32_t> data;

@@ -6,19 +6,14 @@
 namespace rasoc::router {
 
 FaultyLink::FaultyLink(std::string name, ChannelWires& src, ChannelWires& dst,
-                       int dataBits, double flipProbability,
-                       std::uint64_t seed, FlowControl flowControl,
-                       int numVCs)
+                       int dataBits, std::uint64_t seed,
+                       FlowControl flowControl, int numVCs)
     : Link(std::move(name), src, dst, flowControl, numVCs),
       dataBits_(dataBits),
-      flipProbability_(flipProbability),
       seed_(seed),
       rng_(seed) {
   if (dataBits_ < 1 || dataBits_ > 32)
     throw std::invalid_argument("FaultyLink: dataBits must be 1..32");
-  if (!(flipProbability_ >= 0.0 && flipProbability_ <= 1.0))
-    throw std::invalid_argument(
-        "FaultyLink: flipProbability must be in [0,1]");
   recomputeActive();
   arm();
 }
@@ -53,7 +48,7 @@ void FaultyLink::onReset() {
 void FaultyLink::recomputeActive() {
   bool stall = false;
   bool down = false;
-  double rate = flipProbability_;
+  double rate = 0.0;
   for (const auto& w : windows_) {
     if (cycle_ < w.start || cycle_ - w.start >= w.duration) continue;
     switch (w.kind) {
@@ -80,9 +75,8 @@ void FaultyLink::recomputeActive() {
   if (rate != corruptRate_) {
     corruptRate_ = rate;
     // Re-draw the armed mask under the new probability so a window's rate
-    // cannot leak past its end via a stale mask.  Only reachable with a
-    // schedule present, so window-less links keep the historical RNG stream.
-    if (!windows_.empty()) arm();
+    // cannot leak past its end via a stale mask.
+    arm();
   }
 }
 
@@ -133,16 +127,21 @@ void FaultyLink::edge(const Io& io) {
   recomputeActive();
 }
 
-void FaultyLink::clockEdge() {
-  onWires([&](const auto& io) { edge(io); });
+template <class Emit>
+void FaultyLink::phases(const Emit& emit,
+                        const vcarena::ChannelRefs& r) const {
+  // Link's list with this edge; the ack op reads the offered flit
+  // (AckPath::Consume).
+  Link::phases(emit, r,
+               vcarena::bit(vcarena::kVal) | vcarena::bit(vcarena::kBop) |
+                   vcarena::bit(vcarena::kEop),
+               [](FaultyLink& m, const auto& io) { m.edge(io); });
 }
 
+void FaultyLink::clockEdge() { vcarena::Phases::clock(*this); }
+
 bool FaultyLink::describe(sim::Lowering& lw) {
-  using Ctx = vcarena::OpCtx<FaultyLink>;
-  const auto* phases = describePhases(lw, true);
-  lw.edgeOp(&vcarena::channelOp<FaultyLink, &FaultyLink::edge<ArenaIo>>,
-            lw.ctx(Ctx{this, phases->words}));
-  return true;
+  return vcarena::Phases::lower(*this, lw);
 }
 
 }  // namespace rasoc::router

@@ -1,14 +1,15 @@
 /// \file
 /// Fault-injecting link: a Link that corrupts, stalls, or drops flits
-/// according to a baseline flip probability and an optional schedule of
-/// fault windows.  Used to exercise the paper's HLP extension ("the n data
-/// bits can be extended to include Higher Level Protocol (HLP) signals,
-/// like the ones typically used for data integrity control (parity and
-/// error)") and the end-to-end reliability protocol layered above it.
+/// according to a schedule of fault windows (no background flip rate: a
+/// link with no active window passes every flit clean).  Used to exercise
+/// the paper's HLP extension ("the n data bits can be extended to include
+/// Higher Level Protocol (HLP) signals, like the ones typically used for
+/// data integrity control (parity and error)") and the end-to-end
+/// reliability protocol layered above it.
 ///
 /// Fault kinds:
 ///  - Corrupt: flips one random payload data bit per transferred flit with
-///    a configurable probability.  Headers (`bop`) pass clean: a corrupted
+///    the window's probability.  Headers (`bop`) pass clean: a corrupted
 ///    header would change the packet's route, which is a different
 ///    (routing-level) failure mode than the link noise HLP parity and the
 ///    NI checksum address.
@@ -63,11 +64,10 @@ struct FaultyLinkMetrics {
 
 class FaultyLink : public Link {
  public:
-  /// `flipProbability` is the baseline per-flit corruption probability that
-  /// applies outside any window; Corrupt windows raise it to
-  /// max(flipProbability, window.rate) while active.
+  /// Flips no bit until setWindows() schedules a fault; `dataBits` is the
+  /// payload width a Corrupt window flips within.
   FaultyLink(std::string name, ChannelWires& src, ChannelWires& dst,
-             int dataBits, double flipProbability, std::uint64_t seed,
+             int dataBits, std::uint64_t seed,
              FlowControl flowControl = FlowControl::Handshake, int numVCs = 1);
 
   /// Replaces the fault schedule.  Call before the first cycle.  Stall and
@@ -91,8 +91,7 @@ class FaultyLink : public Link {
   /// window.
   std::uint64_t stallCycles() const { return stallCycles_; }
 
-  /// Compiled-kernel lowering: Link's settle ops, and an arena edge op
-  /// running the same edge body as clockEdge().
+  /// Compiled-kernel lowering: Link's settle ops, and this link's edge.
   bool describe(sim::Lowering& lw) override;
 
  protected:
@@ -100,6 +99,10 @@ class FaultyLink : public Link {
   void clockEdge() override;
 
  private:
+  friend struct vcarena::Phases;
+  // Link's phase list with the edge below (vcarena::Phases).
+  template <class Emit>
+  void phases(const Emit& emit, const vcarena::ChannelRefs& r) const;
   // Fault accounting, RNG draws and the fault state's recomputation, then
   // Link's transfer count, over the source and destination channel words.
   template <class Io>
@@ -108,7 +111,6 @@ class FaultyLink : public Link {
   void recomputeActive();
 
   int dataBits_;
-  double flipProbability_;
   std::uint64_t seed_;
   sim::Xoshiro256 rng_;
   std::vector<FaultWindow> windows_;

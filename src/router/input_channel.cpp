@@ -151,85 +151,62 @@ struct InputChannel::SignalIo {
   }
 };
 
-template <class Io>
-void InputChannel::runEdge(const Io& io) {
-  if (metricsAttached_)
-    edge<true>(io);
-  else
-    edge<false>(io);
-}
-
 void InputChannel::clockEdge() {
   vcarena::ChannelWords wires;
   const Words words = layout(wires);
-  runEdge(SignalIo<const vcarena::ChannelWords&>{wires, words});
+  vcarena::Phases::meteredEdge(
+      *this, SignalIo<const vcarena::ChannelWords&>{wires, words});
 }
 
-bool InputChannel::describe(sim::Lowering& lw) {
-  vcarena::ArenaPlacer place{lw};
-  using OpCtx = vcarena::OpCtx<InputChannel, Words>;
-  OpCtx* ctx = lw.ctx(OpCtx{this, layout(place)});
-  using ArenaIo = SignalIo<vcarena::ArenaWords>;
-
-  // The ops' reads and writes, as bits of the same words.  The link's ack
-  // is the IFC's under handshake and the credit tap's under credit flow
-  // control.
+// The list, run by describe() only: under the naive kernel the blocks are
+// child modules that evaluate and clock themselves.
+template <class Emit>
+void InputChannel::phases(const Emit& emit, const Words& t) const {
+  // The ops' reads and writes, as bits of the channel's words.  The link's
+  // ack is the IFC's under handshake and the credit tap's under credit
+  // flow control.
   using vcarena::bit;
-  const Words& t = ctx->words;
   const bool credit = creditTap_ != nullptr;
   const std::uint64_t handshakeAck = credit ? 0 : bit(vcarena::kAck);
-  lw.op(
-      [](std::uint64_t* w, void* c) {
-        auto* x = static_cast<OpCtx*>(c);
-        const ArenaIo io{{w}, x->words};
-        x->self->ib_->publish(io);
-        x->self->ic_.route(io);
+  emit.op(
+      [](InputChannel& m, const auto& io) {
+        m.ib_->publish(io);
+        m.ic_.route(io);
       },
-      ctx, {},
+      {},
       {{t.nets,
         vcarena::kFlitMask | bit(vcarena::kWok) | bit(vcarena::kRokNet)},
        {t.block + 1, sim::fieldMask(vcarena::kWant)}});
-
-  lw.op(
-      [](std::uint64_t* w, void* c) {
-        auto* x = static_cast<OpCtx*>(c);
-        x->self->ifc_.flow(ArenaIo{{w}, x->words});
+  emit.op([](InputChannel& m, const auto& io) { m.ifc_.flow(io); },
+          {{t.link, bit(vcarena::kVal)},
+           {t.nets, credit ? 0 : bit(vcarena::kWok)}},
+          {{t.nets, bit(vcarena::kWr)}, {t.link, handshakeAck}});
+  emit.op(
+      [](InputChannel& m, const auto& io) {
+        m.irs_.select(io);
+        if (m.creditTap_) m.creditTap_->pulse(io);
       },
-      ctx,
-      {{t.link, bit(vcarena::kVal)}, {t.nets, credit ? 0 : bit(vcarena::kWok)}},
-      {{t.nets, bit(vcarena::kWr)}, {t.link, handshakeAck}});
-
-  lw.op(
-      [](std::uint64_t* w, void* c) {
-        auto* x = static_cast<OpCtx*>(c);
-        const ArenaIo io{{w}, x->words};
-        x->self->irs_.select(io);
-        if (x->self->creditTap_) x->self->creditTap_->pulse(io);
-      },
-      ctx,
       {{t.block, ~std::uint64_t{0}},
        {t.nets, credit ? bit(vcarena::kRokNet) : 0}},
       {{t.nets, bit(vcarena::kRdNet)},
        {t.link, bit(vcarena::kAck) & ~handshakeAck}});
+  emit.edge([](InputChannel& m, const auto& io) {
+    vcarena::Phases::meteredEdge(m, io);
+    m.ib_->edge(io);
+  });
+}
 
-  lw.edgeOp(
-      [](std::uint64_t* w, void* c) {
-        auto* x = static_cast<OpCtx*>(c);
-        const ArenaIo io{{w}, x->words};
-        x->self->runEdge(io);
-        x->self->ib_->edge(io);
-      },
-      ctx);
-  return true;
+bool InputChannel::describe(sim::Lowering& lw) {
+  return vcarena::Phases::lower(*this, lw);
 }
 
 // --- VcInputChannel --------------------------------------------------------
 //
 // Each phase (publish, credit return, edge) is one member template written
-// over SignalIo, the channel's signal accessor on its packed words: evaluate()
-// and clockEdge() (hence the naive kernel) run it over the words' Wire
-// twins, the compiled ops over the arena, so the kernels share every line
-// of channel behaviour.
+// over SignalIo, the channel's signal accessor on its packed words, and is
+// listed once in phases(): evaluate() and clockEdge() (hence the naive
+// kernel) run the list over the words' Wire twins, the compiled ops over
+// the arena, so the kernels share every line of channel behaviour.
 
 template <class Place>
 VcInputChannel::Words VcInputChannel::layout(Place& place) const {
@@ -319,27 +296,9 @@ void VcInputChannel::onReset() {
   overflow_ = false;
 }
 
-void VcInputChannel::evaluate() {
-  vcarena::ChannelWords wires;
-  const Words words = layout(wires);
-  const SignalIo<const vcarena::ChannelWords&> io{wires, words};
-  publish(io);
-  if (creditMode()) returnCredits(io);
-}
+void VcInputChannel::evaluate() { vcarena::Phases::settle(*this); }
 
-template <class Io>
-void VcInputChannel::runEdge(const Io& io) {
-  if (metricsAttached_)
-    edge<true>(io);
-  else
-    edge<false>(io);
-}
-
-void VcInputChannel::clockEdge() {
-  vcarena::ChannelWords wires;
-  const Words words = layout(wires);
-  runEdge(SignalIo<const vcarena::ChannelWords&>{wires, words});
-}
+void VcInputChannel::clockEdge() { vcarena::Phases::clock(*this); }
 
 template <class Io>
 void VcInputChannel::returnCredits(const Io& io) {
@@ -454,40 +413,27 @@ void VcInputChannel::edge(const Io& io) {
   }
 }
 
-bool VcInputChannel::describe(sim::Lowering& lw) {
-  vcarena::ArenaPlacer place{lw};
-  using OpCtx = vcarena::OpCtx<VcInputChannel, Words>;
-  OpCtx* ctx = lw.ctx(OpCtx{this, layout(place)});
-  using ArenaIo = SignalIo<vcarena::ArenaWords>;
-
-  // The ops' reads and writes, as bits of the same words (entries past
-  // the last VC's bundle keep an empty mask).
-  const Words& t = ctx->words;
+template <class Emit>
+void VcInputChannel::phases(const Emit& emit, const Words& t) const {
+  // The ops' reads and writes, as bits of the channel's words (entries
+  // past the last VC's bundle keep an empty mask).
   std::array<sim::WordBits, 1 + kMaxVCs> pubWrites{};
   pubWrites[0] = {t.link, vcarena::kFreeMask};
   for (int v = 0; v < numVCs_; ++v)
     pubWrites[1 + static_cast<std::size_t>(v)] = {
         t.block + 1 + static_cast<std::uint32_t>(v), vcarena::kBundleMask};
-  lw.op(
-      [](std::uint64_t* w, void* c) {
-        auto* x = static_cast<OpCtx*>(c);
-        x->self->publish(ArenaIo{{w}, x->words});
-      },
-      ctx, {{t.block, sim::fieldMask(vcarena::kRd)}}, pubWrites);
+  emit.op([](VcInputChannel& m, const auto& io) { m.publish(io); },
+          {{t.block, sim::fieldMask(vcarena::kRd)}}, pubWrites);
   if (creditMode())
-    lw.op(
-        [](std::uint64_t* w, void* c) {
-          auto* x = static_cast<OpCtx*>(c);
-          x->self->returnCredits(ArenaIo{{w}, x->words});
-        },
-        ctx, {{t.block, ~std::uint64_t{0}}}, {{t.link, vcarena::kVcAckMask}});
-  lw.edgeOp(
-      [](std::uint64_t* w, void* c) {
-        auto* x = static_cast<OpCtx*>(c);
-        x->self->runEdge(ArenaIo{{w}, x->words});
-      },
-      ctx);
-  return true;
+    emit.op([](VcInputChannel& m, const auto& io) { m.returnCredits(io); },
+            {{t.block, ~std::uint64_t{0}}}, {{t.link, vcarena::kVcAckMask}});
+  emit.edge([](VcInputChannel& m, const auto& io) {
+    vcarena::Phases::meteredEdge(m, io);
+  });
+}
+
+bool VcInputChannel::describe(sim::Lowering& lw) {
+  return vcarena::Phases::lower(*this, lw);
 }
 
 }  // namespace rasoc::router

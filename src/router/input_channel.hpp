@@ -80,8 +80,10 @@ class InputChannel : public sim::Module {
   void clockEdge() override;
 
  private:
-  // Refs of the channel's packed words, placed by layout(), and the signal
-  // accessor the edge and the blocks' bodies run over (input_channel.cpp).
+  // Refs of the channel's packed words, placed by layout(), the signal
+  // accessor the edge and the blocks' bodies run over, and the list of the
+  // ops describe() lowers them to (vcarena::Phases, input_channel.cpp).
+  friend struct vcarena::Phases;
   struct Words {
     std::uint32_t link = 0;
     std::uint32_t block = 0;
@@ -91,15 +93,13 @@ class InputChannel : public sim::Module {
   Words layout(Place& place);
   template <class Src>
   struct SignalIo;
+  template <class Emit>
+  void phases(const Emit& emit, const Words& t) const;
 
   // Accept counting and metrics, from pre-commit state: the channel's
-  // clock edge runs before its buffer child's.  runEdge picks the body
-  // from metricsAttached_ at run time, so attaching telemetry leaves the
-  // compiled program as it was.
+  // clock edge runs before its buffer child's.
   template <bool kMetrics, class Io>
   void edge(const Io& io);
-  template <class Io>
-  void runEdge(const Io& io);
 
   Port ownPort_;
 
@@ -235,8 +235,10 @@ class VcInputChannel : public sim::Module {
   void clockEdge() override;
 
  private:
-  // Refs of the channel's packed words, placed by layout(), and the signal
-  // accessor the phase bodies run over (input_channel.cpp).
+  // Refs of the channel's packed words, placed by layout(), the signal
+  // accessor the phase bodies run over, and the phase list
+  // (vcarena::Phases, input_channel.cpp).
+  friend struct vcarena::Phases;
   struct Words {
     std::uint32_t link = 0;
     std::uint32_t block = 0;
@@ -245,23 +247,23 @@ class VcInputChannel : public sim::Module {
   Words layout(Place& place) const;
   template <class Src>
   struct SignalIo;
+  template <class Emit>
+  void phases(const Emit& emit, const Words& t) const;
 
   bool creditMode() const {
     return flowControl_ == FlowControl::CreditBased;
   }
 
-  // The two combinational phases of evaluate(), each a compiled op.
-  // Publish: gnt -> vcFree, rok, req, want and the crossbar flit (the FIFO
-  // heads are registered).  Credit return (credit mode only): gnt/rd ->
-  // vcAck.  Edge: accept, pops, patience and accounting.
+  // The two combinational phases, each a compiled op.  Publish: gnt ->
+  // vcFree, rok, req, want and the crossbar flit (the FIFO heads are
+  // registered).  Credit return (credit mode only): gnt/rd -> vcAck.
+  // Edge: accept, pops, patience and accounting.
   template <class Io>
   void publish(const Io& io);
   template <class Io>
   void returnCredits(const Io& io);
   template <bool kMetrics, class Io>
   void edge(const Io& io);
-  template <class Io>
-  void runEdge(const Io& io);  // edge<true> or edge<false>, at run time
 
   RouterParams params_;
   Port ownPort_;

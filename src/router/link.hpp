@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 
 #include "sim/module.hpp"
 
@@ -58,9 +57,9 @@ class Link : public sim::Module {
            src_->val.get() && !src_->ack.get();
   }
 
-  /// Compiled-kernel lowering, one layout for every VC count: one arena op
-  /// per phase of evaluate() over the channel words of router/vc_arena.hpp,
-  /// and an arena edge op running the same edge body as clockEdge().
+  /// Compiled-kernel lowering, one layout for every VC count: the phase
+  /// list evaluate() and clockEdge() run, as arena ops over the channel
+  /// words of router/vc_arena.hpp.
   bool describe(sim::Lowering& lw) override;
 
  protected:
@@ -88,17 +87,29 @@ class Link : public sim::Module {
 
   // The link's phases, its transfer test and its edge are written once
   // over a vcarena::ChannelIo of the source (kSrc) and destination (kDst)
-  // channel words: the wires in evaluate() and clockEdge() (onWires), the
-  // arena in the compiled ops.
+  // channel words, and listed once in phases() (vcarena::Phases).
+  friend struct vcarena::Phases;
   static constexpr std::size_t kSrc = 0;
   static constexpr std::size_t kDst = 1;
-  using ArenaIo = vcarena::ChannelIo<vcarena::ArenaWords>;
-
-  /// Runs body(io) over the wires of the two channel bundles.
-  template <class Body>
-  void onWires(Body&& body) {
-    vcarena::onChannelWires(*src_, *dst_, numVCs_, body);
+  template <class Src>
+  using SignalIo = vcarena::ChannelIo<Src>;
+  template <class Place>
+  vcarena::ChannelRefs layout(Place& place) const {
+    return {place(vcarena::WireTwin::channel(*src_, numVCs_)),
+            place(vcarena::WireTwin::channel(*dst_, numVCs_))};
   }
+
+  /// The phase list: one settle op per direction, then the edge.
+  template <class Emit>
+  void phases(const Emit& emit, const vcarena::ChannelRefs& r) const {
+    phases(emit, r, 0, [](Link& m, const auto& io) { m.edge(io); });
+  }
+  /// The same settle ops, then `edge`: a derived link's list.  `offer`:
+  /// the source bits its single-VC ack op reads besides the receiver's ack
+  /// (a link that can consume flits reads the offered flit's framing).
+  template <class Emit, class Edge>
+  void phases(const Emit& emit, const vcarena::ChannelRefs& r,
+              std::uint64_t offer, Edge edge) const;
 
   /// True when the offered flit crosses at this edge: `val && ack` under
   /// single-VC handshake flow control, `val` otherwise (a credit or VC
@@ -116,12 +127,6 @@ class Link : public sim::Module {
   void edge(const Io& io) {
     if (transferring(io)) ++flitsTransferred_;
   }
-
-  /// Emits the settle ops and returns their context, whose channel words a
-  /// derived link's edge op reuses.  `readsOffer`: the single-VC ack op
-  /// also reads the offered flit (AckPath::Consume).
-  vcarena::OpCtx<Link>* describePhases(sim::Lowering& lw,
-                                            bool readsOffer);
 
   int numVCs() const { return numVCs_; }
   FlowControl flowControl() const { return flowControl_; }
@@ -144,5 +149,84 @@ class Link : public sim::Module {
   int numVCs_ = 1;
   std::uint64_t flitsTransferred_ = 0;
 };
+
+// --- phases, over the source and destination channel words --------------
+//
+// In the header: a derived link's lowering instantiates them too.
+
+template <class Io>
+void Link::forward(const Io& io) const {
+  std::uint64_t f = io.word(kSrc, vcarena::kForwardMask);
+  if ((f & vcarena::bit(vcarena::kBop)) == 0) f ^= faults_.flip;
+  io.put(kDst, vcarena::kForwardMask, f & faults_.keep);
+}
+
+template <class Io>
+void Link::reverseAck(const Io& io) const {
+  std::uint64_t ack = 0;
+  switch (faults_.ack) {
+    case AckPath::Copy:
+      ack = io.word(kDst, vcarena::bit(vcarena::kAck));
+      break;
+    case AckPath::Stall:
+      break;
+    case AckPath::Consume: {
+      // An offered body flit: val set, neither bop nor eop.
+      constexpr std::uint64_t kFraming = vcarena::bit(vcarena::kBop) |
+                                         vcarena::bit(vcarena::kEop) |
+                                         vcarena::bit(vcarena::kVal);
+      if (io.word(kSrc, kFraming) == vcarena::bit(vcarena::kVal))
+        ack = vcarena::bit(vcarena::kAck);
+      break;
+    }
+  }
+  io.put(kSrc, vcarena::bit(vcarena::kAck), ack);
+}
+
+template <class Io>
+void Link::reverseVcFree(const Io& io) const {
+  io.put(kSrc, vcarena::kFreeMask,
+         io.word(kDst, vcarena::kFreeMask) & faults_.keep);
+}
+
+template <class Io>
+void Link::reverseVcAck(const Io& io) const {
+  io.put(kSrc, vcarena::kVcAckMask, io.word(kDst, vcarena::kVcAckMask));
+}
+
+// --- the phase list ------------------------------------------------------
+//
+// One op per direction over the two channel words: flit + val + vc
+// downstream, ack (single VC) or the vcFree levels and vcAck pulses (VCs)
+// upstream.  Fusing the directions would tie the downstream val driver to
+// the downstream ack reader and manufacture a false combinational cycle
+// through the receiving router's flow controller.
+
+template <class Emit, class Edge>
+void Link::phases(const Emit& emit, const vcarena::ChannelRefs& r,
+                  std::uint64_t offer, Edge edge) const {
+  const std::uint32_t src = r[kSrc];
+  const std::uint32_t dst = r[kDst];
+  emit.op([](Link& m, const auto& io) { m.forward(io); },
+          {{src, vcarena::kForwardMask}}, {{dst, vcarena::kForwardMask}});
+  if (numVCs_ == 1) {
+    emit.op([](Link& m, const auto& io) { m.reverseAck(io); },
+            {{dst, vcarena::bit(vcarena::kAck)}, {src, offer}},
+            {{src, vcarena::bit(vcarena::kAck)}});
+  } else {
+    // The two VC reverse fields need separate ops: under credit flow
+    // control vcAck is driven from the receiver's rd, which the receiver
+    // computes from the vcFree of the next hop, so one op carrying both
+    // would close a cycle through neighbouring routers.
+    emit.op([](Link& m, const auto& io) { m.reverseVcFree(io); },
+            {{dst, vcarena::kFreeMask}}, {{src, vcarena::kFreeMask}});
+    // vcAck pulses exist only under credit flow control; on/off links
+    // never see one.
+    if (flowControl_ == FlowControl::CreditBased)
+      emit.op([](Link& m, const auto& io) { m.reverseVcAck(io); },
+              {{dst, vcarena::kVcAckMask}}, {{src, vcarena::kVcAckMask}});
+  }
+  emit.edge(edge);
+}
 
 }  // namespace rasoc::router

@@ -169,32 +169,22 @@ struct OutputChannel::SignalIo {
   }
 };
 
-template <class Io>
-void OutputChannel::runEdge(const Io& io) {
-  if (metricsAttached_)
-    edge<true>(io);
-  else
-    edge<false>(io);
-}
-
 void OutputChannel::clockEdge() {
   vcarena::ChannelWords wires;
   const Words words = layout(wires);
-  runEdge(SignalIo<const vcarena::ChannelWords&>{wires, words});
+  vcarena::Phases::meteredEdge(
+      *this, SignalIo<const vcarena::ChannelWords&>{wires, words});
 }
 
-bool OutputChannel::describe(sim::Lowering& lw) {
-  const bool handshake = flowControl_ == FlowControl::Handshake;
-
-  vcarena::ArenaPlacer place{lw};
-  using OpCtx = vcarena::OpCtx<OutputChannel, Words>;
-  OpCtx* ctx = lw.ctx(OpCtx{this, layout(place)});
-  using ArenaIo = SignalIo<vcarena::ArenaWords>;
-
-  // The ops' reads and writes, as bits of the same words: per input port,
-  // its bundle's flit and rok, and this output's grant and read strobes.
+// The list, run by describe() only: under the naive kernel the blocks are
+// child modules that evaluate and clock themselves.
+template <class Emit>
+void OutputChannel::phases(const Emit& emit, const Words& t) const {
+  // The ops' reads and writes, as bits of the channel's words: per input
+  // port, its bundle's flit and rok, and this output's grant and read
+  // strobes.
   using vcarena::bit;
-  const Words& t = ctx->words;
+  const bool handshake = flowControl_ == FlowControl::Handshake;
   const std::uint64_t val = bit(vcarena::kVal);
   std::array<sim::WordBits, kNumPorts> pubReads;
   std::array<sim::WordBits, 2 + kNumPorts> pubWrites, rspWrites;
@@ -209,45 +199,30 @@ bool OutputChannel::describe(sim::Lowering& lw) {
     pubWrites[2 + i] = {t.block[i], bit(t.own)};
     rspWrites[2 + i] = {t.block[i], bit(vcarena::kRd + t.own)};
   }
-  lw.op(
-      [](std::uint64_t* w, void* c) {
-        auto* x = static_cast<OpCtx*>(c);
-        const ArenaIo io{{w}, x->words};
-        OutputChannel& ch = *x->self;
-        ch.oc_.publish(io);
-        ch.ods_.mux(io);
-        ch.ors_.select(io);
-        if (ch.handshakeOfc_) ch.handshakeOfc_->offer(io);
+  emit.op(
+      [](OutputChannel& m, const auto& io) {
+        m.oc_.publish(io);
+        m.ods_.mux(io);
+        m.ors_.select(io);
+        if (m.handshakeOfc_) m.handshakeOfc_->offer(io);
       },
-      ctx, pubReads, pubWrites);
+      pubReads, pubWrites);
+  if (handshake)
+    emit.op([](OutputChannel& m,
+               const auto& io) { m.handshakeOfc_->respond(io); },
+            {{t.link, bit(vcarena::kAck)}}, rspWrites);
+  else
+    emit.op([](OutputChannel& m, const auto& io) { m.creditOfc_->send(io); },
+            {{t.nets, bit(vcarena::kRokSel)}}, rspWrites);
+  emit.edge([](OutputChannel& m, const auto& io) {
+    vcarena::Phases::meteredEdge(m, io);
+    m.oc_.edge(io);
+    if (m.creditOfc_) m.creditOfc_->edge(io);
+  });
+}
 
-  if (handshake) {
-    lw.op(
-        [](std::uint64_t* w, void* c) {
-          auto* x = static_cast<OpCtx*>(c);
-          x->self->handshakeOfc_->respond(ArenaIo{{w}, x->words});
-        },
-        ctx, {{t.link, bit(vcarena::kAck)}}, rspWrites);
-  } else {
-    lw.op(
-        [](std::uint64_t* w, void* c) {
-          auto* x = static_cast<OpCtx*>(c);
-          x->self->creditOfc_->send(ArenaIo{{w}, x->words});
-        },
-        ctx, {{t.nets, bit(vcarena::kRokSel)}}, rspWrites);
-  }
-
-  lw.edgeOp(
-      [](std::uint64_t* w, void* c) {
-        auto* x = static_cast<OpCtx*>(c);
-        const ArenaIo io{{w}, x->words};
-        OutputChannel& ch = *x->self;
-        ch.runEdge(io);
-        ch.oc_.edge(io);
-        if (ch.creditOfc_) ch.creditOfc_->edge(io);
-      },
-      ctx);
-  return true;
+bool OutputChannel::describe(sim::Lowering& lw) {
+  return vcarena::Phases::lower(*this, lw);
 }
 
 // --- VcOutputChannel -------------------------------------------------------
@@ -376,27 +351,9 @@ bool VcOutputChannel::schedulable(const Io& io, unsigned free, int d) const {
   return true;
 }
 
-void VcOutputChannel::evaluate() {
-  vcarena::ChannelWords wires;
-  const Words words = layout(wires);
-  const SignalIo<const vcarena::ChannelWords&> io{wires, words};
-  publishGrants(io);
-  scheduleLink(io);
-}
+void VcOutputChannel::evaluate() { vcarena::Phases::settle(*this); }
 
-template <class Io>
-void VcOutputChannel::runEdge(const Io& io) {
-  if (metricsAttached_)
-    edge<true>(io);
-  else
-    edge<false>(io);
-}
-
-void VcOutputChannel::clockEdge() {
-  vcarena::ChannelWords wires;
-  const Words words = layout(wires);
-  runEdge(SignalIo<const vcarena::ChannelWords&>{wires, words});
-}
+void VcOutputChannel::clockEdge() { vcarena::Phases::clock(*this); }
 
 std::uint32_t VcOutputChannel::connectedSlots() const {
   std::uint32_t slots = 0;
@@ -558,16 +515,11 @@ void VcOutputChannel::edge(const Io& io) {
   }
 }
 
-bool VcOutputChannel::describe(sim::Lowering& lw) {
-  vcarena::ArenaPlacer place{lw};
-  using OpCtx = vcarena::OpCtx<VcOutputChannel, Words>;
-  OpCtx* ctx = lw.ctx(OpCtx{this, layout(place)});
-  using ArenaIo = SignalIo<vcarena::ArenaWords>;
-
-  // The ops' reads and writes, as bits of the same words: per input port,
-  // this output's grant and read lanes and each VC bundle's flit and rok
-  // (entries past the last VC's bundle keep an empty mask).
-  const Words& t = ctx->words;
+template <class Emit>
+void VcOutputChannel::phases(const Emit& emit, const Words& t) const {
+  // The ops' reads and writes, as bits of the channel's words: per input
+  // port, this output's grant and read lanes and each VC bundle's flit and
+  // rok (entries past the last VC's bundle keep an empty mask).
   std::array<sim::WordBits, kNumPorts> grants;
   std::array<sim::WordBits, 1 + kNumPorts * kMaxVCs> schedReads{};
   std::array<sim::WordBits, 1 + kNumPorts> schedWrites;
@@ -582,25 +534,17 @@ bool VcOutputChannel::describe(sim::Lowering& lw) {
           t.block[i] + 1 + static_cast<std::uint32_t>(v),
           vcarena::kFlitMask | vcarena::bit(vcarena::kRok)};
   }
-  lw.op(
-      [](std::uint64_t* w, void* c) {
-        auto* x = static_cast<OpCtx*>(c);
-        x->self->publishGrants(ArenaIo{{w}, x->words});
-      },
-      ctx, {}, grants);
-  lw.op(
-      [](std::uint64_t* w, void* c) {
-        auto* x = static_cast<OpCtx*>(c);
-        x->self->scheduleLink(ArenaIo{{w}, x->words});
-      },
-      ctx, schedReads, schedWrites);
-  lw.edgeOp(
-      [](std::uint64_t* w, void* c) {
-        auto* x = static_cast<OpCtx*>(c);
-        x->self->runEdge(ArenaIo{{w}, x->words});
-      },
-      ctx);
-  return true;
+  emit.op([](VcOutputChannel& m, const auto& io) { m.publishGrants(io); },
+          {}, grants);
+  emit.op([](VcOutputChannel& m, const auto& io) { m.scheduleLink(io); },
+          schedReads, schedWrites);
+  emit.edge([](VcOutputChannel& m, const auto& io) {
+    vcarena::Phases::meteredEdge(m, io);
+  });
+}
+
+bool VcOutputChannel::describe(sim::Lowering& lw) {
+  return vcarena::Phases::lower(*this, lw);
 }
 
 }  // namespace rasoc::router

@@ -77,8 +77,10 @@ class OutputChannel : public sim::Module {
 
  private:
   // Refs of the channel's packed words and its own port index, placed by
-  // layout(), and the signal accessor the edge and the blocks' bodies run
-  // over (output_channel.cpp).
+  // layout(), the signal accessor the edge and the blocks' bodies run
+  // over, and the list of the ops describe() lowers them to
+  // (vcarena::Phases, output_channel.cpp).
+  friend struct vcarena::Phases;
   struct Words {
     std::uint32_t link = 0;
     std::uint32_t block[kNumPorts] = {};
@@ -89,15 +91,13 @@ class OutputChannel : public sim::Module {
   Words layout(Place& place);
   template <class Src>
   struct SignalIo;
+  template <class Emit>
+  void phases(const Emit& emit, const Words& t) const;
 
   // Sent counting and metrics, from pre-edge state: the channel's clock
-  // edge runs before its OC child's.  runEdge picks the body from
-  // metricsAttached_ at run time, so attaching telemetry leaves the
-  // compiled program as it was.
+  // edge runs before its OC child's.
   template <bool kMetrics, class Io>
   void edge(const Io& io);
-  template <class Io>
-  void runEdge(const Io& io);
 
   Port ownPort_;
 
@@ -187,8 +187,9 @@ class VcOutputChannel : public sim::Module {
 
  private:
   // Refs of the channel's packed words and its own port index, placed by
-  // layout(), and the signal accessor the phase bodies run over
-  // (output_channel.cpp).
+  // layout(), the signal accessor the phase bodies run over, and the phase
+  // list (vcarena::Phases, output_channel.cpp).
+  friend struct vcarena::Phases;
   struct Words {
     std::uint32_t link = 0;
     std::uint32_t block[kNumPorts] = {};
@@ -198,6 +199,8 @@ class VcOutputChannel : public sim::Module {
   Words layout(Place& place) const;
   template <class Src>
   struct SignalIo;
+  template <class Emit>
+  void phases(const Emit& emit, const Words& t) const;
 
   bool creditMode() const {
     return flowControl_ == FlowControl::CreditBased;
@@ -211,18 +214,16 @@ class VcOutputChannel : public sim::Module {
   // inVc, of the inputs holding a downstream VC.
   std::uint32_t connectedSlots() const;
 
-  // The two combinational phases of evaluate(), each a compiled op.
-  // Grant publish: gnt from the registered connection table (reads no
-  // wire).  Link schedule: rok/flit/vcFree -> rd and the output link.
-  // Edge: starvation ageing, transfer commit, credit returns, allocation.
+  // The two combinational phases, each a compiled op.  Grant publish: gnt
+  // from the registered connection table (reads no wire).  Link schedule:
+  // rok/flit/vcFree -> rd and the output link.  Edge: starvation ageing,
+  // transfer commit, credit returns, allocation.
   template <class Io>
   void publishGrants(const Io& io);
   template <class Io>
   void scheduleLink(const Io& io);
   template <bool kMetrics, class Io>
   void edge(const Io& io);
-  template <class Io>
-  void runEdge(const Io& io);  // edge<true> or edge<false>, at run time
 
   // One downstream VC's registered connection (wormhole: held from header
   // grant to tail send).

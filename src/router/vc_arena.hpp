@@ -6,9 +6,13 @@
 /// NI writes its signal accessor once over a word source: ArenaWords in
 /// the compiled ops, WireWords in evaluate() and clockEdge() (the naive
 /// kernel).  Whichever module places a word first allocates it; the
-/// others find it (Lowering::packedWord is idempotent per layout).  The
-/// compiled ops declare their reads and writes as masks over the same
-/// placed words (sim::WordBits), the masks their bodies use.
+/// others find it (Lowering::packedWord is idempotent per layout).
+///
+/// Each such module lists its phases once, in a phases() member template:
+/// every combinational phase with the masks it reads and writes over the
+/// placed words (sim::WordBits), then its clock edge.  Phases, at the end
+/// of this file, runs that one list as evaluate() and clockEdge() over the
+/// Wire twins and lowers it in describe() to arena ops.
 ///
 /// Every word that carries a flit holds it in its low bits ([0,32) data,
 /// 32 bop, 33 eop), so a flit moves between words as one masked copy.
@@ -48,6 +52,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <stdexcept>
+#include <type_traits>
 
 #include "sim/compile.hpp"
 
@@ -165,9 +170,11 @@ class WireTwin {
   template <class F>
   void visit(F&& f) const;
 
-  void* nets_ = nullptr;
-  Kind kind_ = Kind::Channel;
-  std::uint8_t vcs_ = 1;
+  // Left uninitialized by the default constructor, so a WireWords table
+  // costs nothing beyond the twins it is given.
+  void* nets_;
+  Kind kind_;
+  std::uint8_t vcs_;
 };
 
 /// Word sources: get() reads, and put() replaces, the fields under `mask`
@@ -201,7 +208,7 @@ class WireWords {
   }
 
  private:
-  std::array<WireTwin, N> twins_{};
+  std::array<WireTwin, N> twins_;  // [0, size_) given, the rest unset
   std::uint32_t size_ = 0;
 };
 
@@ -246,48 +253,131 @@ std::uint32_t portBlock(Place& place, CrossbarWires* xbar, int numVCs) {
   return base;
 }
 
-/// The accessor of a module that owns two channel words (a Link, an NI):
-/// word() reads, and put() replaces, the fields under `mask` of channel
-/// i's word.
+/// The refs of a module's two channel words (a Link's source and
+/// destination, an NI's toRouter and fromRouter), in placement order.
+using ChannelRefs = std::array<std::uint32_t, 2>;
+
+/// The accessor of a module that owns two channel words: word() reads, and
+/// put() replaces, the fields under `mask` of channel i's word.
 template <class Src>
 struct ChannelIo {
   Src src;
-  const std::uint32_t* words;
+  const ChannelRefs& r;
 
   std::uint64_t word(std::size_t i, std::uint64_t mask) const {
-    return src.get(words[i], mask);
+    return src.get(r[i], mask);
   }
   void put(std::size_t i, std::uint64_t mask, std::uint64_t bits) const {
-    src.put(words[i], mask, bits);
+    src.put(r[i], mask, bits);
   }
 };
 
-/// Runs `body` with the ChannelIo over the wires of channels a and b
-/// (channel indices 0 and 1).
-template <class Body>
-void onChannelWires(ChannelWires& a, ChannelWires& b, int numVCs,
-                    Body&& body) {
-  WireWords<2> wires;
-  constexpr std::array<std::uint32_t, 2> kWords = {0, 1};
-  wires(WireTwin::channel(a, numVCs));
-  wires(WireTwin::channel(b, numVCs));
-  body(ChannelIo<const WireWords<2>&>{wires, kWords.data()});
-}
+/// Runs a module's phase list three ways.  A lowered module M declares,
+/// private to it and this helper (a friend):
+///
+///   template <class Place> Words layout(Place& place);
+///   template <class Src> struct SignalIo { Src src; const Words& r; ... };
+///   template <class Emit> void phases(const Emit& emit, const Words& r);
+///
+/// layout() places its packed words and returns their refs, SignalIo is
+/// its signal accessor over a word source, and phases() is its one phase
+/// list: an emit.op(phase, reads, writes) call per combinational phase, in
+/// settle order, and one emit.edge(phase) call.  A phase is a captureless
+/// generic lambda (M&, const Io&) calling the module's member template;
+/// reads and writes are the masks its body uses over the refs `r`.
+///
+///   settle(m)     evaluate(): the settle phases over the words' Wire twins
+///   clock(m)      clockEdge(): the edge phase over the same twins
+///   lower(m, lw)  describe(): one arena op per phase with its masks, and
+///                 the edge phase as an arena edge op
+///
+/// The single-VC channels use lower() alone: under the naive kernel their
+/// paper blocks are child modules that evaluate and clock themselves.
+struct Phases {
+  template <class M>
+  static void settle(M& m) {
+    overTwins<false>(m);
+  }
+  template <class M>
+  static void clock(M& m) {
+    overTwins<true>(m);
+  }
 
-/// Op context of a module's phases over its arena words: the module and
-/// its word refs (by default, two channel words).
-template <class M, class Words = std::array<std::uint32_t, 2>>
-struct OpCtx {
-  M* self;
-  Words words;
+  template <class M>
+  static bool lower(M& m, sim::Lowering& lw) {
+    ArenaPlacer place{lw};
+    using Ctx = OpCtx<M, decltype(m.layout(place))>;
+    Ctx* ctx = lw.ctx(Ctx{&m, m.layout(place)});
+    m.phases(ArenaEmit<Ctx>{lw, ctx}, ctx->words);
+    return true;
+  }
+
+  /// A channel's edge body with its telemetry when attached (edge<true>)
+  /// or without (edge<false>), picked at run time so attaching metrics
+  /// leaves the compiled program as it was.
+  template <class M, class Io>
+  static void meteredEdge(M& m, const Io& io) {
+    if (m.metricsAttached_)
+      m.template edge<true>(io);
+    else
+      m.template edge<false>(io);
+  }
+
+ private:
+  // An op's context: the module and its word refs.
+  template <class M, class Words>
+  struct OpCtx {
+    M* self;
+    Words words;
+  };
+
+  // The op running phase P over an OpCtx.
+  template <class Ctx, class P>
+  static void run(std::uint64_t* w, void* ctx) {
+    auto* x = static_cast<Ctx*>(ctx);
+    using M = std::remove_pointer_t<decltype(x->self)>;
+    P{}(*x->self, typename M::template SignalIo<ArenaWords>{{w}, x->words});
+  }
+
+  template <class Ctx>
+  struct ArenaEmit {
+    sim::Lowering& lw;
+    Ctx* ctx;
+
+    template <class P>
+    void op(P, sim::WordBitsList reads, sim::WordBitsList writes) const {
+      lw.op(&run<Ctx, P>, ctx, reads, writes);
+    }
+    template <class P>
+    void edge(P) const {
+      lw.edgeOp(&run<Ctx, P>, ctx);
+    }
+  };
+
+  // Runs the settle phases (kEdge false) or the edge phase (kEdge true).
+  template <class M, class Io, bool kEdge>
+  struct WireEmit {
+    M& m;
+    const Io& io;
+
+    template <class P>
+    void op(P phase, sim::WordBitsList, sim::WordBitsList) const {
+      if constexpr (!kEdge) phase(m, io);
+    }
+    template <class P>
+    void edge(P phase) const {
+      if constexpr (kEdge) phase(m, io);
+    }
+  };
+
+  template <bool kEdge, class M>
+  static void overTwins(M& m) {
+    ChannelWords wires;
+    const auto words = m.layout(wires);
+    using Io = typename M::template SignalIo<const ChannelWords&>;
+    const Io io{wires, words};
+    m.phases(WireEmit<M, Io, kEdge>{m, io}, words);
+  }
 };
-
-/// The op running phase `Phase` (a member template instance taking a
-/// ChannelIo<ArenaWords>) over an OpCtx<M>.
-template <class M, auto Phase>
-void channelOp(std::uint64_t* w, void* ctx) {
-  auto* x = static_cast<OpCtx<M>*>(ctx);
-  (x->self->*Phase)(ChannelIo<ArenaWords>{{w}, x->words.data()});
-}
 
 }  // namespace rasoc::router::vcarena

@@ -11,12 +11,18 @@
 namespace rasoc::noc {
 namespace {
 
+// The 3x3 mesh every test builds, with a Corrupt window of `faultRate` on
+// every link for the whole run (none at rate 0: plain links).
 NetworkConfig config(bool parity, double faultRate) {
   NetworkConfig cfg;
   cfg.params.n = 16;
   cfg.params.p = 4;
   cfg.hlpParity = parity;
-  cfg.linkFaultRate = faultRate;
+  CampaignConfig campaign;
+  campaign.horizon = std::uint64_t{1} << 20;
+  campaign.corruptRate = faultRate;
+  campaign.corruptLinkFraction = 1.0;
+  cfg.faultPlan = makeFaultPlan(MeshTopology(3, 3), campaign);
   return cfg;
 }
 
@@ -129,18 +135,18 @@ TEST(FaultyLinkTest, CorruptionRateTracksProbability) {
 
 TEST(FaultyLinkTest, InvalidConfigThrows) {
   router::ChannelWires a, b;
-  EXPECT_THROW(router::FaultyLink("f", a, b, 0, 0.1, 1),
-               std::invalid_argument);
-  EXPECT_THROW(router::FaultyLink("f", a, b, 16, 1.5, 1),
-               std::invalid_argument);
+  EXPECT_THROW(router::FaultyLink("f", a, b, 0, 1), std::invalid_argument);
+  router::FaultyLink link("f", a, b, 16, 1);
+  router::FaultWindow window;
+  window.duration = 10;
+  window.rate = 1.5;
+  EXPECT_THROW(link.setWindows({window}), std::invalid_argument);
 }
 
 TEST(FaultyLinkTest, NanProbabilitiesThrow) {
   router::ChannelWires a, b;
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(router::FaultyLink("f", a, b, 16, nan, 1),
-               std::invalid_argument);
-  router::FaultyLink link("f", a, b, 16, 0.0, 1);
+  router::FaultyLink link("f", a, b, 16, 1);
   router::FaultWindow window;
   window.duration = 10;
   window.rate = nan;

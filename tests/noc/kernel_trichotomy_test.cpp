@@ -553,7 +553,11 @@ TEST(KernelEquivalenceTest, FaultyLinksAndParityStayDeterministic) {
   // kernels must corrupt exactly the same flits.
   NetworkConfig base = baseConfig();
   base.hlpParity = true;
-  base.linkFaultRate = 0.01;
+  CampaignConfig campaign;  // 1% corruption on every link, the whole run
+  campaign.horizon = 2000;
+  campaign.corruptRate = 0.01;
+  campaign.corruptLinkFraction = 1.0;
+  base.faultPlan = makeFaultPlan(MeshTopology(MeshShape{4, 4}), campaign);
   TrafficConfig traffic;
   traffic.pattern = TrafficPattern::UniformRandom;
   traffic.offeredLoad = 0.2;
@@ -705,6 +709,8 @@ TEST(KernelTrichotomyTest, FaultCampaignCompilesToTheFaultFreeShape) {
   const auto topo = makeTopology("mesh", 4, 4);
   CampaignConfig campaign;
   campaign.horizon = 400;
+  campaign.corruptRate = 0.01;
+  campaign.corruptLinkFraction = 1.0;
   campaign.stallEvents = 3;
   campaign.dropEvents = 3;
   campaign.seed = 7;
@@ -712,7 +718,6 @@ TEST(KernelTrichotomyTest, FaultCampaignCompilesToTheFaultFreeShape) {
     SCOPED_TRACE("numVCs " + std::to_string(numVCs));
     Network plain(topo, baseConfig(numVCs));
     NetworkConfig cfg = baseConfig(numVCs);
-    cfg.linkFaultRate = 0.01;
     cfg.faultPlan = makeFaultPlan(*topo, campaign);
     Network faulted(topo, cfg);
     ASSERT_EQ(faulted.faultyLinks().size(), plain.linkCount());

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "router/rasoc.hpp"
 #include "sim/simulator.hpp"
 
@@ -15,9 +17,9 @@ namespace {
 struct NiHarness {
   explicit NiHarness(router::RouterParams params = {}, NiOptions options = {})
       : router("r", params),
-        local("niL", params, shape, NodeId{0, 0}, router.in(router::Port::Local),
+        local("niL", params, mesh, NodeId{0, 0}, router.in(router::Port::Local),
               router.out(router::Port::Local), ledger, options),
-        east("niE", params, shape, NodeId{1, 0}, router.in(router::Port::East),
+        east("niE", params, mesh, NodeId{1, 0}, router.in(router::Port::East),
              router.out(router::Port::East), ledger, options) {
     sim.add(router);
     sim.add(local);
@@ -25,7 +27,7 @@ struct NiHarness {
     sim.reset();
   }
 
-  MeshShape shape{2, 1};
+  std::shared_ptr<const Topology> mesh = std::make_shared<MeshTopology>(2, 1);
   DeliveryLedger ledger;
   router::Rasoc router;
   NetworkInterface local;
@@ -116,8 +118,9 @@ TEST(NiTest, MeshTooLargeForIndexFlitThrows) {
   router::Rasoc router("r", params);
   DeliveryLedger ledger;
   // 5x4 = 20 nodes > 16: the source-index flit cannot address them.
-  EXPECT_THROW(NetworkInterface("ni", params, MeshShape{5, 4}, NodeId{0, 0},
-                                router.in(router::Port::Local),
+  EXPECT_THROW(NetworkInterface("ni", params,
+                                std::make_shared<MeshTopology>(5, 4),
+                                NodeId{0, 0}, router.in(router::Port::Local),
                                 router.out(router::Port::Local), ledger),
                std::invalid_argument);
 }

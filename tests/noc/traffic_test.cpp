@@ -4,6 +4,7 @@
 
 #include <limits>
 #include <map>
+#include <memory>
 #include <stdexcept>
 #include <string>
 
@@ -14,17 +15,17 @@ namespace rasoc::noc {
 namespace {
 
 TEST(DestinationTest, UniformCoversAllOtherNodesAndNeverSelf) {
-  const MeshShape shape{3, 3};
+  const MeshTopology mesh(3, 3);
   const NodeId src{1, 1};
   sim::Xoshiro256 rng(3);
   TrafficConfig config;
   std::map<int, int> histogram;
   for (int i = 0; i < 8000; ++i) {
     const NodeId dst = destinationFor(TrafficPattern::UniformRandom, src,
-                                      shape, rng, config);
+                                      mesh, rng, config);
     ASSERT_NE(dst, src);
-    ASSERT_TRUE(shape.contains(dst));
-    ++histogram[shape.indexOf(dst)];
+    ASSERT_TRUE(mesh.contains(dst));
+    ++histogram[mesh.indexOf(dst)];
   }
   EXPECT_EQ(histogram.size(), 8u);  // all other nodes hit
   for (const auto& [node, hits] : histogram)
@@ -32,41 +33,41 @@ TEST(DestinationTest, UniformCoversAllOtherNodesAndNeverSelf) {
 }
 
 TEST(DestinationTest, TransposeSwapsCoordinates) {
-  const MeshShape shape{4, 4};
+  const MeshTopology mesh(4, 4);
   sim::Xoshiro256 rng(1);
   TrafficConfig config;
-  EXPECT_EQ(destinationFor(TrafficPattern::Transpose, NodeId{3, 1}, shape,
+  EXPECT_EQ(destinationFor(TrafficPattern::Transpose, NodeId{3, 1}, mesh,
                            rng, config),
             (NodeId{1, 3}));
   // Diagonal nodes are fixed points (the generator skips them).
-  EXPECT_EQ(destinationFor(TrafficPattern::Transpose, NodeId{2, 2}, shape,
+  EXPECT_EQ(destinationFor(TrafficPattern::Transpose, NodeId{2, 2}, mesh,
                            rng, config),
             (NodeId{2, 2}));
 }
 
 TEST(DestinationTest, TransposeRequiresSquareMesh) {
-  const MeshShape shape{4, 2};
+  const MeshTopology mesh(4, 2);
   sim::Xoshiro256 rng(1);
   TrafficConfig config;
-  EXPECT_THROW(destinationFor(TrafficPattern::Transpose, NodeId{0, 0}, shape,
+  EXPECT_THROW(destinationFor(TrafficPattern::Transpose, NodeId{0, 0}, mesh,
                               rng, config),
                std::invalid_argument);
 }
 
 TEST(DestinationTest, BitComplementMirrorsBothAxes) {
-  const MeshShape shape{4, 4};
+  const MeshTopology mesh(4, 4);
   sim::Xoshiro256 rng(1);
   TrafficConfig config;
-  EXPECT_EQ(destinationFor(TrafficPattern::BitComplement, NodeId{0, 0}, shape,
+  EXPECT_EQ(destinationFor(TrafficPattern::BitComplement, NodeId{0, 0}, mesh,
                            rng, config),
             (NodeId{3, 3}));
-  EXPECT_EQ(destinationFor(TrafficPattern::BitComplement, NodeId{1, 2}, shape,
+  EXPECT_EQ(destinationFor(TrafficPattern::BitComplement, NodeId{1, 2}, mesh,
                            rng, config),
             (NodeId{2, 1}));
 }
 
 TEST(DestinationTest, HotSpotBiasesTowardTheHotNode) {
-  const MeshShape shape{4, 4};
+  const MeshTopology mesh(4, 4);
   sim::Xoshiro256 rng(9);
   TrafficConfig config;
   config.hotspot = NodeId{3, 3};
@@ -74,7 +75,7 @@ TEST(DestinationTest, HotSpotBiasesTowardTheHotNode) {
   int hot = 0;
   const int trials = 4000;
   for (int i = 0; i < trials; ++i) {
-    if (destinationFor(TrafficPattern::HotSpot, NodeId{0, 0}, shape, rng,
+    if (destinationFor(TrafficPattern::HotSpot, NodeId{0, 0}, mesh, rng,
                        config) == config.hotspot)
       ++hot;
   }
@@ -83,11 +84,11 @@ TEST(DestinationTest, HotSpotBiasesTowardTheHotNode) {
 }
 
 TEST(DestinationTest, NearestNeighborWraps) {
-  const MeshShape shape{4, 4};
+  const MeshTopology mesh(4, 4);
   sim::Xoshiro256 rng(1);
   TrafficConfig config;
   EXPECT_EQ(destinationFor(TrafficPattern::NearestNeighbor, NodeId{3, 2},
-                           shape, rng, config),
+                           mesh, rng, config),
             (NodeId{0, 2}));
 }
 
@@ -157,51 +158,51 @@ TEST(PatternValidationTest, RingFriendlyPatternsPass) {
 }
 
 TEST(TrafficGeneratorTest, ConstructorValidatesThePattern) {
-  const MeshShape shape{4, 2};
+  const auto mesh = std::make_shared<MeshTopology>(4, 2);
   router::RouterParams params;
   router::Rasoc router("r", params);
   DeliveryLedger ledger;
-  NetworkInterface ni("ni", params, shape, NodeId{0, 0},
+  NetworkInterface ni("ni", params, mesh, NodeId{0, 0},
                       router.in(router::Port::Local),
                       router.out(router::Port::Local), ledger);
   TrafficConfig config;
   config.pattern = TrafficPattern::Transpose;  // 4x2 is not square
-  EXPECT_THROW(TrafficGenerator("tg", shape, NodeId{0, 0}, ni, config),
+  EXPECT_THROW(TrafficGenerator("tg", mesh, NodeId{0, 0}, ni, config),
                std::invalid_argument);
 }
 
 TEST(TrafficGeneratorTest, RejectsInvalidConfigs) {
-  const MeshShape shape{2, 2};
+  const auto mesh = std::make_shared<MeshTopology>(2, 2);
   router::RouterParams params;
   router::Rasoc router("r", params);
   DeliveryLedger ledger;
-  NetworkInterface ni("ni", params, shape, NodeId{0, 0},
+  NetworkInterface ni("ni", params, mesh, NodeId{0, 0},
                       router.in(router::Port::Local),
                       router.out(router::Port::Local), ledger);
   TrafficConfig config;
   config.offeredLoad = 1.5;
-  EXPECT_THROW(TrafficGenerator("tg", shape, NodeId{0, 0}, ni, config),
+  EXPECT_THROW(TrafficGenerator("tg", mesh, NodeId{0, 0}, ni, config),
                std::invalid_argument);
   config.offeredLoad = 0.5;
   config.payloadFlits = 0;
-  EXPECT_THROW(TrafficGenerator("tg", shape, NodeId{0, 0}, ni, config),
+  EXPECT_THROW(TrafficGenerator("tg", mesh, NodeId{0, 0}, ni, config),
                std::invalid_argument);
 }
 
 TEST(TrafficGeneratorTest, RejectsNanOfferedLoadByName) {
   // NaN compares false against both bounds, so it must fail the range
   // check rather than silently generate nothing.
-  const MeshShape shape{2, 2};
+  const auto mesh = std::make_shared<MeshTopology>(2, 2);
   router::RouterParams params;
   router::Rasoc router("r", params);
   DeliveryLedger ledger;
-  NetworkInterface ni("ni", params, shape, NodeId{0, 0},
+  NetworkInterface ni("ni", params, mesh, NodeId{0, 0},
                       router.in(router::Port::Local),
                       router.out(router::Port::Local), ledger);
   TrafficConfig config;
   config.offeredLoad = std::numeric_limits<double>::quiet_NaN();
   try {
-    TrafficGenerator("tg", shape, NodeId{0, 0}, ni, config);
+    TrafficGenerator("tg", mesh, NodeId{0, 0}, ni, config);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("offeredLoad"), std::string::npos)
@@ -212,12 +213,11 @@ TEST(TrafficGeneratorTest, RejectsNanOfferedLoadByName) {
 // validateTraffic is the one check every traffic source runs: each bad
 // parameter fails by name, on the NoC generator path as well.
 TEST(TrafficValidationTest, EachParameterRejectedByName) {
-  const MeshTopology mesh(4, 4);
-  const MeshShape shape{4, 4};
+  const auto mesh = std::make_shared<MeshTopology>(4, 4);
   router::RouterParams params;
   router::Rasoc router("r", params);
   DeliveryLedger ledger;
-  NetworkInterface ni("ni", params, shape, NodeId{0, 0},
+  NetworkInterface ni("ni", params, mesh, NodeId{0, 0},
                       router.in(router::Port::Local),
                       router.out(router::Port::Local), ledger);
   struct Bad {
@@ -242,9 +242,9 @@ TEST(TrafficValidationTest, EachParameterRejectedByName) {
     for (int path = 0; path < 2; ++path) {
       try {
         if (path == 0)
-          validateTraffic(config, mesh);
+          validateTraffic(config, *mesh);
         else
-          TrafficGenerator("tg", shape, NodeId{0, 0}, ni, config);
+          TrafficGenerator("tg", mesh, NodeId{0, 0}, ni, config);
         ADD_FAILURE() << bad.parameter << " accepted (path " << path << ")";
       } catch (const std::invalid_argument& e) {
         EXPECT_NE(std::string(e.what()).find(bad.parameter),
@@ -258,7 +258,7 @@ TEST(TrafficValidationTest, EachParameterRejectedByName) {
   edges.hotspot = NodeId{1, 1};
   for (const double fraction : {0.0, 1.0}) {
     edges.hotspotFraction = fraction;
-    EXPECT_NO_THROW(validateTraffic(edges, mesh)) << fraction;
+    EXPECT_NO_THROW(validateTraffic(edges, *mesh)) << fraction;
   }
 }
 

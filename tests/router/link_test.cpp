@@ -5,6 +5,7 @@
 
 #include <bit>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -26,12 +27,20 @@ const char* kernelName(Kernel kernel) {
   return kernel == Kernel::Naive ? "Naive" : "Compiled";
 }
 
+// A plain Link, or (faultRate >= 0) a FaultyLink with one Corrupt window
+// of that rate over the whole run.
 struct LinkRig {
-  explicit LinkRig(Kernel kernel, double faultRate = -1.0, int dataBits = 16)
-      : link(faultRate < 0.0
-                 ? std::unique_ptr<Link>(new Link("link", src, dst))
-                 : std::unique_ptr<Link>(new FaultyLink(
-                       "flink", src, dst, dataBits, faultRate, 77))) {
+  explicit LinkRig(Kernel kernel, double faultRate = -1.0, int dataBits = 16) {
+    if (faultRate < 0.0) {
+      link = std::make_unique<Link>("link", src, dst);
+    } else {
+      auto faulty = std::make_unique<FaultyLink>("flink", src, dst, dataBits,
+                                                 77);
+      faulty->setWindows({{FaultWindow::Kind::Corrupt, 0,
+                           std::numeric_limits<std::uint64_t>::max(),
+                           faultRate}});
+      link = std::move(faulty);
+    }
     sim.setKernel(kernel);
     sim.add(*link);
     sim.reset();
@@ -266,7 +275,7 @@ class EchoSink : public sim::Module {
 // declared reads alone.
 struct WindowRig {
   WindowRig(Kernel kernel, bool echoSink, std::vector<FaultWindow> windows)
-      : link("flink", src, dst, 16, 0.0, 77), sender(src), sink(dst) {
+      : link("flink", src, dst, 16, 77), sender(src), sink(dst) {
     link.setWindows(std::move(windows));
     sim.setKernel(kernel);
     sim.add(sender);
@@ -347,8 +356,8 @@ TEST(FaultyLinkUnitTest, VcWindowMasksVcFreeAndPassesVcAck) {
       SCOPED_TRACE(std::string(kernelName(kernel)) +
                    (kind == FaultWindow::Kind::StuckAck ? " stuck" : " down"));
       ChannelWires src, dst;
-      FaultyLink link("flink", src, dst, 16, 0.0, 77,
-                      FlowControl::CreditBased, 2);
+      FaultyLink link("flink", src, dst, 16, 77, FlowControl::CreditBased,
+                      2);
       link.setWindows({{kind, 1, 2, 1.0}});
       sim::Simulator sim;
       sim.setKernel(kernel);

@@ -297,9 +297,11 @@ TEST(CompiledKernelTest, MatchesNaiveKernelOnARandomizedCircuit) {
           inc1("inc1", in, stage1),
           inc2("inc2", stage1, stage2) {
       sim.setKernel(kernel);
+      // The chain's reader before its writer: lowering order alone would
+      // run inc2 on the stale stage1.
       sim.add(counter);
-      sim.add(inc1);
       sim.add(inc2);
+      sim.add(inc1);
       sim.reset();
     }
   };
