@@ -198,10 +198,7 @@ void NetworkInterface::send(NodeId dst,
   sendQueues_[static_cast<std::size_t>(vc)].push_back(std::move(packet));
 }
 
-void NetworkInterface::evaluate() { vcarena::Phases::settle(*this); }
-
-template <class Io>
-void NetworkInterface::presentSend(const Io& io) const {
+void NetworkInterface::presentSend(const SignalIo& io) const {
   // Work-conserving: the highest non-empty, non-blocked inject queue
   // presents its next flit.  Downstream space is a credit in hand (credit
   // mode), the VC's vcFree level (on/off VC flow control), or nothing at
@@ -224,16 +221,14 @@ void NetworkInterface::presentSend(const Io& io) const {
   io.put(kTo, vcarena::kForwardMask, send);
 }
 
-template <class Io>
-void NetworkInterface::ackRx(const Io& io) const {
+void NetworkInterface::ackRx(const SignalIo& io) const {
   // Receive side, always ready: in handshake mode this acknowledges the
   // incoming flit; in credit mode the same pulse returns the credit.
   const bool val = io.word(kFrom, bit(vcarena::kVal)) != 0;
   io.put(kFrom, bit(vcarena::kAck), val ? bit(vcarena::kAck) : 0);
 }
 
-template <class Io>
-void NetworkInterface::advertiseRxSpace(const Io& io) const {
+void NetworkInterface::advertiseRxSpace(const SignalIo& io) const {
   // Every VC has unbounded reassembly space here, so all vcFree levels
   // stay up.
   io.put(kFrom, vcarena::kFreeMask,
@@ -241,8 +236,7 @@ void NetworkInterface::advertiseRxSpace(const Io& io) const {
              << vcarena::kFree);
 }
 
-template <class Io>
-void NetworkInterface::returnRxCredits(const Io& io) const {
+void NetworkInterface::returnRxCredits(const SignalIo& io) const {
   // The flit is consumed the cycle it lands, so its credit returns
   // immediately on the arriving VC's vcAck line.
   constexpr std::uint64_t kVcField = sim::fieldMask(vcarena::kVcWidth)
@@ -254,16 +248,13 @@ void NetworkInterface::returnRxCredits(const Io& io) const {
   io.put(kFrom, vcarena::kVcAckMask, landed ? bit(vcarena::kVcAck + vc) : 0);
 }
 
-void NetworkInterface::clockEdge() { vcarena::Phases::clock(*this); }
-
-template <class Io>
-void NetworkInterface::edge(const Io& io) {
+void NetworkInterface::edge(const SignalIo& io) {
   // --- send side ---------------------------------------------------------
   const std::uint64_t to = io.word(kTo, ~std::uint64_t{0});
   const auto bitSet = [to](unsigned shift) {
     return ((to >> shift) & 1u) != 0;
   };
-  // With VCs a presented flit always lands (evaluate() only raises val
+  // With VCs a presented flit always lands (presentSend() only raises val
   // against advertised space or a credit in hand).
   const bool sent = bitSet(vcarena::kVal) &&
                     (vcMode() || creditMode() || bitSet(vcarena::kAck));
@@ -378,7 +369,7 @@ void NetworkInterface::acceptRxFlit(const Flit& flit,
         words.reserve(buf.size() - 1);
         for (std::size_t i = 1; i < buf.size(); ++i)
           words.push_back(buf[i].data & mask);
-        transport_->onWireWords(words, cycle_);
+        transport_->onFrameWords(words, cycle_);
       }
     } else {
       const auto srcIndex = static_cast<int>(buf[1].data & mask);
@@ -465,8 +456,8 @@ void NetworkInterface::pumpTransport() {
   }
 }
 
-template <class Place>
-vcarena::ChannelRefs NetworkInterface::layout(Place& place) const {
+vcarena::ChannelRefs NetworkInterface::layout(
+    const vcarena::ArenaPlacer& place) const {
   return {place(vcarena::WireTwin::channel(*toRouter_, params_.numVCs)),
           place(vcarena::WireTwin::channel(*fromRouter_, params_.numVCs))};
 }

@@ -166,16 +166,13 @@ class NetworkInterface : public sim::Module {
   /// so the tracer's shadow stream stays aligned with the send queues.
   void setTracer(FlowTracer* tracer) { tracer_ = tracer; }
 
-  /// Compiled-kernel lowering: the phase list evaluate() and clockEdge()
-  /// run, one arena op per combinational phase (so the send and receive
-  /// sides stay apart in the combinational graph) and an arena edge op
-  /// (queues, reassembly, the reliability machine).
+  /// Lowering: the phase list, one arena op per combinational phase (so
+  /// the send and receive sides stay apart in the combinational graph) and
+  /// an arena edge op (queues, reassembly, the reliability machine).
   bool describe(sim::Lowering& lw) override;
 
  protected:
   void onReset() override;
-  void evaluate() override;
-  void clockEdge() override;
 
  private:
   bool creditMode() const {
@@ -188,33 +185,26 @@ class NetworkInterface : public sim::Module {
   // The channel words' refs (toRouter, fromRouter), the accessor the
   // phases run over and the phase list (router::vcarena::Phases).
   friend struct router::vcarena::Phases;
-  template <class Place>
-  router::vcarena::ChannelRefs layout(Place& place) const;
-  template <class Src>
-  using SignalIo = router::vcarena::ChannelIo<Src>;
+  router::vcarena::ChannelRefs layout(
+      const router::vcarena::ArenaPlacer& place) const;
+  using SignalIo = router::vcarena::ChannelIo;
   template <class Emit>
   void phases(const Emit& emit, const router::vcarena::ChannelRefs& r) const;
   // The combinational phases and the edge, each written once over the
-  // ChannelIo of the toRouter and fromRouter channel words (their wires
-  // under the naive kernel, the arena in the compiled ops).  presentSend:
+  // ChannelIo of the toRouter and fromRouter channel words.  presentSend:
   // the next pending flit onto toRouter, from the highest inject VC with a
   // pending flit and downstream space (reads the inject VCs' vcFree under
   // on/off VC flow control).  At numVCs == 1, ackRx mirrors fromRouter val
   // onto its ack.  With VCs, advertiseRxSpace raises every fromRouter
   // vcFree (reads no wire) and returnRxCredits (credit mode) pulses the
   // arriving flit's vcAck.
-  template <class Io>
-  void presentSend(const Io& io) const;
-  template <class Io>
-  void ackRx(const Io& io) const;
-  template <class Io>
-  void advertiseRxSpace(const Io& io) const;
-  template <class Io>
-  void returnRxCredits(const Io& io) const;
+  void presentSend(const SignalIo& io) const;
+  void ackRx(const SignalIo& io) const;
+  void advertiseRxSpace(const SignalIo& io) const;
+  void returnRxCredits(const SignalIo& io) const;
   // The edge: advances the send queue past a sent flit, settles credits,
   // takes a received flit and runs the reliability machine.
-  template <class Io>
-  void edge(const Io& io);
+  void edge(const SignalIo& io);
   // Appends a received flit to its VC's reassembly buffer and completes
   // the packet on eop.
   void acceptRxFlit(const router::Flit& flit, std::vector<router::Flit>& buf);

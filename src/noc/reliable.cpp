@@ -332,7 +332,7 @@ void ReliableTransport::handleData(int srcIndex, std::uint32_t seq,
   }
 }
 
-void ReliableTransport::onWireWords(const std::vector<std::uint32_t>& words,
+void ReliableTransport::onFrameWords(const std::vector<std::uint32_t>& words,
                                     std::uint64_t cycle) {
   if (words.size() < 3) {
     ++stats_.malformedFrames;

@@ -181,8 +181,8 @@ class ReliableTransport {
   /// payloadBits.  Malformed frames are counted and dropped.  The header
   /// flit's class tag is irrelevant here — the submitter's class travels
   /// in-band in the control word.
-  void onWireWords(const std::vector<std::uint32_t>& words,
-                   std::uint64_t cycle);
+  void onFrameWords(const std::vector<std::uint32_t>& words,
+                    std::uint64_t cycle);
 
   /// Drains frames queued for the wire since the last call.
   std::vector<WireFrame> takeFrames();

@@ -12,9 +12,11 @@
 namespace rasoc::router {
 
 namespace vcarena {
-// Runs a lowered module's phase list (router/vc_arena.hpp); the channels,
-// links and NI befriend it.
+// Lowers a module's phase list (router/vc_arena.hpp); the channels, links
+// and NI befriend it.
 struct Phases;
+// Places a module's packed words (router/vc_arena.hpp).
+struct ArenaPlacer;
 }  // namespace vcarena
 
 // The data + framing portion of a channel.

@@ -88,8 +88,7 @@ void FaultyLink::arm() {
   }
 }
 
-template <class Io>
-void FaultyLink::edge(const Io& io) {
+void FaultyLink::edge(const SignalIo& io) {
   using vcarena::bit;
   const std::uint64_t offer = io.word(
       kSrc, bit(vcarena::kVal) | bit(vcarena::kBop) | bit(vcarena::kEop));
@@ -137,8 +136,6 @@ void FaultyLink::phases(const Emit& emit,
                    vcarena::bit(vcarena::kEop),
                [](FaultyLink& m, const auto& io) { m.edge(io); });
 }
-
-void FaultyLink::clockEdge() { vcarena::Phases::clock(*this); }
 
 bool FaultyLink::describe(sim::Lowering& lw) {
   return vcarena::Phases::lower(*this, lw);

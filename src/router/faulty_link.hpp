@@ -91,12 +91,11 @@ class FaultyLink : public Link {
   /// window.
   std::uint64_t stallCycles() const { return stallCycles_; }
 
-  /// Compiled-kernel lowering: Link's settle ops, and this link's edge.
+  /// Lowering: Link's settle ops, and this link's edge.
   bool describe(sim::Lowering& lw) override;
 
  protected:
   void onReset() override;
-  void clockEdge() override;
 
  private:
   friend struct vcarena::Phases;
@@ -105,8 +104,7 @@ class FaultyLink : public Link {
   void phases(const Emit& emit, const vcarena::ChannelRefs& r) const;
   // Fault accounting, RNG draws and the fault state's recomputation, then
   // Link's transfer count, over the source and destination channel words.
-  template <class Io>
-  void edge(const Io& io);
+  void edge(const SignalIo& io);
   void arm();
   void recomputeActive();
 

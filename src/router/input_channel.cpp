@@ -62,21 +62,7 @@ void InputChannel::attachMetrics(const InputChannelMetrics& metrics) {
 
 void InputChannel::onReset() { flitsAccepted_ = 0; }
 
-template <bool kMetrics, class Io>
-void InputChannel::edge(const Io& io) {
-  const bool accepted = io.wr() && !ib_->full();
-  if (accepted) ++flitsAccepted_;
-  if constexpr (kMetrics) {
-    if (metrics_.flitsAccepted && accepted) metrics_.flitsAccepted->inc();
-    if (metrics_.fullCycles && ib_->full()) metrics_.fullCycles->inc();
-    if (metrics_.stallCycles && io.rok() && !io.rd())
-      metrics_.stallCycles->inc();
-    if (metrics_.occupancy)
-      metrics_.occupancy->observe(static_cast<double>(ib_->occupancy()));
-  }
-}
-
-// --- signal accessor and compiled-kernel lowering ------------------------
+// --- signal accessor and lowering ----------------------------------------
 //
 // The IFC + IB + IC + IRS (+ credit tap) subtree lowers to three arena ops
 // plus one edge op, each calling the blocks' own bodies through SignalIo:
@@ -91,10 +77,14 @@ void InputChannel::edge(const Io& io) {
 //              gnt/rd readers and manufacture a false combinational cycle
 //              through the neighbouring router's ack chain.
 //   edge     - the channel's accounting, then the IB commit: the
-//              clockEdgeAll() order, so accounting sees pre-commit state.
+//              preorder of the naive kernel's edge tape, so accounting sees
+//              pre-commit state.
+//
+// Under the naive kernel the blocks run themselves instead
+// (vcarena::Phases::lowerFusingBlocks), and only the channel's accounting
+// edge is an op.
 
-template <class Place>
-InputChannel::Words InputChannel::layout(Place& place) {
+InputChannel::Words InputChannel::layout(const vcarena::ArenaPlacer& place) {
   Words words;
   words.link = place(vcarena::WireTwin::channel(*in_, 1));
   words.block = vcarena::portBlock(place, xbar_, 1);
@@ -103,9 +93,8 @@ InputChannel::Words InputChannel::layout(Place& place) {
 }
 
 // Every signal the channel's blocks read or drive.
-template <class Src>
 struct InputChannel::SignalIo {
-  Src src;
+  vcarena::ArenaWords src;
   const Words& r;
 
   // The input link.
@@ -151,15 +140,22 @@ struct InputChannel::SignalIo {
   }
 };
 
-void InputChannel::clockEdge() {
-  vcarena::ChannelWords wires;
-  const Words words = layout(wires);
-  vcarena::Phases::meteredEdge(
-      *this, SignalIo<const vcarena::ChannelWords&>{wires, words});
+template <bool kMetrics>
+void InputChannel::edge(const SignalIo& io) {
+  const bool accepted = io.wr() && !ib_->full();
+  if (accepted) ++flitsAccepted_;
+  if constexpr (kMetrics) {
+    if (metrics_.flitsAccepted && accepted) metrics_.flitsAccepted->inc();
+    if (metrics_.fullCycles && ib_->full()) metrics_.fullCycles->inc();
+    if (metrics_.stallCycles && io.rok() && !io.rd())
+      metrics_.stallCycles->inc();
+    if (metrics_.occupancy)
+      metrics_.occupancy->observe(static_cast<double>(ib_->occupancy()));
+  }
 }
 
-// The list, run by describe() only: under the naive kernel the blocks are
-// child modules that evaluate and clock themselves.
+// The list, fused under the compiled kernel only: under the naive kernel
+// the blocks are child modules that evaluate and clock themselves.
 template <class Emit>
 void InputChannel::phases(const Emit& emit, const Words& t) const {
   // The ops' reads and writes, as bits of the channel's words.  The link's
@@ -197,28 +193,25 @@ void InputChannel::phases(const Emit& emit, const Words& t) const {
 }
 
 bool InputChannel::describe(sim::Lowering& lw) {
-  return vcarena::Phases::lower(*this, lw);
+  return vcarena::Phases::lowerFusingBlocks(*this, lw);
 }
 
 // --- VcInputChannel --------------------------------------------------------
 //
-// Each phase (publish, credit return, edge) is one member template written
-// over SignalIo, the channel's signal accessor on its packed words, and is
-// listed once in phases(): evaluate() and clockEdge() (hence the naive
-// kernel) run the list over the words' Wire twins, the compiled ops over
-// the arena, so the kernels share every line of channel behaviour.
+// Each phase (publish, credit return, edge) is one member written over
+// SignalIo, the channel's signal accessor on its packed words, and is
+// listed once in phases(), which both kernels run as arena ops.
 
-template <class Place>
-VcInputChannel::Words VcInputChannel::layout(Place& place) const {
+VcInputChannel::Words VcInputChannel::layout(
+    const vcarena::ArenaPlacer& place) const {
   Words words;
   words.link = place(vcarena::WireTwin::channel(*in_, numVCs_));
   words.block = vcarena::portBlock(place, xbar_->data(), numVCs_);
   return words;
 }
 
-template <class Src>
 struct VcInputChannel::SignalIo {
-  Src src;
+  vcarena::ArenaWords src;
   const Words& r;
 
   // Port masks (bit o) of the outputs granting / reading VC v.
@@ -281,10 +274,11 @@ void VcInputChannel::attachMetrics(const VcInputChannelMetrics& metrics) {
 }
 
 bool VcInputChannel::dequeueFired(int v) const {
-  vcarena::ChannelWords wires;
-  const Words words = layout(wires);
-  const SignalIo<const vcarena::ChannelWords&> io{wires, words};
-  return fifo_.size(v) > 0 && (io.grants(v) & io.reads(v)) != 0;
+  if (fifo_.size(v) == 0) return false;
+  const CrossbarWires& x = (*xbar_)[static_cast<std::size_t>(v)];
+  for (std::size_t o = 0; o < kNumPorts; ++o)
+    if (x.gnt[o].get() && x.rd[o].get()) return true;
+  return false;
 }
 
 void VcInputChannel::onReset() {
@@ -296,12 +290,7 @@ void VcInputChannel::onReset() {
   overflow_ = false;
 }
 
-void VcInputChannel::evaluate() { vcarena::Phases::settle(*this); }
-
-void VcInputChannel::clockEdge() { vcarena::Phases::clock(*this); }
-
-template <class Io>
-void VcInputChannel::returnCredits(const Io& io) {
+void VcInputChannel::returnCredits(const SignalIo& io) {
   // Credit mode pulses the per-VC credit return as the flit leaves the
   // buffer.
   unsigned acks = 0;
@@ -312,8 +301,7 @@ void VcInputChannel::returnCredits(const Io& io) {
   io.putAcks(acks);
 }
 
-template <class Io>
-void VcInputChannel::publish(const Io& io) {
+void VcInputChannel::publish(const SignalIo& io) {
   unsigned free = 0;
   for (int v = 0; v < numVCs_; ++v) {
     const auto vi = static_cast<std::size_t>(v);
@@ -366,8 +354,8 @@ void VcInputChannel::publish(const Io& io) {
   io.putFree(free);
 }
 
-template <bool kMetrics, class Io>
-void VcInputChannel::edge(const Io& io) {
+template <bool kMetrics>
+void VcInputChannel::edge(const SignalIo& io) {
   // Accept: the sender only schedules a VC with advertised space (on/off)
   // or an available credit, so a full target FIFO means broken flow
   // control — recorded sticky, never overwritten silently.

@@ -10,9 +10,10 @@
 ///
 /// Both routers write each combinational phase and clock edge once, over one
 /// signal accessor on the packed words of router/vc_arena.hpp (one layout
-/// for every VC count), read from the arena under the compiled kernel and
-/// through the words' Wire twins under the naive one.  At numVCs == 1 the
-/// phases are the paper's blocks' own bodies.
+/// for every VC count), read from the arena under both kernels.  At
+/// numVCs == 1 the phases are the paper's blocks' own bodies, fused into
+/// the channel's ops under the compiled kernel; under the naive kernel the
+/// blocks run themselves as child modules.
 #pragma once
 
 #include <array>
@@ -68,16 +69,17 @@ class InputChannel : public sim::Module {
   /// Enables instrumentation; the metrics must outlive the channel.
   void attachMetrics(const InputChannelMetrics& metrics);
 
-  /// Compiled-kernel lowering: the IFC/IB/IC/IRS subtree becomes three
-  /// arena ops (buffer publish + routing, link-side flow control, read
-  /// switch + credit return) and one edge op.  Each op runs the blocks' own
-  /// bodies, the ones their evaluate() and clockEdge() run, over the packed
-  /// words of router/vc_arena.hpp (router/input_channel.cpp).
+  /// Lowering: under the compiled kernel the IFC/IB/IC/IRS subtree becomes
+  /// three arena ops (buffer publish + routing, link-side flow control,
+  /// read switch + credit return) and one edge op, each running the
+  /// blocks' own bodies, the ones their evaluate() and clockEdge() run,
+  /// over the packed words of router/vc_arena.hpp.  Under the naive kernel
+  /// the blocks run themselves and the channel adds its accounting edge
+  /// (router/input_channel.cpp).
   bool describe(sim::Lowering& lw) override;
 
  protected:
   void onReset() override;
-  void clockEdge() override;
 
  private:
   // Refs of the channel's packed words, placed by layout(), the signal
@@ -89,17 +91,15 @@ class InputChannel : public sim::Module {
     std::uint32_t block = 0;
     std::uint32_t nets = 0;
   };
-  template <class Place>
-  Words layout(Place& place);
-  template <class Src>
+  Words layout(const vcarena::ArenaPlacer& place);
   struct SignalIo;
   template <class Emit>
   void phases(const Emit& emit, const Words& t) const;
 
   // Accept counting and metrics, from pre-commit state: the channel's
   // clock edge runs before its buffer child's.
-  template <bool kMetrics, class Io>
-  void edge(const Io& io);
+  template <bool kMetrics>
+  void edge(const SignalIo& io);
 
   Port ownPort_;
 
@@ -224,15 +224,12 @@ class VcInputChannel : public sim::Module {
   /// Enables instrumentation; the metrics must outlive the channel.
   void attachMetrics(const VcInputChannelMetrics& metrics);
 
-  /// Compiled-kernel lowering: one arena op per combinational phase
-  /// (publish, credit return) and an arena edge op, all running the same
-  /// phase bodies evaluate() and clockEdge() run (router/input_channel.cpp).
+  /// Lowering: one arena op per combinational phase (publish, credit
+  /// return) and an arena edge op (router/input_channel.cpp).
   bool describe(sim::Lowering& lw) override;
 
  protected:
   void onReset() override;
-  void evaluate() override;
-  void clockEdge() override;
 
  private:
   // Refs of the channel's packed words, placed by layout(), the signal
@@ -243,9 +240,7 @@ class VcInputChannel : public sim::Module {
     std::uint32_t link = 0;
     std::uint32_t block = 0;
   };
-  template <class Place>
-  Words layout(Place& place) const;
-  template <class Src>
+  Words layout(const vcarena::ArenaPlacer& place) const;
   struct SignalIo;
   template <class Emit>
   void phases(const Emit& emit, const Words& t) const;
@@ -258,12 +253,10 @@ class VcInputChannel : public sim::Module {
   // vcFree, rok, req, want and the crossbar flit (the FIFO heads are
   // registered).  Credit return (credit mode only): gnt/rd -> vcAck.
   // Edge: accept, pops, patience and accounting.
-  template <class Io>
-  void publish(const Io& io);
-  template <class Io>
-  void returnCredits(const Io& io);
-  template <bool kMetrics, class Io>
-  void edge(const Io& io);
+  void publish(const SignalIo& io);
+  void returnCredits(const SignalIo& io);
+  template <bool kMetrics>
+  void edge(const SignalIo& io);
 
   RouterParams params_;
   Port ownPort_;

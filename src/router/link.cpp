@@ -15,11 +15,7 @@ Link::Link(std::string name, ChannelWires& src, ChannelWires& dst,
     throw std::invalid_argument("Link: numVCs must be in [1, kMaxVCs]");
 }
 
-void Link::evaluate() { vcarena::Phases::settle(*this); }
-
 void Link::onReset() { flitsTransferred_ = 0; }
-
-void Link::clockEdge() { vcarena::Phases::clock(*this); }
 
 bool Link::describe(sim::Lowering& lw) {
   return vcarena::Phases::lower(*this, lw);

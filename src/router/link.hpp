@@ -57,9 +57,8 @@ class Link : public sim::Module {
            src_->val.get() && !src_->ack.get();
   }
 
-  /// Compiled-kernel lowering, one layout for every VC count: the phase
-  /// list evaluate() and clockEdge() run, as arena ops over the channel
-  /// words of router/vc_arena.hpp.
+  /// Lowering, one layout for every VC count: the phase list, as arena
+  /// ops over the channel words of router/vc_arena.hpp.
   bool describe(sim::Lowering& lw) override;
 
  protected:
@@ -82,8 +81,6 @@ class Link : public sim::Module {
   };
 
   void onReset() override;
-  void evaluate() override;
-  void clockEdge() override;
 
   // The link's phases, its transfer test and its edge are written once
   // over a vcarena::ChannelIo of the source (kSrc) and destination (kDst)
@@ -91,10 +88,8 @@ class Link : public sim::Module {
   friend struct vcarena::Phases;
   static constexpr std::size_t kSrc = 0;
   static constexpr std::size_t kDst = 1;
-  template <class Src>
-  using SignalIo = vcarena::ChannelIo<Src>;
-  template <class Place>
-  vcarena::ChannelRefs layout(Place& place) const {
+  using SignalIo = vcarena::ChannelIo;
+  vcarena::ChannelRefs layout(const vcarena::ArenaPlacer& place) const {
     return {place(vcarena::WireTwin::channel(*src_, numVCs_)),
             place(vcarena::WireTwin::channel(*dst_, numVCs_))};
   }
@@ -114,8 +109,7 @@ class Link : public sim::Module {
   /// True when the offered flit crosses at this edge: `val && ack` under
   /// single-VC handshake flow control, `val` otherwise (a credit or VC
   /// sender only raises val against space).
-  template <class Io>
-  bool transferring(const Io& io) const {
+  bool transferring(const SignalIo& io) const {
     const std::uint64_t need =
         flowControl_ == FlowControl::Handshake && numVCs_ == 1
             ? vcarena::bit(vcarena::kVal) | vcarena::bit(vcarena::kAck)
@@ -123,8 +117,7 @@ class Link : public sim::Module {
     return io.word(kSrc, need) == need;
   }
   /// The edge: counts a transferred flit.
-  template <class Io>
-  void edge(const Io& io) {
+  void edge(const SignalIo& io) {
     if (transferring(io)) ++flitsTransferred_;
   }
 
@@ -134,14 +127,10 @@ class Link : public sim::Module {
   Faults faults_;
 
  private:
-  template <class Io>
-  void forward(const Io& io) const;
-  template <class Io>
-  void reverseAck(const Io& io) const;
-  template <class Io>
-  void reverseVcFree(const Io& io) const;
-  template <class Io>
-  void reverseVcAck(const Io& io) const;
+  void forward(const SignalIo& io) const;
+  void reverseAck(const SignalIo& io) const;
+  void reverseVcFree(const SignalIo& io) const;
+  void reverseVcAck(const SignalIo& io) const;
 
   ChannelWires* src_;
   ChannelWires* dst_;
@@ -152,17 +141,15 @@ class Link : public sim::Module {
 
 // --- phases, over the source and destination channel words --------------
 //
-// In the header: a derived link's lowering instantiates them too.
+// In the header: a derived link's lowering inlines them too.
 
-template <class Io>
-void Link::forward(const Io& io) const {
+inline void Link::forward(const SignalIo& io) const {
   std::uint64_t f = io.word(kSrc, vcarena::kForwardMask);
   if ((f & vcarena::bit(vcarena::kBop)) == 0) f ^= faults_.flip;
   io.put(kDst, vcarena::kForwardMask, f & faults_.keep);
 }
 
-template <class Io>
-void Link::reverseAck(const Io& io) const {
+inline void Link::reverseAck(const SignalIo& io) const {
   std::uint64_t ack = 0;
   switch (faults_.ack) {
     case AckPath::Copy:
@@ -183,14 +170,12 @@ void Link::reverseAck(const Io& io) const {
   io.put(kSrc, vcarena::bit(vcarena::kAck), ack);
 }
 
-template <class Io>
-void Link::reverseVcFree(const Io& io) const {
+inline void Link::reverseVcFree(const SignalIo& io) const {
   io.put(kSrc, vcarena::kFreeMask,
          io.word(kDst, vcarena::kFreeMask) & faults_.keep);
 }
 
-template <class Io>
-void Link::reverseVcAck(const Io& io) const {
+inline void Link::reverseVcAck(const SignalIo& io) const {
   io.put(kSrc, vcarena::kVcAckMask, io.word(kDst, vcarena::kVcAckMask));
 }
 

@@ -64,16 +64,16 @@ class OutputChannel : public sim::Module {
   /// Enables instrumentation; the metrics must outlive the channel.
   void attachMetrics(const OutputChannelMetrics& metrics);
 
-  /// Compiled-kernel lowering: the OC/ODS/ORS/OFC subtree becomes two arena
-  /// ops (grant publish + output muxes, flow-control response) and one edge
-  /// op.  Each op runs the blocks' own bodies, the ones their evaluate()
-  /// and clockEdge() run, over the packed words of router/vc_arena.hpp
-  /// (router/output_channel.cpp).
+  /// Lowering: under the compiled kernel the OC/ODS/ORS/OFC subtree
+  /// becomes two arena ops (grant publish + output muxes, flow-control
+  /// response) and one edge op, each running the blocks' own bodies, the
+  /// ones their evaluate() and clockEdge() run, over the packed words of
+  /// router/vc_arena.hpp.  Under the naive kernel the blocks run themselves
+  /// and the channel adds its accounting edge (router/output_channel.cpp).
   bool describe(sim::Lowering& lw) override;
 
  protected:
   void onReset() override;
-  void clockEdge() override;
 
  private:
   // Refs of the channel's packed words and its own port index, placed by
@@ -87,17 +87,15 @@ class OutputChannel : public sim::Module {
     std::uint32_t nets = 0;
     unsigned own = 0;
   };
-  template <class Place>
-  Words layout(Place& place);
-  template <class Src>
+  Words layout(const vcarena::ArenaPlacer& place);
   struct SignalIo;
   template <class Emit>
   void phases(const Emit& emit, const Words& t) const;
 
   // Sent counting and metrics, from pre-edge state: the channel's clock
   // edge runs before its OC child's.
-  template <bool kMetrics, class Io>
-  void edge(const Io& io);
+  template <bool kMetrics>
+  void edge(const SignalIo& io);
 
   Port ownPort_;
 
@@ -135,7 +133,7 @@ struct VcOutputChannelMetrics {
 /// Virtual-channel output channel (numVCs > 1): a connection table maps each
 /// downstream VC to the (input port, input VC) holding it; allocation runs at
 /// the clock edge (round-robin over a request bitmask per downstream VC),
-/// and evaluate() schedules one connected, ready, non-blocked downstream VC
+/// and the settle schedules one connected, ready, non-blocked downstream VC
 /// onto the one physical link — round-robin by default.  Flit transfers are unconditional once scheduled:
 /// out_val is only asserted when the receiver advertised space (vcFree level)
 /// or a credit was available, so the ack wire is unused at numVCs > 1.
@@ -175,15 +173,12 @@ class VcOutputChannel : public sim::Module {
   /// Enables instrumentation; the metrics must outlive the channel.
   void attachMetrics(const VcOutputChannelMetrics& metrics);
 
-  /// Compiled-kernel lowering: one arena op per combinational phase (grant
-  /// publish, link schedule) and an arena edge op, all running the same
-  /// phase bodies evaluate() and clockEdge() run (router/output_channel.cpp).
+  /// Lowering: one arena op per combinational phase (grant publish, link
+  /// schedule) and an arena edge op (router/output_channel.cpp).
   bool describe(sim::Lowering& lw) override;
 
  protected:
   void onReset() override;
-  void evaluate() override;
-  void clockEdge() override;
 
  private:
   // Refs of the channel's packed words and its own port index, placed by
@@ -195,9 +190,7 @@ class VcOutputChannel : public sim::Module {
     std::uint32_t block[kNumPorts] = {};
     unsigned own = 0;
   };
-  template <class Place>
-  Words layout(Place& place) const;
-  template <class Src>
+  Words layout(const vcarena::ArenaPlacer& place) const;
   struct SignalIo;
   template <class Emit>
   void phases(const Emit& emit, const Words& t) const;
@@ -208,8 +201,7 @@ class VcOutputChannel : public sim::Module {
   // Downstream VC d is connected, its source has a flit ready, and the
   // receiver can take it (`free`: the vcFree levels, bit per VC) — the link
   // scheduler's candidate predicate.
-  template <class Io>
-  bool schedulable(const Io& io, unsigned free, int d) const;
+  bool schedulable(const SignalIo& io, unsigned free, int d) const;
   // Bitmask over the (input port, input VC) slots, bit inPort * kMaxVCs +
   // inVc, of the inputs holding a downstream VC.
   std::uint32_t connectedSlots() const;
@@ -218,12 +210,10 @@ class VcOutputChannel : public sim::Module {
   // from the registered connection table (reads no wire).  Link schedule:
   // rok/flit/vcFree -> rd and the output link.  Edge: starvation ageing,
   // transfer commit, credit returns, allocation.
-  template <class Io>
-  void publishGrants(const Io& io);
-  template <class Io>
-  void scheduleLink(const Io& io);
-  template <bool kMetrics, class Io>
-  void edge(const Io& io);
+  void publishGrants(const SignalIo& io);
+  void scheduleLink(const SignalIo& io);
+  template <bool kMetrics>
+  void edge(const SignalIo& io);
 
   // One downstream VC's registered connection (wormhole: held from header
   // grant to tail send).

@@ -1,6 +1,5 @@
 #include "router/vc_arena.hpp"
 
-#include <type_traits>
 #include <vector>
 
 namespace rasoc::router::vcarena {
@@ -81,26 +80,6 @@ void WireTwin::visit(F&& f) const {
     case Kind::OutNets:
       return outputNetFields(*static_cast<OutputBlockNets*>(nets_), f);
   }
-}
-
-std::uint64_t WireTwin::read(std::uint64_t mask) const {
-  std::uint64_t bits = 0;
-  visit([&](const auto& wire, unsigned shift, unsigned width) {
-    const std::uint64_t field = sim::fieldMask(width) << shift;
-    if ((mask & field) != 0)
-      bits |= (std::uint64_t{static_cast<std::uint32_t>(wire.get())}
-               << shift) &
-              field;
-  });
-  return bits;
-}
-
-void WireTwin::drive(std::uint64_t mask, std::uint64_t bits) const {
-  visit([&](auto& wire, unsigned shift, unsigned width) {
-    const std::uint64_t field = sim::fieldMask(width) << shift;
-    using T = std::remove_cvref_t<decltype(wire.get())>;
-    if ((mask & field) != 0) wire.set(static_cast<T>((bits & field) >> shift));
-  });
 }
 
 std::uint32_t ArenaPlacer::operator()(const WireTwin& twin) const {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <string>
 
 #include "sim/module.hpp"
 
@@ -12,6 +13,10 @@ namespace rasoc::sim {
 void Lowering::beginModule(Module& m) {
   current_ = &m;
   descend_ = false;
+}
+
+bool Lowering::levelized() const {
+  return prog_.schedule_ == Schedule::Levelized;
 }
 
 std::optional<std::uint32_t> Lowering::placedWord(const WireBase& w) const {
@@ -111,18 +116,31 @@ void Lowering::edgeCall(Module& m) {
 
 void CompiledProgram::walk(Lowering& lw, Module& m) {
   lw.beginModule(m);
-  if (!m.describe(lw))
-    throw std::logic_error(
-        "Kernel::Compiled: module '" + m.name() +
-        "' has no lowering; override Module::describe() to declare its "
-        "settle units and clock edge");
+  if (!m.describe(lw)) {
+    if (lw.levelized())
+      throw std::logic_error(
+          "Kernel::Compiled: module '" + m.name() +
+          "' has no lowering; override Module::describe() to declare its "
+          "settle units and clock edge");
+    // The fixpoint schedule needs no declared bits: the module's own
+    // evaluate() and clockEdge(), then its children.
+    struct ModuleCtx {
+      Module* module;
+    };
+    lw.op([](std::uint64_t*,
+             void* c) { static_cast<ModuleCtx*>(c)->module->evaluateOne(); },
+          lw.ctx(ModuleCtx{&m}), {}, {});
+    lw.edgeCall(m);
+    lw.descendChildren();
+  }
   if (lw.descendRequested())
     for (Module* child : m.children()) walk(lw, *child);
 }
 
 std::unique_ptr<CompiledProgram> CompiledProgram::build(
-    const std::vector<Module*>& tops) {
+    const std::vector<Module*>& tops, Schedule schedule) {
   std::unique_ptr<CompiledProgram> prog(new CompiledProgram());
+  prog->schedule_ = schedule;
   Lowering lw(*prog);
   for (Module* m : tops) prog->walk(lw, *m);
   prog->finalize();
@@ -130,7 +148,17 @@ std::unique_ptr<CompiledProgram> CompiledProgram::build(
 }
 
 void CompiledProgram::finalize() {
-  scheduleUnits();  // throws on a cycle, before any wire is bound
+  if (schedule_ == Schedule::Levelized) {
+    scheduleUnits();  // throws on a cycle, before any wire is bound
+  } else {
+    units_.reserve(drafts_.size());
+    unitModules_.reserve(drafts_.size());
+    for (const UnitDraft& d : drafts_) {
+      units_.push_back({d.fn, d.ctx});
+      unitModules_.push_back(d.module);
+    }
+    before_.assign(wordCount_, 0);
+  }
   cur_.assign(wordCount_, 0);
   // Point every wire at its slice and import the current wire values so
   // the arena starts coherent; write-through (set/force) and read-through
@@ -329,9 +357,47 @@ void CompiledProgram::throwCycle(
 
 // --- run --------------------------------------------------------------------
 
-std::uint64_t CompiledProgram::settle() {
-  runTape(runs_);
-  return units_.size();
+std::uint64_t CompiledProgram::settle(int maxPasses) {
+  if (schedule_ == Schedule::Levelized) {
+    runTape(runs_);
+    return units_.size();
+  }
+  for (int pass = 1; pass <= maxPasses; ++pass)
+    if (!changes([&] { runTape(runs_); }))
+      return static_cast<std::uint64_t>(pass) * units_.size();
+  throwNoFixpoint(maxPasses);
+}
+
+// Wire::set marks the SettleContext flag, which covers wires no program
+// placed; arena ops leave their trace in the words alone, so the check
+// adds nothing to an op.
+template <class Body>
+bool CompiledProgram::changes(Body&& run) {
+  SettleContext::clearChanged();
+  std::copy(cur_.begin(), cur_.end(), before_.begin());
+  run();
+  return SettleContext::changed() || before_ != cur_;
+}
+
+// One more pass, unit by unit, names every module whose units still change
+// state.  A module that appears alone has a non-idempotent evaluate() -
+// typically a wire driven low and then raised within one pass, which trips
+// the change flag on every pass.
+void CompiledProgram::throwNoFixpoint(int maxPasses) {
+  std::string culprits;
+  std::vector<const Module*> named;
+  for (std::size_t k = 0; k < units_.size(); ++k) {
+    const Module* m = unitModules_[k];
+    if (!changes([&] { units_[k].fn(cur_.data(), units_[k].ctx); }) ||
+        std::find(named.begin(), named.end(), m) != named.end())
+      continue;
+    named.push_back(m);
+    culprits += (culprits.empty() ? "" : ", ") + m->name();
+  }
+  throw std::runtime_error(
+      "Simulator::settle: no combinational fixpoint after " +
+      std::to_string(maxPasses) +
+      " passes (combinational loop?); still changing: " + culprits);
 }
 
 // Runs a tape in order, with the dispatch hoisted out of each same-fn

@@ -9,14 +9,4 @@ void Module::resetAll() {
   for (Module* child : children_) child->resetAll();
 }
 
-void Module::evaluateAll() {
-  evaluate();
-  for (Module* child : children_) child->evaluateAll();
-}
-
-void Module::clockEdgeAll() {
-  clockEdge();
-  for (Module* child : children_) child->clockEdgeAll();
-}
-
 }  // namespace rasoc::sim

@@ -1,11 +1,11 @@
 // Combinational nets for the two-phase clocked simulator.
 //
 // A Wire<T> models a combinational net: any module may drive it during the
-// settle phase, and the simulator re-evaluates modules until no wire changes
-// value (a fixpoint).  SettleContext carries the per-thread "did this pass
-// change anything" flag the naive fixpoint kernel sweeps on; the compiled
-// kernel instead mirrors integral wires into its word-packed arena (see
-// WireBase::bindArena).
+// settle phase, and the simulator brings the network to a fixpoint.  Both
+// kernels mirror the integral wires their program places into its
+// word-packed arena (see WireBase::bindArena); SettleContext carries the
+// per-thread "did this pass change anything" flag with which the naive
+// kernel also sees changes to wires no program placed.
 //
 // Legal poke window: testbenches may set()/force() wires only *between*
 // cycles - after step()/settle() returns and before the next settle phase
@@ -41,23 +41,23 @@ class SettleContext {
   static inline constinit thread_local bool inSettle_ = false;
 };
 
-// Type-erased base: identity for read/write sets plus the compiled kernel's
-// arena binding.
+// Type-erased base: identity for placement plus the program's arena
+// binding.
 class WireBase {
  public:
-  // --- compiled-kernel arena binding (sim/compile.hpp) ---------------------
+  // --- arena binding (sim/compile.hpp) --------------------------------------
   //
-  // Under Kernel::Compiled the wire's value is mirrored into a (word, shift)
-  // slice of the word-packed state arena.  set()/force() write through to
-  // the slice, so the arena never goes stale between settles even when a
-  // testbench pokes wires or host-side code drives them; reads refresh
-  // from the slice (Wire::get), so settled op results are visible without
-  // any flush pass.
+  // While a program (either kernel's) places the wire, its value is
+  // mirrored into a (word, shift) slice of the word-packed state arena.
+  // set()/force() write through to the slice, so the arena never goes
+  // stale between settles even when a testbench pokes wires or host-side
+  // code drives them; reads refresh from the slice (Wire::get), so settled
+  // op results are visible without any flush pass.
   //
-  // Binding is const because the compiler reaches read-only wires through
+  // Binding is const because the lowering reaches read-only wires through
   // const references: it is kernel bookkeeping layered onto the net, not
   // value state.  Lifetime contract: the CompiledProgram unbinds wires
-  // when it is rebuilt or the simulator leaves Kernel::Compiled; a wire
+  // when it is rebuilt or the simulator switches kernels; a wire
   // destroyed together with its simulator may keep a dangling binding,
   // which is only ever dereferenced by set()/force() on that wire.  The
   // slice is `width` bits (at most 32) at `shift` of *word.
@@ -96,19 +96,19 @@ class WireBase {
 };
 
 // A combinational net holding a value of type T.  T must be equality
-// comparable.  set() records a change in the SettleContext (naive kernel)
-// and writes through to the arena slice when bound (compiled kernel).
+// comparable.  set() records a change in the SettleContext and writes
+// through to the arena slice when bound.
 template <typename T>
 class Wire : public WireBase {
  public:
   Wire() = default;
   explicit Wire(T initial) : value_(std::move(initial)) {}
 
-  // Under Kernel::Compiled the arena is authoritative between settles; a
-  // bound wire refreshes its cached value from its slice on every read, so
-  // observers (edge calls, tick listeners, telemetry, testbenches) see
-  // settled state without the kernel ever flushing wires it computed.
-  // Unbound wires (the naive kernel) pay one predictable null check.
+  // While bound, the arena is authoritative between settles; a bound wire
+  // refreshes its cached value from its slice on every read, so observers
+  // (edge calls, tick listeners, telemetry, testbenches) see settled state
+  // without the kernel ever flushing wires it computed.  Unbound wires (no
+  // program placed them) pay one predictable null check.
   const T& get() const {
     refreshFromArena();
     return value_;
@@ -141,16 +141,16 @@ class Wire : public WireBase {
   }
 
   // Copies the current value into the bound arena slice (no-op when
-  // unbound).  The compiled kernel calls this once per wire at program
-  // build time; afterwards set()/force() keep the slice fresh.
+  // unbound).  A program calls this once per wire at build time;
+  // afterwards set()/force() keep the slice fresh.
   void syncArena() const {
     if constexpr (std::is_integral_v<T>) {
       if (arenaBound()) storeArenaBits(toBits(value_));
     }
   }
 
-  // Raw pointer to the stored value, for the compiled kernel's
-  // unbind-time materialization (which stores final arena bits directly
+  // Raw pointer to the stored value, for a program's unbind-time
+  // materialization (which stores final arena bits directly
   // before detaching, so get() stays correct once the binding is gone).
   // Same bookkeeping-on-a-const-net rationale as bindArena().
   T* arenaValueSlot() const { return const_cast<T*>(&value_); }

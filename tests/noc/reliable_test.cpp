@@ -102,7 +102,7 @@ class Harness {
     }
     for (auto it = inFlight_.begin(); it != inFlight_.end();) {
       if (it->deliverAt <= cycle_) {
-        transports_[it->to]->onWireWords(it->words, cycle_);
+        transports_[it->to]->onFrameWords(it->words, cycle_);
         it = inFlight_.erase(it);
       } else {
         ++it;
@@ -275,8 +275,8 @@ TEST(ReliableTransportTest, DuplicateDataFrameDroppedAndReAcked) {
   ASSERT_EQ(frames.size(), 1u);
   std::vector<std::uint32_t> words{0};  // source index prepended by the NI
   words.insert(words.end(), frames[0].words.begin(), frames[0].words.end());
-  b.onWireWords(words, 0);
-  b.onWireWords(words, 1);  // the same frame again (spurious retransmit)
+  b.onFrameWords(words, 0);
+  b.onFrameWords(words, 1);  // the same frame again (spurious retransmit)
   EXPECT_EQ(b.takeDeliveries().size(), 1u);
   EXPECT_EQ(b.stats().payloadsDelivered, 1u);
   EXPECT_EQ(b.stats().duplicatesDropped, 1u);
@@ -298,13 +298,13 @@ TEST(ReliableTransportTest, CorruptedFrameIsCountedAndDiscarded) {
   std::vector<std::uint32_t> words{0};
   words.insert(words.end(), frames[0].words.begin(), frames[0].words.end());
   words[2] ^= 1u;  // single-bit payload corruption, as FaultyLink injects
-  b.onWireWords(words, 0);
+  b.onFrameWords(words, 0);
   EXPECT_TRUE(b.takeDeliveries().empty());
   EXPECT_EQ(b.stats().malformedFrames, 1u);
   EXPECT_EQ(b.stats().acksSent, 0u);  // no ACK for garbage
   // A truncated frame (body flits lost to a link-down window) is also
   // malformed rather than misparsed.
-  b.onWireWords({0, frames[0].words.back()}, 1);
+  b.onFrameWords({0, frames[0].words.back()}, 1);
   EXPECT_EQ(b.stats().malformedFrames, 2u);
   EXPECT_TRUE(b.takeDeliveries().empty());
 }
@@ -429,11 +429,11 @@ TEST(ReliableTransportTest, AckAfterDeadlineArmedCausesNoSpuriousTimeout) {
   EXPECT_EQ(a.unackedFrames(), 2u);
 
   // The first frame is acknowledged before its deadline.
-  b.onWireWords(onWire(0, frames[0]), 4);
+  b.onFrameWords(onWire(0, frames[0]), 4);
   auto acks = b.takeFrames();
   ASSERT_EQ(acks.size(), 1u);
   EXPECT_EQ(acks[0].type, FrameType::Ack);
-  a.onWireWords(onWire(1, acks[0]), 5);
+  a.onFrameWords(onWire(1, acks[0]), 5);
   EXPECT_EQ(a.unackedFrames(), 1u);
   EXPECT_EQ(a.backlogFrames(), 0u);
 
@@ -448,8 +448,8 @@ TEST(ReliableTransportTest, AckAfterDeadlineArmedCausesNoSpuriousTimeout) {
   EXPECT_EQ(frames[0].words[1], 0x2u);
 
   // Acknowledging everything leaves the sender idle, with no timer due.
-  b.onWireWords(onWire(0, frames[0]), 27);
-  for (auto& ack : b.takeFrames()) a.onWireWords(onWire(1, ack), 28);
+  b.onFrameWords(onWire(0, frames[0]), 27);
+  for (auto& ack : b.takeFrames()) a.onFrameWords(onWire(1, ack), 28);
   EXPECT_EQ(a.unackedFrames(), 0u);
   EXPECT_TRUE(a.idle());
   for (std::uint64_t cycle = 28; cycle < 200; ++cycle) a.onCycle(cycle);

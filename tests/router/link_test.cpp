@@ -7,6 +7,7 @@
 #include <deque>
 #include <limits>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -88,6 +89,50 @@ TEST(LinkTest, AckTravelsUpstream) {
     rig.dst.ack.force(false);
     rig.sim.settle();
     EXPECT_FALSE(rig.src.ack.get());
+  }
+}
+
+TEST(LinkTest, PokesOnThePlacedSourceWordReachTheDestination) {
+  // The link places its channel words under both kernels, so the source
+  // wires are bound to the arena and a poke between cycles writes through
+  // to it; the next settle forwards what was poked.
+  class Forcer : public sim::Module {
+   public:
+    explicit Forcer(sim::Wire<bool>& victim)
+        : Module("forcer"), victim_(&victim) {}
+    bool describe(sim::Lowering& lw) override {
+      lw.op([](std::uint64_t*,
+               void* m) { static_cast<Forcer*>(m)->victim_->force(true); },
+            this, {}, {});
+      return true;
+    }
+
+   private:
+    sim::Wire<bool>* victim_;
+  };
+  for (const Kernel kernel : kKernels) {
+    SCOPED_TRACE(kernelName(kernel));
+    LinkRig rig(kernel);
+    EXPECT_TRUE(rig.src.val.arenaBound());
+    EXPECT_TRUE(rig.src.flit.data.arenaBound());
+    for (std::uint32_t i = 0; i < 4; ++i) {
+      const bool val = i % 2 == 0;
+      rig.src.flit.data.force(0xa0u + i);
+      rig.src.flit.bop.force(i == 0);
+      rig.src.flit.eop.force(i == 3);
+      rig.src.val.force(val);
+      rig.sim.settle();
+      EXPECT_EQ(rig.dst.flit.data.get(), 0xa0u + i);
+      EXPECT_EQ(rig.dst.flit.bop.get(), i == 0);
+      EXPECT_EQ(rig.dst.flit.eop.get(), i == 3);
+      EXPECT_EQ(rig.dst.val.get(), val);
+      rig.sim.step();
+    }
+    // A force from inside a settle unit is outside the poke window.
+    Forcer forcer(rig.src.val);
+    rig.sim.add(forcer);
+    EXPECT_THROW(rig.sim.settle(), std::logic_error);
+    EXPECT_NO_THROW(rig.src.val.force(false));
   }
 }
 

@@ -364,6 +364,64 @@ TEST(CompiledKernelTest, UndescribedModuleIsRejectedByName) {
   EXPECT_EQ(sim.compiledProgram(), nullptr);
 }
 
+// out = in + k over arena words, as a raw op: no Wire::set, so a change
+// shows in the arena alone.  With `declareRead` false the op leaves its
+// read of `in` out of its declaration.
+class WordAdd : public Module {
+ public:
+  WordAdd(std::string name, const Wire<int>& in, Wire<int>& out, int k,
+          bool declareRead)
+      : Module(std::move(name)),
+        in_(&in),
+        out_(&out),
+        k_(k),
+        declareRead_(declareRead) {}
+
+  bool describe(Lowering& lw) override {
+    struct Ctx {
+      std::uint32_t in, out;
+      int k;
+    };
+    const WordBits in = alone(lw, *in_);
+    const WordBits out = alone(lw, *out_);
+    lw.op(
+        [](std::uint64_t* w, void* c) {
+          const auto* x = static_cast<const Ctx*>(c);
+          const auto v = static_cast<int>(static_cast<std::uint32_t>(w[x->in]));
+          opPutBits(w, x->out, 0xffffffffu,
+                    static_cast<std::uint32_t>(v + x->k));
+        },
+        lw.ctx(Ctx{in.word, out.word, k_}),
+        declareRead_ ? WordBitsList{in} : WordBitsList{}, {out});
+    return true;
+  }
+
+ private:
+  const Wire<int>* in_;
+  Wire<int>* out_;
+  int k_;
+  bool declareRead_;
+};
+
+TEST(CompiledKernelTest, NaiveSettlesReadsTheDeclarationsLeaveOut) {
+  // The naive schedule never reads the declared masks: a reader registered
+  // before its writer, whose op does not declare that read, still settles
+  // to the writer's value once the fixpoint pass re-runs it.  (The
+  // compiled value is not asserted: both ops sit on level 0, so their
+  // order there depends on function addresses.)
+  Wire<int> x{0}, y, z;
+  WordAdd reader("reader", y, z, 0, false);
+  WordAdd writer("writer", x, y, 1, true);
+  Simulator sim;
+  sim.add(reader);
+  sim.add(writer);
+  for (const int v : {3, 7, -2}) {
+    x.force(v);
+    sim.settle();
+    EXPECT_EQ(z.get(), v + 1);
+  }
+}
+
 // --- bit-level dependences within one word --------------------------------
 
 // Two bool wires packed in one arena word: `low` at bit 0, `high` at bit 1.
@@ -566,7 +624,8 @@ TEST_P(KernelContractTest, EvaluateCallsNeverDecrease) {
   // Exact accounting per kernel, which is what perfbench's
   // sim.units_per_cycle and bench_sim_speed's units_per_cycle read: a
   // compiled settle runs every unit of its program once; a naive settle
-  // runs all 3 registered modules once per pass, at least once.
+  // adds its program's unit count, here one op per module, once per pass,
+  // at least once.
   const auto expectSettles = [&](std::uint64_t settles) {
     const std::uint64_t now = sim.evaluateCalls();
     ASSERT_GE(now, last);
