@@ -80,7 +80,7 @@ class FlowReplayer : public sim::Module {
 
   std::uint64_t packetsGenerated() const { return packetsGenerated_; }
 
-  // Compiled-kernel lowering: purely sequential (no evaluate()), so the
+  // Lowering: purely sequential (no evaluate()), so the
   // module contributes only its clockEdge() to the edge tape.
   bool describe(sim::Lowering& lw) override;
 

@@ -35,11 +35,12 @@ struct NetworkConfig {
   router::RouterParams params{};
   router::ArbiterKind arbiter = router::ArbiterKind::RoundRobin;
 
-  /// Settle kernel for the network's simulator.  Compiled lowers the
-  /// elaborated network to a word-packed state arena plus a levelized op
-  /// tape (see sim/compile.hpp) and is the default; Naive is the reference
-  /// fixpoint kernel the lockstep suites A/B it against.  The two are
-  /// proven bit-identical by noc_kernel_trichotomy_test.
+  /// Settle kernel for the network's simulator.  Both run one program
+  /// lowered from the elaborated network, a word-packed state arena plus
+  /// an op tape (see sim/compile.hpp).  Compiled, the default, levelizes
+  /// the ops into one pass; Naive, the reference the lockstep suites A/B
+  /// it against, repeats them in lowering order to a fixpoint.  The two
+  /// are proven bit-identical by noc_kernel_trichotomy_test.
   sim::Simulator::Kernel kernel = sim::Simulator::Kernel::Compiled;
 
   /// HLP parity in every NI (paper Section 2 extension); costs one data bit

@@ -91,7 +91,7 @@ class TrafficGenerator : public sim::Module {
   void setPaused(bool paused) { paused_ = paused; }
   bool paused() const { return paused_; }
 
-  // Compiled-kernel lowering: purely sequential (no evaluate()), so the
+  // Lowering: purely sequential (no evaluate()), so the
   // module contributes only its clockEdge() to the edge tape.
   bool describe(sim::Lowering& lw) override;
 

@@ -69,7 +69,7 @@ class Watchdog : public sim::Module {
   std::uint64_t longestStall() const { return snapshot_.longestStall; }
   const WatchdogSnapshot& snapshot() const { return snapshot_; }
 
-  // Compiled-kernel lowering: purely sequential (no evaluate()), so the
+  // Lowering: purely sequential (no evaluate()), so the
   // module contributes only its clockEdge() to the edge tape.
   bool describe(sim::Lowering& lw) override {
     lw.edgeCall(*this);

@@ -66,7 +66,7 @@ class Rasoc : public sim::Module {
   void attachMetrics(telemetry::MetricsRegistry& registry,
                      const std::string& prefix);
 
-  // Compiled-kernel lowering: the router top is a structural shell (no
+  // Lowering: the router top is a structural shell (no
   // evaluate/clockEdge of its own), so lowering just recurses into the
   // channel modules and emits nothing for the shell.
   bool describe(sim::Lowering& lw) override;

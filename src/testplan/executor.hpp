@@ -28,7 +28,7 @@ class TestPortDriver : public sim::Module {
   TestPortDriver(std::string name, noc::NetworkInterface& ni,
                  std::vector<Job> jobs);
 
-  // Compiled-kernel lowering: purely sequential (no evaluate()), so the
+  // Lowering: purely sequential (no evaluate()), so the
   // module contributes only its clockEdge() to the edge tape.
   bool describe(sim::Lowering& lw) override;
 
@@ -54,7 +54,7 @@ class BistMonitor : public sim::Module {
   std::uint64_t doneCycle() const { return doneAt_; }
   bool stimuliDelivered() const { return delivered_; }
 
-  // Compiled-kernel lowering: purely sequential (no evaluate()), so the
+  // Lowering: purely sequential (no evaluate()), so the
   // module contributes only its clockEdge() to the edge tape.
   bool describe(sim::Lowering& lw) override;
 
