@@ -261,14 +261,14 @@ std::unique_ptr<Network> makeVcGoldenNet(const std::string& name,
 }
 
 const VcGolden kVcGoldens[] = {
-    {"mesh vc2 on/off", 1202, 1191, 7146, 17.438287153652393,
-     15.957178841309824, 0x63a2e8e986a7c2dcull},
+    {"mesh vc2 on/off", 1202, 1191, 7146, 18.268681780016792,
+     16.496221662468514, 0xac48899ede3cf191ull},
     {"torus vc4 credit", 1204, 1195, 7170, 15.764016736401674,
      14.486192468619247, 0x54ab729cc67a2de6ull},
-    {"mesh vc4 qos", 1291, 1278, 8612, 20.764475743348981,
-     18.029733959311425, 0x26dd49abe6f0caafull},
-    {"mesh vc4 stall+outage", 1195, 1179, 7074, 20.432569974554706,
-     17.693808312128922, 0x1c397e2d4f875977ull},
+    {"mesh vc4 qos", 1291, 1274, 8580, 21.277864992150707,
+     18.202511773940344, 0xa2c0caafa1ed0528ull},
+    {"mesh vc4 stall+outage", 1194, 1178, 7068, 20.27843803056027,
+     17.581494057724957, 0x53a9bac713f27c93ull},
 };
 
 TEST(CompiledGoldenTest, VcFingerprintsOnBothKernels) {
