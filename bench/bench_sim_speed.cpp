@@ -3,7 +3,11 @@
 // evaluation the harnesses above can afford.
 //
 // Each row builds one network under 0.2 flits/cycle/node uniform traffic
-// (6-flit payloads, seed 17), runs kWarmupCycles untimed, then times
+// (6-flit payloads, seed 17) or, on the `_qos` row, qosClasses with
+// perfbench's four-class mix (Control 0.02 and Latency 0.05 with 2-flit
+// payloads, Bulk 0.15 and BestEffort 0.15 with 6-flit payloads, seed 17),
+// which times the strict-priority link scheduler and its starvation
+// guard.  Each runs kWarmupCycles untimed, then times
 // kRepetitions windows of the row's fixed cycle count with
 // std::chrono::steady_clock.  It reports the median cycles/s, the
 // interquartile range of the repetitions, and `units_per_cycle`, the
@@ -44,6 +48,7 @@ struct Row {
   int side;
   sim::Simulator::Kernel kernel;
   int vcs;
+  bool qos;  // qosClasses and the four-class mix
   bool telemetry;
   std::uint64_t windowCycles;  // per timed repetition
 };
@@ -56,15 +61,22 @@ std::vector<Row> rows() {
     for (int vcs : {1, 2, 4})
       out.push_back({"mesh" + std::to_string(side) + "_vc" +
                          std::to_string(vcs),
-                     "mesh", side, K::Compiled, vcs, false,
+                     "mesh", side, K::Compiled, vcs, false, false,
                      side == 8 ? 2000u : 400u});
-  out.push_back({"mesh8_vc1_naive", "mesh", 8, K::Naive, 1, false, 600});
-  out.push_back({"mesh8_vc4_naive", "mesh", 8, K::Naive, 4, false, 1500});
-  out.push_back({"mesh8_vc1_telemetry", "mesh", 8, K::Compiled, 1, true,
+  out.push_back({"mesh8_vc4_qos", "mesh", 8, K::Compiled, 4, true, false,
                  2000});
-  out.push_back({"torus8_vc1", "torus", 8, K::Compiled, 1, false, 2000});
-  out.push_back({"torus16_vc1", "torus", 16, K::Compiled, 1, false, 400});
-  out.push_back({"mesh32_vc1", "mesh", 32, K::Compiled, 1, false, 100});
+  out.push_back(
+      {"mesh8_vc1_naive", "mesh", 8, K::Naive, 1, false, false, 600});
+  out.push_back(
+      {"mesh8_vc4_naive", "mesh", 8, K::Naive, 4, false, false, 1500});
+  out.push_back({"mesh8_vc1_telemetry", "mesh", 8, K::Compiled, 1, false,
+                 true, 2000});
+  out.push_back(
+      {"torus8_vc1", "torus", 8, K::Compiled, 1, false, false, 2000});
+  out.push_back(
+      {"torus16_vc1", "torus", 16, K::Compiled, 1, false, false, 400});
+  out.push_back(
+      {"mesh32_vc1", "mesh", 32, K::Compiled, 1, false, false, 100});
   return out;
 }
 
@@ -89,16 +101,28 @@ Result measure(const Row& row) {
   cfg.params.n = 16;
   cfg.params.p = 4;
   cfg.params.numVCs = row.vcs;
+  cfg.params.qosClasses = row.qos;
   if (row.side > 8) cfg.params.m = 12;  // offsets beyond 8x8 exceed m=8
   cfg.kernel = row.kernel;
   noc::Network net(noc::makeTopology(row.topology, row.side, row.side), cfg);
   telemetry::MetricsRegistry registry;
   if (row.telemetry) net.enableTelemetry(registry);
-  noc::TrafficConfig traffic;
-  traffic.offeredLoad = 0.2;
-  traffic.payloadFlits = 6;
-  traffic.seed = 17;
-  net.attachTraffic(traffic);
+  auto flow = [](router::TrafficClass cls, double load, int payload) {
+    noc::FlowSpec f;
+    f.trafficClass = cls;
+    f.traffic.offeredLoad = load;
+    f.traffic.payloadFlits = payload;
+    f.traffic.seed = 17;
+    return f;
+  };
+  if (row.qos) {
+    net.attachTraffic({flow(router::TrafficClass::Control, 0.02, 2),
+                       flow(router::TrafficClass::Latency, 0.05, 2),
+                       flow(router::TrafficClass::Bulk, 0.15, 6),
+                       flow(router::TrafficClass::BestEffort, 0.15, 6)});
+  } else {
+    net.attachTraffic(flow(router::TrafficClass::BestEffort, 0.2, 6).traffic);
+  }
   net.run(kWarmupCycles);
 
   std::vector<double> rates;
@@ -153,12 +177,13 @@ int main(int argc, char** argv) {
                  res.healthy ? "" : "  UNHEALTHY");
     std::printf(
         "    \"%s\": {\"topology\": \"%s\", \"side\": %d, \"kernel\": "
-        "\"%s\", \"vcs\": %d, \"telemetry\": %s, \"window_cycles\": %llu, "
+        "\"%s\", \"vcs\": %d, \"qos\": %s, \"telemetry\": %s, "
+        "\"window_cycles\": %llu, "
         "\"cycles_per_s\": %.1f, \"cycles_per_s_iqr\": %.1f, "
         "\"units_per_cycle\": %.2f, \"healthy\": %s}%s\n",
         row.name.c_str(), row.topology, row.side,
         row.kernel == sim::Simulator::Kernel::Naive ? "naive" : "compiled",
-        row.vcs, row.telemetry ? "true" : "false",
+        row.vcs, row.qos ? "true" : "false", row.telemetry ? "true" : "false",
         static_cast<unsigned long long>(row.windowCycles), res.cyclesPerS,
         res.iqr, res.unitsPerCycle, res.healthy ? "true" : "false",
         i + 1 < selected.size() ? "," : "");

@@ -296,6 +296,27 @@ TEST(CompiledGoldenTest, VcFingerprintsOnBothKernels) {
   }
 }
 
+// The same four networks without telemetry: perfbench and bench_sim_speed
+// run the channels' unmetered edges (edge<false>), which the metered legs
+// above never reach.  No registry, so no hash: the ledger counts and both
+// latency means must reproduce the metered legs' values.
+TEST(CompiledGoldenTest, VcFingerprintsUnmeteredOnBothKernels) {
+  for (const VcGolden& g : kVcGoldens) {
+    for (const Simulator::Kernel kernel : kAllKernels) {
+      SCOPED_TRACE(std::string(g.name) + " kernel " +
+                   std::to_string(static_cast<int>(kernel)));
+      auto net = makeVcGoldenNet(g.name, kernel);
+      net->run(1500);
+      EXPECT_TRUE(net->healthy());
+      EXPECT_EQ(net->ledger().queued(), g.queued);
+      EXPECT_EQ(net->ledger().delivered(), g.delivered);
+      EXPECT_EQ(net->ledger().flitsDelivered(), g.flits);
+      EXPECT_DOUBLE_EQ(net->ledger().packetLatency().mean(), g.latMean);
+      EXPECT_DOUBLE_EQ(net->ledger().networkLatency().mean(), g.netMean);
+    }
+  }
+}
+
 // --- lockstep trichotomy ---------------------------------------------------
 
 TEST(KernelTrichotomyTest, TorusUniformRandomLockstep) {
