@@ -94,6 +94,13 @@ class VcCredits {
  public:
   void reset(int numVCs, int depth);
   bool available(int v) const { return credits_[static_cast<std::size_t>(v)] > 0; }
+  /// Bit v set: VC v has a credit.
+  unsigned availableMask() const {
+    unsigned vcs = 0;
+    for (int v = 0; v < numVCs_; ++v)
+      if (available(v)) vcs |= 1u << v;
+    return vcs;
+  }
   int credits(int v) const { return credits_[static_cast<std::size_t>(v)]; }
   void onSent(int v);
   void onReturn(int v);

@@ -198,16 +198,16 @@ class VcOutputChannel : public sim::Module {
   bool creditMode() const {
     return flowControl_ == FlowControl::CreditBased;
   }
-  // Downstream VC d is connected, its source has a flit ready, and the
-  // receiver can take it (`free`: the vcFree levels, bit per VC) — the link
-  // scheduler's candidate predicate.
-  bool schedulable(const SignalIo& io, unsigned free, int d) const;
-  // Bitmask over the (input port, input VC) slots, bit inPort * kMaxVCs +
-  // inVc, of the inputs holding a downstream VC.
-  std::uint32_t connectedSlots() const;
+  // Bit d set: downstream VC d is connected, its source has a flit ready,
+  // and the receiver can take it (`free`: the vcFree levels, bit per VC;
+  // and a credit in credit mode) — the link scheduler's candidates and the
+  // set the QoS starvation guard ages.
+  unsigned schedulable(const SignalIo& io, unsigned free) const;
+  // Rebuilds the grant lanes from the connection table's slots.
+  void connectionsChanged();
 
   // The two combinational phases, each a compiled op.  Grant publish: gnt
-  // from the registered connection table (reads no wire).  Link schedule:
+  // from the registered grant lanes (reads no wire).  Link schedule:
   // rok/flit/vcFree -> rd and the output link.  Edge: starvation ageing,
   // transfer commit, credit returns, allocation.
   void publishGrants(const SignalIo& io);
@@ -216,32 +216,44 @@ class VcOutputChannel : public sim::Module {
   void edge(const SignalIo& io);
 
   // One downstream VC's registered connection (wormhole: held from header
-  // grant to tail send).
+  // grant to tail send), meaningful while its bit of active_ is set.
   struct Conn {
-    bool active = false;
     int inPort = 0;
     int inVc = 0;
   };
 
+  // Ordered so that what every edge reads (the parameters, the masks, the
+  // connection table) shares the object's first cache lines.
   RouterParams params_;
   Port ownPort_;
   FlowControl flowControl_;
   int numVCs_ = 1;
   int escapeVCs_ = 1;
+  // The slots that may request this output: every VC of the other ports.
+  std::uint32_t requesters_ = 0;
 
-  ChannelWires* out_;
-  std::array<std::array<CrossbarWires, kMaxVCs>, kNumPorts>* xbar_;
-
-  // Registered state.
+  // Registered state.  The masks are bit per downstream VC (or per
+  // (input port, input VC) slot, bit inPort * kMaxVCs + inVc), written at
+  // the edge where their source state changes.
+  unsigned active_ = 0;          // connected downstream VCs
+  std::uint32_t connSlots_ = 0;  // slots holding a downstream VC
+  unsigned starving_ = 0;        // starve_[d] > 0
+  unsigned starved_ = 0;         // starve_[d] >= kQosStarvationWindow
+  int schedRR_ = 0;              // link-scheduling RR over downstream VCs
+  bool metricsAttached_ = false;  // beside the state, as in OutputChannel
   std::array<Conn, kMaxVCs> conn_{};
-  std::array<int, kMaxVCs> rrNext_{};  // per-downstream-VC allocation RR
-  int schedRR_ = 0;                    // link-scheduling RR over downstream VCs
+  // Per input port: this output's strobe in each connected VC's grant lane
+  // of that port's control word, as publishGrants() writes it.
+  std::array<std::uint64_t, kNumPorts> grantLanes_{};
   std::array<int, kMaxVCs> starve_{};  // QoS: eligible-but-unscheduled edges
+  std::array<int, kMaxVCs> rrNext_{};  // per-downstream-VC allocation RR
   VcCredits credits_;                  // credit mode only
 
   std::uint64_t flitsSent_ = 0;
-  bool metricsAttached_ = false;  // beside the counter, as in OutputChannel
   std::array<std::uint64_t, kMaxVCs> vcFlitsSent_{};
+
+  ChannelWires* out_;
+  std::array<std::array<CrossbarWires, kMaxVCs>, kNumPorts>* xbar_;
   VcOutputChannelMetrics metrics_;
 };
 
