@@ -145,23 +145,35 @@ void NetworkInterface::send(NodeId dst,
   const int ledgerClass =
       params_.qosClasses ? static_cast<int>(cls) : -1;
 
+  // The ledger tracks the application packet once, at submission; under
+  // the reliable transport frames (first transmissions, retransmissions,
+  // ACKs) are protocol overhead.  `flits` is the unprotected wire size
+  // (header + source index + payload), so goodput numbers stay comparable
+  // with reliability on and off.
+  PacketRecord record;
+  record.src = self_;
+  record.dst = dst;
+  record.createdCycle = cycle_;
+  record.flits = static_cast<int>(payload.size()) + 2;
+  record.trafficClass = ledgerClass;
+  ledger_->onQueued(record);
+
   if (transport_) {
-    // The ledger tracks the application packet once, at submission; frames
-    // (first transmissions, retransmissions, ACKs) are protocol overhead.
-    // `flits` uses the unprotected wire size so goodput numbers stay
-    // comparable with reliability on and off.
-    PacketRecord record;
-    record.src = self_;
-    record.dst = dst;
-    record.createdCycle = cycle_;
-    record.flits = static_cast<int>(payload.size()) + 2;
-    record.trafficClass = ledgerClass;
-    ledger_->onQueued(record);
     transport_->submit(dst, payload, cls);
     pumpTransport();
     return;
   }
+  OutPacket packet;
+  packet.dst = dst;
+  packet.ledgerClass = ledgerClass;
+  enqueue(std::move(packet), payload, cls,
+          telemetry::TraceEventKind::PacketQueued);
+}
 
+void NetworkInterface::enqueue(OutPacket&& packet,
+                               const std::vector<std::uint32_t>& payload,
+                               router::TrafficClass cls,
+                               telemetry::TraceEventKind kind) {
   // Wire format: header + source-index flit + payload (last flit = eop).
   std::vector<std::uint32_t> words;
   words.reserve(payload.size() + 1);
@@ -172,26 +184,14 @@ void NetworkInterface::send(NodeId dst,
   }
 
   const int vc = injectVcFor(cls);
-  OutPacket packet;
-  packet.dst = dst;
-  packet.ledgerClass = ledgerClass;
-  packet.flits =
-      router::makePacket(topology_->ribFor(self_, dst, params_.numVCs), words,
-                         params_, vc);
+  packet.flits = router::makePacket(
+      topology_->ribFor(self_, packet.dst, params_.numVCs), words, params_);
   if (params_.qosClasses)
     packet.flits[0].data =
         router::encodeTrafficClass(packet.flits[0].data, cls, params_.m);
 
-  PacketRecord record;
-  record.src = self_;
-  record.dst = dst;
-  record.createdCycle = cycle_;
-  record.flits = static_cast<int>(packet.flits.size());
-  record.trafficClass = ledgerClass;
-  ledger_->onQueued(record);
-
   if (tracer_)
-    tracer_->onPacketQueued(self_, dst, telemetry::TraceEventKind::PacketQueued,
+    tracer_->onPacketQueued(self_, packet.dst, kind,
                             static_cast<int>(packet.flits.size()));
 
   sendQueueFlits_ += packet.flits.size();
@@ -213,7 +213,7 @@ void NetworkInterface::presentSend(const SignalIo& io) const {
                      : vcMode() && io.word(kTo, bit(free)) == 0)
       continue;
     const OutPacket& pending = sendQueues_[vi].front();
-    send = vcarena::flitBits(pending.flits[pending.next]) |
+    send = router::flitBits(pending.flits[pending.next]) |
            bit(vcarena::kVal) |
            (static_cast<std::uint64_t>(v) << vcarena::kVc);
     break;
@@ -311,7 +311,7 @@ void NetworkInterface::edge(const SignalIo& io) {
     // link, so each VC reassembles in its own buffer.
     const auto rxVc = vcMode() ? static_cast<std::size_t>(from >> vcarena::kVc)
                                : 0;
-    acceptRxFlit(vcarena::bitsFlit(from), rxFlits_[rxVc]);
+    acceptRxFlit(router::bitsFlit(from), rxFlits_[rxVc]);
   }
 
   if (transport_) {
@@ -399,43 +399,24 @@ void NetworkInterface::acceptRxFlit(const Flit& flit,
 }
 
 void NetworkInterface::enqueueFrame(ReliableTransport::WireFrame&& frame) {
-  std::vector<std::uint32_t> words;
-  words.reserve(frame.words.size() + 1);
-  words.push_back(static_cast<std::uint32_t>(topology_->indexOf(self_)));
-  words.insert(words.end(), frame.words.begin(), frame.words.end());
-  if (options_.hlpParity) {
-    for (std::uint32_t& word : words) word = parityProtect(word);
-  }
   // The transport picked the frame's class: the submitter's on first DATA
   // transmissions, the reliability class on retransmissions and ACK/NACKs
   // — so recovery traffic rides its own isolated channel.
-  const int vc = injectVcFor(frame.cls);
   OutPacket packet;
   packet.dst = frame.dst;
   packet.frameId = frame.frameId;
   packet.tracked = frame.firstTransmission;
   if (params_.qosClasses && packet.tracked)
     packet.ledgerClass = static_cast<int>(frame.cls);
-  packet.flits = router::makePacket(
-      topology_->ribFor(self_, frame.dst, params_.numVCs), words, params_,
-      vc);
-  if (params_.qosClasses)
-    packet.flits[0].data = router::encodeTrafficClass(packet.flits[0].data,
-                                                      frame.cls, params_.m);
-  if (tracer_) {
-    using telemetry::TraceEventKind;
-    TraceEventKind kind = TraceEventKind::PacketQueued;
-    if (frame.type == FrameType::Ack)
-      kind = TraceEventKind::AckQueued;
-    else if (frame.type == FrameType::Nack)
-      kind = TraceEventKind::NackQueued;
-    else if (!frame.firstTransmission)
-      kind = TraceEventKind::RetransmitQueued;
-    tracer_->onPacketQueued(self_, frame.dst, kind,
-                            static_cast<int>(packet.flits.size()));
-  }
-  sendQueueFlits_ += packet.flits.size();
-  sendQueues_[static_cast<std::size_t>(vc)].push_back(std::move(packet));
+  using telemetry::TraceEventKind;
+  TraceEventKind kind = TraceEventKind::PacketQueued;
+  if (frame.type == FrameType::Ack)
+    kind = TraceEventKind::AckQueued;
+  else if (frame.type == FrameType::Nack)
+    kind = TraceEventKind::NackQueued;
+  else if (!frame.firstTransmission)
+    kind = TraceEventKind::RetransmitQueued;
+  enqueue(std::move(packet), frame.words, frame.cls, kind);
 }
 
 void NetworkInterface::pumpTransport() {

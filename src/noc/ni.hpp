@@ -41,6 +41,7 @@
 
 #include "sim/module.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/trace_event.hpp"
 
 #include "noc/reliable.hpp"
 #include "noc/stats.hpp"
@@ -213,6 +214,13 @@ class NetworkInterface : public sim::Module {
   std::uint32_t parityProtect(std::uint32_t word) const;
   bool parityOk(std::uint32_t word) const;
 
+  struct OutPacket;
+  // The one packet-assembly path: prepends the source-index word, applies
+  // parity, builds the flits on the class's inject VC (QoS-tagged), traces
+  // the packet as `kind` and queues it.  `packet` carries the destination
+  // and the bookkeeping fields; enqueue() fills in the flits.
+  void enqueue(OutPacket&& packet, const std::vector<std::uint32_t>& payload,
+               router::TrafficClass cls, telemetry::TraceEventKind kind);
   void enqueueFrame(ReliableTransport::WireFrame&& frame);
   void pumpTransport();
 

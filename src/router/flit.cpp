@@ -95,7 +95,7 @@ TrafficClass decodeTrafficClass(std::uint32_t header, int m) {
 }
 
 std::vector<Flit> makePacket(Rib rib, const std::vector<std::uint32_t>& payload,
-                             const RouterParams& params, int vc) {
+                             const RouterParams& params) {
   if (payload.empty())
     throw std::invalid_argument(
         "a packet needs at least one payload flit (the trailer)");
@@ -104,13 +104,11 @@ std::vector<Flit> makePacket(Rib rib, const std::vector<std::uint32_t>& payload,
   Flit header;
   header.data = encodeRib(rib, params.m) & dataMask(params.n);
   header.bop = true;
-  header.vc = vc;
   flits.push_back(header);
   for (std::size_t i = 0; i < payload.size(); ++i) {
     Flit f;
     f.data = payload[i] & dataMask(params.n);
     f.eop = (i + 1 == payload.size());
-    f.vc = vc;
     flits.push_back(f);
   }
   return flits;

@@ -25,13 +25,27 @@ struct Flit {
   std::uint32_t data = 0;
   bool bop = false;
   bool eop = false;
-  // Virtual-channel id, carried out-of-band next to the bop/eop framing
-  // (RouterParams::numVCs > 1 only; always 0 on single-VC networks, so the
-  // wire format of the paper's router is unchanged).
-  int vc = 0;
 
   bool operator==(const Flit&) const = default;
 };
+
+// A flit packed into the low bits of a word: [0,32) data, bit kBop bop,
+// bit kEop eop.  The FIFO rings (fifo.hpp) and every arena word that
+// carries a flit (vc_arena.hpp) hold it so, and a flit moves between them
+// as one word.
+inline constexpr unsigned kBop = 32;
+inline constexpr unsigned kEop = 33;
+inline std::uint64_t flitBits(const Flit& f) {
+  return f.data | (std::uint64_t{f.bop} << kBop) |
+         (std::uint64_t{f.eop} << kEop);
+}
+inline Flit bitsFlit(std::uint64_t bits) {
+  Flit f;
+  f.data = static_cast<std::uint32_t>(bits);
+  f.bop = ((bits >> kBop) & 1u) != 0;
+  f.eop = ((bits >> kEop) & 1u) != 0;
+  return f;
+}
 
 // Relative offset to the destination: dx > 0 means East, dy > 0 means North.
 struct Rib {
@@ -85,9 +99,8 @@ constexpr std::uint32_t dataMask(int n) {
 }
 
 // A packet as injected by a network interface: a header flit carrying the
-// RIB followed by payload flits, the last one marked eop.  Every flit is
-// tagged with `vc` (0 on single-VC networks).
+// RIB followed by payload flits, the last one marked eop.
 std::vector<Flit> makePacket(Rib rib, const std::vector<std::uint32_t>& payload,
-                             const RouterParams& params, int vc = 0);
+                             const RouterParams& params);
 
 }  // namespace rasoc::router

@@ -36,22 +36,21 @@ InputChannel::InputChannel(std::string name, const RouterParams& params,
       ifc_(this->name() + ".ifc", flowControl, in.val, nets_.wok,
            flowControl == FlowControl::Handshake ? &in.ack : nullptr,
            nets_.wr),
-      ib_(InputBuffer::create(this->name() + ".ib", params, in.flit, nets_.wr,
-                              nets_.rd, nets_.dout, nets_.wok, nets_.rok)),
+      ib_(this->name() + ".ib", params, in.flit, nets_.wr, nets_.rd,
+          nets_.dout, nets_.wok, nets_.rok),
       ic_(this->name() + ".ic", params, ownPort, nets_.dout, nets_.rok, xbar),
       irs_(this->name() + ".irs", xbar, nets_.rd),
       in_(&in),
       xbar_(&xbar) {
   addChild(ifc_);
-  addChild(*ib_);
+  addChild(ib_);
   addChild(ic_);
   addChild(irs_);
   if (flowControl == FlowControl::CreditBased) {
     // The channel ack wire becomes the credit-return line, pulsed when a
     // flit leaves the buffer.
-    creditTap_ = std::make_unique<CreditReturnTap>(
-        this->name() + ".credit", nets_.rd, nets_.rok, in.ack);
-    addChild(*creditTap_);
+    addChild(creditTap_.emplace(this->name() + ".credit", nets_.rd,
+                                nets_.rok, in.ack));
   }
 }
 
@@ -100,7 +99,7 @@ struct InputChannel::SignalIo {
   // The input link.
   bool inVal() const { return vcarena::bitOf(src, r.link, vcarena::kVal); }
   Flit inFlit() const {
-    return vcarena::bitsFlit(src.get(r.link, vcarena::kFlitMask));
+    return bitsFlit(src.get(r.link, vcarena::kFlitMask));
   }
   void putInAck(bool v) const {
     vcarena::putBit(src, r.link, vcarena::kAck, v);
@@ -114,7 +113,7 @@ struct InputChannel::SignalIo {
   }
   void putXbar(bool rok, unsigned req, const Flit& f) const {
     src.put(r.block + 1, sim::fieldMask(vcarena::kWant),
-            vcarena::flitBits(f) | (std::uint64_t{rok} << vcarena::kRok) |
+            flitBits(f) | (std::uint64_t{rok} << vcarena::kRok) |
                 (std::uint64_t{req} << vcarena::kReq));
   }
   // The nets between the blocks.
@@ -123,14 +122,14 @@ struct InputChannel::SignalIo {
   bool wr() const { return net(vcarena::kWr); }
   bool rd() const { return net(vcarena::kRdNet); }
   Flit dout() const {
-    return vcarena::bitsFlit(src.get(r.nets, vcarena::kFlitMask));
+    return bitsFlit(src.get(r.nets, vcarena::kFlitMask));
   }
   void putWok(bool v) const { putNet(vcarena::kWok, v); }
   void putRok(bool v) const { putNet(vcarena::kRokNet, v); }
   void putWr(bool v) const { putNet(vcarena::kWr, v); }
   void putRd(bool v) const { putNet(vcarena::kRdNet, v); }
   void putDout(const Flit& f) const {
-    src.put(r.nets, vcarena::kFlitMask, vcarena::flitBits(f));
+    src.put(r.nets, vcarena::kFlitMask, flitBits(f));
   }
 
  private:
@@ -142,15 +141,15 @@ struct InputChannel::SignalIo {
 
 template <bool kMetrics>
 void InputChannel::edge(const SignalIo& io) {
-  const bool accepted = io.wr() && !ib_->full();
+  const bool accepted = io.wr() && !ib_.full();
   if (accepted) ++flitsAccepted_;
   if constexpr (kMetrics) {
     if (metrics_.flitsAccepted && accepted) metrics_.flitsAccepted->inc();
-    if (metrics_.fullCycles && ib_->full()) metrics_.fullCycles->inc();
+    if (metrics_.fullCycles && ib_.full()) metrics_.fullCycles->inc();
     if (metrics_.stallCycles && io.rok() && !io.rd())
       metrics_.stallCycles->inc();
     if (metrics_.occupancy)
-      metrics_.occupancy->observe(static_cast<double>(ib_->occupancy()));
+      metrics_.occupancy->observe(static_cast<double>(ib_.occupancy()));
   }
 }
 
@@ -162,11 +161,11 @@ void InputChannel::phases(const Emit& emit, const Words& t) const {
   // ack is the IFC's under handshake and the credit tap's under credit
   // flow control.
   using vcarena::bit;
-  const bool credit = creditTap_ != nullptr;
+  const bool credit = creditTap_.has_value();
   const std::uint64_t handshakeAck = credit ? 0 : bit(vcarena::kAck);
   emit.op(
       [](InputChannel& m, const auto& io) {
-        m.ib_->publish(io);
+        m.ib_.publish(io);
         m.ic_.route(io);
       },
       {},
@@ -188,7 +187,7 @@ void InputChannel::phases(const Emit& emit, const Words& t) const {
        {t.link, bit(vcarena::kAck) & ~handshakeAck}});
   emit.edge([](InputChannel& m, const auto& io) {
     vcarena::Phases::meteredEdge(m, io);
-    m.ib_->edge(io);
+    m.ib_.edge(io);
   });
 }
 

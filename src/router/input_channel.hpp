@@ -7,6 +7,9 @@
 /// is replicated per virtual channel, flits are demultiplexed by the
 /// channel's vc wire, and flow control switches to per-VC on/off (vcFree
 /// levels) or per-VC credits (vcAck pulses) — see router/channel.hpp.
+/// Both channels buffer flits in the one FIFO storage of router/fifo.hpp,
+/// FlitRings: the single-VC channel through its InputBuffer block (one
+/// ring), the VC'd channel directly (one ring per VC).
 ///
 /// Both routers write each combinational phase and clock edge once, over one
 /// signal accessor on the packed words of router/vc_arena.hpp (one layout
@@ -17,8 +20,7 @@
 #pragma once
 
 #include <array>
-#include <memory>
-#include <vector>
+#include <optional>
 
 #include "sim/module.hpp"
 #include "sim/wire.hpp"
@@ -50,7 +52,7 @@ class InputChannel : public sim::Module {
   InputChannel(std::string name, const RouterParams& params, Port ownPort,
                FlowControl flowControl, ChannelWires& in, CrossbarWires& xbar);
 
-  const InputBuffer& buffer() const { return *ib_; }
+  const InputBuffer& buffer() const { return ib_; }
   const InputController& controller() const { return ic_; }
   Port port() const { return ownPort_; }
 
@@ -108,10 +110,10 @@ class InputChannel : public sim::Module {
 
   // Blocks.  Declaration order matters: the nets above are bound into these.
   Ifc ifc_;
-  std::unique_ptr<InputBuffer> ib_;
+  InputBuffer ib_;
   InputController ic_;
   Irs irs_;
-  std::unique_ptr<CreditReturnTap> creditTap_;  // credit mode only
+  std::optional<CreditReturnTap> creditTap_;  // credit mode only
 
   std::uint64_t flitsAccepted_ = 0;
   // Tested by the edge op every cycle: kept beside the counter the edge
@@ -121,63 +123,6 @@ class InputChannel : public sim::Module {
   ChannelWires* in_;
   CrossbarWires* xbar_;
   InputChannelMetrics metrics_;
-};
-
-/// Registered per-VC input buffers of a VcInputChannel: one fixed-depth ring
-/// per virtual channel.  Flits are held as opaque packed words (the flit
-/// layout of router/vc_arena.hpp, so a buffered flit moves as one word);
-/// the compiled ops read the rings in place.
-class VcFifos {
- public:
-  VcFifos(int numVCs, int depth)
-      : depth_(depth),
-        slots_(static_cast<std::size_t>(numVCs) *
-               static_cast<std::size_t>(depth)) {}
-
-  int size(int v) const { return count_[static_cast<std::size_t>(v)]; }
-  bool full(int v) const { return size(v) >= depth_; }
-  /// Bit v set: VC v holds a flit / is full.
-  unsigned occupied() const { return occupied_; }
-  unsigned fullVcs() const { return full_; }
-  /// Oldest flit of VC v; a stale slot (but readable) when size(v) == 0.
-  std::uint64_t head(int v) const {
-    return slots_[base(v) + static_cast<std::size_t>(
-                                head_[static_cast<std::size_t>(v)])];
-  }
-  /// Appends a flit to VC v; the caller guarantees !full(v).
-  void push(int v, std::uint64_t flit) {
-    const auto vi = static_cast<std::size_t>(v);
-    int tail = head_[vi] + count_[vi];
-    if (tail >= depth_) tail -= depth_;
-    slots_[base(v) + static_cast<std::size_t>(tail)] = flit;
-    occupied_ |= 1u << v;
-    if (++count_[vi] == depth_) full_ |= 1u << v;
-  }
-  /// Drops VC v's head; the caller guarantees size(v) > 0.
-  void pop(int v) {
-    const auto vi = static_cast<std::size_t>(v);
-    if (++head_[vi] == depth_) head_[vi] = 0;
-    full_ &= ~(1u << v);
-    if (--count_[vi] == 0) occupied_ &= ~(1u << v);
-  }
-  void clear() {
-    head_.fill(0);
-    count_.fill(0);
-    occupied_ = 0;
-    full_ = 0;
-  }
-
- private:
-  std::size_t base(int v) const {
-    return static_cast<std::size_t>(v) * static_cast<std::size_t>(depth_);
-  }
-
-  int depth_;
-  std::array<int, kMaxVCs> head_{};
-  std::array<int, kMaxVCs> count_{};
-  unsigned occupied_ = 0;
-  unsigned full_ = 0;
-  std::vector<std::uint64_t> slots_;  // VC v's ring at [v * depth, +depth)
 };
 
 /// Per-VC instrumentation for the VC'd input channel (telemetry subsystem):
@@ -287,7 +232,7 @@ class VcInputChannel : public sim::Module {
 
   // Registered per-VC state.
   unsigned headers_ = 0;  // bit v: VC v's head flit is a header
-  VcFifos fifo_;
+  FlitRings fifo_;
   std::array<int, kMaxVCs> patience_{};
   std::uint64_t flitsAccepted_ = 0;
   std::array<std::uint64_t, kMaxVCs> occupancySum_{};

@@ -27,15 +27,13 @@ OutputChannel::OutputChannel(std::string name, const RouterParams& params,
   addChild(ods_);
   addChild(ors_);
   if (params.flowControl == FlowControl::Handshake) {
-    handshakeOfc_ = std::make_unique<Ofc>(this->name() + ".ofc", ownPort,
-                                          nets_.rokSel, out.ack, out.val,
-                                          nets_.xRd, xbar);
-    addChild(*handshakeOfc_);
+    addChild(handshakeOfc_.emplace(this->name() + ".ofc", ownPort,
+                                   nets_.rokSel, out.ack, out.val, nets_.xRd,
+                                   xbar));
   } else {
-    creditOfc_ = std::make_unique<CreditOfc>(this->name() + ".ofc", ownPort,
-                                             params.p, nets_.rokSel, out.ack,
-                                             out.val, nets_.xRd, xbar);
-    addChild(*creditOfc_);
+    addChild(creditOfc_.emplace(this->name() + ".ofc", ownPort, params.p,
+                                nets_.rokSel, out.ack, out.val, nets_.xRd,
+                                xbar));
   }
 }
 
@@ -92,11 +90,11 @@ struct OutputChannel::SignalIo {
     vcarena::putBit(src, r.link, vcarena::kVal, v);
   }
   void putOutFlit(const Flit& f) const {
-    src.put(r.link, vcarena::kFlitMask, vcarena::flitBits(f));
+    src.put(r.link, vcarena::kFlitMask, flitBits(f));
   }
   // The crossbar; grants and requests are input-port masks.
   Flit xFlit(int i) const {
-    return vcarena::bitsFlit(src.get(bundle(i), vcarena::kFlitMask));
+    return bitsFlit(src.get(bundle(i), vcarena::kFlitMask));
   }
   bool xRok(int i) const {
     return vcarena::bitOf(src, bundle(i), vcarena::kRok);

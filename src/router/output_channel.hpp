@@ -8,7 +8,7 @@
 #pragma once
 
 #include <array>
-#include <memory>
+#include <optional>
 
 #include "sim/module.hpp"
 #include "sim/wire.hpp"
@@ -106,8 +106,8 @@ class OutputChannel : public sim::Module {
   OutputController oc_;
   Ods ods_;
   Ors ors_;
-  std::unique_ptr<Ofc> handshakeOfc_;
-  std::unique_ptr<CreditOfc> creditOfc_;
+  std::optional<Ofc> handshakeOfc_;
+  std::optional<CreditOfc> creditOfc_;
 
   std::uint64_t flitsSent_ = 0;
   // Tested by the edge op every cycle: kept beside the counter the edge

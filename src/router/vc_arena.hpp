@@ -61,9 +61,9 @@
 
 namespace rasoc::router::vcarena {
 
-// Flit fields.
-inline constexpr unsigned kBop = 32;
-inline constexpr unsigned kEop = 33;
+// Flit fields: the packed flit of flit.hpp (flitBits).
+using router::kBop;
+using router::kEop;
 inline constexpr std::uint64_t kFlitMask = sim::fieldMask(kEop + 1);
 
 // Channel word.
@@ -123,19 +123,6 @@ static_assert((1u << kSelWidth) >= kNumPorts, "sel must hold every port");
 // The single bit at `shift`, e.g. a one-bit field's mask.
 inline constexpr std::uint64_t bit(unsigned shift) {
   return std::uint64_t{1} << shift;
-}
-
-// A flit as the low bits of a word, and back.
-inline std::uint64_t flitBits(const Flit& f) {
-  return f.data | (std::uint64_t{f.bop} << kBop) |
-         (std::uint64_t{f.eop} << kEop);
-}
-inline Flit bitsFlit(std::uint64_t bits) {
-  Flit f;
-  f.data = static_cast<std::uint32_t>(bits);
-  f.bop = ((bits >> kBop) & 1u) != 0;
-  f.eop = ((bits >> kEop) & 1u) != 0;
-  return f;
 }
 
 /// The wires of one packed word, as the field visitor that places the

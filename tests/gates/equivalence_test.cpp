@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <memory>
 
 #include "gates/blocks.hpp"
 #include "router/fifo.hpp"
@@ -220,14 +219,12 @@ TEST(EquivalenceTest, FifoControlMatchesInputBufferStatus) {
   router::RouterParams params;
   params.n = 8;
   params.p = 4;
-  params.fifoImpl = router::FifoImpl::Eab;
 
   router::FlitWires din, dout;
   sim::Wire<bool> wr, rd, wok, rok;
-  auto fifo = router::InputBuffer::create("fifo", params, din, wr, rd, dout,
-                                          wok, rok);
+  router::InputBuffer fifo("fifo", params, din, wr, rd, dout, wok, rok);
   sim::Simulator sim;
-  sim.add(*fifo);
+  sim.add(fifo);
   sim.reset();
 
   GateNetlist nl;
@@ -252,7 +249,7 @@ TEST(EquivalenceTest, FifoControlMatchesInputBufferStatus) {
     unsigned occupancy = 0;
     for (std::size_t b = 0; b < control.occupancy.size(); ++b)
       occupancy |= (nl.value(control.occupancy[b]) ? 1u : 0u) << b;
-    ASSERT_EQ(static_cast<int>(occupancy), fifo->occupancy())
+    ASSERT_EQ(static_cast<int>(occupancy), fifo.occupancy())
         << "step " << step;
 
     sim.tick();

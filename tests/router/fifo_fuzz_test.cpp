@@ -1,6 +1,7 @@
-// Differential fuzz: both InputBuffer microarchitectures (FfFifo shift
-// register, EabFifo ring buffer) against an executable reference model
-// built on std::deque.  The model encodes the documented FIFO contract —
+// Differential fuzz: the InputBuffer (one FlitRings ring) against an
+// executable reference model built on std::deque, under both settings of
+// RouterParams::fifoImpl (a cost-model choice that must leave the
+// simulated buffer unchanged).  The model encodes the documented FIFO contract —
 // including the subtle corner where a write arrives while the buffer is
 // full but a simultaneous read frees the slot on the same edge — and every
 // cycle the visible outputs (wok / rok / dout / occupancy / overflow flag)
@@ -84,16 +85,20 @@ class BufferShell : public sim::Module {
 
 struct FuzzHarness {
   FuzzHarness(int n, int p, FifoImpl impl, sim::Simulator::Kernel kernel)
-      : model(n, p) {
+      : model(n, p),
+        fifo("fifo", bufferParams(n, p, impl), din, wr, rd, dout, wok, rok),
+        shell(fifo, dout, wok, rok) {
+    sim.setKernel(kernel);
+    sim.add(shell);
+    sim.reset();
+  }
+
+  static RouterParams bufferParams(int n, int p, FifoImpl impl) {
     RouterParams params;
     params.n = n;
     params.p = p;
     params.fifoImpl = impl;
-    fifo = InputBuffer::create("fifo", params, din, wr, rd, dout, wok, rok);
-    shell = std::make_unique<BufferShell>(*fifo, dout, wok, rok);
-    sim.setKernel(kernel);
-    sim.add(*shell);
-    sim.reset();
+    return params;
   }
 
   // Drives one cycle into both the hardware and the model, then checks
@@ -116,8 +121,8 @@ struct FuzzHarness {
 
     ASSERT_EQ(wok.get(), model.wok()) << where;
     ASSERT_EQ(rok.get(), model.rok()) << where;
-    ASSERT_EQ(fifo->occupancy(), model.occupancy()) << where;
-    ASSERT_EQ(fifo->overflowDetected(), model.overflow()) << where;
+    ASSERT_EQ(fifo.occupancy(), model.occupancy()) << where;
+    ASSERT_EQ(fifo.overflowDetected(), model.overflow()) << where;
     const Flit expect = model.dout();
     ASSERT_EQ(dout.data.get(), expect.data) << where;
     ASSERT_EQ(dout.bop.get(), expect.bop) << where;
@@ -128,8 +133,8 @@ struct FuzzHarness {
   FlitWires dout;
   sim::Wire<bool> wr, rd, wok, rok;
   ReferenceFifo model;
-  std::unique_ptr<InputBuffer> fifo;
-  std::unique_ptr<BufferShell> shell;
+  InputBuffer fifo;
+  BufferShell shell;
   sim::Simulator sim;
 };
 
@@ -173,27 +178,27 @@ TEST_P(FifoFuzz, WriteWhileFullWithSimultaneousRead) {
                       "fill " + std::to_string(i));
     if (::testing::Test::HasFatalFailure()) return;
   }
-  ASSERT_TRUE(h.fifo->full());
+  ASSERT_TRUE(h.fifo.full());
   for (int i = 0; i < 3 * depth(); ++i) {
     h.cycleAndCompare(static_cast<std::uint32_t>(0x40 + i), false,
                       i % depth() == 0,
                       /*write=*/true, /*read=*/true,
                       "swap " + std::to_string(i));
     if (::testing::Test::HasFatalFailure()) return;
-    ASSERT_TRUE(h.fifo->full()) << "swap " << i;
+    ASSERT_TRUE(h.fifo.full()) << "swap " << i;
   }
-  EXPECT_FALSE(h.fifo->overflowDetected());
+  EXPECT_FALSE(h.fifo.overflowDetected());
   // And the illegal cousin: write-while-full with no read must stick the
   // overflow flag (in both model and hardware) and drop the flit.
   h.cycleAndCompare(0xff, false, false, /*write=*/true, /*read=*/false,
                     "overflow");
-  EXPECT_TRUE(h.fifo->overflowDetected());
+  EXPECT_TRUE(h.fifo.overflowDetected());
 }
 
 INSTANTIATE_TEST_SUITE_P(
     BothImplsDepthsAndKernels, FifoFuzz,
     ::testing::Combine(::testing::Values(FifoImpl::FlipFlop, FifoImpl::Eab),
-                       ::testing::Values(1, 2, 4, 7),
+                       ::testing::Values(1, 2, 4, 7, 64),
                        ::testing::Values(sim::Simulator::Kernel::Naive,
                                          sim::Simulator::Kernel::Compiled)),
     [](const auto& info) {
