@@ -89,7 +89,8 @@ class CreditOfc : public sim::Module {
 // one up/down counter per virtual channel, each initialized to the
 // receiver's per-VC buffer depth.  The channel's per-VC vcAck wires carry
 // the returning credits (router/channel.hpp); the scalar ack wire is
-// unused.  Shared by VcOutputChannel and the VC'd network interface.
+// unused.  Used by VcOutputChannel; the VC'd network interface keeps its
+// own per-VC counters (noc/ni.hpp, credits_).
 class VcCredits {
  public:
   void reset(int numVCs, int depth);

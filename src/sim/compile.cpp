@@ -16,7 +16,7 @@ void Lowering::beginModule(Module& m) {
 }
 
 bool Lowering::levelized() const {
-  return prog_.schedule_ == Schedule::Levelized;
+  return prog_.kernel_ == Simulator::Kernel::Compiled;
 }
 
 std::optional<std::uint32_t> Lowering::placedWord(const WireBase& w) const {
@@ -138,9 +138,9 @@ void CompiledProgram::walk(Lowering& lw, Module& m) {
 }
 
 std::unique_ptr<CompiledProgram> CompiledProgram::build(
-    const std::vector<Module*>& tops, Schedule schedule) {
+    const std::vector<Module*>& tops, Simulator::Kernel kernel) {
   std::unique_ptr<CompiledProgram> prog(new CompiledProgram());
-  prog->schedule_ = schedule;
+  prog->kernel_ = kernel;
   Lowering lw(*prog);
   for (Module* m : tops) prog->walk(lw, *m);
   prog->finalize();
@@ -148,7 +148,7 @@ std::unique_ptr<CompiledProgram> CompiledProgram::build(
 }
 
 void CompiledProgram::finalize() {
-  if (schedule_ == Schedule::Levelized) {
+  if (kernel_ == Simulator::Kernel::Compiled) {
     scheduleUnits();  // throws on a cycle, before any wire is bound
   } else {
     units_.reserve(drafts_.size());
@@ -358,7 +358,7 @@ void CompiledProgram::throwCycle(
 // --- run --------------------------------------------------------------------
 
 std::uint64_t CompiledProgram::settle(int maxPasses) {
-  if (schedule_ == Schedule::Levelized) {
+  if (kernel_ == Simulator::Kernel::Compiled) {
     runTape(runs_);
     return units_.size();
   }

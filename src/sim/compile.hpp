@@ -12,8 +12,7 @@
 //    pointers over the arena, no virtual dispatch), each with the bits it
 //    reads and drives, as masks over arena words.
 //
-// Kernel::Compiled levelizes the units (Schedule::Levelized) over the
-// bit-level writer/reader relation (a reader depends on every writer whose
+// Kernel::Compiled levelizes the units over the bit-level writer/reader relation (a reader depends on every writer whose
 // mask meets its own in the same word; Kahn's algorithm) into one linear
 // tape that runs exactly once per settle.  RASoC blocks talk through
 // val/ack nets that end at registers, so a network has no combinational
@@ -21,8 +20,7 @@
 // (std::runtime_error naming its modules), and so is a module without a
 // lowering (std::logic_error naming it).
 //
-// Kernel::Naive keeps the units in lowering order (Schedule::Fixpoint)
-// and re-runs the whole tape until a pass changes no arena word and sets
+// Kernel::Naive keeps the units in lowering order and re-runs the whole tape until a pass changes no arena word and sets
 // no SettleContext flag, so it never reads the declared masks.  A module
 // without a lowering becomes one unit calling its evaluate() and one edge
 // entry calling its clockEdge(), and its children are walked in turn.
@@ -53,6 +51,7 @@
 #include <vector>
 
 #include "sim/module.hpp"
+#include "sim/simulator.hpp"
 #include "sim/wire.hpp"
 
 namespace rasoc::sim {
@@ -67,15 +66,10 @@ using OpFn = void (*)(std::uint64_t* words, void* ctx);
 // --- arena accessors for op functions --------------------------------------
 
 // Whole-field access to words laid out by Lowering::packedWord: replace the
-// bits under `mask` (`bits` must already sit at their shifts), or copy them
-// from another word.
+// bits under `mask` (`bits` must already sit at their shifts).
 inline void opPutBits(std::uint64_t* words, std::uint32_t w,
                       std::uint64_t mask, std::uint64_t bits) {
   words[w] = (words[w] & ~mask) | (bits & mask);
-}
-inline void opCopyBits(std::uint64_t* words, std::uint32_t dst,
-                       std::uint32_t src, std::uint64_t mask) {
-  words[dst] = (words[dst] & ~mask) | (words[src] & mask);
 }
 
 // Low `width` bits set (width <= 64).
@@ -128,11 +122,6 @@ struct WordBitsList : std::span<const WordBits> {
 
 class CompiledProgram;
 
-// How a program orders and repeats its settle units: levelized into one
-// pass (Kernel::Compiled), or in lowering order until nothing changes
-// (Kernel::Naive).
-enum class Schedule { Levelized, Fixpoint };
-
 // The interface Module::describe() implementations program against.
 // Placement is idempotent per layout: the first packedWord() call
 // allocates, later calls with the same fields get the same word, so
@@ -176,7 +165,7 @@ class Lowering {
   // describe() returns true (structural shells like the router top).
   void descendChildren() { descend_ = true; }
 
-  // True under Schedule::Levelized.  A module whose children can either
+  // True under Kernel::Compiled.  A module whose children can either
   // be fused into its own ops or run as themselves (the single-VC
   // channels' paper blocks) fuses them only then.
   bool levelized() const;
@@ -211,19 +200,19 @@ class Lowering {
 class CompiledProgram {
  public:
   // Lowers `tops` (the simulator's top-level modules, in registration
-  // order) into a runnable program.  Under Schedule::Levelized, throws
+  // order) into a runnable program for `kernel`.  Under Compiled, throws
   // std::logic_error when a module has no lowering (describe() returns
   // false) and std::runtime_error when the declared units form a
   // combinational cycle; no wire is bound to an arena then.
   static std::unique_ptr<CompiledProgram> build(
       const std::vector<Module*>& tops,
-      Schedule schedule = Schedule::Levelized);
+      Simulator::Kernel kernel = Simulator::Kernel::Compiled);
 
   ~CompiledProgram() = default;
   CompiledProgram(const CompiledProgram&) = delete;
   CompiledProgram& operator=(const CompiledProgram&) = delete;
 
-  // One settle: Levelized runs every op once in schedule order; Fixpoint
+  // One settle: Compiled runs every op once in schedule order; Naive
   // runs the whole tape until a pass changes no arena word and sets no
   // SettleContext flag, at most `maxPasses` times, and otherwise throws
   // std::runtime_error naming the modules whose units still change state.
@@ -304,13 +293,13 @@ class CompiledProgram {
   [[noreturn]] void throwCycle(
       const std::vector<std::uint64_t>& edges,
       const std::vector<std::uint32_t>& indegree) const;
-  // Fixpoint schedule: runs `run` and reports whether it changed an arena
+  // Naive schedule: runs `run` and reports whether it changed an arena
   // word or set the SettleContext flag; and the no-fixpoint diagnostic.
   template <class Body>
   bool changes(Body&& run);
   [[noreturn]] void throwNoFixpoint(int maxPasses);
 
-  Schedule schedule_ = Schedule::Levelized;
+  Simulator::Kernel kernel_ = Simulator::Kernel::Compiled;
 
   // Arena: the authoritative packed signal state while the program is
   // bound (wires read through to it, see wire.hpp).
@@ -336,7 +325,7 @@ class CompiledProgram {
   std::vector<WordBits> draftBits_;
   std::vector<Op> units_;
   std::vector<Op> edges_;
-  // Fixpoint schedule only: each unit's describing module (named when no
+  // Naive schedule only: each unit's describing module (named when no
   // fixpoint is reached), and the arena as it was before the running pass.
   std::vector<const Module*> unitModules_;
   std::vector<std::uint64_t> before_;

@@ -80,9 +80,7 @@ void Simulator::ensureProgramBuilt() {
   // Unbind the previous program's wires first, so each wire's cached value
   // is current when the new arena imports it.
   releaseProgram();
-  program_ = CompiledProgram::build(tops_, kernel_ == Kernel::Compiled
-                                               ? Schedule::Levelized
-                                               : Schedule::Fixpoint);
+  program_ = CompiledProgram::build(tops_, kernel_);
   programStale_ = false;
 }
 
