@@ -269,7 +269,8 @@ TEST_P(VcFifoFuzz, AcceptAndPopInOneCycleAndPushIntoFullVc) {
 
 INSTANTIATE_TEST_SUITE_P(
     VcsDepthsFlowControlAndKernels, VcFifoFuzz,
-    ::testing::Combine(::testing::Values(2, 4), ::testing::Values(1, 2, 4, 7),
+    ::testing::Combine(::testing::Values(2, 4),
+                       ::testing::Values(1, 2, 4, 7, 64),
                        ::testing::Values(FlowControl::Handshake,
                                          FlowControl::CreditBased),
                        ::testing::Values(sim::Simulator::Kernel::Naive,
