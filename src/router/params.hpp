@@ -52,7 +52,9 @@ constexpr Port opposite(Port p) {
 
 // Which FIFO microarchitecture the input buffers use (paper Section 3):
 // flip-flop shift registers with an output multiplexer, or Altera EAB
-// embedded memory.
+// embedded memory.  The two differ in cost, not behaviour: the cost model
+// (softcore, tech), the VHDL writer and the FemtoJava table read it, and
+// the simulator does not (every buffer runs on router/fifo.hpp's one ring).
 enum class FifoImpl { FlipFlop, Eab };
 
 constexpr std::string_view name(FifoImpl impl) {
@@ -165,7 +167,7 @@ struct RouterParams {
   int m = 8;   // RIB width; m/2 bits per axis, signed-magnitude
   int p = 4;   // FIFO depth in flits
 
-  FifoImpl fifoImpl = FifoImpl::Eab;
+  FifoImpl fifoImpl = FifoImpl::Eab;  // cost model only (see FifoImpl)
   FlowControl flowControl = FlowControl::Handshake;
 
   // Dimension order of the deterministic routing function.  RASoC uses XY
