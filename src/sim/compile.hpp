@@ -12,18 +12,19 @@
 //    pointers over the arena, no virtual dispatch), each with the bits it
 //    reads and drives, as masks over arena words.
 //
-// Kernel::Compiled levelizes the units over the bit-level writer/reader relation (a reader depends on every writer whose
-// mask meets its own in the same word; Kahn's algorithm) into one linear
-// tape that runs exactly once per settle.  RASoC blocks talk through
-// val/ack nets that end at registers, so a network has no combinational
-// cycle; a cycle in the declared units is a build error
-// (std::runtime_error naming its modules), and so is a module without a
-// lowering (std::logic_error naming it).
+// Kernel::Compiled levelizes the units over the bit-level writer/reader
+// relation (a reader depends on every writer whose mask meets its own in
+// the same word; Kahn's algorithm) into one linear tape that runs exactly
+// once per settle.  RASoC blocks talk through val/ack nets that end at
+// registers, so a network has no combinational cycle; a cycle in the
+// declared units is a build error (std::runtime_error naming its modules),
+// and so is a module without a lowering (std::logic_error naming it).
 //
-// Kernel::Naive keeps the units in lowering order and re-runs the whole tape until a pass changes no arena word and sets
-// no SettleContext flag, so it never reads the declared masks.  A module
-// without a lowering becomes one unit calling its evaluate() and one edge
-// entry calling its clockEdge(), and its children are walked in turn.
+// Kernel::Naive keeps the units in lowering order and re-runs the whole
+// tape until a pass changes no arena word and sets no SettleContext flag,
+// so it never reads the declared masks.  A module without a lowering
+// becomes one unit calling its evaluate() and one edge entry calling its
+// clockEdge(), and its children are walked in turn.
 //
 // The clock edge lowers the same way under both schedules: an edge tape of
 // ops in preorder (a module, then each child's subtree), word/member-level

@@ -1,7 +1,7 @@
 // Differential fuzz: the InputBuffer (one FlitRings ring) against an
 // executable reference model built on std::deque, under both settings of
-// RouterParams::fifoImpl (a cost-model choice that must leave the
-// simulated buffer unchanged).  The model encodes the documented FIFO contract —
+// RouterParams::fifoImpl (a cost-model choice that must leave the simulated
+// buffer unchanged).  The model encodes the documented FIFO contract —
 // including the subtle corner where a write arrives while the buffer is
 // full but a simultaneous read frees the slot on the same edge — and every
 // cycle the visible outputs (wok / rok / dout / occupancy / overflow flag)
