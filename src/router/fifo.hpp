@@ -132,7 +132,10 @@ class InputBuffer final : public sim::Module {
   }
 
  protected:
-  void onReset() override { ring_.clear(); }
+  void onReset() override {
+    ring_.clear();
+    overflow_ = false;
+  }
   void evaluate() override { publish(WireIo{*this}); }
   void clockEdge() override { edge(WireIo{*this}); }
 

@@ -165,5 +165,19 @@ INSTANTIATE_TEST_SUITE_P(
              "_p" + std::to_string(std::get<1>(info.param));
     });
 
+// Reset empties the buffer and clears the sticky overflow flag, as the VC'd
+// input channel's reset does, so Network::healthy() reads the run after it.
+TEST(InputBufferReset, ClearsContentsAndOverflowFlag) {
+  FifoHarness h(8, 2, FifoImpl::Eab);
+  h.cycle(true, false, 1);
+  h.cycle(true, false, 2);
+  h.cycle(true, false, 3);  // rejected: full
+  ASSERT_TRUE(h.fifo.overflowDetected());
+  h.sim.reset();
+  EXPECT_TRUE(h.fifo.empty());
+  EXPECT_FALSE(h.fifo.overflowDetected());
+  EXPECT_FALSE(h.rok.get());
+}
+
 }  // namespace
 }  // namespace rasoc::router
