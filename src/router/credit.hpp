@@ -45,19 +45,22 @@ class CreditOfc : public sim::Module {
 
   // The combinational body and the clock edge, written over a signal
   // accessor: WireIo below (evaluate() / clockEdge()) or the output
-  // channel's arena accessor (its compiled ops).  putReads drives this
-  // output's rd line of every input.
+  // channel's arena accessor (its compiled ops).  sends() is the one bit
+  // send() drives; putReads drives this output's rd line of every input.
+  template <class Io>
+  bool sends(const Io& io) const {
+    return io.rokSel() && credits_ > 0;
+  }
   template <class Io>
   void send(const Io& io) const {
-    const bool go = io.rokSel() && credits_ > 0;
+    const bool go = sends(io);
     io.putOutVal(go);
     io.putXRd(go);
     io.putReads(go);
   }
   template <class Io>
   void edge(const Io& io) {
-    const bool sent = io.rokSel() && credits_ > 0;
-    credits_ += (io.outAck() ? 1 : 0) - (sent ? 1 : 0);
+    credits_ += (io.outAck() ? 1 : 0) - (sends(io) ? 1 : 0);
   }
 
  protected:

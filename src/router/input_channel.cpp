@@ -59,7 +59,10 @@ void InputChannel::attachMetrics(const InputChannelMetrics& metrics) {
   metricsAttached_ = true;
 }
 
-void InputChannel::onReset() { flitsAccepted_ = 0; }
+void InputChannel::onReset() {
+  flitsAccepted_ = 0;
+  published_.invalidate();
+}
 
 // --- signal accessor and lowering ----------------------------------------
 //
@@ -79,9 +82,13 @@ void InputChannel::onReset() { flitsAccepted_ = 0; }
 //              preorder of the naive kernel's edge tape, so accounting sees
 //              pre-commit state.
 //
-// Under the naive kernel the blocks run themselves instead
-// (vcarena::Phases::lowerFusingBlocks), and only the channel's accounting
-// edge is an op.
+// Quiet channels (DESIGN.md §11.6): publish skips while its quiet mark
+// holds, i.e. no edge since its last full run popped, pushed into an empty
+// buffer or filled it, and no wire was poked.  The edge does only the
+// metrics' per-cycle samples on a cycle with neither wr nor rd, and
+// nothing without metrics.  Under the naive kernel the blocks run
+// themselves instead, unskipped (vcarena::Phases::lowerFusingBlocks), and
+// only the channel's accounting edge is an op.
 
 InputChannel::Words InputChannel::layout(const vcarena::ArenaPlacer& place) {
   Words words;
@@ -165,6 +172,7 @@ void InputChannel::phases(const Emit& emit, const Words& t) const {
   const std::uint64_t handshakeAck = credit ? 0 : bit(vcarena::kAck);
   emit.op(
       [](InputChannel& m, const auto& io) {
+        if (m.published_.unchanged(0)) return;
         m.ib_.publish(io);
         m.ic_.route(io);
       },
@@ -186,12 +194,21 @@ void InputChannel::phases(const Emit& emit, const Words& t) const {
       {{t.nets, bit(vcarena::kRdNet)},
        {t.link, bit(vcarena::kAck) & ~handshakeAck}});
   emit.edge([](InputChannel& m, const auto& io) {
-    vcarena::Phases::meteredEdge(m, io);
-    m.ib_.edge(io);
+    if (io.wr() || io.rd()) {
+      vcarena::Phases::meteredEdge(m, io);
+      // A push behind a head that stays, into a buffer that does not
+      // fill, leaves wok, rok and dout as they were.
+      const bool wasEmpty = m.ib_.empty();
+      m.ib_.edge(io);
+      if (io.rd() || wasEmpty || m.ib_.full()) m.published_.invalidate();
+    } else if (m.metricsAttached_) {
+      m.template edge<true>(io);
+    }
   });
 }
 
 bool InputChannel::describe(sim::Lowering& lw) {
+  published_.invalidate();
   return vcarena::Phases::lowerFusingBlocks(*this, lw);
 }
 

@@ -120,6 +120,9 @@ class InputChannel : public sim::Module {
   // updates, not behind the metrics pointers, so an uninstrumented edge
   // touches no extra cache line.
   bool metricsAttached_ = false;
+  // The compiled publish op's quiet mark (input_channel.cpp), invalidated
+  // by every edge that may change the buffer's outputs.
+  sim::QuietMark published_;
   ChannelWires* in_;
   CrossbarWires* xbar_;
   InputChannelMetrics metrics_;

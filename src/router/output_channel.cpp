@@ -42,7 +42,11 @@ void OutputChannel::attachMetrics(const OutputChannelMetrics& metrics) {
   metricsAttached_ = true;
 }
 
-void OutputChannel::onReset() { flitsSent_ = 0; }
+void OutputChannel::onReset() {
+  flitsSent_ = 0;
+  published_.invalidate();
+  responded_.invalidate();
+}
 
 // --- signal accessor and lowering ----------------------------------------
 //
@@ -60,9 +64,12 @@ void OutputChannel::onReset() { flitsSent_ = 0; }
 //              credit mode, the credit counter update: the preorder of the
 //              naive kernel's edge tape (channel, then OC, then OFC).
 //
-// Under the naive kernel the blocks run themselves instead
-// (vcarena::Phases::lowerFusingBlocks), and only the channel's accounting
-// edge is an op.
+// Quiet channels (DESIGN.md §11.6): publish skips while publishKey() and
+// the poke count equal those of its last full run; flowRsp skips while
+// the one bit it decodes (out_ack, or the credit OFC's send) does.  The
+// edge returns at once when quiet().  Under the naive kernel the blocks
+// run themselves instead, unskipped (vcarena::Phases::lowerFusingBlocks),
+// and only the channel's accounting edge is an op.
 
 OutputChannel::Words OutputChannel::layout(
     const vcarena::ArenaPlacer& place) {
@@ -98,6 +105,11 @@ struct OutputChannel::SignalIo {
   }
   bool xRok(int i) const {
     return vcarena::bitOf(src, bundle(i), vcarena::kRok);
+  }
+  // Input i's flit and rok, packed.
+  std::uint64_t xBundle(int i) const {
+    return src.get(bundle(i),
+                   vcarena::kFlitMask | vcarena::bit(vcarena::kRok));
   }
   unsigned requests() const {
     unsigned m = 0;
@@ -195,6 +207,7 @@ void OutputChannel::phases(const Emit& emit, const Words& t) const {
   }
   emit.op(
       [](OutputChannel& m, const auto& io) {
+        if (m.published_.unchanged(m.publishKey(io))) return;
         m.oc_.publish(io);
         m.ods_.mux(io);
         m.ors_.select(io);
@@ -202,20 +215,49 @@ void OutputChannel::phases(const Emit& emit, const Words& t) const {
       },
       pubReads, pubWrites);
   if (handshake)
-    emit.op([](OutputChannel& m,
-               const auto& io) { m.handshakeOfc_->respond(io); },
-            {{t.link, bit(vcarena::kAck)}}, rspWrites);
+    emit.op(
+        [](OutputChannel& m, const auto& io) {
+          if (m.responded_.unchanged(io.outAck())) return;
+          m.handshakeOfc_->respond(io);
+        },
+        {{t.link, bit(vcarena::kAck)}}, rspWrites);
   else
-    emit.op([](OutputChannel& m, const auto& io) { m.creditOfc_->send(io); },
-            {{t.nets, bit(vcarena::kRokSel)}}, rspWrites);
+    emit.op(
+        [](OutputChannel& m, const auto& io) {
+          if (m.responded_.unchanged(m.creditOfc_->sends(io))) return;
+          m.creditOfc_->send(io);
+        },
+        {{t.nets, bit(vcarena::kRokSel)}}, rspWrites);
   emit.edge([](OutputChannel& m, const auto& io) {
+    if (m.quiet(io)) return;
     vcarena::Phases::meteredEdge(m, io);
     m.oc_.edge(io);
     if (m.creditOfc_) m.creditOfc_->edge(io);
   });
 }
 
+// Everything the publish op's outputs depend on: the OC's registered
+// connection and selection and, while connected, the selected input's
+// flit and rok.
+std::uint64_t OutputChannel::publishKey(const SignalIo& io) const {
+  const auto sel = static_cast<std::uint64_t>(oc_.selectedInput());
+  if (!oc_.isConnected()) return sel;
+  return sel | vcarena::bit(vcarena::kSelWidth) |
+         io.xBundle(static_cast<int>(sel)) << (vcarena::kSelWidth + 1);
+}
+
+// True when this edge changes nothing: the OC is idle and nobody requests
+// it (no grant), nothing is offered (no transfer) and no credit comes back
+// or goes out.  The early-out of the compiled edge op: every bit it tests
+// is one the edge body would read.
+bool OutputChannel::quiet(const SignalIo& io) const {
+  return !io.outVal() && !io.outAck() && !io.rokSel() &&
+         io.requests() == 0 && !oc_.isConnected();
+}
+
 bool OutputChannel::describe(sim::Lowering& lw) {
+  published_.invalidate();
+  responded_.invalidate();
   return vcarena::Phases::lowerFusingBlocks(*this, lw);
 }
 

@@ -96,6 +96,10 @@ class OutputChannel : public sim::Module {
   // edge runs before its OC child's.
   template <bool kMetrics>
   void edge(const SignalIo& io);
+  // The compiled ops' early-outs (output_channel.cpp): the key of the
+  // publish op's outputs, and whether the coming edge changes nothing.
+  std::uint64_t publishKey(const SignalIo& io) const;
+  bool quiet(const SignalIo& io) const;
 
   Port ownPort_;
 
@@ -114,6 +118,11 @@ class OutputChannel : public sim::Module {
   // updates, not behind the metrics pointers, so an uninstrumented edge
   // touches no extra cache line.
   bool metricsAttached_ = false;
+  // The compiled ops' quiet marks (output_channel.cpp): the publish op's
+  // and the flow-control response's, each keyed by what its outputs
+  // depend on.
+  sim::QuietMark published_;
+  sim::QuietMark responded_;
   ChannelWires* out_;
   FlowControl flowControl_;
   std::array<CrossbarWires, kNumPorts>* xbar_;

@@ -13,6 +13,7 @@
 // and leave a stale "fixpoint", so it throws std::logic_error.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <stdexcept>
 #include <type_traits>
@@ -24,21 +25,62 @@ namespace rasoc::sim {
 // in-settle marker that guards the poke window.  The simulator is
 // single-threaded by design; thread_locals keep independent simulators on
 // different threads from interfering.
+//
+// Beside them, the poke count: changes set()/force() made to a wire
+// outside a settle phase.  A compiled op that skips a settle while its
+// inputs and registered state are at rest (QuietMark) runs in full once
+// the count moved, so every driven wire a poke overwrote is re-derived on
+// the next settle.  It is process-wide, so a network handed to another
+// thread still sees every poke; a poke elsewhere only costs a full run.
 class SettleContext {
  public:
   static void clearChanged() { changed_ = false; }
-  static void markChanged() { changed_ = true; }
+  static void markChanged() {
+    changed_ = true;
+    if (!inSettle_) markPoked();
+  }
   static bool changed() { return changed_; }
 
   static void enterSettle() { inSettle_ = true; }
   static void exitSettle() { inSettle_ = false; }
   static bool inSettle() { return inSettle_; }
 
+  static void markPoked() { ++pokes_; }
+  static std::uint64_t pokes() { return pokes_.load(); }
+
  private:
-  // constinit: both flags are constant-initialized, so every access is a
-  // plain TLS load or store with no lazy-init wrapper call.
+  // constinit: every field is constant-initialized, so no access goes
+  // through a lazy-init wrapper call.
   static inline constinit thread_local bool changed_ = false;
   static inline constinit thread_local bool inSettle_ = false;
+  static inline constinit std::atomic<std::uint64_t> pokes_{0};
+};
+
+// A compiled op's memo of its last full run, for an exact early-out: the
+// key (everything combinational or registered its outputs depend on,
+// packed) and the poke count at that run.  While both are unchanged the
+// op may skip: each bit it drives has no other driver and edges write no
+// combinational bit, so its outputs still sit in the arena.  An op whose
+// key leaves out registered state has the module invalidate() the mark at
+// every edge that may change that state.
+class QuietMark {
+ public:
+  // True when the key and the poke count are those of the last full run;
+  // otherwise records them, and the caller runs in full.
+  bool unchanged(std::uint64_t key) {
+    const std::uint64_t pokes = SettleContext::pokes();
+    if (pokes == pokes_ && key == key_) return true;
+    pokes_ = pokes;
+    key_ = key;
+    return false;
+  }
+  // The next unchanged() is false (the count never reaches kNever).
+  void invalidate() { pokes_ = kNever; }
+
+ private:
+  static constexpr std::uint64_t kNever = ~std::uint64_t{0};
+  std::uint64_t pokes_ = kNever;
+  std::uint64_t key_ = 0;
 };
 
 // Type-erased base: identity for placement plus the program's arena
@@ -123,11 +165,12 @@ class Wire : public WireBase {
     }
   }
 
-  // Forces a value without marking the settle context; used by testbenches
-  // between cycles (the legal poke window, see the header comment).  Both
-  // kernels re-derive every driven wire on the next settle, so only
-  // undriven wires keep a forced value.  Throws std::logic_error when
-  // called during a settle phase: such a force would corrupt the fixpoint.
+  // Forces a value without raising the settle context's change flag (it
+  // counts as a poke); used by testbenches between cycles (the legal poke
+  // window, see the header comment).  Both kernels re-derive every driven
+  // wire on the next settle, so only undriven wires keep a forced value.
+  // Throws std::logic_error when called during a settle phase: such a
+  // force would corrupt the fixpoint.
   void force(const T& v) {
     if (SettleContext::inSettle())
       throw std::logic_error(
@@ -137,6 +180,7 @@ class Wire : public WireBase {
     if (!(value_ == v)) {
       value_ = v;
       syncArena();
+      SettleContext::markPoked();
     }
   }
 

@@ -2,10 +2,13 @@
 // scenario is seeded and fully reproducible: a random small topology
 // (mesh / torus / ring), a random traffic pattern valid for that topology,
 // run flit-for-flit against a naive reference network built from the
-// identical configuration.  On top of the lockstep sweep, two compile-pass edge
-// cases get dedicated coverage: Wire::force poke-window writes landing in
-// the word-packed arena (via describing modules whose wires are
-// arena-bound), and mid-run reset() recompiling the op tape cleanly.
+// identical configuration; further draws run light loads and pause, drain
+// and resume the traffic, under both flow controls, so every single-VC
+// channel goes quiet and comes back.  On top of the lockstep sweep, two
+// compile-pass edge cases get dedicated coverage: Wire::force poke-window
+// writes landing in the word-packed arena (via describing modules whose
+// wires are arena-bound), and mid-run reset() recompiling the op tape
+// cleanly.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -34,11 +37,18 @@ struct Scenario {
   std::shared_ptr<const Topology> topo;
   TrafficConfig traffic;
   std::uint64_t cycles = 400;
+  router::FlowControl flowControl = router::FlowControl::Handshake;
+  // Cycle at which traffic pauses until the network drains, then resumes
+  // (0: never).
+  std::uint64_t pauseAt = 0;
 
   std::string describe() const {
     return topo->describe() + " " + std::string(name(traffic.pattern)) +
            " load " + std::to_string(traffic.offeredLoad) + " seed " +
-           std::to_string(traffic.seed);
+           std::to_string(traffic.seed) +
+           (flowControl == router::FlowControl::CreditBased ? " credit"
+                                                             : "") +
+           (pauseAt != 0 ? " pause at " + std::to_string(pauseAt) : "");
   }
 };
 
@@ -75,11 +85,28 @@ Scenario randomScenario(std::uint64_t seed) {
   return s;
 }
 
+// A random scenario whose channels fall quiet and come back, so the
+// compiled single-VC channels leave and re-enter their early-outs
+// (DESIGN.md §11.6): even `i` draws a load of at most 0.02, odd `i` pauses
+// the traffic until the network drains, then resumes it; `i` / 2 alternates
+// handshake and credit flow control.
+Scenario quietScenario(std::uint64_t seed, int i) {
+  Scenario s = randomScenario(seed);
+  Xoshiro256 rng(seed ^ 0x51e7u);
+  if (i % 2 == 0)
+    s.traffic.offeredLoad = 0.005 + 0.015 * rng.uniform();
+  else
+    s.pauseAt = s.cycles / 4 + rng.below(s.cycles / 2);
+  if ((i / 2) % 2 != 0) s.flowControl = router::FlowControl::CreditBased;
+  return s;
+}
+
 std::unique_ptr<Network> buildNet(const Scenario& s,
                                   Simulator::Kernel kernel) {
   NetworkConfig cfg;
   cfg.params.n = 16;  // room for the wider RIB in the header flit
   cfg.params.m = 12;  // 6 bits per RIB axis: covers a 16-node ring's offsets
+  cfg.params.flowControl = s.flowControl;
   cfg.kernel = kernel;
   auto net = std::make_unique<Network>(s.topo, cfg);
   net->attachTraffic(s.traffic);
@@ -98,26 +125,56 @@ void compareNets(const Scenario& s, Network& ref, Network& cmp,
   }
 }
 
+void compareLedgers(const Network& ref, const Network& com,
+                    const std::string& where) {
+  ASSERT_EQ(ref.ledger().queued(), com.ledger().queued()) << where;
+  ASSERT_EQ(ref.ledger().delivered(), com.ledger().delivered()) << where;
+  ASSERT_EQ(ref.ledger().inFlight(), com.ledger().inFlight()) << where;
+}
+
+// Steps a naive and a compiled network of `s` in lockstep, comparing
+// their ledgers every cycle.  A pause drains both one cycle at a time
+// (Network::drain(1) takes at most one step) before traffic resumes.
+void runLockstep(const Scenario& s) {
+  auto ref = buildNet(s, Simulator::Kernel::Naive);
+  auto com = buildNet(s, Simulator::Kernel::Compiled);
+  for (std::uint64_t c = 0; c < s.cycles; ++c) {
+    const std::string where = "cycle " + std::to_string(c);
+    if (c == s.pauseAt && c != 0) {
+      ref->pauseTraffic(true);
+      com->pauseTraffic(true);
+      for (int d = 0; d < 4000; ++d) {
+        const bool refDrained = ref->drain(1);
+        ASSERT_EQ(refDrained, com->drain(1)) << where << " drain " << d;
+        ASSERT_NO_FATAL_FAILURE(compareLedgers(
+            *ref, *com, where + " drain " + std::to_string(d)));
+        if (refDrained) break;
+      }
+      ASSERT_EQ(ref->ledger().inFlight(), 0u) << where;
+      ref->pauseTraffic(false);
+      com->pauseTraffic(false);
+    }
+    ref->run(1);
+    com->run(1);
+    ASSERT_NO_FATAL_FAILURE(compareLedgers(*ref, *com, where));
+  }
+  EXPECT_EQ(ref->healthy(), com->healthy());
+  compareNets(s, *ref, *com, "final");
+  EXPECT_DOUBLE_EQ(ref->ledger().packetLatency().mean(),
+                   com->ledger().packetLatency().mean());
+}
+
 TEST(CompiledFuzzTest, RandomTopologiesMatchNaiveFlitForFlit) {
   for (int i = 0; i < 10; ++i) {
     const Scenario s = randomScenario(0xc03b11edu + 977u * i);
     SCOPED_TRACE("scenario " + std::to_string(i) + ": " + s.describe());
-    auto ref = buildNet(s, Simulator::Kernel::Naive);
-    auto com = buildNet(s, Simulator::Kernel::Compiled);
-    for (std::uint64_t c = 0; c < s.cycles; ++c) {
-      ref->run(1);
-      com->run(1);
-      ASSERT_EQ(ref->ledger().queued(), com->ledger().queued())
-          << "cycle " << c;
-      ASSERT_EQ(ref->ledger().delivered(), com->ledger().delivered())
-          << "cycle " << c;
-      ASSERT_EQ(ref->ledger().inFlight(), com->ledger().inFlight())
-          << "cycle " << c;
-    }
-    EXPECT_EQ(ref->healthy(), com->healthy());
-    compareNets(s, *ref, *com, "final");
-    EXPECT_DOUBLE_EQ(ref->ledger().packetLatency().mean(),
-                     com->ledger().packetLatency().mean());
+    ASSERT_NO_FATAL_FAILURE(runLockstep(s));
+  }
+  for (int i = 0; i < 8; ++i) {
+    const Scenario s = quietScenario(0x9e1e7c3du + 613u * i, i);
+    SCOPED_TRACE("quiet scenario " + std::to_string(i) + ": " +
+                 s.describe());
+    ASSERT_NO_FATAL_FAILURE(runLockstep(s));
   }
 }
 
