@@ -58,7 +58,7 @@ std::uint32_t Lowering::packedWord(std::span<const WordField> fields) {
     if (prog_.bindingOf(f.wire) != CompiledProgram::kUnplaced)
       throw std::logic_error(
           "Lowering::packedWord: wire already placed outside this word");
-    prog_.addBinding({f.wire, f.value, word, f.shift, f.width, f.store});
+    prog_.addBinding({f.wire, f.value, word, f.shift, f.width});
   }
   return word;
 }
@@ -76,7 +76,6 @@ void* CompiledProgram::allocCtx(std::size_t size, std::size_t align) {
   }
   void* p = ctxChunks_.back().get() + ctxChunkUsed_;
   ctxChunkUsed_ += size;
-  ctxSize_.emplace(p, static_cast<std::uint32_t>(size));
   return p;
 }
 
@@ -160,83 +159,27 @@ void CompiledProgram::finalize() {
     before_.assign(wordCount_, 0);
   }
   cur_.assign(wordCount_, 0);
-  // Point every wire at its slice and import the current wire values so
-  // the arena starts coherent; write-through (set/force) and read-through
-  // (get) keep the two views coherent from here on.
+  // Import the current wire values so the arena starts coherent (the
+  // mirror of unbindWires()), then point every wire at its slice;
+  // write-through (set/force) and read-through (get) keep the two views
+  // coherent from here on.
   for (const Binding& b : bindings_) {
+    std::uint64_t bits;
+    if (b.width == 1) {
+      bits = *static_cast<const bool*>(b.value) ? 1 : 0;
+    } else {
+      std::uint32_t v;
+      std::memcpy(&v, b.value, sizeof(v));
+      bits = v & fieldMask(b.width);
+    }
+    cur_[b.word] |= bits << b.shift;
     b.wire->bindArena(&cur_[b.word], b.shift, b.width);
-    b.store(b.wire);
   }
 
-  packContexts();
-  buildRuns();
   drafts_.clear();
   drafts_.shrink_to_fit();
   draftBits_.clear();
   draftBits_.shrink_to_fit();
-}
-
-// Re-copies every unit's context into one arena laid out in execution
-// order (settle tape first, then the edge tape).  Contexts are immutable
-// once built, so shared contexts are simply duplicated; the win is that
-// the interpreter's context loads become a sequential stream the hardware
-// prefetcher covers, instead of describe-order hops.
-void CompiledProgram::packContexts() {
-  constexpr std::size_t kAlign = alignof(std::max_align_t);
-  auto alignedSize = [&](std::uint32_t size) {
-    return (static_cast<std::size_t>(size) + kAlign - 1) & ~(kAlign - 1);
-  };
-  std::size_t total = 0;
-  auto measure = [&](void* ctx) {
-    auto it = ctxSize_.find(ctx);
-    if (it != ctxSize_.end()) total += alignedSize(it->second);
-  };
-  for (const Op& u : units_) measure(u.ctx);
-  for (const Op& e : edges_) measure(e.ctx);
-
-  std::vector<std::unique_ptr<unsigned char[]>> packed;
-  packed.push_back(std::make_unique<unsigned char[]>(std::max<std::size_t>(
-      total, 1)));
-  unsigned char* base = packed.front().get();
-  std::size_t used = 0;
-  auto repack = [&](void*& ctx) {
-    auto it = ctxSize_.find(ctx);
-    if (it == ctxSize_.end()) return;
-    std::memcpy(base + used, ctx, it->second);
-    ctx = base + used;
-    used += alignedSize(it->second);
-  };
-  for (Op& u : units_) repack(u.ctx);
-  for (Op& e : edges_) repack(e.ctx);
-  ctxChunks_ = std::move(packed);
-  ctxChunkUsed_ = ctxChunkCap_ = 0;
-  ctxSize_.clear();
-}
-
-// Collapse the unit and edge tapes into batched runs.  After packContexts()
-// the contexts of a same-fn stretch sit at a constant positive stride, so
-// the stretch executes as one hoisted-dispatch loop.  Detection is by raw
-// pointer arithmetic — anything irregular just stays a count-1 run.
-void CompiledProgram::buildRuns() {
-  auto batch = [](std::vector<Run>& out, const Op& op) {
-    if (!out.empty() && out.back().fn == op.fn) {
-      Run& r = out.back();
-      auto* prev = static_cast<unsigned char*>(r.ctx) +
-                   static_cast<std::size_t>(r.stride) * (r.count - 1);
-      const std::ptrdiff_t diff = static_cast<unsigned char*>(op.ctx) - prev;
-      if (diff > 0 &&
-          (r.count == 1 || diff == static_cast<std::ptrdiff_t>(r.stride))) {
-        r.stride = static_cast<std::uint32_t>(diff);
-        ++r.count;
-        return;
-      }
-    }
-    out.push_back({op.fn, op.ctx, 0, 1});
-  };
-  runs_.clear();
-  for (const Op& u : units_) batch(runs_, u);
-  edgeRuns_.clear();
-  for (const Op& e : edges_) batch(edgeRuns_, e);
 }
 
 void CompiledProgram::scheduleUnits() {
@@ -359,11 +302,11 @@ void CompiledProgram::throwCycle(
 
 std::uint64_t CompiledProgram::settle(int maxPasses) {
   if (kernel_ == Simulator::Kernel::Compiled) {
-    runTape(runs_);
+    runTape(units_);
     return units_.size();
   }
   for (int pass = 1; pass <= maxPasses; ++pass)
-    if (!changes([&] { runTape(runs_); }))
+    if (!changes([&] { runTape(units_); }))
       return static_cast<std::uint64_t>(pass) * units_.size();
   throwNoFixpoint(maxPasses);
 }
@@ -400,16 +343,8 @@ void CompiledProgram::throwNoFixpoint(int maxPasses) {
       " passes (combinational loop?); still changing: " + culprits);
 }
 
-// Runs a tape in order, with the dispatch hoisted out of each same-fn
-// stretch.
-void CompiledProgram::runTape(const std::vector<Run>& runs) {
-  for (const Run& r : runs) {
-    auto* c = static_cast<unsigned char*>(r.ctx);
-    for (std::uint32_t k = 0; k != r.count; ++k) {
-      r.fn(cur_.data(), c);
-      c += r.stride;
-    }
-  }
+void CompiledProgram::runTape(const std::vector<Op>& tape) {
+  for (const Op& op : tape) op.fn(cur_.data(), op.ctx);
 }
 
 void CompiledProgram::unbindWires() const {

@@ -48,7 +48,6 @@
 #include <cstring>
 #include <string>
 #include <type_traits>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/module.hpp"
@@ -88,21 +87,19 @@ struct WordField {
             unsigned width = std::is_same_v<T, bool> ? 1u : 32u)
       : wire(&w),
         value(w.arenaValueSlot()),
-        store([](const WireBase* wb) {
-          static_cast<const Wire<T>*>(wb)->syncArena();
-        }),
         shift(static_cast<std::uint8_t>(shift)),
         width(static_cast<std::uint8_t>(width)) {
-    static_assert(std::is_same_v<T, bool> || sizeof(T) == 4,
-                  "flush tables store raw 4-byte integrals");
-    // Width 1 is how the unbind-time flush recognises a bool slot.
+    static_assert(std::is_integral_v<T> &&
+                      (std::is_same_v<T, bool> || sizeof(T) == 4),
+                  "bindings store bools or raw 4-byte integrals");
+    // Width 1 is how the bind-time import and the unbind-time flush
+    // recognise a bool slot.
     if (std::is_same_v<T, bool> != (width == 1))
       throw std::logic_error("WordField: bools take width 1, integers >= 2");
   }
 
   const WireBase* wire;
   void* value;
-  void (*store)(const WireBase*);
   std::uint8_t shift;
   std::uint8_t width;
 };
@@ -172,10 +169,9 @@ class Lowering {
   bool levelized() const;
 
   // Copies a trivially-copyable op context into program-owned storage and
-  // returns a stable pointer.  Contexts live exactly as long as the
-  // program, so describe() implementations need not keep their own copy
-  // alive; the contiguous arena also keeps the interpreter's context loads
-  // prefetchable instead of scattering them across the heap.
+  // returns a stable pointer, which every op given it runs on.  Contexts
+  // live exactly as long as the program, so describe() implementations
+  // need not keep their own copy alive.
   template <typename T>
   T* ctx(const T& proto) {
     static_assert(std::is_trivially_copyable_v<T> &&
@@ -222,7 +218,7 @@ class CompiledProgram {
 
   // One clock edge: runs the edge tape (registered state and counters
   // only; wires are untouched, matching the clockEdge() contract).
-  void edge() { runTape(edgeRuns_); }
+  void edge() { runTape(edges_); }
 
   // Materializes every bound wire's final arena value into the wire, then
   // detaches it from the arena (get() reads the cached value once the
@@ -243,17 +239,16 @@ class CompiledProgram {
   friend class Lowering;
   CompiledProgram() = default;
 
-  // A wire's slice plus the transfer machinery between the Wire object and
-  // the arena.  `value` points at the wire's stored value (bool for
-  // width-1 slices, a 4-byte integral otherwise), so the unbind-time
-  // materialization is a direct store of the arena bits - no per-wire call.
+  // A wire's slice of the arena.  `value` points at the wire's stored
+  // value (bool for width-1 slices, a 4-byte integral otherwise), so the
+  // bind-time import and the unbind-time materialization are direct loads
+  // and stores of the slice's bits - no per-wire call.
   struct Binding {
     const WireBase* wire;
     void* value;                       // Wire<T>::arenaValueSlot()
     std::uint32_t word;
     std::uint8_t shift;
     std::uint8_t width;                // 1..32
-    void (*store)(const WireBase*);    // wire -> arena (Wire::syncArena)
   };
 
   // Pre-schedule settle op as emitted by Lowering, with the describing
@@ -268,22 +263,11 @@ class CompiledProgram {
     std::uint32_t end;
   };
 
-  // One entry of the settle or edge tape.
+  // One entry of the settle or edge tape: the function and the context
+  // Lowering::ctx allocated for it (a module's ops may share one).
   struct Op {
     OpFn fn;
     void* ctx;
-  };
-
-  // Batched interpreter stream: a maximal stretch of identical-fn ops whose
-  // packed contexts sit at a fixed stride (count == 1 covers everything
-  // else).  The run loop hoists the fn load and op bookkeeping out of the
-  // hot call sequence; since execution order is exactly the tape order,
-  // results are bit-identical.
-  struct Run {
-    OpFn fn;
-    void* ctx;
-    std::uint32_t stride;
-    std::uint32_t count;
   };
 
   std::uint32_t newWord() { return wordCount_++; }
@@ -331,23 +315,13 @@ class CompiledProgram {
   std::vector<const Module*> unitModules_;
   std::vector<std::uint64_t> before_;
 
-  // Batched streams (see Run).
-  std::vector<Run> runs_;
-  std::vector<Run> edgeRuns_;
-  void buildRuns();
-  void runTape(const std::vector<Run>& runs);
+  void runTape(const std::vector<Op>& tape);
 
   // Op context arena (Lowering::ctx): chunked so pointers stay stable as
-  // it grows; freed wholesale with the program.  After scheduling,
-  // packContexts() re-copies each unit's context into execution order
-  // (duplicating shared contexts - they are immutable at run time), so the
-  // interpreter streams contexts sequentially instead of hopping through
-  // describe-order allocations.
+  // it grows; freed wholesale with the program.
   std::vector<std::unique_ptr<unsigned char[]>> ctxChunks_;
   std::size_t ctxChunkUsed_ = 0;
   std::size_t ctxChunkCap_ = 0;
-  std::unordered_map<const void*, std::uint32_t> ctxSize_;
-  void packContexts();
 };
 
 }  // namespace rasoc::sim

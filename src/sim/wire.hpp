@@ -184,22 +184,21 @@ class Wire : public WireBase {
     }
   }
 
+  // Raw pointer to the stored value, through which a program imports the
+  // wire's value into its arena slice at bind time and stores the final
+  // arena bits at unbind time (so get() stays correct once the binding is
+  // gone).  Same bookkeeping-on-a-const-net rationale as bindArena().
+  T* arenaValueSlot() const { return const_cast<T*>(&value_); }
+
+ private:
   // Copies the current value into the bound arena slice (no-op when
-  // unbound).  A program calls this once per wire at build time;
-  // afterwards set()/force() keep the slice fresh.
+  // unbound), so set()/force() keep the slice fresh.
   void syncArena() const {
     if constexpr (std::is_integral_v<T>) {
       if (arenaBound()) storeArenaBits(toBits(value_));
     }
   }
 
-  // Raw pointer to the stored value, for a program's unbind-time
-  // materialization (which stores final arena bits directly
-  // before detaching, so get() stays correct once the binding is gone).
-  // Same bookkeeping-on-a-const-net rationale as bindArena().
-  T* arenaValueSlot() const { return const_cast<T*>(&value_); }
-
- private:
   // Adopts the arena value when bound (no-op otherwise).  Only integral
   // wires are ever bound.
   void refreshFromArena() const {
