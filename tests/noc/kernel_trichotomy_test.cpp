@@ -526,6 +526,22 @@ TEST(KernelEquivalenceTest, EightByEightUniformRandomMultipleSeeds) {
   }
 }
 
+TEST(KernelEquivalenceTest, SixteenBySixteenUniformRandom) {
+  // The only lockstep network whose op contexts span more than one 64 KB
+  // chunk of the program's context arena: about 250 KB under Compiled and
+  // 100 KB under Naive, where every 8x8 program fits in one chunk.
+  NetworkConfig base = baseConfig();
+  base.params.m = 12;  // offsets beyond 8x8 exceed m=8
+  TrafficConfig traffic;
+  traffic.pattern = TrafficPattern::UniformRandom;
+  traffic.offeredLoad = 0.2;
+  traffic.payloadFlits = 6;
+  traffic.seed = 16;
+  auto nets = makeNets(std::make_shared<MeshTopology>(MeshShape{16, 16}),
+                       base, traffic);
+  runLockstep(nets, 300, 100);
+}
+
 TEST(KernelEquivalenceTest, EightByEightSaturatedTranspose) {
   // High load + deterministic hotspot pattern stresses arbitration and
   // backpressure paths at the full 8x8 scale, with shallow FIFOs.

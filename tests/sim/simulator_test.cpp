@@ -773,6 +773,61 @@ TEST_P(KernelContractTest, ForceDuringSettleThrows) {
   EXPECT_EQ(victim.get(), 2);
 }
 
+TEST_P(KernelContractTest, PlacedWireValuesReachTheArenaOnEveryBuild) {
+  // Before the first settle a placed int wire holds a negative value and a
+  // placed bool wire holds true.  Building the program imports both into
+  // the arena, where a raw op reads them (out = enable ? in : 0).  reset()
+  // rebuilds the program: the old one stores its arena bits back into the
+  // wires, the new one imports them again.
+  class Gate : public Module {
+   public:
+    Gate(const Wire<int>& in, const Wire<bool>& enable, Wire<int>& out)
+        : Module("gate"), in_(&in), enable_(&enable), out_(&out) {}
+
+    bool describe(Lowering& lw) override {
+      struct Ctx {
+        std::uint32_t in, out;
+      };
+      const std::uint32_t in = lw.packedWord({{*in_, 0}, {*enable_, 32}});
+      const WordBits out = alone(lw, *out_);
+      lw.op(
+          [](std::uint64_t* w, void* c) {
+            const auto* x = static_cast<const Ctx*>(c);
+            const std::uint64_t word = w[x->in];
+            opPutBits(w, x->out, 0xffffffffu,
+                      ((word >> 32) & 1) != 0 ? word & 0xffffffffu : 0);
+          },
+          lw.ctx(Ctx{in, out.word}), {{in, fieldMask(33)}}, {out});
+      return true;
+    }
+
+   private:
+    const Wire<int>* in_;
+    const Wire<bool>* enable_;
+    Wire<int>* out_;
+  };
+  Wire<int> in{-7}, out;
+  Wire<bool> enable{true};
+  Gate gate(in, enable, out);
+  Simulator sim;
+  sim.setKernel(GetParam());
+  sim.add(gate);
+  sim.settle();
+  EXPECT_EQ(out.get(), -7);
+  sim.reset();
+  EXPECT_EQ(out.get(), -7);
+  EXPECT_EQ(in.get(), -7);
+  EXPECT_TRUE(enable.get());
+  // A poked value crosses the rebuild too.
+  in.force(std::numeric_limits<int>::min());
+  sim.reset();
+  EXPECT_EQ(out.get(), std::numeric_limits<int>::min());
+  enable.force(false);
+  sim.reset();
+  EXPECT_EQ(out.get(), 0);
+  EXPECT_FALSE(enable.get());
+}
+
 std::string kernelName(
     const ::testing::TestParamInfo<Simulator::Kernel>& info) {
   const char* const names[] = {"Naive", "Compiled"};
